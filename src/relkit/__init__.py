@@ -71,7 +71,6 @@ from .loss import (
 from .plotting import PlotSpec, render_loss_plot
 from .regions import (
     Interval,
-    PartitionOptions,
     RegionSet,
     RelevancePartition,
     is_practically_relevant,
@@ -110,7 +109,6 @@ __all__ = [
     "NormalKnownVarModel",
     "NumericalError",
     "ParameterSpace",
-    "PartitionOptions",
     "PlotSpec",
     "PosteriorModel",
     "ProcedureSpec",

@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NumericalError, ValidationError
 from .hypotheses import HypothesisPair
 from .inference import (
     PosteriorModel,
     concentration_splits,
-    integrate_piecewise,
     posterior_region_prob,
+    quadrature,
 )
-from .loss import LossSpec, breakpoints, _compile
+from .loss import ACTIONS, LossSpec, Piece, breakpoints, _compile, _piece_at
 from .regions import partition, region_measure
 
 EXPECTED_LOSS_TIE_TOL = 1e-10
@@ -133,6 +134,12 @@ def bayes_two_action_decision(
     )
 
 
+def _weighted(piece: Piece, pdf) -> Callable[[float], float]:
+    """theta -> the piece's polynomial at theta times pdf(theta)."""
+    o, c0, c1, c2 = piece
+    return lambda t: (c0 + (t - o) * (c1 + (t - o) * c2)) * pdf(t)
+
+
 def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutcome:
     """Full-loss decision: argmin of E[L(theta, a) | y], ties to a0.
 
@@ -145,24 +152,26 @@ def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutc
         raise ValidationError(
             "posterior and loss specification must share the effect space"
         )
-    cuts = breakpoints(spec) + concentration_splits(post)
+    # Every loss piece start is a cut, so each quadrature panel lies inside
+    # one piece and integrates that piece's polynomial.
+    lo, hi = spec.space.lo, spec.space.hi
+    cuts = set(breakpoints(spec) + concentration_splits(post))
+    points = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
+    share = 1e-8 / (len(points) - 1)
     warnings: list[str] = []
     expected = {}
-    for action in ("a0", "a1"):
-        fn = _compile(spec, action)
-        result = integrate_piecewise(
-            lambda t, fn=fn: fn(t) * post.pdf(t),
-            spec.space.lo,
-            spec.space.hi,
-            cuts,
-            tol=1e-8,
-        )
-        if not result.converged:
+    for action in ACTIONS:
+        curve = _compile(spec, action)
+        parts = [
+            quadrature(_weighted(_piece_at(curve, a), post.pdf), a, b, tol=share)
+            for a, b in zip(points[:-1], points[1:])
+        ]
+        if not all(part.converged for part in parts):
             warnings.append(
                 f"expected loss for {action} reached quadrature depth limit "
-                f"(error estimate {result.error:.3g})"
+                f"(error estimate {sum(part.error for part in parts):.3g})"
             )
-        expected[action] = result.value
+        expected[action] = sum(part.value for part in parts)
     if expected["a1"] < expected["a0"] - EXPECTED_LOSS_TIE_TOL:
         decision = "a1"
     else:

@@ -6,10 +6,13 @@ effect is in H0 and every relevant effect is in H1, and *partial* when H0
 holds only negligible and H1 only relevant effects. Complete implies partial;
 the reverse fails, e.g. for a pair of singletons picked out of the space.
 
-Both conditions quantify over a continuum, so they are checked on a dense
-grid augmented with probes just inside and outside every region endpoint.
-Grid points within the crossing tolerance of a loss-curve crossing are
-skipped: membership there is decided by numerics, not by the hypotheses.
+Both conditions quantify over a continuum, but every set involved is a
+finite union of intervals. Membership is therefore constant between
+consecutive cut points (the space ends, every hypothesis and subspace
+endpoint, each crossing and each crossing +/- ROOT_TOL), so checking the cut
+points and the midpoints between them is exact. Points within ROOT_TOL of a
+loss-curve crossing are skipped: a hypothesis endpoint that close to a
+crossing counts as matching it.
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ from typing import NamedTuple
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .loss import LossSpec, difference_fn, sample_grid
+from .loss import LossSpec, difference_fn
 from .regions import (
-    PartitionOptions,
-    DEFAULT_OPTIONS,
     RegionSet,
     RelevancePartition,
     partition,
@@ -30,6 +31,10 @@ from .regions import (
     region_union,
     region_within,
 )
+
+# Points this close to a crossing are not checked, so a hypothesis endpoint
+# written as a decimal (the published 0.106) matches the computed root.
+ROOT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,28 +62,27 @@ def derive_hypotheses(part: RelevancePartition) -> HypothesisPair:
 
 
 def _check_points(
-    pair: HypothesisPair, spec: LossSpec, opts: PartitionOptions
+    pair: HypothesisPair, spec: LossSpec, subspace: RegionSet | None = None
 ) -> tuple[list[float], tuple[float, ...]]:
-    if not (region_within(pair.h0, spec.space) and region_within(pair.h1, spec.space)):
+    """Cut points and the midpoints between them, sorted, plus the crossings."""
+    space = spec.space
+    if not (region_within(pair.h0, space) and region_within(pair.h1, space)):
         raise ValidationError("hypothesis regions must lie within the parameter space")
-    part = partition(spec, opts)
-    probes: list[float] = []
-    for region in (pair.h0, pair.h1):
+    part = partition(spec)
+    cuts = {space.lo, space.hi}
+    for region in (pair.h0, pair.h1, subspace or RegionSet()):
         for itv in region.intervals:
-            for e in (itv.lo, itv.hi):
-                probes.extend((e, e - opts.root_tol, e + opts.root_tol))
-    grid = sample_grid(spec.space, opts.grid_size, include=probes)
-    return grid, part.crossings
-
-
-def _near_crossing(theta: float, crossings: tuple[float, ...], tol: float) -> bool:
-    return any(abs(theta - c) < tol for c in crossings)
+            cuts.update((itv.lo, itv.hi))
+    for c in part.crossings:
+        cuts.update((c - ROOT_TOL, c, c + ROOT_TOL))
+    pts = sorted(t for t in cuts if space.lo <= t <= space.hi)
+    mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
+    return sorted(pts + mids), part.crossings
 
 
 def check_complete(
     pair: HypothesisPair,
     spec: LossSpec,
-    opts: PartitionOptions | None = None,
     subspace: RegionSet | None = None,
 ) -> CheckResult:
     """Does H0 contain all negligible and H1 all relevant effects?
@@ -87,16 +91,15 @@ def check_complete(
     inside it (the restricted-parameter-space reading for pairs that only
     partially incorporate relevance).
 
-    Returns (ok, witness); the witness is a grid point violating the
-    condition when ok is False.
+    Returns (ok, witness); the witness is the smallest checked point
+    violating the condition when ok is False.
     """
-    opts = opts or DEFAULT_OPTIONS
-    grid, crossings = _check_points(pair, spec, opts)
+    points, crossings = _check_points(pair, spec, subspace)
     delta = difference_fn(spec)
-    for t in grid:
+    for t in points:
         if subspace is not None and not region_contains(subspace, t):
             continue
-        if _near_crossing(t, crossings, opts.root_tol):
+        if any(abs(t - c) < ROOT_TOL for c in crossings):
             continue
         if delta(t) < 0.0:
             if not region_contains(pair.h1, t):
@@ -106,17 +109,12 @@ def check_complete(
     return CheckResult(True, None)
 
 
-def check_partial(
-    pair: HypothesisPair,
-    spec: LossSpec,
-    opts: PartitionOptions | None = None,
-) -> CheckResult:
+def check_partial(pair: HypothesisPair, spec: LossSpec) -> CheckResult:
     """Does H0 contain only negligible and H1 only relevant effects?"""
-    opts = opts or DEFAULT_OPTIONS
-    grid, crossings = _check_points(pair, spec, opts)
+    points, crossings = _check_points(pair, spec)
     delta = difference_fn(spec)
-    for t in grid:
-        if _near_crossing(t, crossings, opts.root_tol):
+    for t in points:
+        if any(abs(t - c) < ROOT_TOL for c in crossings):
             continue
         relevant = delta(t) < 0.0
         if relevant and region_contains(pair.h0, t):

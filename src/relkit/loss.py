@@ -3,15 +3,16 @@
 A loss specification assigns every effect value ``theta`` in a closed
 interval a nonnegative badness for each of two actions: ``a0`` is the action
 that is appropriate when the effect is absent, ``a1`` the one that is
-appropriate when the effect matters. Everything downstream (region
-partitioning, hypothesis checks, decisions) only ever consumes these curves
-through :func:`evaluate_loss` and :func:`loss_difference`.
+appropriate when the effect matters. Every loss kind compiles to one exact
+representation, a piecewise polynomial of degree <= 2, from which
+evaluation, validation, the relevance partition, the hypothesis checks and
+the expected-loss integrand are all derived.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -143,9 +144,16 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+# One polynomial piece of a loss curve: (origin, c0, c1, c2) stands for
+# c0 + c1 * u + c2 * u**2 with u = theta - origin, and c0 is the declared loss
+# at the origin (a knot, or a quadratic's vertex).
+Piece = tuple[float, float, float, float]
+Curve = tuple[tuple[float, ...], tuple[Piece, ...]]
+
+
 @lru_cache(maxsize=512)
-def _compile(spec: LossSpec, action: str) -> Callable[[float], float]:
-    """Return a fast evaluator for one loss curve, validating its structure."""
+def _compile(spec: LossSpec, action: str) -> Curve:
+    """Validate one loss curve and compile it to sorted piece starts and pieces."""
     params = spec.params_a0 if action == "a0" else spec.params_a1
 
     if spec.kind == "builtin_coin_demo":
@@ -154,9 +162,9 @@ def _compile(spec: LossSpec, action: str) -> Callable[[float], float]:
                 "builtin_coin_demo requires the parameter space [-0.5, 0.5]"
             )
         if action == "a0":
-            return abs
+            return (-0.5, 0.0), ((0.0, 0.0, -1.0, 0.0), (0.0, 0.0, 1.0, 0.0))
         k = COIN_A1_SLOPE
-        return lambda t: k * (0.5 - abs(t))
+        return (-0.5, 0.0), ((0.0, 0.5 * k, k, 0.0), (0.0, 0.5 * k, -k, 0.0))
 
     if spec.kind == "quadratic":
         if not isinstance(params, QuadraticParams):
@@ -164,9 +172,9 @@ def _compile(spec: LossSpec, action: str) -> Callable[[float], float]:
         c = _check_finite(f"{action}.c", params.c)
         center = _check_finite(f"{action}.center", params.center)
         offset = _check_finite(f"{action}.offset", params.offset)
-        return lambda t: c * (t - center) ** 2 + offset
+        return (spec.space.lo,), ((center, offset, 0.0, c),)
 
-    # piecewise_linear and table share the interpolation machinery
+    # piecewise_linear and table: one linear piece per knot interval
     if not isinstance(params, CurveKnots):
         raise ValidationError(f"{action}: {spec.kind} loss needs CurveKnots")
     knots, values = params.knots, params.values
@@ -187,18 +195,25 @@ def _compile(spec: LossSpec, action: str) -> Callable[[float], float]:
             f"{action}: grid [{knots[0]}, {knots[-1]}] does not cover the "
             f"parameter space [{spec.space.lo}, {spec.space.hi}]"
         )
+    pieces = [
+        (x0, v0, (v1 - v0) / (x1 - x0), 0.0)
+        for x0, x1, v0, v1 in zip(knots, knots[1:], values, values[1:])
+    ]
+    # a constant terminal piece returns the last declared value exactly
+    pieces.append((knots[-1], values[-1], 0.0, 0.0))
+    return knots, tuple(pieces)
 
-    def interpolate(t: float, knots=knots, values=values) -> float:
-        i = bisect_left(knots, t)
-        if i < len(knots) and knots[i] == t:
-            return values[i]
-        if i == 0:
-            return values[0]
-        x0, x1 = knots[i - 1], knots[i]
-        w = (t - x0) / (x1 - x0)
-        return values[i - 1] + w * (values[i] - values[i - 1])
 
-    return interpolate
+def _piece_at(curve: Curve, theta: float) -> Piece:
+    """The piece holding theta (the first piece also extends to its left)."""
+    starts, pieces = curve
+    return pieces[bisect_right(starts, theta, 1) - 1]
+
+
+def _value(curve: Curve, theta: float) -> float:
+    origin, c0, c1, c2 = _piece_at(curve, theta)
+    u = theta - origin
+    return c0 + u * (c1 + u * c2)
 
 
 def evaluate_loss(spec: LossSpec, theta: float, action: str) -> float:
@@ -214,33 +229,24 @@ def evaluate_loss(spec: LossSpec, theta: float, action: str) -> float:
         raise DomainError(
             f"theta={t} outside the parameter space [{spec.space.lo}, {spec.space.hi}]"
         )
-    return _compile(spec, action)(t)
+    return _value(_compile(spec, action), t)
 
 
 def loss_difference(spec: LossSpec, theta: float) -> float:
     """L(theta, a1) - L(theta, a0); negative means a1 is preferred."""
-    t = float(theta)
-    if not spec.space.contains(t):
-        raise DomainError(
-            f"theta={t} outside the parameter space [{spec.space.lo}, {spec.space.hi}]"
-        )
-    return _compile(spec, "a1")(t) - _compile(spec, "a0")(t)
+    return evaluate_loss(spec, theta, "a1") - evaluate_loss(spec, theta, "a0")
 
 
 def difference_fn(spec: LossSpec) -> Callable[[float], float]:
     """Compiled theta -> L(theta, a1) - L(theta, a0), for hot loops."""
-    f0, f1 = _compile(spec, "a0"), _compile(spec, "a1")
-    return lambda t: f1(t) - f0(t)
+    c0, c1 = _compile(spec, "a0"), _compile(spec, "a1")
+    return lambda t: _value(c1, t) - _value(c0, t)
 
 
 def breakpoints(spec: LossSpec) -> tuple[float, ...]:
-    """Interior points where a loss curve may kink (knots, demo apex)."""
-    if spec.kind == "builtin_coin_demo":
-        return (0.0,)
-    pts: set[float] = set()
-    for params in (spec.params_a0, spec.params_a1):
-        if isinstance(params, CurveKnots):
-            pts.update(x for x in params.knots if spec.space.lo < x < spec.space.hi)
+    """Piece starts of either curve strictly inside the space (knots, demo apex)."""
+    lo, hi = spec.space.lo, spec.space.hi
+    pts = {x for action in ACTIONS for x in _compile(spec, action)[0] if lo < x < hi}
     return tuple(sorted(pts))
 
 
@@ -272,26 +278,28 @@ class ValidationReport:
         return not self.issues
 
 
-def validate_loss_spec(spec: LossSpec, grid_size: int = 4096) -> ValidationReport:
+def validate_loss_spec(spec: LossSpec) -> ValidationReport:
     """Check every LossSpec invariant, returning violations as report entries.
 
-    Structural problems are reported per curve; if both curves are evaluable,
-    nonnegativity and finiteness are checked on a dense grid plus all
-    breakpoints. Never raises for an invalid spec.
+    Structural problems are reported per curve. If both curves compile, each
+    is checked for finiteness and nonnegativity where a polynomial of degree
+    <= 2 takes its minimum: at both space ends and at every piece origin
+    inside the space (each knot, and a quadratic's vertex), whose declared
+    value is read directly. Never raises for an invalid spec.
     """
     issues: list[str] = []
-    fns: dict[str, Callable[[float], float]] = {}
+    curves: dict[str, Curve] = {}
     for action in ACTIONS:
         try:
-            fns[action] = _compile(spec, action)
+            curves[action] = _compile(spec, action)
         except ValidationError as exc:
             issues.append(str(exc))
-    if len(fns) == len(ACTIONS):
-        grid = sample_grid(spec.space, grid_size, include=breakpoints(spec))
-        for action in ACTIONS:
-            fn = fns[action]
-            for t in grid:
-                v = fn(t)
+    if len(curves) == len(ACTIONS):
+        lo, hi = spec.space.lo, spec.space.hi
+        for action, curve in curves.items():
+            values = {t: _value(curve, t) for t in (lo, hi)}
+            values.update((o, c0) for o, c0, _, _ in curve[1] if lo < o < hi)
+            for t, v in sorted(values.items()):
                 if not math.isfinite(v):
                     issues.append(f"non-finite loss at theta={t} for {action}")
                 elif v < 0.0:

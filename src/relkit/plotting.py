@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from ._version import __version__
-from .loss import ActionPair, LossSpec, breakpoints, sample_grid, _compile
+from .loss import ActionPair, LossSpec, breakpoints, evaluate_loss, sample_grid
 from .regions import RelevancePartition
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 44
@@ -59,9 +59,8 @@ def render_loss_plot(
     actions = actions or ActionPair("a0", "a1")
     space = spec.space
     grid = sample_grid(space, plot.samples, include=breakpoints(spec))
-    f0, f1 = _compile(spec, "a0"), _compile(spec, "a1")
-    y0 = [f0(t) for t in grid]
-    y1 = [f1(t) for t in grid]
+    y0 = [evaluate_loss(spec, t, "a0") for t in grid]
+    y1 = [evaluate_loss(spec, t, "a1") for t in grid]
     y_max = max(max(y0), max(y1), 1e-12) * 1.05
 
     x_px0, x_px1 = _MARGIN_L, plot.width - _MARGIN_R

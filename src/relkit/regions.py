@@ -2,9 +2,10 @@
 
 An effect value is practically relevant when acting on it (``a1``) carries
 strictly smaller loss than acting as if it were absent (``a0``). Ties count
-as negligible. :func:`partition` turns a loss specification into the
-negligible/relevant split of the space, locating the loss-curve crossings by
-sign-change bracketing and bisection.
+as negligible. :func:`partition` turns a loss specification into the exact
+negligible/relevant split of the space: between knots the loss difference is
+a polynomial of degree <= 2, so the loss-curve crossings are its roots in
+closed form.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from .errors import ValidationError
 from .loss import (
     LossSpec,
     ParameterSpace,
+    Piece,
+    _compile,
+    _piece_at,
     breakpoints,
     difference_fn,
     loss_difference,
-    sample_grid,
     validate_loss_spec,
 )
 
@@ -140,28 +143,12 @@ def region_within(region: RegionSet, space: ParameterSpace) -> bool:
 
 
 @dataclass(frozen=True)
-class PartitionOptions:
-    """Grid resolution and crossing tolerance for partition scans."""
-
-    grid_size: int = 4096
-    root_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.grid_size < 16:
-            raise ValueError(f"grid_size must be >= 16, got {self.grid_size}")
-        if not self.root_tol > 0.0:
-            raise ValueError(f"root_tol must be positive, got {self.root_tol}")
-
-
-DEFAULT_OPTIONS = PartitionOptions()
-
-
-@dataclass(frozen=True)
 class RelevancePartition:
     """Split of the parameter space into negligible and relevant regions.
 
-    ``crossings`` are the refined loss-curve crossing points; each crossing
-    itself belongs to the negligible set (ties are negligible).
+    ``crossings`` are the boundary points of the relevant set inside the
+    space; each crossing itself belongs to the negligible set (ties are
+    negligible).
     """
 
     negligible: RegionSet
@@ -175,88 +162,83 @@ def is_practically_relevant(spec: LossSpec, theta: float) -> bool:
     return loss_difference(spec, theta) < 0.0
 
 
-def _refine_crossing(delta, x0: float, x1: float, left_relevant: bool, tol: float) -> float:
-    """Bisect the relevance indicator on [x0, x1] down to a crossing point.
-
-    Narrows until the bracket is well below tol and the loss difference at
-    the midpoint is itself within tol, so the reported crossing is accurate
-    in both coordinates.
-    """
-    for _ in range(200):
-        mid = 0.5 * (x0 + x1)
-        if not (x0 < mid < x1):
-            break
-        d = delta(mid)
-        if (x1 - x0) <= 0.25 * tol and abs(d) <= tol:
-            return mid
-        if (d < 0.0) == left_relevant:
-            x0 = mid
-        else:
-            x1 = mid
-    return 0.5 * (x0 + x1)
+def _quadratic_roots(c0: float, c1: float, c2: float) -> tuple[float, ...]:
+    """Real roots of c0 + c1 * u + c2 * u**2, by the cancellation-free formula."""
+    if c2 == 0.0:
+        return (-c0 / c1,) if c1 != 0.0 else ()
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return ()
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return (q / c2, c0 / q) if q != 0.0 else (0.0,)
 
 
-def partition(
-    spec: LossSpec, opts: PartitionOptions | None = None
-) -> RelevancePartition:
+def _roots(p0: Piece, p1: Piece, delta, a: float, b: float) -> tuple[float, ...]:
+    """Roots of the loss difference on [a, b], where the curves are the
+    single pieces p0 and p1; the quadratic case may also return roots
+    outside [a, b]."""
+    if p0[3] == p1[3] == 0.0:
+        # linear: a root needs a strict sign change between the exact end values
+        da, db = delta(a), delta(b)
+        if da == 0.0 or db == 0.0 or (da < 0.0) == (db < 0.0):
+            return ()
+        return (a + (b - a) * da / (da - db),)
+    # both curves quadratic: expand a1 about a0's vertex
+    o, c0, c1, c2 = p0
+    origin, b0, b1, b2 = p1
+    d = o - origin
+    e = (b0 + d * (b1 + d * b2) - c0, b1 + 2.0 * b2 * d - c1, b2 - c2)
+    return tuple(o + u for u in _quadratic_roots(*e))
+
+
+def partition(spec: LossSpec) -> RelevancePartition:
     """Compute the negligible/relevant partition induced by a loss spec.
 
-    The loss difference is scanned on a uniform grid (including both space
-    endpoints and all loss breakpoints); every sign change of the relevance
-    indicator is bracketed and refined by bisection. Sub-intervals between
-    consecutive crossings are classified by the difference at their midpoint,
-    and the crossing points themselves go to the negligible side, so relevant
-    intervals are open at crossings and negligible ones closed.
-
-    Features narrower than the grid spacing, including tangential touches of
-    the two curves, are not resolved.
+    The loss difference is a polynomial of degree <= 2 between consecutive
+    knots of the two curves, so its roots there come in closed form. Roots
+    are ties and go to the negligible side; every knot and every open gap
+    between consecutive points is classified by the sign of the difference.
+    ``crossings`` are the boundary points of the relevant set inside the
+    space, so a point where the curves touch without crossing is a
+    negligible singleton and a crossing.
     """
-    if opts is None:
-        opts = DEFAULT_OPTIONS
-    return _partition_cached(spec, opts)
+    return _partition_cached(spec)
 
 
 @lru_cache(maxsize=128)
-def _partition_cached(spec: LossSpec, opts: PartitionOptions) -> RelevancePartition:
-    report = validate_loss_spec(spec, grid_size=opts.grid_size)
+def _partition_cached(spec: LossSpec) -> RelevancePartition:
+    report = validate_loss_spec(spec)
     if not report.ok:
         raise ValidationError(
             "invalid loss specification:\n" + "\n".join(report.issues)
         )
     delta = difference_fn(spec)
+    c0, c1 = _compile(spec, "a0"), _compile(spec, "a1")
     space = spec.space
-    grid = sample_grid(space, opts.grid_size, include=breakpoints(spec))
-    flags = [delta(t) < 0.0 for t in grid]
+    bounds = [space.lo, *breakpoints(spec), space.hi]
+    roots = {
+        r
+        for a, b in zip(bounds, bounds[1:])
+        for r in _roots(_piece_at(c0, a), _piece_at(c1, a), delta, a, b)
+        if a <= r <= b
+    }
+    points = sorted(roots.union(bounds))
 
-    crossings: list[float] = []
-    for i in range(len(grid) - 1):
-        if flags[i] != flags[i + 1]:
-            c = _refine_crossing(delta, grid[i], grid[i + 1], flags[i], opts.root_tol)
-            if not crossings or c - crossings[-1] > opts.root_tol:
-                crossings.append(c)
-
-    bounds = [space.lo, *crossings, space.hi]
-    segments: list[tuple[float, float, bool]] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        relevant = delta(0.5 * (lo + hi)) < 0.0
-        if segments and segments[-1][2] == relevant:
-            segments[-1] = (segments[-1][0], hi, relevant)
-        else:
-            segments.append((lo, hi, relevant))
-
+    # every point and every open gap between neighbours, classified at its
+    # midpoint; roots are ties
+    atoms = [Interval(p, p) for p in points]
+    atoms += [Interval(q, p, True, True) for q, p in zip(points, points[1:])]
     negligible: list[Interval] = []
-    relevant_out: list[Interval] = []
-    for lo, hi, relevant in segments:
-        if relevant:
-            # crossings belong to the negligible side
-            relevant_out.append(
-                Interval(lo, hi, lo_open=lo != space.lo, hi_open=hi != space.hi)
-            )
-        else:
-            negligible.append(Interval(lo, hi))
+    relevant: list[Interval] = []
+    for itv in atoms:
+        t = 0.5 * (itv.lo + itv.hi)
+        (relevant if t not in roots and delta(t) < 0.0 else negligible).append(itv)
+    relevant_set = RegionSet(tuple(relevant))
+    edges = {x for itv in relevant_set.intervals for x in (itv.lo, itv.hi)}
+    crossings = sorted(x for x in edges if space.lo < x < space.hi)
     return RelevancePartition(
         negligible=RegionSet(tuple(negligible)),
-        relevant=RegionSet(tuple(relevant_out)),
+        relevant=relevant_set,
         crossings=tuple(crossings),
         space=space,
     )

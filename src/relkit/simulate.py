@@ -141,7 +141,8 @@ Dataset = BinomialDraw | NormalDraw
 def _cell_rng(
     seed: int, true_effect: float, n: int, replicate_index: int
 ) -> np.random.Generator:
-    effect_bits = int.from_bytes(struct.pack("<d", float(true_effect)), "little")
+    # + 0.0 maps -0.0 to 0.0, so both zeros draw the same stream
+    effect_bits = int.from_bytes(struct.pack("<d", float(true_effect) + 0.0), "little")
     ss = np.random.SeedSequence(
         [int(seed), effect_bits, int(n), int(replicate_index)]
     )

@@ -32,7 +32,6 @@ from relkit.inference import (
 from relkit.loss import ParameterSpace
 from relkit.regions import (
     Interval,
-    PartitionOptions,
     RegionSet,
     is_practically_relevant,
     partition,
@@ -120,18 +119,17 @@ def _shrunk_pair(part, margin):
 def test_c3_complete_implies_partial_battery():
     with criterion("C3 implication property over 1000+ instances"):
         rng = random.Random(160493)
-        opts = PartitionOptions(grid_size=256)
         instances = 0
         partial_not_complete = 0
         while instances < 1000:
             spec = random_loss_spec(rng)
-            part = partition(spec, opts)
+            part = partition(spec)
             pairs = [derive_hypotheses(part), _shrunk_pair(part, margin=0.03)]
             if not part.negligible.is_empty and not part.relevant.is_empty:
                 pairs.append(HypothesisPair(h0=part.relevant, h1=part.negligible))
             for pair in pairs:
-                complete_ok, _ = check_complete(pair, spec, opts)
-                partial_ok, _ = check_partial(pair, spec, opts)
+                complete_ok, _ = check_complete(pair, spec)
+                partial_ok, _ = check_partial(pair, spec)
                 instances += 1
                 assert not (complete_ok and not partial_ok), (
                     "counterexample: complete pair failing the partial check"

@@ -12,15 +12,12 @@ from relkit.hypotheses import (
 )
 from relkit.regions import (
     Interval,
-    PartitionOptions,
     RegionSet,
     partition,
     region_contains,
 )
 
 from conftest import equal_losses_spec, quadratic_pair_spec, random_loss_spec
-
-BATTERY_OPTS = PartitionOptions(grid_size=256)
 
 
 def eq_9_10_pair():
@@ -144,13 +141,13 @@ def test_implication_battery():
     checked = 0
     for _ in range(60):
         spec = random_loss_spec(rng)
-        part = partition(spec, BATTERY_OPTS)
+        part = partition(spec)
         pairs = [derive_hypotheses(part), _shrunk_pair(part)]
         if not part.negligible.is_empty and not part.relevant.is_empty:
             pairs.append(_swapped_pair(part))
         for pair in pairs:
-            complete_ok, _ = check_complete(pair, spec, BATTERY_OPTS)
-            partial_ok, _ = check_partial(pair, spec, BATTERY_OPTS)
+            complete_ok, _ = check_complete(pair, spec)
+            partial_ok, _ = check_partial(pair, spec)
             checked += 1
             if complete_ok:
                 assert partial_ok, "complete pair failed the partial check"
@@ -164,8 +161,8 @@ def test_round_trip_derived_pairs_are_complete():
     rng = random.Random(777)
     for _ in range(20):
         spec = random_loss_spec(rng)
-        pair = derive_hypotheses(partition(spec, BATTERY_OPTS))
-        ok, witness = check_complete(pair, spec, BATTERY_OPTS)
+        pair = derive_hypotheses(partition(spec))
+        ok, witness = check_complete(pair, spec)
         assert ok, f"derived pair not complete, witness {witness}"
 
 

@@ -152,15 +152,20 @@ class TestValidateLossSpec:
         assert validate_loss_spec(coin_spec).ok
 
     def test_negative_parabola_reported(self, unit_space):
-        spec = LossSpec(
-            space=unit_space,
-            kind="quadratic",
-            params_a0=QuadraticParams(c=-1.0),
-            params_a1=QuadraticParams(c=1.0),
-        )
-        report = validate_loss_spec(spec)
-        assert not report.ok
-        assert any("negative loss" in issue for issue in report.issues)
+        for a0 in (
+            QuadraticParams(c=-1.0),
+            # a dip below zero far narrower than any grid spacing
+            QuadraticParams(c=1e6, center=0.0001234, offset=-1e-12),
+        ):
+            spec = LossSpec(
+                space=unit_space,
+                kind="quadratic",
+                params_a0=a0,
+                params_a1=QuadraticParams(c=1.0),
+            )
+            report = validate_loss_spec(spec)
+            assert not report.ok
+            assert any("negative loss" in issue for issue in report.issues)
 
     def test_unsorted_grid_reported(self, unit_space):
         curve = CurveKnots(knots=(-0.5, 0.3, 0.1, 0.5), values=(0, 0, 0, 0))

@@ -6,7 +6,6 @@ from relkit.errors import ValidationError
 from relkit.loss import loss_difference
 from relkit.regions import (
     Interval,
-    PartitionOptions,
     RegionSet,
     is_practically_relevant,
     partition,
@@ -140,6 +139,40 @@ class TestPartitionOtherShapes:
         neg_lo, neg_hi = part.negligible.intervals
         assert (neg_lo.lo, neg_hi.hi) == (-0.5, 0.5)
 
+    def test_narrow_negligible_band(self, unit_space):
+        # a0 is strictly better only within 1e-5 of 0.1234567
+        from relkit.loss import LossSpec, QuadraticParams
+
+        spec = LossSpec(
+            space=unit_space,
+            kind="quadratic",
+            params_a0=QuadraticParams(c=1.0, center=0.1234567),
+            params_a1=QuadraticParams(c=0.0, offset=1e-10),
+        )
+        part = partition(spec)
+        assert part.crossings == pytest.approx(
+            (0.1234567 - 1e-5, 0.1234567 + 1e-5), abs=1e-12
+        )
+        assert region_contains(part.negligible, 0.1234567)
+        assert not region_contains(part.relevant, 0.1234567)
+
+    def test_touch_point_is_negligible_crossing(self, unit_space):
+        # a1 is strictly better everywhere except a tie at 0
+        from relkit.loss import CurveKnots, LossSpec
+
+        a0 = CurveKnots(knots=(-0.5, 0.0, 0.5), values=(0.5, 0.2, 0.5))
+        a1 = CurveKnots(knots=(-0.5, 0.0, 0.5), values=(0.3, 0.2, 0.3))
+        spec = LossSpec(
+            space=unit_space, kind="piecewise_linear", params_a0=a0, params_a1=a1
+        )
+        part = partition(spec)
+        assert part.crossings == (0.0,)
+        assert part.negligible.intervals == (Interval(0.0, 0.0),)
+        assert part.relevant.intervals == (
+            Interval(-0.5, 0.0, hi_open=True),
+            Interval(0.0, 0.5, lo_open=True),
+        )
+
     def test_tie_plateau_stays_negligible(self, unit_space):
         # curves coincide on [-0.1, 0.1], a1 wins beyond +0.3
         from relkit.loss import CurveKnots, LossSpec
@@ -154,14 +187,6 @@ class TestPartitionOtherShapes:
 
 
 class TestPartitionOptions:
-    def test_grid_too_small(self, coin_spec):
-        with pytest.raises(ValueError):
-            PartitionOptions(grid_size=8)
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            PartitionOptions(root_tol=0.0)
-
     def test_invalid_spec_raises(self, unit_space):
         from relkit.loss import LossSpec, QuadraticParams
 
@@ -187,6 +212,8 @@ def _xor_partition_property(spec, part, rng, points=2000):
         assert in_rel == is_practically_relevant(spec, theta), (
             f"membership disagrees with the pointwise rule at {theta}"
         )
+    for c in part.crossings:
+        assert region_contains(part.negligible, c), f"crossing {c} not negligible"
 
 
 def test_partition_matches_pointwise_rule_on_random_specs():

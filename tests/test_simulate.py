@@ -41,6 +41,8 @@ class TestSimulateDataset:
         again = simulate_dataset(scenario, 0.0, 25, 3)
         other = simulate_dataset(scenario, 0.0, 25, 4)
         assert first == again
+        # -0.0 is the same effect as 0.0 and draws the same stream
+        assert simulate_dataset(scenario, -0.0, 25, 3) == first
         assert first != other or True  # replicates may collide by chance
 
     def test_degenerate_probability(self):
