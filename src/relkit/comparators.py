@@ -6,12 +6,17 @@ two-one-sided-tests equivalence procedure, the ROPE credible-interval rule,
 and a Bayes factor for interval hypotheses. None of them returns an optimal
 action for a concrete decision problem; the point of carrying them along is
 the comparison table.
+
+None of them integrates numerically: the tests use the incomplete beta and
+erfc, the ROPE rule uses posterior quantiles (Newton steps on the CDF), and
+the interval Bayes factor is the posterior odds over the prior odds of the
+two regions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import NumericalError, ValidationError
 from .hypotheses import HypothesisPair
@@ -19,10 +24,12 @@ from .inference import (
     BinomialModel,
     NormalKnownVarModel,
     PosteriorModel,
+    _interval_mass,
     credible_interval,
-    integrate_piecewise,
     normal_cdf,
     posterior_region_prob,
+    posterior_update_binomial,
+    posterior_update_normal,
     regularized_incomplete_beta,
 )
 from .regions import RegionSet
@@ -163,35 +170,6 @@ def rope_decision(
     )
 
 
-def _binomial_log_lik(model: BinomialModel):
-    const = (
-        math.lgamma(model.n + 1)
-        - math.lgamma(model.k + 1)
-        - math.lgamma(model.n - model.k + 1)
-    )
-    k, nk = model.k, model.n - model.k
-
-    def log_lik(pi: float) -> float:
-        if pi <= 0.0:
-            return const if k == 0 else -math.inf
-        if pi >= 1.0:
-            return const if nk == 0 else -math.inf
-        return const + k * math.log(pi) + nk * math.log1p(-pi)
-
-    return log_lik
-
-
-def _normal_log_lik(model: NormalKnownVarModel):
-    se = model.sigma / math.sqrt(model.n)
-    const = -math.log(se * math.sqrt(2.0 * math.pi))
-
-    def log_lik(theta: float) -> float:
-        z = (model.ybar - theta) / se
-        return const - 0.5 * z * z
-
-    return log_lik
-
-
 def interval_bayes_factor(
     model: BinomialModel | NormalKnownVarModel,
     pair: HypothesisPair,
@@ -199,85 +177,49 @@ def interval_bayes_factor(
 ) -> ComparatorResult:
     """BF_10 for H1 against H0 with the prior truncated to each region.
 
-    Each marginal likelihood is the prior-weighted average of the likelihood
-    over its region, computed by quadrature; the prior defaults to the
-    model's own. ``prior`` is (alpha, beta) for the binomial model and
-    (mean, sd) for the normal one.
+    With the prior truncated and renormalized to a region H, the marginal
+    likelihood of H is the evidence times P(H | y) / P(H), so
+
+        BF_10 = [P(H1 | y) / P(H0 | y)] / [P(H1) / P(H0)],
+
+    the posterior odds over the prior odds of the two regions under the
+    untruncated conjugate prior and posterior (Morey & Rouder 2011). The
+    prior defaults to the model's own; ``prior`` is (alpha, beta) for the
+    binomial model and (mean, sd) for the normal one, and overriding it is
+    a second conjugate update. Region masses come from the tail on their
+    own side, so far-tail evidence keeps its relative precision.
     """
     if isinstance(model, BinomialModel):
-        a, b = prior if prior is not None else (model.prior_alpha, model.prior_beta)
-        if not (a > 0.0 and b > 0.0):
-            raise ValidationError(f"beta prior needs positive shapes, got ({a}, {b})")
+        if prior is not None:
+            model = replace(model, prior_alpha=prior[0], prior_beta=prior[1])
+        family, prior_params = "beta", (model.prior_alpha, model.prior_beta)
+        post_params = posterior_update_binomial(model).params
         to_native = lambda effect: min(max(effect + 0.5, 0.0), 1.0)
-        prior_cdf = lambda t: regularized_incomplete_beta(a, b, t)
-        log_prior = lambda t: (
-            -math.inf
-            if t <= 0.0 or t >= 1.0
-            else (a - 1.0) * math.log(t)
-            + (b - 1.0) * math.log1p(-t)
-            - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-        )
-        log_lik = _binomial_log_lik(model)
-        lik_mode = to_native(0.0) if model.n == 0 else model.k / model.n
-        lik_sd = 0.5 if model.n == 0 else max(
-            math.sqrt(lik_mode * (1.0 - lik_mode) / model.n), 1.0 / model.n
-        )
     elif isinstance(model, NormalKnownVarModel):
-        m, s = prior if prior is not None else (model.prior_mean, model.prior_sd)
-        if not s > 0.0:
-            raise ValidationError(f"normal prior needs a positive sd, got {s}")
+        if prior is not None:
+            model = replace(model, prior_mean=prior[0], prior_sd=prior[1])
+        family, prior_params = "normal", (model.prior_mean, model.prior_sd)
+        post_params = posterior_update_normal(model).params
         to_native = lambda effect: effect
-        prior_cdf = lambda t: normal_cdf(t, m, s)
-        log_prior = lambda t: -0.5 * ((t - m) / s) ** 2 - math.log(
-            s * math.sqrt(2.0 * math.pi)
-        )
-        log_lik = _normal_log_lik(model)
-        lik_mode = model.ybar
-        lik_sd = model.sigma / math.sqrt(model.n)
     else:
         raise ValidationError(f"unsupported model type {type(model).__name__}")
 
+    def mass(params: tuple[float, float], region: RegionSet) -> float:
+        return sum(
+            _interval_mass(family, params, to_native(itv.lo), to_native(itv.hi))
+            for itv in region.intervals
+        )
+
     regions = {"h0": pair.h0, "h1": pair.h1}
-    native_intervals: dict[str, list[tuple[float, float]]] = {}
-    prior_mass: dict[str, float] = {}
+    marginal: dict[str, float] = {}
     for name, region in regions.items():
         if region.is_empty:
             raise ValidationError(f"{name} is empty; it has no prior mass")
-        ivs = [(to_native(itv.lo), to_native(itv.hi)) for itv in region.intervals]
-        mass = sum(prior_cdf(hi) - prior_cdf(lo) for lo, hi in ivs)
-        if mass <= 0.0:
+        prior_mass = mass(prior_params, region)
+        if prior_mass <= 0.0:
             raise ValidationError(f"{name} has zero prior mass under the given prior")
-        native_intervals[name] = ivs
-        prior_mass[name] = mass
-
-    # One common log-scale shift keeps the integrands in range without
-    # touching the ratio.
-    probes: list[float] = [lik_mode]
-    for ivs in native_intervals.values():
-        for lo, hi in ivs:
-            probes.extend((lo, hi, min(max(lik_mode, lo), hi)))
-    shift = max(log_lik(t) for t in probes)
-    if shift == -math.inf:
-        shift = 0.0
-
-    splits = tuple(
-        lik_mode + j * lik_sd for j in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
-    )
-    marginal: dict[str, float] = {}
-    for name, ivs in native_intervals.items():
-        total = 0.0
-        for lo, hi in ivs:
-            part = integrate_piecewise(
-                lambda t: math.exp(log_lik(t) - shift + log_prior(t))
-                if log_prior(t) > -math.inf
-                else 0.0,
-                lo,
-                hi,
-                cuts=splits,
-                tol=1e-10,
-            )
-            total += part.value
-        marginal[name] = total / prior_mass[name]
+        # the marginal likelihood of the region over the common evidence
+        marginal[name] = mass(post_params, region) / prior_mass
 
     if marginal["h0"] <= 0.0 and marginal["h1"] <= 0.0:
         raise NumericalError("both marginal likelihoods vanished")

@@ -8,13 +8,20 @@ over the space always total one.
 
 The special functions are implemented here rather than imported: the beta
 CDF uses the continued-fraction form of the regularized incomplete beta
-function, the normal CDF goes through erfc, and quantiles are found by
-bisection on the CDF.
+function and the normal CDF goes through erfc. Every posterior mass (the
+truncation constant, the CDF, region probabilities) is taken from the tail
+on its own side of the distribution, I_{1-x}(b, a) or erfc on the far side
+where that tail is the smaller one, so a posterior that lies beyond one end
+of the space keeps its relative precision and mirrors its partner beyond
+the other end. Quantiles use safeguarded Newton steps on the CDF and the
+density; the summary mean and sd are closed-form truncated moments. The
+adaptive quadrature serves the expected-loss rule.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -104,6 +111,54 @@ def normal_log_pdf(x: float, mean: float = 0.0, sd: float = 1.0) -> float:
     return -0.5 * z * z - math.log(sd * _SQRT2PI)
 
 
+def _tails(family: str, params: tuple[float, float], t: float) -> tuple[float, float]:
+    """Lower and upper tail of the untruncated native distribution at t.
+
+    The tail on t's side of the distribution is computed directly and the
+    other as its complement, so the smaller tail keeps full relative
+    precision: I_x(a, b) or I_{1-x}(b, a) for the beta, erfc on the far
+    side for the normal.
+    """
+    p1, p2 = params
+    if family == "beta":
+        if t * (p1 + p2 + 2.0) < p1 + 1.0:
+            lower = regularized_incomplete_beta(p1, p2, t)
+            return lower, 1.0 - lower
+        upper = regularized_incomplete_beta(p2, p1, 1.0 - t)
+        return 1.0 - upper, upper
+    if t < p1:
+        lower = normal_cdf(t, p1, p2)
+        return lower, 1.0 - lower
+    upper = normal_cdf(-t, -p1, p2)
+    return 1.0 - upper, upper
+
+
+def _mass_between(lo_tails: tuple[float, float], hi_tails: tuple[float, float]) -> float:
+    """Mass between two points from their tails: a difference of lower
+    tails below the median, of upper tails above it, else one minus both
+    outer tails. No branch subtracts two numbers close to one."""
+    (f_lo, s_lo), (f_hi, s_hi) = lo_tails, hi_tails
+    if f_hi <= 0.5:
+        return f_hi - f_lo
+    if s_lo <= 0.5:
+        return s_lo - s_hi
+    return 1.0 - f_lo - s_hi
+
+
+def _interval_mass(family: str, params: tuple[float, float], lo: float, hi: float) -> float:
+    """Untruncated mass of the native interval [lo, hi]."""
+    return _mass_between(_tails(family, params, lo), _tails(family, params, hi))
+
+
+def _normal_tail_z(q: float) -> float:
+    """z >= 0 with standard normal upper tail q <= 1/2, to about 4.5e-4
+    (Abramowitz & Stegun 26.2.23); a starting point for Newton steps."""
+    t = math.sqrt(-2.0 * math.log(max(q, 1e-300)))
+    return t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+
+
 @dataclass(frozen=True)
 class BinomialModel:
     """n coin-style trials with k successes; Beta(prior_alpha, prior_beta)
@@ -188,22 +243,30 @@ class PosteriorModel:
     def _native(self, effect: float) -> float:
         return (effect - self.effect_shift) / self.effect_scale
 
-    def _cdf_native(self, t: float) -> float:
-        a, b = self.params
-        if self.family == "beta":
-            return regularized_incomplete_beta(a, b, min(max(t, 0.0), 1.0))
-        return normal_cdf(t, a, b)
+    def _tails_at(self, effect: float) -> tuple[float, float]:
+        return _tails(self.family, self.params, self._native(effect))
 
     @cached_property
-    def _trunc(self) -> tuple[float, float]:
-        f_lo = self._cdf_native(self._native(self.space.lo))
-        f_hi = self._cdf_native(self._native(self.space.hi))
-        if not f_hi > f_lo:
+    def _ends(self) -> tuple[tuple[float, float], tuple[float, float], float, float]:
+        """Tails at both space ends, the untruncated mass of the space and
+        its log."""
+        lo_tails = self._tails_at(self.space.lo)
+        hi_tails = self._tails_at(self.space.hi)
+        total = _mass_between(lo_tails, hi_tails)
+        # a subnormal mass has lost its relative precision
+        if not total >= sys.float_info.min:
             raise NumericalError(
                 "posterior mass vanishes on the parameter space "
                 f"[{self.space.lo}, {self.space.hi}]"
             )
-        return f_lo, f_hi
+        return lo_tails, hi_tails, total, math.log(total)
+
+    def _prob(self, lo: float, hi: float) -> float:
+        """Truncated posterior probability of [lo, hi] clipped to the space."""
+        lo_tails, hi_tails, total, _ = self._ends
+        a = lo_tails if lo <= self.space.lo else self._tails_at(lo)
+        b = hi_tails if hi >= self.space.hi else self._tails_at(hi)
+        return min(max(_mass_between(a, b) / total, 0.0), 1.0)
 
     def cdf(self, effect: float) -> float:
         """CDF of the truncated posterior on the effect scale."""
@@ -211,26 +274,29 @@ class PosteriorModel:
             return 0.0
         if effect >= self.space.hi:
             return 1.0
-        f_lo, f_hi = self._trunc
-        raw = self._cdf_native(self._native(effect))
-        return min(max((raw - f_lo) / (f_hi - f_lo), 0.0), 1.0)
+        return self._prob(self.space.lo, effect)
 
     def log_pdf(self, effect: float) -> float:
         if not self.space.contains(effect):
             return -math.inf
-        f_lo, f_hi = self._trunc
         t = self._native(effect)
         if self.family == "beta":
             base = beta_log_pdf(self.params[0], self.params[1], t)
         else:
             base = normal_log_pdf(t, self.params[0], self.params[1])
-        return base - math.log(self.effect_scale) - math.log(f_hi - f_lo)
+        return base - math.log(self.effect_scale) - self._ends[3]
 
     def pdf(self, effect: float) -> float:
         return math.exp(self.log_pdf(effect))
 
     def quantile(self, p: float) -> float:
-        """Inverse CDF by bisection on the effect scale."""
+        """Inverse CDF on the effect scale by safeguarded Newton steps.
+
+        Starts from the normal approximation at the untruncated tail level
+        of p and keeps a bracket [lo, hi] with cdf(lo) < p <= cdf(hi); a
+        step that leaves the bracket is replaced by bisection. Stops when a
+        step or the bracket is within QUANTILE_TOL.
+        """
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"quantile level must be in [0, 1], got {p}")
         lo, hi = self.space.lo, self.space.hi
@@ -238,20 +304,32 @@ class PosteriorModel:
             return lo
         if p >= 1.0:
             return hi
+        lo_tails, hi_tails, total, _ = self._ends
+        below = lo_tails[0] + p * total
+        above = hi_tails[1] + (1.0 - p) * total
+        z = -_normal_tail_z(below) if below <= above else _normal_tail_z(above)
+        loc, sd = self.native_location_scale
+        x = min(max(loc + sd * z, lo), hi)
         for _ in range(200):
-            if hi - lo <= QUANTILE_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < p:
-                lo = mid
+            f = self.cdf(x) - p
+            if f < 0.0:
+                lo = x
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                hi = x
+            density = self.pdf(x)
+            step = f / density if density > 0.0 else math.inf
+            if abs(step) <= QUANTILE_TOL:
+                return x - step
+            x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+            if hi - lo <= QUANTILE_TOL:
+                return x
+        return x
 
     @property
     def native_location_scale(self) -> tuple[float, float]:
         """Mean and sd of the untruncated native distribution, mapped to the
-        effect scale; used to anchor quadrature split points."""
+        effect scale; used to anchor quadrature split points and quantile
+        searches."""
         a, b = self.params
         if self.family == "beta":
             mean = a / (a + b)
@@ -311,7 +389,8 @@ def posterior_update_normal(
 
 
 def posterior_region_prob(post: PosteriorModel, region: RegionSet) -> float:
-    """Posterior probability of a region set: sum of CDF differences.
+    """Posterior probability of a region set: the sum of its intervals'
+    masses, each taken from the tails on its own side.
 
     Endpoint openness is immaterial for these continuous posteriors.
     """
@@ -323,7 +402,7 @@ def posterior_region_prob(post: PosteriorModel, region: RegionSet) -> float:
                 f"region [{itv.lo}, {itv.hi}] outside the effect space "
                 f"[{post.space.lo}, {post.space.hi}]"
             )
-        total += post.cdf(itv.hi) - post.cdf(itv.lo)
+        total += post._prob(itv.lo, itv.hi)
     return min(max(total, 0.0), 1.0)
 
 
@@ -414,25 +493,44 @@ def integrate_piecewise(
     return QuadratureResult(total, err, ok)
 
 
+def _truncated_moments(post: PosteriorModel) -> tuple[float, float]:
+    """Mean and sd of the truncated posterior on the effect scale.
+
+    Beta: E[pi^j; region] = B(a+j, b)/B(a, b) times the region's mass under
+    Beta(a+j, b). Normal: the truncated-normal formulas in phi and the
+    region's mass.
+    """
+    a, b = post.params
+    lo, hi = post._native(post.space.lo), post._native(post.space.hi)
+    total = post._ends[2]
+    if post.family == "beta":
+        m1 = _interval_mass("beta", (a + 1.0, b), lo, hi)
+        m2 = _interval_mass("beta", (a + 2.0, b), lo, hi)
+        mean = a / (a + b) * m1 / total
+        var = mean * ((a + 1.0) / (a + b + 1.0) * m2 / m1 - mean)
+    else:
+        z_lo, z_hi = (lo - a) / b, (hi - a) / b
+        phi_lo = math.exp(-0.5 * z_lo * z_lo) / _SQRT2PI
+        phi_hi = math.exp(-0.5 * z_hi * z_hi) / _SQRT2PI
+        shift = (phi_lo - phi_hi) / total
+        mean = a + b * shift
+        var = b * b * (1.0 + (z_lo * phi_lo - z_hi * phi_hi) / total - shift * shift)
+    return (
+        post.effect_scale * mean + post.effect_shift,
+        post.effect_scale * math.sqrt(max(var, 0.0)),
+    )
+
+
 def posterior_summary(post: PosteriorModel) -> dict:
     """Location summaries used in reports: mean and sd of the truncated
-    posterior (by quadrature) plus the central 95% interval."""
-    cuts = concentration_splits(post)
-    mean = integrate_piecewise(
-        lambda x: x * post.pdf(x), post.space.lo, post.space.hi, cuts, tol=1e-10
-    ).value
-    var = integrate_piecewise(
-        lambda x: (x - mean) ** 2 * post.pdf(x),
-        post.space.lo,
-        post.space.hi,
-        cuts,
-        tol=1e-12,
-    ).value
+    posterior (closed-form truncated moments) plus the central 95%
+    interval."""
+    mean, sd = _truncated_moments(post)
     ci = credible_interval(post, 0.95)
     return {
         "family": post.family,
         "params": list(post.params),
         "mean": mean,
-        "sd": math.sqrt(max(var, 0.0)),
+        "sd": sd,
         "central_95": [ci[0], ci[1]],
     }

@@ -303,6 +303,27 @@ class TestSimulateCommand:
         run_cli(["simulate", "--config", cfg, "--output", str(b), "--seed", "2"], capsys)
         assert a.read_bytes() != b.read_bytes()
 
+    def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
+        # the parser is built once per process; a flag given to one call
+        # must not carry over to the next
+        cfg = write_config(tmp_path, self.scenario_doc(replicates=40))
+        doc = self.scenario_doc(replicates=40)
+        doc["seed"] = 7
+        cfg7 = write_config(tmp_path, doc, name="seed7.json")
+        flagged, plain, configured = (tmp_path / f"{n}.csv" for n in "abc")
+        run_cli(["simulate", "--config", cfg, "--output", str(flagged), "--seed", "7"], capsys)
+        run_cli(["simulate", "--config", cfg, "--output", str(plain)], capsys)
+        run_cli(["simulate", "--config", cfg7, "--output", str(configured)], capsys)
+        assert flagged.read_bytes() == configured.read_bytes()
+        assert plain.read_bytes() != flagged.read_bytes()
+        fresh = tmp_path / "fresh.csv"
+        subprocess.run(
+            [sys.executable, "-m", "relkit", "simulate", "--config", cfg, "--output", str(fresh)],
+            check=True,
+            capture_output=True,
+        )
+        assert plain.read_bytes() == fresh.read_bytes()
+
     def test_threads_flag_matches_serial(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.scenario_doc(replicates=10))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

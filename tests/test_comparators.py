@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from relkit.comparators import (
     interval_bayes_factor,
@@ -11,7 +11,7 @@ from relkit.comparators import (
     rope_decision,
     tost_equivalence,
 )
-from relkit.errors import ValidationError
+from relkit.errors import NumericalError, ValidationError
 from relkit.hypotheses import HypothesisPair, derive_hypotheses
 from relkit.inference import (
     BinomialModel,
@@ -19,6 +19,7 @@ from relkit.inference import (
     PosteriorModel,
     posterior_region_prob,
     posterior_update_binomial,
+    posterior_update_normal,
 )
 from relkit.loss import ParameterSpace
 from relkit.regions import Interval, RegionSet, partition
@@ -239,4 +240,101 @@ class TestIntervalBayesFactor:
             n=5, ybar=0.0, sigma=1.0, prior_mean=0.0, prior_sd=1e-4
         )
         with pytest.raises(ValidationError, match="zero prior mass"):
+            interval_bayes_factor(model, pair)
+
+
+def _scipy_mass(family, params, lo, hi):
+    """Untruncated mass of [lo, hi] from SciPy, taken from the tail it lies in."""
+    if family == "beta":
+        a, b = params
+        cdf = lambda x: float(special.betainc(a, b, x))
+        sf = lambda x: float(special.betaincc(a, b, x))
+    else:
+        dist = stats.norm(*params)
+        cdf = lambda x: float(dist.cdf(x))
+        sf = lambda x: float(dist.sf(x))
+    if cdf(hi) <= 0.5:
+        return cdf(hi) - cdf(lo)
+    return sf(lo) - sf(hi)
+
+
+def _scipy_bf(family, prior, post, pair, shift):
+    """Posterior odds over prior odds of the pair, with region masses from SciPy."""
+
+    def mass(params, region):
+        return sum(
+            _scipy_mass(family, params, itv.lo + shift, itv.hi + shift)
+            for itv in region.intervals
+        )
+
+    return (mass(post, pair.h1) / mass(prior, pair.h1)) / (
+        mass(post, pair.h0) / mass(prior, pair.h0)
+    )
+
+
+ASPIRIN_PAIR = HypothesisPair(
+    h0=RegionSet.single(-0.02, 0.02),
+    h1=RegionSet(
+        (Interval(-0.1, -0.02, hi_open=True), Interval(0.02, 0.1, lo_open=True))
+    ),
+)
+
+
+class TestIntervalBayesFactorOracle:
+    @pytest.mark.parametrize(
+        "n, k, alpha, beta",
+        [
+            (10, 10, 1.0, 1.0),
+            (20, 3, 2.0, 3.0),
+            (300, 150, 1.0, 1.0),
+            (1000, 500, 1.0, 1.0),
+            (5000, 2500, 1.0, 1.0),
+            (2000, 1900, 0.5, 0.5),
+            (400, 0, 1.0, 1.0),
+        ],
+    )
+    def test_binomial_against_scipy(self, coin_pair, n, k, alpha, beta):
+        model = BinomialModel(n=n, k=k, prior_alpha=alpha, prior_beta=beta)
+        want = _scipy_bf(
+            "beta", (alpha, beta), (alpha + k, beta + n - k), coin_pair, 0.5
+        )
+        got = interval_bayes_factor(model, coin_pair).bayes_factor
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "n, ybar, prior_sd",
+        [(22000, 0.0077, 0.05), (22000, -0.0077, 0.05), (50, 0.05, 0.05), (2000, 0.1, 1.0)],
+    )
+    def test_normal_against_scipy(self, n, ybar, prior_sd):
+        model = NormalKnownVarModel(
+            n=n, ybar=ybar, sigma=0.2, prior_mean=0.0, prior_sd=prior_sd
+        )
+        post = posterior_update_normal(model).params
+        want = _scipy_bf("normal", (0.0, prior_sd), post, ASPIRIN_PAIR, 0.0)
+        got = interval_bayes_factor(model, ASPIRIN_PAIR).bayes_factor
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_far_tail_value(self):
+        # H1 sits about nine posterior sds from ybar; its posterior mass comes
+        # from the upper tail, not from one minus a number close to one
+        model = NormalKnownVarModel(
+            n=22000, ybar=0.0077, sigma=0.2, prior_mean=0.0, prior_sd=0.05
+        )
+        bf = interval_bayes_factor(model, ASPIRIN_PAIR).bayes_factor
+        assert bf == pytest.approx(1.6633e-20, rel=1e-4, abs=0.0)
+
+    def test_prior_override_is_a_second_update(self, coin_pair):
+        model = BinomialModel(n=40, k=30)
+        override = interval_bayes_factor(model, coin_pair, prior=(2.0, 5.0))
+        direct = interval_bayes_factor(
+            BinomialModel(n=40, k=30, prior_alpha=2.0, prior_beta=5.0), coin_pair
+        )
+        assert override.bayes_factor == direct.bayes_factor
+
+    def test_both_marginals_vanishing_raises(self):
+        pair = HypothesisPair(
+            h0=RegionSet.single(-0.1, -0.05), h1=RegionSet.single(0.05, 0.1)
+        )
+        model = NormalKnownVarModel(n=10, ybar=0.0, sigma=1e-5, prior_mean=0.0, prior_sd=1.0)
+        with pytest.raises(NumericalError, match="vanished"):
             interval_bayes_factor(model, pair)

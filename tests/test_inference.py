@@ -288,3 +288,134 @@ def test_posterior_summary_fields():
     assert summary["mean"] == pytest.approx(29.0 / 42.0 - 0.5, abs=1e-6)
     assert summary["family"] == "beta"
     assert summary["central_95"][0] < summary["mean"] < summary["central_95"][1]
+
+
+def _truncated_beta_ppf(a, b, lo, hi, p):
+    """Quantile of Beta(a, b) truncated to [lo, hi], from the tail the
+    interval lies in."""
+    dist = stats.beta(a, b)
+    if dist.cdf(hi) <= 0.5:
+        return float(dist.ppf(dist.cdf(lo) + p * (dist.cdf(hi) - dist.cdf(lo))))
+    return float(dist.isf(dist.sf(lo) - p * (dist.sf(lo) - dist.sf(hi))))
+
+
+TAIL_LEVELS = (1e-6, 0.01, 0.025, 0.3, 0.5, 0.7, 0.975, 0.99)
+
+
+class TestQuantileOracle:
+    @pytest.mark.parametrize(
+        "mean, sd, lo, hi",
+        [
+            (0.1, 0.4, -0.3, 0.8),
+            (0.0077, 0.00135, -0.1, 0.1),
+            (-0.13, 0.001, -0.1, 0.1),
+            (0.13, 0.001, -0.1, 0.1),
+            (0.5, 0.05, -0.1, 0.1),
+        ],
+    )
+    def test_normal_against_truncnorm(self, mean, sd, lo, hi):
+        post = PosteriorModel("normal", (mean, sd), ParameterSpace(lo, hi))
+        ref = stats.truncnorm((lo - mean) / sd, (hi - mean) / sd, loc=mean, scale=sd)
+        for p in TAIL_LEVELS:
+            assert post.quantile(p) == pytest.approx(float(ref.ppf(p)), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, k, half",
+        [(20, 3, 0.5), (100, 50, 0.5), (1000, 560, 0.5), (200, 0, 0.2), (200, 200, 0.2), (400, 400, 0.15)],
+    )
+    def test_beta_against_scipy(self, n, k, half):
+        post = posterior_update_binomial(
+            BinomialModel(n=n, k=k), ParameterSpace(-half, half)
+        )
+        a, b = post.params
+        for p in TAIL_LEVELS:
+            want = _truncated_beta_ppf(a, b, 0.5 - half, 0.5 + half, p) - 0.5
+            assert post.quantile(p) == pytest.approx(want, abs=1e-9)
+
+
+class TestPosteriorSummaryOracle:
+    @pytest.mark.parametrize(
+        "mean, sd, lo, hi",
+        [(0.1, 0.4, -0.3, 0.8), (0.0077, 0.00135, -0.1, 0.1), (-0.13, 0.001, -0.1, 0.1)],
+    )
+    def test_normal_against_truncnorm(self, mean, sd, lo, hi):
+        post = PosteriorModel("normal", (mean, sd), ParameterSpace(lo, hi))
+        ref = stats.truncnorm((lo - mean) / sd, (hi - mean) / sd, loc=mean, scale=sd)
+        summary = posterior_summary(post)
+        assert summary["mean"] == pytest.approx(float(ref.mean()), rel=1e-9, abs=1e-12)
+        assert summary["sd"] == pytest.approx(float(ref.std()), rel=1e-6)
+
+    def test_all_successes_on_narrow_space(self):
+        # Beta(401, 1) on [0.35, 0.65]: the density is 401 pi^400, so the
+        # truncated moments are ratios of powers of the space ends
+        post = posterior_update_binomial(
+            BinomialModel(n=400, k=400), ParameterSpace(-0.15, 0.15)
+        )
+        u, v = 0.35, 0.65
+        moment = lambda j: (v ** (401 + j) - u ** (401 + j)) / (401 + j)
+        mean = moment(1) / moment(0)
+        var = moment(2) / moment(0) - mean * mean
+        summary = posterior_summary(post)
+        assert summary["mean"] == pytest.approx(mean - 0.5, rel=1e-9)
+        assert summary["sd"] == pytest.approx(math.sqrt(var), rel=1e-6)
+
+    def test_beta_against_numeric_moments(self):
+        from scipy import integrate
+
+        post = posterior_update_binomial(
+            BinomialModel(n=30, k=21, prior_alpha=2.0, prior_beta=3.0),
+            ParameterSpace(-0.3, 0.25),
+        )
+        dist = stats.beta(*post.params)
+        u, v = 0.2, 0.75
+        z = dist.cdf(v) - dist.cdf(u)
+        mean = integrate.quad(lambda x: x * dist.pdf(x), u, v, epsabs=0, epsrel=1e-13)[0] / z
+        var = integrate.quad(
+            lambda x: (x - mean) ** 2 * dist.pdf(x), u, v, epsabs=0, epsrel=1e-13
+        )[0] / z
+        summary = posterior_summary(post)
+        assert summary["mean"] == pytest.approx(mean - 0.5, rel=1e-9)
+        assert summary["sd"] == pytest.approx(math.sqrt(var), rel=1e-7)
+
+
+class TestTailPosteriors:
+    """Posteriors whose mass lies beyond one end of the space: the mass is
+    taken from the tail on that side, so each mirrors its partner beyond
+    the other end."""
+
+    def _pairs(self):
+        space = ParameterSpace(-0.1, 0.1)
+        yield (
+            PosteriorModel("normal", (-0.13, 0.001), space),
+            PosteriorModel("normal", (0.13, 0.001), space),
+        )
+        space = ParameterSpace(-0.2, 0.2)
+        yield (
+            posterior_update_binomial(BinomialModel(n=200, k=0), space),
+            posterior_update_binomial(BinomialModel(n=200, k=200), space),
+        )
+
+    def test_mirrors_positive_partner(self):
+        for low, high in self._pairs():
+            for x in (-0.0999, -0.05, 0.0, 0.05, 0.0999):
+                assert low.cdf(x) == pytest.approx(1.0 - high.cdf(-x), rel=1e-9, abs=1e-300)
+                assert low.pdf(x) == pytest.approx(high.pdf(-x), rel=1e-9, abs=1e-300)
+            for p in (0.025, 0.5, 0.975):
+                assert low.quantile(p) == pytest.approx(-high.quantile(1.0 - p), abs=1e-12)
+            a, b = posterior_summary(low), posterior_summary(high)
+            assert a["mean"] == pytest.approx(-b["mean"], rel=1e-9)
+            assert a["sd"] == pytest.approx(b["sd"], rel=1e-6)
+
+    def test_region_probabilities_mirror(self):
+        for low, high in self._pairs():
+            lo, hi = low.space.lo, low.space.hi
+            for a, b in ((lo, 0.999 * lo), (0.999 * lo, 0.5 * lo), (0.5 * lo, hi), (0.0, hi)):
+                p_low = posterior_region_prob(low, RegionSet.single(a, b))
+                p_high = posterior_region_prob(high, RegionSet.single(-b, -a))
+                assert p_low == pytest.approx(p_high, rel=1e-9, abs=1e-300)
+        # the far end keeps its tiny probability: Beta(1, 201) has upper
+        # tail (1 - pi)^201
+        low = posterior_update_binomial(BinomialModel(n=200, k=0), ParameterSpace(-0.2, 0.2))
+        want = (0.4**201 - 0.3**201) / (0.7**201 - 0.3**201)
+        got = posterior_region_prob(low, RegionSet.single(0.1, 0.2))
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)

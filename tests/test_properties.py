@@ -1,4 +1,5 @@
-"""Property tests of the exact loss geometry over random losses.
+"""Property tests of the exact loss geometry over random losses, and of
+the mirror symmetry of the posterior functionals.
 
 Example counts are kept small and the examples derandomized, so the suite
 stays fast and every run checks the same losses. Knots, values and
@@ -10,7 +11,15 @@ where float rounding of the root alone decides which side a point is on.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relkit.hypotheses import check_complete, check_partial, derive_hypotheses
+from relkit.comparators import interval_bayes_factor
+from relkit.decisions import LossRatio, bayes_two_action_decision
+from relkit.hypotheses import (
+    HypothesisPair,
+    check_complete,
+    check_partial,
+    derive_hypotheses,
+)
+from relkit.inference import BinomialModel, posterior_summary, posterior_update_binomial
 from relkit.loss import (
     CurveKnots,
     LossSpec,
@@ -19,7 +28,13 @@ from relkit.loss import (
     breakpoints,
     loss_difference,
 )
-from relkit.regions import is_practically_relevant, partition, region_contains
+from relkit.regions import (
+    Interval,
+    RegionSet,
+    is_practically_relevant,
+    partition,
+    region_contains,
+)
 
 from test_hypotheses import _shrunk_pair, _swapped_pair
 
@@ -117,3 +132,40 @@ def test_complete_implies_partial(spec):
     for pair in pairs:
         if check_complete(pair, spec).ok:
             assert check_partial(pair, spec).ok
+
+
+@st.composite
+def _counts_on_symmetric_space(draw):
+    n = draw(st.integers(0, 400))
+    k = draw(st.integers(0, n))
+    half = draw(st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.5]))
+    cut = draw(_grid(0.001, half - 0.001))
+    prior = draw(_grid(0.5, 5.0))
+    return n, k, half, cut, prior
+
+
+@PROPERTY
+@given(_counts_on_symmetric_space())
+def test_swapped_counts_mirror_the_posterior(case):
+    """Swapping k and n - k under a symmetric prior, space and pair keeps the
+    posterior odds and the Bayes factor and negates the posterior mean, also
+    when the posterior lies beyond one end of the space."""
+    n, k, half, cut, prior = case
+    space = ParameterSpace(-half, half)
+    pair = HypothesisPair(
+        h0=RegionSet.single(-cut, cut),
+        h1=RegionSet(
+            (Interval(-half, -cut, hi_open=True), Interval(cut, half, lo_open=True))
+        ),
+    )
+    results = []
+    for successes in (k, n - k):
+        model = BinomialModel(n=n, k=successes, prior_alpha=prior, prior_beta=prior)
+        post = posterior_update_binomial(model, space)
+        odds = bayes_two_action_decision(post, pair, LossRatio.scalar(1.0)).posterior_odds
+        bf = interval_bayes_factor(model, pair).bayes_factor
+        results.append((odds, bf, posterior_summary(post)["mean"]))
+    (odds, bf, mean), (m_odds, m_bf, m_mean) = results
+    assert m_odds == pytest.approx(odds, rel=1e-9, abs=0.0)
+    assert m_bf == pytest.approx(bf, rel=1e-9, abs=0.0)
+    assert m_mean == pytest.approx(-mean, rel=1e-9, abs=1e-14)
