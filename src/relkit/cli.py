@@ -88,9 +88,6 @@ def _parser() -> argparse.ArgumentParser:
             default=512,
             help="uniform samples per curve in SVG output (default 512)",
         )
-        p.add_argument(
-            "--threads", type=int, default=1, help="worker threads for simulate"
-        )
         p.add_argument("--seed", type=int, help="override the configured seed")
     return parser
 
@@ -339,7 +336,14 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
     scenario = cfg.scenario
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=int(args.seed))
-    table = run_operating_characteristics(scenario, threads=max(1, args.threads))
+    table = run_operating_characteristics(scenario)
+    for report in table.errors:
+        print(
+            f"relkit: warning: effect {report.true_effect!r}, n {report.n}, "
+            f"{report.procedure}: {report.count} of {table.replicates} replicates "
+            f"gave \"error\" ({report.error_class}: {report.message})",
+            file=sys.stderr,
+        )
     doc = {"command": "simulate", "spec_version": 1, **rate_table_doc(table)}
     csv_text = rate_table_csv(table)
     out = args.output or cfg.output.path

@@ -51,8 +51,12 @@ class ComparatorResult:
     def __post_init__(self) -> None:
         if self.p_value is not None and not 0.0 <= self.p_value <= 1.0:
             raise ValidationError(f"p-value out of [0, 1]: {self.p_value}")
-        if self.bayes_factor is not None and not self.bayes_factor > 0.0:
-            raise ValidationError(f"Bayes factor must be positive: {self.bayes_factor}")
+        # a ratio of positive masses may underflow to 0.0 or overflow to inf;
+        # both are valid answers, while NaN and negative values are not
+        if self.bayes_factor is not None and not self.bayes_factor >= 0.0:
+            raise ValidationError(
+                f"Bayes factor must be a nonnegative ratio: {self.bayes_factor}"
+            )
 
 
 def _binomial_tails(n: int, k: int) -> tuple[float, float]:

@@ -8,8 +8,8 @@ deterministic for identical inputs up to the version comment line.
 
 from __future__ import annotations
 
+import html
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from ._version import __version__
 from .loss import ActionPair, LossSpec, breakpoints, evaluate_loss, sample_grid
@@ -143,7 +143,7 @@ def render_loss_plot(
         )
         parts.append(
             f'<text x="{x_px1 - 4}" y="{_fmt(sy(values[-1]) - 6)}" font-size="12" '
-            f'fill="{color}" text-anchor="end">{escape(label)}</text>'
+            f'fill="{color}" text-anchor="end">{html.escape(label, quote=False)}</text>'
         )
 
     for c in part.crossings:

@@ -5,7 +5,12 @@ effects and sample sizes, and a list of procedures; the sweep tabulates how
 often each procedure returns each verdict. Datasets are drawn from PCG64
 generators seeded per cell and replicate (scenario seed, the bit pattern of
 the true effect, n, replicate index), so any single draw can be reproduced
-in isolation and results do not depend on execution order or parallelism.
+in isolation and results do not depend on execution order.
+
+A verdict depends on nothing but the dataset, so one sweep runs each
+procedure once per distinct dataset and reuses the verdict when a draw
+repeats. Binomial draws repeat often (at most n + 1 distinct k per n);
+normal draws never do, and there the memo only misses.
 
 Two scenarios ship with the package: the coin-bias demo and a blood-thinner
 style trial in which a tiny mean effect at a huge sample size is flagged by
@@ -17,11 +22,8 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .comparators import (
     interval_bayes_factor,
@@ -44,6 +46,9 @@ from .inference import (
 )
 from .loss import CurveKnots, LossSpec, ParameterSpace, coin_demo_loss
 from .regions import RegionSet, partition, region_hull
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROCEDURE_NAMES = (
     "nhst",
@@ -110,6 +115,13 @@ class Scenario:
             raise ValidationError("true_effects must be non-empty")
         if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
             raise ValidationError("sample_sizes must be positive")
+        # the rate table names each procedure's cells by its name alone
+        names = Counter(proc.name for proc in self.procedures)
+        duplicates = sorted(name for name, count in names.items() if count > 1)
+        if duplicates:
+            raise ValidationError(
+                f"procedure(s) {duplicates} listed more than once; each may appear once"
+            )
         for effect in self.true_effects:
             if not self.space.contains(effect):
                 raise ValidationError(
@@ -141,6 +153,10 @@ Dataset = BinomialDraw | NormalDraw
 def _cell_rng(
     seed: int, true_effect: float, n: int, replicate_index: int
 ) -> np.random.Generator:
+    # numpy is imported here, not at module level: only simulate draws data,
+    # and the other commands start faster without it
+    import numpy as np
+
     # + 0.0 maps -0.0 to 0.0, so both zeros draw the same stream
     effect_bits = int.from_bytes(struct.pack("<d", float(true_effect) + 0.0), "little")
     ss = np.random.SeedSequence(
@@ -292,68 +308,101 @@ class RateCell:
 
 
 @dataclass(frozen=True)
+class ErrorReport:
+    """The "error" verdicts of one (true effect, n, procedure) cell: how
+    many replicates erred, and the class and message of the first failure."""
+
+    true_effect: float
+    n: int
+    procedure: str
+    count: int
+    error_class: str
+    message: str
+
+
+@dataclass(frozen=True)
 class RateTable:
+    """Rate cells in grid order (effect, then n, then procedure), plus a
+    report for every cell with "error" verdicts; the artifacts hold only
+    the cells."""
+
     scenario: str
     seed: int
     replicates: int
     cells: tuple[RateCell, ...]
+    errors: tuple[ErrorReport, ...] = ()
 
 
-def run_operating_characteristics(scenario: Scenario, threads: int = 1) -> RateTable:
+def run_operating_characteristics(scenario: Scenario) -> RateTable:
     """Run every configured procedure on every replicate of every grid cell.
 
     Per-replicate procedure failures are tabulated under the verdict
-    "error" and never abort the sweep. Identical scenarios (seed included)
-    produce identical tables, independent of the thread count.
+    "error" and never abort the sweep; ``errors`` says what they were.
+    Identical scenarios (seed included) produce identical tables.
+
+    Verdicts are memoised for the duration of the call, keyed by procedure
+    position and dataset, so each procedure runs once per distinct draw. A
+    failure is memoised like any verdict and still counts once per
+    replicate.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     procedures = [
         (proc.name, _compile_procedure(scenario, proc)) for proc in scenario.procedures
     ]
-    grid = [(e, n) for e in scenario.true_effects for n in scenario.sample_sizes]
-
-    def run_cell(cell: tuple[float, int]) -> list[RateCell]:
-        effect, n = cell
-        counts: dict[str, Counter] = {name: Counter() for name, _ in procedures}
-        for r in range(scenario.replicates):
-            data = simulate_dataset(scenario, effect, n, r)
-            for name, fn in procedures:
-                try:
-                    verdict = fn(data)
-                except RelkitError:
-                    verdict = "error"
-                counts[name][verdict] += 1
-        out = []
-        for name, _ in procedures:
-            reps = scenario.replicates
-            freqs = {v: counts[name][v] / reps for v in sorted(counts[name])}
-            ses = {
-                v: math.sqrt(f * (1.0 - f) / reps) for v, f in freqs.items()
-            }
-            out.append(
-                RateCell(
-                    true_effect=effect,
-                    n=n,
-                    procedure=name,
-                    frequencies=freqs,
-                    std_errors=ses,
-                    replicates=reps,
+    memo: dict[tuple[int, Dataset], str | RelkitError] = {}
+    reps = scenario.replicates
+    cells: list[RateCell] = []
+    errors: list[ErrorReport] = []
+    for effect in scenario.true_effects:
+        for n in scenario.sample_sizes:
+            counts = [Counter() for _ in procedures]
+            first_error: dict[int, RelkitError] = {}
+            for r in range(reps):
+                data = simulate_dataset(scenario, effect, n, r)
+                for i, (_, fn) in enumerate(procedures):
+                    key = (i, data)
+                    outcome = memo.get(key)
+                    if outcome is None:
+                        try:
+                            outcome = fn(data)
+                        except RelkitError as exc:
+                            # the memo keeps the error, not the frames of its traceback
+                            outcome = exc.with_traceback(None)
+                        memo[key] = outcome
+                    if isinstance(outcome, RelkitError):
+                        first_error.setdefault(i, outcome)
+                        outcome = "error"
+                    counts[i][outcome] += 1
+            for i, (name, _) in enumerate(procedures):
+                freqs = {v: counts[i][v] / reps for v in sorted(counts[i])}
+                ses = {v: math.sqrt(f * (1.0 - f) / reps) for v, f in freqs.items()}
+                cells.append(
+                    RateCell(
+                        true_effect=effect,
+                        n=n,
+                        procedure=name,
+                        frequencies=freqs,
+                        std_errors=ses,
+                        replicates=reps,
+                    )
                 )
-            )
-        return out
-
-    if threads == 1:
-        per_cell = [run_cell(c) for c in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(run_cell, grid))
-    cells = tuple(cell for group in per_cell for cell in group)
+                if i in first_error:
+                    exc = first_error[i]
+                    errors.append(
+                        ErrorReport(
+                            true_effect=effect,
+                            n=n,
+                            procedure=name,
+                            count=counts[i]["error"],
+                            error_class=type(exc).__name__,
+                            message=str(exc),
+                        )
+                    )
     return RateTable(
         scenario=scenario.name,
         seed=scenario.seed,
-        replicates=scenario.replicates,
-        cells=cells,
+        replicates=reps,
+        cells=tuple(cells),
+        errors=tuple(errors),
     )
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -324,14 +325,42 @@ class TestSimulateCommand:
         )
         assert plain.read_bytes() == fresh.read_bytes()
 
-    def test_threads_flag_matches_serial(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, self.scenario_doc(replicates=10))
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(["simulate", "--config", cfg, "--output", str(a)], capsys)
-        run_cli(
-            ["simulate", "--config", cfg, "--output", str(b), "--threads", "3"], capsys
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.scenario_doc(replicates=3))
+        code, _, err = run_cli(["simulate", "--config", cfg, "--threads", "2"], capsys)
+        assert code == 2
+        assert "--threads" in err
+
+    def test_duplicate_procedure_exit_2(self, tmp_path, capsys):
+        doc = self.scenario_doc()
+        doc["scenario"]["procedures"].append({"procedure": "nhst", "alpha": 0.01})
+        cfg = write_config(tmp_path, doc)
+        code, _, err = run_cli(["simulate", "--config", cfg], capsys)
+        assert code == 2
+        assert "'nhst'" in err and "more than once" in err
+
+    def test_error_verdicts_reported_on_stderr(self, tmp_path, capsys):
+        # a binomial scenario without a prior: rope errs on every replicate
+        doc = self.scenario_doc(replicates=5)
+        del doc["scenario"]["prior"]
+        doc["scenario"]["procedures"] = [
+            {"procedure": "nhst", "alpha": 0.05},
+            {"procedure": "rope", "mass": 0.95},
+        ]
+        cfg = write_config(tmp_path, doc)
+        out_base = tmp_path / "rates.csv"
+        code, _, err = run_cli(
+            ["simulate", "--config", cfg, "--output", str(out_base)], capsys
         )
-        assert a.read_bytes() == b.read_bytes()
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 2  # one per (cell, procedure) with errors
+        for line, effect in zip(lines, ("0.0", "0.3")):
+            assert f"effect {effect}, n 30, rope: 5 of 5 replicates" in line
+            assert "ValidationError: this procedure needs a prior" in line
+        rows = list(csv.DictReader(io.StringIO(out_base.read_text())))
+        rope = [(r["verdict"], r["frequency"]) for r in rows if r["procedure"] == "rope"]
+        assert rope == [("error", "1.0"), ("error", "1.0")]
 
 
 class TestPlotCommand:
@@ -429,3 +458,21 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "relkit" in result.stdout
+
+
+def test_partition_does_not_import_numpy():
+    # only simulate draws data; the other commands start without numpy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import sys\n"
+        "from relkit.cli import main\n"
+        f"code = main(['partition', '--config', {str(CONFIG_DIR / 'coin_partition.json')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr

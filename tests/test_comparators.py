@@ -6,6 +6,7 @@ import pytest
 from scipy import special, stats
 
 from relkit.comparators import (
+    ComparatorResult,
     interval_bayes_factor,
     nhst_point_null,
     rope_decision,
@@ -231,6 +232,23 @@ class TestIntervalBayesFactor:
         )
         result = interval_bayes_factor(model, pair)
         assert result.bayes_factor < 1.0  # evidence lands inside the null region
+
+    def test_underflow_gives_zero_and_mirror_inf(self):
+        # like analyze request g653: the posterior N(0.143, 0.0093) sits
+        # about 69 sd from H1, so H1's posterior mass underflows to 0
+        near, far = RegionSet.single(0.0, 0.5), RegionSet.single(-0.8, -0.5)
+        model = NormalKnownVarModel(
+            n=1000, ybar=0.143, sigma=0.293542, prior_mean=0.0, prior_sd=0.476506
+        )
+        low = interval_bayes_factor(model, HypothesisPair(h0=near, h1=far))
+        assert (low.bayes_factor, low.verdict) == (0.0, "favors_h0")
+        high = interval_bayes_factor(model, HypothesisPair(h0=far, h1=near))
+        assert (high.bayes_factor, high.verdict) == (math.inf, "favors_h1")
+
+    @pytest.mark.parametrize("bf", [math.nan, -1.0])
+    def test_invalid_bayes_factor_rejected(self, bf):
+        with pytest.raises(ValidationError, match="Bayes factor"):
+            ComparatorResult("x", statistic=0.0, verdict="even", bayes_factor=bf)
 
     def test_zero_prior_mass_rejected(self):
         pair = HypothesisPair(

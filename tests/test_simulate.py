@@ -1,13 +1,18 @@
+import dataclasses
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import relkit.simulate as sim
+from relkit.config import load_config
 from relkit.errors import ValidationError
 from relkit.simulate import (
     ProcedureSpec,
+    RateCell,
+    RateTable,
     Scenario,
     aspirin_scenario,
     coin_scenario,
@@ -18,6 +23,8 @@ from relkit.simulate import (
     simulate_dataset,
 )
 from relkit.loss import ParameterSpace, coin_demo_loss
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def tiny_coin(replicates=3, procedures=None, **kw):
@@ -88,6 +95,17 @@ class TestScenarioValidation:
                 procedures=(ProcedureSpec("nhst", {}),),
             )
 
+    def test_duplicate_procedure_names_rejected(self):
+        # two nhst entries used to share one counter, so frequencies reached 2
+        with pytest.raises(ValidationError, match="'nhst'"):
+            tiny_coin(
+                procedures=(
+                    ProcedureSpec("nhst", {"alpha": 0.05}),
+                    ProcedureSpec("rope", {}),
+                    ProcedureSpec("nhst", {"alpha": 0.01}),
+                )
+            )
+
     def test_tost_rejected_for_binomial(self):
         scenario = tiny_coin(procedures=(ProcedureSpec("tost", {}),))
         with pytest.raises(ValidationError, match="normal"):
@@ -118,12 +136,6 @@ class TestRateTable:
             rate_table_doc(b), sort_keys=True
         )
         assert rate_table_csv(a) == rate_table_csv(b)
-
-    def test_threads_do_not_change_results(self):
-        scenario = tiny_coin(replicates=25)
-        serial = run_operating_characteristics(scenario, threads=1)
-        threaded = run_operating_characteristics(scenario, threads=4)
-        assert rate_table_csv(serial) == rate_table_csv(threaded)
 
     def test_cell_recomputable_in_isolation(self):
         """Any one cell recomputed by hand from the public pieces matches
@@ -156,6 +168,24 @@ class TestRateTable:
         assert nhst_cells
         for cell in nhst_cells:
             assert cell.frequencies == {"error": 1.0}
+
+    def test_error_verdicts_reported_per_cell(self):
+        # rope needs a prior; without one every replicate errs, and the
+        # memoised failure still counts once per replicate
+        scenario = dataclasses.replace(
+            tiny_coin(replicates=6, procedures=(ProcedureSpec("rope", {}),)),
+            prior=None,
+        )
+        table = run_operating_characteristics(scenario)
+        assert all(c.frequencies == {"error": 1.0} for c in table.cells)
+        assert [(e.true_effect, e.n, e.procedure) for e in table.errors] == [
+            (0.0, 25, "rope"),
+            (0.3, 25, "rope"),
+        ]
+        for report in table.errors:
+            assert report.count == 6
+            assert report.error_class == "ValidationError"
+            assert "prior" in report.message
 
     def test_text_rendering_fixed_width(self):
         table = run_operating_characteristics(tiny_coin(replicates=2))
@@ -208,3 +238,110 @@ class TestShippedScenarios:
         for cell in table.cells:
             verdicts.update(cell.frequencies)
         assert verdicts <= {"favors_h0", "favors_h1", "inconclusive"}
+
+
+def _counting_compile(monkeypatch):
+    """Patch the sweep's procedure compiler so every verdict call is counted
+    by (procedure, dataset); returns the counter and the original compiler."""
+    calls = Counter()
+    compile_procedure = sim._compile_procedure
+
+    def counting(scenario, proc):
+        fn = compile_procedure(scenario, proc)
+
+        def counted(data):
+            calls[(proc.name, data)] += 1
+            return fn(data)
+
+        return counted
+
+    monkeypatch.setattr(sim, "_compile_procedure", counting)
+    return calls, compile_procedure
+
+
+def _direct_table(scenario, compile_procedure):
+    """The rate table from one verdict per replicate, without a memo."""
+    cells = []
+    for effect in scenario.true_effects:
+        for n in scenario.sample_sizes:
+            draws = [
+                simulate_dataset(scenario, effect, n, r)
+                for r in range(scenario.replicates)
+            ]
+            for proc in scenario.procedures:
+                fn = compile_procedure(scenario, proc)
+                counts = Counter(fn(data) for data in draws)
+                freqs = {
+                    v: counts[v] / scenario.replicates for v in sorted(counts)
+                }
+                cells.append(
+                    RateCell(
+                        true_effect=effect,
+                        n=n,
+                        procedure=proc.name,
+                        frequencies=freqs,
+                        std_errors={
+                            v: math.sqrt(f * (1.0 - f) / scenario.replicates)
+                            for v, f in freqs.items()
+                        },
+                        replicates=scenario.replicates,
+                    )
+                )
+    return RateTable(
+        scenario=scenario.name,
+        seed=scenario.seed,
+        replicates=scenario.replicates,
+        cells=tuple(cells),
+    )
+
+
+def _normal_scenario():
+    scenario = load_config(CONFIG_DIR / "aspirin_scenario.json").scenario
+    return dataclasses.replace(
+        scenario,
+        true_effects=(0.0, 0.0077),
+        sample_sizes=(50, 22000),
+        replicates=30,
+        procedures=scenario.procedures
+        + (ProcedureSpec("expected_loss", {}), ProcedureSpec("bayes_factor", {})),
+    )
+
+
+class TestVerdictMemo:
+    @pytest.mark.parametrize(
+        "make_scenario",
+        [
+            lambda: load_config(CONFIG_DIR / "coin_scenario.json").scenario,
+            _normal_scenario,
+        ],
+        ids=["coin_config", "normal"],
+    )
+    def test_one_call_per_distinct_dataset(self, monkeypatch, make_scenario):
+        scenario = make_scenario()
+        calls, compile_procedure = _counting_compile(monkeypatch)
+        table = run_operating_characteristics(scenario)
+        assert calls and max(calls.values()) == 1
+        draws = {
+            simulate_dataset(scenario, e, n, r)
+            for e in scenario.true_effects
+            for n in scenario.sample_sizes
+            for r in range(scenario.replicates)
+        }
+        assert len(calls) == len(draws) * len(scenario.procedures)
+        assert table == _direct_table(scenario, compile_procedure)
+
+    def test_binomial_memo_saves_most_calls(self, monkeypatch):
+        # the coin config draws 1500 datasets per procedure from few counts
+        scenario = load_config(CONFIG_DIR / "coin_scenario.json").scenario
+        calls, _ = _counting_compile(monkeypatch)
+        run_operating_characteristics(scenario)
+        rope_calls = sum(c for (name, _), c in calls.items() if name == "rope")
+        assert rope_calls <= 101 * len(scenario.sample_sizes)
+
+    def test_memo_does_not_outlive_a_call(self, monkeypatch):
+        scenario = tiny_coin(replicates=20)
+        calls, _ = _counting_compile(monkeypatch)
+        run_operating_characteristics(scenario)
+        first = sum(calls.values())
+        run_operating_characteristics(scenario)
+        assert sum(calls.values()) == 2 * first
