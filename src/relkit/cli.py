@@ -21,26 +21,15 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .comparators import (
-    ComparatorResult,
-    interval_bayes_factor,
-    nhst_point_null,
-    rope_decision,
-    tost_equivalence,
-)
 from .config import ConfigDocument, load_config
 from .decisions import bayes_two_action_decision, expected_loss_decision
 from .errors import ConfigError, DomainError, NumericalError, RelkitError, ValidationError
 from .hypotheses import check_complete, check_partial, derive_hypotheses
-from .inference import (
-    BinomialModel,
-    posterior_summary,
-    posterior_update_binomial,
-    posterior_update_normal,
-)
+from .inference import BinomialModel, posterior_summary, posterior_update
 from .plotting import PlotSpec, render_loss_plot
-from .regions import RegionSet, partition, region_hull
+from .regions import partition
 from .simulate import (
+    bind_procedure,
     rate_table_csv,
     rate_table_doc,
     rate_table_text,
@@ -199,18 +188,12 @@ def _cmd_check_hypotheses(args, cfg: ConfigDocument) -> int:
     return EXIT_OK
 
 
-def _posterior_from_config(cfg: ConfigDocument):
-    if cfg.model is None:
-        raise ConfigError("this command needs a 'model' section with data")
-    if isinstance(cfg.model, BinomialModel):
-        return posterior_update_binomial(cfg.model, cfg.space)
-    return posterior_update_normal(cfg.model, cfg.space)
-
-
 def _cmd_decide(args, cfg: ConfigDocument) -> int:
     if cfg.decision is None:
         raise ConfigError("decide needs a 'decision' section")
-    post = _posterior_from_config(cfg)
+    if cfg.model is None:
+        raise ConfigError("decide needs a 'model' section with data")
+    post = posterior_update(cfg.model, cfg.space)
     if cfg.decision.rule == "hypothesis_ratio":
         if cfg.hypotheses is None:
             raise ConfigError(
@@ -258,45 +241,17 @@ def _cmd_decide(args, cfg: ConfigDocument) -> int:
     return EXIT_OK
 
 
-def _run_comparator(cfg: ConfigDocument, spec) -> ComparatorResult:
-    settings = dict(spec.settings)
-    part = partition(cfg.loss)
-    if spec.name == "nhst":
-        return nhst_point_null(cfg.model, float(settings.get("alpha", 0.05)))
-    if spec.name == "tost":
-        bounds = settings.get("bounds", "partition_hull")
-        if bounds == "partition_hull":
-            hull = region_hull(part.negligible)
-            bounds = (hull.lo, hull.hi)
-        else:
-            bounds = (float(bounds[0]), float(bounds[1]))
-        return tost_equivalence(cfg.model, bounds, float(settings.get("alpha", 0.05)))
-    if spec.name == "rope":
-        rope = settings.get("rope", "partition_hull")
-        if rope == "partition_hull":
-            hull = region_hull(part.negligible)
-            region = RegionSet.single(hull.lo, hull.hi)
-        else:
-            region = RegionSet.single(float(rope[0]), float(rope[1]))
-        post = _posterior_from_config(cfg)
-        return rope_decision(post, region, float(settings.get("mass", 0.95)))
-    # bayes_factor
-    pair = cfg.hypotheses if cfg.hypotheses is not None else derive_hypotheses(part)
-    prior = settings.get("prior")
-    if prior is not None:
-        if isinstance(cfg.model, BinomialModel):
-            prior = (float(prior["alpha"]), float(prior["beta"]))
-        else:
-            prior = (float(prior["mean"]), float(prior["sd"]))
-    return interval_bayes_factor(cfg.model, pair, prior)
-
-
 def _cmd_compare(args, cfg: ConfigDocument) -> int:
     if cfg.comparators is None:
         raise ConfigError("compare needs a 'comparators' section")
     if cfg.model is None:
         raise ConfigError("compare needs a 'model' section with data")
-    results = [_run_comparator(cfg, spec) for spec in cfg.comparators]
+    family = "binomial" if isinstance(cfg.model, BinomialModel) else "normal"
+    pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
+    results = [
+        bind_procedure(spec, family, cfg.loss, pair)(cfg.model)
+        for spec in cfg.comparators
+    ]
     doc = {
         "command": "compare",
         "spec_version": 1,

@@ -136,9 +136,7 @@ def tost_equivalence(
     )
 
 
-def rope_decision(
-    post: PosteriorModel, rope: RegionSet, mass: float = 0.95
-) -> ComparatorResult:
+def rope_decision(post: PosteriorModel, rope: RegionSet, mass: float) -> ComparatorResult:
     """Credible-interval versus region-of-practical-equivalence rule.
 
     Accepts a0 when the central credible interval lies entirely inside the
@@ -178,6 +176,7 @@ def interval_bayes_factor(
     model: BinomialModel | NormalKnownVarModel,
     pair: HypothesisPair,
     prior: tuple[float, float] | None = None,
+    threshold: float = 1.0,
 ) -> ComparatorResult:
     """BF_10 for H1 against H0 with the prior truncated to each region.
 
@@ -192,7 +191,12 @@ def interval_bayes_factor(
     binomial model and (mean, sd) for the normal one, and overriding it is
     a second conjugate update. Region masses come from the tail on their
     own side, so far-tail evidence keeps its relative precision.
+
+    The verdict is "favors_h1" above the threshold, "favors_h0" below its
+    inverse, else "inconclusive"; a threshold below 1 would overlap the two.
     """
+    if not (math.isfinite(threshold) and threshold >= 1.0):
+        raise ValidationError(f"threshold must be finite and >= 1, got {threshold}")
     if isinstance(model, BinomialModel):
         if prior is not None:
             model = replace(model, prior_alpha=prior[0], prior_beta=prior[1])
@@ -228,12 +232,12 @@ def interval_bayes_factor(
     if marginal["h0"] <= 0.0 and marginal["h1"] <= 0.0:
         raise NumericalError("both marginal likelihoods vanished")
     bf = math.inf if marginal["h0"] <= 0.0 else marginal["h1"] / marginal["h0"]
-    if bf > 1.0:
+    if bf > threshold:
         verdict = "favors_h1"
-    elif bf < 1.0:
+    elif bf < 1.0 / threshold:
         verdict = "favors_h0"
     else:
-        verdict = "even"
+        verdict = "inconclusive"
     return ComparatorResult(
         procedure="interval_bayes_factor",
         statistic=bf,

@@ -25,7 +25,14 @@ from .loss import (
     QuadraticParams,
 )
 from .regions import Interval, RegionSet, region_within
-from .simulate import ProcedureSpec, Scenario
+from .simulate import (
+    PROCEDURES,
+    ProcedureSpec,
+    Scenario,
+    parse_loss_ratio,
+    parse_prior,
+    parse_settings,
+)
 
 SPEC_VERSION = 1
 
@@ -181,19 +188,16 @@ def _parse_hypotheses(raw: dict) -> HypothesisPair:
     return HypothesisPair(h0=h0, h1=h1)
 
 
-def _parse_prior(obj, family: str, context: str) -> tuple[float, float]:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be an object")
-    obj = dict(obj)
-    if family == "binomial":
-        prior = (_number(obj, "alpha", context), _number(obj, "beta", context))
-    else:
-        prior = (_number(obj, "mean", context), _number(obj, "sd", context))
-    _finish(obj, context)
-    return prior
+def _parsed(parse, value, family: str | None, context: str):
+    """A value read by one of the procedure table's parsers."""
+    try:
+        return parse(value, family)
+    except ValidationError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _parse_model(raw: dict) -> tuple[BinomialModel | NormalKnownVarModel, str]:
+    """The model and its family; without a prior, the model's default."""
     section = _section(raw, "model")
     family = _string(section, "family", "model")
     if family not in ("binomial", "normal"):
@@ -202,33 +206,21 @@ def _parse_model(raw: dict) -> tuple[BinomialModel | NormalKnownVarModel, str]:
     if not isinstance(data, dict):
         raise ConfigError("model.data must be an object")
     data = dict(data)
-    prior_obj = section.pop("prior", None)
+    # the prior's two numbers are the model's last two fields
+    prior = ()
+    if "prior" in section:
+        prior = _parsed(parse_prior, section.pop("prior"), family, "model.prior")
     if family == "binomial":
         _finish(section, "model")
-        n = _integer(data, "n", "model.data")
-        k = _integer(data, "k", "model.data")
-        _finish(data, "model.data")
-        alpha, beta = (
-            _parse_prior(prior_obj, family, "model.prior")
-            if prior_obj is not None
-            else (1.0, 1.0)
-        )
-        model = BinomialModel(n=n, k=k, prior_alpha=alpha, prior_beta=beta)
+        n, k = _integer(data, "n", "model.data"), _integer(data, "k", "model.data")
+        model = BinomialModel(n, k, *prior)
     else:
         sigma = _number(section, "sigma", "model")
         _finish(section, "model")
-        n = _integer(data, "n", "model.data")
-        ybar = _number(data, "ybar", "model.data")
-        _finish(data, "model.data")
-        mean, sd = (
-            _parse_prior(prior_obj, family, "model.prior")
-            if prior_obj is not None
-            else (0.0, 1.0)
-        )
-        model = NormalKnownVarModel(
-            n=n, ybar=ybar, sigma=sigma, prior_mean=mean, prior_sd=sd
-        )
-    return model, "explicit" if prior_obj is not None else "default"
+        n, ybar = _integer(data, "n", "model.data"), _number(data, "ybar", "model.data")
+        model = NormalKnownVarModel(n, ybar, sigma, *prior)
+    _finish(data, "model.data")
+    return model, family
 
 
 @dataclass(frozen=True)
@@ -236,14 +228,6 @@ class DecisionSettings:
     rule: str
     loss_ratio: LossRatio | None
     allow_restricted_space: bool = False
-
-
-def _parse_loss_ratio(value, context: str) -> LossRatio:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return LossRatio.scalar(float(value))
-    if isinstance(value, list) and len(value) == 2:
-        return LossRatio(float(value[0]), float(value[1]))
-    raise ConfigError(f"{context} must be a number or [lo, hi]")
 
 
 def _parse_decision(raw: dict) -> DecisionSettings:
@@ -257,7 +241,9 @@ def _parse_decision(raw: dict) -> DecisionSettings:
     if "loss_ratio" in section:
         if rule == "expected_loss":
             raise ConfigError("decision.loss_ratio is not used by the expected_loss rule")
-        ratio = _parse_loss_ratio(section.pop("loss_ratio"), "decision.loss_ratio")
+        ratio = _parsed(
+            parse_loss_ratio, section.pop("loss_ratio"), None, "decision.loss_ratio"
+        )
     elif rule == "hypothesis_ratio":
         raise ConfigError("decision.loss_ratio is required for the hypothesis_ratio rule")
     allow = bool(section.pop("allow_restricted_space", False))
@@ -265,35 +251,30 @@ def _parse_decision(raw: dict) -> DecisionSettings:
     return DecisionSettings(rule=rule, loss_ratio=ratio, allow_restricted_space=allow)
 
 
-_COMPARATOR_KEYS = {
-    "nhst": {"alpha"},
-    "tost": {"alpha", "bounds"},
-    "rope": {"mass", "rope"},
-    "bayes_factor": {"prior", "threshold"},
-}
-
-
-def _parse_comparators(raw: dict) -> tuple[ProcedureSpec, ...]:
-    items = raw["comparators"]
+def _parse_procedures(
+    items, context: str, word: str, family: str | None
+) -> tuple[ProcedureSpec, ...]:
+    """The ``comparators`` or ``scenario.procedures`` list, checked against
+    the procedure table; settings that depend on the model family are
+    checked only when the family is known."""
     if not isinstance(items, list) or not items:
-        raise ConfigError("comparators must be a non-empty list")
+        raise ConfigError(f"{context} must be a non-empty list")
     specs = []
     for i, item in enumerate(items):
         if not isinstance(item, dict):
-            raise ConfigError(f"comparators[{i}] must be an object")
+            raise ConfigError(f"{context}[{i}] must be an object")
         item = dict(item)
-        name = _string(item, "procedure", f"comparators[{i}]")
-        if name not in _COMPARATOR_KEYS:
+        name = _string(item, "procedure", f"{context}[{i}]")
+        if name not in PROCEDURES:
             raise ConfigError(
-                f"unknown comparator {name!r}; expected one of "
-                f"{sorted(_COMPARATOR_KEYS)}"
+                f"unknown {word} {name!r}; expected one of {sorted(PROCEDURES)}"
             )
-        unknown = set(item) - _COMPARATOR_KEYS[name]
-        if unknown:
-            raise ConfigError(
-                f"unknown key(s) {sorted(unknown)} for comparator {name!r}"
-            )
-        specs.append(ProcedureSpec(name=name, settings=item))
+        spec = ProcedureSpec(name=name, settings=item)
+        try:
+            parse_settings(spec, family)
+        except ValidationError as exc:
+            raise ConfigError(f"{context}[{i}]: {exc}") from exc
+        specs.append(spec)
     return tuple(specs)
 
 
@@ -323,21 +304,12 @@ def _parse_scenario(
     )
     prior = None
     if "prior" in section:
-        prior = _parse_prior(section.pop("prior"), family, "scenario.prior")
+        prior = _parsed(parse_prior, section.pop("prior"), family, "scenario.prior")
     procedures_raw = section.pop("procedures", None)
     _finish(section, "scenario")
-    if not isinstance(procedures_raw, list) or not procedures_raw:
-        raise ConfigError("scenario.procedures must be a non-empty list")
-    procedures = []
-    for i, item in enumerate(procedures_raw):
-        if not isinstance(item, dict):
-            raise ConfigError(f"scenario.procedures[{i}] must be an object")
-        item = dict(item)
-        pname = _string(item, "procedure", f"scenario.procedures[{i}]")
-        try:
-            procedures.append(ProcedureSpec(name=pname, settings=item))
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
+    procedures = _parse_procedures(
+        procedures_raw, "scenario.procedures", "procedure", family
+    )
     try:
         return Scenario(
             name=name,
@@ -348,7 +320,7 @@ def _parse_scenario(
             sample_sizes=tuple(int(n) for n in sizes),
             replicates=replicates,
             seed=seed,
-            procedures=tuple(procedures),
+            procedures=procedures,
             prior=prior,
             sigma=sigma,
         )
@@ -416,30 +388,18 @@ def parse_config(raw: dict) -> ConfigDocument:
             raise ConfigError("seed must be a non-negative integer")
         seed = value
 
-    model = None
-    if "model" in raw:
-        model, prior_source = _parse_model(raw)
-        if "prior" in raw and prior_source == "explicit":
+    if "prior" in raw:
+        if "model" not in raw:
+            raise ConfigError("a top-level prior needs a model section to attach to")
+        section = _section(raw, "model")
+        if "prior" in section:
             raise ConfigError(
                 "prior given both at the top level and inside model; pick one"
             )
-    if "prior" in raw and model is not None:
-        family = "binomial" if isinstance(model, BinomialModel) else "normal"
-        prior = _parse_prior(_section(raw, "prior"), family, "prior")
-        if family == "binomial":
-            model = BinomialModel(
-                n=model.n, k=model.k, prior_alpha=prior[0], prior_beta=prior[1]
-            )
-        else:
-            model = NormalKnownVarModel(
-                n=model.n,
-                ybar=model.ybar,
-                sigma=model.sigma,
-                prior_mean=prior[0],
-                prior_sd=prior[1],
-            )
-    elif "prior" in raw:
-        raise ConfigError("a top-level prior needs a model section to attach to")
+        raw["model"] = {**section, "prior": raw["prior"]}
+    model = family = None
+    if "model" in raw:
+        model, family = _parse_model(raw)
 
     try:
         hypotheses = _parse_hypotheses(raw) if "hypotheses" in raw else None
@@ -451,7 +411,11 @@ def parse_config(raw: dict) -> ConfigDocument:
                         f"[{space.lo}, {space.hi}]"
                     )
         decision = _parse_decision(raw) if "decision" in raw else None
-        comparators = _parse_comparators(raw) if "comparators" in raw else None
+        comparators = (
+            _parse_procedures(raw["comparators"], "comparators", "comparator", family)
+            if "comparators" in raw
+            else None
+        )
         scenario = (
             _parse_scenario(raw, space, loss, seed) if "scenario" in raw else None
         )

@@ -388,6 +388,15 @@ def posterior_update_normal(
     return PosteriorModel(family="normal", params=(mean, sd), space=space)
 
 
+def posterior_update(
+    model: BinomialModel | NormalKnownVarModel, space: ParameterSpace
+) -> PosteriorModel:
+    """The conjugate update of either model, truncated to the space."""
+    if isinstance(model, BinomialModel):
+        return posterior_update_binomial(model, space)
+    return posterior_update_normal(model, space)
+
+
 def posterior_region_prob(post: PosteriorModel, region: RegionSet) -> float:
     """Posterior probability of a region set: the sum of its intervals'
     masses, each taken from the tails on its own side.

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .comparators import (
+    ComparatorResult,
     interval_bayes_factor,
     nhst_point_null,
     rope_decision,
@@ -37,49 +39,31 @@ from .decisions import (
     expected_loss_decision,
 )
 from .errors import RelkitError, ValidationError
-from .hypotheses import derive_hypotheses
-from .inference import (
-    BinomialModel,
-    NormalKnownVarModel,
-    posterior_update_binomial,
-    posterior_update_normal,
-)
+from .hypotheses import HypothesisPair, derive_hypotheses
+from .inference import BinomialModel, NormalKnownVarModel, posterior_update
 from .loss import CurveKnots, LossSpec, ParameterSpace, coin_demo_loss
 from .regions import RegionSet, partition, region_hull
 
 if TYPE_CHECKING:
     import numpy as np
 
-PROCEDURE_NAMES = (
-    "nhst",
-    "tost",
-    "rope",
-    "hypothesis_ratio",
-    "expected_loss",
-    "bayes_factor",
-)
+Model = BinomialModel | NormalKnownVarModel
 
 
 @dataclass(frozen=True)
 class ProcedureSpec:
-    """One procedure to run per replicate, with its settings.
-
-    Recognized settings per procedure:
-      nhst: alpha
-      tost: alpha, bounds ([lo, hi] or "partition_hull")
-      rope: mass, rope ([lo, hi] or "partition_hull")
-      hypothesis_ratio: loss_ratio (number or [lo, hi])
-      expected_loss: (none)
-      bayes_factor: threshold (evidence cutoff, default 3.0)
-    """
+    """One procedure with its settings, as a config lists it under
+    ``comparators`` or ``scenario.procedures``. ``PROCEDURES`` (and the
+    procedure table in the README) names the settings and their defaults;
+    they are checked at config load and again when the procedure is bound."""
 
     name: str
     settings: dict
 
     def __post_init__(self) -> None:
-        if self.name not in PROCEDURE_NAMES:
+        if self.name not in PROCEDURES:
             raise ValidationError(
-                f"unknown procedure {self.name!r}; expected one of {PROCEDURE_NAMES}"
+                f"unknown procedure {self.name!r}; expected one of {tuple(PROCEDURES)}"
             )
 
 
@@ -88,7 +72,8 @@ class Scenario:
     """Fully specified sweep over true effects and sample sizes.
 
     ``prior`` is (alpha, beta) for the binomial family and (mean, sd) for
-    the normal family; ``sigma`` is the known sampling sd of the normal
+    the normal family; None gives the models' default, Beta(1, 1) or
+    Normal(0, 1). ``sigma`` is the known sampling sd of the normal
     family and ignored otherwise.
     """
 
@@ -178,121 +163,200 @@ def simulate_dataset(
     return NormalDraw(n=n, ybar=ybar, sigma=scenario.sigma)
 
 
-def _posterior(scenario: Scenario, data: Dataset):
-    if scenario.prior is None:
-        raise ValidationError(
-            "this procedure needs a prior; set the scenario prior"
-        )
-    if scenario.family == "binomial":
-        a, b = scenario.prior
-        model = BinomialModel(n=data.n, k=data.k, prior_alpha=a, prior_beta=b)
-        return posterior_update_binomial(model, scenario.space)
-    m, s = scenario.prior
-    model = NormalKnownVarModel(
-        n=data.n, ybar=data.ybar, sigma=data.sigma, prior_mean=m, prior_sd=s
-    )
-    return posterior_update_normal(model, scenario.space)
+# --- the procedure table ---------------------------------------------------
 
 
-def _resolve_bounds(setting, hull) -> tuple[float, float]:
-    if setting == "partition_hull":
+def _number(value) -> float:
+    # a bool is an int to Python but no number in a config; the comparison
+    # rejects NaN, the infinities and ints beyond the float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise ValidationError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _probability(value, family) -> float:
+    p = _number(value)
+    if not 0.0 < p < 1.0:
+        raise ValidationError(f"must lie in (0, 1), got {p!r}")
+    return p
+
+
+def _threshold(value, family) -> float:
+    t = _number(value)
+    if t < 1.0:
+        raise ValidationError(f"must be at least 1, got {t!r}")
+    return t
+
+
+def _bounds(value, family) -> str | tuple[float, float]:
+    if value == "partition_hull":
+        return value
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        lo, hi = _number(value[0]), _number(value[1])
+        if lo < hi:
+            return lo, hi
+    raise ValidationError(f'must be "partition_hull" or [lo, hi], got {value!r}')
+
+
+def parse_loss_ratio(value, family) -> LossRatio:
+    """A number, or [lo, hi] for an interval of loss ratios."""
+    if not isinstance(value, (list, tuple)):
+        return LossRatio.scalar(_number(value))
+    if len(value) != 2:
+        raise ValidationError(f"must be a number or [lo, hi], got {value!r}")
+    return LossRatio(_number(value[0]), _number(value[1]))
+
+
+_PRIOR_KEYS = {"binomial": ("alpha", "beta"), "normal": ("mean", "sd")}
+
+
+def parse_prior(value, family: str | None) -> tuple[float, float]:
+    """{alpha, beta} of a beta prior for the binomial family, {mean, sd} of
+    a normal prior for the normal family; with no family, either."""
+    wanted = [(f, keys) for f, keys in _PRIOR_KEYS.items() if family in (f, None)]
+    for fam, keys in wanted:
+        if isinstance(value, dict) and set(value) == set(keys):
+            first, second = _number(value[keys[0]]), _number(value[keys[1]])
+            if second <= 0.0 or (fam == "binomial" and first <= 0.0):
+                raise ValidationError(f"must be a proper prior, got {value!r}")
+            return first, second
+    keys = " or ".join(str(keys) for _, keys in wanted)
+    raise ValidationError(f"must be an object with keys {keys}, got {value!r}")
+
+
+def _interval_on(loss: LossSpec, bounds) -> tuple[float, float]:
+    """(lo, hi), with "partition_hull" the hull of the negligible region."""
+    if bounds == "partition_hull":
+        hull = region_hull(partition(loss).negligible)
         return hull.lo, hull.hi
-    lo, hi = setting
-    return float(lo), float(hi)
+    return bounds
+
+
+def _decision(procedure: str, statistic: float, outcome) -> ComparatorResult:
+    detail = "; ".join(outcome.warnings)
+    return ComparatorResult(procedure, statistic, outcome.decision, detail=detail)
+
+
+# The bind steps name the procedures as module globals, looked up at call
+# time, so that patching one here reaches every caller.
+
+
+def _bind_nhst(s: dict, loss: LossSpec, pair: HypothesisPair):
+    return lambda model: nhst_point_null(model, s["alpha"])
+
+
+def _bind_tost(s: dict, loss: LossSpec, pair: HypothesisPair):
+    bounds = _interval_on(loss, s["bounds"])
+    return lambda model: tost_equivalence(model, bounds, s["alpha"])
+
+
+def _bind_rope(s: dict, loss: LossSpec, pair: HypothesisPair):
+    rope = RegionSet.single(*_interval_on(loss, s["rope"]))
+    return lambda model: rope_decision(
+        posterior_update(model, loss.space), rope, s["mass"]
+    )
+
+
+def _bind_hypothesis_ratio(s: dict, loss: LossSpec, pair: HypothesisPair):
+    def run(model: Model) -> ComparatorResult:
+        post = posterior_update(model, loss.space)
+        out = bayes_two_action_decision(post, pair, s["loss_ratio"])
+        return _decision("bayes_two_action_decision", out.posterior_odds, out)
+
+    return run
+
+
+def _bind_expected_loss(s: dict, loss: LossSpec, pair: HypothesisPair):
+    def run(model: Model) -> ComparatorResult:
+        out = expected_loss_decision(posterior_update(model, loss.space), loss)
+        statistic = out.threshold_hi - out.threshold_lo  # E[L(a1)] - E[L(a0)]
+        return _decision("expected_loss_decision", statistic, out)
+
+    return run
+
+
+def _bind_bayes_factor(s: dict, loss: LossSpec, pair: HypothesisPair):
+    return lambda model: interval_bayes_factor(model, pair, s["prior"], s["threshold"])
+
+
+class Procedure(NamedTuple):
+    """One row of the procedure table: each setting's default and parser,
+    the model families, and the bind step (settings, loss, hypothesis pair)
+    -> (model -> ComparatorResult)."""
+
+    settings: dict[str, tuple[object, Callable]]
+    families: tuple[str, ...]
+    bind: Callable[[dict, LossSpec, HypothesisPair], Callable[[Model], ComparatorResult]]
+
+
+_BOTH = ("binomial", "normal")
+
+PROCEDURES: dict[str, Procedure] = {
+    "nhst": Procedure({"alpha": (0.05, _probability)}, _BOTH, _bind_nhst),
+    "tost": Procedure(
+        {"alpha": (0.05, _probability), "bounds": ("partition_hull", _bounds)},
+        ("normal",),
+        _bind_tost,
+    ),
+    "rope": Procedure(
+        {"mass": (0.95, _probability), "rope": ("partition_hull", _bounds)},
+        _BOTH,
+        _bind_rope,
+    ),
+    "hypothesis_ratio": Procedure(
+        {"loss_ratio": (LossRatio.scalar(1.0), parse_loss_ratio)},
+        _BOTH,
+        _bind_hypothesis_ratio,
+    ),
+    "expected_loss": Procedure({}, _BOTH, _bind_expected_loss),
+    "bayes_factor": Procedure(
+        # a prior of None is the model's own
+        {"prior": (None, parse_prior), "threshold": (1.0, _threshold)},
+        _BOTH,
+        _bind_bayes_factor,
+    ),
+}
+
+
+def parse_settings(proc: ProcedureSpec, family: str | None) -> dict:
+    """Check a procedure's settings against its table row and return them
+    all, defaults filled in. With no family, the family checks are skipped."""
+    row = PROCEDURES[proc.name]
+    unknown = sorted(set(proc.settings) - set(row.settings))
+    if unknown:
+        raise ValidationError(f"unknown setting(s) {unknown} for procedure {proc.name!r}")
+    if family is not None and family not in row.families:
+        raise ValidationError(f"{proc.name} supports the {row.families} family only")
+    parsed = {key: default for key, (default, _) in row.settings.items()}
+    for key, value in proc.settings.items():
+        _, parse = row.settings[key]
+        try:
+            parsed[key] = parse(value, family)
+        except ValidationError as exc:
+            raise ValidationError(f"{proc.name} setting {key!r}: {exc}") from None
+    return parsed
+
+
+def bind_procedure(
+    proc: ProcedureSpec, family: str, loss: LossSpec, pair: HypothesisPair
+) -> Callable[[Model], ComparatorResult]:
+    """The procedure with its settings bound: a model -> result function."""
+    return PROCEDURES[proc.name].bind(parse_settings(proc, family), loss, pair)
 
 
 def _compile_procedure(
     scenario: Scenario, proc: ProcedureSpec
 ) -> Callable[[Dataset], str]:
-    """Bind a procedure's settings (and any partition-derived pieces) into a
-    dataset -> verdict callable."""
-    part = partition(scenario.loss)
-    pair = derive_hypotheses(part)
-    settings = dict(proc.settings)
-
-    if proc.name == "nhst":
-        alpha = float(settings.pop("alpha", 0.05))
-        _reject_unknown(proc, settings)
-
-        def run(data: Dataset) -> str:
-            if scenario.family == "binomial":
-                model = BinomialModel(n=data.n, k=data.k)
-            else:
-                model = NormalKnownVarModel(n=data.n, ybar=data.ybar, sigma=data.sigma)
-            return nhst_point_null(model, alpha).verdict
-
-        return run
-
-    if proc.name == "tost":
-        if scenario.family != "normal":
-            raise ValidationError("tost supports the normal family only")
-        alpha = float(settings.pop("alpha", 0.05))
-        bounds = _resolve_bounds(
-            settings.pop("bounds", "partition_hull"), region_hull(part.negligible)
-        )
-        _reject_unknown(proc, settings)
-
-        def run(data: Dataset) -> str:
-            model = NormalKnownVarModel(n=data.n, ybar=data.ybar, sigma=data.sigma)
-            return tost_equivalence(model, bounds, alpha).verdict
-
-        return run
-
-    if proc.name == "rope":
-        mass = float(settings.pop("mass", 0.95))
-        lo, hi = _resolve_bounds(
-            settings.pop("rope", "partition_hull"), region_hull(part.negligible)
-        )
-        rope = RegionSet.single(lo, hi)
-        _reject_unknown(proc, settings)
-        return lambda data: rope_decision(_posterior(scenario, data), rope, mass).verdict
-
-    if proc.name == "hypothesis_ratio":
-        raw = settings.pop("loss_ratio", 1.0)
-        ratio = (
-            LossRatio(float(raw[0]), float(raw[1]))
-            if isinstance(raw, (tuple, list))
-            else LossRatio.scalar(float(raw))
-        )
-        _reject_unknown(proc, settings)
-        return lambda data: bayes_two_action_decision(
-            _posterior(scenario, data), pair, ratio
-        ).decision
-
-    if proc.name == "expected_loss":
-        _reject_unknown(proc, settings)
-        return lambda data: expected_loss_decision(
-            _posterior(scenario, data), scenario.loss
-        ).decision
-
-    # bayes_factor
-    threshold = float(settings.pop("threshold", 3.0))
-    _reject_unknown(proc, settings)
-
-    def run_bf(data: Dataset) -> str:
-        if scenario.family == "binomial":
-            a, b = scenario.prior if scenario.prior is not None else (1.0, 1.0)
-            model = BinomialModel(n=data.n, k=data.k, prior_alpha=a, prior_beta=b)
-        else:
-            m, s = scenario.prior if scenario.prior is not None else (0.0, 1.0)
-            model = NormalKnownVarModel(
-                n=data.n, ybar=data.ybar, sigma=data.sigma, prior_mean=m, prior_sd=s
-            )
-        bf = interval_bayes_factor(model, pair).bayes_factor
-        if bf >= threshold:
-            return "favors_h1"
-        if bf <= 1.0 / threshold:
-            return "favors_h0"
-        return "inconclusive"
-
-    return run_bf
-
-
-def _reject_unknown(proc: ProcedureSpec, leftover: dict) -> None:
-    if leftover:
-        raise ValidationError(
-            f"unknown setting(s) {sorted(leftover)} for procedure {proc.name!r}"
-        )
+    """Bind a procedure into a dataset -> verdict function. The model of a
+    draw takes the scenario prior, or without one the model's default."""
+    loss = scenario.loss
+    run = bind_procedure(proc, scenario.family, loss, derive_hypotheses(partition(loss)))
+    model = BinomialModel if scenario.family == "binomial" else NormalKnownVarModel
+    prior = scenario.prior or ()
+    # a draw holds the model's leading fields, and the prior its last two
+    return lambda data: run(model(*data, *prior)).verdict
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import relkit.simulate
 from relkit.cli import main
+from relkit.errors import ValidationError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -339,10 +341,13 @@ class TestSimulateCommand:
         assert code == 2
         assert "'nhst'" in err and "more than once" in err
 
-    def test_error_verdicts_reported_on_stderr(self, tmp_path, capsys):
-        # a binomial scenario without a prior: rope errs on every replicate
+    def test_error_verdicts_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
+        # rope fails on every replicate
+        def explode(post, rope, mass):
+            raise ValidationError("rope exploded")
+
+        monkeypatch.setattr(relkit.simulate, "rope_decision", explode)
         doc = self.scenario_doc(replicates=5)
-        del doc["scenario"]["prior"]
         doc["scenario"]["procedures"] = [
             {"procedure": "nhst", "alpha": 0.05},
             {"procedure": "rope", "mass": 0.95},
@@ -357,7 +362,7 @@ class TestSimulateCommand:
         assert len(lines) == 2  # one per (cell, procedure) with errors
         for line, effect in zip(lines, ("0.0", "0.3")):
             assert f"effect {effect}, n 30, rope: 5 of 5 replicates" in line
-            assert "ValidationError: this procedure needs a prior" in line
+            assert "ValidationError: rope exploded" in line
         rows = list(csv.DictReader(io.StringIO(out_base.read_text())))
         rope = [(r["verdict"], r["frequency"]) for r in rows if r["procedure"] == "rope"]
         assert rope == [("error", "1.0"), ("error", "1.0")]
@@ -463,12 +468,16 @@ def test_module_entry_point_runs():
 def test_partition_does_not_import_numpy():
     # only simulate draws data; the other commands start without numpy
     src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = [
+        ("partition", str(CONFIG_DIR / "coin_partition.json")),
+        ("compare", str(CONFIG_DIR / "coin_compare.json")),
+    ]
     script = (
         "import sys\n"
         "from relkit.cli import main\n"
-        f"code = main(['partition', '--config', {str(CONFIG_DIR / 'coin_partition.json')!r}])\n"
-        "assert code == 0, code\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        f"for command, path in {runs!r}:\n"
+        "    assert main([command, '--config', path]) == 0, command\n"
+        "    assert 'numpy' not in sys.modules, (command, 'numpy imported')\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

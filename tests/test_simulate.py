@@ -169,13 +169,14 @@ class TestRateTable:
         for cell in nhst_cells:
             assert cell.frequencies == {"error": 1.0}
 
-    def test_error_verdicts_reported_per_cell(self):
-        # rope needs a prior; without one every replicate errs, and the
-        # memoised failure still counts once per replicate
-        scenario = dataclasses.replace(
-            tiny_coin(replicates=6, procedures=(ProcedureSpec("rope", {}),)),
-            prior=None,
-        )
+    def test_error_verdicts_reported_per_cell(self, monkeypatch):
+        # rope fails on every replicate, and the memoised failure still
+        # counts once per replicate
+        def explode(post, rope, mass):
+            raise ValidationError("rope exploded")
+
+        monkeypatch.setattr(sim, "rope_decision", explode)
+        scenario = tiny_coin(replicates=6, procedures=(ProcedureSpec("rope", {}),))
         table = run_operating_characteristics(scenario)
         assert all(c.frequencies == {"error": 1.0} for c in table.cells)
         assert [(e.true_effect, e.n, e.procedure) for e in table.errors] == [
@@ -185,7 +186,16 @@ class TestRateTable:
         for report in table.errors:
             assert report.count == 6
             assert report.error_class == "ValidationError"
-            assert "prior" in report.message
+            assert report.message == "rope exploded"
+
+    def test_missing_prior_is_the_default_prior(self):
+        names = ("nhst", "rope", "hypothesis_ratio", "expected_loss", "bayes_factor")
+        procedures = tuple(ProcedureSpec(name, {}) for name in names)
+        explicit = tiny_coin(replicates=8, procedures=procedures)
+        assert explicit.prior == (1.0, 1.0)
+        table = run_operating_characteristics(dataclasses.replace(explicit, prior=None))
+        assert not table.errors
+        assert table == run_operating_characteristics(explicit)
 
     def test_text_rendering_fixed_width(self):
         table = run_operating_characteristics(tiny_coin(replicates=2))
@@ -227,6 +237,13 @@ class TestShippedScenarios:
                 cell.procedure,
                 cell.true_effect,
             )
+
+    @pytest.mark.parametrize(
+        "name, make",
+        [("coin_scenario", coin_scenario), ("aspirin_scenario", aspirin_scenario)],
+    )
+    def test_python_copies_match_the_shipped_configs(self, name, make):
+        assert make() == load_config(CONFIG_DIR / f"{name}.json").scenario
 
     def test_bayes_factor_procedure_runs(self):
         scenario = tiny_coin(
