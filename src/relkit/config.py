@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import values
 from .decisions import LossRatio
 from .errors import ConfigError, ValidationError
 from .hypotheses import HypothesisPair
@@ -24,18 +25,13 @@ from .loss import (
     ParameterSpace,
     QuadraticParams,
 )
-from .regions import Interval, RegionSet, region_within
-from .simulate import (
-    PROCEDURES,
-    ProcedureSpec,
-    Scenario,
-    parse_loss_ratio,
-    parse_prior,
-    parse_settings,
-)
+from .regions import region_within
+from .simulate import PROCEDURES, ProcedureSpec, Scenario, parse_settings
 
 SPEC_VERSION = 1
 
+_RULE = values.one_of("hypothesis_ratio", "expected_loss")
+_FORMAT = values.one_of("csv", "json")
 _TOP_KEYS = {
     "spec_version",
     "parameter_space",
@@ -52,172 +48,112 @@ _TOP_KEYS = {
 }
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw[name]
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    return dict(value)
-
-
 def _finish(leftover: dict, context: str) -> None:
     if leftover:
         raise ConfigError(f"unknown key(s) {sorted(leftover)} in {context}")
 
 
-def _number(raw: dict, key: str, context: str, default=None):
-    if key not in raw:
-        if default is None:
+def _take(section, key: str, context: str, parse, default=..., family=None):
+    """Pop ``key`` from ``section`` and read it with ``parse(value, family)``;
+    a missing key gives ``default``, and is an error when that is ``...``.
+    The error names the key path; the top level's context is ""."""
+    if key not in section:
+        if default is ...:
             raise ConfigError(f"missing key {key!r} in {context}")
         return default
-    value = raw.pop(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}.{key} must be a number")
-    return float(value)
+    try:
+        return parse(section.pop(key), family)
+    except ValidationError as exc:
+        path = f"{context}.{key}" if context else key
+        raise ValidationError(f"{path}: {exc}") from None
 
 
-def _integer(raw: dict, key: str, context: str, default=None):
-    if key not in raw:
-        if default is None:
-            raise ConfigError(f"missing key {key!r} in {context}")
-        return default
-    value = raw.pop(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}.{key} must be an integer")
-    return value
+def _read(section: dict, key: str, context: str, parse, *args):
+    """Pop the object ``key`` from ``section`` and read a copy of it with
+    ``parse(obj, *args)``, which must leave no key in it; None when the key
+    is absent."""
+    if key not in section:
+        return None
+    path = f"{context}.{key}" if context else key
+    obj = section.pop(key)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must be an object")
+    obj = dict(obj)
+    parsed = parse(obj, *args)
+    _finish(obj, path)
+    return parsed
 
 
-def _string(raw: dict, key: str, context: str, default=None):
-    if key not in raw:
-        if default is None:
-            raise ConfigError(f"missing key {key!r} in {context}")
-        return default
-    value = raw.pop(key)
-    if not isinstance(value, str):
-        raise ConfigError(f"{context}.{key} must be a string")
-    return value
-
-
-def _parse_space(raw: dict) -> ParameterSpace:
-    section = _section(raw, "parameter_space")
-    lo = _number(section, "lo", "parameter_space")
-    hi = _number(section, "hi", "parameter_space")
-    _finish(section, "parameter_space")
+def _parse_space(section: dict) -> ParameterSpace:
+    lo = _take(section, "lo", "parameter_space", values.number)
+    hi = _take(section, "hi", "parameter_space", values.number)
     return ParameterSpace(lo, hi)
 
 
-def _parse_curve(obj, context: str) -> CurveKnots | QuadraticParams:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be an object")
-    obj = dict(obj)
+def _parse_curve(obj: dict, context: str) -> CurveKnots | QuadraticParams:
     if "c" in obj:
-        params = QuadraticParams(
-            c=_number(obj, "c", context),
-            center=_number(obj, "center", context, default=0.0),
-            offset=_number(obj, "offset", context, default=0.0),
+        return QuadraticParams(
+            c=_take(obj, "c", context, values.number),
+            center=_take(obj, "center", context, values.number, 0.0),
+            offset=_take(obj, "offset", context, values.number, 0.0),
         )
-        _finish(obj, context)
-        return params
-    knots = obj.pop("knots", None) or obj.pop("grid", None)
-    values = obj.pop("values", None)
-    _finish(obj, context)
-    if knots is None or values is None:
-        raise ConfigError(
-            f"{context} needs either quadratic coefficients (c, center, offset) "
-            "or knots/grid plus values"
-        )
-    return CurveKnots(knots=tuple(knots), values=tuple(values))
+    if ("knots" in obj) != ("grid" in obj):
+        knots = _take(obj, "knots" if "knots" in obj else "grid", context, values.numbers)
+        return CurveKnots(knots, _take(obj, "values", context, values.numbers))
+    raise ConfigError(
+        f"{context} needs either quadratic coefficients (c, center, offset) "
+        "or one of knots and grid, plus values"
+    )
 
 
-def _parse_loss(raw: dict, space: ParameterSpace) -> LossSpec:
-    section = _section(raw, "loss")
-    kind = _string(section, "kind", "loss")
-    params_a0 = params_a1 = None
-    if "params_a0" in section:
-        params_a0 = _parse_curve(section.pop("params_a0"), "loss.params_a0")
-    if "params_a1" in section:
-        params_a1 = _parse_curve(section.pop("params_a1"), "loss.params_a1")
-    _finish(section, "loss")
+def _parse_loss(section: dict, space: ParameterSpace) -> LossSpec:
+    kind = _take(section, "kind", "loss", values.string)
+    params_a0 = _read(section, "params_a0", "loss", _parse_curve, "loss.params_a0")
+    params_a1 = _read(section, "params_a1", "loss", _parse_curve, "loss.params_a1")
     if kind == "builtin_coin_demo":
         if params_a0 is not None or params_a1 is not None:
             raise ConfigError("builtin_coin_demo takes no loss parameters")
     elif params_a0 is None or params_a1 is None:
         raise ConfigError(f"loss kind {kind!r} needs params_a0 and params_a1")
-    try:
-        return LossSpec(space=space, kind=kind, params_a0=params_a0, params_a1=params_a1)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    return LossSpec(space=space, kind=kind, params_a0=params_a0, params_a1=params_a1)
 
 
-def _parse_actions(raw: dict) -> ActionPair:
-    section = _section(raw, "actions")
-    pair = ActionPair(
-        a0_label=_string(section, "a0_label", "actions"),
-        a1_label=_string(section, "a1_label", "actions"),
-        a0_description=_string(section, "a0_description", "actions", default=""),
-        a1_description=_string(section, "a1_description", "actions", default=""),
+def _parse_actions(section: dict) -> ActionPair:
+    return ActionPair(
+        a0_label=_take(section, "a0_label", "actions", values.string),
+        a1_label=_take(section, "a1_label", "actions", values.string),
+        a0_description=_take(section, "a0_description", "actions", values.string, ""),
+        a1_description=_take(section, "a1_description", "actions", values.string, ""),
     )
-    _finish(section, "actions")
+
+
+def _parse_hypotheses(section: dict, space: ParameterSpace) -> HypothesisPair:
+    h0 = _take(section, "h0", "hypotheses", values.region)
+    pair = HypothesisPair(h0=h0, h1=_take(section, "h1", "hypotheses", values.region))
+    for which, region in (("h0", pair.h0), ("h1", pair.h1)):
+        if not region_within(region, space):
+            raise ConfigError(
+                f"hypotheses.{which} reaches outside the parameter space "
+                f"[{space.lo}, {space.hi}]"
+            )
     return pair
 
 
-def _parse_region_items(items, context: str) -> RegionSet:
-    if not isinstance(items, list):
-        raise ConfigError(f"{context} must be a list of intervals or values")
-    intervals = []
-    for item in items:
-        if isinstance(item, (int, float)) and not isinstance(item, bool):
-            intervals.append(Interval(float(item), float(item)))
-        elif isinstance(item, list) and len(item) in (2, 4):
-            lo, hi = float(item[0]), float(item[1])
-            lo_open = bool(item[2]) if len(item) == 4 else False
-            hi_open = bool(item[3]) if len(item) == 4 else False
-            intervals.append(Interval(lo, hi, lo_open, hi_open))
-        else:
-            raise ConfigError(
-                f"{context} entries must be a number or [lo, hi] or "
-                "[lo, hi, lo_open, hi_open]"
-            )
-    return RegionSet(tuple(intervals))
-
-
-def _parse_hypotheses(raw: dict) -> HypothesisPair:
-    section = _section(raw, "hypotheses")
-    h0 = _parse_region_items(section.pop("h0", None), "hypotheses.h0")
-    h1 = _parse_region_items(section.pop("h1", None), "hypotheses.h1")
-    _finish(section, "hypotheses")
-    return HypothesisPair(h0=h0, h1=h1)
-
-
-def _parsed(parse, value, family: str | None, context: str):
-    """A value read by one of the procedure table's parsers."""
-    try:
-        return parse(value, family)
-    except ValidationError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _parse_model(raw: dict) -> tuple[BinomialModel | NormalKnownVarModel, str]:
+def _parse_model(section: dict) -> tuple[BinomialModel | NormalKnownVarModel, str]:
     """The model and its family; without a prior, the model's default."""
-    section = _section(raw, "model")
-    family = _string(section, "family", "model")
-    if family not in ("binomial", "normal"):
-        raise ConfigError(f"model.family must be 'binomial' or 'normal', got {family!r}")
+    family = _take(section, "family", "model", values.model_family)
     data = section.pop("data", None)
     if not isinstance(data, dict):
         raise ConfigError("model.data must be an object")
     data = dict(data)
     # the prior's two numbers are the model's last two fields
-    prior = ()
-    if "prior" in section:
-        prior = _parsed(parse_prior, section.pop("prior"), family, "model.prior")
+    prior = _take(section, "prior", "model", values.prior, (), family)
+    n = _take(data, "n", "model.data", values.count)
     if family == "binomial":
-        _finish(section, "model")
-        n, k = _integer(data, "n", "model.data"), _integer(data, "k", "model.data")
-        model = BinomialModel(n, k, *prior)
+        model = BinomialModel(n, _take(data, "k", "model.data", values.count), *prior)
     else:
-        sigma = _number(section, "sigma", "model")
-        _finish(section, "model")
-        n, ybar = _integer(data, "n", "model.data"), _number(data, "ybar", "model.data")
+        sigma = _take(section, "sigma", "model", values.number)
+        ybar = _take(data, "ybar", "model.data", values.number)
         model = NormalKnownVarModel(n, ybar, sigma, *prior)
     _finish(data, "model.data")
     return model, family
@@ -230,24 +166,15 @@ class DecisionSettings:
     allow_restricted_space: bool = False
 
 
-def _parse_decision(raw: dict) -> DecisionSettings:
-    section = _section(raw, "decision")
-    rule = _string(section, "rule", "decision", default="hypothesis_ratio")
-    if rule not in ("hypothesis_ratio", "expected_loss"):
-        raise ConfigError(
-            f"decision.rule must be 'hypothesis_ratio' or 'expected_loss', got {rule!r}"
-        )
-    ratio = None
-    if "loss_ratio" in section:
-        if rule == "expected_loss":
-            raise ConfigError("decision.loss_ratio is not used by the expected_loss rule")
-        ratio = _parsed(
-            parse_loss_ratio, section.pop("loss_ratio"), None, "decision.loss_ratio"
-        )
-    elif rule == "hypothesis_ratio":
-        raise ConfigError("decision.loss_ratio is required for the hypothesis_ratio rule")
-    allow = bool(section.pop("allow_restricted_space", False))
-    _finish(section, "decision")
+def _parse_decision(section: dict) -> DecisionSettings:
+    rule = _take(section, "rule", "decision", _RULE, "hypothesis_ratio")
+    if rule == "hypothesis_ratio":
+        ratio = _take(section, "loss_ratio", "decision", values.loss_ratio)
+    elif "loss_ratio" in section:
+        raise ConfigError("decision.loss_ratio is not used by the expected_loss rule")
+    else:
+        ratio = None
+    allow = _take(section, "allow_restricted_space", "decision", values.flag, False)
     return DecisionSettings(rule=rule, loss_ratio=ratio, allow_restricted_space=allow)
 
 
@@ -264,7 +191,7 @@ def _parse_procedures(
         if not isinstance(item, dict):
             raise ConfigError(f"{context}[{i}] must be an object")
         item = dict(item)
-        name = _string(item, "procedure", f"{context}[{i}]")
+        name = _take(item, "procedure", f"{context}[{i}]", values.string)
         if name not in PROCEDURES:
             raise ConfigError(
                 f"unknown {word} {name!r}; expected one of {sorted(PROCEDURES)}"
@@ -273,59 +200,40 @@ def _parse_procedures(
         try:
             parse_settings(spec, family)
         except ValidationError as exc:
-            raise ConfigError(f"{context}[{i}]: {exc}") from exc
+            raise ValidationError(f"{context}[{i}]: {exc}") from None
         specs.append(spec)
     return tuple(specs)
 
 
 def _parse_scenario(
-    raw: dict, space: ParameterSpace, loss: LossSpec, top_seed: int | None
+    section: dict, space: ParameterSpace, loss: LossSpec, top_seed: int | None
 ) -> Scenario:
-    section = _section(raw, "scenario")
-    name = _string(section, "name", "scenario")
-    family = _string(section, "family", "scenario")
-    if family not in ("binomial", "normal"):
-        raise ConfigError(
-            f"scenario.family must be 'binomial' or 'normal', got {family!r}"
-        )
-    effects = section.pop("true_effects", None)
-    sizes = section.pop("sample_sizes", None)
-    if not isinstance(effects, list) or not isinstance(sizes, list):
-        raise ConfigError("scenario needs true_effects and sample_sizes lists")
-    replicates = _integer(section, "replicates", "scenario")
-    if "seed" in section:
-        seed = _integer(section, "seed", "scenario")
-        if seed < 0:
-            raise ConfigError("scenario.seed must be a non-negative integer")
-    else:
-        seed = top_seed if top_seed is not None else 0
-    sigma = (
-        _number(section, "sigma", "scenario") if family == "normal" else None
-    )
-    prior = None
-    if "prior" in section:
-        prior = _parsed(parse_prior, section.pop("prior"), family, "scenario.prior")
-    procedures_raw = section.pop("procedures", None)
-    _finish(section, "scenario")
+    name = _take(section, "name", "scenario", values.string)
+    family = _take(section, "family", "scenario", values.model_family)
+    effects = _take(section, "true_effects", "scenario", values.numbers)
+    sizes = _take(section, "sample_sizes", "scenario", values.counts)
+    replicates = _take(section, "replicates", "scenario", values.count)
+    seed = _take(section, "seed", "scenario", values.seed, top_seed or 0)
+    sigma = None
+    if family == "normal":
+        sigma = _take(section, "sigma", "scenario", values.number)
+    prior = _take(section, "prior", "scenario", values.prior, None, family)
     procedures = _parse_procedures(
-        procedures_raw, "scenario.procedures", "procedure", family
+        section.pop("procedures", None), "scenario.procedures", "procedure", family
     )
-    try:
-        return Scenario(
-            name=name,
-            family=family,
-            space=space,
-            loss=loss,
-            true_effects=tuple(float(e) for e in effects),
-            sample_sizes=tuple(int(n) for n in sizes),
-            replicates=replicates,
-            seed=seed,
-            procedures=procedures,
-            prior=prior,
-            sigma=sigma,
-        )
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Scenario(
+        name=name,
+        family=family,
+        space=space,
+        loss=loss,
+        true_effects=effects,
+        sample_sizes=sizes,
+        replicates=replicates,
+        seed=seed,
+        procedures=procedures,
+        prior=prior,
+        sigma=sigma,
+    )
 
 
 @dataclass(frozen=True)
@@ -334,13 +242,9 @@ class OutputSettings:
     path: str | None = None
 
 
-def _parse_output(raw: dict) -> OutputSettings:
-    section = _section(raw, "output")
-    fmt = _string(section, "format", "output", default="json")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
-    path = _string(section, "path", "output", default="")
-    _finish(section, "output")
+def _parse_output(section: dict) -> OutputSettings:
+    fmt = _take(section, "format", "output", _FORMAT, "json")
+    path = _take(section, "path", "output", values.string, "")
     return OutputSettings(format=fmt, path=path or None)
 
 
@@ -361,14 +265,22 @@ class ConfigDocument:
 
 
 def parse_config(raw: dict) -> ConfigDocument:
-    """Validate and assemble a configuration from decoded JSON."""
+    """Validate and assemble a configuration from decoded JSON; a malformed
+    document raises ConfigError."""
+    try:
+        return _parse_document(raw)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_document(raw: dict) -> ConfigDocument:
     if not isinstance(raw, dict):
         raise ConfigError("the configuration must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown top-level key(s) {sorted(unknown)}")
     raw = dict(raw)
-    version = raw.get("spec_version")
+    version = _take(raw, "spec_version", "", values.integer, None)
     if version != SPEC_VERSION:
         raise ConfigError(
             f"spec_version must be {SPEC_VERSION}, got {version!r}"
@@ -376,63 +288,35 @@ def parse_config(raw: dict) -> ConfigDocument:
     for key in ("parameter_space", "loss", "actions"):
         if key not in raw:
             raise ConfigError(f"missing required section {key!r}")
-
-    space = _parse_space(raw)
-    loss = _parse_loss(raw, space)
-    actions = _parse_actions(raw)
-
-    seed = None
-    if "seed" in raw:
-        value = raw["seed"]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        seed = value
-
+    space = _read(raw, "parameter_space", "", _parse_space)
+    loss = _read(raw, "loss", "", _parse_loss, space)
+    actions = _read(raw, "actions", "", _parse_actions)
+    seed = _take(raw, "seed", "", values.seed, None)
     if "prior" in raw:
-        if "model" not in raw:
+        model = raw.get("model")
+        if not isinstance(model, dict):
             raise ConfigError("a top-level prior needs a model section to attach to")
-        section = _section(raw, "model")
-        if "prior" in section:
+        if "prior" in model:
             raise ConfigError(
                 "prior given both at the top level and inside model; pick one"
             )
-        raw["model"] = {**section, "prior": raw["prior"]}
-    model = family = None
-    if "model" in raw:
-        model, family = _parse_model(raw)
-
-    try:
-        hypotheses = _parse_hypotheses(raw) if "hypotheses" in raw else None
-        if hypotheses is not None:
-            for which, region in (("h0", hypotheses.h0), ("h1", hypotheses.h1)):
-                if not region_within(region, space):
-                    raise ConfigError(
-                        f"hypotheses.{which} reaches outside the parameter space "
-                        f"[{space.lo}, {space.hi}]"
-                    )
-        decision = _parse_decision(raw) if "decision" in raw else None
-        comparators = (
-            _parse_procedures(raw["comparators"], "comparators", "comparator", family)
-            if "comparators" in raw
-            else None
-        )
-        scenario = (
-            _parse_scenario(raw, space, loss, seed) if "scenario" in raw else None
-        )
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
-    output = _parse_output(raw) if "output" in raw else OutputSettings()
-
+        raw["model"] = {**model, "prior": raw["prior"]}
+    model, family = _read(raw, "model", "", _parse_model) or (None, None)
+    comparators = (
+        _parse_procedures(raw["comparators"], "comparators", "comparator", family)
+        if "comparators" in raw
+        else None
+    )
     return ConfigDocument(
         space=space,
         loss=loss,
         actions=actions,
-        hypotheses=hypotheses,
+        hypotheses=_read(raw, "hypotheses", "", _parse_hypotheses, space),
         model=model,
-        decision=decision,
+        decision=_read(raw, "decision", "", _parse_decision),
         comparators=comparators,
-        scenario=scenario,
-        output=output,
+        scenario=_read(raw, "scenario", "", _parse_scenario, space, loss, seed),
+        output=_read(raw, "output", "", _parse_output) or OutputSettings(),
         seed=seed,
     )
 

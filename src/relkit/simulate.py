@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from . import values
 from .comparators import (
     ComparatorResult,
     interval_bayes_factor,
@@ -166,66 +166,6 @@ def simulate_dataset(
 # --- the procedure table ---------------------------------------------------
 
 
-def _number(value) -> float:
-    # a bool is an int to Python but no number in a config; the comparison
-    # rejects NaN, the infinities and ints beyond the float range
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        abs(value) <= sys.float_info.max
-    ):
-        raise ValidationError(f"must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _probability(value, family) -> float:
-    p = _number(value)
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"must lie in (0, 1), got {p!r}")
-    return p
-
-
-def _threshold(value, family) -> float:
-    t = _number(value)
-    if t < 1.0:
-        raise ValidationError(f"must be at least 1, got {t!r}")
-    return t
-
-
-def _bounds(value, family) -> str | tuple[float, float]:
-    if value == "partition_hull":
-        return value
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        lo, hi = _number(value[0]), _number(value[1])
-        if lo < hi:
-            return lo, hi
-    raise ValidationError(f'must be "partition_hull" or [lo, hi], got {value!r}')
-
-
-def parse_loss_ratio(value, family) -> LossRatio:
-    """A number, or [lo, hi] for an interval of loss ratios."""
-    if not isinstance(value, (list, tuple)):
-        return LossRatio.scalar(_number(value))
-    if len(value) != 2:
-        raise ValidationError(f"must be a number or [lo, hi], got {value!r}")
-    return LossRatio(_number(value[0]), _number(value[1]))
-
-
-_PRIOR_KEYS = {"binomial": ("alpha", "beta"), "normal": ("mean", "sd")}
-
-
-def parse_prior(value, family: str | None) -> tuple[float, float]:
-    """{alpha, beta} of a beta prior for the binomial family, {mean, sd} of
-    a normal prior for the normal family; with no family, either."""
-    wanted = [(f, keys) for f, keys in _PRIOR_KEYS.items() if family in (f, None)]
-    for fam, keys in wanted:
-        if isinstance(value, dict) and set(value) == set(keys):
-            first, second = _number(value[keys[0]]), _number(value[keys[1]])
-            if second <= 0.0 or (fam == "binomial" and first <= 0.0):
-                raise ValidationError(f"must be a proper prior, got {value!r}")
-            return first, second
-    keys = " or ".join(str(keys) for _, keys in wanted)
-    raise ValidationError(f"must be an object with keys {keys}, got {value!r}")
-
-
 def _interval_on(loss: LossSpec, bounds) -> tuple[float, float]:
     """(lo, hi), with "partition_hull" the hull of the negligible region."""
     if bounds == "partition_hull":
@@ -294,26 +234,29 @@ class Procedure(NamedTuple):
 _BOTH = ("binomial", "normal")
 
 PROCEDURES: dict[str, Procedure] = {
-    "nhst": Procedure({"alpha": (0.05, _probability)}, _BOTH, _bind_nhst),
+    "nhst": Procedure({"alpha": (0.05, values.probability)}, _BOTH, _bind_nhst),
     "tost": Procedure(
-        {"alpha": (0.05, _probability), "bounds": ("partition_hull", _bounds)},
+        {
+            "alpha": (0.05, values.probability),
+            "bounds": ("partition_hull", values.bounds),
+        },
         ("normal",),
         _bind_tost,
     ),
     "rope": Procedure(
-        {"mass": (0.95, _probability), "rope": ("partition_hull", _bounds)},
+        {"mass": (0.95, values.probability), "rope": ("partition_hull", values.bounds)},
         _BOTH,
         _bind_rope,
     ),
     "hypothesis_ratio": Procedure(
-        {"loss_ratio": (LossRatio.scalar(1.0), parse_loss_ratio)},
+        {"loss_ratio": (LossRatio.scalar(1.0), values.loss_ratio)},
         _BOTH,
         _bind_hypothesis_ratio,
     ),
     "expected_loss": Procedure({}, _BOTH, _bind_expected_loss),
     "bayes_factor": Procedure(
         # a prior of None is the model's own
-        {"prior": (None, parse_prior), "threshold": (1.0, _threshold)},
+        {"prior": (None, values.prior), "threshold": (1.0, values.threshold)},
         _BOTH,
         _bind_bayes_factor,
     ),

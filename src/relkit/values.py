@@ -1,0 +1,164 @@
+"""Parsers for the values a configuration holds.
+
+Every config key and procedure setting is read by one of these, so each kind
+of value has one rule. A parser is ``parse(value, family)``: it returns the
+decoded JSON value in the form the library takes, or raises ValidationError;
+the caller puts the key path in front. Only ``prior`` reads the model family,
+which is None where it is not known. No numpy here: every command parses a
+config, and only ``simulate`` draws data.
+"""
+
+from __future__ import annotations
+
+import sys
+from typing import Callable
+
+from .decisions import LossRatio
+from .errors import ValidationError
+from .regions import Interval, RegionSet
+
+# numpy's binomial draw takes n as a C long
+_COUNT_LIMIT = 2**63
+_FLOAT_MAX = sys.float_info.max
+
+
+def number(value, family=None) -> float:
+    # a bool is an int to Python but no number in a config; the comparison
+    # rejects NaN, the infinities and ints beyond the float range. The type
+    # test first takes the common case, a float, in one step.
+    if type(value) is float or (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+    ):
+        if -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return float(value)
+    raise ValidationError(f"must be a finite number, got {value!r}")
+
+
+def integer(value, family=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"must be an integer, got {value!r}")
+    return value
+
+
+def flag(value, family=None) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"must be true or false, got {value!r}")
+    return value
+
+
+def string(value, family=None) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"must be a string, got {value!r}")
+    return value
+
+
+def _limited(parse: Callable, test: Callable, wanted: str) -> Callable:
+    """``parse``, taking only the values for which ``test`` holds."""
+
+    def limited(value, family=None):
+        v = parse(value)
+        if not test(v):
+            raise ValidationError(f"must be {wanted}, got {v!r}")
+        return v
+
+    return limited
+
+
+count = _limited(integer, lambda n: 0 <= n < _COUNT_LIMIT, "an integer in [0, 2**63)")
+# any non-negative integer: a SeedSequence takes them all
+seed = _limited(integer, lambda s: s >= 0, "a non-negative integer")
+probability = _limited(number, lambda p: 0.0 < p < 1.0, "in (0, 1)")
+threshold = _limited(number, lambda t: t >= 1.0, "at least 1")
+
+
+def one_of(*choices: str) -> Callable:
+    """A parser of one of the strings ``choices``."""
+    expected = " or ".join(map(repr, choices))
+
+    def parse(value, family=None) -> str:
+        if value not in choices:
+            raise ValidationError(f"must be {expected}, got {value!r}")
+        return value
+
+    return parse
+
+
+def list_of(item: Callable) -> Callable:
+    """A parser of a list whose items ``item`` reads, giving a tuple."""
+
+    def parse(value, family=None) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"must be a list, got {value!r}")
+        out = []
+        try:
+            for v in value:
+                out.append(item(v, family))
+        except ValidationError as exc:
+            raise ValidationError(f"item {len(out)}: {exc}") from None
+        return tuple(out)
+
+    return parse
+
+
+def interval(value, family=None) -> Interval:
+    """A number for a single point, [lo, hi] for a closed interval, or
+    [lo, hi, lo_open, hi_open]."""
+    if not isinstance(value, (list, tuple)):
+        point = number(value)
+        return Interval(point, point)
+    if len(value) == 2:
+        return Interval(number(value[0]), number(value[1]))
+    if len(value) == 4:
+        lo, hi = number(value[0]), number(value[1])
+        return Interval(lo, hi, flag(value[2]), flag(value[3]))
+    raise ValidationError(
+        f"must be a number, [lo, hi] or [lo, hi, lo_open, hi_open], got {value!r}"
+    )
+
+
+model_family = one_of("binomial", "normal")
+numbers = list_of(number)
+counts = list_of(count)
+_intervals = list_of(interval)
+
+
+def region(value, family=None) -> RegionSet:
+    """A list of intervals and points."""
+    return RegionSet(_intervals(value))
+
+
+
+def bounds(value, family=None) -> str | tuple[float, float]:
+    if value == "partition_hull":
+        return value
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        lo, hi = number(value[0]), number(value[1])
+        if lo < hi:
+            return lo, hi
+    raise ValidationError(f'must be "partition_hull" or [lo, hi], got {value!r}')
+
+
+def loss_ratio(value, family=None) -> LossRatio:
+    """A number, or [lo, hi] for an interval of loss ratios."""
+    if not isinstance(value, (list, tuple)):
+        return LossRatio.scalar(number(value))
+    if len(value) != 2:
+        raise ValidationError(f"must be a number or [lo, hi], got {value!r}")
+    return LossRatio(number(value[0]), number(value[1]))
+
+
+_PRIOR_KEYS = {"binomial": ("alpha", "beta"), "normal": ("mean", "sd")}
+
+
+def prior(value, family: str | None) -> tuple[float, float]:
+    """{alpha, beta} of a beta prior for the binomial family, {mean, sd} of
+    a normal prior for the normal family; with no family, either."""
+    wanted = [(f, keys) for f, keys in _PRIOR_KEYS.items() if family in (f, None)]
+    for fam, keys in wanted:
+        if isinstance(value, dict) and set(value) == set(keys):
+            first, second = number(value[keys[0]]), number(value[keys[1]])
+            if second <= 0.0 or (fam == "binomial" and first <= 0.0):
+                raise ValidationError(f"must be a proper prior, got {value!r}")
+            return first, second
+    keys = " or ".join(str(keys) for _, keys in wanted)
+    raise ValidationError(f"must be an object with keys {keys}, got {value!r}")

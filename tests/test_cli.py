@@ -1,13 +1,18 @@
+import contextlib
+import copy
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import relkit.simulate
 from relkit.cli import main
@@ -453,6 +458,59 @@ def test_shipped_configs_parse_and_run(capsys):
     ):
         code, out, err = run_cli([command, "--config", str(CONFIG_DIR / name)], capsys)
         assert code == 0, (name, err)
+
+
+# --- one value of a shipped config replaced: every command exits 0, 2 or 3 --
+
+
+def _shipped(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if "scenario" in doc:
+        doc["scenario"]["replicates"] = 2  # for speed only
+    return doc
+
+
+SHIPPED = {path.name: _shipped(path) for path in sorted(CONFIG_DIR.glob("*.json"))}
+ODD_VALUES = [
+    -(10**400), 10**400, True, "x", "0.1", {}, [1], None,
+    math.nan, math.inf, -math.inf, 2.5,
+]
+COMMANDS = ["partition", "check-hypotheses", "decide", "compare", "simulate", "plot"]
+
+
+def _places(node, prefix=()):
+    """The key path of every leaf and every list item below ``node``."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, value in items:
+        path = prefix + (key,)
+        if isinstance(node, list) or not isinstance(value, (dict, list)):
+            yield path
+        if isinstance(value, (dict, list)):
+            yield from _places(value, path)
+
+
+PLACES = [(name, path) for name, doc in SHIPPED.items() for path in _places(doc)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(place=("coin_partition.json", ("parameter_space", "lo")), value=-(10**400))
+@example(place=("coin_check_hypotheses.json", ("hypotheses", "h0", 0, 0)), value={})
+@given(place=st.sampled_from(PLACES), value=st.sampled_from(ODD_VALUES))
+def test_any_one_value_exits_0_2_or_3(place, value):
+    name, path = place
+    doc = copy.deepcopy(SHIPPED[name])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / name
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        for command in COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg)])
+            assert code in (0, 2, 3), (command, code, err.getvalue())
 
 
 def test_module_entry_point_runs():

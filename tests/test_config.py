@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
+import re
 
 import pytest
 
+from relkit.cli import main
 from relkit.config import load_config, parse_config
 from relkit.errors import ConfigError
 from relkit.inference import BinomialModel, NormalKnownVarModel
@@ -262,6 +267,128 @@ class TestOutputSection:
     def test_bad_format(self):
         with pytest.raises(ConfigError, match="format"):
             parse_config(minimal(output={"format": "xml"}))
+
+
+# --- values: one parser per kind of value, and the key path in every error --
+
+
+def _scenario_doc(**extra):
+    scenario = {
+        "name": "demo",
+        "family": "binomial",
+        "true_effects": [0.0],
+        "sample_sizes": [50],
+        "replicates": 2,
+        "procedures": [{"procedure": "nhst"}],
+    }
+    scenario.update(extra)
+    return minimal(scenario=scenario)
+
+
+def _curves(a0):
+    return minimal(
+        loss={
+            "kind": "piecewise_linear",
+            "params_a0": a0,
+            "params_a1": {"knots": [-0.5, 0.5], "values": [1.0, 0.0]},
+        }
+    )
+
+
+def _decision_doc(**extra):
+    return minimal(
+        hypotheses={
+            "h0": [[-0.1, 0.1]],
+            "h1": [[-0.5, -0.1, False, True], [0.1, 0.5, True, False]],
+        },
+        decision={"rule": "hypothesis_ratio", "loss_ratio": 1.0, **extra},
+    )
+
+
+# each of these used to load, its value read as something else
+COERCIONS = {
+    "version true": ({**minimal(), "spec_version": True}, "spec_version"),
+    "size 2.7": (_scenario_doc(sample_sizes=[2.7]), "scenario.sample_sizes"),
+    "size string": (_scenario_doc(sample_sizes=["50"]), "scenario.sample_sizes"),
+    "size bool": (_scenario_doc(sample_sizes=[True]), "scenario.sample_sizes"),
+    "open flag string": (
+        minimal(hypotheses={"h0": [[-0.1, 0.1, "false", False]], "h1": [0.3]}),
+        "hypotheses.h0",
+    ),
+    "end strings": (
+        minimal(hypotheses={"h0": [["-0.1", "0.1"]], "h1": [0.3]}),
+        "hypotheses.h0",
+    ),
+    "flag string": (
+        _decision_doc(allow_restricted_space="no"),
+        "decision.allow_restricted_space",
+    ),
+    "knot strings": (
+        _curves({"knots": ["-0.5", "0.5"], "values": [0.0, 1.0]}),
+        "loss.params_a0.knots",
+    ),
+    "values string": (
+        _curves({"knots": [-0.5, 0.0, 0.5], "values": "123"}),
+        "loss.params_a0.values",
+    ),
+    "knots and grid": (
+        _curves({"knots": [], "grid": [-0.5, 0.5], "values": [0.0, 1.0]}),
+        "loss.params_a0",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, path", COERCIONS.values(), ids=COERCIONS.keys())
+def test_no_silent_coercion(doc, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        parse_config(doc)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("n", [10**30, 10**400])
+def test_counts_of_2_to_the_63_or_more_exit_2(tmp_path, n):
+    docs = {
+        "model.data.n": (
+            "decide",
+            {**_decision_doc(), "model": {"family": "binomial", "data": {"n": n, "k": 1}}},
+        ),
+        "scenario.sample_sizes": ("simulate", _scenario_doc(sample_sizes=[n])),
+    }
+    for path, (command, doc) in docs.items():
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = _run([command, "--config", str(cfg)])
+        assert code == 2 and path in err, (path, code, err)
+
+
+def test_largest_count_runs(tmp_path):
+    n = 2**63 - 1
+    doc = _scenario_doc(sample_sizes=[n])
+    doc["model"] = {"family": "binomial", "data": {"n": n, "k": 1}}
+    assert parse_config(doc).model.n == n
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run(["simulate", "--config", str(cfg)])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        minimal(model={"family": "binomial", "data": {"n": 10, "k": -1}}),
+        minimal(model={"family": "normal", "sigma": math.inf, "data": {"n": 1, "ybar": 0}}),
+        minimal(model={"family": "normal", "sigma": 1, "data": {"n": 1, "ybar": math.nan}}),
+        minimal(actions={"a0_label": "", "a1_label": "act"}),
+    ],
+)
+def test_malformed_document_raises_config_error(doc):
+    with pytest.raises(ConfigError):
+        parse_config(doc)
 
 
 def test_load_config_round_trip(tmp_path):
