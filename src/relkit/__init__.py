@@ -68,7 +68,7 @@ from .loss import (
     loss_difference,
     validate_loss_spec,
 )
-from .plotting import PlotSpec, render_loss_plot
+from .plotting import render_loss_plot
 from .regions import (
     Interval,
     RegionSet,
@@ -109,7 +109,6 @@ __all__ = [
     "NormalKnownVarModel",
     "NumericalError",
     "ParameterSpace",
-    "PlotSpec",
     "PosteriorModel",
     "ProcedureSpec",
     "QuadraticParams",

@@ -26,7 +26,7 @@ from .decisions import bayes_two_action_decision, expected_loss_decision
 from .errors import ConfigError, DomainError, NumericalError, RelkitError, ValidationError
 from .hypotheses import check_complete, check_partial, derive_hypotheses
 from .inference import BinomialModel, posterior_summary, posterior_update
-from .plotting import PlotSpec, render_loss_plot
+from .plotting import render_loss_plot
 from .regions import partition
 from .simulate import (
     bind_procedure,
@@ -39,6 +39,23 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC_IO = 3
+
+
+# each command takes --config and --output, plus only the flags it reads,
+# spelled in full: a prefix such as plot --plot would name --plot-grid
+_COMMANDS = {
+    "partition": ("compute the negligible/relevant partition of the space", ("--format",)),
+    "check-hypotheses": ("verify complete/partial incorporation of relevance", ("--format",)),
+    "decide": ("run the configured decision rule on the observed data", ("--format",)),
+    "compare": ("run the configured baseline procedures on the observed data", ("--format",)),
+    "simulate": ("sweep operating characteristics over a scenario", ("--seed",)),
+    "plot": ("render the loss curves and regions as SVG", ("--plot-grid",)),
+}
+_FLAGS = {
+    "--format": {"choices": ("csv", "json"), "help": "artifact format"},
+    "--seed": {"type": int, "help": "override the configured seed"},
+    "--plot-grid": {"type": int, "default": 512, "help": "samples per curve (default 512)"},
+}
 
 
 @functools.cache
@@ -55,29 +72,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"relkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "partition": "compute the negligible/relevant partition of the space",
-        "check-hypotheses": "verify complete/partial incorporation of relevance",
-        "decide": "run the configured decision rule on the observed data",
-        "compare": "run the configured baseline procedures on the observed data",
-        "simulate": "sweep operating characteristics over a scenario",
-        "plot": "render the loss curves and regions as SVG",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", required=True, help="path to the JSON configuration")
         p.add_argument("--output", help="artifact path (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json"), help="artifact format")
-        p.add_argument(
-            "--plot", action="store_true", help="also write an SVG next to the output"
-        )
-        p.add_argument(
-            "--plot-grid",
-            type=int,
-            default=512,
-            help="uniform samples per curve in SVG output (default 512)",
-        )
-        p.add_argument("--seed", type=int, help="override the configured seed")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -109,12 +109,6 @@ def _emit(args, cfg: ConfigDocument, json_doc: dict, csv_text: str | None) -> No
         _write(Path(out), text)
     else:
         sys.stdout.write(text)
-
-
-def _svg_path(args) -> Path:
-    if not args.output:
-        raise ConfigError("--plot needs --output (or output.path) to name the SVG")
-    return Path(args.output).with_suffix(".svg")
 
 
 def _region_rows(part) -> list[tuple]:
@@ -155,11 +149,6 @@ def _cmd_partition(args, cfg: ConfigDocument) -> int:
         ],
     }
     _emit(args, cfg, doc, _regions_csv(rows))
-    if args.plot:
-        svg = render_loss_plot(
-            cfg.loss, part, cfg.actions, PlotSpec(samples=args.plot_grid)
-        )
-        _write(_svg_path(args), svg)
     return EXIT_OK
 
 
@@ -286,11 +275,13 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
 
 
 def _cmd_simulate(args, cfg: ConfigDocument) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     if cfg.scenario is None:
         raise ConfigError("simulate needs a 'scenario' section")
     scenario = cfg.scenario
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=int(args.seed))
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     table = run_operating_characteristics(scenario)
     for report in table.errors:
         print(
@@ -312,9 +303,7 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
 
 def _cmd_plot(args, cfg: ConfigDocument) -> int:
     part = partition(cfg.loss)
-    svg = render_loss_plot(
-        cfg.loss, part, cfg.actions, PlotSpec(samples=args.plot_grid)
-    )
+    svg = render_loss_plot(cfg.loss, part, cfg.actions, args.plot_grid)
     out = args.output or cfg.output.path
     if out:
         _write(Path(out), svg)
@@ -340,8 +329,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be non-negative")
         return _DISPATCH[args.command](args, cfg)
     except (ConfigError, ValidationError, DomainError, ValueError) as exc:
         print(f"relkit: error: {exc}", file=sys.stderr)

@@ -210,15 +210,14 @@ class PosteriorModel:
     """Closed-form posterior on the effect scale, truncated to its space.
 
     ``params`` are (alpha, beta) for the beta family and (mean, sd) for the
-    normal family, both on the native parameter scale. The affine map
-    effect = scale * native + shift converts to the effect scale (identity
-    for normal, pi -> pi - 0.5 for binomial).
+    normal family, both on the native parameter scale, and
+    effect = native + effect_shift (shift 0 for normal; -0.5 for binomial,
+    so pi -> pi - 0.5).
     """
 
     family: str
     params: tuple[float, float]
     space: ParameterSpace
-    effect_scale: float = 1.0
     effect_shift: float = 0.0
 
     def __post_init__(self) -> None:
@@ -231,8 +230,6 @@ class PosteriorModel:
             raise ValidationError("beta posterior needs positive shape parameters")
         if self.family == "normal" and not p2 > 0.0:
             raise ValidationError("normal posterior needs a positive sd")
-        if not self.effect_scale > 0.0:
-            raise ValidationError("effect_scale must be positive")
         if self.family == "beta":
             lo, hi = self._native(self.space.lo), self._native(self.space.hi)
             if lo < -1e-12 or hi > 1.0 + 1e-12:
@@ -241,7 +238,7 @@ class PosteriorModel:
                 )
 
     def _native(self, effect: float) -> float:
-        return (effect - self.effect_shift) / self.effect_scale
+        return effect - self.effect_shift
 
     def _tails_at(self, effect: float) -> tuple[float, float]:
         return _tails(self.family, self.params, self._native(effect))
@@ -284,7 +281,7 @@ class PosteriorModel:
             base = beta_log_pdf(self.params[0], self.params[1], t)
         else:
             base = normal_log_pdf(t, self.params[0], self.params[1])
-        return base - math.log(self.effect_scale) - self._ends[3]
+        return base - self._ends[3]
 
     def pdf(self, effect: float) -> float:
         return math.exp(self.log_pdf(effect))
@@ -336,10 +333,7 @@ class PosteriorModel:
             sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
         else:
             mean, sd = a, b
-        return (
-            self.effect_scale * mean + self.effect_shift,
-            self.effect_scale * sd,
-        )
+        return mean + self.effect_shift, sd
 
 
 def concentration_splits(post: PosteriorModel) -> tuple[float, ...]:
@@ -365,7 +359,6 @@ def posterior_update_binomial(
         family="beta",
         params=(model.prior_alpha + model.k, model.prior_beta + model.n - model.k),
         space=space,
-        effect_scale=1.0,
         effect_shift=-0.5,
     )
 
@@ -524,10 +517,7 @@ def _truncated_moments(post: PosteriorModel) -> tuple[float, float]:
         shift = (phi_lo - phi_hi) / total
         mean = a + b * shift
         var = b * b * (1.0 + (z_lo * phi_lo - z_hi * phi_hi) / total - shift * shift)
-    return (
-        post.effect_scale * mean + post.effect_shift,
-        post.effect_scale * math.sqrt(max(var, 0.0)),
-    )
+    return mean + post.effect_shift, math.sqrt(max(var, 0.0))
 
 
 def posterior_summary(post: PosteriorModel) -> dict:

@@ -36,7 +36,6 @@ class ParameterSpace:
 
     lo: float
     hi: float
-    zero_in_space: bool | None = None
 
     def __post_init__(self) -> None:
         lo, hi = float(self.lo), float(self.hi)
@@ -46,13 +45,6 @@ class ParameterSpace:
             raise ValidationError(f"parameter space needs lo < hi, got [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        contains_zero = lo <= 0.0 <= hi
-        if self.zero_in_space is None:
-            object.__setattr__(self, "zero_in_space", contains_zero)
-        elif self.zero_in_space and not contains_zero:
-            raise ValidationError(
-                f"zero_in_space declared but 0 is outside [{lo}, {hi}]"
-            )
 
     @property
     def span(self) -> float:
@@ -67,7 +59,8 @@ class ActionPair:
     """The two actions of the decision problem.
 
     By convention ``a0`` is the action that is appropriate if the effect is
-    absent; descriptions are free text carried through to reports.
+    absent. The labels name the actions in decisions and plots; the
+    descriptions are free text that no output shows.
     """
 
     a0_label: str
@@ -80,9 +73,6 @@ class ActionPair:
             raise ValidationError("action labels must be non-empty")
         if self.a0_label == self.a1_label:
             raise ValidationError("action labels must be distinct")
-
-    def label(self, action: str) -> str:
-        return self.a0_label if action == "a0" else self.a1_label
 
 
 @dataclass(frozen=True)

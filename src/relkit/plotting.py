@@ -9,34 +9,18 @@ deterministic for identical inputs up to the version comment line.
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass
 
 from ._version import __version__
 from .loss import ActionPair, LossSpec, breakpoints, evaluate_loss, sample_grid
 from .regions import RelevancePartition
 
+_WIDTH, _HEIGHT = 720, 480  # canvas in pixels
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 44
 
 _NEGLIGIBLE_FILL = "#dce6f2"
 _RELEVANT_FILL = "#f6ddc9"
 _A0_COLOR = "#1a4f8b"
 _A1_COLOR = "#b34700"
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    """Canvas size in pixels and the number of uniform curve samples
-    (loss breakpoints are always added on top)."""
-
-    width: int = 720
-    height: int = 480
-    samples: int = 512
-
-    def __post_init__(self) -> None:
-        if self.width < 100 or self.height < 100:
-            raise ValueError("plot canvas must be at least 100x100 pixels")
-        if self.samples < 2:
-            raise ValueError("need at least 2 curve samples")
 
 
 def _fmt(x: float) -> str:
@@ -52,19 +36,20 @@ def render_loss_plot(
     spec: LossSpec,
     part: RelevancePartition,
     actions: ActionPair | None = None,
-    plot: PlotSpec | None = None,
+    samples: int = 512,
 ) -> str:
-    """Render both loss curves with the relevance partition shaded."""
-    plot = plot or PlotSpec()
+    """Render both loss curves with the relevance partition shaded; each
+    curve is sampled at ``samples`` uniform points plus the loss
+    breakpoints."""
     actions = actions or ActionPair("a0", "a1")
     space = spec.space
-    grid = sample_grid(space, plot.samples, include=breakpoints(spec))
+    grid = sample_grid(space, samples, include=breakpoints(spec))
     y0 = [evaluate_loss(spec, t, "a0") for t in grid]
     y1 = [evaluate_loss(spec, t, "a1") for t in grid]
     y_max = max(max(y0), max(y1), 1e-12) * 1.05
 
-    x_px0, x_px1 = _MARGIN_L, plot.width - _MARGIN_R
-    y_px0, y_px1 = plot.height - _MARGIN_B, _MARGIN_T
+    x_px0, x_px1 = _MARGIN_L, _WIDTH - _MARGIN_R
+    y_px0, y_px1 = _HEIGHT - _MARGIN_B, _MARGIN_T
 
     def sx(t: float) -> float:
         return x_px0 + (t - space.lo) / space.span * (x_px1 - x_px0)
@@ -76,10 +61,10 @@ def render_loss_plot(
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')
     parts.append(f"<!-- relkit {__version__} -->")
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {plot.width} '
-        f'{plot.height}" width="{plot.width}" height="{plot.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} '
+        f'{_HEIGHT}" width="{_WIDTH}" height="{_HEIGHT}">'
     )
-    parts.append(f'<rect width="{plot.width}" height="{plot.height}" fill="white"/>')
+    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
 
     for label, region, fill in (
         ("negligible", part.negligible, _NEGLIGIBLE_FILL),
@@ -123,7 +108,7 @@ def render_loss_plot(
             f'text-anchor="end">{v:.3g}</text>'
         )
     parts.append(
-        f'<text x="{(x_px0 + x_px1) // 2}" y="{plot.height - 8}" font-size="12" '
+        f'<text x="{(x_px0 + x_px1) // 2}" y="{_HEIGHT - 8}" font-size="12" '
         'text-anchor="middle">effect</text>'
     )
     parts.append(

@@ -7,10 +7,11 @@ generators seeded per cell and replicate (scenario seed, the bit pattern of
 the true effect, n, replicate index), so any single draw can be reproduced
 in isolation and results do not depend on execution order.
 
-A verdict depends on nothing but the dataset, so one sweep runs each
-procedure once per distinct dataset and reuses the verdict when a draw
-repeats. Binomial draws repeat often (at most n + 1 distinct k per n);
-normal draws never do, and there the memo only misses.
+A verdict depends on nothing but the dataset, so a binomial sweep runs
+each procedure once per distinct draw and reuses the verdict when a draw
+repeats (there are at most n + 1 distinct k per n). A normal draw never
+repeats, so a normal sweep keeps no memo: it would only grow by one entry
+per replicate and procedure.
 
 Two scenarios ship with the package: the coin-bias demo and a blood-thinner
 style trial in which a tiny mean effect at a huge sample size is flagged by
@@ -347,15 +348,16 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     "error" and never abort the sweep; ``errors`` says what they were.
     Identical scenarios (seed included) produce identical tables.
 
-    Verdicts are memoised for the duration of the call, keyed by procedure
-    position and dataset, so each procedure runs once per distinct draw. A
-    failure is memoised like any verdict and still counts once per
-    replicate.
+    Binomial verdicts are memoised for the duration of the call, keyed by
+    procedure position and draw, so each procedure runs once per distinct
+    draw; normal draws never repeat and are not memoised. A failure is
+    memoised like any verdict and still counts once per replicate.
     """
     procedures = [
         (proc.name, _compile_procedure(scenario, proc)) for proc in scenario.procedures
     ]
-    memo: dict[tuple[int, Dataset], str | RelkitError] = {}
+    memoise = scenario.family == "binomial"
+    memo: dict[tuple[int, BinomialDraw], str | RelkitError] = {}
     reps = scenario.replicates
     cells: list[RateCell] = []
     errors: list[ErrorReport] = []
@@ -374,7 +376,8 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
                         except RelkitError as exc:
                             # the memo keeps the error, not the frames of its traceback
                             outcome = exc.with_traceback(None)
-                        memo[key] = outcome
+                        if memoise:
+                            memo[key] = outcome
                     if isinstance(outcome, RelkitError):
                         first_error.setdefault(i, outcome)
                         outcome = "error"

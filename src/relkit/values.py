@@ -123,9 +123,12 @@ _intervals = list_of(interval)
 
 
 def region(value, family=None) -> RegionSet:
-    """A list of intervals and points."""
-    return RegionSet(_intervals(value))
-
+    """A non-empty list of intervals and points: a hypothesis the config
+    states must hold some effect."""
+    items = _intervals(value)
+    if not items:
+        raise ValidationError("must list at least one interval or point, got []")
+    return RegionSet(items)
 
 
 def bounds(value, family=None) -> str | tuple[float, float]:

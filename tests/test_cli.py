@@ -89,21 +89,6 @@ class TestPartitionCommand:
         assert len(doc["crossings"]) == 2
         assert len(doc["regions"]) == 3
 
-    def test_plot_flag_writes_svg(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, coin_doc())
-        out_path = tmp_path / "part.json"
-        code, _, _ = run_cli(
-            ["partition", "--config", cfg, "--output", str(out_path), "--plot"], capsys
-        )
-        assert code == 0
-        assert out_path.exists()
-        assert (tmp_path / "part.svg").exists()
-
-    def test_plot_flag_without_output_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, coin_doc())
-        code, _, err = run_cli(["partition", "--config", cfg, "--plot"], capsys)
-        assert code == 2
-
 
 class TestCheckHypothesesCommand:
     def test_published_pair_verdicts(self, tmp_path, capsys):
@@ -132,7 +117,7 @@ class TestCheckHypothesesCommand:
         assert isinstance(verdict["witness"], float)
 
     def test_zero_in_h1_fails_partial(self, tmp_path, capsys):
-        doc = coin_doc(hypotheses={"h0": [], "h1": [0]})
+        doc = coin_doc(hypotheses={"h0": [0.05], "h1": [0]})
         cfg = write_config(tmp_path, doc)
         code, out, _ = run_cli(["check-hypotheses", "--config", cfg], capsys)
         assert code == 0
@@ -311,6 +296,12 @@ class TestSimulateCommand:
         run_cli(["simulate", "--config", cfg, "--output", str(b), "--seed", "2"], capsys)
         assert a.read_bytes() != b.read_bytes()
 
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.scenario_doc())
+        code, _, err = run_cli(["simulate", "--config", cfg, "--seed", "-1"], capsys)
+        assert code == 2
+        assert "--seed must be non-negative" in err
+
     def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
         # the parser is built once per process; a flag given to one call
         # must not carry over to the next
@@ -476,6 +467,52 @@ ODD_VALUES = [
     math.nan, math.inf, -math.inf, 2.5,
 ]
 COMMANDS = ["partition", "check-hypotheses", "decide", "compare", "simulate", "plot"]
+
+
+# --- every command takes exactly the flags it reads ------------------------
+
+SHIPPED_FOR = {
+    "partition": "coin_partition.json",
+    "check-hypotheses": "coin_check_hypotheses.json",
+    "decide": "coin_decide.json",
+    "compare": "coin_compare.json",
+    "simulate": "coin_scenario.json",
+    "plot": "coin_partition.json",
+}
+FLAG_VALUES = {"--output": ["out.x"], "--format": ["csv"], "--seed": ["5"], "--plot": [],
+               "--plot-grid": ["64"]}
+HONOURED = (
+    {("--output", command) for command in COMMANDS}
+    | {("--format", command) for command in ("partition", "check-hypotheses", "decide", "compare")}
+    | {("--seed", "simulate"), ("--plot-grid", "plot")}
+)
+
+
+@pytest.mark.parametrize("flag", list(FLAG_VALUES))
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_takes_only_the_flags_it_reads(command, flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, SHIPPED[SHIPPED_FOR[command]])
+    given = [flag, *FLAG_VALUES[flag]]
+    code, _, err = run_cli([command, "--config", cfg, *given], capsys)
+    if (flag, command) in HONOURED:
+        assert code == 0, err
+        if flag == "--output":
+            assert list(tmp_path.glob("out.*")), "no artifact written"
+    else:
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(given)}" in err
+
+
+@pytest.mark.parametrize("which", ["h0", "h1"])
+@pytest.mark.parametrize("command", ["check-hypotheses", "decide", "compare"])
+def test_empty_hypothesis_region_exits_2(command, which, tmp_path, capsys):
+    doc = copy.deepcopy(SHIPPED[SHIPPED_FOR[command]])
+    doc["hypotheses"] = copy.deepcopy(SHIPPED["coin_check_hypotheses.json"]["hypotheses"])
+    doc["hypotheses"][which] = []
+    code, _, err = run_cli([command, "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert f"hypotheses.{which}:" in err
 
 
 def _places(node, prefix=()):

@@ -25,27 +25,13 @@ COIN_A1_AT_ZERO = 0.5 * (0.106 / 0.394)
 
 
 class TestParameterSpace:
-    def test_bounds_and_zero_flag(self):
-        space = ParameterSpace(-0.5, 0.5)
-        assert space.zero_in_space
-        assert not ParameterSpace(0.1, 0.9).zero_in_space
-
     @pytest.mark.parametrize("lo,hi", [(0.5, -0.5), (0.0, 0.0), (float("nan"), 1.0)])
     def test_rejects_bad_bounds(self, lo, hi):
         with pytest.raises(ValidationError):
             ParameterSpace(lo, hi)
 
-    def test_rejects_inconsistent_zero_flag(self):
-        with pytest.raises(ValidationError):
-            ParameterSpace(0.2, 0.8, zero_in_space=True)
-
 
 class TestActionPair:
-    def test_labels(self):
-        pair = ActionPair("keep", "switch")
-        assert pair.label("a0") == "keep"
-        assert pair.label("a1") == "switch"
-
     @pytest.mark.parametrize("a0,a1", [("", "x"), ("x", "x")])
     def test_rejects_bad_labels(self, a0, a1):
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -362,3 +363,22 @@ class TestVerdictMemo:
         first = sum(calls.values())
         run_operating_characteristics(scenario)
         assert sum(calls.values()) == 2 * first
+
+    def test_normal_sweep_memory_does_not_grow_with_replicates(self):
+        # a normal draw never repeats, so memoising its verdicts would only
+        # add one entry per replicate and procedure
+        base = dataclasses.replace(
+            load_config(CONFIG_DIR / "aspirin_scenario.json").scenario,
+            procedures=(ProcedureSpec("nhst", {"alpha": 0.05}),),
+        )
+
+        def peak(replicates):
+            tracemalloc.start()
+            try:
+                run_operating_characteristics(dataclasses.replace(base, replicates=replicates))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # lazy imports and caches
+        assert peak(1100) - peak(100) < 50_000
