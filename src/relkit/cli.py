@@ -274,7 +274,13 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
     return EXIT_OK
 
 
+def _reject_output_format(cfg: ConfigDocument, command: str, writes: str) -> None:
+    if cfg.output.given_format is not None:
+        raise ConfigError(f"output.format: {command} always writes {writes}; remove the key")
+
+
 def _cmd_simulate(args, cfg: ConfigDocument) -> int:
+    _reject_output_format(cfg, "simulate", "both CSV and JSON")
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be non-negative")
     if cfg.scenario is None:
@@ -302,6 +308,7 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
 
 
 def _cmd_plot(args, cfg: ConfigDocument) -> int:
+    _reject_output_format(cfg, "plot", "SVG")
     part = partition(cfg.loss)
     svg = render_loss_plot(cfg.loss, part, cfg.actions, args.plot_grid)
     out = args.output or cfg.output.path

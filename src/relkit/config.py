@@ -238,14 +238,21 @@ def _parse_scenario(
 
 @dataclass(frozen=True)
 class OutputSettings:
-    format: str = "json"
+    """The output section; ``given_format`` is None when ``format`` is
+    absent, so that the commands with a fixed format can reject the key."""
+
+    given_format: str | None = None
     path: str | None = None
+
+    @property
+    def format(self) -> str:
+        return self.given_format or "json"
 
 
 def _parse_output(section: dict) -> OutputSettings:
-    fmt = _take(section, "format", "output", _FORMAT, "json")
+    fmt = _take(section, "format", "output", _FORMAT, None)
     path = _take(section, "path", "output", values.string, "")
-    return OutputSettings(format=fmt, path=path or None)
+    return OutputSettings(given_format=fmt, path=path or None)
 
 
 @dataclass(frozen=True)

@@ -134,10 +134,11 @@ def bayes_two_action_decision(
     )
 
 
-def _weighted(piece: Piece, pdf) -> Callable[[float], float]:
-    """theta -> the piece's polynomial at theta times pdf(theta)."""
+def _weighted(piece: Piece, log_density) -> Callable[[float], float]:
+    """theta -> the piece's polynomial at theta times exp(log_density(theta))."""
     o, c0, c1, c2 = piece
-    return lambda t: (c0 + (t - o) * (c1 + (t - o) * c2)) * pdf(t)
+    exp = math.exp
+    return lambda t: (c0 + (t - o) * (c1 + (t - o) * c2)) * exp(log_density(t))
 
 
 def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutcome:
@@ -153,8 +154,9 @@ def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutc
             "posterior and loss specification must share the effect space"
         )
     # Every loss piece start is a cut, so each quadrature panel lies inside
-    # one piece and integrates that piece's polynomial.
-    lo, hi = spec.space.lo, spec.space.hi
+    # one piece and integrates that piece's polynomial. The panels span the
+    # posterior's space, the only place its bound density is valid.
+    lo, hi = post.space.lo, post.space.hi
     cuts = set(breakpoints(spec) + concentration_splits(post))
     points = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
     share = 1e-8 / (len(points) - 1)
@@ -163,7 +165,7 @@ def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutc
     for action in ACTIONS:
         curve = _compile(spec, action)
         parts = [
-            quadrature(_weighted(_piece_at(curve, a), post.pdf), a, b, tol=share)
+            quadrature(_weighted(_piece_at(curve, a), post.log_density), a, b, tol=share)
             for a, b in zip(points[:-1], points[1:])
         ]
         if not all(part.converged for part in parts):

@@ -13,9 +13,11 @@ truncation constant, the CDF, region probabilities) is taken from the tail
 on its own side of the distribution, I_{1-x}(b, a) or erfc on the far side
 where that tail is the smaller one, so a posterior that lies beyond one end
 of the space keeps its relative precision and mirrors its partner beyond
-the other end. Quantiles use safeguarded Newton steps on the CDF and the
-density; the summary mean and sd are closed-form truncated moments. The
-adaptive quadrature serves the expected-loss rule.
+the other end. Each posterior binds its log density once, with its
+normalising constant and the log mass of the space. Quantiles use
+safeguarded Newton steps on the CDF and the density; the summary mean and
+sd are closed-form truncated moments. The adaptive quadrature integrates
+the expected-loss rule's loss pieces times that density.
 """
 
 from __future__ import annotations
@@ -96,19 +98,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
-def beta_log_pdf(a: float, b: float, x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return -math.inf
-    return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_beta(a, b)
-
-
 def normal_cdf(x: float, mean: float = 0.0, sd: float = 1.0) -> float:
     return 0.5 * math.erfc((mean - x) / (sd * _SQRT2))
-
-
-def normal_log_pdf(x: float, mean: float = 0.0, sd: float = 1.0) -> float:
-    z = (x - mean) / sd
-    return -0.5 * z * z - math.log(sd * _SQRT2PI)
 
 
 def _tails(family: str, params: tuple[float, float], t: float) -> tuple[float, float]:
@@ -273,15 +264,40 @@ class PosteriorModel:
             return 1.0
         return self._prob(self.space.lo, effect)
 
+    @cached_property
+    def log_density(self) -> Callable[[float], float]:
+        """effect -> log density of the truncated posterior, valid inside
+        the space; a call is only arithmetic on constants bound here."""
+        p1, p2 = self.params
+        shift, log_mass = self.effect_shift, self._ends[3]
+        if self.family == "beta":
+            log_scale = log_beta(p1, p2)
+
+            def log_density(effect: float) -> float:
+                x = effect - shift
+                if x <= 0.0 or x >= 1.0:
+                    return -math.inf
+                base = (p1 - 1.0) * math.log(x) + (p2 - 1.0) * math.log1p(-x)
+                return (base - log_scale) - log_mass
+
+        else:
+            log_scale = math.log(p2 * _SQRT2PI)
+
+            def log_density(effect: float) -> float:
+                z = (effect - shift - p1) / p2
+                return (-0.5 * z * z - log_scale) - log_mass
+
+        return log_density
+
+    def __getstate__(self) -> dict:
+        # pickle cannot store the bound density, a closure; it is bound
+        # again on first use
+        return {k: v for k, v in vars(self).items() if k != "log_density"}
+
     def log_pdf(self, effect: float) -> float:
         if not self.space.contains(effect):
             return -math.inf
-        t = self._native(effect)
-        if self.family == "beta":
-            base = beta_log_pdf(self.params[0], self.params[1], t)
-        else:
-            base = normal_log_pdf(t, self.params[0], self.params[1])
-        return base - self._ends[3]
+        return self.log_density(effect)
 
     def pdf(self, effect: float) -> float:
         return math.exp(self.log_pdf(effect))
@@ -444,22 +460,13 @@ def quadrature(
     if lo == hi:
         return QuadratureResult(0.0, 0.0, True)
 
-    evals = 0
-
-    def sample(t: float) -> float:
-        nonlocal evals
-        evals += 1
-        return f(t)
-
-    def simpson(fa: float, fm: float, fb: float, width: float) -> float:
-        return width / 6.0 * (fa + 4.0 * fm + fb)
-
     def recurse(a, b, fa, fm, fb, whole, tol, depth):
+        nonlocal evals
         m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = sample(lm), sample(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
+        flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
+        evals += 2
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - whole) / 15.0
         if abs(err) <= tol:
             return left + right + err, abs(err), True
@@ -469,9 +476,9 @@ def quadrature(
         rv, re, rc = recurse(m, b, fm, frm, fb, right, 0.5 * tol, depth + 1)
         return lv + rv, le + re, lc and rc
 
-    mid = 0.5 * (lo + hi)
-    f_lo, f_mid, f_hi = sample(lo), sample(mid), sample(hi)
-    whole = simpson(f_lo, f_mid, f_hi, hi - lo)
+    f_lo, f_mid, f_hi = f(lo), f(0.5 * (lo + hi)), f(hi)
+    evals = 3
+    whole = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
     value, error, converged = recurse(lo, hi, f_lo, f_mid, f_hi, whole, tol, 0)
     return QuadratureResult(value, error, converged)
 

@@ -504,6 +504,24 @@ def test_command_takes_only_the_flags_it_reads(command, flag, tmp_path, capsys, 
         assert f"unrecognized arguments: {' '.join(given)}" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_format_key_only_where_honoured(command, fmt, tmp_path, capsys, monkeypatch):
+    """output.format is read by the four report commands; plot and simulate
+    write fixed formats and reject the key, as they reject --format."""
+    monkeypatch.chdir(tmp_path)
+    doc = copy.deepcopy(SHIPPED[SHIPPED_FOR[command]])
+    doc["output"] = {"format": fmt}
+    code, out, err = run_cli([command, "--config", write_config(tmp_path, doc)], capsys)
+    if command in ("plot", "simulate"):
+        assert code == 2
+        assert "output.format" in err
+        assert out == ""
+    else:
+        assert code == 0, err
+        assert out.startswith("{") == (fmt == "json")
+
+
 @pytest.mark.parametrize("which", ["h0", "h1"])
 @pytest.mark.parametrize("command", ["check-hypotheses", "decide", "compare"])
 def test_empty_hypothesis_region_exits_2(command, which, tmp_path, capsys):

@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from relkit.decisions import (
     LossRatio,
@@ -17,7 +18,15 @@ from relkit.inference import (
     PosteriorModel,
     posterior_update_binomial,
 )
-from relkit.loss import ParameterSpace
+from relkit.loss import (
+    CurveKnots,
+    LossSpec,
+    ParameterSpace,
+    QuadraticParams,
+    breakpoints,
+    coin_demo_loss,
+    evaluate_loss,
+)
 from relkit.regions import RegionSet, partition
 
 from conftest import equal_losses_spec
@@ -151,6 +160,121 @@ class TestExpectedLossDecision:
             out = expected_loss_decision(post, coin_spec)
             expected = "a1" if loss_difference(coin_spec, target) < 0 else "a0"
             assert out.decision == expected, f"disagrees at theta*={target}"
+
+
+def _oracle_case(i: int) -> tuple[PosteriorModel, LossSpec]:
+    """Case i of the expected-loss oracle battery: both families in turn,
+    the coin, piecewise-linear and quadratic losses in turn, and a seeded
+    posterior whose location lies inside the space."""
+    rng = random.Random(9000 + i)
+    family = ("beta", "normal")[i % 2]
+    kind = ("coin", "piecewise_linear", "quadratic")[(i // 2) % 3]
+    if kind == "coin" or family == "beta":
+        lo, hi = -0.5, 0.5
+    else:
+        lo, hi = -rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0)
+    space = ParameterSpace(lo, hi)
+    if kind == "coin":
+        spec = coin_demo_loss()
+    elif kind == "piecewise_linear":
+        curves = [
+            CurveKnots(
+                knots=(lo, *sorted(rng.uniform(lo, hi) for _ in range(2)), hi),
+                values=tuple(rng.uniform(0.0, 1.0) for _ in range(4)),
+            )
+            for _ in range(2)
+        ]
+        spec = LossSpec(space, kind, *curves)
+    else:
+        curves = [
+            QuadraticParams(
+                c=rng.uniform(0.0, 3.0),
+                center=rng.uniform(lo, hi),
+                offset=rng.uniform(0.0, 0.5),
+            )
+            for _ in range(2)
+        ]
+        spec = LossSpec(space, kind, *curves)
+    if family == "beta":
+        n = rng.choice((10, 50, 200, 1000))
+        post = posterior_update_binomial(BinomialModel(n=n, k=rng.randint(0, n)), space)
+    else:
+        sd = math.exp(rng.uniform(math.log(0.003), math.log(0.5)))
+        post = PosteriorModel("normal", (rng.uniform(0.9 * lo, 0.9 * hi), sd), space)
+    return post, spec
+
+
+def _oracle_expected_losses(post: PosteriorModel, spec: LossSpec) -> list[float]:
+    """E[L(a0)] and E[L(a1)] by scipy.integrate.quad of the loss times the
+    SciPy density truncated to the space."""
+    lo, hi = post.space.lo, post.space.hi
+    a, b = post.params
+    if post.family == "beta":
+        dist = stats.beta(a, b, loc=post.effect_shift)
+    else:
+        dist = stats.norm(a, b)
+    if dist.cdf(hi) <= 0.5:
+        log_mass = math.log(dist.cdf(hi) - dist.cdf(lo))
+    else:
+        log_mass = math.log(dist.sf(lo) - dist.sf(hi))
+    loc, sd = post.native_location_scale
+    near = (loc + m * sd for m in (-8, -4, -2, -1, 0, 1, 2, 4, 8))
+    points = sorted({*breakpoints(spec), *(x for x in near if lo < x < hi)})
+    return [
+        integrate.quad(
+            lambda t: evaluate_loss(spec, t, action) * math.exp(dist.logpdf(t) - log_mass),
+            lo, hi, points=points, epsabs=1e-13, epsrel=1e-12, limit=500,
+        )[0]
+        for action in ("a0", "a1")
+    ]
+
+
+# Battery cases where the adaptive Simpson quadrature misses the oracle by
+# more than 1e-9: its target is 1e-8 over all panels, and a panel whose first
+# Richardson estimate happens to agree stops early (CHANGES.md, FOUND on
+# expected-loss quadrature accuracy). A closed form makes them pass.
+_QUADRATURE_MISSES = frozenset({2})
+ORACLE_CASES = [
+    pytest.param(
+        i,
+        marks=pytest.mark.xfail(
+            strict=True, reason="adaptive quadrature error above 1e-9"
+        ),
+    )
+    if i in _QUADRATURE_MISSES
+    else i
+    for i in range(36)
+]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_expected_losses_match_scipy_quad(case):
+    post, spec = _oracle_case(case)
+    out = expected_loss_decision(post, spec)
+    want = _oracle_expected_losses(post, spec)
+    assert [out.threshold_lo, out.threshold_hi] == pytest.approx(want, rel=0, abs=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="k = n posterior beyond the space: quadrature misses the mass at the "
+    "space end (CHANGES.md, FOUND on the t72+ tail request)",
+)
+def test_expected_losses_of_tail_request_t72_match_scipy_quad():
+    """The analyze benchmark's tail request t72+: n = k = 400 on [-0.15, 0.15]
+    with a piecewise-linear loss; E[L(a1)] is about 7.69e-4."""
+    space = ParameterSpace(-0.15, 0.15)
+    spec = LossSpec(
+        space,
+        "piecewise_linear",
+        CurveKnots(knots=(-0.15, 0.0, 0.15), values=(0.15, 0.0, 0.15)),
+        CurveKnots(knots=(-0.15, 0.0, 0.15), values=(0.0, 0.0713539, 0.0)),
+    )
+    post = posterior_update_binomial(BinomialModel(n=400, k=400), space)
+    out = expected_loss_decision(post, spec)
+    want = _oracle_expected_losses(post, spec)
+    assert want[1] == pytest.approx(7.69e-4, rel=1e-3)
+    assert [out.threshold_lo, out.threshold_hi] == pytest.approx(want, rel=0, abs=1e-9)
 
 
 class TestThreeWayConsistency:

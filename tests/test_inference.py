@@ -182,6 +182,94 @@ class TestTruncation:
             post.cdf(1.5)
 
 
+def _scipy_log_mass(post: PosteriorModel) -> float:
+    """Log of the untruncated mass of the space, from SciPy's tails on the
+    side away from the posterior's location."""
+    lo, hi = post._native(post.space.lo), post._native(post.space.hi)
+    a, b = post.params
+    if post.family == "normal":
+        zl, zh = (lo - a) / b, (hi - a) / b
+        if zl >= 0.0:
+            zl, zh = -zh, -zl
+        if zh <= 0.0:
+            return special.log_ndtr(zh) + math.log1p(
+                -math.exp(special.log_ndtr(zl) - special.log_ndtr(zh))
+            )
+        return math.log(special.ndtr(zh) - special.ndtr(zl))
+    if lo >= a / (a + b):
+        return math.log(special.betaincc(a, b, lo) - special.betaincc(a, b, hi))
+    return math.log(special.betainc(a, b, hi) - special.betainc(a, b, lo))
+
+
+class TestDensity:
+    def _posteriors(self):
+        """Random posteriors, a third of them up to 30 sd beyond an end of
+        the space with their mass still a normal double. Binomial counts stop
+        at 400: the log-density terms grow with the count and cancel, so the
+        absolute agreement of any two formulas falls to about 1e-12 at
+        n = 1000."""
+        rng = random.Random(4242)
+        for i in range(400):
+            if i % 2:
+                lo, hi = -rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)
+                sd = math.exp(rng.uniform(math.log(1e-3), 0.0))
+                side = i % 3
+                if side == 0:
+                    mean = rng.uniform(lo, hi)
+                elif side == 1:
+                    mean = hi + rng.uniform(0.0, 30.0) * sd
+                else:
+                    mean = lo - rng.uniform(0.0, 30.0) * sd
+                post = PosteriorModel("normal", (mean, sd), ParameterSpace(lo, hi))
+                ref = lambda x, post=post: stats.norm.logpdf(x, *post.params)
+            else:
+                w = rng.uniform(0.05, 0.5)
+                n = rng.choice((10, 100, 400))
+                k = (0, n, rng.randint(0, n))[i % 3]
+                post = posterior_update_binomial(BinomialModel(n=n, k=k), ParameterSpace(-w, w))
+                ref = lambda x, post=post: stats.beta.logpdf(x + 0.5, *post.params)
+            yield rng, post, ref
+
+    def test_log_pdf_matches_scipy_over_the_mass_of_the_space(self):
+        for rng, post, ref in self._posteriors():
+            log_mass = _scipy_log_mass(post)
+            for _ in range(5):
+                x = rng.uniform(post.space.lo, post.space.hi)
+                assert post.log_pdf(x) == pytest.approx(
+                    float(ref(x)) - log_mass, rel=1e-12, abs=1e-12
+                ), (post, x)
+
+    def test_pdf_is_zero_outside_the_space(self):
+        for _, post, _ in self._posteriors():
+            lo, hi = post.space.lo, post.space.hi
+            below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            for x in (lo - 1.0, below, above, hi + 1.0):
+                assert post.pdf(x) == 0.0
+                assert post.log_pdf(x) == -math.inf
+
+    def test_posterior_pickles_after_density_use(self):
+        import pickle
+
+        for _, post, _ in self._posteriors():
+            x = 0.5 * (post.space.lo + post.space.hi)
+            density = post.pdf(x)
+            assert pickle.loads(pickle.dumps(post)).pdf(x) == density
+
+    def test_beta_normaliser_computed_once_per_posterior(self, monkeypatch):
+        import relkit.inference as inference
+
+        calls = []
+        real = inference.log_beta
+        monkeypatch.setattr(inference, "log_beta", lambda a, b: calls.append(1) or real(a, b))
+        for n, k in ((10, 7), (400, 400), (1000, 3)):
+            post = posterior_update_binomial(BinomialModel(n=n, k=k), ParameterSpace(-0.2, 0.2))
+            post.cdf(0.0)  # the mass of the space goes through log_beta too
+            calls.clear()
+            for i in range(1000):
+                post.pdf(-0.2 + 0.4 * i / 999)
+            assert len(calls) <= 1
+
+
 class TestQuadrature:
     def test_constant_and_polynomial(self):
         assert quadrature(lambda t: 1.0, 0.0, 1.0).value == pytest.approx(1.0, abs=1e-14)
@@ -202,6 +290,21 @@ class TestQuadrature:
             tol=1e-13, max_depth=6,
         )
         assert not result.converged
+
+    def test_budgets_count_every_sample(self):
+        """A depth-limited run samples the whole tree of panels, 3 + 2 *
+        (2**(d+1) - 1) points; a run out of budget stops splitting once
+        max_evals samples are taken, after the pending right panels of the
+        depth-first recursion take their two samples each."""
+
+        def samples(**budget):
+            calls = []
+            f = lambda t: calls.append(t) or 1.0 / math.sqrt(abs(t - 0.3) + 1e-12)
+            assert not quadrature(f, 0.0, 1.0, tol=1e-10, **budget).converged
+            return len(calls)
+
+        assert samples(max_depth=4) == 3 + 2 * (2**5 - 1)
+        assert samples(max_evals=40) == 53
 
     def test_empty_and_reversed_ranges(self):
         assert quadrature(lambda t: 5.0, 1.0, 1.0).value == 0.0
