@@ -6,7 +6,9 @@ writes CSV/JSON artifacts, or prints them to stdout when no output path is
 given. Exit codes: 0 = ran to completion (whatever the verdict), 2 =
 configuration or input error, 3 = numerical or I/O failure.
 
-Identical configuration plus seed produces byte-identical CSV and JSON
+Every artifact format is decided here: CSV cells follow one rule
+(``_cell``), and a JSON document carries its result records' fields as they
+are. Identical configuration plus seed produces byte-identical CSV and JSON
 artifacts; SVG output is identical up to its version comment line.
 """
 
@@ -23,22 +25,20 @@ from pathlib import Path
 from ._version import __version__
 from .config import ConfigDocument, load_config
 from .decisions import bayes_two_action_decision, expected_loss_decision
-from .errors import ConfigError, DomainError, NumericalError, RelkitError, ValidationError
+from .errors import ConfigError, DomainError, RelkitError, ValidationError
 from .hypotheses import check_complete, check_partial, derive_hypotheses
 from .inference import BinomialModel, posterior_summary, posterior_update
 from .plotting import render_loss_plot
 from .regions import partition
-from .simulate import (
-    bind_procedure,
-    rate_table_csv,
-    rate_table_doc,
-    rate_table_text,
-    run_operating_characteristics,
-)
+from .simulate import bind_procedure, run_operating_characteristics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC_IO = 3
+
+# samples per plotted curve; the plot area is 656 px wide, and the grid is
+# held in memory before anything is written
+MAX_PLOT_GRID = 100_000
 
 
 # each command takes --config and --output, plus only the flags it reads,
@@ -54,7 +54,11 @@ _COMMANDS = {
 _FLAGS = {
     "--format": {"choices": ("csv", "json"), "help": "artifact format"},
     "--seed": {"type": int, "help": "override the configured seed"},
-    "--plot-grid": {"type": int, "default": 512, "help": "samples per curve (default 512)"},
+    "--plot-grid": {
+        "type": int,
+        "default": 512,
+        "help": f"samples per curve, at most {MAX_PLOT_GRID} (default 512)",
+    },
 }
 
 
@@ -99,56 +103,65 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _emit(args, cfg: ConfigDocument, json_doc: dict, csv_text: str | None) -> None:
-    fmt = args.format or cfg.output.format
+def _deliver(args, cfg: ConfigDocument, text: str, suffix: str = "") -> None:
+    """Write ``text`` to --output, else output.path, with its suffix
+    replaced by ``suffix`` when one is given; to stdout when neither is set."""
     out = args.output or cfg.output.path
-    if fmt == "csv" and csv_text is None:
-        raise ConfigError(f"{args.command} has no CSV representation; use json")
-    text = csv_text if fmt == "csv" else _json_text(json_doc)
     if out:
-        _write(Path(out), text)
+        _write(Path(out).with_suffix(suffix) if suffix else Path(out), text)
     else:
         sys.stdout.write(text)
 
 
-def _region_rows(part) -> list[tuple]:
-    rows = []
-    for label, region in (("negligible", part.negligible), ("relevant", part.relevant)):
-        for itv in region.intervals:
-            rows.append((itv.lo, itv.hi, itv.lo_open, itv.hi_open, label))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
+def _cell(value) -> str:
+    """The CSV cell of a value: None is empty, a bool true or false, a float
+    its repr (round-trip exact), anything else its str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
-def _regions_csv(rows: list[tuple]) -> str:
-    lines = ["lo,hi,lo_open,hi_open,label"]
-    for lo, hi, lo_open, hi_open, label in rows:
-        lines.append(
-            f"{lo!r},{hi!r},{str(lo_open).lower()},{str(hi_open).lower()},{label}"
-        )
-    return "\n".join(lines) + "\n"
+def _csv(columns: tuple[str, ...], rows) -> str:
+    """A header line of ``columns``, then one line per row of values."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in (columns, *rows))
+
+
+def _emit(args, cfg: ConfigDocument, doc: dict, columns: tuple[str, ...], rows) -> None:
+    """Deliver ``doc`` as JSON, or ``rows`` under ``columns`` as CSV."""
+    fmt = args.format or cfg.output.format
+    _deliver(args, cfg, _csv(columns, rows) if fmt == "csv" else _json_text(doc))
+
+
+_REGION_COLUMNS = ("lo", "hi", "lo_open", "hi_open", "label")
+_COMPARE_COLUMNS = (
+    "procedure", "statistic", "p_value", "bayes_factor", "verdict", "alpha", "threshold"
+)
+_RATE_COLUMNS = (
+    "true_effect", "n", "procedure", "verdict", "frequency", "std_error", "replicates"
+)
 
 
 def _cmd_partition(args, cfg: ConfigDocument) -> int:
     part = partition(cfg.loss)
-    rows = _region_rows(part)
+    regions = [
+        {**vars(itv), "label": label}
+        for label, region in (("negligible", part.negligible), ("relevant", part.relevant))
+        for itv in region.intervals
+    ]
+    regions.sort(key=lambda r: (r["lo"], r["hi"]))
     doc = {
         "command": "partition",
         "spec_version": 1,
         "parameter_space": {"lo": cfg.space.lo, "hi": cfg.space.hi},
         "crossings": list(part.crossings),
-        "regions": [
-            {
-                "lo": lo,
-                "hi": hi,
-                "lo_open": lo_open,
-                "hi_open": hi_open,
-                "label": label,
-            }
-            for lo, hi, lo_open, hi_open, label in rows
-        ],
+        "regions": regions,
     }
-    _emit(args, cfg, doc, _regions_csv(rows))
+    rows = [[r[c] for c in _REGION_COLUMNS] for r in regions]
+    _emit(args, cfg, doc, _REGION_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -167,13 +180,8 @@ def _cmd_check_hypotheses(args, cfg: ConfigDocument) -> int:
         "partial": partial.ok,
         "witness": witness,
     }
-    csv_text = (
-        "key,value\n"
-        f"complete,{str(complete.ok).lower()}\n"
-        f"partial,{str(partial.ok).lower()}\n"
-        f"witness,{'' if witness is None else repr(witness)}\n"
-    )
-    _emit(args, cfg, doc, csv_text)
+    rows = [(key, doc[key]) for key in ("complete", "partial", "witness")]
+    _emit(args, cfg, doc, ("key", "value"), rows)
     return EXIT_OK
 
 
@@ -205,28 +213,14 @@ def _cmd_decide(args, cfg: ConfigDocument) -> int:
         "command": "decide",
         "spec_version": 1,
         "rule": cfg.decision.rule,
-        "decision": outcome.decision,
         "decision_label": label,
-        "posterior_h0": outcome.posterior_h0,
-        "posterior_h1": outcome.posterior_h1,
-        "posterior_odds": outcome.posterior_odds,
-        "threshold_lo": outcome.threshold_lo,
-        "threshold_hi": outcome.threshold_hi,
-        "warnings": list(outcome.warnings),
         "posterior": posterior_summary(post),
+        **vars(outcome),
     }
-    csv_lines = ["key,value"]
-    for key in (
-        "decision",
-        "posterior_h0",
-        "posterior_h1",
-        "posterior_odds",
-        "threshold_lo",
-        "threshold_hi",
-    ):
-        value = doc[key]
-        csv_lines.append(f"{key},{value!r}" if isinstance(value, float) else f"{key},{value}")
-    _emit(args, cfg, doc, "\n".join(csv_lines) + "\n")
+    keys = ("decision", "posterior_h0", "posterior_h1", "posterior_odds",
+            "threshold_lo", "threshold_hi")
+    rows = [(key, doc[key]) for key in keys]
+    _emit(args, cfg, doc, ("key", "value"), rows)
     return EXIT_OK
 
 
@@ -238,39 +232,12 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
     family = "binomial" if isinstance(cfg.model, BinomialModel) else "normal"
     pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
     results = [
-        bind_procedure(spec, family, cfg.loss, pair)(cfg.model)
+        vars(bind_procedure(spec, family, cfg.loss, pair)(cfg.model))
         for spec in cfg.comparators
     ]
-    doc = {
-        "command": "compare",
-        "spec_version": 1,
-        "results": [
-            {
-                "procedure": r.procedure,
-                "statistic": r.statistic,
-                "p_value": r.p_value,
-                "bayes_factor": r.bayes_factor,
-                "verdict": r.verdict,
-                "alpha": r.alpha,
-                "threshold": r.threshold,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
-    }
-    lines = ["procedure,statistic,p_value,bayes_factor,verdict,alpha,threshold"]
-    for r in results:
-        cells = [
-            r.procedure,
-            repr(r.statistic),
-            "" if r.p_value is None else repr(r.p_value),
-            "" if r.bayes_factor is None else repr(r.bayes_factor),
-            r.verdict,
-            "" if r.alpha is None else repr(r.alpha),
-            "" if r.threshold is None else repr(r.threshold),
-        ]
-        lines.append(",".join(cells))
-    _emit(args, cfg, doc, "\n".join(lines) + "\n")
+    doc = {"command": "compare", "spec_version": 1, "results": results}
+    rows = [[r[c] for c in _COMPARE_COLUMNS] for r in results]
+    _emit(args, cfg, doc, _COMPARE_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -296,26 +263,46 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
             f"gave \"error\" ({report.error_class}: {report.message})",
             file=sys.stderr,
         )
-    doc = {"command": "simulate", "spec_version": 1, **rate_table_doc(table)}
-    csv_text = rate_table_csv(table)
-    out = args.output or cfg.output.path
-    if out:
-        base = Path(out)
-        _write(base.with_suffix(".csv"), csv_text)
-        _write(base.with_suffix(".json"), _json_text(doc))
-    sys.stdout.write(rate_table_text(table))
+    # one row per cell and verdict, in _RATE_COLUMNS order
+    rows = [
+        (c.true_effect, c.n, c.procedure, verdict, freq, c.std_errors[verdict], c.replicates)
+        for c in table.cells
+        for verdict, freq in c.frequencies.items()
+    ]
+    if args.output or cfg.output.path:
+        doc = {
+            "command": "simulate",
+            "spec_version": 1,
+            "scenario": table.scenario,
+            "seed": table.seed,
+            "rng": "pcg64",
+            "replicates": table.replicates,
+            "cells": [vars(c) for c in table.cells],
+        }
+        _deliver(args, cfg, _csv(_RATE_COLUMNS, rows), ".csv")
+        _deliver(args, cfg, _json_text(doc), ".json")
+    # the console table: the same rows, fixed width, without replicates
+    lines = [
+        f"scenario: {table.scenario} (seed {table.seed})",
+        f"{'true_effect':>12} {'n':>8} {'procedure':>18} "
+        f"{'verdict':>16} {'rate':>8} {'se':>8}",
+    ]
+    for effect, n, procedure, verdict, freq, se, _ in rows:
+        lines.append(
+            f"{effect:>12.6g} {n:>8} {procedure:>18} {verdict:>16} {freq:>8.4f} {se:>8.4f}"
+        )
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_plot(args, cfg: ConfigDocument) -> int:
     _reject_output_format(cfg, "plot", "SVG")
+    if args.plot_grid > MAX_PLOT_GRID:
+        raise ConfigError(
+            f"--plot-grid must be at most {MAX_PLOT_GRID}, got {args.plot_grid}"
+        )
     part = partition(cfg.loss)
-    svg = render_loss_plot(cfg.loss, part, cfg.actions, args.plot_grid)
-    out = args.output or cfg.output.path
-    if out:
-        _write(Path(out), svg)
-    else:
-        sys.stdout.write(svg)
+    _deliver(args, cfg, render_loss_plot(cfg.loss, part, cfg.actions, args.plot_grid))
     return EXIT_OK
 
 
@@ -340,10 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValidationError, DomainError, ValueError) as exc:
         print(f"relkit: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, OSError) as exc:
-        print(f"relkit: failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_IO
-    except RelkitError as exc:
+    except (RelkitError, OSError) as exc:
         print(f"relkit: failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_IO
 

@@ -122,8 +122,6 @@ def _parse_actions(section: dict) -> ActionPair:
     return ActionPair(
         a0_label=_take(section, "a0_label", "actions", values.string),
         a1_label=_take(section, "a1_label", "actions", values.string),
-        a0_description=_take(section, "a0_description", "actions", values.string, ""),
-        a1_description=_take(section, "a1_description", "actions", values.string, ""),
     )
 
 

@@ -59,14 +59,11 @@ class ActionPair:
     """The two actions of the decision problem.
 
     By convention ``a0`` is the action that is appropriate if the effect is
-    absent. The labels name the actions in decisions and plots; the
-    descriptions are free text that no output shows.
+    absent. The labels name the actions in decisions and plots.
     """
 
     a0_label: str
     a1_label: str
-    a0_description: str = ""
-    a1_description: str = ""
 
     def __post_init__(self) -> None:
         if not self.a0_label or not self.a1_label:

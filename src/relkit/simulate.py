@@ -416,54 +416,6 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     )
 
 
-def rate_table_csv(table: RateTable) -> str:
-    """One row per cell and verdict: effect, n, procedure, verdict, rate, se."""
-    lines = ["true_effect,n,procedure,verdict,frequency,std_error,replicates"]
-    for cell in table.cells:
-        for verdict, freq in cell.frequencies.items():
-            lines.append(
-                f"{cell.true_effect!r},{cell.n},{cell.procedure},{verdict},"
-                f"{freq!r},{cell.std_errors[verdict]!r},{cell.replicates}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def rate_table_doc(table: RateTable) -> dict:
-    return {
-        "scenario": table.scenario,
-        "seed": table.seed,
-        "rng": "pcg64",
-        "replicates": table.replicates,
-        "cells": [
-            {
-                "true_effect": cell.true_effect,
-                "n": cell.n,
-                "procedure": cell.procedure,
-                "frequencies": cell.frequencies,
-                "std_errors": cell.std_errors,
-                "replicates": cell.replicates,
-            }
-            for cell in table.cells
-        ],
-    }
-
-
-def rate_table_text(table: RateTable) -> str:
-    """Fixed-width console rendering of the rate table."""
-    header = (
-        f"{'true_effect':>12} {'n':>8} {'procedure':>18} {'verdict':>16} "
-        f"{'rate':>8} {'se':>8}"
-    )
-    lines = [f"scenario: {table.scenario} (seed {table.seed})", header]
-    for cell in table.cells:
-        for verdict, freq in cell.frequencies.items():
-            lines.append(
-                f"{cell.true_effect:>12.6g} {cell.n:>8} {cell.procedure:>18} "
-                f"{verdict:>16} {freq:>8.4f} {cell.std_errors[verdict]:>8.4f}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def coin_scenario(
     true_effects: tuple[float, ...] = (-0.3, 0.0, 0.3),
     sample_sizes: tuple[int, ...] = (100,),

