@@ -156,7 +156,7 @@ def _cmd_partition(args, cfg: ConfigDocument) -> int:
     doc = {
         "command": "partition",
         "spec_version": 1,
-        "parameter_space": {"lo": cfg.space.lo, "hi": cfg.space.hi},
+        "parameter_space": {"lo": cfg.loss.space.lo, "hi": cfg.loss.space.hi},
         "crossings": list(part.crossings),
         "regions": regions,
     }
@@ -190,7 +190,7 @@ def _cmd_decide(args, cfg: ConfigDocument) -> int:
         raise ConfigError("decide needs a 'decision' section")
     if cfg.model is None:
         raise ConfigError("decide needs a 'model' section with data")
-    post = posterior_update(cfg.model, cfg.space)
+    post = posterior_update(cfg.model, cfg.loss.space)
     if cfg.decision.rule == "hypothesis_ratio":
         if cfg.hypotheses is None:
             raise ConfigError(
@@ -297,10 +297,9 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
 
 def _cmd_plot(args, cfg: ConfigDocument) -> int:
     _reject_output_format(cfg, "plot", "SVG")
-    if args.plot_grid > MAX_PLOT_GRID:
-        raise ConfigError(
-            f"--plot-grid must be at most {MAX_PLOT_GRID}, got {args.plot_grid}"
-        )
+    if not 2 <= args.plot_grid <= MAX_PLOT_GRID:
+        bound = f"at most {MAX_PLOT_GRID}" if args.plot_grid > 2 else "at least 2"
+        raise ConfigError(f"--plot-grid must be {bound}, got {args.plot_grid}")
     part = partition(cfg.loss)
     _deliver(args, cfg, render_loss_plot(cfg.loss, part, cfg.actions, args.plot_grid))
     return EXIT_OK

@@ -32,20 +32,6 @@ SPEC_VERSION = 1
 
 _RULE = values.one_of("hypothesis_ratio", "expected_loss")
 _FORMAT = values.one_of("csv", "json")
-_TOP_KEYS = {
-    "spec_version",
-    "parameter_space",
-    "loss",
-    "actions",
-    "hypotheses",
-    "model",
-    "prior",
-    "decision",
-    "comparators",
-    "scenario",
-    "output",
-    "seed",
-}
 
 
 def _finish(leftover: dict, context: str) -> None:
@@ -203,9 +189,7 @@ def _parse_procedures(
     return tuple(specs)
 
 
-def _parse_scenario(
-    section: dict, space: ParameterSpace, loss: LossSpec, top_seed: int | None
-) -> Scenario:
+def _parse_scenario(section: dict, loss: LossSpec, top_seed: int | None) -> Scenario:
     name = _take(section, "name", "scenario", values.string)
     family = _take(section, "family", "scenario", values.model_family)
     effects = _take(section, "true_effects", "scenario", values.numbers)
@@ -222,7 +206,6 @@ def _parse_scenario(
     return Scenario(
         name=name,
         family=family,
-        space=space,
         loss=loss,
         true_effects=effects,
         sample_sizes=sizes,
@@ -257,7 +240,6 @@ def _parse_output(section: dict) -> OutputSettings:
 class ConfigDocument:
     """Parsed configuration; optional sections are None when absent."""
 
-    space: ParameterSpace
     loss: LossSpec
     actions: ActionPair
     hypotheses: HypothesisPair | None = None
@@ -281,9 +263,6 @@ def parse_config(raw: dict) -> ConfigDocument:
 def _parse_document(raw: dict) -> ConfigDocument:
     if not isinstance(raw, dict):
         raise ConfigError("the configuration must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s) {sorted(unknown)}")
     raw = dict(raw)
     version = _take(raw, "spec_version", "", values.integer, None)
     if version != SPEC_VERSION:
@@ -297,33 +276,26 @@ def _parse_document(raw: dict) -> ConfigDocument:
     loss = _read(raw, "loss", "", _parse_loss, space)
     actions = _read(raw, "actions", "", _parse_actions)
     seed = _take(raw, "seed", "", values.seed, None)
-    if "prior" in raw:
-        model = raw.get("model")
-        if not isinstance(model, dict):
-            raise ConfigError("a top-level prior needs a model section to attach to")
-        if "prior" in model:
-            raise ConfigError(
-                "prior given both at the top level and inside model; pick one"
-            )
-        raw["model"] = {**model, "prior": raw["prior"]}
     model, family = _read(raw, "model", "", _parse_model) or (None, None)
     comparators = (
-        _parse_procedures(raw["comparators"], "comparators", "comparator", family)
+        _parse_procedures(raw.pop("comparators"), "comparators", "comparator", family)
         if "comparators" in raw
         else None
     )
-    return ConfigDocument(
-        space=space,
+    cfg = ConfigDocument(
         loss=loss,
         actions=actions,
         hypotheses=_read(raw, "hypotheses", "", _parse_hypotheses, space),
         model=model,
         decision=_read(raw, "decision", "", _parse_decision),
         comparators=comparators,
-        scenario=_read(raw, "scenario", "", _parse_scenario, space, loss, seed),
+        scenario=_read(raw, "scenario", "", _parse_scenario, loss, seed),
         output=_read(raw, "output", "", _parse_output) or OutputSettings(),
         seed=seed,
     )
+    if raw:
+        raise ConfigError(f"unknown top-level key(s) {sorted(raw)}")
+    return cfg
 
 
 def load_config(path: str | Path) -> ConfigDocument:

@@ -3,23 +3,25 @@
 A pair of disjoint region sets plays the roles of H0 (negligible effects)
 and H1 (relevant effects). Incorporation is *complete* when every negligible
 effect is in H0 and every relevant effect is in H1, and *partial* when H0
-holds only negligible and H1 only relevant effects. Complete implies partial;
-the reverse fails, e.g. for a pair of singletons picked out of the space.
+holds only negligible and H1 only relevant effects, that is, when it is
+complete on the restricted space H0 ∪ H1. Complete implies partial; the
+reverse fails, e.g. for a pair of singletons picked out of the space.
 
 Both conditions quantify over a continuum, but every set involved is a
 finite union of intervals. Membership is therefore constant between
 consecutive cut points (the space ends, every hypothesis and subspace
 endpoint, each crossing and each crossing +/- ROOT_TOL), so checking the cut
 points and the midpoints between them is exact. Points within ROOT_TOL of a
-loss-curve crossing are skipped: a hypothesis endpoint that close to a
-crossing counts as matching it.
+loss-curve crossing are skipped, in ``_check_points`` alone: a hypothesis
+endpoint that close to a crossing counts as matching it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .loss import LossSpec, difference_fn
@@ -43,10 +45,12 @@ class HypothesisPair:
 
     h0: RegionSet
     h1: RegionSet
+    # H0 ∪ H1, built once by the overlap check
+    _union: RegionSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
-            region_union(self.h0, self.h1)
+            object.__setattr__(self, "_union", region_union(self.h0, self.h1))
         except ValidationError as exc:
             raise ValidationError(f"hypothesis regions overlap: {exc}") from exc
 
@@ -62,22 +66,31 @@ def derive_hypotheses(part: RelevancePartition) -> HypothesisPair:
 
 
 def _check_points(
-    pair: HypothesisPair, spec: LossSpec, subspace: RegionSet | None = None
-) -> tuple[list[float], tuple[float, ...]]:
-    """Cut points and the midpoints between them, sorted, plus the crossings."""
+    pair: HypothesisPair, spec: LossSpec, subspace: RegionSet | None
+) -> Iterator[tuple[float, bool]]:
+    """Yield, in increasing order, the cut points and the midpoints between
+    them that lie in ``subspace`` (the whole space when None) and farther
+    than ROOT_TOL from every crossing, each with whether it is relevant.
+    Lazy, so the first violation ends the scan."""
     space = spec.space
     if not (region_within(pair.h0, space) and region_within(pair.h1, space)):
         raise ValidationError("hypothesis regions must lie within the parameter space")
-    part = partition(spec)
+    crossings = partition(spec).crossings
     cuts = {space.lo, space.hi}
     for region in (pair.h0, pair.h1, subspace or RegionSet()):
         for itv in region.intervals:
             cuts.update((itv.lo, itv.hi))
-    for c in part.crossings:
+    for c in crossings:
         cuts.update((c - ROOT_TOL, c, c + ROOT_TOL))
     pts = sorted(t for t in cuts if space.lo <= t <= space.hi)
     mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
-    return sorted(pts + mids), part.crossings
+    delta = difference_fn(spec)
+    for t in sorted(pts + mids):
+        if subspace is not None and not region_contains(subspace, t):
+            continue
+        if any(abs(t - c) < ROOT_TOL for c in crossings):
+            continue
+        yield t, delta(t) < 0.0
 
 
 def check_complete(
@@ -94,36 +107,19 @@ def check_complete(
     Returns (ok, witness); the witness is the smallest checked point
     violating the condition when ok is False.
     """
-    points, crossings = _check_points(pair, spec, subspace)
-    delta = difference_fn(spec)
-    for t in points:
-        if subspace is not None and not region_contains(subspace, t):
-            continue
-        if any(abs(t - c) < ROOT_TOL for c in crossings):
-            continue
-        if delta(t) < 0.0:
-            if not region_contains(pair.h1, t):
-                return CheckResult(False, t)
-        elif not region_contains(pair.h0, t):
+    for t, relevant in _check_points(pair, spec, subspace):
+        if not region_contains(pair.h1 if relevant else pair.h0, t):
             return CheckResult(False, t)
     return CheckResult(True, None)
 
 
 def check_partial(pair: HypothesisPair, spec: LossSpec) -> CheckResult:
-    """Does H0 contain only negligible and H1 only relevant effects?"""
-    points, crossings = _check_points(pair, spec)
-    delta = difference_fn(spec)
-    for t in points:
-        if any(abs(t - c) < ROOT_TOL for c in crossings):
-            continue
-        relevant = delta(t) < 0.0
-        if relevant and region_contains(pair.h0, t):
-            return CheckResult(False, t)
-        if not relevant and region_contains(pair.h1, t):
-            return CheckResult(False, t)
-    return CheckResult(True, None)
+    """Does H0 contain only negligible and H1 only relevant effects? That is
+    complete incorporation on the restricted space H0 ∪ H1; the witness is
+    the smallest checked point that the pair misclassifies."""
+    return check_complete(pair, spec, restricted_space(pair))
 
 
 def restricted_space(pair: HypothesisPair) -> RegionSet:
     """The union of both hypotheses: the parameter space they act on."""
-    return region_union(pair.h0, pair.h1)
+    return pair._union

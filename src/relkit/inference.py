@@ -483,25 +483,6 @@ def quadrature(
     return QuadratureResult(value, error, converged)
 
 
-def integrate_piecewise(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cuts: tuple[float, ...] = (),
-    tol: float = 1e-10,
-) -> QuadratureResult:
-    """Quadrature over [lo, hi] split at the given interior points."""
-    points = [lo, *sorted(c for c in set(cuts) if lo < c < hi), hi]
-    share = tol / max(1, len(points) - 1)
-    total, err, ok = 0.0, 0.0, True
-    for a, b in zip(points[:-1], points[1:]):
-        part = quadrature(f, a, b, tol=share)
-        total += part.value
-        err += part.error
-        ok = ok and part.converged
-    return QuadratureResult(total, err, ok)
-
-
 def _truncated_moments(post: PosteriorModel) -> tuple[float, float]:
     """Mean and sd of the truncated posterior on the effect scale.
 

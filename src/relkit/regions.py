@@ -115,7 +115,10 @@ class RegionSet:
 
 def region_contains(region: RegionSet, theta: float) -> bool:
     """Membership respecting open/closed endpoints."""
-    return any(itv.contains(theta) for itv in region.intervals)
+    for itv in region.intervals:
+        if itv.contains(theta):
+            return True
+    return False
 
 
 def region_measure(region: RegionSet) -> float:
@@ -154,7 +157,6 @@ class RelevancePartition:
     negligible: RegionSet
     relevant: RegionSet
     crossings: tuple[float, ...]
-    space: ParameterSpace
 
 
 def is_practically_relevant(spec: LossSpec, theta: float) -> bool:
@@ -240,5 +242,4 @@ def _partition_cached(spec: LossSpec) -> RelevancePartition:
         negligible=RegionSet(tuple(negligible)),
         relevant=relevant_set,
         crossings=tuple(crossings),
-        space=space,
     )

@@ -80,7 +80,6 @@ class Scenario:
 
     name: str
     family: str
-    space: ParameterSpace
     loss: LossSpec
     true_effects: tuple[float, ...]
     sample_sizes: tuple[int, ...]
@@ -108,15 +107,14 @@ class Scenario:
             raise ValidationError(
                 f"procedure(s) {duplicates} listed more than once; each may appear once"
             )
+        space = self.loss.space
         for effect in self.true_effects:
-            if not self.space.contains(effect):
+            if not space.contains(effect):
                 raise ValidationError(
                     f"true effect {effect} outside the parameter space "
-                    f"[{self.space.lo}, {self.space.hi}]"
+                    f"[{space.lo}, {space.hi}]"
                 )
-        if self.family == "binomial" and not (
-            -0.5 <= self.space.lo and self.space.hi <= 0.5
-        ):
+        if self.family == "binomial" and not (-0.5 <= space.lo and space.hi <= 0.5):
             raise ValidationError(
                 "binomial bias effects live in [-0.5, 0.5]; adjust the space"
             )
@@ -433,7 +431,6 @@ def coin_scenario(
     return Scenario(
         name="coin_bias",
         family="binomial",
-        space=ParameterSpace(-0.5, 0.5),
         loss=coin_demo_loss(),
         true_effects=true_effects,
         sample_sizes=sample_sizes,
@@ -447,9 +444,8 @@ def coin_scenario(
 def aspirin_paradox_loss() -> LossSpec:
     """Risk-difference loss with curves crossing at +/-0.02: acting carries
     a small fixed-shape cost, not acting a cost growing with the effect."""
-    space = ParameterSpace(-0.1, 0.1)
     return LossSpec(
-        space=space,
+        space=ParameterSpace(-0.1, 0.1),
         kind="piecewise_linear",
         params_a0=CurveKnots(knots=(-0.1, 0.0, 0.1), values=(0.1, 0.0, 0.1)),
         params_a1=CurveKnots(knots=(-0.1, 0.0, 0.1), values=(0.0, 0.025, 0.0)),
@@ -466,7 +462,6 @@ def aspirin_scenario(replicates: int = 500, seed: int = 19880128) -> Scenario:
     return Scenario(
         name="aspirin_paradox",
         family="normal",
-        space=ParameterSpace(-0.1, 0.1),
         loss=aspirin_paradox_loss(),
         true_effects=(0.0077,),
         sample_sizes=(22000,),

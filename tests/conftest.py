@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from scipy import integrate
 
 from relkit.loss import (
     CurveKnots,
@@ -47,6 +48,16 @@ def a0_always_better_spec():
         kind="piecewise_linear",
         params_a0=CurveKnots(knots=(-0.5, 0.5), values=(0.1, 0.1)),
         params_a1=CurveKnots(knots=(-0.5, 0.5), values=(0.7, 0.9)),
+    )
+
+
+def quad_split(f, lo: float, hi: float, cuts=()) -> float:
+    """The integral of f over [lo, hi] by scipy.integrate.quad, split at the
+    cuts that fall strictly inside."""
+    points = [lo, *sorted(c for c in set(cuts) if lo < c < hi), hi]
+    return sum(
+        integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12)[0]
+        for a, b in zip(points, points[1:])
     )
 
 

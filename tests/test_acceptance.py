@@ -24,7 +24,6 @@ from relkit.inference import (
     NormalKnownVarModel,
     PosteriorModel,
     concentration_splits,
-    integrate_piecewise,
     posterior_region_prob,
     posterior_update_binomial,
     posterior_update_normal,
@@ -44,7 +43,7 @@ from relkit.simulate import (
     run_operating_characteristics,
 )
 
-from conftest import random_loss_spec
+from conftest import quad_split, random_loss_spec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -215,8 +214,8 @@ def test_c5_conjugacy_matches_quadrature():
             probes = [lo + j * (hi - lo) / 64.0 for j in range(65)] + list(cuts)
             shift = max(log_integrand(t) for t in probes)
             integrand = lambda t: math.exp(log_integrand(t) - shift)
-            evidence = integrate_piecewise(integrand, lo, hi, cuts, tol=1e-11).value
-            mass = integrate_piecewise(integrand, a, b, cuts, tol=1e-11).value
+            evidence = quad_split(integrand, lo, hi, cuts)
+            mass = quad_split(integrand, a, b, cuts)
             closed = posterior_region_prob(post, region)
             assert abs(closed - mass / evidence) <= 1e-6, (
                 f"triple {i}: closed {closed} vs quadrature {mass / evidence}"

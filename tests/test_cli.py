@@ -430,9 +430,9 @@ class TestPlotCommand:
         # 64 uniform samples plus the breakpoint at 0
         assert len(polyline.get("points").split()) == 65
 
-    @pytest.mark.parametrize("grid", [MAX_PLOT_GRID, MAX_PLOT_GRID + 1])
+    @pytest.mark.parametrize("grid", [-3, 0, 1, 2, MAX_PLOT_GRID, MAX_PLOT_GRID + 1])
     def test_plot_grid_capped_before_sampling(self, grid, tmp_path, capsys, monkeypatch):
-        # the cap is checked before any sample is taken; nothing here
+        # the range is checked before any sample is taken; nothing here
         # renders a large grid
         asked = []
         monkeypatch.setattr(
@@ -440,11 +440,12 @@ class TestPlotCommand:
         )
         cfg = write_config(tmp_path, coin_doc())
         code, out, err = run_cli(["plot", "--config", cfg, "--plot-grid", str(grid)], capsys)
-        if grid == MAX_PLOT_GRID:
+        if grid in (2, MAX_PLOT_GRID):
             assert (code, out, asked) == (0, "<svg/>\n", [grid])
         else:
             assert (code, out, asked) == (2, "", [])
-            assert f"--plot-grid must be at most {MAX_PLOT_GRID}" in err
+            bound = "at least 2" if grid < 2 else f"at most {MAX_PLOT_GRID}"
+            assert err == f"relkit: error: --plot-grid must be {bound}, got {grid}\n"
 
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, coin_doc())

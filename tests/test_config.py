@@ -27,7 +27,7 @@ def minimal(**extra):
 class TestTopLevel:
     def test_minimal_document(self):
         cfg = parse_config(minimal())
-        assert cfg.space.lo == -0.5
+        assert cfg.loss.space.lo == -0.5
         assert cfg.loss.kind == "builtin_coin_demo"
         assert cfg.actions.a1_label == "act"
 
@@ -149,14 +149,6 @@ class TestModelSection:
         assert isinstance(model, NormalKnownVarModel)
         assert model.sigma == 0.2
 
-    def test_top_level_prior_attaches(self):
-        doc = minimal(
-            model={"family": "binomial", "data": {"n": 10, "k": 7}},
-            prior={"alpha": 4, "beta": 4},
-        )
-        model = parse_config(doc).model
-        assert model.prior_alpha == 4.0
-
     def test_duplicate_prior_rejected(self):
         doc = minimal(
             model={
@@ -169,9 +161,20 @@ class TestModelSection:
         with pytest.raises(ConfigError, match="prior"):
             parse_config(doc)
 
-    def test_orphan_prior_rejected(self):
-        with pytest.raises(ConfigError, match="model"):
-            parse_config(minimal(prior={"alpha": 1, "beta": 1}))
+    @pytest.mark.parametrize(
+        "model",
+        [None, {"family": "binomial", "data": {"n": 10, "k": 7}}],
+        ids=["no-model", "with-model"],
+    )
+    def test_top_level_prior_exits_2(self, tmp_path, model):
+        # the prior belongs to the model section; there is no second spelling
+        doc = {**_decision_doc(), "prior": {"alpha": 4, "beta": 4}}
+        if model is not None:
+            doc["model"] = model
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = _run(["decide", "--config", str(cfg)])
+        assert (code, err) == (2, "relkit: error: unknown top-level key(s) ['prior']\n")
 
 
 class TestDecisionSection:

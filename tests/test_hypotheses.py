@@ -1,20 +1,26 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relkit.errors import ValidationError
 from relkit.hypotheses import (
+    ROOT_TOL,
+    CheckResult,
     HypothesisPair,
     check_complete,
     check_partial,
     derive_hypotheses,
     restricted_space,
 )
+from relkit.loss import difference_fn
 from relkit.regions import (
     Interval,
     RegionSet,
     partition,
     region_contains,
+    region_within,
 )
 
 from conftest import equal_losses_spec, quadratic_pair_spec, random_loss_spec
@@ -172,3 +178,115 @@ def test_subspace_skips_outside_points(coin_spec):
     ok, _ = check_complete(pair, coin_spec, subspace=pair.h0)
     assert ok
     assert region_contains(pair.h0, 0.0)
+
+
+def _reference_points(pair, spec, subspace=None):
+    """Cut points and midpoints, sorted, plus the crossings: the two checks'
+    shared scan before each check filtered it in its own loop."""
+    space = spec.space
+    if not (region_within(pair.h0, space) and region_within(pair.h1, space)):
+        raise ValidationError("hypothesis regions must lie within the parameter space")
+    part = partition(spec)
+    cuts = {space.lo, space.hi}
+    for region in (pair.h0, pair.h1, subspace or RegionSet()):
+        for itv in region.intervals:
+            cuts.update((itv.lo, itv.hi))
+    for c in part.crossings:
+        cuts.update((c - ROOT_TOL, c, c + ROOT_TOL))
+    pts = sorted(t for t in cuts if space.lo <= t <= space.hi)
+    mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
+    return sorted(pts + mids), part.crossings
+
+
+def reference_complete(pair, spec, subspace=None):
+    points, crossings = _reference_points(pair, spec, subspace)
+    delta = difference_fn(spec)
+    for t in points:
+        if subspace is not None and not region_contains(subspace, t):
+            continue
+        if any(abs(t - c) < ROOT_TOL for c in crossings):
+            continue
+        if delta(t) < 0.0:
+            if not region_contains(pair.h1, t):
+                return CheckResult(False, t)
+        elif not region_contains(pair.h0, t):
+            return CheckResult(False, t)
+    return CheckResult(True, None)
+
+
+def reference_partial(pair, spec):
+    points, crossings = _reference_points(pair, spec)
+    delta = difference_fn(spec)
+    for t in points:
+        if any(abs(t - c) < ROOT_TOL for c in crossings):
+            continue
+        relevant = delta(t) < 0.0
+        if relevant and region_contains(pair.h0, t):
+            return CheckResult(False, t)
+        if not relevant and region_contains(pair.h1, t):
+            return CheckResult(False, t)
+    return CheckResult(True, None)
+
+
+@st.composite
+def losses_and_pairs(draw):
+    """A random loss and a disjoint pair: either the derived pair with each
+    crossing moved by 0, ROOT_TOL / 2 or ROOT_TOL, or a random pair whose
+    endpoints include the space ends, crossings, points within ROOT_TOL of a
+    crossing and points just that distance away."""
+    spec = random_loss_spec(random.Random(draw(st.integers(0, 2**32 - 1))))
+    lo, hi = spec.space.lo, spec.space.hi
+    part = partition(spec)
+    steps = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    if draw(st.booleans()):
+        moved = {c: c + draw(st.sampled_from(steps)) * ROOT_TOL for c in part.crossings}
+
+        def move(itv):
+            return dataclasses.replace(
+                itv, lo=moved.get(itv.lo, itv.lo), hi=moved.get(itv.hi, itv.hi)
+            )
+
+        regions = (part.negligible, part.relevant)
+        h0, h1 = (RegionSet(tuple(map(move, r.intervals))) for r in regions)
+        return spec, HypothesisPair(h0=h0, h1=h1)
+    near = [c + k * ROOT_TOL for c in part.crossings for k in steps]
+    special = [t for t in near if lo <= t <= hi] + [lo, hi]
+    point = st.one_of(st.sampled_from(special), st.floats(lo, hi))
+    pts = sorted(set(draw(st.lists(point, min_size=1, max_size=6))))
+    roles = st.sampled_from([None, "h0", "h1"])
+    parts = {"h0": [], "h1": []}
+    covered = False  # whether a piece to the left already holds the point
+    for p, q in zip(pts, pts[1:] + [None]):
+        role = None if covered else draw(roles)
+        if role is not None:
+            parts[role].append(Interval(p, p))
+            covered = True
+        if q is None:
+            break
+        role = draw(roles)
+        if role is None:
+            covered = False
+            continue
+        hi_open = draw(st.booleans())
+        parts[role].append(Interval(p, q, covered or draw(st.booleans()), hi_open))
+        covered = not hi_open
+    h0, h1 = (RegionSet(tuple(parts[role])) for role in ("h0", "h1"))
+    return spec, HypothesisPair(h0=h0, h1=h1)
+
+
+# ties everywhere: random losses almost never have one off a crossing
+TIES = equal_losses_spec(), RegionSet.single(-0.5, 0.5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example((TIES[0], HypothesisPair(h0=TIES[1], h1=RegionSet())))
+@example((TIES[0], HypothesisPair(h0=RegionSet(), h1=TIES[1])))
+@given(losses_and_pairs())
+def test_checks_match_the_reference_loops(case):
+    spec, pair = case
+    assert check_complete(pair, spec) == reference_complete(pair, spec)
+    assert check_partial(pair, spec) == reference_partial(pair, spec)
+    for subspace in (pair.h0, restricted_space(pair)):
+        assert check_complete(pair, spec, subspace) == reference_complete(
+            pair, spec, subspace
+        )

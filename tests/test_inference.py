@@ -11,7 +11,6 @@ from relkit.inference import (
     PosteriorModel,
     concentration_splits,
     credible_interval,
-    integrate_piecewise,
     normal_cdf,
     posterior_region_prob,
     posterior_summary,
@@ -22,6 +21,8 @@ from relkit.inference import (
 )
 from relkit.loss import ParameterSpace
 from relkit.regions import Interval, RegionSet
+
+from conftest import quad_split
 
 
 class TestSpecialFunctions:
@@ -279,10 +280,8 @@ class TestQuadrature:
 
     def test_beta_density_normalizes(self):
         post = posterior_update_binomial(BinomialModel(n=10, k=7, prior_alpha=1, prior_beta=1))
-        result = integrate_piecewise(
-            post.pdf, -0.5, 0.5, cuts=concentration_splits(post), tol=1e-10
-        )
-        assert result.value == pytest.approx(1.0, abs=1e-8)
+        total = quad_split(post.pdf, -0.5, 0.5, concentration_splits(post))
+        assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_depth_exhaustion_flagged(self):
         result = quadrature(
@@ -374,11 +373,9 @@ def test_conjugacy_matches_quadrature_battery():
         probes = [lo + i * (hi - lo) / 64 for i in range(65)] + list(splits)
         peak_guess = max(log_integrand(x) for x in probes)
         integrand = lambda t: math.exp(log_integrand(t) - peak_guess)
-        evidence = integrate_piecewise(integrand, lo, hi, cuts=splits, tol=1e-11).value
+        evidence = quad_split(integrand, lo, hi, splits)
         itv = region.intervals[0]
-        mass = integrate_piecewise(
-            integrand, itv.lo, itv.hi, cuts=splits, tol=1e-11
-        ).value
+        mass = quad_split(integrand, itv.lo, itv.hi, splits)
         assert posterior_region_prob(post, region) == pytest.approx(
             mass / evidence, abs=1e-6
         )

@@ -184,7 +184,7 @@ def test_decision_rules_in_compare(tmp_path):
     )
     ratio, loss = _compare_rows(tmp_path, doc)
     cfg = load_config(CONFIG_DIR / "coin_compare.json")
-    post = posterior_update_binomial(cfg.model, cfg.space)
+    post = posterior_update_binomial(cfg.model, cfg.loss.space)
     pair = derive_hypotheses(partition(cfg.loss))
     odds = bayes_two_action_decision(post, pair, LossRatio.scalar(2.0))
     assert ratio["procedure"] == "bayes_two_action_decision"

@@ -14,6 +14,7 @@ from relkit.simulate import (
     RateCell,
     RateTable,
     Scenario,
+    aspirin_paradox_loss,
     aspirin_scenario,
     coin_scenario,
     run_operating_characteristics,
@@ -83,7 +84,6 @@ class TestScenarioValidation:
             Scenario(
                 name="x",
                 family="normal",
-                space=ParameterSpace(-1, 1),
                 loss=coin_demo_loss(),
                 true_effects=(0.0,),
                 sample_sizes=(10,),
@@ -91,6 +91,25 @@ class TestScenarioValidation:
                 seed=0,
                 procedures=(ProcedureSpec("nhst", {}),),
             )
+
+    def test_space_comes_from_the_loss(self):
+        # a scenario once carried its own space, which could disagree with
+        # the loss's and turn every rope verdict into "error"
+        fields = dict(
+            name="x",
+            family="normal",
+            loss=aspirin_paradox_loss(),
+            true_effects=(0.5,),
+            sample_sizes=(10,),
+            replicates=1,
+            seed=0,
+            procedures=(ProcedureSpec("rope", {}),),
+            sigma=0.2,
+        )
+        with pytest.raises(TypeError, match="space"):
+            Scenario(space=ParameterSpace(-1, 1), **fields)
+        with pytest.raises(ValidationError, match=r"parameter space \[-0.1, 0.1\]"):
+            Scenario(**fields)
 
     def test_duplicate_procedure_names_rejected(self):
         # two nhst entries used to share one counter, so frequencies reached 2
