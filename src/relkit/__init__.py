@@ -22,11 +22,9 @@ from .config import ConfigDocument, load_config, parse_config
 from .decisions import (
     DecisionOutcome,
     LossRatio,
-    ThreeWayReport,
     bayes_two_action_decision,
     decide_from_odds,
     expected_loss_decision,
-    three_way_consistency,
 )
 from .errors import (
     ConfigError,
@@ -119,7 +117,6 @@ __all__ = [
     "RelevancePartition",
     "RelkitError",
     "Scenario",
-    "ThreeWayReport",
     "ValidationError",
     "ValidationReport",
     "aspirin_scenario",
@@ -155,7 +152,6 @@ __all__ = [
     "rope_decision",
     "run_operating_characteristics",
     "simulate_dataset",
-    "three_way_consistency",
     "tost_equivalence",
     "validate_loss_spec",
 ]

@@ -326,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValidationError, DomainError, ValueError) as exc:
         print(f"relkit: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RelkitError, OSError) as exc:
+    except (RelkitError, OSError, ArithmeticError) as exc:
         print(f"relkit: failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_IO
 

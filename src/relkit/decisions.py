@@ -4,8 +4,11 @@ Two rules are provided. The hypothesis-ratio rule compares the posterior
 odds of H1 against H0 with a loss ratio weighing type-I consequences
 (deciding a1 when H0 holds) against type-II consequences (deciding a0 when
 H1 holds); an interval-valued ratio yields a three-way rule whose middle
-outcome is "indeterminate". The expected-loss rule integrates the full loss
-curves against the posterior and takes the argmin.
+outcome is "indeterminate". The expected-loss rule takes the expectation of
+the full loss curves under the posterior and the argmin: in closed form
+from the partial moments of a normal posterior, by adaptive quadrature for
+a beta posterior until ROADMAP item 1 re-records the benchmark's tail
+references.
 
 The hypothesis-ratio rule implicitly treats the loss as constant within each
 hypothesis region; when it is not, use the expected-loss rule instead.
@@ -15,17 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .errors import NumericalError, ValidationError
 from .hypotheses import HypothesisPair
 from .inference import (
     PosteriorModel,
+    _partial_moments,
     concentration_splits,
     posterior_region_prob,
     quadrature,
 )
-from .loss import ACTIONS, LossSpec, Piece, breakpoints, _compile, _piece_at
+from .loss import ACTIONS, LossSpec, Piece, _about, _compile, _piece_at, breakpoints
 from .regions import partition, region_measure
 
 EXPECTED_LOSS_TIE_TOL = 1e-10
@@ -141,18 +146,45 @@ def _weighted(piece: Piece, log_density) -> Callable[[float], float]:
     return lambda t: (c0 + (t - o) * (c1 + (t - o) * c2)) * exp(log_density(t))
 
 
-def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutcome:
-    """Full-loss decision: argmin of E[L(theta, a) | y], ties to a0.
+@lru_cache(maxsize=512)
+def _panels(spec: LossSpec) -> tuple[tuple[float, float, tuple[Piece, ...]], ...]:
+    """(lo, hi, the piece of each action) for each panel between the space
+    ends and the loss breakpoints, so that a panel lies inside one piece of
+    both curves. Cached, so that a decision makes one cache lookup instead
+    of four in the compile cache, each of which hashes the whole spec."""
+    points = [spec.space.lo, *breakpoints(spec), spec.space.hi]
+    curves = [_compile(spec, action) for action in ACTIONS]
+    return tuple(
+        (a, b, tuple(_piece_at(curve, a) for curve in curves))
+        for a, b in zip(points[:-1], points[1:])
+    )
 
-    The posterior region probabilities reported alongside refer to the
-    relevance partition the loss induces.
+
+def _closed_form_expected_losses(post: PosteriorModel, spec: LossSpec) -> dict:
+    """E[L(a) | y] for a normal posterior, exact up to rounding.
+
+    Each panel's partial moments are taken once, about the point of the
+    panel nearest the posterior mean, and shared by both actions: each
+    action's piece is re-expanded about that point, where its polynomial is
+    c0 + c1*u + c2*u**2, and contributes c0*M0 + c1*M1 + c2*M2.
     """
-    if abs(post.space.lo - spec.space.lo) > 1e-12 or abs(
-        post.space.hi - spec.space.hi
-    ) > 1e-12:
-        raise ValidationError(
-            "posterior and loss specification must share the effect space"
-        )
+    loc = post.native_location_scale[0]
+    sums = [0.0] * len(ACTIONS)
+    for a, b, pieces in _panels(spec):
+        origin = min(max(loc, a), b)
+        m0, m1, m2 = _partial_moments(post, a, b, origin)
+        for i, piece in enumerate(pieces):
+            c0, c1, c2 = _about(piece, origin)
+            sums[i] += c0 * m0 + c1 * m1 + c2 * m2
+    total = post._ends[2]
+    return {action: value / total for action, value in zip(ACTIONS, sums)}
+
+
+def _quadrature_expected_losses(
+    post: PosteriorModel, spec: LossSpec
+) -> tuple[dict, list[str]]:
+    """E[L(a) | y] by adaptive quadrature, for beta posteriors, and a warning
+    for each action whose quadrature reached its depth limit."""
     # Every loss piece start is a cut, so each quadrature panel lies inside
     # one piece and integrates that piece's polynomial. The panels span the
     # posterior's space, the only place its bound density is valid.
@@ -174,6 +206,29 @@ def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutc
                 f"(error estimate {sum(part.error for part in parts):.3g})"
             )
         expected[action] = sum(part.value for part in parts)
+    return expected, warnings
+
+
+def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutcome:
+    """Full-loss decision: argmin of E[L(theta, a) | y], ties to a0.
+
+    A normal posterior's expected losses are closed-form partial moments. A
+    beta posterior's still come from adaptive quadrature: the benchmark's
+    analyze references record the quadrature's values on its k = 0 and
+    k = n tail requests, and that path can be deleted once ROADMAP item 1
+    re-records them exactly. The posterior region probabilities reported
+    alongside refer to the relevance partition the loss induces.
+    """
+    if abs(post.space.lo - spec.space.lo) > 1e-12 or abs(
+        post.space.hi - spec.space.hi
+    ) > 1e-12:
+        raise ValidationError(
+            "posterior and loss specification must share the effect space"
+        )
+    if post.family == "normal":
+        expected, warnings = _closed_form_expected_losses(post, spec), []
+    else:
+        expected, warnings = _quadrature_expected_losses(post, spec)
     if expected["a1"] < expected["a0"] - EXPECTED_LOSS_TIE_TOL:
         decision = "a1"
     else:
@@ -192,36 +247,3 @@ def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutc
         threshold_hi=expected["a1"],
         warnings=tuple(warnings),
     )
-
-
-@dataclass(frozen=True)
-class ThreeWayReport:
-    """Diagnostic relating the interval rule to its scalar endpoints."""
-
-    interval_outcome: DecisionOutcome
-    outcome_at_lo: DecisionOutcome
-    outcome_at_hi: DecisionOutcome
-    consistent: bool
-
-
-def three_way_consistency(
-    post: PosteriorModel,
-    pair: HypothesisPair,
-    ratio: LossRatio,
-    allow_restricted_space: bool = False,
-) -> ThreeWayReport:
-    """Run the decision at ratio.lo and ratio.hi as scalars and check that
-    the interval rule agrees with them when they agree and is indeterminate
-    exactly when they disagree."""
-    interval = bayes_two_action_decision(post, pair, ratio, allow_restricted_space)
-    at_lo = bayes_two_action_decision(
-        post, pair, LossRatio.scalar(ratio.lo), allow_restricted_space
-    )
-    at_hi = bayes_two_action_decision(
-        post, pair, LossRatio.scalar(ratio.hi), allow_restricted_space
-    )
-    if at_lo.decision == at_hi.decision:
-        consistent = interval.decision == at_lo.decision
-    else:
-        consistent = interval.decision == "indeterminate"
-    return ThreeWayReport(interval, at_lo, at_hi, consistent)

@@ -1,4 +1,5 @@
-"""Conjugate posteriors for the effect parameter, plus quadrature utilities.
+"""Conjugate posteriors for the effect parameter, their partial moments, and
+the adaptive quadrature that beta expected losses still use.
 
 Two sampling models are supported: a binomial count with a beta prior on the
 success probability (effect scale: bias b = pi - 0.5) and a normal mean with
@@ -15,9 +16,12 @@ where that tail is the smaller one, so a posterior that lies beyond one end
 of the space keeps its relative precision and mirrors its partner beyond
 the other end. Each posterior binds its log density once, with its
 normalising constant and the log mass of the space. Quantiles use
-safeguarded Newton steps on the CDF and the density; the summary mean and
-sd are closed-form truncated moments. The adaptive quadrature integrates
-the expected-loss rule's loss pieces times that density.
+safeguarded Newton steps on the CDF and the density. The partial moments
+E[(theta - origin)^j; lo < theta < hi], j = 0, 1, 2, are closed-form for
+both families; they give the summary mean and sd, and a normal posterior's
+expected losses. The adaptive quadrature integrates a beta posterior's
+loss pieces times its density, until ROADMAP item 1 re-records the
+benchmark's tail references and the closed form can serve beta too.
 """
 
 from __future__ import annotations
@@ -100,6 +104,16 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def normal_cdf(x: float, mean: float = 0.0, sd: float = 1.0) -> float:
     return 0.5 * math.erfc((mean - x) / (sd * _SQRT2))
+
+
+def _exp_neg_square(w: float) -> float:
+    """exp(-w*w) to full relative precision. w*w is split as s*s, exact for
+    s = w truncated to 20 fraction bits, plus (w - s)(w + s), so that the
+    rounding of w*w (about 1e-14 at w = 10) does not reach the exponent."""
+    if abs(w) > 40.0:
+        return 0.0
+    s = math.trunc(w * 1048576.0) / 1048576.0
+    return math.exp(-s * s) * math.exp(-(w - s) * (w + s))
 
 
 def _tails(family: str, params: tuple[float, float], t: float) -> tuple[float, float]:
@@ -483,41 +497,61 @@ def quadrature(
     return QuadratureResult(value, error, converged)
 
 
-def _truncated_moments(post: PosteriorModel) -> tuple[float, float]:
-    """Mean and sd of the truncated posterior on the effect scale.
+def _partial_moments(
+    post: PosteriorModel, lo: float, hi: float, origin: float
+) -> tuple[float, float, float]:
+    """E[(theta - origin)^j; lo < theta < hi] for j = 0, 1, 2 under the
+    untruncated posterior, on the effect scale; lo and hi lie in the space.
 
-    Beta: E[pi^j; region] = B(a+j, b)/B(a, b) times the region's mass under
-    Beta(a+j, b). Normal: the truncated-normal formulas in phi and the
-    region's mass.
+    The mass is the tail-side difference of _mass_between. Beta: the raw
+    moments E[x^j; region] = B(a+j, b)/B(a, b) times the region's mass under
+    Beta(a+j, b), shifted to the origin. Normal: the truncated-normal
+    formulas in sd units, about the origin, with phi taken at the cut
+    z-values. With the origin at the mean or on the cut nearest the mass,
+    only the mass beyond a far cut cancels, and that cancellation is exact
+    up to rounding.
     """
+    lo_tails, hi_tails, _, _ = post._ends
+    m0 = _mass_between(
+        lo_tails if lo <= post.space.lo else post._tails_at(lo),
+        hi_tails if hi >= post.space.hi else post._tails_at(hi),
+    )
     a, b = post.params
-    lo, hi = post._native(post.space.lo), post._native(post.space.hi)
-    total = post._ends[2]
+    x_lo, x_hi, x_o = post._native(lo), post._native(hi), post._native(origin)
     if post.family == "beta":
-        m1 = _interval_mass("beta", (a + 1.0, b), lo, hi)
-        m2 = _interval_mass("beta", (a + 2.0, b), lo, hi)
-        mean = a / (a + b) * m1 / total
-        var = mean * ((a + 1.0) / (a + b + 1.0) * m2 / m1 - mean)
-    else:
-        z_lo, z_hi = (lo - a) / b, (hi - a) / b
-        phi_lo = math.exp(-0.5 * z_lo * z_lo) / _SQRT2PI
-        phi_hi = math.exp(-0.5 * z_hi * z_hi) / _SQRT2PI
-        shift = (phi_lo - phi_hi) / total
-        mean = a + b * shift
-        var = b * b * (1.0 + (z_lo * phi_lo - z_hi * phi_hi) / total - shift * shift)
-    return mean + post.effect_shift, math.sqrt(max(var, 0.0))
+        r1 = a / (a + b) * _interval_mass("beta", (a + 1.0, b), x_lo, x_hi)
+        r2 = (
+            a * (a + 1.0) / ((a + b) * (a + b + 1.0))
+            * _interval_mass("beta", (a + 2.0, b), x_lo, x_hi)
+        )
+        return m0, r1 - x_o * m0, r2 - x_o * (2.0 * r1 - x_o * m0)
+    # Work in sd units from the erfc arguments of the masses, and put an
+    # origin on a cut exactly on it: a rounding of a cut then moves its mass,
+    # its phi and the origin together, and the cancellation in the moments
+    # of a far tail stays exact.
+    w_lo, w_hi = (x_lo - a) / (b * _SQRT2), (x_hi - a) / (b * _SQRT2)
+    z_lo, z_hi = _SQRT2 * w_lo, _SQRT2 * w_hi
+    phi_lo = _exp_neg_square(w_lo) / _SQRT2PI
+    phi_hi = _exp_neg_square(w_hi) / _SQRT2PI
+    u = -(z_lo if origin == lo else z_hi if origin == hi else (x_o - a) / b)
+    e1 = phi_lo - phi_hi  # E[z; region], z = (theta - mean) / sd
+    e2 = m0 + z_lo * phi_lo - z_hi * phi_hi  # E[z^2; region]
+    return m0, b * (u * m0 + e1), b * b * (u * (u * m0 + 2.0 * e1) + e2)
 
 
 def posterior_summary(post: PosteriorModel) -> dict:
     """Location summaries used in reports: mean and sd of the truncated
-    posterior (closed-form truncated moments) plus the central 95%
-    interval."""
-    mean, sd = _truncated_moments(post)
+    posterior, from its partial moments about the point of the space nearest
+    the untruncated mean, plus the central 95% interval."""
+    lo, hi = post.space.lo, post.space.hi
+    origin = min(max(post.native_location_scale[0], lo), hi)
+    m0, m1, m2 = _partial_moments(post, lo, hi, origin)
+    shift = m1 / m0
     ci = credible_interval(post, 0.95)
     return {
         "family": post.family,
         "params": list(post.params),
-        "mean": mean,
-        "sd": sd,
+        "mean": origin + shift,
+        "sd": math.sqrt(max(m2 / m0 - shift * shift, 0.0)),
         "central_95": [ci[0], ci[1]],
     }

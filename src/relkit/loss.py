@@ -197,6 +197,14 @@ def _piece_at(curve: Curve, theta: float) -> Piece:
     return pieces[bisect_right(starts, theta, 1) - 1]
 
 
+def _about(piece: Piece, origin: float) -> tuple[float, float, float]:
+    """The piece's polynomial re-expanded about another origin: the
+    coefficients of c0 + c1 * u + c2 * u**2 with u = theta - origin."""
+    o, c0, c1, c2 = piece
+    d = origin - o
+    return c0 + d * (c1 + d * c2), c1 + 2.0 * c2 * d, c2
+
+
 def _value(curve: Curve, theta: float) -> float:
     origin, c0, c1, c2 = _piece_at(curve, theta)
     u = theta - origin

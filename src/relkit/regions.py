@@ -19,6 +19,7 @@ from .loss import (
     LossSpec,
     ParameterSpace,
     Piece,
+    _about,
     _compile,
     _piece_at,
     breakpoints,
@@ -187,10 +188,8 @@ def _roots(p0: Piece, p1: Piece, delta, a: float, b: float) -> tuple[float, ...]
         return (a + (b - a) * da / (da - db),)
     # both curves quadratic: expand a1 about a0's vertex
     o, c0, c1, c2 = p0
-    origin, b0, b1, b2 = p1
-    d = o - origin
-    e = (b0 + d * (b1 + d * b2) - c0, b1 + 2.0 * b2 * d - c1, b2 - c2)
-    return tuple(o + u for u in _quadratic_roots(*e))
+    b0, b1, b2 = _about(p1, o)
+    return tuple(o + u for u in _quadratic_roots(b0 - c0, b1 - c1, b2 - c2))
 
 
 def partition(spec: LossSpec) -> RelevancePartition:

@@ -1,14 +1,17 @@
+import math
 import random
 
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from relkit.loss import (
     CurveKnots,
     LossSpec,
     ParameterSpace,
     QuadraticParams,
+    breakpoints,
     coin_demo_loss,
+    evaluate_loss,
 )
 
 
@@ -59,6 +62,31 @@ def quad_split(f, lo: float, hi: float, cuts=()) -> float:
         integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12)[0]
         for a, b in zip(points, points[1:])
     )
+
+
+def expected_losses_oracle(post, spec: LossSpec) -> list[float]:
+    """E[L(a0)] and E[L(a1)] by scipy.integrate.quad of the loss times the
+    SciPy density truncated to the space."""
+    lo, hi = post.space.lo, post.space.hi
+    a, b = post.params
+    if post.family == "beta":
+        dist = stats.beta(a, b, loc=post.effect_shift)
+    else:
+        dist = stats.norm(a, b)
+    if dist.cdf(hi) <= 0.5:
+        log_mass = math.log(dist.cdf(hi) - dist.cdf(lo))
+    else:
+        log_mass = math.log(dist.sf(lo) - dist.sf(hi))
+    loc, sd = post.native_location_scale
+    near = (loc + m * sd for m in (-8, -4, -2, -1, 0, 1, 2, 4, 8))
+    points = sorted({*breakpoints(spec), *(x for x in near if lo < x < hi)})
+    return [
+        integrate.quad(
+            lambda t: evaluate_loss(spec, t, action) * math.exp(dist.logpdf(t) - log_mass),
+            lo, hi, points=points, epsabs=1e-13, epsrel=1e-12, limit=500,
+        )[0]
+        for action in ("a0", "a1")
+    ]
 
 
 def random_loss_spec(rng: random.Random) -> LossSpec:

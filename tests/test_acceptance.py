@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from relkit.cli import main as cli_main
-from relkit.decisions import LossRatio, decide_from_odds, three_way_consistency
+from relkit.decisions import LossRatio, bayes_two_action_decision, decide_from_odds
 from relkit.hypotheses import (
     HypothesisPair,
     check_complete,
@@ -252,8 +252,13 @@ def test_c6_decision_rule_properties():
             )
             lo = rng.lognormvariate(0.0, 1.0)
             hi = lo * (1.0 + rng.random() * 3.0)
-            report = three_way_consistency(post, pair, LossRatio(lo, hi))
-            inconsistencies += not report.consistent
+            interval = bayes_two_action_decision(post, pair, LossRatio(lo, hi))
+            at_lo, at_hi = (
+                bayes_two_action_decision(post, pair, LossRatio.scalar(r)).decision
+                for r in (lo, hi)
+            )
+            want = at_lo if at_lo == at_hi else "indeterminate"
+            inconsistencies += interval.decision != want
         assert inconsistencies == 0
 
 

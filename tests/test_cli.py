@@ -477,6 +477,16 @@ class TestExitCodeMatrix:
         run_cli(["partition", "--config", cfg, "--output", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_arithmetic_failure_exit_3(self, tmp_path, capsys):
+        """At n = 10**18 the incomplete beta's prefactor overflows; the
+        OverflowError is a numerical failure, reported without a traceback."""
+        doc = json.loads((CONFIG_DIR / "coin_decide.json").read_text(encoding="utf-8"))
+        doc["model"]["data"] = {"n": 10**18, "k": 5 * 10**17}
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run_cli(["decide", "--config", cfg], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("relkit: failure: ") and "Traceback" not in err
+
 
 def test_shipped_configs_parse_and_run(capsys):
     for name, command in (

@@ -1,21 +1,25 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
+from relkit import decisions, inference
+from relkit.config import load_config
 from relkit.decisions import (
     LossRatio,
     bayes_two_action_decision,
     decide_from_odds,
     expected_loss_decision,
-    three_way_consistency,
 )
 from relkit.errors import NumericalError, ValidationError
 from relkit.hypotheses import HypothesisPair, derive_hypotheses
 from relkit.inference import (
     BinomialModel,
+    NormalKnownVarModel,
     PosteriorModel,
+    posterior_update,
     posterior_update_binomial,
 )
 from relkit.loss import (
@@ -23,13 +27,13 @@ from relkit.loss import (
     LossSpec,
     ParameterSpace,
     QuadraticParams,
-    breakpoints,
     coin_demo_loss,
-    evaluate_loss,
 )
 from relkit.regions import RegionSet, partition
 
-from conftest import equal_losses_spec
+from conftest import equal_losses_spec, expected_losses_oracle
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def coin_pair(coin_spec):
@@ -204,31 +208,6 @@ def _oracle_case(i: int) -> tuple[PosteriorModel, LossSpec]:
     return post, spec
 
 
-def _oracle_expected_losses(post: PosteriorModel, spec: LossSpec) -> list[float]:
-    """E[L(a0)] and E[L(a1)] by scipy.integrate.quad of the loss times the
-    SciPy density truncated to the space."""
-    lo, hi = post.space.lo, post.space.hi
-    a, b = post.params
-    if post.family == "beta":
-        dist = stats.beta(a, b, loc=post.effect_shift)
-    else:
-        dist = stats.norm(a, b)
-    if dist.cdf(hi) <= 0.5:
-        log_mass = math.log(dist.cdf(hi) - dist.cdf(lo))
-    else:
-        log_mass = math.log(dist.sf(lo) - dist.sf(hi))
-    loc, sd = post.native_location_scale
-    near = (loc + m * sd for m in (-8, -4, -2, -1, 0, 1, 2, 4, 8))
-    points = sorted({*breakpoints(spec), *(x for x in near if lo < x < hi)})
-    return [
-        integrate.quad(
-            lambda t: evaluate_loss(spec, t, action) * math.exp(dist.logpdf(t) - log_mass),
-            lo, hi, points=points, epsabs=1e-13, epsrel=1e-12, limit=500,
-        )[0]
-        for action in ("a0", "a1")
-    ]
-
-
 # Battery cases where the adaptive Simpson quadrature misses the oracle by
 # more than 1e-9: its target is 1e-8 over all panels, and a panel whose first
 # Richardson estimate happens to agree stops early (CHANGES.md, FOUND on
@@ -249,7 +228,7 @@ ORACLE_CASES = [
 def test_expected_losses_match_scipy_quad(case):
     post, spec = _oracle_case(case)
     out = expected_loss_decision(post, spec)
-    want = _oracle_expected_losses(post, spec)
+    want = expected_losses_oracle(post, spec)
     assert [out.threshold_lo, out.threshold_hi] == pytest.approx(want, rel=0, abs=1e-9)
 
 
@@ -269,35 +248,116 @@ def test_expected_losses_of_tail_request_t72_match_scipy_quad():
     )
     post = posterior_update_binomial(BinomialModel(n=400, k=400), space)
     out = expected_loss_decision(post, spec)
-    want = _oracle_expected_losses(post, spec)
+    want = expected_losses_oracle(post, spec)
     assert want[1] == pytest.approx(7.69e-4, rel=1e-3)
     assert [out.threshold_lo, out.threshold_hi] == pytest.approx(want, rel=0, abs=1e-9)
 
 
 class TestThreeWayConsistency:
+    """An interval loss ratio decides as its two scalar ends do when they
+    agree, and is indeterminate when they disagree."""
+
+    @staticmethod
+    def _three_way(post, pair, ratio):
+        interval, at_lo, at_hi = (
+            bayes_two_action_decision(post, pair, r).decision
+            for r in (ratio, LossRatio.scalar(ratio.lo), LossRatio.scalar(ratio.hi))
+        )
+        consistent = interval == (at_lo if at_lo == at_hi else "indeterminate")
+        return consistent, interval, at_lo, at_hi
+
     def test_documented_rows(self, coin_spec):
         pair = coin_pair(coin_spec)
         hot = posterior_update_binomial(BinomialModel(n=20, k=20))  # huge odds
-        report = three_way_consistency(hot, pair, LossRatio(1.0, 2.0))
-        assert report.consistent
-        assert report.interval_outcome.decision == "a1"
-        assert report.outcome_at_lo.decision == report.outcome_at_hi.decision == "a1"
+        consistent, interval, at_lo, at_hi = self._three_way(hot, pair, LossRatio(1.0, 2.0))
+        assert consistent
+        assert interval == "a1"
+        assert at_lo == at_hi == "a1"
 
         mid = posterior_update_binomial(BinomialModel(n=10, k=6))
         odds = bayes_two_action_decision(mid, pair, LossRatio.scalar(1.0)).posterior_odds
         lo_r, hi_r = odds * 0.5, odds * 2.0
-        report = three_way_consistency(mid, pair, LossRatio(lo_r, hi_r))
-        assert report.consistent
-        assert report.interval_outcome.decision == "indeterminate"
-        assert report.outcome_at_lo.decision == "a1"
-        assert report.outcome_at_hi.decision == "a0"
+        consistent, interval, at_lo, at_hi = self._three_way(mid, pair, LossRatio(lo_r, hi_r))
+        assert consistent
+        assert interval == "indeterminate"
+        assert at_lo == "a1"
+        assert at_hi == "a0"
 
     def test_degenerate_interval(self, coin_spec):
         pair = coin_pair(coin_spec)
         post = posterior_update_binomial(BinomialModel(n=10, k=5))
-        report = three_way_consistency(post, pair, LossRatio(2.0, 2.0))
-        assert report.consistent
-        assert report.interval_outcome.decision == report.outcome_at_lo.decision
+        consistent, interval, at_lo, _ = self._three_way(post, pair, LossRatio(2.0, 2.0))
+        assert consistent
+        assert interval == at_lo
+
+
+ASPIRIN_LOSS =load_config(CONFIG_DIR / "aspirin_scenario.json").loss
+
+
+def _sweep_normal_posteriors():
+    """The normal posteriors of a sweep_normal-like command: sigma 0.2,
+    n = 22000 and prior sd 0.05, at 101 sample means in [-0.01, 0.01]."""
+    for i in range(101):
+        model = NormalKnownVarModel(
+            n=22000, ybar=-0.01 + 0.0002 * i, sigma=0.2, prior_mean=0.0, prior_sd=0.05
+        )
+        yield posterior_update(model, ASPIRIN_LOSS.space)
+
+
+def _far_normal_posteriors():
+    """Normal posteriors 5 to 30 sd beyond either end of [-0.1, 0.1]."""
+    rng = random.Random(3030)
+    for i in range(40):
+        sd = math.exp(rng.uniform(math.log(1e-3), math.log(0.05)))
+        beyond = rng.uniform(5.0, 30.0) * sd
+        mean = 0.1 + beyond if i % 2 else -0.1 - beyond
+        yield PosteriorModel("normal", (mean, sd), ASPIRIN_LOSS.space)
+
+
+class TestNormalClosedForm:
+    """A normal posterior's expected losses are closed-form partial moments;
+    each case is checked against the SciPy quadrature oracle."""
+
+    @pytest.fixture(autouse=True)
+    def no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a normal posterior must not integrate numerically")
+
+        monkeypatch.setattr(inference, "quadrature", refuse)
+        monkeypatch.setattr(decisions, "quadrature", refuse)
+
+    def _check(self, post, spec):
+        out = expected_loss_decision(post, spec)
+        assert out.warnings == ()
+        want = expected_losses_oracle(post, spec)
+        assert [out.threshold_lo, out.threshold_hi] == pytest.approx(want, rel=0, abs=1e-9)
+
+    def test_sweep_normal_posteriors(self):
+        for post in _sweep_normal_posteriors():
+            self._check(post, ASPIRIN_LOSS)
+
+    def test_posteriors_far_beyond_either_end(self):
+        rng = random.Random(3131)
+        space = ASPIRIN_LOSS.space
+        for post in _far_normal_posteriors():
+            self._check(post, ASPIRIN_LOSS)
+            knots = (-0.1, *sorted(rng.uniform(-0.1, 0.1) for _ in range(3)), 0.1)
+            curves = [
+                CurveKnots(knots, tuple(rng.uniform(0.0, 1.0) for _ in knots))
+                for _ in range(2)
+            ]
+            self._check(post, LossSpec(space, "piecewise_linear", *curves))
+
+    def test_quadratic_vertex_far_from_the_posterior(self):
+        space = ParameterSpace(-1.0, 1.0)
+        spec = LossSpec(
+            space,
+            "quadratic",
+            QuadraticParams(c=2.0, center=-0.95, offset=0.01),
+            QuadraticParams(c=0.5, center=0.9, offset=0.2),
+        )
+        for mean, sd in ((0.5, 0.01), (0.9, 0.002), (-0.3, 0.05), (1.2, 0.03), (-1.1, 0.004)):
+            self._check(PosteriorModel("normal", (mean, sd), space), spec)
 
 
 def test_decision_consistency_under_data_smoke(coin_spec):

@@ -1,5 +1,6 @@
-"""Property tests of the exact loss geometry over random losses, and of
-the mirror symmetry of the posterior functionals.
+"""Property tests of the exact loss geometry over random losses, of the
+mirror symmetry of the posterior functionals and the expected losses, and
+of the interval-valued loss-ratio rule.
 
 Example counts are kept small and the examples derandomized, so the suite
 stays fast and every run checks the same losses. Knots, values and
@@ -8,18 +9,30 @@ touch points and crossings at knots, but no root within an ulp of a knot,
 where float rounding of the root alone decides which side a point is on.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relkit.comparators import interval_bayes_factor
-from relkit.decisions import LossRatio, bayes_two_action_decision
+from relkit.decisions import (
+    LossRatio,
+    bayes_two_action_decision,
+    decide_from_odds,
+    expected_loss_decision,
+)
 from relkit.hypotheses import (
     HypothesisPair,
     check_complete,
     check_partial,
     derive_hypotheses,
 )
-from relkit.inference import BinomialModel, posterior_summary, posterior_update_binomial
+from relkit.inference import (
+    BinomialModel,
+    PosteriorModel,
+    posterior_summary,
+    posterior_update_binomial,
+)
 from relkit.loss import (
     CurveKnots,
     LossSpec,
@@ -169,3 +182,62 @@ def test_swapped_counts_mirror_the_posterior(case):
     assert m_odds == pytest.approx(odds, rel=1e-9, abs=0.0)
     assert m_bf == pytest.approx(bf, rel=1e-9, abs=0.0)
     assert m_mean == pytest.approx(-mean, rel=1e-9, abs=1e-14)
+
+
+@st.composite
+def _normal_posterior_params(draw):
+    """(mean, sd) of a normal posterior inside SPACE or 3 to 30 sd beyond
+    either end of it."""
+    sd = draw(st.floats(1e-3, 0.3))
+    side = draw(st.sampled_from(["inside", "above", "below"]))
+    if side == "inside":
+        return draw(st.floats(SPACE.lo, SPACE.hi)), sd
+    beyond = draw(st.floats(3.0, 30.0)) * sd
+    return (SPACE.hi + beyond if side == "above" else SPACE.lo - beyond), sd
+
+
+@PROPERTY
+@given(losses, _normal_posterior_params())
+def test_reflection_mirrors_normal_expected_losses(spec, params):
+    """Reflecting theta -> -theta in a normal posterior and its loss keeps
+    both expected losses, also for a posterior far beyond an end."""
+    mean, sd = params
+    mirrored = _mirror(spec)
+    out = expected_loss_decision(PosteriorModel("normal", (mean, sd), SPACE), spec)
+    m_out = expected_loss_decision(
+        PosteriorModel("normal", (-mean, sd), mirrored.space), mirrored
+    )
+    assert (m_out.threshold_lo, m_out.threshold_hi) == pytest.approx(
+        (out.threshold_lo, out.threshold_hi), rel=1e-12, abs=0.0
+    )
+
+
+_ratios = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def _odds_and_ratio_bounds(draw):
+    """Posterior odds and the two ends of a loss-ratio interval; the odds
+    often sit on an end."""
+    lo, hi = sorted((draw(_ratios), draw(_ratios)))
+    odds = draw(st.one_of(st.sampled_from([lo, hi, 0.0, math.inf]), st.floats(0.0, 1e7)))
+    return odds, lo, hi
+
+
+@PROPERTY
+@given(_odds_and_ratio_bounds())
+def test_interval_rule_agrees_with_its_scalar_ends(case):
+    """The interval rule gives what its two scalar ends give when they agree
+    and is indeterminate when they disagree. The one exception is odds on
+    the lower end of a proper interval: both scalar ends tie to a0 there,
+    while the interval rule counts its boundary as indeterminate."""
+    odds, lo, hi = case
+    interval = decide_from_odds(odds, LossRatio(lo, hi))
+    at_lo = decide_from_odds(odds, LossRatio.scalar(lo))
+    at_hi = decide_from_odds(odds, LossRatio.scalar(hi))
+    if lo < hi and odds == lo:
+        assert (at_lo, at_hi, interval) == ("a0", "a0", "indeterminate")
+    elif at_lo == at_hi:
+        assert interval == at_lo
+    else:
+        assert interval == "indeterminate"
