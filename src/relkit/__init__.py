@@ -49,8 +49,7 @@ from .inference import (
     credible_interval,
     posterior_region_prob,
     posterior_summary,
-    posterior_update_binomial,
-    posterior_update_normal,
+    posterior_update,
     quadrature,
     regularized_incomplete_beta,
 )
@@ -83,8 +82,6 @@ from .simulate import (
     RateCell,
     RateTable,
     Scenario,
-    aspirin_scenario,
-    coin_scenario,
     run_operating_characteristics,
     simulate_dataset,
 )
@@ -119,12 +116,10 @@ __all__ = [
     "Scenario",
     "ValidationError",
     "ValidationReport",
-    "aspirin_scenario",
     "bayes_two_action_decision",
     "check_complete",
     "check_partial",
     "coin_demo_loss",
-    "coin_scenario",
     "credible_interval",
     "decide_from_odds",
     "derive_hypotheses",
@@ -139,8 +134,7 @@ __all__ = [
     "partition",
     "posterior_region_prob",
     "posterior_summary",
-    "posterior_update_binomial",
-    "posterior_update_normal",
+    "posterior_update",
     "quadrature",
     "regularized_incomplete_beta",
     "region_contains",

@@ -27,7 +27,7 @@ from .config import ConfigDocument, load_config
 from .decisions import bayes_two_action_decision, expected_loss_decision
 from .errors import ConfigError, DomainError, RelkitError, ValidationError
 from .hypotheses import check_complete, check_partial, derive_hypotheses
-from .inference import BinomialModel, posterior_summary, posterior_update
+from .inference import family_of, posterior_summary, posterior_update
 from .plotting import render_loss_plot
 from .regions import partition
 from .simulate import bind_procedure, run_operating_characteristics
@@ -229,7 +229,7 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
         raise ConfigError("compare needs a 'comparators' section")
     if cfg.model is None:
         raise ConfigError("compare needs a 'model' section with data")
-    family = "binomial" if isinstance(cfg.model, BinomialModel) else "normal"
+    family = family_of(cfg.model)
     pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
     results = [
         vars(bind_procedure(spec, family, cfg.loss, pair)(cfg.model))

@@ -16,25 +16,22 @@ two regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NumericalError, ValidationError
 from .hypotheses import HypothesisPair
 from .inference import (
+    FAMILIES,
     BinomialModel,
     NormalKnownVarModel,
     PosteriorModel,
     _interval_mass,
     credible_interval,
+    family_of,
     normal_cdf,
     posterior_region_prob,
-    posterior_update_binomial,
-    posterior_update_normal,
-    regularized_incomplete_beta,
 )
 from .regions import RegionSet
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -59,14 +56,6 @@ class ComparatorResult:
             )
 
 
-def _binomial_tails(n: int, k: int) -> tuple[float, float]:
-    """P(X <= k) and P(X >= k) under Binomial(n, 1/2), via the incomplete
-    beta identities P(X >= k) = I_p(k, n - k + 1)."""
-    lower = 1.0 if k == n else regularized_incomplete_beta(n - k, k + 1, 0.5)
-    upper = 1.0 if k == 0 else regularized_incomplete_beta(k, n - k + 1, 0.5)
-    return lower, upper
-
-
 def nhst_point_null(
     model: BinomialModel | NormalKnownVarModel, alpha: float
 ) -> ComparatorResult:
@@ -77,18 +66,7 @@ def nhst_point_null(
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    if isinstance(model, BinomialModel):
-        lower, upper = _binomial_tails(model.n, model.k)
-        p = min(1.0, 2.0 * min(lower, upper))
-        statistic = float(model.k)
-        detail = f"exact binomial test of pi=0.5 with k={model.k}, n={model.n}"
-    elif isinstance(model, NormalKnownVarModel):
-        z = model.ybar * math.sqrt(model.n) / model.sigma
-        p = math.erfc(abs(z) / _SQRT2)
-        statistic = z
-        detail = f"z-test of a zero mean, z={z:.6g}"
-    else:
-        raise ValidationError(f"unsupported model type {type(model).__name__}")
+    p, statistic, detail = FAMILIES[family_of(model)].point_null(model)
     verdict = "reject" if p < alpha else "fail_to_reject"
     return ComparatorResult(
         procedure="nhst_point_null",
@@ -190,31 +168,27 @@ def interval_bayes_factor(
     prior defaults to the model's own; ``prior`` is (alpha, beta) for the
     binomial model and (mean, sd) for the normal one, and overriding it is
     a second conjugate update. Region masses come from the tail on their
-    own side, so far-tail evidence keeps its relative precision.
+    own side, so far-tail evidence keeps its relative precision. Both
+    regions must map into the family's support.
 
     The verdict is "favors_h1" above the threshold, "favors_h0" below its
     inverse, else "inconclusive"; a threshold below 1 would overlap the two.
     """
     if not (math.isfinite(threshold) and threshold >= 1.0):
         raise ValidationError(f"threshold must be finite and >= 1, got {threshold}")
-    if isinstance(model, BinomialModel):
-        if prior is not None:
-            model = replace(model, prior_alpha=prior[0], prior_beta=prior[1])
-        family, prior_params = "beta", (model.prior_alpha, model.prior_beta)
-        post_params = posterior_update_binomial(model).params
-        to_native = lambda effect: min(max(effect + 0.5, 0.0), 1.0)
-    elif isinstance(model, NormalKnownVarModel):
-        if prior is not None:
-            model = replace(model, prior_mean=prior[0], prior_sd=prior[1])
-        family, prior_params = "normal", (model.prior_mean, model.prior_sd)
-        post_params = posterior_update_normal(model).params
-        to_native = lambda effect: effect
-    else:
-        raise ValidationError(f"unsupported model type {type(model).__name__}")
+    row = FAMILIES[family_of(model)]
+    # the prior's two numbers are the model's last two fields
+    if prior is not None:
+        model = row.model(*tuple(vars(model).values())[:-2], *prior)
+    prior_params = tuple(vars(model).values())[-2:]
+    post_params = row.update(model)
+    for itv in (*pair.h0.intervals, *pair.h1.intervals):
+        row.check_support(itv.lo, itv.hi)
+    shift = row.effect_shift
 
     def mass(params: tuple[float, float], region: RegionSet) -> float:
         return sum(
-            _interval_mass(family, params, to_native(itv.lo), to_native(itv.hi))
+            _interval_mass(row.tails, params, itv.lo - shift, itv.hi - shift)
             for itv in region.intervals
         )
 

@@ -17,7 +17,7 @@ from . import values
 from .decisions import LossRatio
 from .errors import ConfigError, ValidationError
 from .hypotheses import HypothesisPair
-from .inference import BinomialModel, NormalKnownVarModel
+from .inference import FAMILIES, BinomialModel, NormalKnownVarModel
 from .loss import (
     ActionPair,
     CurveKnots,
@@ -32,6 +32,8 @@ SPEC_VERSION = 1
 
 _RULE = values.one_of("hypothesis_ratio", "expected_loss")
 _FORMAT = values.one_of("csv", "json")
+# the parser of a model.data value, by the type a family row gives it
+_DATA_VALUE = {int: values.count, float: values.number}
 
 
 def _finish(leftover: dict, context: str) -> None:
@@ -123,23 +125,25 @@ def _parse_hypotheses(section: dict, space: ParameterSpace) -> HypothesisPair:
     return pair
 
 
-def _parse_model(section: dict) -> tuple[BinomialModel | NormalKnownVarModel, str]:
-    """The model and its family; without a prior, the model's default."""
+def _parse_model(
+    section: dict, space: ParameterSpace
+) -> tuple[BinomialModel | NormalKnownVarModel, str]:
+    """The model and its family; without a prior, the model's default. The
+    effects of the space must map into the family's support."""
     family = _take(section, "family", "model", values.model_family)
+    row = FAMILIES[family]
     data = section.pop("data", None)
     if not isinstance(data, dict):
         raise ConfigError("model.data must be an object")
     data = dict(data)
-    # the prior's two numbers are the model's last two fields
+    # the model's fields: n, the data, the known values, the prior's two numbers
     prior = _take(section, "prior", "model", values.prior, (), family)
     n = _take(data, "n", "model.data", values.count)
-    if family == "binomial":
-        model = BinomialModel(n, _take(data, "k", "model.data", values.count), *prior)
-    else:
-        sigma = _take(section, "sigma", "model", values.number)
-        ybar = _take(data, "ybar", "model.data", values.number)
-        model = NormalKnownVarModel(n, ybar, sigma, *prior)
+    known = [_take(section, key, "model", values.number) for key in row.known]
+    observed = [_take(data, key, "model.data", _DATA_VALUE[kind]) for key, kind in row.data]
+    model = row.model(n, *observed, *known, *prior)
     _finish(data, "model.data")
+    row.check_support(space.lo, space.hi)
     return model, family
 
 
@@ -196,9 +200,7 @@ def _parse_scenario(section: dict, loss: LossSpec, top_seed: int | None) -> Scen
     sizes = _take(section, "sample_sizes", "scenario", values.counts)
     replicates = _take(section, "replicates", "scenario", values.count)
     seed = _take(section, "seed", "scenario", values.seed, top_seed or 0)
-    sigma = None
-    if family == "normal":
-        sigma = _take(section, "sigma", "scenario", values.number)
+    known = {key: _take(section, key, "scenario", values.number) for key in FAMILIES[family].known}
     prior = _take(section, "prior", "scenario", values.prior, None, family)
     procedures = _parse_procedures(
         section.pop("procedures", None), "scenario.procedures", "procedure", family
@@ -213,7 +215,7 @@ def _parse_scenario(section: dict, loss: LossSpec, top_seed: int | None) -> Scen
         seed=seed,
         procedures=procedures,
         prior=prior,
-        sigma=sigma,
+        **known,
     )
 
 
@@ -276,7 +278,7 @@ def _parse_document(raw: dict) -> ConfigDocument:
     loss = _read(raw, "loss", "", _parse_loss, space)
     actions = _read(raw, "actions", "", _parse_actions)
     seed = _take(raw, "seed", "", values.seed, None)
-    model, family = _read(raw, "model", "", _parse_model) or (None, None)
+    model, family = _read(raw, "model", "", _parse_model, space) or (None, None)
     comparators = (
         _parse_procedures(raw.pop("comparators"), "comparators", "comparator", family)
         if "comparators" in raw

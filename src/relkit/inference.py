@@ -1,11 +1,12 @@
 """Conjugate posteriors for the effect parameter, their partial moments, and
 the adaptive quadrature that beta expected losses still use.
 
-Two sampling models are supported: a binomial count with a beta prior on the
-success probability (effect scale: bias b = pi - 0.5) and a normal mean with
-known sampling standard deviation and a normal prior. Posteriors are kept in
-closed form and truncated to the declared effect space, so that probabilities
-over the space always total one.
+Each sampling model is one row of ``FAMILIES``, which holds every rule that
+depends on the model: a binomial count with a beta prior on the success
+probability (effect scale: bias b = pi - 0.5) and a normal mean with known
+sampling standard deviation and a normal prior. Posteriors are kept in
+closed form and truncated to the declared effect space, so that
+probabilities over the space always total one.
 
 The special functions are implemented here rather than imported: the beta
 CDF uses the continued-fraction form of the regularized incomplete beta
@@ -116,28 +117,6 @@ def _exp_neg_square(w: float) -> float:
     return math.exp(-s * s) * math.exp(-(w - s) * (w + s))
 
 
-def _tails(family: str, params: tuple[float, float], t: float) -> tuple[float, float]:
-    """Lower and upper tail of the untruncated native distribution at t.
-
-    The tail on t's side of the distribution is computed directly and the
-    other as its complement, so the smaller tail keeps full relative
-    precision: I_x(a, b) or I_{1-x}(b, a) for the beta, erfc on the far
-    side for the normal.
-    """
-    p1, p2 = params
-    if family == "beta":
-        if t * (p1 + p2 + 2.0) < p1 + 1.0:
-            lower = regularized_incomplete_beta(p1, p2, t)
-            return lower, 1.0 - lower
-        upper = regularized_incomplete_beta(p2, p1, 1.0 - t)
-        return 1.0 - upper, upper
-    if t < p1:
-        lower = normal_cdf(t, p1, p2)
-        return lower, 1.0 - lower
-    upper = normal_cdf(-t, -p1, p2)
-    return 1.0 - upper, upper
-
-
 def _mass_between(lo_tails: tuple[float, float], hi_tails: tuple[float, float]) -> float:
     """Mass between two points from their tails: a difference of lower
     tails below the median, of upper tails above it, else one minus both
@@ -150,9 +129,9 @@ def _mass_between(lo_tails: tuple[float, float], hi_tails: tuple[float, float]) 
     return 1.0 - f_lo - s_hi
 
 
-def _interval_mass(family: str, params: tuple[float, float], lo: float, hi: float) -> float:
-    """Untruncated mass of the native interval [lo, hi]."""
-    return _mass_between(_tails(family, params, lo), _tails(family, params, hi))
+def _interval_mass(tails: Callable, params: tuple[float, float], lo: float, hi: float) -> float:
+    """Untruncated mass of the native interval [lo, hi] under a row's tails."""
+    return _mass_between(tails(params, lo), tails(params, hi))
 
 
 def _normal_tail_z(q: float) -> float:
@@ -207,46 +186,237 @@ class NormalKnownVarModel:
             raise ValidationError(f"prior_mean must be finite, got {self.prior_mean}")
 
 
-BIAS_SPACE = ParameterSpace(-0.5, 0.5)
+class BinomialDraw(NamedTuple):
+    n: int
+    k: int
+
+
+class NormalDraw(NamedTuple):
+    n: int
+    ybar: float
+    sigma: float
+
+
+def _beta_proper(a: float, b: float) -> bool:
+    return a > 0.0 and b > 0.0
+
+
+def _normal_proper(mean: float, sd: float) -> bool:
+    return sd > 0.0
+
+
+def _beta_update(model: BinomialModel) -> tuple[float, float]:
+    return model.prior_alpha + model.k, model.prior_beta + model.n - model.k
+
+
+def _normal_update(model: NormalKnownVarModel) -> tuple[float, float]:
+    precision = 1.0 / model.prior_sd**2 + model.n / model.sigma**2
+    mean = (
+        model.prior_mean / model.prior_sd**2 + model.n * model.ybar / model.sigma**2
+    ) / precision
+    return mean, precision**-0.5
+
+
+def _beta_tails(params: tuple[float, float], t: float) -> tuple[float, float]:
+    p1, p2 = params
+    if t * (p1 + p2 + 2.0) < p1 + 1.0:
+        lower = regularized_incomplete_beta(p1, p2, t)
+        return lower, 1.0 - lower
+    upper = regularized_incomplete_beta(p2, p1, 1.0 - t)
+    return 1.0 - upper, upper
+
+
+def _normal_tails(params: tuple[float, float], t: float) -> tuple[float, float]:
+    p1, p2 = params
+    if t < p1:
+        lower = normal_cdf(t, p1, p2)
+        return lower, 1.0 - lower
+    upper = normal_cdf(-t, -p1, p2)
+    return 1.0 - upper, upper
+
+
+def _beta_log_density(params, shift: float, log_mass: float) -> Callable[[float], float]:
+    p1, p2 = params
+    log_scale = log_beta(p1, p2)
+
+    def log_density(effect: float) -> float:
+        x = effect - shift
+        if x <= 0.0 or x >= 1.0:
+            return -math.inf
+        base = (p1 - 1.0) * math.log(x) + (p2 - 1.0) * math.log1p(-x)
+        return (base - log_scale) - log_mass
+
+    return log_density
+
+
+def _normal_log_density(params, shift: float, log_mass: float) -> Callable[[float], float]:
+    p1, p2 = params
+    log_scale = math.log(p2 * _SQRT2PI)
+
+    def log_density(effect: float) -> float:
+        z = (effect - shift - p1) / p2
+        return (-0.5 * z * z - log_scale) - log_mass
+
+    return log_density
+
+
+def _beta_location_scale(params: tuple[float, float]) -> tuple[float, float]:
+    a, b = params
+    return a / (a + b), math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+
+
+def _normal_location_scale(params: tuple[float, float]) -> tuple[float, float]:
+    return params
+
+
+def _beta_moments(params, m0: float, x_lo: float, x_hi: float, x_o: float) -> tuple:
+    """The raw moments E[x^j; region] = B(a+j, b)/B(a, b) times the region's
+    mass under Beta(a+j, b), shifted to the origin."""
+    a, b = params
+    r1 = a / (a + b) * _interval_mass(_beta_tails, (a + 1.0, b), x_lo, x_hi)
+    r2 = (
+        a * (a + 1.0) / ((a + b) * (a + b + 1.0))
+        * _interval_mass(_beta_tails, (a + 2.0, b), x_lo, x_hi)
+    )
+    return m0, r1 - x_o * m0, r2 - x_o * (2.0 * r1 - x_o * m0)
+
+
+def _normal_moments(params, m0: float, x_lo: float, x_hi: float, x_o: float) -> tuple:
+    """The truncated-normal formulas in sd units, about the origin, with phi
+    taken at the cut z-values. They work from the erfc arguments of the
+    masses and put an origin on a cut exactly on it: a rounding of a cut
+    then moves its mass, its phi and the origin together, and the
+    cancellation in the moments of a far tail stays exact."""
+    a, b = params
+    w_lo, w_hi = (x_lo - a) / (b * _SQRT2), (x_hi - a) / (b * _SQRT2)
+    z_lo, z_hi = _SQRT2 * w_lo, _SQRT2 * w_hi
+    phi_lo = _exp_neg_square(w_lo) / _SQRT2PI
+    phi_hi = _exp_neg_square(w_hi) / _SQRT2PI
+    u = -(z_lo if x_o == x_lo else z_hi if x_o == x_hi else (x_o - a) / b)
+    e1 = phi_lo - phi_hi  # E[z; region], z = (theta - mean) / sd
+    e2 = m0 + z_lo * phi_lo - z_hi * phi_hi  # E[z^2; region]
+    return m0, b * (u * m0 + e1), b * b * (u * (u * m0 + 2.0 * e1) + e2)
+
+
+def _binomial_point_null(model: BinomialModel) -> tuple[float, float, str]:
+    """Exact test of pi = 1/2, the doubled smaller tail clipped at 1; the
+    tails of Binomial(n, 1/2) are P(X >= k) = I_{1/2}(k, n - k + 1)."""
+    n, k = model.n, model.k
+    lower = 1.0 if k == n else regularized_incomplete_beta(n - k, k + 1, 0.5)
+    upper = 1.0 if k == 0 else regularized_incomplete_beta(k, n - k + 1, 0.5)
+    p = min(1.0, 2.0 * min(lower, upper))
+    return p, float(k), f"exact binomial test of pi=0.5 with k={k}, n={n}"
+
+
+def _normal_point_null(model: NormalKnownVarModel) -> tuple[float, float, str]:
+    z = model.ybar * math.sqrt(model.n) / model.sigma
+    return math.erfc(abs(z) / _SQRT2), z, f"z-test of a zero mean, z={z:.6g}"
+
+
+def _binomial_draw(rng, effect: float, n: int, sigma: float | None) -> BinomialDraw:
+    pi = min(max(effect + 0.5, 0.0), 1.0)
+    return BinomialDraw(n=n, k=int(rng.binomial(n, pi)))
+
+
+def _normal_draw(rng, effect: float, n: int, sigma: float) -> NormalDraw:
+    ybar = float(rng.normal(effect, sigma / math.sqrt(n)))
+    return NormalDraw(n=n, ybar=ybar, sigma=sigma)
+
+
+class Family(NamedTuple):
+    """One row of the family table: a sampling model, its conjugate
+    posterior, and every rule that depends on which model it is. Posterior
+    parameters are native, (alpha, beta) of the success probability or
+    (mean, sd) of the mean, and effect = native + effect_shift."""
+
+    model: type  # fields: n, the data, the known values, the prior's two numbers
+    posterior: str  # the posterior's name, PosteriorModel.family
+    effect_shift: float
+    support: tuple[float, float]  # of the native parameter
+    prior_keys: tuple[str, str]  # the config keys of the prior's two numbers
+    proper: Callable  # (two numbers) -> whether they make a proper prior or posterior
+    data: tuple[tuple[str, type], ...]  # model.data keys after n, each int or float
+    known: tuple[str, ...]  # positive model fields a config gives beside the data
+    update: Callable  # model -> posterior parameters
+    tails: Callable  # (params, native t) -> untruncated tails, each from its own side
+    log_density: Callable  # (params, shift, log mass of the space) -> bound log density
+    location_scale: Callable  # params -> untruncated native mean and sd
+    moments: Callable  # (params, mass, native lo, hi, origin) -> partial moments
+    point_null: Callable  # model -> (p-value, statistic, detail) of the nhst test
+    draw: Callable  # (rng, true effect, n, sigma) -> a dataset, the model's leading fields
+    repeats: bool  # whether draws repeat, so that a sweep remembers verdicts
+
+    def check_support(self, lo: float, hi: float) -> None:
+        """Raise unless the effects [lo, hi] map into the native support."""
+        s_lo, s_hi = self.support
+        if lo - self.effect_shift < s_lo or hi - self.effect_shift > s_hi:
+            raise ValidationError(
+                f"effects in [{lo!r}, {hi!r}] map outside the {self.posterior} "
+                f"support [{s_lo:g}, {s_hi:g}]; they must lie in "
+                f"[{s_lo + self.effect_shift:g}, {s_hi + self.effect_shift:g}]"
+            )
+
+
+FAMILIES: dict[str, Family] = {
+    "binomial": Family(
+        model=BinomialModel, posterior="beta", effect_shift=-0.5, support=(0.0, 1.0),
+        prior_keys=("alpha", "beta"), proper=_beta_proper, data=(("k", int),), known=(),
+        update=_beta_update, tails=_beta_tails, log_density=_beta_log_density,
+        location_scale=_beta_location_scale, moments=_beta_moments,
+        point_null=_binomial_point_null, draw=_binomial_draw, repeats=True,
+    ),
+    "normal": Family(
+        model=NormalKnownVarModel, posterior="normal", effect_shift=0.0,
+        support=(-math.inf, math.inf), prior_keys=("mean", "sd"), proper=_normal_proper,
+        data=(("ybar", float),), known=("sigma",), update=_normal_update,
+        tails=_normal_tails, log_density=_normal_log_density,
+        location_scale=_normal_location_scale, moments=_normal_moments,
+        point_null=_normal_point_null, draw=_normal_draw, repeats=False,
+    ),
+}
+_BY_POSTERIOR = {row.posterior: row for row in FAMILIES.values()}
+_BY_MODEL = {row.model: name for name, row in FAMILIES.items()}
+
+
+def family_of(model: BinomialModel | NormalKnownVarModel) -> str:
+    """The FAMILIES key of a model."""
+    name = _BY_MODEL.get(type(model))
+    if name is None:
+        raise ValidationError(f"unsupported model type {type(model).__name__}")
+    return name
 
 
 @dataclass(frozen=True)
 class PosteriorModel:
     """Closed-form posterior on the effect scale, truncated to its space.
-
-    ``params`` are (alpha, beta) for the beta family and (mean, sd) for the
-    normal family, both on the native parameter scale, and
-    effect = native + effect_shift (shift 0 for normal; -0.5 for binomial,
-    so pi -> pi - 0.5).
-    """
+    ``family`` is a row's posterior name, "beta" or "normal", and ``params``
+    its native parameters; effect = native + the row's effect_shift."""
 
     family: str
     params: tuple[float, float]
     space: ParameterSpace
-    effect_shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family not in ("beta", "normal"):
+        row = _BY_POSTERIOR.get(self.family)
+        if row is None:
             raise ValidationError(f"unknown posterior family {self.family!r}")
         p1, p2 = self.params
         if not (math.isfinite(p1) and math.isfinite(p2)):
             raise ValidationError("posterior parameters must be finite")
-        if self.family == "beta" and not (p1 > 0.0 and p2 > 0.0):
-            raise ValidationError("beta posterior needs positive shape parameters")
-        if self.family == "normal" and not p2 > 0.0:
-            raise ValidationError("normal posterior needs a positive sd")
-        if self.family == "beta":
-            lo, hi = self._native(self.space.lo), self._native(self.space.hi)
-            if lo < -1e-12 or hi > 1.0 + 1e-12:
-                raise ValidationError(
-                    "effect space maps outside the beta support [0, 1]"
-                )
+        if not row.proper(p1, p2):
+            raise ValidationError(f"improper {self.family} posterior parameters {self.params}")
+        row.check_support(self.space.lo, self.space.hi)
+        object.__setattr__(self, "_row", row)
+
+    @property
+    def effect_shift(self) -> float:
+        return self._row.effect_shift
 
     def _native(self, effect: float) -> float:
-        return effect - self.effect_shift
+        return effect - self._row.effect_shift
 
     def _tails_at(self, effect: float) -> tuple[float, float]:
-        return _tails(self.family, self.params, self._native(effect))
+        return self._row.tails(self.params, self._native(effect))
 
     @cached_property
     def _ends(self) -> tuple[tuple[float, float], tuple[float, float], float, float]:
@@ -282,26 +452,7 @@ class PosteriorModel:
     def log_density(self) -> Callable[[float], float]:
         """effect -> log density of the truncated posterior, valid inside
         the space; a call is only arithmetic on constants bound here."""
-        p1, p2 = self.params
-        shift, log_mass = self.effect_shift, self._ends[3]
-        if self.family == "beta":
-            log_scale = log_beta(p1, p2)
-
-            def log_density(effect: float) -> float:
-                x = effect - shift
-                if x <= 0.0 or x >= 1.0:
-                    return -math.inf
-                base = (p1 - 1.0) * math.log(x) + (p2 - 1.0) * math.log1p(-x)
-                return (base - log_scale) - log_mass
-
-        else:
-            log_scale = math.log(p2 * _SQRT2PI)
-
-            def log_density(effect: float) -> float:
-                z = (effect - shift - p1) / p2
-                return (-0.5 * z * z - log_scale) - log_mass
-
-        return log_density
+        return self._row.log_density(self.params, self.effect_shift, self._ends[3])
 
     def __getstate__(self) -> dict:
         # pickle cannot store the bound density, a closure; it is bound
@@ -354,15 +505,11 @@ class PosteriorModel:
 
     @property
     def native_location_scale(self) -> tuple[float, float]:
-        """Mean and sd of the untruncated native distribution, mapped to the
-        effect scale; used to anchor quadrature split points and quantile
-        searches."""
-        a, b = self.params
-        if self.family == "beta":
-            mean = a / (a + b)
-            sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-        else:
-            mean, sd = a, b
+        """Mean and sd of the untruncated native distribution, the mean
+        moved to the effect scale. Both start the quantile search and place
+        the quadrature's split points; the mean also sets the origin of the
+        summary's moments and of the closed form's panels."""
+        mean, sd = self._row.location_scale(self.params)
         return mean + self.effect_shift, sd
 
 
@@ -379,45 +526,12 @@ def concentration_splits(post: PosteriorModel) -> tuple[float, ...]:
     return tuple(sorted(set(pts)))
 
 
-def posterior_update_binomial(
-    model: BinomialModel, space: ParameterSpace | None = None
-) -> PosteriorModel:
-    """Conjugate update: Beta(alpha + k, beta + n - k) on the success
-    probability, expressed on the bias scale b = pi - 0.5."""
-    space = space if space is not None else BIAS_SPACE
-    return PosteriorModel(
-        family="beta",
-        params=(model.prior_alpha + model.k, model.prior_beta + model.n - model.k),
-        space=space,
-        effect_shift=-0.5,
-    )
-
-
-def posterior_update_normal(
-    model: NormalKnownVarModel, space: ParameterSpace | None = None
-) -> PosteriorModel:
-    """Conjugate update with precision weighting of prior mean and ybar.
-
-    Without an explicit space the posterior is supported on mean +/- 40 sd,
-    which is indistinguishable from the untruncated distribution.
-    """
-    precision = 1.0 / model.prior_sd**2 + model.n / model.sigma**2
-    mean = (
-        model.prior_mean / model.prior_sd**2 + model.n * model.ybar / model.sigma**2
-    ) / precision
-    sd = precision**-0.5
-    if space is None:
-        space = ParameterSpace(mean - 40.0 * sd, mean + 40.0 * sd)
-    return PosteriorModel(family="normal", params=(mean, sd), space=space)
-
-
 def posterior_update(
     model: BinomialModel | NormalKnownVarModel, space: ParameterSpace
 ) -> PosteriorModel:
-    """The conjugate update of either model, truncated to the space."""
-    if isinstance(model, BinomialModel):
-        return posterior_update_binomial(model, space)
-    return posterior_update_normal(model, space)
+    """The conjugate update of a model of any family, truncated to the space."""
+    row = FAMILIES[family_of(model)]
+    return PosteriorModel(row.posterior, row.update(model), space)
 
 
 def posterior_region_prob(post: PosteriorModel, region: RegionSet) -> float:
@@ -503,40 +617,18 @@ def _partial_moments(
     """E[(theta - origin)^j; lo < theta < hi] for j = 0, 1, 2 under the
     untruncated posterior, on the effect scale; lo and hi lie in the space.
 
-    The mass is the tail-side difference of _mass_between. Beta: the raw
-    moments E[x^j; region] = B(a+j, b)/B(a, b) times the region's mass under
-    Beta(a+j, b), shifted to the origin. Normal: the truncated-normal
-    formulas in sd units, about the origin, with phi taken at the cut
-    z-values. With the origin at the mean or on the cut nearest the mass,
-    only the mass beyond a far cut cancels, and that cancellation is exact
-    up to rounding.
+    The mass is the tail-side difference of _mass_between, and the row's
+    ``moments`` gives the other two. With the origin at the mean or on the
+    cut nearest the mass, only the mass beyond a far cut cancels, and that
+    cancellation is exact up to rounding.
     """
     lo_tails, hi_tails, _, _ = post._ends
     m0 = _mass_between(
         lo_tails if lo <= post.space.lo else post._tails_at(lo),
         hi_tails if hi >= post.space.hi else post._tails_at(hi),
     )
-    a, b = post.params
     x_lo, x_hi, x_o = post._native(lo), post._native(hi), post._native(origin)
-    if post.family == "beta":
-        r1 = a / (a + b) * _interval_mass("beta", (a + 1.0, b), x_lo, x_hi)
-        r2 = (
-            a * (a + 1.0) / ((a + b) * (a + b + 1.0))
-            * _interval_mass("beta", (a + 2.0, b), x_lo, x_hi)
-        )
-        return m0, r1 - x_o * m0, r2 - x_o * (2.0 * r1 - x_o * m0)
-    # Work in sd units from the erfc arguments of the masses, and put an
-    # origin on a cut exactly on it: a rounding of a cut then moves its mass,
-    # its phi and the origin together, and the cancellation in the moments
-    # of a far tail stays exact.
-    w_lo, w_hi = (x_lo - a) / (b * _SQRT2), (x_hi - a) / (b * _SQRT2)
-    z_lo, z_hi = _SQRT2 * w_lo, _SQRT2 * w_hi
-    phi_lo = _exp_neg_square(w_lo) / _SQRT2PI
-    phi_hi = _exp_neg_square(w_hi) / _SQRT2PI
-    u = -(z_lo if origin == lo else z_hi if origin == hi else (x_o - a) / b)
-    e1 = phi_lo - phi_hi  # E[z; region], z = (theta - mean) / sd
-    e2 = m0 + z_lo * phi_lo - z_hi * phi_hi  # E[z^2; region]
-    return m0, b * (u * m0 + e1), b * b * (u * (u * m0 + 2.0 * e1) + e2)
+    return post._row.moments(post.params, m0, x_lo, x_hi, x_o)
 
 
 def posterior_summary(post: PosteriorModel) -> dict:

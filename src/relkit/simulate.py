@@ -7,13 +7,15 @@ generators seeded per cell and replicate (scenario seed, the bit pattern of
 the true effect, n, replicate index), so any single draw can be reproduced
 in isolation and results do not depend on execution order.
 
-A verdict depends on nothing but the dataset, so a binomial sweep runs
-each procedure once per distinct draw and reuses the verdict when a draw
-repeats (there are at most n + 1 distinct k per n). A normal draw never
-repeats, so a normal sweep keeps no memo: it would only grow by one entry
-per replicate and procedure.
+The family's row in ``inference.FAMILIES`` draws each dataset. A verdict
+depends on nothing but the dataset, so where draws repeat (binomial: at
+most n + 1 distinct k per n) a sweep runs each procedure once per distinct
+draw and reuses the verdict. A normal draw never repeats, so a normal
+sweep keeps no memo: it would only grow by one entry per replicate and
+procedure.
 
-Two scenarios ship with the package: the coin-bias demo and a blood-thinner
+The shipped scenarios are configs: ``configs/coin_scenario.json``, the
+coin-bias demo, and ``configs/aspirin_scenario.json``, a blood-thinner
 style trial in which a tiny mean effect at a huge sample size is flagged by
 the point-null test while every relevance-aware procedure settles on a0.
 """
@@ -41,8 +43,15 @@ from .decisions import (
 )
 from .errors import RelkitError, ValidationError
 from .hypotheses import HypothesisPair, derive_hypotheses
-from .inference import BinomialModel, NormalKnownVarModel, posterior_update
-from .loss import CurveKnots, LossSpec, ParameterSpace, coin_demo_loss
+from .inference import (
+    FAMILIES,
+    BinomialDraw,
+    BinomialModel,
+    NormalDraw,
+    NormalKnownVarModel,
+    posterior_update,
+)
+from .loss import LossSpec
 from .regions import RegionSet, partition, region_hull
 
 if TYPE_CHECKING:
@@ -90,10 +99,13 @@ class Scenario:
     sigma: float | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in ("binomial", "normal"):
+        row = FAMILIES.get(self.family)
+        if row is None:
             raise ValidationError(f"unknown model family {self.family!r}")
-        if self.family == "normal" and (self.sigma is None or not self.sigma > 0.0):
-            raise ValidationError("the normal family needs a positive sigma")
+        for key in row.known:
+            value = getattr(self, key)
+            if value is None or not value > 0.0:
+                raise ValidationError(f"the {self.family} family needs a positive {key}")
         if self.replicates < 1:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
         if not self.true_effects:
@@ -114,21 +126,7 @@ class Scenario:
                     f"true effect {effect} outside the parameter space "
                     f"[{space.lo}, {space.hi}]"
                 )
-        if self.family == "binomial" and not (-0.5 <= space.lo and space.hi <= 0.5):
-            raise ValidationError(
-                "binomial bias effects live in [-0.5, 0.5]; adjust the space"
-            )
-
-
-class BinomialDraw(NamedTuple):
-    n: int
-    k: int
-
-
-class NormalDraw(NamedTuple):
-    n: int
-    ybar: float
-    sigma: float
+        row.check_support(space.lo, space.hi)
 
 
 Dataset = BinomialDraw | NormalDraw
@@ -154,12 +152,7 @@ def simulate_dataset(
 ) -> Dataset:
     """Draw one dataset; fully determined by (seed, effect, n, replicate)."""
     rng = _cell_rng(scenario.seed, true_effect, n, replicate_index)
-    if scenario.family == "binomial":
-        pi = min(max(true_effect + 0.5, 0.0), 1.0)
-        return BinomialDraw(n=n, k=int(rng.binomial(n, pi)))
-    assert scenario.sigma is not None
-    ybar = float(rng.normal(true_effect, scenario.sigma / math.sqrt(n)))
-    return NormalDraw(n=n, ybar=ybar, sigma=scenario.sigma)
+    return FAMILIES[scenario.family].draw(rng, true_effect, n, scenario.sigma)
 
 
 # --- the procedure table ---------------------------------------------------
@@ -230,7 +223,7 @@ class Procedure(NamedTuple):
     bind: Callable[[dict, LossSpec, HypothesisPair], Callable[[Model], ComparatorResult]]
 
 
-_BOTH = ("binomial", "normal")
+_BOTH = tuple(FAMILIES)
 
 PROCEDURES: dict[str, Procedure] = {
     "nhst": Procedure({"alpha": (0.05, values.probability)}, _BOTH, _bind_nhst),
@@ -295,7 +288,7 @@ def _compile_procedure(
     draw takes the scenario prior, or without one the model's default."""
     loss = scenario.loss
     run = bind_procedure(proc, scenario.family, loss, derive_hypotheses(partition(loss)))
-    model = BinomialModel if scenario.family == "binomial" else NormalKnownVarModel
+    model = FAMILIES[scenario.family].model
     prior = scenario.prior or ()
     # a draw holds the model's leading fields, and the prior its last two
     return lambda data: run(model(*data, *prior)).verdict
@@ -346,16 +339,17 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     "error" and never abort the sweep; ``errors`` says what they were.
     Identical scenarios (seed included) produce identical tables.
 
-    Binomial verdicts are memoised for the duration of the call, keyed by
-    procedure position and draw, so each procedure runs once per distinct
-    draw; normal draws never repeat and are not memoised. A failure is
-    memoised like any verdict and still counts once per replicate.
+    Where the family's draws repeat, verdicts are memoised for the duration
+    of the call, keyed by procedure position and draw, so each procedure
+    runs once per distinct draw; normal draws never repeat and are not
+    memoised. A failure is memoised like any verdict and still counts once
+    per replicate.
     """
     procedures = [
         (proc.name, _compile_procedure(scenario, proc)) for proc in scenario.procedures
     ]
-    memoise = scenario.family == "binomial"
-    memo: dict[tuple[int, BinomialDraw], str | RelkitError] = {}
+    memoise = FAMILIES[scenario.family].repeats
+    memo: dict[tuple[int, Dataset], str | RelkitError] = {}
     reps = scenario.replicates
     cells: list[RateCell] = []
     errors: list[ErrorReport] = []
@@ -411,68 +405,4 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
         replicates=reps,
         cells=tuple(cells),
         errors=tuple(errors),
-    )
-
-
-def coin_scenario(
-    true_effects: tuple[float, ...] = (-0.3, 0.0, 0.3),
-    sample_sizes: tuple[int, ...] = (100,),
-    replicates: int = 500,
-    seed: int = 20260108,
-    procedures: tuple[ProcedureSpec, ...] | None = None,
-) -> Scenario:
-    """Coin-bias gamble: binomial flips against the built-in demo loss."""
-    if procedures is None:
-        procedures = (
-            ProcedureSpec("nhst", {"alpha": 0.05}),
-            ProcedureSpec("rope", {"mass": 0.95}),
-            ProcedureSpec("hypothesis_ratio", {"loss_ratio": 1.0}),
-        )
-    return Scenario(
-        name="coin_bias",
-        family="binomial",
-        loss=coin_demo_loss(),
-        true_effects=true_effects,
-        sample_sizes=sample_sizes,
-        replicates=replicates,
-        seed=seed,
-        procedures=procedures,
-        prior=(1.0, 1.0),
-    )
-
-
-def aspirin_paradox_loss() -> LossSpec:
-    """Risk-difference loss with curves crossing at +/-0.02: acting carries
-    a small fixed-shape cost, not acting a cost growing with the effect."""
-    return LossSpec(
-        space=ParameterSpace(-0.1, 0.1),
-        kind="piecewise_linear",
-        params_a0=CurveKnots(knots=(-0.1, 0.0, 0.1), values=(0.1, 0.0, 0.1)),
-        params_a1=CurveKnots(knots=(-0.1, 0.0, 0.1), values=(0.0, 0.025, 0.0)),
-    )
-
-
-def aspirin_scenario(replicates: int = 500, seed: int = 19880128) -> Scenario:
-    """Tiny-but-real mean effect at a huge sample size.
-
-    The true risk difference 0.0077 sits well inside the negligible region
-    [-0.02, 0.02], yet at n = 22000 the point-null test rejects almost
-    surely. The relevance-aware procedures settle on a0.
-    """
-    return Scenario(
-        name="aspirin_paradox",
-        family="normal",
-        loss=aspirin_paradox_loss(),
-        true_effects=(0.0077,),
-        sample_sizes=(22000,),
-        replicates=replicates,
-        seed=seed,
-        procedures=(
-            ProcedureSpec("nhst", {"alpha": 0.05}),
-            ProcedureSpec("rope", {"mass": 0.95, "rope": "partition_hull"}),
-            ProcedureSpec("hypothesis_ratio", {"loss_ratio": 1.0}),
-            ProcedureSpec("tost", {"alpha": 0.05, "bounds": "partition_hull"}),
-        ),
-        prior=(0.0, 0.05),
-        sigma=0.2,
     )

@@ -15,6 +15,7 @@ from typing import Callable
 
 from .decisions import LossRatio
 from .errors import ValidationError
+from .inference import FAMILIES
 from .regions import Interval, RegionSet
 
 # numpy's binomial draw takes n as a C long
@@ -116,7 +117,7 @@ def interval(value, family=None) -> Interval:
     )
 
 
-model_family = one_of("binomial", "normal")
+model_family = one_of(*FAMILIES)
 numbers = list_of(number)
 counts = list_of(count)
 _intervals = list_of(interval)
@@ -150,18 +151,17 @@ def loss_ratio(value, family=None) -> LossRatio:
     return LossRatio(number(value[0]), number(value[1]))
 
 
-_PRIOR_KEYS = {"binomial": ("alpha", "beta"), "normal": ("mean", "sd")}
-
-
 def prior(value, family: str | None) -> tuple[float, float]:
-    """{alpha, beta} of a beta prior for the binomial family, {mean, sd} of
-    a normal prior for the normal family; with no family, either."""
-    wanted = [(f, keys) for f, keys in _PRIOR_KEYS.items() if family in (f, None)]
-    for fam, keys in wanted:
+    """The two numbers of a family's prior keys, {alpha, beta} of a beta
+    prior for the binomial family and {mean, sd} of a normal prior for the
+    normal family; with no family, either. The prior must be proper."""
+    wanted = [row for name, row in FAMILIES.items() if family in (name, None)]
+    for row in wanted:
+        keys = row.prior_keys
         if isinstance(value, dict) and set(value) == set(keys):
             first, second = number(value[keys[0]]), number(value[keys[1]])
-            if second <= 0.0 or (fam == "binomial" and first <= 0.0):
+            if not row.proper(first, second):
                 raise ValidationError(f"must be a proper prior, got {value!r}")
             return first, second
-    keys = " or ".join(str(keys) for _, keys in wanted)
+    keys = " or ".join(str(row.prior_keys) for row in wanted)
     raise ValidationError(f"must be an object with keys {keys}, got {value!r}")

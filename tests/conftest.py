@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import random
+from pathlib import Path
 
 import pytest
 from scipy import integrate, stats
 
+from relkit.config import load_config
 from relkit.loss import (
     CurveKnots,
     LossSpec,
@@ -13,6 +16,19 @@ from relkit.loss import (
     coin_demo_loss,
     evaluate_loss,
 )
+
+
+# the binomial model's whole effect range, the bias b = pi - 0.5
+BIAS_SPACE = ParameterSpace(-0.5, 0.5)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_scenario(name: str, **changes):
+    """The scenario of ``configs/<name>.json``, with the given fields
+    replaced (a smaller grid, fewer replicates, other procedures)."""
+    scenario = load_config(CONFIG_DIR / f"{name}.json").scenario
+    return dataclasses.replace(scenario, **changes)
 
 
 @pytest.fixture(scope="session")

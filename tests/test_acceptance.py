@@ -9,7 +9,6 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 from relkit.cli import main as cli_main
 from relkit.decisions import LossRatio, bayes_two_action_decision, decide_from_odds
@@ -25,8 +24,7 @@ from relkit.inference import (
     PosteriorModel,
     concentration_splits,
     posterior_region_prob,
-    posterior_update_binomial,
-    posterior_update_normal,
+    posterior_update,
 )
 from relkit.loss import ParameterSpace
 from relkit.regions import (
@@ -36,16 +34,15 @@ from relkit.regions import (
     partition,
     region_contains,
 )
-from relkit.simulate import (
-    ProcedureSpec,
-    aspirin_scenario,
-    coin_scenario,
-    run_operating_characteristics,
+from relkit.simulate import ProcedureSpec, run_operating_characteristics
+
+from conftest import (
+    BIAS_SPACE,
+    CONFIG_DIR,
+    quad_split,
+    random_loss_spec,
+    shipped_scenario,
 )
-
-from conftest import quad_split, random_loss_spec
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @contextmanager
@@ -166,7 +163,7 @@ def _binomial_triple(rng):
     n = rng.randint(0, 300)
     k = rng.randint(0, n) if n else 0
     model = BinomialModel(n=n, k=k, prior_alpha=alpha, prior_beta=beta)
-    post = posterior_update_binomial(model)
+    post = posterior_update(model, BIAS_SPACE)
 
     def log_integrand(b):
         pi = b + 0.5
@@ -185,7 +182,7 @@ def _normal_triple(rng):
         n=n, ybar=ybar, sigma=sigma, prior_mean=prior_mean, prior_sd=prior_sd
     )
     space = ParameterSpace(-5.0, 5.0)
-    post = posterior_update_normal(model, space)
+    post = posterior_update(model, space)
     se = sigma / math.sqrt(n)
 
     def log_integrand(t):
@@ -265,7 +262,9 @@ def test_c6_decision_rule_properties():
 def test_c7_aspirin_paradox_at_desk_scale():
     with criterion("C7 aspirin paradox thresholds (500 replicates)"):
         start = time.perf_counter()
-        table = run_operating_characteristics(aspirin_scenario(replicates=500))
+        table = run_operating_characteristics(
+            shipped_scenario("aspirin_scenario", replicates=500)
+        )
         elapsed = time.perf_counter() - start
 
         rates = {
@@ -281,7 +280,8 @@ def test_c7_aspirin_paradox_at_desk_scale():
 
 def test_c8_exact_test_validity_at_the_null():
     with criterion("C8 exact-test rejection rate at b=0 (2000 replicates)"):
-        scenario = coin_scenario(
+        scenario = shipped_scenario(
+            "coin_scenario",
             true_effects=(0.0,),
             sample_sizes=(100,),
             replicates=2000,

@@ -571,6 +571,55 @@ def test_output_format_key_only_where_honoured(command, fmt, tmp_path, capsys, m
         assert out.startswith("{") == (fmt == "json")
 
 
+def wide_binomial_doc(section):
+    """A config on [-1, 1], wider than the binomial bias range [-0.5, 0.5],
+    with a binomial ``model`` or ``scenario`` and every other section a
+    command reads, so that only the support rule can stop it."""
+    doc = {
+        "spec_version": 1,
+        "parameter_space": {"lo": -1.0, "hi": 1.0},
+        "actions": {"a0_label": "hold", "a1_label": "act"},
+        "loss": {
+            "kind": "piecewise_linear",
+            "params_a0": {"knots": [-1.0, 0.0, 1.0], "values": [1.0, 0.0, 1.0]},
+            "params_a1": {"knots": [-1.0, 0.0, 1.0], "values": [0.0, 0.2, 0.0]},
+        },
+        "hypotheses": {
+            "h0": [[-0.1, 0.1]],
+            "h1": [[-1.0, -0.1, False, True], [0.1, 1.0, True, False]],
+        },
+        "decision": {"rule": "expected_loss"},
+    }
+    if section == "model":
+        doc["model"] = {"family": "binomial", "data": {"n": 20, "k": 16}}
+        doc["comparators"] = [{"procedure": "nhst"}, {"procedure": "bayes_factor"}]
+    else:
+        doc["scenario"] = {
+            "name": "wide",
+            "family": "binomial",
+            "true_effects": [0.0],
+            "sample_sizes": [20],
+            "replicates": 2,
+            "procedures": [{"procedure": "nhst"}, {"procedure": "bayes_factor"}],
+        }
+    return doc
+
+
+@pytest.mark.parametrize("section", ["model", "scenario"])
+@pytest.mark.parametrize("command", list(relkit.cli._COMMANDS))
+def test_binomial_space_beyond_the_support_exits_2(command, section, tmp_path, capsys):
+    # nhst and bayes_factor once ran here and clamped the regions, rope and
+    # decide exited with another message, and partition and plot ran
+    cfg = write_config(tmp_path, wide_binomial_doc(section))
+    code, out, err = run_cli([command, "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "relkit: error: effects in [-1.0, 1.0] map outside the beta support [0, 1]; "
+        "they must lie in [-0.5, 0.5]\n"
+    )
+
+
 @pytest.mark.parametrize("which", ["h0", "h1"])
 @pytest.mark.parametrize("command", ["check-hypotheses", "decide", "compare"])
 def test_empty_hypothesis_region_exits_2(command, which, tmp_path, capsys):

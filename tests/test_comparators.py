@@ -19,11 +19,12 @@ from relkit.inference import (
     NormalKnownVarModel,
     PosteriorModel,
     posterior_region_prob,
-    posterior_update_binomial,
-    posterior_update_normal,
+    posterior_update,
 )
 from relkit.loss import ParameterSpace
 from relkit.regions import Interval, RegionSet, partition
+
+from conftest import BIAS_SPACE
 
 
 @pytest.fixture(scope="module")
@@ -205,9 +206,9 @@ class TestIntervalBayesFactor:
         for k, n, alpha, beta in ((7, 10, 1.0, 1.0), (13, 40, 2.0, 3.0), (0, 5, 1.5, 1.0)):
             model = BinomialModel(n=n, k=k, prior_alpha=alpha, prior_beta=beta)
             bf = interval_bayes_factor(model, coin_pair).bayes_factor
-            post = posterior_update_binomial(model)
-            prior = posterior_update_binomial(
-                BinomialModel(n=0, k=0, prior_alpha=alpha, prior_beta=beta)
+            post = posterior_update(model, BIAS_SPACE)
+            prior = posterior_update(
+                BinomialModel(n=0, k=0, prior_alpha=alpha, prior_beta=beta), BIAS_SPACE
             )
             post_odds = posterior_region_prob(post, coin_pair.h1) / posterior_region_prob(
                 post, coin_pair.h0
@@ -327,7 +328,7 @@ class TestIntervalBayesFactorOracle:
         model = NormalKnownVarModel(
             n=n, ybar=ybar, sigma=0.2, prior_mean=0.0, prior_sd=prior_sd
         )
-        post = posterior_update_normal(model).params
+        post = posterior_update(model, ParameterSpace(-10.0, 10.0)).params
         want = _scipy_bf("normal", (0.0, prior_sd), post, ASPIRIN_PAIR, 0.0)
         got = interval_bayes_factor(model, ASPIRIN_PAIR).bayes_factor
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)

@@ -20,7 +20,6 @@ from relkit.inference import (
     NormalKnownVarModel,
     PosteriorModel,
     posterior_update,
-    posterior_update_binomial,
 )
 from relkit.loss import (
     CurveKnots,
@@ -31,7 +30,7 @@ from relkit.loss import (
 )
 from relkit.regions import RegionSet, partition
 
-from conftest import equal_losses_spec, expected_losses_oracle
+from conftest import BIAS_SPACE, equal_losses_spec, expected_losses_oracle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -86,7 +85,7 @@ class TestDecideFromOdds:
 
 class TestBayesTwoActionDecision:
     def test_overwhelming_heads(self, coin_spec):
-        post = posterior_update_binomial(BinomialModel(n=20, k=20))
+        post = posterior_update(BinomialModel(n=20, k=20), BIAS_SPACE)
         out = bayes_two_action_decision(post, coin_pair(coin_spec), LossRatio.scalar(1.0))
         assert out.decision == "a1"
         assert out.posterior_h0 + out.posterior_h1 == pytest.approx(1.0, abs=1e-8)
@@ -95,17 +94,17 @@ class TestBayesTwoActionDecision:
         assert out.posterior_odds == pytest.approx((1 - p0) / p0, rel=1e-6)
 
     def test_balanced_sample(self, coin_spec):
-        post = posterior_update_binomial(BinomialModel(n=10, k=5))
+        post = posterior_update(BinomialModel(n=10, k=5), BIAS_SPACE)
         out = bayes_two_action_decision(post, coin_pair(coin_spec), LossRatio.scalar(1.0))
         assert out.decision == "a0"
 
     def test_wide_interval_withholds(self, coin_spec):
-        post = posterior_update_binomial(BinomialModel(n=10, k=5))
+        post = posterior_update(BinomialModel(n=10, k=5), BIAS_SPACE)
         out = bayes_two_action_decision(post, coin_pair(coin_spec), LossRatio(0.01, 100.0))
         assert out.decision == "indeterminate"
 
     def test_partial_pair_needs_flag(self, coin_spec):
-        post = posterior_update_binomial(BinomialModel(n=10, k=5))
+        post = posterior_update(BinomialModel(n=10, k=5), BIAS_SPACE)
         pair = HypothesisPair(
             h0=RegionSet.single(-0.05, 0.05), h1=RegionSet.single(0.2, 0.4)
         )
@@ -118,7 +117,7 @@ class TestBayesTwoActionDecision:
         assert out.posterior_h0 + out.posterior_h1 == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_evidence(self, coin_spec):
-        post = posterior_update_binomial(BinomialModel(n=10, k=5))
+        post = posterior_update(BinomialModel(n=10, k=5), BIAS_SPACE)
         pair = HypothesisPair(h0=RegionSet.point(0.0), h1=RegionSet.point(0.3))
         with pytest.raises(NumericalError, match="degenerate"):
             bayes_two_action_decision(
@@ -128,19 +127,19 @@ class TestBayesTwoActionDecision:
 
 class TestExpectedLossDecision:
     def test_posterior_concentrated_at_zero(self, coin_spec):
-        post = posterior_update_binomial(BinomialModel(n=200000, k=100000))
+        post = posterior_update(BinomialModel(n=200000, k=100000), BIAS_SPACE)
         out = expected_loss_decision(post, coin_spec)
         assert out.decision == "a0"
         assert out.threshold_lo < out.threshold_hi  # E[L|a0] < E[L|a1]
 
     def test_posterior_concentrated_at_relevant_bias(self, coin_spec):
-        post = posterior_update_binomial(BinomialModel(n=200000, k=160000))
+        post = posterior_update(BinomialModel(n=200000, k=160000), BIAS_SPACE)
         out = expected_loss_decision(post, coin_spec)
         assert out.decision == "a1"
 
     def test_equal_curves_tie_to_a0(self):
         spec = equal_losses_spec()
-        post = posterior_update_binomial(BinomialModel(n=12, k=9))
+        post = posterior_update(BinomialModel(n=12, k=9), BIAS_SPACE)
         assert expected_loss_decision(post, spec).decision == "a0"
 
     def test_space_mismatch_rejected(self, coin_spec):
@@ -160,7 +159,7 @@ class TestExpectedLossDecision:
                 continue
             n = 4_000_000
             k = int(round((target + 0.5) * n))
-            post = posterior_update_binomial(BinomialModel(n=n, k=k))
+            post = posterior_update(BinomialModel(n=n, k=k), BIAS_SPACE)
             out = expected_loss_decision(post, coin_spec)
             expected = "a1" if loss_difference(coin_spec, target) < 0 else "a0"
             assert out.decision == expected, f"disagrees at theta*={target}"
@@ -201,7 +200,7 @@ def _oracle_case(i: int) -> tuple[PosteriorModel, LossSpec]:
         spec = LossSpec(space, kind, *curves)
     if family == "beta":
         n = rng.choice((10, 50, 200, 1000))
-        post = posterior_update_binomial(BinomialModel(n=n, k=rng.randint(0, n)), space)
+        post = posterior_update(BinomialModel(n=n, k=rng.randint(0, n)), space)
     else:
         sd = math.exp(rng.uniform(math.log(0.003), math.log(0.5)))
         post = PosteriorModel("normal", (rng.uniform(0.9 * lo, 0.9 * hi), sd), space)
@@ -246,7 +245,7 @@ def test_expected_losses_of_tail_request_t72_match_scipy_quad():
         CurveKnots(knots=(-0.15, 0.0, 0.15), values=(0.15, 0.0, 0.15)),
         CurveKnots(knots=(-0.15, 0.0, 0.15), values=(0.0, 0.0713539, 0.0)),
     )
-    post = posterior_update_binomial(BinomialModel(n=400, k=400), space)
+    post = posterior_update(BinomialModel(n=400, k=400), space)
     out = expected_loss_decision(post, spec)
     want = expected_losses_oracle(post, spec)
     assert want[1] == pytest.approx(7.69e-4, rel=1e-3)
@@ -268,13 +267,13 @@ class TestThreeWayConsistency:
 
     def test_documented_rows(self, coin_spec):
         pair = coin_pair(coin_spec)
-        hot = posterior_update_binomial(BinomialModel(n=20, k=20))  # huge odds
+        hot = posterior_update(BinomialModel(n=20, k=20), BIAS_SPACE)  # huge odds
         consistent, interval, at_lo, at_hi = self._three_way(hot, pair, LossRatio(1.0, 2.0))
         assert consistent
         assert interval == "a1"
         assert at_lo == at_hi == "a1"
 
-        mid = posterior_update_binomial(BinomialModel(n=10, k=6))
+        mid = posterior_update(BinomialModel(n=10, k=6), BIAS_SPACE)
         odds = bayes_two_action_decision(mid, pair, LossRatio.scalar(1.0)).posterior_odds
         lo_r, hi_r = odds * 0.5, odds * 2.0
         consistent, interval, at_lo, at_hi = self._three_way(mid, pair, LossRatio(lo_r, hi_r))
@@ -285,7 +284,7 @@ class TestThreeWayConsistency:
 
     def test_degenerate_interval(self, coin_spec):
         pair = coin_pair(coin_spec)
-        post = posterior_update_binomial(BinomialModel(n=10, k=5))
+        post = posterior_update(BinomialModel(n=10, k=5), BIAS_SPACE)
         consistent, interval, at_lo, _ = self._three_way(post, pair, LossRatio(2.0, 2.0))
         assert consistent
         assert interval == at_lo
@@ -372,7 +371,7 @@ def test_decision_consistency_under_data_smoke(coin_spec):
         reps = 100
         for _ in range(reps):
             k = int(rng.binomial(2000, true_b + 0.5))
-            post = posterior_update_binomial(BinomialModel(n=2000, k=k))
+            post = posterior_update(BinomialModel(n=2000, k=k), BIAS_SPACE)
             out = bayes_two_action_decision(post, pair, LossRatio.scalar(1.0))
             if out.decision == want:
                 agree += 1

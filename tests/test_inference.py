@@ -4,7 +4,9 @@ import random
 import pytest
 from scipy import special, stats
 
+from relkit.comparators import interval_bayes_factor
 from relkit.errors import NumericalError, ValidationError
+from relkit.hypotheses import HypothesisPair
 from relkit.inference import (
     BinomialModel,
     NormalKnownVarModel,
@@ -14,15 +16,15 @@ from relkit.inference import (
     normal_cdf,
     posterior_region_prob,
     posterior_summary,
-    posterior_update_binomial,
-    posterior_update_normal,
+    posterior_update,
     quadrature,
     regularized_incomplete_beta,
 )
-from relkit.loss import ParameterSpace
+from relkit.loss import CurveKnots, LossSpec, ParameterSpace
 from relkit.regions import Interval, RegionSet
+from relkit.simulate import ProcedureSpec, Scenario
 
-from conftest import quad_split
+from conftest import BIAS_SPACE, quad_split
 
 
 class TestSpecialFunctions:
@@ -56,7 +58,7 @@ class TestConjugateUpdates:
     )
     def test_binomial(self, prior, k, n, expected):
         model = BinomialModel(n=n, k=k, prior_alpha=prior[0], prior_beta=prior[1])
-        post = posterior_update_binomial(model)
+        post = posterior_update(model, BIAS_SPACE)
         assert post.params == expected
         assert post.family == "beta"
 
@@ -70,7 +72,7 @@ class TestConjugateUpdates:
 
     def test_normal_update_closed_form(self):
         model = NormalKnownVarModel(n=1, ybar=2.0, sigma=1.0, prior_mean=0.0, prior_sd=10.0)
-        post = posterior_update_normal(model)
+        post = posterior_update(model, ParameterSpace(-10.0, 10.0))
         mean, sd = post.params
         assert mean == pytest.approx(2.0 / 1.01, abs=1e-12)
         assert round(mean, 4) == 1.9802
@@ -80,7 +82,7 @@ class TestConjugateUpdates:
     def test_normal_update_matches_numeric_posterior(self):
         # oracle: integrate prior x likelihood on a grid and compare moments
         model = NormalKnownVarModel(n=4, ybar=0.7, sigma=2.0, prior_mean=-1.0, prior_sd=1.5)
-        post = posterior_update_normal(model)
+        post = posterior_update(model, ParameterSpace(-10.0, 10.0))
 
         def unnorm(t):
             return stats.norm.pdf(t, -1.0, 1.5) * stats.norm.pdf(0.7, t, 2.0 / 2.0)
@@ -91,7 +93,7 @@ class TestConjugateUpdates:
 
     def test_normal_data_dominance(self):
         model = NormalKnownVarModel(n=10**6, ybar=3.3, sigma=1.0, prior_mean=0.0, prior_sd=1.0)
-        post = posterior_update_normal(model)
+        post = posterior_update(model, ParameterSpace(-10.0, 10.0))
         assert abs(post.params[0] - 3.3) < 1e-4
 
     def test_normal_rejects_no_data_or_flat_prior(self):
@@ -103,20 +105,20 @@ class TestConjugateUpdates:
 
 class TestRegionProbability:
     def test_uniform_prior_measures_regions(self):
-        post = posterior_update_binomial(BinomialModel(n=0, k=0))
+        post = posterior_update(BinomialModel(n=0, k=0), BIAS_SPACE)
         assert posterior_region_prob(post, RegionSet.single(-0.106, 0.106)) == (
             pytest.approx(0.212, abs=1e-12)
         )
 
     def test_empty_and_full(self):
-        post = posterior_update_binomial(BinomialModel(n=10, k=7))
+        post = posterior_update(BinomialModel(n=10, k=7), BIAS_SPACE)
         assert posterior_region_prob(post, RegionSet()) == 0.0
         assert posterior_region_prob(post, RegionSet.single(-0.5, 0.5)) == (
             pytest.approx(1.0, abs=1e-8)
         )
 
     def test_additivity_over_partition(self):
-        post = posterior_update_binomial(BinomialModel(n=30, k=11))
+        post = posterior_update(BinomialModel(n=30, k=11), BIAS_SPACE)
         pieces = [
             RegionSet.single(-0.5, -0.2),
             RegionSet.single(-0.2, 0.05, lo_open=True),
@@ -128,14 +130,14 @@ class TestRegionProbability:
     def test_outside_space_rejected(self):
         from relkit.errors import DomainError
 
-        post = posterior_update_binomial(BinomialModel(n=10, k=7))
+        post = posterior_update(BinomialModel(n=10, k=7), BIAS_SPACE)
         with pytest.raises(DomainError):
             posterior_region_prob(post, RegionSet.single(-0.7, 0.0))
 
 
 class TestCredibleInterval:
     def test_uniform_bias_interval(self):
-        post = posterior_update_binomial(BinomialModel(n=0, k=0))
+        post = posterior_update(BinomialModel(n=0, k=0), BIAS_SPACE)
         lo, hi = credible_interval(post, 0.95)
         assert lo == pytest.approx(-0.475, abs=1e-8)
         assert hi == pytest.approx(0.475, abs=1e-8)
@@ -153,7 +155,7 @@ class TestCredibleInterval:
 
     def test_quantile_cdf_round_trip(self):
         posts = [
-            posterior_update_binomial(BinomialModel(n=10, k=7)),
+            posterior_update(BinomialModel(n=10, k=7), BIAS_SPACE),
             PosteriorModel("normal", (0.01, 0.3), ParameterSpace(-2.0, 2.0)),
         ]
         for post in posts:
@@ -161,7 +163,7 @@ class TestCredibleInterval:
                 assert post.cdf(post.quantile(p)) == pytest.approx(p, abs=1e-8)
 
     def test_invalid_mass(self):
-        post = posterior_update_binomial(BinomialModel(n=0, k=0))
+        post = posterior_update(BinomialModel(n=0, k=0), BIAS_SPACE)
         with pytest.raises(ValidationError):
             credible_interval(post, 1.0)
 
@@ -227,7 +229,7 @@ class TestDensity:
                 w = rng.uniform(0.05, 0.5)
                 n = rng.choice((10, 100, 400))
                 k = (0, n, rng.randint(0, n))[i % 3]
-                post = posterior_update_binomial(BinomialModel(n=n, k=k), ParameterSpace(-w, w))
+                post = posterior_update(BinomialModel(n=n, k=k), ParameterSpace(-w, w))
                 ref = lambda x, post=post: stats.beta.logpdf(x + 0.5, *post.params)
             yield rng, post, ref
 
@@ -263,7 +265,7 @@ class TestDensity:
         real = inference.log_beta
         monkeypatch.setattr(inference, "log_beta", lambda a, b: calls.append(1) or real(a, b))
         for n, k in ((10, 7), (400, 400), (1000, 3)):
-            post = posterior_update_binomial(BinomialModel(n=n, k=k), ParameterSpace(-0.2, 0.2))
+            post = posterior_update(BinomialModel(n=n, k=k), ParameterSpace(-0.2, 0.2))
             post.cdf(0.0)  # the mass of the space goes through log_beta too
             calls.clear()
             for i in range(1000):
@@ -279,7 +281,9 @@ class TestQuadrature:
         assert result.converged
 
     def test_beta_density_normalizes(self):
-        post = posterior_update_binomial(BinomialModel(n=10, k=7, prior_alpha=1, prior_beta=1))
+        post = posterior_update(
+            BinomialModel(n=10, k=7, prior_alpha=1, prior_beta=1), BIAS_SPACE
+        )
         total = quad_split(post.pdf, -0.5, 0.5, concentration_splits(post))
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -332,7 +336,7 @@ def test_conjugacy_matches_quadrature_battery():
             n = rng.randint(0, 400)
             k = rng.randint(0, n) if n else 0
             model = BinomialModel(n=n, k=k, prior_alpha=alpha, prior_beta=beta)
-            post = posterior_update_binomial(model)
+            post = posterior_update(model, BIAS_SPACE)
             region = _random_region(rng, -0.5, 0.5)
 
             def log_integrand(b):
@@ -357,7 +361,7 @@ def test_conjugacy_matches_quadrature_battery():
                 n=n, ybar=ybar, sigma=sigma, prior_mean=prior_mean, prior_sd=prior_sd
             )
             space = ParameterSpace(-5.0, 5.0)
-            post = posterior_update_normal(model, space)
+            post = posterior_update(model, space)
             region = _random_region(rng, -5.0, 5.0)
             se = sigma / math.sqrt(n)
 
@@ -382,7 +386,7 @@ def test_conjugacy_matches_quadrature_battery():
 
 
 def test_posterior_summary_fields():
-    post = posterior_update_binomial(BinomialModel(n=40, k=28))
+    post = posterior_update(BinomialModel(n=40, k=28), BIAS_SPACE)
     summary = posterior_summary(post)
     # Beta(29, 13) mean on the bias scale
     assert summary["mean"] == pytest.approx(29.0 / 42.0 - 0.5, abs=1e-6)
@@ -424,7 +428,7 @@ class TestQuantileOracle:
         [(20, 3, 0.5), (100, 50, 0.5), (1000, 560, 0.5), (200, 0, 0.2), (200, 200, 0.2), (400, 400, 0.15)],
     )
     def test_beta_against_scipy(self, n, k, half):
-        post = posterior_update_binomial(
+        post = posterior_update(
             BinomialModel(n=n, k=k), ParameterSpace(-half, half)
         )
         a, b = post.params
@@ -448,7 +452,7 @@ class TestPosteriorSummaryOracle:
     def test_all_successes_on_narrow_space(self):
         # Beta(401, 1) on [0.35, 0.65]: the density is 401 pi^400, so the
         # truncated moments are ratios of powers of the space ends
-        post = posterior_update_binomial(
+        post = posterior_update(
             BinomialModel(n=400, k=400), ParameterSpace(-0.15, 0.15)
         )
         u, v = 0.35, 0.65
@@ -462,7 +466,7 @@ class TestPosteriorSummaryOracle:
     def test_beta_against_numeric_moments(self):
         from scipy import integrate
 
-        post = posterior_update_binomial(
+        post = posterior_update(
             BinomialModel(n=30, k=21, prior_alpha=2.0, prior_beta=3.0),
             ParameterSpace(-0.3, 0.25),
         )
@@ -478,6 +482,51 @@ class TestPosteriorSummaryOracle:
         assert summary["sd"] == pytest.approx(math.sqrt(var), rel=1e-7)
 
 
+class TestSupportRule:
+    """A family's support is checked by one rule, with one message, by every
+    entry point that takes effects: the posterior, the Bayes factor, the
+    scenario and the config."""
+
+    MESSAGE = r"map outside the beta support \[0, 1\]; they must lie in \[-0.5, 0.5\]"
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-0.6, 0.5), (-0.5, 0.5000001)])
+    def test_binomial_entry_points_reject_wide_spaces(self, lo, hi):
+        space = ParameterSpace(lo, hi)
+        model = BinomialModel(n=20, k=16)
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            posterior_update(model, space)
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            PosteriorModel("beta", (2.0, 2.0), space)
+        pair = HypothesisPair(
+            h0=RegionSet.single(lo, 0.0), h1=RegionSet((Interval(0.0, hi, lo_open=True),))
+        )
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            interval_bayes_factor(model, pair)
+        loss = LossSpec(
+            space,
+            "piecewise_linear",
+            CurveKnots((lo, hi), (1.0, 1.0)),
+            CurveKnots((lo, hi), (0.0, 2.0)),
+        )
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            Scenario(
+                name="wide",
+                family="binomial",
+                loss=loss,
+                true_effects=(0.0,),
+                sample_sizes=(10,),
+                replicates=1,
+                seed=0,
+                procedures=(ProcedureSpec("nhst", {}),),
+            )
+
+    def test_whole_bias_range_and_any_normal_space_accepted(self):
+        assert posterior_update(BinomialModel(n=20, k=16), BIAS_SPACE).space == BIAS_SPACE
+        wide = ParameterSpace(-1e6, 1e6)
+        model = NormalKnownVarModel(n=4, ybar=0.1, sigma=1.0)
+        assert posterior_update(model, wide).space == wide
+
+
 class TestTailPosteriors:
     """Posteriors whose mass lies beyond one end of the space: the mass is
     taken from the tail on that side, so each mirrors its partner beyond
@@ -491,8 +540,8 @@ class TestTailPosteriors:
         )
         space = ParameterSpace(-0.2, 0.2)
         yield (
-            posterior_update_binomial(BinomialModel(n=200, k=0), space),
-            posterior_update_binomial(BinomialModel(n=200, k=200), space),
+            posterior_update(BinomialModel(n=200, k=0), space),
+            posterior_update(BinomialModel(n=200, k=200), space),
         )
 
     def test_mirrors_positive_partner(self):
@@ -515,7 +564,7 @@ class TestTailPosteriors:
                 assert p_low == pytest.approx(p_high, rel=1e-9, abs=1e-300)
         # the far end keeps its tiny probability: Beta(1, 201) has upper
         # tail (1 - pi)^201
-        low = posterior_update_binomial(BinomialModel(n=200, k=0), ParameterSpace(-0.2, 0.2))
+        low = posterior_update(BinomialModel(n=200, k=0), ParameterSpace(-0.2, 0.2))
         want = (0.4**201 - 0.3**201) / (0.7**201 - 0.3**201)
         got = posterior_region_prob(low, RegionSet.single(0.1, 0.2))
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)

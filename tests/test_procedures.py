@@ -29,7 +29,7 @@ from relkit.decisions import (
 )
 from relkit.errors import ValidationError
 from relkit.hypotheses import derive_hypotheses
-from relkit.inference import BinomialModel, posterior_update_binomial
+from relkit.inference import BinomialModel, posterior_update
 from relkit.regions import partition
 from relkit.simulate import PROCEDURES, BinomialDraw, NormalDraw, ProcedureSpec
 
@@ -184,7 +184,7 @@ def test_decision_rules_in_compare(tmp_path):
     )
     ratio, loss = _compare_rows(tmp_path, doc)
     cfg = load_config(CONFIG_DIR / "coin_compare.json")
-    post = posterior_update_binomial(cfg.model, cfg.loss.space)
+    post = posterior_update(cfg.model, cfg.loss.space)
     pair = derive_hypotheses(partition(cfg.loss))
     odds = bayes_two_action_decision(post, pair, LossRatio.scalar(2.0))
     assert ratio["procedure"] == "bayes_two_action_decision"

@@ -1,6 +1,7 @@
 """Property tests of the exact loss geometry over random losses, of the
-mirror symmetry of the posterior functionals and the expected losses, and
-of the interval-valued loss-ratio rule.
+mirror symmetry of the posterior functionals and the expected losses, of
+the interval-valued loss-ratio rule, and of the verdicts of ``decide`` and
+``compare`` run through the command line for both model families.
 
 Example counts are kept small and the examples derandomized, so the suite
 stays fast and every run checks the same losses. Knots, values and
@@ -9,11 +10,17 @@ touch points and crossings at knots, but no root within an ulp of a knot,
 where float rounding of the root alone decides which side a point is on.
 """
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relkit.cli import main
 from relkit.comparators import interval_bayes_factor
 from relkit.decisions import (
     LossRatio,
@@ -31,7 +38,7 @@ from relkit.inference import (
     BinomialModel,
     PosteriorModel,
     posterior_summary,
-    posterior_update_binomial,
+    posterior_update,
 )
 from relkit.loss import (
     CurveKnots,
@@ -174,7 +181,7 @@ def test_swapped_counts_mirror_the_posterior(case):
     results = []
     for successes in (k, n - k):
         model = BinomialModel(n=n, k=successes, prior_alpha=prior, prior_beta=prior)
-        post = posterior_update_binomial(model, space)
+        post = posterior_update(model, space)
         odds = bayes_two_action_decision(post, pair, LossRatio.scalar(1.0)).posterior_odds
         bf = interval_bayes_factor(model, pair).bayes_factor
         results.append((odds, bf, posterior_summary(post)["mean"]))
@@ -241,3 +248,174 @@ def test_interval_rule_agrees_with_its_scalar_ends(case):
         assert interval == at_lo
     else:
         assert interval == "indeterminate"
+
+
+# --- verdicts through the command line ----------------------------------------
+
+
+def _run(command: str, doc: dict) -> tuple[int, dict | None]:
+    """Exit code and JSON document of ``relkit <command>`` on a config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(path), "--format", "json"])
+    return code, json.loads(out.getvalue()) if code == 0 else None
+
+
+def _curve_section(params) -> dict:
+    if isinstance(params, QuadraticParams):
+        return {"c": params.c, "center": params.center, "offset": params.offset}
+    return {"knots": list(params.knots), "values": list(params.values)}
+
+
+def _doc(spec: LossSpec, pair: HypothesisPair, model: dict) -> dict:
+    def region(rs):
+        return [[i.lo, i.hi, i.lo_open, i.hi_open] for i in rs.intervals]
+
+    return {
+        "spec_version": 1,
+        "parameter_space": {"lo": spec.space.lo, "hi": spec.space.hi},
+        "actions": {"a0_label": "hold", "a1_label": "act"},
+        "loss": {
+            "kind": spec.kind,
+            "params_a0": _curve_section(spec.params_a0),
+            "params_a1": _curve_section(spec.params_a1),
+        },
+        "hypotheses": {"h0": region(pair.h0), "h1": region(pair.h1)},
+        "model": model,
+    }
+
+
+@st.composite
+def _model_sections(draw):
+    """A binomial (n <= 400) or normal model section and its reflection:
+    k -> n - k with the beta prior's shapes swapped, or ybar and the prior
+    mean negated."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 400))
+        k = draw(st.integers(0, n))
+        a, b = draw(_grid(0.5, 5.0)), draw(_grid(0.5, 5.0))
+
+        def section(k, a, b):
+            return {
+                "family": "binomial",
+                "data": {"n": n, "k": k},
+                "prior": {"alpha": a, "beta": b},
+            }
+
+        return section(k, a, b), section(n - k, b, a)
+    n = draw(st.integers(1, 1000))
+    ybar, mean = draw(_grid(-0.6, 0.6)), draw(_grid(-0.2, 0.2))
+    sigma, sd = draw(_grid(0.05, 2.0)), draw(_grid(0.05, 1.0))
+
+    def section(ybar, mean):
+        return {
+            "family": "normal",
+            "sigma": sigma,
+            "data": {"n": n, "ybar": ybar},
+            "prior": {"mean": mean, "sd": sd},
+        }
+
+    return section(ybar, mean), section(-ybar, -mean)
+
+
+def _pair(a: float, b: float) -> HypothesisPair:
+    """H0 = [a, b] and H1 the rest of SPACE."""
+    return HypothesisPair(
+        h0=RegionSet.single(a, b),
+        h1=RegionSet(
+            (
+                Interval(SPACE.lo, a, hi_open=True),
+                Interval(b, SPACE.hi, lo_open=True),
+            )
+        ),
+    )
+
+
+_PROCEDURES = ("nhst", "rope", "hypothesis_ratio", "expected_loss", "bayes_factor")
+
+
+def _verdicts(spec: LossSpec, pair: HypothesisPair, model: dict, ratio) -> list:
+    """(exit code, verdict) of decide under both rules and of compare with
+    every procedure the model's family takes."""
+    doc = _doc(spec, pair, model)
+    out = []
+    for decision in ({"rule": "hypothesis_ratio", "loss_ratio": ratio}, {"rule": "expected_loss"}):
+        code, result = _run("decide", {**doc, "decision": decision})
+        out.append((code, result and result["decision"]))
+    procedures = _PROCEDURES + (("tost",) if model["family"] == "normal" else ())
+    comparators = [{"procedure": name} for name in procedures]
+    code, result = _run("compare", {**doc, "comparators": comparators})
+    out.append((code, result and [r["verdict"] for r in result["results"]]))
+    return out
+
+
+def _mirror_pair(pair: HypothesisPair) -> HypothesisPair:
+    def flip(rs):
+        return RegionSet(
+            tuple(Interval(-i.hi, -i.lo, i.hi_open, i.lo_open) for i in reversed(rs.intervals))
+        )
+
+    return HypothesisPair(h0=flip(pair.h0), h1=flip(pair.h1))
+
+
+_cuts = st.tuples(_grid(-0.45, 0.45), _grid(-0.45, 0.45)).filter(lambda c: c[0] < c[1])
+_loss_ratios = st.one_of(
+    _grid(0.1, 10.0),
+    st.tuples(_grid(0.1, 10.0), _grid(0.1, 10.0)).map(sorted).map(list),
+)
+
+
+@PROPERTY
+@given(losses, _cuts, _model_sections(), _loss_ratios)
+def test_reflection_mirrors_every_cli_verdict(spec, cuts, models, ratio):
+    """Reflecting theta -> -theta in the loss, the hypotheses and the data
+    gives the same decide verdict under both rules and the same compare
+    verdict of every procedure, or the same exit code."""
+    pair = _pair(*cuts)
+    model, mirrored_model = models
+    verdicts = _verdicts(spec, pair, model, ratio)
+    mirrored = _verdicts(_mirror(spec), _mirror_pair(pair), mirrored_model, ratio)
+    assert mirrored == verdicts
+
+
+@st.composite
+def _model_pairs(draw):
+    """Two model sections of one family that differ only in the data, the
+    second with the larger k (binomial, n <= 400) or ybar (normal)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 400))
+        k1, k2 = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True)))
+        prior = {"alpha": draw(_grid(0.5, 5.0)), "beta": draw(_grid(0.5, 5.0))}
+        return [
+            {"family": "binomial", "data": {"n": n, "k": k}, "prior": prior} for k in (k1, k2)
+        ]
+    n = draw(st.integers(1, 1000))
+    sigma = draw(_grid(0.05, 2.0))
+    prior = {"mean": draw(_grid(-0.2, 0.2)), "sd": draw(_grid(0.05, 1.0))}
+    y1, y2 = sorted(draw(st.lists(_grid(-0.6, 0.6), min_size=2, max_size=2, unique=True)))
+    return [
+        {"family": "normal", "sigma": sigma, "data": {"n": n, "ybar": y}, "prior": prior}
+        for y in (y1, y2)
+    ]
+
+
+@PROPERTY
+@given(losses, _grid(-0.45, 0.45), _model_pairs())
+def test_odds_of_an_upper_h1_never_fall_as_the_data_rise(spec, cut, models):
+    """With H1 = (cut, hi], the posterior odds that decide reports never
+    decrease as k or ybar rises."""
+    pair = HypothesisPair(
+        h0=RegionSet.single(SPACE.lo, cut),
+        h1=RegionSet((Interval(cut, SPACE.hi, lo_open=True),)),
+    )
+    odds = []
+    for model in models:
+        decision = {"rule": "hypothesis_ratio", "loss_ratio": 1.0}
+        code, result = _run("decide", {**_doc(spec, pair, model), "decision": decision})
+        assert code == 0
+        # JSON writes an infinite ratio as null
+        odds.append(math.inf if result["posterior_odds"] is None else result["posterior_odds"])
+    assert odds[0] <= odds[1]

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -14,19 +13,19 @@ from relkit.simulate import (
     RateCell,
     RateTable,
     Scenario,
-    aspirin_paradox_loss,
-    aspirin_scenario,
-    coin_scenario,
     run_operating_characteristics,
     simulate_dataset,
 )
 from relkit.loss import ParameterSpace, coin_demo_loss
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIG_DIR, shipped_scenario
+
+ASPIRIN_LOSS = load_config(CONFIG_DIR / "aspirin_scenario.json").loss
 
 
 def tiny_coin(replicates=3, procedures=None, **kw):
-    return coin_scenario(
+    return shipped_scenario(
+        "coin_scenario",
         true_effects=(0.0, 0.3),
         sample_sizes=(25,),
         replicates=replicates,
@@ -51,12 +50,14 @@ class TestSimulateDataset:
         assert first != other or True  # replicates may collide by chance
 
     def test_degenerate_probability(self):
-        scenario = coin_scenario(true_effects=(0.5,), sample_sizes=(40,), replicates=1)
+        scenario = shipped_scenario(
+            "coin_scenario", true_effects=(0.5,), sample_sizes=(40,), replicates=1
+        )
         draw = simulate_dataset(scenario, 0.5, 40, 0)
         assert draw.k == 40
 
     def test_normal_mean_concentrates(self):
-        scenario = aspirin_scenario(replicates=1)
+        scenario = shipped_scenario("aspirin_scenario", replicates=1)
         draws = [
             simulate_dataset(scenario, 0.0077, 22000, r).ybar for r in range(200)
         ]
@@ -66,7 +67,7 @@ class TestSimulateDataset:
 
     def test_effect_outside_space_rejected(self):
         with pytest.raises(ValidationError):
-            coin_scenario(true_effects=(0.7,))
+            shipped_scenario("coin_scenario", true_effects=(0.7,))
 
 
 class TestScenarioValidation:
@@ -98,7 +99,7 @@ class TestScenarioValidation:
         fields = dict(
             name="x",
             family="normal",
-            loss=aspirin_paradox_loss(),
+            loss=ASPIRIN_LOSS,
             true_effects=(0.5,),
             sample_sizes=(10,),
             replicates=1,
@@ -214,7 +215,9 @@ class TestShippedScenarios:
     def test_aspirin_paradox_rates(self):
         """The headline contradiction: the point-null test rejects while the
         relevance-aware procedures all settle on no-action."""
-        table = run_operating_characteristics(aspirin_scenario(replicates=120))
+        table = run_operating_characteristics(
+            shipped_scenario("aspirin_scenario", replicates=120)
+        )
         rates = {
             (c.procedure, verdict): freq
             for c in table.cells
@@ -227,7 +230,8 @@ class TestShippedScenarios:
 
     def test_coin_decision_coherence(self):
         """Interior effects at n = 10^4: decisions lock onto their regions."""
-        scenario = coin_scenario(
+        scenario = shipped_scenario(
+            "coin_scenario",
             true_effects=(-0.3, 0.0, 0.3),
             sample_sizes=(10_000,),
             replicates=150,
@@ -243,13 +247,6 @@ class TestShippedScenarios:
                 cell.procedure,
                 cell.true_effect,
             )
-
-    @pytest.mark.parametrize(
-        "name, make",
-        [("coin_scenario", coin_scenario), ("aspirin_scenario", aspirin_scenario)],
-    )
-    def test_python_copies_match_the_shipped_configs(self, name, make):
-        assert make() == load_config(CONFIG_DIR / f"{name}.json").scenario
 
     def test_bayes_factor_procedure_runs(self):
         scenario = tiny_coin(
