@@ -59,11 +59,9 @@ from .loss import (
     LossSpec,
     ParameterSpace,
     QuadraticParams,
-    ValidationReport,
     coin_demo_loss,
     evaluate_loss,
     loss_difference,
-    validate_loss_spec,
 )
 from .plotting import render_loss_plot
 from .regions import (
@@ -115,7 +113,6 @@ __all__ = [
     "RelkitError",
     "Scenario",
     "ValidationError",
-    "ValidationReport",
     "bayes_two_action_decision",
     "check_complete",
     "check_partial",
@@ -147,5 +144,4 @@ __all__ = [
     "run_operating_characteristics",
     "simulate_dataset",
     "tost_equivalence",
-    "validate_loss_spec",
 ]

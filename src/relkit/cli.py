@@ -41,16 +41,6 @@ EXIT_NUMERIC_IO = 3
 MAX_PLOT_GRID = 100_000
 
 
-# each command takes --config and --output, plus only the flags it reads,
-# spelled in full: a prefix such as plot --plot would name --plot-grid
-_COMMANDS = {
-    "partition": ("compute the negligible/relevant partition of the space", ("--format",)),
-    "check-hypotheses": ("verify complete/partial incorporation of relevance", ("--format",)),
-    "decide": ("run the configured decision rule on the observed data", ("--format",)),
-    "compare": ("run the configured baseline procedures on the observed data", ("--format",)),
-    "simulate": ("sweep operating characteristics over a scenario", ("--seed",)),
-    "plot": ("render the loss curves and regions as SVG", ("--plot-grid",)),
-}
 _FLAGS = {
     "--format": {"choices": ("csv", "json"), "help": "artifact format"},
     "--seed": {"type": int, "help": "override the configured seed"},
@@ -76,7 +66,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"relkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMANDS.items():
+    for name, (help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", required=True, help="path to the JSON configuration")
         p.add_argument("--output", help="artifact path (stdout when omitted)")
@@ -305,13 +295,24 @@ def _cmd_plot(args, cfg: ConfigDocument) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "partition": _cmd_partition,
-    "check-hypotheses": _cmd_check_hypotheses,
-    "decide": _cmd_decide,
-    "compare": _cmd_compare,
-    "simulate": _cmd_simulate,
-    "plot": _cmd_plot,
+# one row per command: its help text, the flags it reads beside --config and
+# --output, spelled in full (a prefix such as plot --plot would name
+# --plot-grid), and its handler
+_COMMANDS = {
+    "partition": (
+        "compute the negligible/relevant partition of the space", ("--format",), _cmd_partition
+    ),
+    "check-hypotheses": (
+        "verify complete/partial incorporation of relevance", ("--format",), _cmd_check_hypotheses
+    ),
+    "decide": (
+        "run the configured decision rule on the observed data", ("--format",), _cmd_decide
+    ),
+    "compare": (
+        "run the configured baseline procedures on the observed data", ("--format",), _cmd_compare
+    ),
+    "simulate": ("sweep operating characteristics over a scenario", ("--seed",), _cmd_simulate),
+    "plot": ("render the loss curves and regions as SVG", ("--plot-grid",), _cmd_plot),
 }
 
 
@@ -322,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config)
-        return _DISPATCH[args.command](args, cfg)
+        return _COMMANDS[args.command][2](args, cfg)
     except (ConfigError, ValidationError, DomainError, ValueError) as exc:
         print(f"relkit: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

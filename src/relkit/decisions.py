@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .errors import NumericalError, ValidationError
@@ -30,7 +29,7 @@ from .inference import (
     posterior_region_prob,
     quadrature,
 )
-from .loss import ACTIONS, LossSpec, Piece, _about, _compile, _piece_at, breakpoints
+from .loss import ACTIONS, LossSpec, Piece, _about, _piece_at, breakpoints
 from .regions import partition, region_measure
 
 EXPECTED_LOSS_TIE_TOL = 1e-10
@@ -146,20 +145,6 @@ def _weighted(piece: Piece, log_density) -> Callable[[float], float]:
     return lambda t: (c0 + (t - o) * (c1 + (t - o) * c2)) * exp(log_density(t))
 
 
-@lru_cache(maxsize=512)
-def _panels(spec: LossSpec) -> tuple[tuple[float, float, tuple[Piece, ...]], ...]:
-    """(lo, hi, the piece of each action) for each panel between the space
-    ends and the loss breakpoints, so that a panel lies inside one piece of
-    both curves. Cached, so that a decision makes one cache lookup instead
-    of four in the compile cache, each of which hashes the whole spec."""
-    points = [spec.space.lo, *breakpoints(spec), spec.space.hi]
-    curves = [_compile(spec, action) for action in ACTIONS]
-    return tuple(
-        (a, b, tuple(_piece_at(curve, a) for curve in curves))
-        for a, b in zip(points[:-1], points[1:])
-    )
-
-
 def _closed_form_expected_losses(post: PosteriorModel, spec: LossSpec) -> dict:
     """E[L(a) | y] for a normal posterior, exact up to rounding.
 
@@ -170,7 +155,7 @@ def _closed_form_expected_losses(post: PosteriorModel, spec: LossSpec) -> dict:
     """
     loc = post.native_location_scale[0]
     sums = [0.0] * len(ACTIONS)
-    for a, b, pieces in _panels(spec):
+    for a, b, pieces in spec._panels:
         origin = min(max(loc, a), b)
         m0, m1, m2 = _partial_moments(post, a, b, origin)
         for i, piece in enumerate(pieces):
@@ -194,8 +179,7 @@ def _quadrature_expected_losses(
     share = 1e-8 / (len(points) - 1)
     warnings: list[str] = []
     expected = {}
-    for action in ACTIONS:
-        curve = _compile(spec, action)
+    for action, curve in zip(ACTIONS, spec._curves):
         parts = [
             quadrature(_weighted(_piece_at(curve, a), post.log_density), a, b, tol=share)
             for a, b in zip(points[:-1], points[1:])

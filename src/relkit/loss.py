@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .errors import DomainError, ValidationError
@@ -102,21 +101,57 @@ class LossSpec:
 
     ``params_a0``/``params_a1`` are ``QuadraticParams`` for the quadratic
     kind, ``CurveKnots`` for the piecewise_linear and table kinds, and None
-    for the built-in demo. Structural problems (unsorted grids, non-finite
-    coefficients) are deliberately not rejected at construction so that
-    :func:`validate_loss_spec` can report them.
+    for the built-in demo. Construction compiles both curves and checks
+    them: first the structure of each curve (sorted, finite knots covering
+    the space; finite coefficients), then, if both compile, finite and
+    nonnegative values where a polynomial of degree <= 2 takes its minimum:
+    at both space ends and at every piece origin inside the space (each
+    knot, and a quadratic's vertex), whose declared value is read directly.
+    An invalid loss raises one ValidationError listing every issue, so a
+    LossSpec that exists defines a decision problem.
     """
 
     space: ParameterSpace
     kind: str
     params_a0: LossParams = None
     params_a1: LossParams = None
+    # the compiled curve of each action, and the panels (lo, hi, the piece
+    # of each action) between the space ends and the breakpoints
+    _curves: tuple[Curve, Curve] = field(init=False, repr=False, compare=False)
+    _panels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValidationError(
                 f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}"
             )
+        issues: list[str] = []
+        curves = []
+        for action in ACTIONS:
+            try:
+                curves.append(_compile(self, action))
+            except ValidationError as exc:
+                issues.append(str(exc))
+        lo, hi = self.space.lo, self.space.hi
+        if not issues:
+            for action, curve in zip(ACTIONS, curves):
+                values = {t: _value(curve, t) for t in (lo, hi)}
+                values.update((o, c0) for o, c0, _, _ in curve[1] if lo < o < hi)
+                for t, v in sorted(values.items()):
+                    if not math.isfinite(v):
+                        issues.append(f"non-finite loss at theta={t} for {action}")
+                    elif v < 0.0:
+                        issues.append(f"negative loss at theta={t} for {action}")
+        if issues:
+            raise ValidationError("invalid loss specification:\n" + "\n".join(issues))
+        inner = sorted({x for starts, _ in curves for x in starts if lo < x < hi})
+        points = [lo, *inner, hi]
+        panels = tuple(
+            (a, b, (_piece_at(curves[0], a), _piece_at(curves[1], a)))
+            for a, b in zip(points, points[1:])
+        )
+        object.__setattr__(self, "_curves", tuple(curves))
+        object.__setattr__(self, "_panels", panels)
 
 
 def coin_demo_loss() -> LossSpec:
@@ -138,9 +173,9 @@ Piece = tuple[float, float, float, float]
 Curve = tuple[tuple[float, ...], tuple[Piece, ...]]
 
 
-@lru_cache(maxsize=512)
 def _compile(spec: LossSpec, action: str) -> Curve:
-    """Validate one loss curve and compile it to sorted piece starts and pieces."""
+    """Check one loss curve's structure and compile it to sorted piece
+    starts and pieces."""
     params = spec.params_a0 if action == "a0" else spec.params_a1
 
     if spec.kind == "builtin_coin_demo":
@@ -212,11 +247,7 @@ def _value(curve: Curve, theta: float) -> float:
 
 
 def evaluate_loss(spec: LossSpec, theta: float, action: str) -> float:
-    """Evaluate L(theta, action).
-
-    Raises DomainError if theta is outside the parameter space and
-    ValidationError if the curve's structure or coefficients are unusable.
-    """
+    """Evaluate L(theta, action); DomainError if theta is outside the space."""
     if action not in ACTIONS:
         raise ValueError(f"action must be one of {ACTIONS}, got {action!r}")
     t = float(theta)
@@ -224,7 +255,7 @@ def evaluate_loss(spec: LossSpec, theta: float, action: str) -> float:
         raise DomainError(
             f"theta={t} outside the parameter space [{spec.space.lo}, {spec.space.hi}]"
         )
-    return _value(_compile(spec, action), t)
+    return _value(spec._curves[ACTIONS.index(action)], t)
 
 
 def loss_difference(spec: LossSpec, theta: float) -> float:
@@ -234,15 +265,13 @@ def loss_difference(spec: LossSpec, theta: float) -> float:
 
 def difference_fn(spec: LossSpec) -> Callable[[float], float]:
     """Compiled theta -> L(theta, a1) - L(theta, a0), for hot loops."""
-    c0, c1 = _compile(spec, "a0"), _compile(spec, "a1")
+    c0, c1 = spec._curves
     return lambda t: _value(c1, t) - _value(c0, t)
 
 
 def breakpoints(spec: LossSpec) -> tuple[float, ...]:
     """Piece starts of either curve strictly inside the space (knots, demo apex)."""
-    lo, hi = spec.space.lo, spec.space.hi
-    pts = {x for action in ACTIONS for x in _compile(spec, action)[0] if lo < x < hi}
-    return tuple(sorted(pts))
+    return tuple(a for a, _, _ in spec._panels[1:])
 
 
 def sample_grid(
@@ -260,43 +289,3 @@ def sample_grid(
         if space.lo <= x <= space.hi:
             pts.add(float(x))
     return sorted(pts)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_loss_spec; no issues means the loss is usable."""
-
-    issues: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate_loss_spec(spec: LossSpec) -> ValidationReport:
-    """Check every LossSpec invariant, returning violations as report entries.
-
-    Structural problems are reported per curve. If both curves compile, each
-    is checked for finiteness and nonnegativity where a polynomial of degree
-    <= 2 takes its minimum: at both space ends and at every piece origin
-    inside the space (each knot, and a quadratic's vertex), whose declared
-    value is read directly. Never raises for an invalid spec.
-    """
-    issues: list[str] = []
-    curves: dict[str, Curve] = {}
-    for action in ACTIONS:
-        try:
-            curves[action] = _compile(spec, action)
-        except ValidationError as exc:
-            issues.append(str(exc))
-    if len(curves) == len(ACTIONS):
-        lo, hi = spec.space.lo, spec.space.hi
-        for action, curve in curves.items():
-            values = {t: _value(curve, t) for t in (lo, hi)}
-            values.update((o, c0) for o, c0, _, _ in curve[1] if lo < o < hi)
-            for t, v in sorted(values.items()):
-                if not math.isfinite(v):
-                    issues.append(f"non-finite loss at theta={t} for {action}")
-                elif v < 0.0:
-                    issues.append(f"negative loss at theta={t} for {action}")
-    return ValidationReport(tuple(issues))

@@ -15,18 +15,7 @@ from functools import lru_cache
 import math
 
 from .errors import ValidationError
-from .loss import (
-    LossSpec,
-    ParameterSpace,
-    Piece,
-    _about,
-    _compile,
-    _piece_at,
-    breakpoints,
-    difference_fn,
-    loss_difference,
-    validate_loss_spec,
-)
+from .loss import LossSpec, ParameterSpace, Piece, _about, difference_fn, loss_difference
 
 
 @dataclass(frozen=True)
@@ -201,29 +190,23 @@ def partition(spec: LossSpec) -> RelevancePartition:
     between consecutive points is classified by the sign of the difference.
     ``crossings`` are the boundary points of the relevant set inside the
     space, so a point where the curves touch without crossing is a
-    negligible singleton and a crossing.
+    negligible singleton and a crossing. A LossSpec is checked when it is
+    built, so every spec has a partition; the last 128 are cached.
     """
     return _partition_cached(spec)
 
 
 @lru_cache(maxsize=128)
 def _partition_cached(spec: LossSpec) -> RelevancePartition:
-    report = validate_loss_spec(spec)
-    if not report.ok:
-        raise ValidationError(
-            "invalid loss specification:\n" + "\n".join(report.issues)
-        )
     delta = difference_fn(spec)
-    c0, c1 = _compile(spec, "a0"), _compile(spec, "a1")
     space = spec.space
-    bounds = [space.lo, *breakpoints(spec), space.hi]
     roots = {
         r
-        for a, b in zip(bounds, bounds[1:])
-        for r in _roots(_piece_at(c0, a), _piece_at(c1, a), delta, a, b)
+        for a, b, (p0, p1) in spec._panels
+        for r in _roots(p0, p1, delta, a, b)
         if a <= r <= b
     }
-    points = sorted(roots.union(bounds))
+    points = sorted(roots.union([a for a, _, _ in spec._panels], [space.hi]))
 
     # every point and every open gap between neighbours, classified at its
     # midpoint; roots are ties

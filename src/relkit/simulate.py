@@ -84,7 +84,7 @@ class Scenario:
     ``prior`` is (alpha, beta) for the binomial family and (mean, sd) for
     the normal family; None gives the models' default, Beta(1, 1) or
     Normal(0, 1). ``sigma`` is the known sampling sd of the normal
-    family and ignored otherwise.
+    family and must be None otherwise.
     """
 
     name: str
@@ -102,9 +102,15 @@ class Scenario:
         row = FAMILIES.get(self.family)
         if row is None:
             raise ValidationError(f"unknown model family {self.family!r}")
-        for key in row.known:
+        # every family's known values are fields; only this family's are set
+        for key in dict.fromkeys(key for other in FAMILIES.values() for key in other.known):
             value = getattr(self, key)
-            if value is None or not value > 0.0:
+            if key not in row.known:
+                if value is not None:
+                    raise ValidationError(
+                        f"the {self.family} family has no {key}; got {key}={value!r}"
+                    )
+            elif value is None or not value > 0.0:
                 raise ValidationError(f"the {self.family} family needs a positive {key}")
         if self.replicates < 1:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")

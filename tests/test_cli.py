@@ -518,6 +518,48 @@ ODD_VALUES = [
 COMMANDS = ["partition", "check-hypotheses", "decide", "compare", "simulate", "plot"]
 
 
+# --- every command rejects an invalid loss at config load -----------------
+
+
+def _bad_losses(space):
+    """Three losses on the space that define no decision problem."""
+    lo, hi = space["lo"], space["hi"]
+    mid = 0.5 * (lo + hi)
+    negative = {"knots": [lo, mid, hi], "values": [1.0, -0.2, 1.0]}
+    good = {"knots": [lo, mid, hi], "values": [0.0, 1.0, 0.0]}
+    return {
+        "negative_knot": {"kind": "piecewise_linear", "params_a0": negative, "params_a1": good},
+        "unsorted_knots": {
+            "kind": "piecewise_linear",
+            "params_a0": {"knots": [hi, mid, lo], "values": negative["values"]},
+            "params_a1": good,
+        },
+        "negative_parabola": {
+            "kind": "quadratic", "params_a0": {"c": -1.0}, "params_a1": {"c": 1.0}
+        },
+    }
+
+
+# a compare that reads no loss: its own hypotheses, and no rope or tost
+LOSS_FREE_COMPARE = {
+    **SHIPPED["coin_decide.json"],
+    "comparators": [{"procedure": "nhst"}, {"procedure": "bayes_factor"}],
+}
+del LOSS_FREE_COMPARE["decision"]
+
+
+@pytest.mark.parametrize("bad", ["negative_knot", "unsorted_knots", "negative_parabola"])
+@pytest.mark.parametrize("name", [*SHIPPED, "loss_free_compare"])
+def test_every_command_rejects_an_invalid_loss(name, bad, tmp_path, capsys):
+    doc = copy.deepcopy(SHIPPED.get(name, LOSS_FREE_COMPARE))
+    doc["loss"] = _bad_losses(doc["parameter_space"])[bad]
+    cfg = write_config(tmp_path, doc)
+    for command in COMMANDS:
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert (code, out) == (2, ""), (command, err)
+        assert err.startswith("relkit: error: invalid loss specification:\n"), (command, err)
+
+
 # --- every command takes exactly the flags it reads ------------------------
 
 SHIPPED_FOR = {

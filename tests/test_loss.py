@@ -1,8 +1,12 @@
+import json
 import math
 
 import pytest
 
+import relkit.loss
+from relkit.cli import main
 from relkit.errors import DomainError, ValidationError
+from relkit.simulate import run_operating_characteristics
 from relkit.loss import (
     ActionPair,
     CurveKnots,
@@ -14,10 +18,9 @@ from relkit.loss import (
     evaluate_loss,
     loss_difference,
     sample_grid,
-    validate_loss_spec,
 )
 
-from conftest import equal_losses_spec, quadratic_pair_spec
+from conftest import CONFIG_DIR, equal_losses_spec, quadratic_pair_spec, shipped_scenario
 
 # Demo construction: a1's curve is k * (0.5 - |b|) with k solved from the
 # crossing |b| = k * (0.5 - |b|) at b = 0.106, so L(0, a1) = 0.5 * k.
@@ -59,14 +62,13 @@ class TestEvaluateLoss:
             evaluate_loss(coin_spec, 0.7, "a0")
 
     def test_non_finite_coefficient(self, unit_space):
-        spec = LossSpec(
-            space=unit_space,
-            kind="quadratic",
-            params_a0=QuadraticParams(c=float("inf")),
-            params_a1=QuadraticParams(c=1.0),
-        )
-        with pytest.raises(ValidationError):
-            evaluate_loss(spec, 0.0, "a0")
+        with pytest.raises(ValidationError, match=r"non-finite coefficient a0\.c=inf"):
+            LossSpec(
+                space=unit_space,
+                kind="quadratic",
+                params_a0=QuadraticParams(c=float("inf")),
+                params_a1=QuadraticParams(c=1.0),
+            )
 
     def test_unknown_action(self, coin_spec):
         with pytest.raises(ValueError):
@@ -77,9 +79,8 @@ class TestEvaluateLoss:
         assert len(values) == 1
 
     def test_demo_requires_demo_space(self):
-        spec = LossSpec(space=ParameterSpace(-1.0, 1.0), kind="builtin_coin_demo")
-        with pytest.raises(ValidationError):
-            evaluate_loss(spec, 0.0, "a0")
+        with pytest.raises(ValidationError, match="requires the parameter space"):
+            LossSpec(space=ParameterSpace(-1.0, 1.0), kind="builtin_coin_demo")
 
 
 class TestLossDifference:
@@ -134,8 +135,11 @@ class TestInterpolation:
 
 
 class TestValidateLossSpec:
-    def test_coin_demo_clean(self, coin_spec):
-        assert validate_loss_spec(coin_spec).ok
+    """A LossSpec is checked when it is built: an invalid loss raises one
+    ValidationError that lists every issue."""
+
+    def test_coin_demo_clean(self):
+        assert coin_demo_loss().kind == "builtin_coin_demo"
 
     def test_negative_parabola_reported(self, unit_space):
         for a0 in (
@@ -143,36 +147,87 @@ class TestValidateLossSpec:
             # a dip below zero far narrower than any grid spacing
             QuadraticParams(c=1e6, center=0.0001234, offset=-1e-12),
         ):
-            spec = LossSpec(
-                space=unit_space,
-                kind="quadratic",
-                params_a0=a0,
-                params_a1=QuadraticParams(c=1.0),
-            )
-            report = validate_loss_spec(spec)
-            assert not report.ok
-            assert any("negative loss" in issue for issue in report.issues)
+            with pytest.raises(ValidationError, match="negative loss"):
+                LossSpec(
+                    space=unit_space,
+                    kind="quadratic",
+                    params_a0=a0,
+                    params_a1=QuadraticParams(c=1.0),
+                )
 
     def test_unsorted_grid_reported(self, unit_space):
         curve = CurveKnots(knots=(-0.5, 0.3, 0.1, 0.5), values=(0, 0, 0, 0))
-        spec = LossSpec(
-            space=unit_space, kind="table", params_a0=curve, params_a1=curve
-        )
-        report = validate_loss_spec(spec)
-        assert any("grid not increasing" in issue for issue in report.issues)
+        with pytest.raises(ValidationError, match="grid not increasing"):
+            LossSpec(space=unit_space, kind="table", params_a0=curve, params_a1=curve)
 
     def test_grid_coverage_reported(self, unit_space):
         curve = CurveKnots(knots=(-0.4, 0.5), values=(0.0, 1.0))
-        spec = LossSpec(
-            space=unit_space, kind="table", params_a0=curve, params_a1=curve
+        with pytest.raises(ValidationError, match="does not cover"):
+            LossSpec(space=unit_space, kind="table", params_a0=curve, params_a1=curve)
+
+    def test_both_curves_reported_in_one_message(self, unit_space):
+        with pytest.raises(ValidationError) as info:
+            LossSpec(
+                space=unit_space,
+                kind="piecewise_linear",
+                params_a0=CurveKnots(knots=(-0.5, 0.3, 0.1, 0.5), values=(0, 0, 0, 0)),
+                params_a1=CurveKnots(knots=(-0.4, 0.5), values=(0.0, 1.0)),
+            )
+        assert str(info.value) == (
+            "invalid loss specification:\n"
+            "a0: grid not increasing\n"
+            "a1: grid [-0.4, 0.5] does not cover the parameter space [-0.5, 0.5]"
         )
-        report = validate_loss_spec(spec)
-        assert any("does not cover" in issue for issue in report.issues)
+        with pytest.raises(ValidationError) as info:
+            LossSpec(
+                space=unit_space,
+                kind="quadratic",
+                params_a0=QuadraticParams(c=1.0, offset=-0.1),
+                params_a1=QuadraticParams(c=-1.0),
+            )
+        message = str(info.value)
+        assert "negative loss at theta=0.0 for a0" in message
+        assert "negative loss at theta=-0.5 for a1" in message
+
+    def test_compiled_fields_stay_out_of_equality_and_repr(self, unit_space):
+        def spec():
+            curve = CurveKnots(knots=(-0.5, 0.0, 0.5), values=(1.0, 0.0, 1.0))
+            return LossSpec(unit_space, "piecewise_linear", curve, curve)
+
+        assert spec() == spec() and hash(spec()) == hash(spec())
+        assert "_curves" not in repr(spec()) and "_panels" not in repr(spec())
 
     def test_nonnegativity_on_grid(self, coin_spec):
         grid = sample_grid(coin_spec.space, 4096, include=breakpoints(coin_spec))
         for action in ("a0", "a1"):
             assert all(evaluate_loss(coin_spec, t, action) >= 0.0 for t in grid)
+
+
+def test_each_curve_compiles_once_per_command(monkeypatch, tmp_path, capsys):
+    """The loss is compiled when the config is loaded, once per action, and
+    every later use reads the compiled curves from the spec."""
+    calls = []
+    compile_curve = relkit.loss._compile
+
+    def counting(spec, action):
+        calls.append(action)
+        return compile_curve(spec, action)
+
+    monkeypatch.setattr(relkit.loss, "_compile", counting)
+    scenario = shipped_scenario(
+        "aspirin_scenario", true_effects=(0.0, 0.0077), sample_sizes=(50,), replicates=3
+    )
+    run_operating_characteristics(scenario)
+    assert calls == ["a0", "a1"]
+
+    calls.clear()
+    doc = json.loads((CONFIG_DIR / "coin_decide.json").read_text(encoding="utf-8"))
+    doc["decision"] = {"rule": "expected_loss"}
+    path = tmp_path / "decide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["decide", "--config", str(path)]) == 0
+    assert '"rule": "expected_loss"' in capsys.readouterr().out
+    assert calls == ["a0", "a1"]
 
 
 def test_breakpoints():

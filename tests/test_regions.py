@@ -190,14 +190,14 @@ class TestPartitionOptions:
     def test_invalid_spec_raises(self, unit_space):
         from relkit.loss import LossSpec, QuadraticParams
 
-        bad = LossSpec(
-            space=unit_space,
-            kind="quadratic",
-            params_a0=QuadraticParams(c=-1.0),
-            params_a1=QuadraticParams(c=1.0),
-        )
-        with pytest.raises(ValidationError):
-            partition(bad)
+        # the loss is checked when it is built, before partition can see it
+        with pytest.raises(ValidationError, match="invalid loss specification"):
+            LossSpec(
+                space=unit_space,
+                kind="quadratic",
+                params_a0=QuadraticParams(c=-1.0),
+                params_a1=QuadraticParams(c=1.0),
+            )
 
 
 def _xor_partition_property(spec, part, rng, points=2000):

@@ -93,6 +93,16 @@ class TestScenarioValidation:
                 procedures=(ProcedureSpec("nhst", {}),),
             )
 
+    @pytest.mark.parametrize("sigma", [-3.0, 0.2])
+    def test_binomial_takes_no_sigma(self, sigma):
+        # a known value the family does not have is rejected, not ignored
+        with pytest.raises(ValidationError, match="the binomial family has no sigma"):
+            shipped_scenario("coin_scenario", sigma=sigma)
+        aspirin = shipped_scenario(
+            "aspirin_scenario", true_effects=(0.0077,), sample_sizes=(50,), replicates=2
+        )
+        assert len(run_operating_characteristics(aspirin).cells) == len(aspirin.procedures)
+
     def test_space_comes_from_the_loss(self):
         # a scenario once carried its own space, which could disagree with
         # the loss's and turn every rope verdict into "error"
