@@ -30,7 +30,7 @@ from .hypotheses import check_complete, check_partial, derive_hypotheses
 from .inference import family_of, posterior_summary, posterior_update
 from .plotting import render_loss_plot
 from .regions import partition
-from .simulate import bind_procedure, run_operating_characteristics
+from .simulate import _shared_posterior, bind_procedure, run_operating_characteristics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -221,8 +221,10 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
         raise ConfigError("compare needs a 'model' section with data")
     family = family_of(cfg.model)
     pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
+    # the comparators share one posterior, built if one of them needs it
+    posterior = _shared_posterior(cfg.model, cfg.loss.space)
     results = [
-        vars(bind_procedure(spec, family, cfg.loss, pair)(cfg.model))
+        vars(bind_procedure(spec, family, cfg.loss, pair)(cfg.model, posterior))
         for spec in cfg.comparators
     ]
     doc = {"command": "compare", "spec_version": 1, "results": results}

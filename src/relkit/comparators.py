@@ -7,16 +7,20 @@ and a Bayes factor for interval hypotheses. None of them returns an optimal
 action for a concrete decision problem; the point of carrying them along is
 the comparison table.
 
-None of them integrates numerically: the tests use the incomplete beta and
-erfc, the ROPE rule uses posterior quantiles (Newton steps on the CDF), and
-the interval Bayes factor is the posterior odds over the prior odds of the
-two regions.
+None of them integrates numerically or searches: the tests use the
+incomplete beta and erfc, the ROPE rule compares two posterior tail masses
+at the rope ends with (1 - mass)/2 instead of finding the credible
+interval's quantiles, and the interval Bayes factor is the posterior odds
+over the prior odds of the two regions. The posterior procedures take a
+posterior that the caller may share with the other procedures of the same
+data; the tails it has taken at the region ends are not taken again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NumericalError, ValidationError
 from .hypotheses import HypothesisPair
@@ -25,8 +29,7 @@ from .inference import (
     BinomialModel,
     NormalKnownVarModel,
     PosteriorModel,
-    _interval_mass,
-    credible_interval,
+    _mass_between,
     family_of,
     normal_cdf,
     posterior_region_prob,
@@ -117,9 +120,14 @@ def tost_equivalence(
 def rope_decision(post: PosteriorModel, rope: RegionSet, mass: float) -> ComparatorResult:
     """Credible-interval versus region-of-practical-equivalence rule.
 
-    Accepts a0 when the central credible interval lies entirely inside the
-    rope, accepts a1 when it lies entirely outside, withholds otherwise.
-    The rope must be a single interval around the null value.
+    Accepts a0 when the central credible interval at the given mass lies
+    entirely inside the rope, accepts a1 when it lies entirely outside,
+    withholds otherwise. The interval is never searched for: with
+    t = (1 - mass)/2 in each of its tails, it lies inside the rope [lo, hi]
+    exactly when P(theta < lo | y) <= t and P(theta > hi | y) <= t, and
+    outside it when either of those masses exceeds 1 - t. Each mass is
+    taken from its own tail side. The rope must be a single interval
+    around the null value.
     """
     if rope.is_empty:
         raise ValidationError("rope must be non-empty")
@@ -131,10 +139,12 @@ def rope_decision(post: PosteriorModel, rope: RegionSet, mass: float) -> Compara
     if not 0.0 < mass < 1.0:
         raise ValidationError(f"credible mass must be in (0, 1), got {mass}")
     hull = rope.intervals[0]
-    ci_lo, ci_hi = credible_interval(post, mass)
-    if ci_lo >= hull.lo and ci_hi <= hull.hi:
+    tail = 0.5 * (1.0 - mass)
+    below = post._prob(post.space.lo, hull.lo)
+    above = post._prob(hull.hi, post.space.hi)
+    if below <= tail and above <= tail:
         verdict = "accept_a0"
-    elif ci_hi < hull.lo or ci_lo > hull.hi:
+    elif below > 1.0 - tail or above > 1.0 - tail:
         verdict = "accept_a1"
     else:
         verdict = "withhold"
@@ -144,10 +154,44 @@ def rope_decision(post: PosteriorModel, rope: RegionSet, mass: float) -> Compara
         verdict=verdict,
         threshold=mass,
         detail=(
-            f"central credible interval [{ci_lo:.6g}, {ci_hi:.6g}] at mass "
-            f"{mass:g} vs rope [{hull.lo:.6g}, {hull.hi:.6g}]"
+            f"central credible interval at mass {mass:g} vs rope "
+            f"[{hull.lo:.6g}, {hull.hi:.6g}]: P(theta < {hull.lo:.6g}) = {below:.6g} "
+            f"and P(theta > {hull.hi:.6g}) = {above:.6g} against (1 - mass)/2 = {tail:.6g}"
         ),
     )
+
+
+def _region_masses(
+    tails_at: Callable[[float], tuple[float, float]], pair: HypothesisPair
+) -> dict[str, float]:
+    """The untruncated mass of each hypothesis region, from the tails at
+    its interval ends (effect scale)."""
+    return {
+        name: sum(
+            _mass_between(tails_at(itv.lo), tails_at(itv.hi)) for itv in region.intervals
+        )
+        for name, region in (("h0", pair.h0), ("h1", pair.h1))
+    }
+
+
+def prior_region_masses(
+    model: BinomialModel | NormalKnownVarModel, pair: HypothesisPair
+) -> dict[str, float]:
+    """The mass of H0 and H1 under the model's own untruncated prior, the
+    denominators of ``interval_bayes_factor``. Both regions must map into
+    the family's support and be non-empty with positive prior mass."""
+    row = FAMILIES[family_of(model)]
+    for itv in (*pair.h0.intervals, *pair.h1.intervals):
+        row.check_support(itv.lo, itv.hi)
+    # the prior's two numbers are the model's last two fields
+    params = tuple(vars(model).values())[-2:]
+    masses = _region_masses(lambda t: row.tails(params, t - row.effect_shift), pair)
+    for name, region in (("h0", pair.h0), ("h1", pair.h1)):
+        if region.is_empty:
+            raise ValidationError(f"{name} is empty; it has no prior mass")
+        if masses[name] <= 0.0:
+            raise ValidationError(f"{name} has zero prior mass under the given prior")
+    return masses
 
 
 def interval_bayes_factor(
@@ -155,6 +199,9 @@ def interval_bayes_factor(
     pair: HypothesisPair,
     prior: tuple[float, float] | None = None,
     threshold: float = 1.0,
+    *,
+    post: PosteriorModel | None = None,
+    prior_masses: dict[str, float] | None = None,
 ) -> ComparatorResult:
     """BF_10 for H1 against H0 with the prior truncated to each region.
 
@@ -171,38 +218,31 @@ def interval_bayes_factor(
     own side, so far-tail evidence keeps its relative precision. Both
     regions must map into the family's support.
 
+    A caller that runs many models under one prior may pass what it
+    already holds, with ``prior`` None: ``post``, the model's posterior,
+    whose tails at the region ends it may already have taken, and
+    ``prior_masses``, from ``prior_region_masses``. Neither changes the
+    result.
+
     The verdict is "favors_h1" above the threshold, "favors_h0" below its
     inverse, else "inconclusive"; a threshold below 1 would overlap the two.
     """
     if not (math.isfinite(threshold) and threshold >= 1.0):
         raise ValidationError(f"threshold must be finite and >= 1, got {threshold}")
     row = FAMILIES[family_of(model)]
-    # the prior's two numbers are the model's last two fields
     if prior is not None:
+        if post is not None or prior_masses is not None:
+            raise ValidationError("post and prior_masses hold the model's own prior")
         model = row.model(*tuple(vars(model).values())[:-2], *prior)
-    prior_params = tuple(vars(model).values())[-2:]
-    post_params = row.update(model)
-    for itv in (*pair.h0.intervals, *pair.h1.intervals):
-        row.check_support(itv.lo, itv.hi)
-    shift = row.effect_shift
-
-    def mass(params: tuple[float, float], region: RegionSet) -> float:
-        return sum(
-            _interval_mass(row.tails, params, itv.lo - shift, itv.hi - shift)
-            for itv in region.intervals
-        )
-
-    regions = {"h0": pair.h0, "h1": pair.h1}
-    marginal: dict[str, float] = {}
-    for name, region in regions.items():
-        if region.is_empty:
-            raise ValidationError(f"{name} is empty; it has no prior mass")
-        prior_mass = mass(prior_params, region)
-        if prior_mass <= 0.0:
-            raise ValidationError(f"{name} has zero prior mass under the given prior")
-        # the marginal likelihood of the region over the common evidence
-        marginal[name] = mass(post_params, region) / prior_mass
-
+    if prior_masses is None:
+        prior_masses = prior_region_masses(model, pair)
+    if post is None:
+        params = row.update(model)
+        post_masses = _region_masses(lambda t: row.tails(params, t - row.effect_shift), pair)
+    else:
+        post_masses = _region_masses(post._tails_at, pair)
+    # the marginal likelihood of each region over the common evidence
+    marginal = {name: post_masses[name] / prior_masses[name] for name in ("h0", "h1")}
     if marginal["h0"] <= 0.0 and marginal["h1"] <= 0.0:
         raise NumericalError("both marginal likelihoods vanished")
     bf = math.inf if marginal["h0"] <= 0.0 else marginal["h1"] / marginal["h0"]

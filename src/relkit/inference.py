@@ -16,8 +16,10 @@ on its own side of the distribution, I_{1-x}(b, a) or erfc on the far side
 where that tail is the smaller one, so a posterior that lies beyond one end
 of the space keeps its relative precision and mirrors its partner beyond
 the other end. Each posterior binds its log density once, with its
-normalising constant and the log mass of the space. Quantiles use
-safeguarded Newton steps on the CDF and the density. The partial moments
+normalising constant and the log mass of the space, and keeps the tails it
+has taken at each point, so that procedures sharing it take the tails at
+their common cut points once. Quantiles use safeguarded Newton steps on
+the CDF and the density. The partial moments
 E[(theta - origin)^j; lo < theta < hi], j = 0, 1, 2, are closed-form for
 both families; they give the summary mean and sd, and a normal posterior's
 expected losses. The adaptive quadrature integrates a beta posterior's
@@ -407,6 +409,9 @@ class PosteriorModel:
             raise ValidationError(f"improper {self.family} posterior parameters {self.params}")
         row.check_support(self.space.lo, self.space.hi)
         object.__setattr__(self, "_row", row)
+        # the tails at each effect asked for: the procedures that share a
+        # posterior ask for the same cut points
+        object.__setattr__(self, "_tails", {})
 
     @property
     def effect_shift(self) -> float:
@@ -416,7 +421,10 @@ class PosteriorModel:
         return effect - self._row.effect_shift
 
     def _tails_at(self, effect: float) -> tuple[float, float]:
-        return self._row.tails(self.params, self._native(effect))
+        tails = self._tails.get(effect)
+        if tails is None:
+            tails = self._tails[effect] = self._row.tails(self.params, self._native(effect))
+        return tails
 
     @cached_property
     def _ends(self) -> tuple[tuple[float, float], tuple[float, float], float, float]:

@@ -127,12 +127,16 @@ class LossSpec:
             )
         issues: list[str] = []
         curves = []
-        for action in ACTIONS:
-            try:
-                curves.append(_compile(self, action))
-            except ValidationError as exc:
-                issues.append(str(exc))
         lo, hi = self.space.lo, self.space.hi
+        if self.kind == "builtin_coin_demo" and (lo, hi) != COIN_SPACE:
+            # both demo curves are fixed, so their space is checked once
+            issues.append("builtin_coin_demo requires the parameter space [-0.5, 0.5]")
+        else:
+            for action in ACTIONS:
+                try:
+                    curves.append(_compile(self, action))
+                except ValidationError as exc:
+                    issues.append(str(exc))
         if not issues:
             for action, curve in zip(ACTIONS, curves):
                 values = {t: _value(curve, t) for t in (lo, hi)}
@@ -179,10 +183,7 @@ def _compile(spec: LossSpec, action: str) -> Curve:
     params = spec.params_a0 if action == "a0" else spec.params_a1
 
     if spec.kind == "builtin_coin_demo":
-        if (spec.space.lo, spec.space.hi) != COIN_SPACE:
-            raise ValidationError(
-                "builtin_coin_demo requires the parameter space [-0.5, 0.5]"
-            )
+        # the space is checked once, by LossSpec
         if action == "a0":
             return (-0.5, 0.0), ((0.0, 0.0, -1.0, 0.0), (0.0, 0.0, 1.0, 0.0))
         k = COIN_A1_SLOPE

@@ -7,12 +7,13 @@ generators seeded per cell and replicate (scenario seed, the bit pattern of
 the true effect, n, replicate index), so any single draw can be reproduced
 in isolation and results do not depend on execution order.
 
-The family's row in ``inference.FAMILIES`` draws each dataset. A verdict
-depends on nothing but the dataset, so where draws repeat (binomial: at
-most n + 1 distinct k per n) a sweep runs each procedure once per distinct
-draw and reuses the verdict. A normal draw never repeats, so a normal
-sweep keeps no memo: it would only grow by one entry per replicate and
-procedure.
+The family's row in ``inference.FAMILIES`` draws each dataset. The
+procedures of a replicate share one posterior, built on first use, and
+with it the tail masses it has taken at the region ends. A verdict depends
+on nothing but the dataset, so where draws repeat (binomial: at most n + 1
+distinct k per n) a sweep runs the procedures once per distinct draw and
+keeps their outcomes in one memo entry. A normal draw never repeats, so a
+normal sweep keeps no memo: it would only grow by one entry per replicate.
 
 The shipped scenarios are configs: ``configs/coin_scenario.json``, the
 coin-bias demo, and ``configs/aspirin_scenario.json``, a blood-thinner
@@ -33,6 +34,7 @@ from .comparators import (
     ComparatorResult,
     interval_bayes_factor,
     nhst_point_null,
+    prior_region_masses,
     rope_decision,
     tost_equivalence,
 )
@@ -49,15 +51,18 @@ from .inference import (
     BinomialModel,
     NormalDraw,
     NormalKnownVarModel,
+    PosteriorModel,
     posterior_update,
 )
-from .loss import LossSpec
+from .loss import LossSpec, ParameterSpace
 from .regions import RegionSet, partition, region_hull
 
 if TYPE_CHECKING:
     import numpy as np
 
 Model = BinomialModel | NormalKnownVarModel
+Posterior = Callable[[], PosteriorModel]
+Bound = Callable[[Model, Posterior], ComparatorResult]  # a procedure with its settings
 
 
 @dataclass(frozen=True)
@@ -177,38 +182,53 @@ def _decision(procedure: str, statistic: float, outcome) -> ComparatorResult:
     return ComparatorResult(procedure, statistic, outcome.decision, detail=detail)
 
 
-# The bind steps name the procedures as module globals, looked up at call
-# time, so that patching one here reaches every caller.
+def _shared_posterior(model: Model, space: ParameterSpace) -> Posterior:
+    """() -> the model's posterior on the space, built on the first call
+    through the module global ``posterior_update`` and returned again by
+    the later ones. A build that fails is not kept, so each caller sees it
+    raise with its own class and message."""
+    post = None
+
+    def posterior() -> PosteriorModel:
+        nonlocal post
+        if post is None:
+            post = posterior_update(model, space)
+        return post
+
+    return posterior
+
+
+# A bound procedure takes the model and a posterior from _shared_posterior;
+# nhst, tost and a Bayes factor with its own prior never call it. The bind
+# steps name the procedures as module globals, looked up at call time, so
+# that patching one here reaches every caller.
 
 
 def _bind_nhst(s: dict, loss: LossSpec, pair: HypothesisPair):
-    return lambda model: nhst_point_null(model, s["alpha"])
+    return lambda model, posterior: nhst_point_null(model, s["alpha"])
 
 
 def _bind_tost(s: dict, loss: LossSpec, pair: HypothesisPair):
     bounds = _interval_on(loss, s["bounds"])
-    return lambda model: tost_equivalence(model, bounds, s["alpha"])
+    return lambda model, posterior: tost_equivalence(model, bounds, s["alpha"])
 
 
 def _bind_rope(s: dict, loss: LossSpec, pair: HypothesisPair):
     rope = RegionSet.single(*_interval_on(loss, s["rope"]))
-    return lambda model: rope_decision(
-        posterior_update(model, loss.space), rope, s["mass"]
-    )
+    return lambda model, posterior: rope_decision(posterior(), rope, s["mass"])
 
 
 def _bind_hypothesis_ratio(s: dict, loss: LossSpec, pair: HypothesisPair):
-    def run(model: Model) -> ComparatorResult:
-        post = posterior_update(model, loss.space)
-        out = bayes_two_action_decision(post, pair, s["loss_ratio"])
+    def run(model: Model, posterior: Posterior) -> ComparatorResult:
+        out = bayes_two_action_decision(posterior(), pair, s["loss_ratio"])
         return _decision("bayes_two_action_decision", out.posterior_odds, out)
 
     return run
 
 
 def _bind_expected_loss(s: dict, loss: LossSpec, pair: HypothesisPair):
-    def run(model: Model) -> ComparatorResult:
-        out = expected_loss_decision(posterior_update(model, loss.space), loss)
+    def run(model: Model, posterior: Posterior) -> ComparatorResult:
+        out = expected_loss_decision(posterior(), loss)
         statistic = out.threshold_hi - out.threshold_lo  # E[L(a1)] - E[L(a0)]
         return _decision("expected_loss_decision", statistic, out)
 
@@ -216,17 +236,36 @@ def _bind_expected_loss(s: dict, loss: LossSpec, pair: HypothesisPair):
 
 
 def _bind_bayes_factor(s: dict, loss: LossSpec, pair: HypothesisPair):
-    return lambda model: interval_bayes_factor(model, pair, s["prior"], s["threshold"])
+    if s["prior"] is not None:
+        return lambda model, posterior: interval_bayes_factor(
+            model, pair, s["prior"], s["threshold"]
+        )
+    # the prior masses of each model prior seen: a sweep and a compare have one
+    prior_masses: dict[tuple, dict[str, float]] = {}
+
+    def run(model: Model, posterior: Posterior) -> ComparatorResult:
+        key = (type(model), *tuple(vars(model).values())[-2:])
+        if key not in prior_masses:
+            prior_masses[key] = prior_region_masses(model, pair)
+        return interval_bayes_factor(
+            model,
+            pair,
+            threshold=s["threshold"],
+            post=posterior(),
+            prior_masses=prior_masses[key],
+        )
+
+    return run
 
 
 class Procedure(NamedTuple):
     """One row of the procedure table: each setting's default and parser,
     the model families, and the bind step (settings, loss, hypothesis pair)
-    -> (model -> ComparatorResult)."""
+    -> ((model, posterior) -> ComparatorResult)."""
 
     settings: dict[str, tuple[object, Callable]]
     families: tuple[str, ...]
-    bind: Callable[[dict, LossSpec, HypothesisPair], Callable[[Model], ComparatorResult]]
+    bind: Callable[[dict, LossSpec, HypothesisPair], Bound]
 
 
 _BOTH = tuple(FAMILIES)
@@ -282,22 +321,64 @@ def parse_settings(proc: ProcedureSpec, family: str | None) -> dict:
 
 def bind_procedure(
     proc: ProcedureSpec, family: str, loss: LossSpec, pair: HypothesisPair
-) -> Callable[[Model], ComparatorResult]:
-    """The procedure with its settings bound: a model -> result function."""
+) -> Bound:
+    """The procedure with its settings bound: a (model, posterior) ->
+    result function, where posterior() is the model's posterior on the
+    loss space, as ``_shared_posterior`` gives it."""
     return PROCEDURES[proc.name].bind(parse_settings(proc, family), loss, pair)
+
+
+Outcome = str | RelkitError
+
+
+def _compile_procedures(
+    scenario: Scenario, procs: tuple[ProcedureSpec, ...]
+) -> Callable[[Dataset], tuple[Outcome, ...]]:
+    """Bind procedures into a dataset -> outcomes function: each
+    procedure's verdict, or the error it raised. The model of a draw takes
+    the scenario prior, or without one the model's default, and the
+    procedures share one posterior of it."""
+    loss = scenario.loss
+    pair = derive_hypotheses(partition(loss))
+    runs = [bind_procedure(proc, scenario.family, loss, pair) for proc in procs]
+    model_of = FAMILIES[scenario.family].model
+    prior = scenario.prior or ()
+
+    def outcomes(data: Dataset) -> tuple[Outcome, ...]:
+        try:
+            # a draw holds the model's leading fields, and the prior its last two
+            model = model_of(*data, *prior)
+        except RelkitError as exc:
+            # a draw no model takes (a normal mean that overflowed) fails
+            # every procedure alike
+            return (exc.with_traceback(None),) * len(runs)
+        posterior = _shared_posterior(model, loss.space)
+        out: list[Outcome] = []
+        for run in runs:
+            try:
+                out.append(run(model, posterior).verdict)
+            except RelkitError as exc:
+                # an outcome keeps the error, not the frames of its traceback
+                out.append(exc.with_traceback(None))
+        return tuple(out)
+
+    return outcomes
 
 
 def _compile_procedure(
     scenario: Scenario, proc: ProcedureSpec
 ) -> Callable[[Dataset], str]:
-    """Bind a procedure into a dataset -> verdict function. The model of a
-    draw takes the scenario prior, or without one the model's default."""
-    loss = scenario.loss
-    run = bind_procedure(proc, scenario.family, loss, derive_hypotheses(partition(loss)))
-    model = FAMILIES[scenario.family].model
-    prior = scenario.prior or ()
-    # a draw holds the model's leading fields, and the prior its last two
-    return lambda data: run(model(*data, *prior)).verdict
+    """Bind one procedure into a dataset -> verdict function, with a
+    posterior of its own; an error is raised."""
+    outcomes = _compile_procedures(scenario, (proc,))
+
+    def verdict(data: Dataset) -> str:
+        (outcome,) = outcomes(data)
+        if isinstance(outcome, RelkitError):
+            raise outcome
+        return outcome
+
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -345,42 +426,37 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     "error" and never abort the sweep; ``errors`` says what they were.
     Identical scenarios (seed included) produce identical tables.
 
-    Where the family's draws repeat, verdicts are memoised for the duration
-    of the call, keyed by procedure position and draw, so each procedure
-    runs once per distinct draw; normal draws never repeat and are not
-    memoised. A failure is memoised like any verdict and still counts once
-    per replicate.
+    The procedures of a replicate share one posterior, built only if one
+    of them needs it. Where the family's draws repeat, the outcomes of
+    every procedure are memoised for the duration of the call, one entry
+    per distinct draw, so each procedure runs once per distinct draw;
+    normal draws never repeat and are not memoised. A failure is memoised
+    like any verdict and still counts once per replicate.
     """
-    procedures = [
-        (proc.name, _compile_procedure(scenario, proc)) for proc in scenario.procedures
-    ]
+    outcomes_of = _compile_procedures(scenario, scenario.procedures)
+    names = [proc.name for proc in scenario.procedures]
     memoise = FAMILIES[scenario.family].repeats
-    memo: dict[tuple[int, Dataset], str | RelkitError] = {}
+    memo: dict[Dataset, tuple[Outcome, ...]] = {}
     reps = scenario.replicates
     cells: list[RateCell] = []
     errors: list[ErrorReport] = []
     for effect in scenario.true_effects:
         for n in scenario.sample_sizes:
-            counts = [Counter() for _ in procedures]
+            counts = [Counter() for _ in names]
             first_error: dict[int, RelkitError] = {}
             for r in range(reps):
                 data = simulate_dataset(scenario, effect, n, r)
-                for i, (_, fn) in enumerate(procedures):
-                    key = (i, data)
-                    outcome = memo.get(key)
-                    if outcome is None:
-                        try:
-                            outcome = fn(data)
-                        except RelkitError as exc:
-                            # the memo keeps the error, not the frames of its traceback
-                            outcome = exc.with_traceback(None)
-                        if memoise:
-                            memo[key] = outcome
+                outcomes = memo.get(data)
+                if outcomes is None:
+                    outcomes = outcomes_of(data)
+                    if memoise:
+                        memo[data] = outcomes
+                for i, outcome in enumerate(outcomes):
                     if isinstance(outcome, RelkitError):
                         first_error.setdefault(i, outcome)
                         outcome = "error"
                     counts[i][outcome] += 1
-            for i, (name, _) in enumerate(procedures):
+            for i, name in enumerate(names):
                 freqs = {v: counts[i][v] / reps for v in sorted(counts[i])}
                 ses = {v: math.sqrt(f * (1.0 - f) / reps) for v, f in freqs.items()}
                 cells.append(

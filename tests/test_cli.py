@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -81,6 +82,16 @@ class TestPartitionCommand:
         code, _, err = run_cli(["partition", "--config", cfg], capsys)
         assert code == 2
         assert "loss" in err
+
+    def test_coin_demo_off_its_space_reported_once(self, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "coin_partition.json").read_text(encoding="utf-8"))
+        doc["parameter_space"]["lo"] = -0.4
+        code, out, err = run_cli(["partition", "--config", write_config(tmp_path, doc)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "relkit: error: invalid loss specification:\n"
+            "builtin_coin_demo requires the parameter space [-0.5, 0.5]\n"
+        )
 
     def test_json_document(self, tmp_path, capsys):
         cfg = write_config(tmp_path, coin_doc())
@@ -242,6 +253,25 @@ class TestCompareCommand:
         assert results["tost_equivalence"]["verdict"] == "equivalent"
         assert results["rope_decision"]["verdict"] == "accept_a0"
 
+    def test_comparators_share_one_posterior(self, tmp_path, capsys, monkeypatch):
+        doc = json.loads((CONFIG_DIR / "coin_compare.json").read_text(encoding="utf-8"))
+        doc["comparators"] += [
+            {"procedure": "hypothesis_ratio"},
+            {"procedure": "expected_loss"},
+        ]
+        models = []
+        update = relkit.simulate.posterior_update
+
+        def counting(model, space):
+            models.append(model)
+            return update(model, space)
+
+        monkeypatch.setattr(relkit.simulate, "posterior_update", counting)
+        code, out, _ = run_cli(["compare", "--config", write_config(tmp_path, doc)], capsys)
+        assert code == 0
+        assert len(json.loads(out)["results"]) == 5
+        assert len(models) == 1
+
 
 class TestSimulateCommand:
     def scenario_doc(self, replicates=2):
@@ -291,6 +321,39 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert table_a == table_b
+
+    @pytest.mark.parametrize(
+        "name, seed, csv_sha, json_sha",
+        [
+            ("coin_scenario", 1,
+             "66f472e62f53384eec1a2404f5efb8bd01f558784a4363b06545f649f977e71f",
+             "759ffa5d43699ab2e25d578c09241405e770d036aef0380d427133e769e7f00e"),
+            ("coin_scenario", 7,
+             "7128723e5ba928f4bb54dd4228c9a38295f248c550178311481e6220b0b413ae",
+             "502f47bd85742e7319d4f0644ae90c47ac7beaa90df301e2eadece71b8a6c6f6"),
+            ("aspirin_scenario", 1,
+             "468b32d4f959b84794ec49e2399d2982f92fdb46824559b8b24b5763ed327cff",
+             "956ce2a63af9ca36b1d84b71586ee3d4f94ce7a61db87e0d245e877b725d7f78"),
+            ("aspirin_scenario", 7,
+             "468b32d4f959b84794ec49e2399d2982f92fdb46824559b8b24b5763ed327cff",
+             "c4cb508ce87bcdea2ef43a5bcf300f5114247941eece940f3ac62482bab66d03"),
+        ],
+    )
+    def test_shipped_scenario_artifacts_are_fixed(
+        self, name, seed, csv_sha, json_sha, tmp_path, capsys
+    ):
+        """The SHA-256 of each artifact of a shipped scenario, as recorded
+        before the procedures of a replicate shared a posterior: a change
+        to how verdicts are computed leaves every byte alone."""
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(CONFIG_DIR / f"{name}.json"), "--seed", str(seed)]
+        code, _, _ = run_cli([*argv, "--output", str(out)], capsys)
+        assert code == 0
+        digests = [
+            hashlib.sha256((tmp_path / f"out{ext}").read_bytes()).hexdigest()
+            for ext in (".csv", ".json")
+        ]
+        assert digests == [csv_sha, json_sha]
 
     def test_console_table_fixed_width(self, tmp_path, capsys):
         """stdout holds the CSV's rows at fixed width, without replicates."""

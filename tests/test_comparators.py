@@ -165,6 +165,104 @@ class TestRopeDecision:
             rope_decision(self._post(0.0, 0.1), RegionSet(), 0.95)
 
 
+def _truncated_ppf(dist, lo, hi, p):
+    """SciPy's quantile of a frozen distribution truncated to [lo, hi] (native
+    scale), taken on the side where the truncation's tail masses are small."""
+    f_lo, f_hi, s_lo, s_hi = dist.cdf(lo), dist.cdf(hi), dist.sf(lo), dist.sf(hi)
+    if f_hi <= 0.5:
+        return dist.ppf(f_lo + p * (f_hi - f_lo))
+    if s_lo <= 0.5:
+        return dist.isf(s_lo - p * (s_lo - s_hi))
+    return dist.ppf(f_lo + p * (1.0 - f_lo - s_hi))
+
+
+def _rope_oracle_posteriors():
+    """Seeded posteriors of both families: inside the space, 5 to 30 sd
+    beyond an end, and nearly point masses."""
+    rng = np.random.default_rng(20261018)
+    space = ParameterSpace(-0.1, 0.1)
+    posts = []
+    for _ in range(12):
+        mean, sd = rng.uniform(-0.08, 0.08), rng.uniform(0.003, 0.05)
+        posts.append(PosteriorModel("normal", (float(mean), float(sd)), space))
+        sd = float(rng.uniform(0.002, 0.01))
+        end = float(rng.choice([-0.1, 0.1]))
+        posts.append(PosteriorModel("normal", (end * (1.0 + rng.uniform(5, 30) * sd / 0.1), sd), space))
+        mean, sd = rng.uniform(-0.09, 0.09), 10.0 ** rng.uniform(-9, -6)
+        posts.append(PosteriorModel("normal", (float(mean), float(sd)), space))
+        n = int(10 ** rng.uniform(1.5, 4))
+        k = int(rng.integers(0, n + 1))
+        posts.append(PosteriorModel("beta", (1.0 + k, 1.0 + n - k), BIAS_SPACE))
+        # Beta(a, b) with its mean 5 to 30 sd beyond an end of [-0.1, 0.1]
+        n = float(10 ** rng.uniform(4, 5))
+        pi = 0.5 + rng.choice([-1.0, 1.0]) * (0.1 + rng.uniform(5, 30) * 0.5 / math.sqrt(n))
+        posts.append(PosteriorModel("beta", (pi * n, (1.0 - pi) * n), space))
+        n = float(10 ** rng.uniform(5, 6))
+        pi = float(rng.uniform(0.42, 0.58))
+        posts.append(PosteriorModel("beta", (pi * n, (1.0 - pi) * n), space))
+    return posts
+
+
+def _credible_interval_rule(ci, rope):
+    if ci[0] >= rope[0] and ci[1] <= rope[1]:
+        return "accept_a0"
+    if ci[1] < rope[0] or ci[0] > rope[1]:
+        return "accept_a1"
+    return "withhold"
+
+
+@pytest.mark.parametrize("mass", [0.95, 0.5])
+def test_rope_matches_the_credible_interval_rule_on_scipy_quantiles(mass):
+    """The ROPE rule reads two tail masses; its verdict is the central
+    credible interval's, with the quantiles from SciPy, also for ropes
+    whose ends sit 1e-6 (relative) on either side of a quantile."""
+    tail = 0.5 * (1.0 - mass)
+    verdicts = set()
+    for post in _rope_oracle_posteriors():
+        p1, p2 = post.params
+        dist = stats.norm(p1, p2) if post.family == "normal" else stats.beta(p1, p2)
+        shift = post.effect_shift
+        lo, hi = post.space.lo - shift, post.space.hi - shift
+        ci = tuple(_truncated_ppf(dist, lo, hi, p) + shift for p in (tail, 1.0 - tail))
+        assert post.space.lo <= ci[0] < ci[1] <= post.space.hi
+        below = [ci[0] - 1e-6 * abs(ci[0]), ci[0] + 1e-6 * abs(ci[0])]
+        above = [ci[1] - 1e-6 * abs(ci[1]), ci[1] + 1e-6 * abs(ci[1])]
+        ropes = [(a, b) for a in below for b in above]
+        ropes += [(post.space.lo, x) for x in below] + [(x, post.space.hi) for x in above]
+        for a, b in ropes:
+            a, b = max(a, post.space.lo), min(b, post.space.hi)
+            if not a < b:  # a nearly point mass: the shift passes the other end
+                continue
+            want = _credible_interval_rule(ci, (a, b))
+            got = rope_decision(post, RegionSet.single(a, b), mass).verdict
+            assert got == want, (post, mass, (a, b), ci)
+            verdicts.add(got)
+    assert verdicts == {"accept_a0", "accept_a1", "withhold"}
+
+
+def test_rope_verdicts_on_the_coin_loss():
+    """The verdict of every k at n = 20, 100 and 1000 on the coin loss, as
+    the credible-interval quantiles gave it, in runs over k = 0..n."""
+    runs = {
+        20: [("accept_a1", 4), ("withhold", 13), ("accept_a1", 4)],
+        100: [("accept_a1", 30), ("withhold", 19), ("accept_a0", 3), ("withhold", 19),
+              ("accept_a1", 30)],
+        1000: [("accept_a1", 364), ("withhold", 61), ("accept_a0", 151), ("withhold", 61),
+               ("accept_a1", 364)],
+    }
+    from relkit.loss import coin_demo_loss
+
+    spec = coin_demo_loss()
+    hull = partition(spec).negligible.intervals[0]
+    rope = RegionSet.single(hull.lo, hull.hi)
+    for n, want in runs.items():
+        verdicts = [
+            rope_decision(posterior_update(BinomialModel(n=n, k=k), spec.space), rope, 0.95).verdict
+            for k in range(n + 1)
+        ]
+        assert [v for v, count in want for _ in range(count)] == verdicts, n
+
+
 class TestIntervalBayesFactor:
     def test_no_data_gives_unit_bf(self, coin_pair):
         result = interval_bayes_factor(BinomialModel(n=0, k=0), coin_pair)

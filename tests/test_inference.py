@@ -258,6 +258,27 @@ class TestDensity:
             density = post.pdf(x)
             assert pickle.loads(pickle.dumps(post)).pdf(x) == density
 
+    def test_tails_taken_once_per_point_and_posterior(self, monkeypatch):
+        import relkit.inference as inference
+
+        calls = []
+        real = inference.regularized_incomplete_beta
+
+        def counting(a, b, x):
+            calls.append((a, b, x))
+            return real(a, b, x)
+
+        monkeypatch.setattr(inference, "regularized_incomplete_beta", counting)
+        post = posterior_update(BinomialModel(n=100, k=63), BIAS_SPACE)
+        first = post._tails_at(0.106)
+        assert first == inference._beta_tails(post.params, 0.106 + 0.5)
+        calls.clear()
+        assert post._tails_at(0.106) is first
+        assert post._prob(-0.106, 0.106) == post._prob(-0.106, 0.106)
+        assert len(calls) == 3  # the tails at -0.106 and at both space ends
+        other = posterior_update(BinomialModel(n=100, k=63), BIAS_SPACE)
+        assert other == post and other._tails == {}
+
     def test_beta_normaliser_computed_once_per_posterior(self, monkeypatch):
         import relkit.inference as inference
 

@@ -7,7 +7,7 @@ import pytest
 
 import relkit.simulate as sim
 from relkit.config import load_config
-from relkit.errors import ValidationError
+from relkit.errors import NumericalError, RelkitError, ValidationError
 from relkit.simulate import (
     ProcedureSpec,
     RateCell,
@@ -192,6 +192,22 @@ class TestRateTable:
         for cell in nhst_cells:
             assert cell.frequencies == {"error": 1.0}
 
+    def test_draw_no_model_takes_is_an_error_verdict(self):
+        # at sigma 1e308 and n = 1 a normal mean overflows to +-inf in a few
+        # percent of the draws, and the model rejects it
+        scenario = shipped_scenario(
+            "aspirin_scenario",
+            sigma=1e308,
+            sample_sizes=(1,),
+            replicates=40,
+            procedures=(ProcedureSpec("nhst", {}),),
+        )
+        table = run_operating_characteristics(scenario)
+        (report,) = table.errors
+        assert 0 < report.count < 40
+        assert report.error_class == "ValidationError"
+        assert report.message.startswith("ybar must be finite")
+
     def test_error_verdicts_reported_per_cell(self, monkeypatch):
         # rope fails on every replicate, and the memoised failure still
         # counts once per replicate
@@ -270,23 +286,24 @@ class TestShippedScenarios:
         assert verdicts <= {"favors_h0", "favors_h1", "inconclusive"}
 
 
-def _counting_compile(monkeypatch):
-    """Patch the sweep's procedure compiler so every verdict call is counted
-    by (procedure, dataset); returns the counter and the original compiler."""
+def _counting_bind(monkeypatch):
+    """Patch the sweep's bind step so every verdict call is counted by
+    (procedure, model); returns the counter and the unpatched compiler of
+    one procedure."""
     calls = Counter()
-    compile_procedure = sim._compile_procedure
+    bind = sim.bind_procedure
 
-    def counting(scenario, proc):
-        fn = compile_procedure(scenario, proc)
+    def counting(proc, family, loss, pair):
+        run = bind(proc, family, loss, pair)
 
-        def counted(data):
-            calls[(proc.name, data)] += 1
-            return fn(data)
+        def counted(model, posterior):
+            calls[(proc.name, model)] += 1
+            return run(model, posterior)
 
         return counted
 
-    monkeypatch.setattr(sim, "_compile_procedure", counting)
-    return calls, compile_procedure
+    monkeypatch.setattr(sim, "bind_procedure", counting)
+    return calls, sim._compile_procedure
 
 
 def _direct_table(scenario, compile_procedure):
@@ -348,7 +365,7 @@ class TestVerdictMemo:
     )
     def test_one_call_per_distinct_dataset(self, monkeypatch, make_scenario):
         scenario = make_scenario()
-        calls, compile_procedure = _counting_compile(monkeypatch)
+        calls, compile_procedure = _counting_bind(monkeypatch)
         table = run_operating_characteristics(scenario)
         assert calls and max(calls.values()) == 1
         draws = {
@@ -363,14 +380,14 @@ class TestVerdictMemo:
     def test_binomial_memo_saves_most_calls(self, monkeypatch):
         # the coin config draws 1500 datasets per procedure from few counts
         scenario = load_config(CONFIG_DIR / "coin_scenario.json").scenario
-        calls, _ = _counting_compile(monkeypatch)
+        calls, _ = _counting_bind(monkeypatch)
         run_operating_characteristics(scenario)
         rope_calls = sum(c for (name, _), c in calls.items() if name == "rope")
         assert rope_calls <= 101 * len(scenario.sample_sizes)
 
     def test_memo_does_not_outlive_a_call(self, monkeypatch):
         scenario = tiny_coin(replicates=20)
-        calls, _ = _counting_compile(monkeypatch)
+        calls, _ = _counting_bind(monkeypatch)
         run_operating_characteristics(scenario)
         first = sum(calls.values())
         run_operating_characteristics(scenario)
@@ -394,3 +411,86 @@ class TestVerdictMemo:
 
         peak(100)  # lazy imports and caches
         assert peak(1100) - peak(100) < 50_000
+
+
+POSTERIOR_PROCEDURES = tuple(
+    ProcedureSpec(name, {})
+    for name in ("rope", "hypothesis_ratio", "expected_loss", "bayes_factor")
+)
+
+
+def _counting_updates(monkeypatch):
+    """Patch the module global the bind steps build posteriors through;
+    returns the list of models it was called with."""
+    models = []
+    update = sim.posterior_update
+
+    def counting(model, space):
+        models.append(model)
+        return update(model, space)
+
+    monkeypatch.setattr(sim, "posterior_update", counting)
+    return models
+
+
+class TestSharedPosterior:
+    def test_one_posterior_per_draw(self, monkeypatch):
+        scenario = shipped_scenario(
+            "coin_scenario",
+            true_effects=(0.0,),
+            sample_sizes=(25,),
+            replicates=1,
+            procedures=POSTERIOR_PROCEDURES,
+        )
+        models = _counting_updates(monkeypatch)
+        run_operating_characteristics(scenario)
+        assert len(models) == 1
+
+    def test_one_posterior_per_distinct_draw(self, monkeypatch):
+        scenario = tiny_coin(replicates=40, procedures=POSTERIOR_PROCEDURES)
+        models = _counting_updates(monkeypatch)
+        run_operating_characteristics(scenario)
+        draws = {
+            simulate_dataset(scenario, e, n, r)
+            for e in scenario.true_effects
+            for n in scenario.sample_sizes
+            for r in range(scenario.replicates)
+        }
+        assert len(models) == len(set(models)) == len(draws)
+
+    def test_no_posterior_without_a_posterior_procedure(self, monkeypatch):
+        scenario = shipped_scenario(
+            "aspirin_scenario",
+            replicates=5,
+            procedures=(
+                ProcedureSpec("nhst", {}),
+                ProcedureSpec("tost", {}),
+                ProcedureSpec("bayes_factor", {"prior": {"mean": 0.0, "sd": 0.1}}),
+            ),
+        )
+        models = _counting_updates(monkeypatch)
+        run_operating_characteristics(scenario)
+        assert models == []
+
+    def test_shared_outcomes_match_each_procedure_alone(self):
+        """A posterior that vanishes on the space: each procedure gives the
+        verdict, or the error class and message, that it gives alone."""
+        procs = tuple(ProcedureSpec(name, {}) for name in sim.PROCEDURES)
+        scenario = shipped_scenario("aspirin_scenario", procedures=procs)
+        draw = sim.NormalDraw(n=22000, ybar=0.194, sigma=0.2)
+        shared = sim._compile_procedures(scenario, procs)(draw)
+
+        def alone(proc):
+            try:
+                return sim._compile_procedure(scenario, proc)(draw)
+            except RelkitError as exc:
+                return type(exc), str(exc)
+
+        got = [
+            (type(out), str(out)) if isinstance(out, RelkitError) else out
+            for out in shared
+        ]
+        assert got == [alone(proc) for proc in procs]
+        vanished = "posterior mass vanishes on the parameter space [-0.1, 0.1]"
+        # rope, hypothesis_ratio and expected_loss
+        assert got[2:5] == [(NumericalError, vanished)] * 3
