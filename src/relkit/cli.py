@@ -223,10 +223,10 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
     pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
     # the comparators share one posterior, built if one of them needs it
     posterior = _shared_posterior(cfg.model, cfg.loss.space)
-    results = [
-        vars(bind_procedure(spec, family, cfg.loss, pair)(cfg.model, posterior))
-        for spec in cfg.comparators
-    ]
+    results = []
+    for spec in cfg.comparators:
+        _, report = bind_procedure(spec, family, cfg.loss, pair)(cfg.model, posterior)
+        results.append(vars(report()))
     doc = {"command": "compare", "spec_version": 1, "results": results}
     rows = [[r[c] for c in _COMPARE_COLUMNS] for r in results]
     _emit(args, cfg, doc, _COMPARE_COLUMNS, rows)

@@ -14,6 +14,11 @@ interval's quantiles, and the interval Bayes factor is the posterior odds
 over the prior odds of the two regions. The posterior procedures take a
 posterior that the caller may share with the other procedures of the same
 data; the tails it has taken at the region ends are not taken again.
+
+Each procedure is a public function that checks its arguments, a private
+rule that computes the verdict and what the result needs from the data,
+and a private builder of the result. ``simulate`` binds the checks once
+per run and calls the same rules per draw.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .inference import (
     BinomialModel,
     NormalKnownVarModel,
     PosteriorModel,
+    Family,
     _mass_between,
     family_of,
     normal_cdf,
@@ -51,12 +57,39 @@ class ComparatorResult:
     def __post_init__(self) -> None:
         if self.p_value is not None and not 0.0 <= self.p_value <= 1.0:
             raise ValidationError(f"p-value out of [0, 1]: {self.p_value}")
-        # a ratio of positive masses may underflow to 0.0 or overflow to inf;
-        # both are valid answers, while NaN and negative values are not
-        if self.bayes_factor is not None and not self.bayes_factor >= 0.0:
-            raise ValidationError(
-                f"Bayes factor must be a nonnegative ratio: {self.bayes_factor}"
-            )
+        if self.bayes_factor is not None:
+            _check_bayes_factor(self.bayes_factor)
+
+
+def _check_bayes_factor(bf: float) -> None:
+    # a ratio of positive masses may underflow to 0.0 or overflow to inf;
+    # both are valid answers, while NaN and negative values are not
+    if not bf >= 0.0:
+        raise ValidationError(f"Bayes factor must be a nonnegative ratio: {bf}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _nhst(point_null: Callable, model, alpha: float) -> tuple[str, float, float]:
+    """The point-null rule: (verdict, p-value, statistic)."""
+    p, statistic = point_null(model)
+    return ("reject" if p < alpha else "fail_to_reject"), p, statistic
+
+
+def _nhst_result(
+    row: Family, model, alpha: float, verdict: str, p: float, statistic: float
+) -> ComparatorResult:
+    return ComparatorResult(
+        procedure="nhst_point_null",
+        statistic=statistic,
+        verdict=verdict,
+        p_value=p,
+        alpha=alpha,
+        detail=row.point_null_detail.format(model=model, statistic=statistic),
+    )
 
 
 def nhst_point_null(
@@ -67,17 +100,46 @@ def nhst_point_null(
     Binomial: exact test of pi = 1/2 with the doubled-smaller-tail p-value,
     clipped at 1. Normal: z-test of a zero mean.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    p, statistic, detail = FAMILIES[family_of(model)].point_null(model)
-    verdict = "reject" if p < alpha else "fail_to_reject"
+    _check_alpha(alpha)
+    row = FAMILIES[family_of(model)]
+    return _nhst_result(row, model, alpha, *_nhst(row.point_null, model, alpha))
+
+
+def _tost_bounds(bounds: tuple[float, float], alpha: float) -> tuple[float, float]:
+    """The settings checks of the equivalence test; returns (lo, hi)."""
+    _check_alpha(alpha)
+    lo, hi = bounds
+    if not lo < hi:
+        raise ValidationError(f"equivalence bounds need lo < hi, got ({lo}, {hi})")
+    return lo, hi
+
+
+def _tost(
+    model: NormalKnownVarModel, lo: float, hi: float, alpha: float
+) -> tuple[str, float, float]:
+    """The equivalence rule: (verdict, the larger one-sided p, its z)."""
+    se = model.sigma / math.sqrt(model.n)
+    z_lower = (model.ybar - lo) / se
+    z_upper = (model.ybar - hi) / se
+    p_lower = 1.0 - normal_cdf(z_lower)
+    p_upper = normal_cdf(z_upper)
+    if p_lower >= p_upper:
+        p, statistic = p_lower, z_lower
+    else:
+        p, statistic = p_upper, z_upper
+    return ("equivalent" if p < alpha else "not_equivalent"), p, statistic
+
+
+def _tost_result(
+    lo: float, hi: float, alpha: float, verdict: str, p: float, statistic: float
+) -> ComparatorResult:
     return ComparatorResult(
-        procedure="nhst_point_null",
+        procedure="tost_equivalence",
         statistic=statistic,
         verdict=verdict,
         p_value=p,
         alpha=alpha,
-        detail=detail,
+        detail=f"one-sided z-tests against bounds ({lo:.6g}, {hi:.6g})",
     )
 
 
@@ -92,28 +154,59 @@ def tost_equivalence(
     """
     if not isinstance(model, NormalKnownVarModel):
         raise ValidationError("the equivalence test supports the normal model only")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    lo, hi = bounds
-    if not lo < hi:
-        raise ValidationError(f"equivalence bounds need lo < hi, got ({lo}, {hi})")
-    se = model.sigma / math.sqrt(model.n)
-    z_lower = (model.ybar - lo) / se
-    z_upper = (model.ybar - hi) / se
-    p_lower = 1.0 - normal_cdf(z_lower)
-    p_upper = normal_cdf(z_upper)
-    if p_lower >= p_upper:
-        p, statistic = p_lower, z_lower
+    lo, hi = _tost_bounds(bounds, alpha)
+    return _tost_result(lo, hi, alpha, *_tost(model, lo, hi, alpha))
+
+
+def _rope_hull(rope: RegionSet, mass: float) -> tuple[float, float, float]:
+    """The settings checks of the ROPE rule; returns the rope's (lo, hi)
+    and the tail mass t = (1 - mass)/2."""
+    if rope.is_empty:
+        raise ValidationError("rope must be non-empty")
+    if len(rope.intervals) > 1:
+        raise ValidationError(
+            "rope must be a single interval around the null value; got "
+            f"{len(rope.intervals)} disjoint intervals"
+        )
+    if not 0.0 < mass < 1.0:
+        raise ValidationError(f"credible mass must be in (0, 1), got {mass}")
+    hull = rope.intervals[0]
+    return hull.lo, hull.hi, 0.5 * (1.0 - mass)
+
+
+def _rope(post: PosteriorModel, lo: float, hi: float, tail: float) -> tuple[str, float, float]:
+    """The ROPE rule: (verdict, P(theta < lo | y), P(theta > hi | y))."""
+    below = post._prob(post.space.lo, lo)
+    above = post._prob(hi, post.space.hi)
+    if below <= tail and above <= tail:
+        verdict = "accept_a0"
+    elif below > 1.0 - tail or above > 1.0 - tail:
+        verdict = "accept_a1"
     else:
-        p, statistic = p_upper, z_upper
-    verdict = "equivalent" if p < alpha else "not_equivalent"
+        verdict = "withhold"
+    return verdict, below, above
+
+
+def _rope_result(
+    post: PosteriorModel,
+    rope: RegionSet,
+    mass: float,
+    tail: float,
+    verdict: str,
+    below: float,
+    above: float,
+) -> ComparatorResult:
+    lo, hi = rope.intervals[0].lo, rope.intervals[0].hi
     return ComparatorResult(
-        procedure="tost_equivalence",
-        statistic=statistic,
+        procedure="rope_decision",
+        statistic=posterior_region_prob(post, rope),
         verdict=verdict,
-        p_value=p,
-        alpha=alpha,
-        detail=f"one-sided z-tests against bounds ({lo:.6g}, {hi:.6g})",
+        threshold=mass,
+        detail=(
+            f"central credible interval at mass {mass:g} vs rope "
+            f"[{lo:.6g}, {hi:.6g}]: P(theta < {lo:.6g}) = {below:.6g} "
+            f"and P(theta > {hi:.6g}) = {above:.6g} against (1 - mass)/2 = {tail:.6g}"
+        ),
     )
 
 
@@ -129,49 +222,42 @@ def rope_decision(post: PosteriorModel, rope: RegionSet, mass: float) -> Compara
     taken from its own tail side. The rope must be a single interval
     around the null value.
     """
-    if rope.is_empty:
-        raise ValidationError("rope must be non-empty")
-    if len(rope.intervals) > 1:
-        raise ValidationError(
-            "rope must be a single interval around the null value; got "
-            f"{len(rope.intervals)} disjoint intervals"
-        )
-    if not 0.0 < mass < 1.0:
-        raise ValidationError(f"credible mass must be in (0, 1), got {mass}")
-    hull = rope.intervals[0]
-    tail = 0.5 * (1.0 - mass)
-    below = post._prob(post.space.lo, hull.lo)
-    above = post._prob(hull.hi, post.space.hi)
-    if below <= tail and above <= tail:
-        verdict = "accept_a0"
-    elif below > 1.0 - tail or above > 1.0 - tail:
-        verdict = "accept_a1"
-    else:
-        verdict = "withhold"
-    return ComparatorResult(
-        procedure="rope_decision",
-        statistic=posterior_region_prob(post, rope),
-        verdict=verdict,
-        threshold=mass,
-        detail=(
-            f"central credible interval at mass {mass:g} vs rope "
-            f"[{hull.lo:.6g}, {hull.hi:.6g}]: P(theta < {hull.lo:.6g}) = {below:.6g} "
-            f"and P(theta > {hull.hi:.6g}) = {above:.6g} against (1 - mass)/2 = {tail:.6g}"
-        ),
+    lo, hi, tail = _rope_hull(rope, mass)
+    return _rope_result(post, rope, mass, tail, *_rope(post, lo, hi, tail))
+
+
+Ends = tuple[tuple[float, float], ...]  # the (lo, hi) of each interval of a region
+
+
+def _pair_ends(pair: HypothesisPair) -> tuple[Ends, Ends]:
+    return tuple(
+        tuple((itv.lo, itv.hi) for itv in region.intervals) for region in (pair.h0, pair.h1)
     )
 
 
 def _region_masses(
-    tails_at: Callable[[float], tuple[float, float]], pair: HypothesisPair
-) -> dict[str, float]:
-    """The untruncated mass of each hypothesis region, from the tails at
-    its interval ends (effect scale)."""
-    return {
-        name: sum(
-            _mass_between(tails_at(itv.lo), tails_at(itv.hi)) for itv in region.intervals
-        )
-        for name, region in (("h0", pair.h0), ("h1", pair.h1))
-    }
+    tails_at: Callable[[float], tuple[float, float]], ends: tuple[Ends, Ends]
+) -> tuple[float, float]:
+    """The untruncated masses of H0 and H1, from the tails at the ends of
+    their intervals (effect scale)."""
+    return tuple(
+        sum(_mass_between(tails_at(lo), tails_at(hi)) for lo, hi in region)
+        for region in ends
+    )
+
+
+def _prior_masses(row: Family, params: tuple[float, float], pair: HypothesisPair) -> tuple:
+    """``prior_region_masses`` for the prior ``params`` of a family row, as
+    a tuple (H0, H1)."""
+    for itv in (*pair.h0.intervals, *pair.h1.intervals):
+        row.check_support(itv.lo, itv.hi)
+    masses = _region_masses(lambda t: row.tails(params, t - row.effect_shift), _pair_ends(pair))
+    for name, region, mass in zip(("h0", "h1"), (pair.h0, pair.h1), masses):
+        if region.is_empty:
+            raise ValidationError(f"{name} is empty; it has no prior mass")
+        if mass <= 0.0:
+            raise ValidationError(f"{name} has zero prior mass under the given prior")
+    return masses
 
 
 def prior_region_masses(
@@ -180,18 +266,43 @@ def prior_region_masses(
     """The mass of H0 and H1 under the model's own untruncated prior, the
     denominators of ``interval_bayes_factor``. Both regions must map into
     the family's support and be non-empty with positive prior mass."""
-    row = FAMILIES[family_of(model)]
-    for itv in (*pair.h0.intervals, *pair.h1.intervals):
-        row.check_support(itv.lo, itv.hi)
     # the prior's two numbers are the model's last two fields
     params = tuple(vars(model).values())[-2:]
-    masses = _region_masses(lambda t: row.tails(params, t - row.effect_shift), pair)
-    for name, region in (("h0", pair.h0), ("h1", pair.h1)):
-        if region.is_empty:
-            raise ValidationError(f"{name} is empty; it has no prior mass")
-        if masses[name] <= 0.0:
-            raise ValidationError(f"{name} has zero prior mass under the given prior")
-    return masses
+    return dict(zip(("h0", "h1"), _prior_masses(FAMILIES[family_of(model)], params, pair)))
+
+
+def _check_threshold(threshold: float) -> None:
+    if not (math.isfinite(threshold) and threshold >= 1.0):
+        raise ValidationError(f"threshold must be finite and >= 1, got {threshold}")
+
+
+def _bayes_factor(
+    post_masses: tuple[float, float], prior_masses: tuple[float, float], threshold: float
+) -> tuple[str, float]:
+    """The Bayes-factor rule: (verdict, BF_10) from the region masses."""
+    # the marginal likelihood of each region over the common evidence
+    m0, m1 = (post / prior for post, prior in zip(post_masses, prior_masses))
+    if m0 <= 0.0 and m1 <= 0.0:
+        raise NumericalError("both marginal likelihoods vanished")
+    bf = math.inf if m0 <= 0.0 else m1 / m0
+    _check_bayes_factor(bf)
+    if bf > threshold:
+        verdict = "favors_h1"
+    elif bf < 1.0 / threshold:
+        verdict = "favors_h0"
+    else:
+        verdict = "inconclusive"
+    return verdict, bf
+
+
+def _bayes_factor_result(verdict: str, bf: float) -> ComparatorResult:
+    return ComparatorResult(
+        procedure="interval_bayes_factor",
+        statistic=bf,
+        verdict=verdict,
+        bayes_factor=bf,
+        detail="prior truncated and renormalized to each hypothesis region",
+    )
 
 
 def interval_bayes_factor(
@@ -227,8 +338,7 @@ def interval_bayes_factor(
     The verdict is "favors_h1" above the threshold, "favors_h0" below its
     inverse, else "inconclusive"; a threshold below 1 would overlap the two.
     """
-    if not (math.isfinite(threshold) and threshold >= 1.0):
-        raise ValidationError(f"threshold must be finite and >= 1, got {threshold}")
+    _check_threshold(threshold)
     row = FAMILIES[family_of(model)]
     if prior is not None:
         if post is not None or prior_masses is not None:
@@ -236,26 +346,11 @@ def interval_bayes_factor(
         model = row.model(*tuple(vars(model).values())[:-2], *prior)
     if prior_masses is None:
         prior_masses = prior_region_masses(model, pair)
+    ends = _pair_ends(pair)
     if post is None:
         params = row.update(model)
-        post_masses = _region_masses(lambda t: row.tails(params, t - row.effect_shift), pair)
+        post_masses = _region_masses(lambda t: row.tails(params, t - row.effect_shift), ends)
     else:
-        post_masses = _region_masses(post._tails_at, pair)
-    # the marginal likelihood of each region over the common evidence
-    marginal = {name: post_masses[name] / prior_masses[name] for name in ("h0", "h1")}
-    if marginal["h0"] <= 0.0 and marginal["h1"] <= 0.0:
-        raise NumericalError("both marginal likelihoods vanished")
-    bf = math.inf if marginal["h0"] <= 0.0 else marginal["h1"] / marginal["h0"]
-    if bf > threshold:
-        verdict = "favors_h1"
-    elif bf < 1.0 / threshold:
-        verdict = "favors_h0"
-    else:
-        verdict = "inconclusive"
-    return ComparatorResult(
-        procedure="interval_bayes_factor",
-        statistic=bf,
-        verdict=verdict,
-        bayes_factor=bf,
-        detail="prior truncated and renormalized to each hypothesis region",
-    )
+        post_masses = _region_masses(post._tails_at, ends)
+    masses = (prior_masses["h0"], prior_masses["h1"])
+    return _bayes_factor_result(*_bayes_factor(post_masses, masses, threshold))

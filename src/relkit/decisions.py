@@ -25,11 +25,13 @@ from .hypotheses import HypothesisPair
 from .inference import (
     PosteriorModel,
     _partial_moments,
+    _region_ends,
+    _region_prob,
     concentration_splits,
     posterior_region_prob,
     quadrature,
 )
-from .loss import ACTIONS, LossSpec, Piece, _about, _piece_at, breakpoints
+from .loss import ACTIONS, LossSpec, ParameterSpace, Piece, _about, _piece_at, breakpoints
 from .regions import partition, region_measure
 
 EXPECTED_LOSS_TIE_TOL = 1e-10
@@ -96,15 +98,41 @@ def decide_from_odds(odds: float, ratio: LossRatio) -> str:
     return "indeterminate"
 
 
-def _coverage_check(post: PosteriorModel, pair: HypothesisPair, allow: bool) -> None:
+def _coverage_check(space: ParameterSpace, pair: HypothesisPair, allow: bool) -> None:
     covered = region_measure(pair.h0) + region_measure(pair.h1)
-    span = post.space.span
+    span = space.span
     if span - covered > _COVERAGE_TOL * max(1.0, span) and not allow:
         raise ValidationError(
             "hypotheses do not jointly cover the parameter space; renormalizing "
             "over their union discards all other effect values, which is a "
             "strong claim. Pass allow_restricted_space=True to accept it."
         )
+
+
+def _two_action(p0: float, p1: float, ratio: LossRatio) -> tuple[str, float]:
+    """The hypothesis-ratio rule: (decision, posterior odds of H1) from the
+    posterior probabilities of H0 and H1."""
+    if p0 + p1 <= 0.0:
+        raise NumericalError(
+            "degenerate evidence: both hypothesis regions have zero "
+            "posterior probability"
+        )
+    odds = math.inf if p0 == 0.0 else p1 / p0
+    return decide_from_odds(odds, ratio), odds
+
+
+def _two_action_outcome(
+    p0: float, p1: float, ratio: LossRatio, decision: str, odds: float
+) -> DecisionOutcome:
+    total = p0 + p1
+    return DecisionOutcome(
+        decision=decision,
+        posterior_h0=p0 / total,
+        posterior_h1=p1 / total,
+        posterior_odds=odds,
+        threshold_lo=ratio.lo,
+        threshold_hi=ratio.hi,
+    )
 
 
 def bayes_two_action_decision(
@@ -118,24 +146,10 @@ def bayes_two_action_decision(
     a1 is optimal when its expected loss l_I * P(H0|y) drops below
     l_II * P(H1|y), i.e. when the posterior odds exceed l_I / l_II.
     """
-    _coverage_check(post, pair, allow_restricted_space)
+    _coverage_check(post.space, pair, allow_restricted_space)
     p0 = posterior_region_prob(post, pair.h0)
     p1 = posterior_region_prob(post, pair.h1)
-    total = p0 + p1
-    if total <= 0.0:
-        raise NumericalError(
-            "degenerate evidence: both hypothesis regions have zero "
-            "posterior probability"
-        )
-    odds = math.inf if p0 == 0.0 else p1 / p0
-    return DecisionOutcome(
-        decision=decide_from_odds(odds, ratio),
-        posterior_h0=p0 / total,
-        posterior_h1=p1 / total,
-        posterior_odds=odds,
-        threshold_lo=ratio.lo,
-        threshold_hi=ratio.hi,
-    )
+    return _two_action_outcome(p0, p1, ratio, *_two_action(p0, p1, ratio))
 
 
 def _weighted(piece: Piece, log_density) -> Callable[[float], float]:
@@ -193,6 +207,50 @@ def _quadrature_expected_losses(
     return expected, warnings
 
 
+def _expected_loss(post: PosteriorModel, spec: LossSpec) -> tuple[str, dict, list[str]]:
+    """The expected-loss rule: (decision, E[L(a) | y] per action, warnings)."""
+    if post.family == "normal":
+        expected, warnings = _closed_form_expected_losses(post, spec), []
+    else:
+        expected, warnings = _quadrature_expected_losses(post, spec)
+    if expected["a1"] < expected["a0"] - EXPECTED_LOSS_TIE_TOL:
+        decision = "a1"
+    else:
+        decision = "a0"
+    return decision, expected, warnings
+
+
+def _expected_loss_outcome(
+    post: PosteriorModel,
+    part_ends: tuple[tuple, tuple],
+    decision: str,
+    expected: dict,
+    warnings: list[str],
+) -> DecisionOutcome:
+    """The outcome of the expected-loss rule, with the posterior
+    probabilities of the negligible and relevant regions, whose interval
+    ends ``part_ends`` holds."""
+    p0 = _region_prob(post, part_ends[0])
+    p1 = _region_prob(post, part_ends[1])
+    total = p0 + p1
+    return DecisionOutcome(
+        decision=decision,
+        posterior_h0=p0 / total,
+        posterior_h1=p1 / total,
+        posterior_odds=math.inf if p0 == 0.0 else p1 / p0,
+        threshold_lo=expected["a0"],
+        threshold_hi=expected["a1"],
+        warnings=tuple(warnings),
+    )
+
+
+def _partition_ends(spec: LossSpec, space: ParameterSpace) -> tuple[tuple, tuple]:
+    """The interval ends of the negligible and relevant regions of the
+    loss's partition, checked against the space."""
+    part = partition(spec)
+    return _region_ends(part.negligible, space), _region_ends(part.relevant, space)
+
+
 def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutcome:
     """Full-loss decision: argmin of E[L(theta, a) | y], ties to a0.
 
@@ -209,25 +267,6 @@ def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutc
         raise ValidationError(
             "posterior and loss specification must share the effect space"
         )
-    if post.family == "normal":
-        expected, warnings = _closed_form_expected_losses(post, spec), []
-    else:
-        expected, warnings = _quadrature_expected_losses(post, spec)
-    if expected["a1"] < expected["a0"] - EXPECTED_LOSS_TIE_TOL:
-        decision = "a1"
-    else:
-        decision = "a0"
-
-    part = partition(spec)
-    p0 = posterior_region_prob(post, part.negligible)
-    p1 = posterior_region_prob(post, part.relevant)
-    total = p0 + p1
-    return DecisionOutcome(
-        decision=decision,
-        posterior_h0=p0 / total,
-        posterior_h1=p1 / total,
-        posterior_odds=math.inf if p0 == 0.0 else p1 / p0,
-        threshold_lo=expected["a0"],
-        threshold_hi=expected["a1"],
-        warnings=tuple(warnings),
-    )
+    decision, expected, warnings = _expected_loss(post, spec)
+    part_ends = _partition_ends(spec, post.space)
+    return _expected_loss_outcome(post, part_ends, decision, expected, warnings)

@@ -41,6 +41,7 @@ from .regions import RegionSet
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 _CF_MAX_ITER = 600
 _CF_EPS = 1e-15
@@ -212,11 +213,42 @@ def _beta_update(model: BinomialModel) -> tuple[float, float]:
 
 
 def _normal_update(model: NormalKnownVarModel) -> tuple[float, float]:
-    precision = 1.0 / model.prior_sd**2 + model.n / model.sigma**2
-    mean = (
-        model.prior_mean / model.prior_sd**2 + model.n * model.ybar / model.sigma**2
-    ) / precision
-    return mean, precision**-0.5
+    """The precision-weighted update. Where a square or a sum of the direct
+    formula leaves the normal float range, the posterior comes from the
+    log of the data-to-prior precision ratio instead; a posterior whose
+    mean or sd no float holds raises NumericalError."""
+    n, ybar, sigma, prior_mean, prior_sd = (
+        model.n, model.ybar, model.sigma, model.prior_mean, model.prior_sd
+    )
+    try:
+        v0, v1 = prior_sd**2, sigma**2
+        if v0 >= _FLOAT_MIN and v1 >= _FLOAT_MIN:
+            precision = 1.0 / v0 + n / v1
+            mean = (prior_mean / v0 + n * ybar / v1) / precision
+            sd = precision**-0.5
+            if precision >= _FLOAT_MIN and math.isfinite(mean) and sd > 0.0:
+                return mean, sd
+    except ArithmeticError:
+        pass
+    # r = (n / sigma^2) / (1 / prior_sd^2); each weight and the sd are
+    # taken on the side where 1 + r or 1 + 1/r stays near its larger term
+    log_r = math.log(n) + 2.0 * (math.log(prior_sd) - math.log(sigma))
+    if log_r > 0.0:
+        inv = math.exp(-log_r)
+        w_data, w_prior = 1.0 / (1.0 + inv), inv / (1.0 + inv)
+        sd = sigma / math.sqrt(n) / math.sqrt(1.0 + inv)
+    else:
+        r = math.exp(log_r)
+        w_data, w_prior = r / (1.0 + r), 1.0 / (1.0 + r)
+        sd = prior_sd / math.sqrt(1.0 + r)
+    mean = w_prior * prior_mean + w_data * ybar
+    if not (math.isfinite(mean) and sd > 0.0):
+        raise NumericalError(
+            f"the normal posterior of ybar={ybar!r}, n={n}, sigma={sigma!r} under "
+            f"the prior mean={prior_mean!r}, sd={prior_sd!r} is not representable: "
+            f"mean {mean!r}, sd {sd!r}"
+        )
+    return mean, sd
 
 
 def _beta_tails(params: tuple[float, float], t: float) -> tuple[float, float]:
@@ -300,19 +332,19 @@ def _normal_moments(params, m0: float, x_lo: float, x_hi: float, x_o: float) -> 
     return m0, b * (u * m0 + e1), b * b * (u * (u * m0 + 2.0 * e1) + e2)
 
 
-def _binomial_point_null(model: BinomialModel) -> tuple[float, float, str]:
+def _binomial_point_null(model: BinomialModel) -> tuple[float, float]:
     """Exact test of pi = 1/2, the doubled smaller tail clipped at 1; the
     tails of Binomial(n, 1/2) are P(X >= k) = I_{1/2}(k, n - k + 1)."""
     n, k = model.n, model.k
     lower = 1.0 if k == n else regularized_incomplete_beta(n - k, k + 1, 0.5)
     upper = 1.0 if k == 0 else regularized_incomplete_beta(k, n - k + 1, 0.5)
     p = min(1.0, 2.0 * min(lower, upper))
-    return p, float(k), f"exact binomial test of pi=0.5 with k={k}, n={n}"
+    return p, float(k)
 
 
-def _normal_point_null(model: NormalKnownVarModel) -> tuple[float, float, str]:
+def _normal_point_null(model: NormalKnownVarModel) -> tuple[float, float]:
     z = model.ybar * math.sqrt(model.n) / model.sigma
-    return math.erfc(abs(z) / _SQRT2), z, f"z-test of a zero mean, z={z:.6g}"
+    return math.erfc(abs(z) / _SQRT2), z
 
 
 def _binomial_draw(rng, effect: float, n: int, sigma: float | None) -> BinomialDraw:
@@ -344,7 +376,8 @@ class Family(NamedTuple):
     log_density: Callable  # (params, shift, log mass of the space) -> bound log density
     location_scale: Callable  # params -> untruncated native mean and sd
     moments: Callable  # (params, mass, native lo, hi, origin) -> partial moments
-    point_null: Callable  # model -> (p-value, statistic, detail) of the nhst test
+    point_null: Callable  # model -> (p-value, statistic) of the nhst test
+    point_null_detail: str  # its detail, a format string of model and statistic
     draw: Callable  # (rng, true effect, n, sigma) -> a dataset, the model's leading fields
     repeats: bool  # whether draws repeat, so that a sweep remembers verdicts
 
@@ -365,7 +398,9 @@ FAMILIES: dict[str, Family] = {
         prior_keys=("alpha", "beta"), proper=_beta_proper, data=(("k", int),), known=(),
         update=_beta_update, tails=_beta_tails, log_density=_beta_log_density,
         location_scale=_beta_location_scale, moments=_beta_moments,
-        point_null=_binomial_point_null, draw=_binomial_draw, repeats=True,
+        point_null=_binomial_point_null,
+        point_null_detail="exact binomial test of pi=0.5 with k={model.k}, n={model.n}",
+        draw=_binomial_draw, repeats=True,
     ),
     "normal": Family(
         model=NormalKnownVarModel, posterior="normal", effect_shift=0.0,
@@ -373,7 +408,9 @@ FAMILIES: dict[str, Family] = {
         data=(("ybar", float),), known=("sigma",), update=_normal_update,
         tails=_normal_tails, log_density=_normal_log_density,
         location_scale=_normal_location_scale, moments=_normal_moments,
-        point_null=_normal_point_null, draw=_normal_draw, repeats=False,
+        point_null=_normal_point_null,
+        point_null_detail="z-test of a zero mean, z={statistic:.6g}",
+        draw=_normal_draw, repeats=False,
     ),
 }
 _BY_POSTERIOR = {row.posterior: row for row in FAMILIES.values()}
@@ -542,22 +579,34 @@ def posterior_update(
     return PosteriorModel(row.posterior, row.update(model), space)
 
 
+def _region_ends(region: RegionSet, space: ParameterSpace) -> tuple[tuple[float, float], ...]:
+    """The (lo, hi) of each interval of a region set, which must lie in the
+    space up to a rounding of its span."""
+    span = max(1.0, space.span)
+    for itv in region.intervals:
+        if itv.lo < space.lo - 1e-9 * span or itv.hi > space.hi + 1e-9 * span:
+            raise DomainError(
+                f"region [{itv.lo}, {itv.hi}] outside the effect space "
+                f"[{space.lo}, {space.hi}]"
+            )
+    return tuple((itv.lo, itv.hi) for itv in region.intervals)
+
+
+def _region_prob(post: PosteriorModel, ends: tuple[tuple[float, float], ...]) -> float:
+    """Posterior probability of the intervals ``ends`` from ``_region_ends``."""
+    total = 0.0
+    for lo, hi in ends:
+        total += post._prob(lo, hi)
+    return min(max(total, 0.0), 1.0)
+
+
 def posterior_region_prob(post: PosteriorModel, region: RegionSet) -> float:
     """Posterior probability of a region set: the sum of its intervals'
     masses, each taken from the tails on its own side.
 
     Endpoint openness is immaterial for these continuous posteriors.
     """
-    span = max(1.0, post.space.span)
-    total = 0.0
-    for itv in region.intervals:
-        if itv.lo < post.space.lo - 1e-9 * span or itv.hi > post.space.hi + 1e-9 * span:
-            raise DomainError(
-                f"region [{itv.lo}, {itv.hi}] outside the effect space "
-                f"[{post.space.lo}, {post.space.hi}]"
-            )
-        total += post._prob(itv.lo, itv.hi)
-    return min(max(total, 0.0), 1.0)
+    return _region_prob(post, _region_ends(region, post.space))
 
 
 def credible_interval(post: PosteriorModel, mass: float) -> tuple[float, float]:

@@ -119,6 +119,8 @@ class LossSpec:
     # of each action) between the space ends and the breakpoints
     _curves: tuple[Curve, Curve] = field(init=False, repr=False, compare=False)
     _panels: tuple = field(init=False, repr=False, compare=False)
+    # the relevance partition, set by regions.partition on first use
+    _partition: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:

@@ -11,7 +11,6 @@ closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 
 from .errors import ValidationError
@@ -191,13 +190,17 @@ def partition(spec: LossSpec) -> RelevancePartition:
     ``crossings`` are the boundary points of the relevant set inside the
     space, so a point where the curves touch without crossing is a
     negligible singleton and a crossing. A LossSpec is checked when it is
-    built, so every spec has a partition; the last 128 are cached.
+    built, so every spec has a partition; it is computed on first use and
+    kept on the spec.
     """
-    return _partition_cached(spec)
+    part = spec._partition
+    if part is None:
+        part = _partition(spec)
+        object.__setattr__(spec, "_partition", part)
+    return part
 
 
-@lru_cache(maxsize=128)
-def _partition_cached(spec: LossSpec) -> RelevancePartition:
+def _partition(spec: LossSpec) -> RelevancePartition:
     delta = difference_fn(spec)
     space = spec.space
     roots = {

@@ -7,7 +7,10 @@ generators seeded per cell and replicate (scenario seed, the bit pattern of
 the true effect, n, replicate index), so any single draw can be reproduced
 in isolation and results do not depend on execution order.
 
-The family's row in ``inference.FAMILIES`` draws each dataset. The
+The family's row in ``inference.FAMILIES`` draws each dataset. Each
+procedure is bound once per run: its settings are checked and its region
+ends taken then, and its kernel computes per draw only what the verdict
+needs; the full result (``compare``'s row) is built only on request. The
 procedures of a replicate share one posterior, built on first use, and
 with it the tail masses it has taken at the region ends. A verdict depends
 on nothing but the dataset, so where draws repeat (binomial: at most n + 1
@@ -32,26 +35,43 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from . import values
 from .comparators import (
     ComparatorResult,
-    interval_bayes_factor,
-    nhst_point_null,
-    prior_region_masses,
-    rope_decision,
-    tost_equivalence,
+    _bayes_factor,
+    _bayes_factor_result,
+    _check_alpha,
+    _check_threshold,
+    _nhst,
+    _nhst_result,
+    _pair_ends,
+    _prior_masses,
+    _region_masses,
+    _rope,
+    _rope_hull,
+    _rope_result,
+    _tost,
+    _tost_bounds,
+    _tost_result,
 )
 from .decisions import (
     LossRatio,
-    bayes_two_action_decision,
-    expected_loss_decision,
+    _coverage_check,
+    _expected_loss,
+    _expected_loss_outcome,
+    _partition_ends,
+    _two_action,
+    _two_action_outcome,
 )
-from .errors import RelkitError, ValidationError
+from .errors import DomainError, RelkitError, ValidationError
 from .hypotheses import HypothesisPair, derive_hypotheses
 from .inference import (
     FAMILIES,
     BinomialDraw,
     BinomialModel,
+    Family,
     NormalDraw,
     NormalKnownVarModel,
     PosteriorModel,
+    _region_ends,
+    _region_prob,
     posterior_update,
 )
 from .loss import LossSpec, ParameterSpace
@@ -62,7 +82,9 @@ if TYPE_CHECKING:
 
 Model = BinomialModel | NormalKnownVarModel
 Posterior = Callable[[], PosteriorModel]
-Bound = Callable[[Model, Posterior], ComparatorResult]  # a procedure with its settings
+Report = Callable[[], ComparatorResult]
+# a procedure with its settings bound: (model, posterior) -> (verdict, report)
+Kernel = Callable[[Model, Posterior], tuple[str, Report]]
 
 
 @dataclass(frozen=True)
@@ -143,26 +165,46 @@ class Scenario:
 Dataset = BinomialDraw | NormalDraw
 
 
-def _cell_rng(
-    seed: int, true_effect: float, n: int, replicate_index: int
-) -> np.random.Generator:
+def _words(value: int) -> list[int]:
+    """The 32-bit words of a non-negative int, least significant first, as
+    numpy's SeedSequence splits each int of its entropy (0 is one word)."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+def _cell_rng(seed: int, true_effect: float, n: int) -> Callable[[int], np.random.Generator]:
+    """replicate index -> the generator of that replicate in one cell:
+    PCG64 seeded by SeedSequence([seed, effect bits, n, replicate]), where
+    effect bits is the IEEE-754 bit pattern of the true effect as an
+    unsigned int. The words of the entropy are split here once per cell
+    and handed to SeedSequence as a uint32 array, the form it reduces a
+    list of ints to, so the stream is the one the list gives."""
     # numpy is imported here, not at module level: only simulate draws data,
     # and the other commands start faster without it
     import numpy as np
 
     # + 0.0 maps -0.0 to 0.0, so both zeros draw the same stream
     effect_bits = int.from_bytes(struct.pack("<d", float(true_effect) + 0.0), "little")
-    ss = np.random.SeedSequence(
-        [int(seed), effect_bits, int(n), int(replicate_index)]
-    )
-    return np.random.default_rng(ss)
+    cell = [*_words(int(seed)), *_words(effect_bits), *_words(int(n))]
+
+    def rng(replicate_index: int) -> np.random.Generator:
+        entropy = np.array([*cell, *_words(int(replicate_index))], dtype=np.uint32)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+    return rng
 
 
 def simulate_dataset(
     scenario: Scenario, true_effect: float, n: int, replicate_index: int
 ) -> Dataset:
     """Draw one dataset; fully determined by (seed, effect, n, replicate)."""
-    rng = _cell_rng(scenario.seed, true_effect, n, replicate_index)
+    rng = _cell_rng(scenario.seed, true_effect, n)(replicate_index)
     return FAMILIES[scenario.family].draw(rng, true_effect, n, scenario.sigma)
 
 
@@ -198,74 +240,158 @@ def _shared_posterior(model: Model, space: ParameterSpace) -> Posterior:
     return posterior
 
 
-# A bound procedure takes the model and a posterior from _shared_posterior;
-# nhst, tost and a Bayes factor with its own prior never call it. The bind
-# steps name the procedures as module globals, looked up at call time, so
-# that patching one here reaches every caller.
+# A bind step makes every check that depends only on the settings, the loss
+# and the hypothesis pair, and returns the procedure's kernel. A kernel
+# takes the model and a posterior from _shared_posterior (nhst, tost and a
+# Bayes factor with its own prior never call it), computes what its verdict
+# needs through the rule its public function calls, and returns the verdict
+# and report(), which builds the result that function returns. The kernels
+# name the rules as module globals, looked up at call time, so that
+# patching one here reaches every caller.
 
 
-def _bind_nhst(s: dict, loss: LossSpec, pair: HypothesisPair):
-    return lambda model, posterior: nhst_point_null(model, s["alpha"])
+def _raising(exc: RelkitError, first: Kernel | None = None) -> Kernel:
+    """The kernel of settings that a check refused at bind: every call
+    raises what the public function raises per call, after ``first`` where
+    that function does its work before the check."""
+
+    def kernel(model: Model, posterior: Posterior):
+        if first is not None:
+            first(model, posterior)
+        raise type(exc)(*exc.args)
+
+    return kernel
 
 
-def _bind_tost(s: dict, loss: LossSpec, pair: HypothesisPair):
-    bounds = _interval_on(loss, s["bounds"])
-    return lambda model, posterior: tost_equivalence(model, bounds, s["alpha"])
+def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Kernel:
+    alpha, point_null = s["alpha"], row.point_null
+    _check_alpha(alpha)
+
+    def kernel(model: Model, posterior: Posterior):
+        out = _nhst(point_null, model, alpha)
+        return out[0], lambda: _nhst_result(row, model, alpha, *out)
+
+    return kernel
 
 
-def _bind_rope(s: dict, loss: LossSpec, pair: HypothesisPair):
-    rope = RegionSet.single(*_interval_on(loss, s["rope"]))
-    return lambda model, posterior: rope_decision(posterior(), rope, s["mass"])
+def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Kernel:
+    alpha, bounds = s["alpha"], _interval_on(loss, s["bounds"])
+    try:
+        lo, hi = _tost_bounds(bounds, alpha)
+    except ValidationError as exc:
+        return _raising(exc)
+
+    def kernel(model: Model, posterior: Posterior):
+        out = _tost(model, lo, hi, alpha)
+        return out[0], lambda: _tost_result(lo, hi, alpha, *out)
+
+    return kernel
 
 
-def _bind_hypothesis_ratio(s: dict, loss: LossSpec, pair: HypothesisPair):
-    def run(model: Model, posterior: Posterior) -> ComparatorResult:
-        out = bayes_two_action_decision(posterior(), pair, s["loss_ratio"])
-        return _decision("bayes_two_action_decision", out.posterior_odds, out)
+def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Kernel:
+    rope, mass = RegionSet.single(*_interval_on(loss, s["rope"])), s["mass"]
+    lo, hi, tail = _rope_hull(rope, mass)
 
-    return run
+    def kernel(model: Model, posterior: Posterior):
+        post = posterior()
+        out = _rope(post, lo, hi, tail)
+        return out[0], lambda: _rope_result(post, rope, mass, tail, *out)
+
+    try:
+        _region_ends(rope, loss.space)
+    except DomainError as exc:
+        # the public rule takes P(rope | y) after its verdict
+        return _raising(exc, kernel)
+    return kernel
 
 
-def _bind_expected_loss(s: dict, loss: LossSpec, pair: HypothesisPair):
-    def run(model: Model, posterior: Posterior) -> ComparatorResult:
-        out = expected_loss_decision(posterior(), loss)
-        statistic = out.threshold_hi - out.threshold_lo  # E[L(a1)] - E[L(a0)]
-        return _decision("expected_loss_decision", statistic, out)
+def _bind_hypothesis_ratio(
+    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
+) -> Kernel:
+    ratio = s["loss_ratio"]
+    try:
+        _coverage_check(loss.space, pair, False)
+    except ValidationError as exc:
+        # the public rule takes the posterior before this check
+        return _raising(exc, lambda model, posterior: posterior())
+    h0, h1 = _region_ends(pair.h0, loss.space), _region_ends(pair.h1, loss.space)
 
-    return run
-
-
-def _bind_bayes_factor(s: dict, loss: LossSpec, pair: HypothesisPair):
-    if s["prior"] is not None:
-        return lambda model, posterior: interval_bayes_factor(
-            model, pair, s["prior"], s["threshold"]
+    def kernel(model: Model, posterior: Posterior):
+        post = posterior()
+        p0, p1 = _region_prob(post, h0), _region_prob(post, h1)
+        decision, odds = _two_action(p0, p1, ratio)
+        return decision, lambda: _decision(
+            "bayes_two_action_decision",
+            odds,
+            _two_action_outcome(p0, p1, ratio, decision, odds),
         )
+
+    return kernel
+
+
+def _bind_expected_loss(
+    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
+) -> Kernel:
+    # the posterior lies on the loss's space, so the two spaces match
+    part_ends = _partition_ends(loss, loss.space)
+
+    def kernel(model: Model, posterior: Posterior):
+        post = posterior()
+        decision, expected, warnings = _expected_loss(post, loss)
+        return decision, lambda: _decision(
+            "expected_loss_decision",
+            expected["a1"] - expected["a0"],
+            _expected_loss_outcome(post, part_ends, decision, expected, warnings),
+        )
+
+    return kernel
+
+
+def _bind_bayes_factor(
+    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
+) -> Kernel:
+    threshold, prior, ends = s["threshold"], s["prior"], _pair_ends(pair)
+    _check_threshold(threshold)
+    if prior is not None:
+        try:
+            masses = _prior_masses(row, prior, pair)
+        except ValidationError as exc:
+            return _raising(exc)
+
+        def own_prior(model: Model, posterior: Posterior):
+            # a second conjugate update: the draw's data under this prior
+            data = tuple(vars(model).values())[:-2]
+            params = row.update(row.model(*data, *prior))
+            post_masses = _region_masses(
+                lambda t: row.tails(params, t - row.effect_shift), ends
+            )
+            out = _bayes_factor(post_masses, masses, threshold)
+            return out[0], lambda: _bayes_factor_result(*out)
+
+        return own_prior
     # the prior masses of each model prior seen: a sweep and a compare have one
-    prior_masses: dict[tuple, dict[str, float]] = {}
+    prior_masses: dict[tuple, tuple[float, float]] = {}
 
-    def run(model: Model, posterior: Posterior) -> ComparatorResult:
-        key = (type(model), *tuple(vars(model).values())[-2:])
-        if key not in prior_masses:
-            prior_masses[key] = prior_region_masses(model, pair)
-        return interval_bayes_factor(
-            model,
-            pair,
-            threshold=s["threshold"],
-            post=posterior(),
-            prior_masses=prior_masses[key],
-        )
+    def kernel(model: Model, posterior: Posterior):
+        # the prior's two numbers are the model's last two fields
+        params = tuple(vars(model).values())[-2:]
+        masses = prior_masses.get(params)
+        if masses is None:
+            masses = prior_masses[params] = _prior_masses(row, params, pair)
+        out = _bayes_factor(_region_masses(posterior()._tails_at, ends), masses, threshold)
+        return out[0], lambda: _bayes_factor_result(*out)
 
-    return run
+    return kernel
 
 
 class Procedure(NamedTuple):
     """One row of the procedure table: each setting's default and parser,
-    the model families, and the bind step (settings, loss, hypothesis pair)
-    -> ((model, posterior) -> ComparatorResult)."""
+    the model families, and the bind step (settings, family row, loss,
+    hypothesis pair) -> kernel."""
 
     settings: dict[str, tuple[object, Callable]]
     families: tuple[str, ...]
-    bind: Callable[[dict, LossSpec, HypothesisPair], Bound]
+    bind: Callable[[dict, Family, LossSpec, HypothesisPair], Kernel]
 
 
 _BOTH = tuple(FAMILIES)
@@ -321,11 +447,13 @@ def parse_settings(proc: ProcedureSpec, family: str | None) -> dict:
 
 def bind_procedure(
     proc: ProcedureSpec, family: str, loss: LossSpec, pair: HypothesisPair
-) -> Bound:
-    """The procedure with its settings bound: a (model, posterior) ->
-    result function, where posterior() is the model's posterior on the
-    loss space, as ``_shared_posterior`` gives it."""
-    return PROCEDURES[proc.name].bind(parse_settings(proc, family), loss, pair)
+) -> Kernel:
+    """The procedure with its settings bound: its kernel, a (model,
+    posterior) -> (verdict, report) function, where posterior() is the
+    model's posterior on the loss space, as ``_shared_posterior`` gives it,
+    and report() builds the procedure's full result."""
+    settings = parse_settings(proc, family)
+    return PROCEDURES[proc.name].bind(settings, FAMILIES[family], loss, pair)
 
 
 Outcome = str | RelkitError
@@ -340,7 +468,7 @@ def _compile_procedures(
     procedures share one posterior of it."""
     loss = scenario.loss
     pair = derive_hypotheses(partition(loss))
-    runs = [bind_procedure(proc, scenario.family, loss, pair) for proc in procs]
+    kernels = [bind_procedure(proc, scenario.family, loss, pair) for proc in procs]
     model_of = FAMILIES[scenario.family].model
     prior = scenario.prior or ()
 
@@ -351,12 +479,12 @@ def _compile_procedures(
         except RelkitError as exc:
             # a draw no model takes (a normal mean that overflowed) fails
             # every procedure alike
-            return (exc.with_traceback(None),) * len(runs)
+            return (exc.with_traceback(None),) * len(kernels)
         posterior = _shared_posterior(model, loss.space)
         out: list[Outcome] = []
-        for run in runs:
+        for kernel in kernels:
             try:
-                out.append(run(model, posterior).verdict)
+                out.append(kernel(model, posterior)[0])
             except RelkitError as exc:
                 # an outcome keeps the error, not the frames of its traceback
                 out.append(exc.with_traceback(None))
@@ -440,12 +568,14 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     reps = scenario.replicates
     cells: list[RateCell] = []
     errors: list[ErrorReport] = []
+    draw, sigma = FAMILIES[scenario.family].draw, scenario.sigma
     for effect in scenario.true_effects:
         for n in scenario.sample_sizes:
             counts = [Counter() for _ in names]
             first_error: dict[int, RelkitError] = {}
+            rng = _cell_rng(scenario.seed, effect, n)
             for r in range(reps):
-                data = simulate_dataset(scenario, effect, n, r)
+                data = draw(rng(r), effect, n, sigma)
                 outcomes = memo.get(data)
                 if outcomes is None:
                     outcomes = outcomes_of(data)

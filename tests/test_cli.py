@@ -423,11 +423,12 @@ class TestSimulateCommand:
         assert "'nhst'" in err and "more than once" in err
 
     def test_error_verdicts_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
-        # rope fails on every replicate
-        def explode(post, rope, mass):
+        # rope fails on every replicate: the patch reaches the rule its
+        # kernel calls
+        def explode(post, lo, hi, tail):
             raise ValidationError("rope exploded")
 
-        monkeypatch.setattr(relkit.simulate, "rope_decision", explode)
+        monkeypatch.setattr(relkit.simulate, "_rope", explode)
         doc = self.scenario_doc(replicates=5)
         doc["scenario"]["procedures"] = [
             {"procedure": "nhst", "alpha": 0.05},
@@ -447,6 +448,85 @@ class TestSimulateCommand:
         rows = list(csv.DictReader(io.StringIO(out_base.read_text())))
         rope = [(r["verdict"], r["frequency"]) for r in rows if r["procedure"] == "rope"]
         assert rope == [("error", "1.0"), ("error", "1.0")]
+
+
+def _aspirin_doc():
+    return json.loads((CONFIG_DIR / "aspirin_scenario.json").read_text(encoding="utf-8"))
+
+
+ALL_SIX = ("nhst", "tost", "rope", "hypothesis_ratio", "expected_loss", "bayes_factor")
+# values the config accepts whose squares leave the float range
+EXTREME_NORMAL = [("prior", 1e-200), ("prior", 1e200), ("sigma", 1e308), ("sigma", 1e-170)]
+
+
+def _extreme_normal_doc(key, value):
+    doc = _aspirin_doc()
+    if key == "prior":
+        doc["scenario"]["prior"]["sd"] = value
+    else:
+        doc["scenario"]["sigma"] = value
+    return doc
+
+
+class TestExtremeNormalScales:
+    """The normal update squares the prior sd and sigma; a config value whose
+    square overflows or underflows still gives a posterior, or a RelkitError
+    naming the values, never a bare ArithmeticError."""
+
+    @pytest.mark.parametrize("key, value", EXTREME_NORMAL)
+    def test_simulate_runs(self, key, value, tmp_path, capsys):
+        doc = _extreme_normal_doc(key, value)
+        doc["scenario"].update(
+            replicates=8, procedures=[{"procedure": name} for name in ALL_SIX]
+        )
+        code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)], capsys)
+        assert code == 0, err
+        assert "failure" not in err
+        for line in err.splitlines():
+            # a procedure that fails names a relkit error and its cause
+            assert "ValidationError: " in line or "NumericalError: " in line, line
+        procedures = {line.split()[2] for line in out.splitlines()[2:]}
+        assert procedures == set(ALL_SIX)
+
+    @pytest.mark.parametrize("rule", ["hypothesis_ratio", "expected_loss"])
+    @pytest.mark.parametrize("key, value", EXTREME_NORMAL)
+    def test_decide_runs(self, key, value, rule, tmp_path, capsys):
+        doc = _extreme_normal_doc(key, value)
+        scenario = doc.pop("scenario")
+        doc.pop("seed")
+        doc["model"] = {
+            "family": "normal",
+            "sigma": scenario["sigma"],
+            "prior": scenario["prior"],
+            "data": {"n": 22000, "ybar": 0.0077},
+        }
+        doc["hypotheses"] = {
+            "h0": [[-0.02, 0.02]],
+            "h1": [[-0.1, -0.02, False, True], [0.02, 0.1, True, False]],
+        }
+        doc["decision"] = {"rule": rule}
+        if rule == "hypothesis_ratio":
+            doc["decision"]["loss_ratio"] = 1.0
+        code, out, err = run_cli(["decide", "--config", write_config(tmp_path, doc)], capsys)
+        assert code == 0, err
+        mean, sd = json.loads(out)["posterior"]["params"]
+        assert math.isfinite(mean) and 0.0 < sd < math.inf
+
+    def test_unrepresentable_posterior_names_the_values(self, tmp_path, capsys):
+        # the posterior sd sigma / sqrt(n) underflows to 0
+        doc = _extreme_normal_doc("sigma", 5e-324)
+        scenario = doc.pop("scenario")
+        doc.pop("seed")
+        doc["model"] = {
+            "family": "normal",
+            "sigma": scenario["sigma"],
+            "data": {"n": 22000, "ybar": 0.0077},
+        }
+        doc["decision"] = {"rule": "expected_loss"}
+        code, _, err = run_cli(["decide", "--config", write_config(tmp_path, doc)], capsys)
+        assert code == 3
+        assert err.startswith("relkit: failure: the normal posterior of ybar=0.0077, n=22000, ")
+        assert "sigma=5e-324" in err and "not representable" in err
 
 
 class TestPlotCommand:

@@ -200,6 +200,34 @@ class TestPartitionOptions:
             )
 
 
+def test_each_spec_computes_its_partition_once(monkeypatch):
+    """The partition is kept on the spec that asked for it; a spec built
+    separately from the same values computes its own, and the two specs
+    still compare and hash equal, before and after."""
+    import relkit.regions
+    from relkit.loss import coin_demo_loss
+
+    calls = []
+    compute = relkit.regions._partition
+
+    def counting(spec):
+        calls.append(spec)
+        return compute(spec)
+
+    monkeypatch.setattr(relkit.regions, "_partition", counting)
+    first, second = coin_demo_loss(), coin_demo_loss()
+    assert first == second and hash(first) == hash(second)
+    part = partition(first)
+    assert partition(first) is part and len(calls) == 1
+    assert first == second and hash(first) == hash(second)
+    assert partition(second) == part and len(calls) == 2
+    assert partition(second) is partition(second) and len(calls) == 2
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    # the kept partition is no part of the spec's repr
+    assert "partition" not in repr(first)
+
+
 def _xor_partition_property(spec, part, rng, points=2000):
     tol = 1e-9
     for _ in range(points):

@@ -182,10 +182,11 @@ class TestRateTable:
     def test_procedure_errors_recorded_not_raised(self, monkeypatch):
         scenario = tiny_coin(replicates=4)
 
-        def explode(model, alpha):
+        def explode(point_null, model, alpha):
             raise ValidationError("boom")
 
-        monkeypatch.setattr(sim, "nhst_point_null", explode)
+        # the rule the nhst kernel calls
+        monkeypatch.setattr(sim, "_nhst", explode)
         table = run_operating_characteristics(scenario)
         nhst_cells = [c for c in table.cells if c.procedure == "nhst"]
         assert nhst_cells
@@ -210,11 +211,12 @@ class TestRateTable:
 
     def test_error_verdicts_reported_per_cell(self, monkeypatch):
         # rope fails on every replicate, and the memoised failure still
-        # counts once per replicate
-        def explode(post, rope, mass):
+        # counts once per replicate; the patch reaches the rule its kernel
+        # calls
+        def explode(post, lo, hi, tail):
             raise ValidationError("rope exploded")
 
-        monkeypatch.setattr(sim, "rope_decision", explode)
+        monkeypatch.setattr(sim, "_rope", explode)
         scenario = tiny_coin(replicates=6, procedures=(ProcedureSpec("rope", {}),))
         table = run_operating_characteristics(scenario)
         assert all(c.frequencies == {"error": 1.0} for c in table.cells)
