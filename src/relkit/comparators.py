@@ -174,17 +174,20 @@ def _rope_hull(rope: RegionSet, mass: float) -> tuple[float, float, float]:
     return hull.lo, hull.hi, 0.5 * (1.0 - mass)
 
 
+def _rope_verdict(below: float, above: float, tail: float) -> str:
+    """The ROPE verdict from P(theta < lo | y) and P(theta > hi | y)."""
+    if below <= tail and above <= tail:
+        return "accept_a0"
+    if below > 1.0 - tail or above > 1.0 - tail:
+        return "accept_a1"
+    return "withhold"
+
+
 def _rope(post: PosteriorModel, lo: float, hi: float, tail: float) -> tuple[str, float, float]:
     """The ROPE rule: (verdict, P(theta < lo | y), P(theta > hi | y))."""
     below = post._prob(post.space.lo, lo)
     above = post._prob(hi, post.space.hi)
-    if below <= tail and above <= tail:
-        verdict = "accept_a0"
-    elif below > 1.0 - tail or above > 1.0 - tail:
-        verdict = "accept_a1"
-    else:
-        verdict = "withhold"
-    return verdict, below, above
+    return _rope_verdict(below, above, tail), below, above
 
 
 def _rope_result(
@@ -286,13 +289,15 @@ def _bayes_factor(
         raise NumericalError("both marginal likelihoods vanished")
     bf = math.inf if m0 <= 0.0 else m1 / m0
     _check_bayes_factor(bf)
+    return _bayes_factor_verdict(bf, threshold), bf
+
+
+def _bayes_factor_verdict(bf: float, threshold: float) -> str:
     if bf > threshold:
-        verdict = "favors_h1"
-    elif bf < 1.0 / threshold:
-        verdict = "favors_h0"
-    else:
-        verdict = "inconclusive"
-    return verdict, bf
+        return "favors_h1"
+    if bf < 1.0 / threshold:
+        return "favors_h0"
+    return "inconclusive"
 
 
 def _bayes_factor_result(verdict: str, bf: float) -> ComparatorResult:

@@ -379,7 +379,6 @@ class Family(NamedTuple):
     point_null: Callable  # model -> (p-value, statistic) of the nhst test
     point_null_detail: str  # its detail, a format string of model and statistic
     draw: Callable  # (rng, true effect, n, sigma) -> a dataset, the model's leading fields
-    repeats: bool  # whether draws repeat, so that a sweep remembers verdicts
 
     def check_support(self, lo: float, hi: float) -> None:
         """Raise unless the effects [lo, hi] map into the native support."""
@@ -400,7 +399,7 @@ FAMILIES: dict[str, Family] = {
         location_scale=_beta_location_scale, moments=_beta_moments,
         point_null=_binomial_point_null,
         point_null_detail="exact binomial test of pi=0.5 with k={model.k}, n={model.n}",
-        draw=_binomial_draw, repeats=True,
+        draw=_binomial_draw,
     ),
     "normal": Family(
         model=NormalKnownVarModel, posterior="normal", effect_shift=0.0,
@@ -410,7 +409,7 @@ FAMILIES: dict[str, Family] = {
         location_scale=_normal_location_scale, moments=_normal_moments,
         point_null=_normal_point_null,
         point_null_detail="z-test of a zero mean, z={statistic:.6g}",
-        draw=_normal_draw, repeats=False,
+        draw=_normal_draw,
     ),
 }
 _BY_POSTERIOR = {row.posterior: row for row in FAMILIES.values()}

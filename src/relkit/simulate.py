@@ -10,13 +10,24 @@ in isolation and results do not depend on execution order.
 The family's row in ``inference.FAMILIES`` draws each dataset. Each
 procedure is bound once per run: its settings are checked and its region
 ends taken then, and its kernel computes per draw only what the verdict
-needs; the full result (``compare``'s row) is built only on request. The
-procedures of a replicate share one posterior, built on first use, and
-with it the tail masses it has taken at the region ends. A verdict depends
-on nothing but the dataset, so where draws repeat (binomial: at most n + 1
-distinct k per n) a sweep runs the procedures once per distinct draw and
-keeps their outcomes in one memo entry. A normal draw never repeats, so a
-normal sweep keeps no memo: it would only grow by one entry per replicate.
+needs; the full result (``compare``'s row) is built only on request.
+
+A verdict depends on the dataset only through one statistic, k or ybar, so
+a sweep draws a cell's replicates in blocks of ``SWEEP_BLOCK`` and sorts
+each block's distinct statistics. ``nhst`` and ``tost`` run on every
+distinct draw. In the normal family a posterior procedure carries a
+certificate: coordinates of a draw that are monotone in the statistic,
+because both posteriors are stochastically increasing in it, and a
+verdict function monotone in the coordinates. The sweep evaluates the
+procedure at a block's two end draws and splits a gap between evaluated
+draws at its midpoint only while the certificate cannot name one verdict
+for every draw inside it. A normal kernel that raises on a draw of a
+block raises on one of its end draws (``_bind_sweep``), and then runs on
+every distinct draw of the cell, as a procedure without a certificate
+does. Every binomial procedure runs on every distinct count, and a run
+keeps its outcomes per (n, k), since counts repeat. The procedures of a
+draw share one posterior, built on first use, and with it the tail masses
+it has taken.
 
 The shipped scenarios are configs: ``configs/coin_scenario.json``, the
 coin-bias demo, and ``configs/aspirin_scenario.json``, a blood-thinner
@@ -30,13 +41,15 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import values
 from .comparators import (
     ComparatorResult,
+    Ends,
     _bayes_factor,
     _bayes_factor_result,
+    _bayes_factor_verdict,
     _check_alpha,
     _check_threshold,
     _nhst,
@@ -47,11 +60,13 @@ from .comparators import (
     _rope,
     _rope_hull,
     _rope_result,
+    _rope_verdict,
     _tost,
     _tost_bounds,
     _tost_result,
 )
 from .decisions import (
+    EXPECTED_LOSS_TIE_TOL,
     LossRatio,
     _coverage_check,
     _expected_loss,
@@ -59,6 +74,7 @@ from .decisions import (
     _partition_ends,
     _two_action,
     _two_action_outcome,
+    decide_from_odds,
 )
 from .errors import DomainError, RelkitError, ValidationError
 from .hypotheses import HypothesisPair, derive_hypotheses
@@ -70,11 +86,12 @@ from .inference import (
     NormalDraw,
     NormalKnownVarModel,
     PosteriorModel,
+    _partial_moments,
     _region_ends,
     _region_prob,
     posterior_update,
 )
-from .loss import LossSpec, ParameterSpace
+from .loss import LossSpec, ParameterSpace, _about
 from .regions import RegionSet, partition, region_hull
 
 if TYPE_CHECKING:
@@ -145,13 +162,19 @@ class Scenario:
             raise ValidationError("true_effects must be non-empty")
         if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
             raise ValidationError("sample_sizes must be positive")
-        # the rate table names each procedure's cells by its name alone
-        names = Counter(proc.name for proc in self.procedures)
-        duplicates = sorted(name for name, count in names.items() if count > 1)
-        if duplicates:
-            raise ValidationError(
-                f"procedure(s) {duplicates} listed more than once; each may appear once"
-            )
+        # the rate table names each procedure's cells by its name alone, and
+        # each cell by its effect and n; 0.0 == -0.0, and both zeros draw
+        # the same stream
+        for key, items in (
+            ("procedure(s)", [proc.name for proc in self.procedures]),
+            ("true effect(s)", self.true_effects),
+            ("sample size(s)", self.sample_sizes),
+        ):
+            duplicates = sorted(item for item, count in Counter(items).items() if count > 1)
+            if duplicates:
+                raise ValidationError(
+                    f"{key} {duplicates} listed more than once; each may appear once"
+                )
         space = self.loss.space
         for effect in self.true_effects:
             if not space.contains(effect):
@@ -384,20 +407,222 @@ def _bind_bayes_factor(
     return kernel
 
 
+# --- certificates ----------------------------------------------------------
+#
+# A sweep sorts a cell's draws by their statistic, k or ybar, and evaluates
+# a posterior procedure only where its verdict can change. Both posteriors
+# are stochastically increasing in the statistic: the sampling kernel,
+# exp(k logit(pi)) or exp(n theta ybar / sigma^2), is totally positive of
+# order 2 in (statistic, effect), and a prior or a truncation to the space
+# keeps that (Karlin, Total Positivity I, 1968). So a tail mass at a fixed
+# point, and the expectation of a non-decreasing function of the effect,
+# are monotone in the statistic. A certificate maps a draw to such
+# coordinates, and its verdict function maps coordinates to the verdict,
+# non-decreasing in every coordinate along one order of the verdicts. The
+# draws between two evaluated ones have coordinates inside the box their
+# coordinates span; when the verdicts at the box's lowest and highest
+# corners agree, every draw inside takes that verdict.
+
+# the box between two evaluated draws is widened by this share of each
+# coordinate, far above the rounding of the tails and moments, so that a
+# draw whose coordinates wobble by a rounding still lies inside it; and a
+# hypothesis mass that is a difference of tails rounded to 1, which
+# cancels to 0, takes both signs over the box, so its corners disagree
+CERTIFICATE_MARGIN = 1e-7
+
+
+class Certificate(NamedTuple):
+    """coords: (model, posterior) -> coordinates, each monotone in the
+    statistic; verdict: coordinates -> the procedure's verdict."""
+
+    coords: Callable[[Model, Posterior], tuple[float, ...]]
+    verdict: Callable[[tuple[float, ...]], str]
+
+
+def _box_verdict(cert: Certificate, a: tuple, b: tuple) -> str | None:
+    """The verdict of every draw between two evaluated draws whose
+    coordinates are a and b, or None when the widened box they span holds
+    more than one verdict."""
+    lo = tuple(x - CERTIFICATE_MARGIN * abs(x) for x in map(min, a, b))
+    hi = tuple(x + CERTIFICATE_MARGIN * abs(x) for x in map(max, a, b))
+    verdict = cert.verdict(lo)
+    return verdict if cert.verdict(hi) == verdict else None
+
+
+def _odds_cells(ends: tuple[Ends, Ends]) -> tuple[tuple, tuple]:
+    """The change points and cells of a hypothesis pair, for a verdict that
+    rises with P(H1 | y) and falls with P(H0 | y).
+
+    The pair's ends cut the line into cells, ranked 0 in H0, 2 in H1 and 1
+    in neither. At a change point the rank changes, and its coordinate is
+    the posterior mass on its higher-ranked side: below it (tail 0) where
+    the rank falls, above it (tail 1) where it rises. An H1 cell lies
+    between a rise and a fall, so its mass is c_left + c_right - 1, and an
+    H0 cell between a fall and a rise, with mass 1 - c_left - c_right: P(H1)
+    rises and P(H0) falls with every coordinate. Returns ((point, tail) per
+    change point, (region, index of its left change point) per cell)."""
+    points = sorted({x for region in ends for itv in region for x in itv})
+    ranks = [1]
+    for a, b in zip(points, points[1:]):
+        mid = 0.5 * (a + b)
+        in_h0, in_h1 = (any(lo <= mid <= hi for lo, hi in region) for region in ends)
+        if in_h0 and in_h1:
+            raise DomainError(f"H0 and H1 overlap on [{a}, {b}]")
+        ranks.append(0 if in_h0 else 2 if in_h1 else 1)
+    ranks.append(1)
+    changes: list[tuple[float, int]] = []
+    cells: list[tuple[int, int]] = []
+    for x, left, right in zip(points, ranks, ranks[1:]):
+        if left != right:
+            if right != 1:
+                cells.append((right // 2, len(changes)))
+            changes.append((x, 0 if left > right else 1))
+    return tuple(changes), tuple(cells)
+
+
+def _odds_masses(c: tuple, cells: tuple) -> tuple[float, float]:
+    """P(H0 | y) and P(H1 | y) from the coordinates of ``_odds_cells``."""
+    p0 = p1 = 0.0
+    for region, j in cells:
+        if region:
+            p1 += c[j] + c[j + 1] - 1.0
+        else:
+            p0 += 1.0 - c[j] - c[j + 1]
+    return p0, p1
+
+
+def _certify_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Certificate:
+    rope = RegionSet.single(*_interval_on(loss, s["rope"]))
+    lo, hi, tail = _rope_hull(rope, s["mass"])
+    _region_ends(rope, loss.space)
+    # P(theta < lo | y) falls and P(theta > hi | y) rises with the
+    # statistic, since the truncated posterior is stochastically increasing
+    # in it; the verdict rises with both: accept_a0 < withhold < accept_a1
+    return Certificate(
+        lambda model, posterior: _rope(posterior(), lo, hi, tail)[1:],
+        lambda c: _rope_verdict(c[0], c[1], tail),
+    )
+
+
+def _certify_hypothesis_ratio(
+    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
+) -> Certificate:
+    ratio = s["loss_ratio"]
+    _coverage_check(loss.space, pair, False)
+    changes, cells = _odds_cells(_pair_ends(pair))
+    lo, hi = loss.space.lo, loss.space.hi
+
+    def coords(model: Model, posterior: Posterior) -> tuple[float, ...]:
+        # tail masses of the truncated posterior at fixed points: monotone
+        # in the statistic, since that posterior is stochastically increasing
+        post = posterior()
+        return tuple(post._prob(lo, x) if tail == 0 else post._prob(x, hi) for x, tail in changes)
+
+    def verdict(c: tuple) -> str:
+        # the odds rise with every coordinate: a0 < indeterminate < a1
+        p0, p1 = _odds_masses(c, cells)
+        return decide_from_odds(p1 / p0 if p0 > 0.0 else math.inf, ratio)
+
+    return Certificate(coords, verdict)
+
+
+def _certify_expected_loss(
+    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
+) -> Certificate | None:
+    # g = L(a1) - L(a0) = g(lo) + V+ - V-, its Jordan rise and fall, both
+    # non-decreasing in the effect; per panel: its ends, pieces, g at its
+    # start, whether g rises on it, and V+ and V- at its start
+    panels, rise, fall = [], 0.0, 0.0
+    for a, b, pieces in loss._panels:
+        d0, d1, d2 = (y - x for x, y in zip(*(_about(piece, a) for piece in pieces)))
+        width = b - a
+        if d2 != 0.0 and 0.0 < -d1 / (2.0 * d2) < width:
+            return None  # g turns inside the panel
+        step = width * (d1 + width * d2)
+        panels.append((a, b, pieces, d0, step >= 0.0, rise, fall))
+        rise, fall = rise + max(step, 0.0), fall + max(-step, 0.0)
+    g_lo = panels[0][3]
+
+    def coords(model: Model, posterior: Posterior) -> tuple[float, float]:
+        # -E[V+ | y] and E[V- | y]: means of non-decreasing functions of the
+        # effect under a posterior stochastically increasing in the
+        # statistic, so monotone in it; from the partial moments the rule takes
+        post = posterior()
+        loc = post.native_location_scale[0]
+        up = down = 0.0
+        for a, b, pieces, g_a, rising, rise_a, fall_a in panels:
+            origin = min(max(loc, a), b)
+            m0, m1, m2 = _partial_moments(post, a, b, origin)
+            c0, c1, c2 = (y - x for x, y in zip(*(_about(piece, origin) for piece in pieces)))
+            change = (c0 - g_a) * m0 + c1 * m1 + c2 * m2  # E[g - g(a); panel]
+            up += rise_a * m0 + (change if rising else 0.0)
+            down += fall_a * m0 - (0.0 if rising else change)
+        total = post._ends[2]
+        return -up / total, down / total
+
+    def verdict(c: tuple) -> str:
+        # E[g | y] = g(lo) - c0 - c1 falls with both: a0 < a1
+        return "a1" if g_lo - c[0] - c[1] < -EXPECTED_LOSS_TIE_TOL else "a0"
+
+    return Certificate(coords, verdict)
+
+
+def _certify_bayes_factor(
+    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
+) -> Certificate:
+    threshold, prior = s["threshold"], s["prior"]
+    changes, cells = _odds_cells(_pair_ends(pair))
+    # the untruncated tail masses at fixed points, monotone in the statistic
+    # since the posterior under either prior is stochastically increasing in
+    # it, and last the prior odds P(H0) / P(H1), the same for every draw
+    if prior is not None:
+        h0_mass, h1_mass = _prior_masses(row, prior, pair)
+
+        def coords(model: Model, posterior: Posterior) -> tuple[float, ...]:
+            data = tuple(vars(model).values())[:-2]
+            params = row.update(row.model(*data, *prior))
+            tails = (row.tails(params, x - row.effect_shift)[tail] for x, tail in changes)
+            return (*tails, h0_mass / h1_mass)
+
+    else:
+        prior_odds: dict[tuple, float] = {}
+
+        def coords(model: Model, posterior: Posterior) -> tuple[float, ...]:
+            params = tuple(vars(model).values())[-2:]
+            odds = prior_odds.get(params)
+            if odds is None:
+                h0_mass, h1_mass = _prior_masses(row, params, pair)
+                odds = prior_odds[params] = h0_mass / h1_mass
+            tails_at = posterior()._tails_at
+            return (*(tails_at(x)[tail] for x, tail in changes), odds)
+
+    def verdict(c: tuple) -> str:
+        # BF10 rises with every coordinate: favors_h0 < inconclusive < favors_h1
+        p0, p1 = _odds_masses(c, cells)
+        return _bayes_factor_verdict(p1 / p0 * c[-1] if p0 > 0.0 else math.inf, threshold)
+
+    return Certificate(coords, verdict)
+
+
 class Procedure(NamedTuple):
     """One row of the procedure table: each setting's default and parser,
-    the model families, and the bind step (settings, family row, loss,
-    hypothesis pair) -> kernel."""
+    the model families, the bind step (settings, family row, loss,
+    hypothesis pair) -> kernel, and the sweep's certify step, with the
+    same arguments -> Certificate, or None where every distinct draw is
+    evaluated."""
 
     settings: dict[str, tuple[object, Callable]]
     families: tuple[str, ...]
     bind: Callable[[dict, Family, LossSpec, HypothesisPair], Kernel]
+    certify: Callable[[dict, Family, LossSpec, HypothesisPair], Certificate | None] | None
 
 
 _BOTH = tuple(FAMILIES)
 
+# nhst and tost take no posterior and cost about a microsecond: they run
+# on every distinct draw
 PROCEDURES: dict[str, Procedure] = {
-    "nhst": Procedure({"alpha": (0.05, values.probability)}, _BOTH, _bind_nhst),
+    "nhst": Procedure({"alpha": (0.05, values.probability)}, _BOTH, _bind_nhst, None),
     "tost": Procedure(
         {
             "alpha": (0.05, values.probability),
@@ -405,23 +630,27 @@ PROCEDURES: dict[str, Procedure] = {
         },
         ("normal",),
         _bind_tost,
+        None,
     ),
     "rope": Procedure(
         {"mass": (0.95, values.probability), "rope": ("partition_hull", values.bounds)},
         _BOTH,
         _bind_rope,
+        _certify_rope,
     ),
     "hypothesis_ratio": Procedure(
         {"loss_ratio": (LossRatio.scalar(1.0), values.loss_ratio)},
         _BOTH,
         _bind_hypothesis_ratio,
+        _certify_hypothesis_ratio,
     ),
-    "expected_loss": Procedure({}, _BOTH, _bind_expected_loss),
+    "expected_loss": Procedure({}, _BOTH, _bind_expected_loss, _certify_expected_loss),
     "bayes_factor": Procedure(
         # a prior of None is the model's own
         {"prior": (None, values.prior), "threshold": (1.0, values.threshold)},
         _BOTH,
         _bind_bayes_factor,
+        _certify_bayes_factor,
     ),
 }
 
@@ -459,52 +688,30 @@ def bind_procedure(
 Outcome = str | RelkitError
 
 
-def _compile_procedures(
-    scenario: Scenario, procs: tuple[ProcedureSpec, ...]
-) -> Callable[[Dataset], tuple[Outcome, ...]]:
-    """Bind procedures into a dataset -> outcomes function: each
-    procedure's verdict, or the error it raised. The model of a draw takes
-    the scenario prior, or without one the model's default, and the
-    procedures share one posterior of it."""
-    loss = scenario.loss
-    pair = derive_hypotheses(partition(loss))
-    kernels = [bind_procedure(proc, scenario.family, loss, pair) for proc in procs]
-    model_of = FAMILIES[scenario.family].model
-    prior = scenario.prior or ()
-
-    def outcomes(data: Dataset) -> tuple[Outcome, ...]:
-        try:
-            # a draw holds the model's leading fields, and the prior its last two
-            model = model_of(*data, *prior)
-        except RelkitError as exc:
-            # a draw no model takes (a normal mean that overflowed) fails
-            # every procedure alike
-            return (exc.with_traceback(None),) * len(kernels)
-        posterior = _shared_posterior(model, loss.space)
-        out: list[Outcome] = []
-        for kernel in kernels:
-            try:
-                out.append(kernel(model, posterior)[0])
-            except RelkitError as exc:
-                # an outcome keeps the error, not the frames of its traceback
-                out.append(exc.with_traceback(None))
-        return tuple(out)
-
-    return outcomes
+def _outcome(kernel: Kernel, model: Model, posterior: Posterior) -> Outcome:
+    """The kernel's verdict, or the error it raised."""
+    try:
+        return kernel(model, posterior)[0]
+    except RelkitError as exc:
+        # an outcome keeps the error, not the frames of its traceback
+        return exc.with_traceback(None)
 
 
 def _compile_procedure(
     scenario: Scenario, proc: ProcedureSpec
 ) -> Callable[[Dataset], str]:
     """Bind one procedure into a dataset -> verdict function, with a
-    posterior of its own; an error is raised."""
-    outcomes = _compile_procedures(scenario, (proc,))
+    posterior of its own; an error is raised. The model of a draw takes
+    the scenario prior, or without one the model's default."""
+    loss = scenario.loss
+    kernel = bind_procedure(proc, scenario.family, loss, derive_hypotheses(partition(loss)))
+    model_of = FAMILIES[scenario.family].model
+    prior = scenario.prior or ()
 
     def verdict(data: Dataset) -> str:
-        (outcome,) = outcomes(data)
-        if isinstance(outcome, RelkitError):
-            raise outcome
-        return outcome
+        # a draw holds the model's leading fields, and the prior its last two
+        model = model_of(*data, *prior)
+        return kernel(model, _shared_posterior(model, loss.space))[0]
 
     return verdict
 
@@ -547,6 +754,186 @@ class RateTable:
     errors: tuple[ErrorReport, ...] = ()
 
 
+# the draws of a cell are taken and walked in blocks of this many
+# replicates, so that a sweep's memory does not grow with its replicates
+SWEEP_BLOCK = 512
+
+
+class _Sweep(NamedTuple):
+    """A scenario's procedures bound once: each kernel and certificate,
+    and (n, statistic) -> the model of that draw."""
+
+    kernels: tuple[Kernel, ...]
+    certificates: tuple[Certificate | None, ...]
+    model: Callable[[int, float], Model]
+    space: ParameterSpace
+
+
+def _bind_sweep(scenario: Scenario) -> _Sweep:
+    loss, row = scenario.loss, FAMILIES[scenario.family]
+    pair = derive_hypotheses(partition(loss))
+    kernels, certificates = [], []
+    for proc in scenario.procedures:
+        kernels.append(bind_procedure(proc, scenario.family, loss, pair))
+        # A walk evaluates only some draws, so a certificate holds only
+        # where a kernel that raises on any draw of a block raises on one
+        # of its two end draws, which the walk always evaluates. A normal
+        # kernel raises where no float holds the posterior mean, which
+        # rises with ybar, or where the posterior mass vanishes on the
+        # space or (bayes_factor) on every interval of the pair, which
+        # tile the space. The mass of an interval is log-concave in the
+        # mean, and the intervals of a tiling meet at their ends, so the
+        # draws that raise lie below or above all that do not. The beta
+        # tails' continued fraction fails on counts that need not lie so
+        # (ROADMAP item 4), and a beta expected loss comes from quadrature,
+        # whose error is not monotone in k to the margin (item 2): the
+        # binomial procedures run on every distinct draw.
+        certify = PROCEDURES[proc.name].certify if row.posterior == "normal" else None
+        try:
+            cert = certify and certify(parse_settings(proc, scenario.family), row, loss, pair)
+        except RelkitError:
+            # settings that bind refused: the kernel raises on every draw
+            cert = None
+        certificates.append(cert)
+    # a draw holds n, its statistic and the family's known values, the
+    # model's leading fields; the prior gives its last two
+    fields = (*(getattr(scenario, key) for key in row.known), *(scenario.prior or ()))
+    return _Sweep(
+        tuple(kernels),
+        tuple(certificates),
+        lambda n, statistic: row.model(n, statistic, *fields),
+        loss.space,
+    )
+
+
+class _Uncertified(Exception):
+    """Certified procedures, by index, raised on a draw: the cell runs again
+    with them evaluated on every distinct draw."""
+
+
+def _walk(m: int, probe: Callable[[int], tuple[str, tuple]], cert: Certificate) -> list[str]:
+    """The verdicts of m draws sorted by their statistic. Both end draws
+    are evaluated; a gap between two evaluated draws takes the verdict
+    its certificate names, or is split at its midpoint draw."""
+    verdicts: list = [None] * m
+    coords: list = [None] * m
+    for j in sorted({0, m - 1}):
+        verdicts[j], coords[j] = probe(j)
+    gaps = [(0, m - 1)]
+    while gaps:
+        lo, hi = gaps.pop()
+        if hi - lo < 2:
+            continue
+        verdict = _box_verdict(cert, coords[lo], coords[hi])
+        if verdict is not None:
+            verdicts[lo + 1 : hi] = [verdict] * (hi - lo - 1)
+        else:
+            mid = (lo + hi) // 2
+            verdicts[mid], coords[mid] = probe(mid)
+            gaps += [(lo, mid), (mid, hi)]
+    return verdicts
+
+
+def _block_outcomes(
+    sweep: _Sweep, certificates: tuple, n: int, distinct: list, memo: dict | None
+) -> list[list[Outcome]]:
+    """Each procedure's outcome on each distinct statistic of a block,
+    sorted. A certified procedure walks them. The others run on every one
+    whose outcomes ``memo``, the run's memo of counts, does not hold yet;
+    it is None where the statistic is a mean, which does not repeat. The
+    procedures share one posterior per draw."""
+    kernels = sweep.kernels
+    shared: dict[int, tuple[Model, Posterior]] = {}
+
+    def entry(j: int) -> tuple[Model, Posterior]:
+        got = shared.get(j)
+        if got is None:
+            model = sweep.model(n, distinct[j])
+            got = shared[j] = model, _shared_posterior(model, sweep.space)
+        return got
+
+    certified = [i for i, cert in enumerate(certificates) if cert is not None]
+    out: list[list[Outcome]] = [[] for _ in kernels]
+    for i in certified:
+        kernel, cert = kernels[i], certificates[i]
+
+        def probe(j: int) -> tuple[str, tuple]:
+            try:
+                model, posterior = entry(j)
+            except RelkitError:
+                raise _Uncertified(certified) from None
+            try:
+                return kernel(model, posterior)[0], cert.coords(model, posterior)
+            except RelkitError:
+                raise _Uncertified((i,)) from None
+
+        out[i] = _walk(len(distinct), probe, cert)
+    direct = tuple(i for i, cert in enumerate(certificates) if cert is None)
+    for j, statistic in enumerate(distinct if direct else ()):
+        key = n, statistic, direct
+        if memo is not None and key in memo:
+            for i, outcome in zip(direct, memo[key]):
+                out[i].append(outcome)
+            continue
+        got = shared.get(j)
+        try:
+            # the draws no walk evaluated keep no model or posterior
+            model = got[0] if got else sweep.model(n, statistic)
+        except RelkitError as exc:
+            # a draw no model takes (a normal mean that overflowed) fails
+            # every procedure alike
+            if certified:
+                raise _Uncertified(certified) from None
+            for i in direct:
+                out[i].append(exc.with_traceback(None))
+        else:
+            posterior = got[1] if got else _shared_posterior(model, sweep.space)
+            for i in direct:
+                out[i].append(_outcome(kernels[i], model, posterior))
+        if memo is not None:
+            memo[key] = tuple(out[i][-1] for i in direct)
+    return out
+
+
+def _tally(
+    sweep: _Sweep, n: int, blocks: Callable[[], Iterable[Sequence]], memo: dict | None
+) -> tuple[list[Counter], dict[int, RelkitError]]:
+    """Each procedure's verdict counts over the statistics of one cell,
+    which ``blocks()`` gives in replicate order, and the error of its first
+    failing replicate; ``memo`` is the run's (``_block_outcomes``). A
+    certified procedure that raises on a draw is run on every distinct draw
+    instead, and the cell is counted again."""
+    certificates = sweep.certificates
+    while True:
+        counts = [Counter() for _ in sweep.kernels]
+        first_error: dict[int, RelkitError] = {}
+        try:
+            for statistics in blocks():
+                distinct, weight = [], []
+                for statistic in sorted(statistics):
+                    if distinct and statistic == distinct[-1]:
+                        weight[-1] += 1
+                    else:
+                        distinct.append(statistic)
+                        weight.append(1)
+                outcomes = _block_outcomes(sweep, certificates, n, distinct, memo)
+                for i, per_draw in enumerate(outcomes):
+                    failed = {}
+                    for statistic, count, outcome in zip(distinct, weight, per_draw):
+                        if isinstance(outcome, RelkitError):
+                            failed[statistic] = outcome
+                            outcome = "error"
+                        counts[i][outcome] += count
+                    if failed and i not in first_error:
+                        first_error[i] = failed[next(x for x in statistics if x in failed)]
+            return counts, first_error
+        except _Uncertified as exc:
+            (failed,) = exc.args
+            certificates = tuple(
+                None if i in failed else cert for i, cert in enumerate(certificates)
+            )
+
+
 def run_operating_characteristics(scenario: Scenario) -> RateTable:
     """Run every configured procedure on every replicate of every grid cell.
 
@@ -554,38 +941,39 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     "error" and never abort the sweep; ``errors`` says what they were.
     Identical scenarios (seed included) produce identical tables.
 
-    The procedures of a replicate share one posterior, built only if one
-    of them needs it. Where the family's draws repeat, the outcomes of
-    every procedure are memoised for the duration of the call, one entry
-    per distinct draw, so each procedure runs once per distinct draw;
-    normal draws never repeat and are not memoised. A failure is memoised
-    like any verdict and still counts once per replicate.
+    A cell's draws are taken in blocks of ``SWEEP_BLOCK`` replicates and
+    sorted by their statistic, k or ybar. Each procedure runs at most once
+    per distinct statistic of a block, and a certified one only where its
+    certificate cannot name the verdict of a gap between two evaluated
+    draws. The procedures of a draw share one posterior, built only if one
+    of them needs it. A count repeats, so the outcomes of the other
+    procedures on each (n, k) are kept for the rest of the call and serve
+    the later blocks and cells at the same n; a normal sweep keeps none,
+    and its memory does not grow with ``replicates``.
     """
-    outcomes_of = _compile_procedures(scenario, scenario.procedures)
+    sweep = _bind_sweep(scenario)
     names = [proc.name for proc in scenario.procedures]
-    memoise = FAMILIES[scenario.family].repeats
-    memo: dict[Dataset, tuple[Outcome, ...]] = {}
     reps = scenario.replicates
     cells: list[RateCell] = []
     errors: list[ErrorReport] = []
-    draw, sigma = FAMILIES[scenario.family].draw, scenario.sigma
+    # imported here, like numpy: the other commands start faster without it
+    from array import array
+
+    row, sigma = FAMILIES[scenario.family], scenario.sigma
+    # a block's statistics, the field after n, are kept as machine numbers
+    typecode = "q" if row.data[0][1] is int else "d"
+    memo: dict | None = {} if typecode == "q" else None
     for effect in scenario.true_effects:
         for n in scenario.sample_sizes:
-            counts = [Counter() for _ in names]
-            first_error: dict[int, RelkitError] = {}
             rng = _cell_rng(scenario.seed, effect, n)
-            for r in range(reps):
-                data = draw(rng(r), effect, n, sigma)
-                outcomes = memo.get(data)
-                if outcomes is None:
-                    outcomes = outcomes_of(data)
-                    if memoise:
-                        memo[data] = outcomes
-                for i, outcome in enumerate(outcomes):
-                    if isinstance(outcome, RelkitError):
-                        first_error.setdefault(i, outcome)
-                        outcome = "error"
-                    counts[i][outcome] += 1
+
+            def blocks():
+                for start in range(0, reps, SWEEP_BLOCK):
+                    stop = min(start + SWEEP_BLOCK, reps)
+                    draws = (row.draw(rng(r), effect, n, sigma)[1] for r in range(start, stop))
+                    yield array(typecode, draws)
+
+            counts, first_error = _tally(sweep, n, blocks, memo)
             for i, name in enumerate(names):
                 freqs = {v: counts[i][v] / reps for v in sorted(counts[i])}
                 ses = {v: math.sqrt(f * (1.0 - f) / reps) for v, f in freqs.items()}

@@ -422,6 +422,24 @@ class TestSimulateCommand:
         assert code == 2
         assert "'nhst'" in err and "more than once" in err
 
+    @pytest.mark.parametrize(
+        "grid, shown",
+        [
+            ({"true_effects": [0.0, 0.0, -0.0], "sample_sizes": [10, 10]}, "[0.0]"),
+            ({"true_effects": [0.0, -0.0]}, "[0.0]"),
+            ({"sample_sizes": [10, 20, 10]}, "[10]"),
+        ],
+    )
+    def test_repeated_grid_value_exit_2(self, tmp_path, capsys, grid, shown):
+        # a repeated effect or n would run one cell twice and print rows no
+        # reader can tell apart; 0.0 and -0.0 draw the same stream
+        doc = self.scenario_doc()
+        doc["scenario"].update(grid)
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run_cli(["simulate", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert shown in err and "more than once" in err
+
     def test_error_verdicts_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
         # rope fails on every replicate: the patch reaches the rule its
         # kernel calls
