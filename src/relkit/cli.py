@@ -221,11 +221,13 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
         raise ConfigError("compare needs a 'model' section with data")
     family = family_of(cfg.model)
     pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
+    # every comparator is bound, and its settings checked, before any runs
+    kernels = [bind_procedure(spec, family, cfg.loss, pair).kernel for spec in cfg.comparators]
     # the comparators share one posterior, built if one of them needs it
     posterior = _shared_posterior(cfg.model, cfg.loss.space)
     results = []
-    for spec in cfg.comparators:
-        _, report = bind_procedure(spec, family, cfg.loss, pair)(cfg.model, posterior)
+    for kernel in kernels:
+        _, report = kernel(cfg.model, posterior)
         results.append(vars(report()))
     doc = {"command": "compare", "spec_version": 1, "results": results}
     rows = [[r[c] for c in _COMPARE_COLUMNS] for r in results]

@@ -8,26 +8,28 @@ the true effect, n, replicate index), so any single draw can be reproduced
 in isolation and results do not depend on execution order.
 
 The family's row in ``inference.FAMILIES`` draws each dataset. Each
-procedure is bound once per run: its settings are checked and its region
-ends taken then, and its kernel computes per draw only what the verdict
-needs; the full result (``compare``'s row) is built only on request.
+procedure is bound once per run, in one step: its settings are checked
+then, and a setting a check refuses raises there, before any draw; its
+region ends are taken then too, and its kernel computes per draw only what
+the verdict needs. The full result (``compare``'s row) is built only on
+request.
 
 A verdict depends on the dataset only through one statistic, k or ybar, so
 a sweep draws a cell's replicates in blocks of ``SWEEP_BLOCK`` and sorts
 each block's distinct statistics. ``nhst`` and ``tost`` run on every
 distinct draw. In the normal family a posterior procedure carries a
-certificate: coordinates of a draw that are monotone in the statistic,
-because both posteriors are stochastically increasing in it, and a
-verdict function monotone in the coordinates. The sweep evaluates the
-procedure at a block's two end draws and splits a gap between evaluated
-draws at its midpoint only while the certificate cannot name one verdict
-for every draw inside it. A normal kernel that raises on a draw of a
-block raises on one of its end draws (``_bind_sweep``), and then runs on
-every distinct draw of the cell, as a procedure without a certificate
-does. Every binomial procedure runs on every distinct count, and a run
-keeps its outcomes per (n, k), since counts repeat. The procedures of a
-draw share one posterior, built on first use, and with it the tail masses
-it has taken.
+certificate, built by the same bind step: coordinates of a draw that are
+monotone in the statistic, because both posteriors are stochastically
+increasing in it, and a verdict function monotone in the coordinates. The
+sweep evaluates the procedure at a block's two end draws and splits a gap
+between evaluated draws at its midpoint only while the certificate cannot
+name one verdict for every draw inside it. A normal kernel that raises on
+a draw of a block raises on one of its end draws (``_bind_sweep``), and
+then runs on every distinct draw of that block, as a procedure without a
+certificate does. Every binomial procedure runs on every distinct count,
+and a run keeps its outcomes per (n, k), since counts repeat. The
+procedures of a draw share one posterior, built on first use, and with it
+the tail masses it has taken.
 
 The shipped scenarios are configs: ``configs/coin_scenario.json``, the
 coin-bias demo, and ``configs/aspirin_scenario.json``, a blood-thinner
@@ -76,7 +78,7 @@ from .decisions import (
     _two_action_outcome,
     decide_from_odds,
 )
-from .errors import DomainError, RelkitError, ValidationError
+from .errors import RelkitError, ValidationError
 from .hypotheses import HypothesisPair, derive_hypotheses
 from .inference import (
     FAMILIES,
@@ -263,150 +265,6 @@ def _shared_posterior(model: Model, space: ParameterSpace) -> Posterior:
     return posterior
 
 
-# A bind step makes every check that depends only on the settings, the loss
-# and the hypothesis pair, and returns the procedure's kernel. A kernel
-# takes the model and a posterior from _shared_posterior (nhst, tost and a
-# Bayes factor with its own prior never call it), computes what its verdict
-# needs through the rule its public function calls, and returns the verdict
-# and report(), which builds the result that function returns. The kernels
-# name the rules as module globals, looked up at call time, so that
-# patching one here reaches every caller.
-
-
-def _raising(exc: RelkitError, first: Kernel | None = None) -> Kernel:
-    """The kernel of settings that a check refused at bind: every call
-    raises what the public function raises per call, after ``first`` where
-    that function does its work before the check."""
-
-    def kernel(model: Model, posterior: Posterior):
-        if first is not None:
-            first(model, posterior)
-        raise type(exc)(*exc.args)
-
-    return kernel
-
-
-def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Kernel:
-    alpha, point_null = s["alpha"], row.point_null
-    _check_alpha(alpha)
-
-    def kernel(model: Model, posterior: Posterior):
-        out = _nhst(point_null, model, alpha)
-        return out[0], lambda: _nhst_result(row, model, alpha, *out)
-
-    return kernel
-
-
-def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Kernel:
-    alpha, bounds = s["alpha"], _interval_on(loss, s["bounds"])
-    try:
-        lo, hi = _tost_bounds(bounds, alpha)
-    except ValidationError as exc:
-        return _raising(exc)
-
-    def kernel(model: Model, posterior: Posterior):
-        out = _tost(model, lo, hi, alpha)
-        return out[0], lambda: _tost_result(lo, hi, alpha, *out)
-
-    return kernel
-
-
-def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Kernel:
-    rope, mass = RegionSet.single(*_interval_on(loss, s["rope"])), s["mass"]
-    lo, hi, tail = _rope_hull(rope, mass)
-
-    def kernel(model: Model, posterior: Posterior):
-        post = posterior()
-        out = _rope(post, lo, hi, tail)
-        return out[0], lambda: _rope_result(post, rope, mass, tail, *out)
-
-    try:
-        _region_ends(rope, loss.space)
-    except DomainError as exc:
-        # the public rule takes P(rope | y) after its verdict
-        return _raising(exc, kernel)
-    return kernel
-
-
-def _bind_hypothesis_ratio(
-    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
-) -> Kernel:
-    ratio = s["loss_ratio"]
-    try:
-        _coverage_check(loss.space, pair, False)
-    except ValidationError as exc:
-        # the public rule takes the posterior before this check
-        return _raising(exc, lambda model, posterior: posterior())
-    h0, h1 = _region_ends(pair.h0, loss.space), _region_ends(pair.h1, loss.space)
-
-    def kernel(model: Model, posterior: Posterior):
-        post = posterior()
-        p0, p1 = _region_prob(post, h0), _region_prob(post, h1)
-        decision, odds = _two_action(p0, p1, ratio)
-        return decision, lambda: _decision(
-            "bayes_two_action_decision",
-            odds,
-            _two_action_outcome(p0, p1, ratio, decision, odds),
-        )
-
-    return kernel
-
-
-def _bind_expected_loss(
-    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
-) -> Kernel:
-    # the posterior lies on the loss's space, so the two spaces match
-    part_ends = _partition_ends(loss, loss.space)
-
-    def kernel(model: Model, posterior: Posterior):
-        post = posterior()
-        decision, expected, warnings = _expected_loss(post, loss)
-        return decision, lambda: _decision(
-            "expected_loss_decision",
-            expected["a1"] - expected["a0"],
-            _expected_loss_outcome(post, part_ends, decision, expected, warnings),
-        )
-
-    return kernel
-
-
-def _bind_bayes_factor(
-    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
-) -> Kernel:
-    threshold, prior, ends = s["threshold"], s["prior"], _pair_ends(pair)
-    _check_threshold(threshold)
-    if prior is not None:
-        try:
-            masses = _prior_masses(row, prior, pair)
-        except ValidationError as exc:
-            return _raising(exc)
-
-        def own_prior(model: Model, posterior: Posterior):
-            # a second conjugate update: the draw's data under this prior
-            data = tuple(vars(model).values())[:-2]
-            params = row.update(row.model(*data, *prior))
-            post_masses = _region_masses(
-                lambda t: row.tails(params, t - row.effect_shift), ends
-            )
-            out = _bayes_factor(post_masses, masses, threshold)
-            return out[0], lambda: _bayes_factor_result(*out)
-
-        return own_prior
-    # the prior masses of each model prior seen: a sweep and a compare have one
-    prior_masses: dict[tuple, tuple[float, float]] = {}
-
-    def kernel(model: Model, posterior: Posterior):
-        # the prior's two numbers are the model's last two fields
-        params = tuple(vars(model).values())[-2:]
-        masses = prior_masses.get(params)
-        if masses is None:
-            masses = prior_masses[params] = _prior_masses(row, params, pair)
-        out = _bayes_factor(_region_masses(posterior()._tails_at, ends), masses, threshold)
-        return out[0], lambda: _bayes_factor_result(*out)
-
-    return kernel
-
-
 # --- certificates ----------------------------------------------------------
 #
 # A sweep sorts a cell's draws by their statistic, k or ybar, and evaluates
@@ -464,10 +322,9 @@ def _odds_cells(ends: tuple[Ends, Ends]) -> tuple[tuple, tuple]:
     points = sorted({x for region in ends for itv in region for x in itv})
     ranks = [1]
     for a, b in zip(points, points[1:]):
+        # a HypothesisPair's regions are disjoint, so no cell is in both
         mid = 0.5 * (a + b)
         in_h0, in_h1 = (any(lo <= mid <= hi for lo, hi in region) for region in ends)
-        if in_h0 and in_h1:
-            raise DomainError(f"H0 and H1 overlap on [{a}, {b}]")
         ranks.append(0 if in_h0 else 2 if in_h1 else 1)
     ranks.append(1)
     changes: list[tuple[float, int]] = []
@@ -491,44 +348,123 @@ def _odds_masses(c: tuple, cells: tuple) -> tuple[float, float]:
     return p0, p1
 
 
-def _certify_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Certificate:
-    rope = RegionSet.single(*_interval_on(loss, s["rope"]))
-    lo, hi, tail = _rope_hull(rope, s["mass"])
+class Bound(NamedTuple):
+    """A procedure with its settings bound: its kernel, and the sweep's
+    certificate of its verdicts, or None where every distinct draw is
+    evaluated."""
+
+    kernel: Kernel
+    certificate: Certificate | None = None
+
+
+# A bind step makes every check that depends only on the settings, the loss
+# and the hypothesis pair, and raises what the procedure's public function
+# raises on a setting that a check refuses. It returns the procedure's
+# kernel and certificate, both built on the values it bound. A kernel takes
+# the model and a posterior from _shared_posterior (nhst, tost and a Bayes
+# factor with its own prior never call it), computes what its verdict needs
+# through the rule its public function calls, and returns the verdict and
+# report(), which builds the result that function returns. The kernels name
+# the rules as module globals, looked up at call time, so that patching one
+# here reaches every caller.
+
+
+def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Bound:
+    alpha, point_null = s["alpha"], row.point_null
+    _check_alpha(alpha)
+
+    def kernel(model: Model, posterior: Posterior):
+        out = _nhst(point_null, model, alpha)
+        return out[0], lambda: _nhst_result(row, model, alpha, *out)
+
+    return Bound(kernel)
+
+
+def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Bound:
+    alpha = s["alpha"]
+    lo, hi = _tost_bounds(_interval_on(loss, s["bounds"]), alpha)
+
+    def kernel(model: Model, posterior: Posterior):
+        out = _tost(model, lo, hi, alpha)
+        return out[0], lambda: _tost_result(lo, hi, alpha, *out)
+
+    return Bound(kernel)
+
+
+def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Bound:
+    rope, mass = RegionSet.single(*_interval_on(loss, s["rope"])), s["mass"]
+    lo, hi, tail = _rope_hull(rope, mass)
+    # the public rule takes P(rope | y), which needs the rope in the space
     _region_ends(rope, loss.space)
+
+    def kernel(model: Model, posterior: Posterior):
+        post = posterior()
+        out = _rope(post, lo, hi, tail)
+        return out[0], lambda: _rope_result(post, rope, mass, tail, *out)
+
     # P(theta < lo | y) falls and P(theta > hi | y) rises with the
     # statistic, since the truncated posterior is stochastically increasing
     # in it; the verdict rises with both: accept_a0 < withhold < accept_a1
-    return Certificate(
-        lambda model, posterior: _rope(posterior(), lo, hi, tail)[1:],
-        lambda c: _rope_verdict(c[0], c[1], tail),
+    return Bound(
+        kernel,
+        Certificate(
+            lambda model, posterior: _rope(posterior(), lo, hi, tail)[1:],
+            lambda c: _rope_verdict(c[0], c[1], tail),
+        ),
     )
 
 
-def _certify_hypothesis_ratio(
+def _bind_hypothesis_ratio(
     s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
-) -> Certificate:
-    ratio = s["loss_ratio"]
-    _coverage_check(loss.space, pair, False)
-    changes, cells = _odds_cells(_pair_ends(pair))
-    lo, hi = loss.space.lo, loss.space.hi
+) -> Bound:
+    ratio, space = s["loss_ratio"], loss.space
+    _coverage_check(space, pair, False)
+    ends = h0, h1 = _region_ends(pair.h0, space), _region_ends(pair.h1, space)
+
+    def kernel(model: Model, posterior: Posterior):
+        post = posterior()
+        p0, p1 = _region_prob(post, h0), _region_prob(post, h1)
+        decision, odds = _two_action(p0, p1, ratio)
+        return decision, lambda: _decision(
+            "bayes_two_action_decision",
+            odds,
+            _two_action_outcome(p0, p1, ratio, decision, odds),
+        )
+
+    changes, cells = _odds_cells(ends)
 
     def coords(model: Model, posterior: Posterior) -> tuple[float, ...]:
         # tail masses of the truncated posterior at fixed points: monotone
         # in the statistic, since that posterior is stochastically increasing
         post = posterior()
-        return tuple(post._prob(lo, x) if tail == 0 else post._prob(x, hi) for x, tail in changes)
+        return tuple(
+            post._prob(space.lo, x) if tail == 0 else post._prob(x, space.hi)
+            for x, tail in changes
+        )
 
     def verdict(c: tuple) -> str:
         # the odds rise with every coordinate: a0 < indeterminate < a1
         p0, p1 = _odds_masses(c, cells)
         return decide_from_odds(p1 / p0 if p0 > 0.0 else math.inf, ratio)
 
-    return Certificate(coords, verdict)
+    return Bound(kernel, Certificate(coords, verdict))
 
 
-def _certify_expected_loss(
+def _bind_expected_loss(
     s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
-) -> Certificate | None:
+) -> Bound:
+    # the posterior lies on the loss's space, so the two spaces match
+    part_ends = _partition_ends(loss, loss.space)
+
+    def kernel(model: Model, posterior: Posterior):
+        post = posterior()
+        decision, expected, warnings = _expected_loss(post, loss)
+        return decision, lambda: _decision(
+            "expected_loss_decision",
+            expected["a1"] - expected["a0"],
+            _expected_loss_outcome(post, part_ends, decision, expected, warnings),
+        )
+
     # g = L(a1) - L(a0) = g(lo) + V+ - V-, its Jordan rise and fall, both
     # non-decreasing in the effect; per panel: its ends, pieces, g at its
     # start, whether g rises on it, and V+ and V- at its start
@@ -537,7 +473,7 @@ def _certify_expected_loss(
         d0, d1, d2 = (y - x for x, y in zip(*(_about(piece, a) for piece in pieces)))
         width = b - a
         if d2 != 0.0 and 0.0 < -d1 / (2.0 * d2) < width:
-            return None  # g turns inside the panel
+            return Bound(kernel)  # g turns inside the panel: no certificate
         step = width * (d1 + width * d2)
         panels.append((a, b, pieces, d0, step >= 0.0, rise, fall))
         rise, fall = rise + max(step, 0.0), fall + max(-step, 0.0)
@@ -564,65 +500,77 @@ def _certify_expected_loss(
         # E[g | y] = g(lo) - c0 - c1 falls with both: a0 < a1
         return "a1" if g_lo - c[0] - c[1] < -EXPECTED_LOSS_TIE_TOL else "a0"
 
-    return Certificate(coords, verdict)
+    return Bound(kernel, Certificate(coords, verdict))
 
 
-def _certify_bayes_factor(
+def _bind_bayes_factor(
     s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
-) -> Certificate:
-    threshold, prior = s["threshold"], s["prior"]
-    changes, cells = _odds_cells(_pair_ends(pair))
-    # the untruncated tail masses at fixed points, monotone in the statistic
-    # since the posterior under either prior is stochastically increasing in
-    # it, and last the prior odds P(H0) / P(H1), the same for every draw
+) -> Bound:
+    threshold, prior, ends = s["threshold"], s["prior"], _pair_ends(pair)
+    _check_threshold(threshold)
+    # evidence: (model, posterior) -> the tails function of the draw's
+    # untruncated posterior, and the prior masses of H0 and H1
     if prior is not None:
-        h0_mass, h1_mass = _prior_masses(row, prior, pair)
+        masses = _prior_masses(row, prior, pair)
 
-        def coords(model: Model, posterior: Posterior) -> tuple[float, ...]:
+        def evidence(model: Model, posterior: Posterior):
+            # a second conjugate update: the draw's data under this prior
             data = tuple(vars(model).values())[:-2]
             params = row.update(row.model(*data, *prior))
-            tails = (row.tails(params, x - row.effect_shift)[tail] for x, tail in changes)
-            return (*tails, h0_mass / h1_mass)
+            return (lambda t: row.tails(params, t - row.effect_shift)), masses
 
     else:
-        prior_odds: dict[tuple, float] = {}
+        # the prior masses of each model prior seen: a sweep and a compare
+        # have one
+        prior_masses: dict[tuple, tuple[float, float]] = {}
 
-        def coords(model: Model, posterior: Posterior) -> tuple[float, ...]:
+        def evidence(model: Model, posterior: Posterior):
+            # the prior's two numbers are the model's last two fields
             params = tuple(vars(model).values())[-2:]
-            odds = prior_odds.get(params)
-            if odds is None:
-                h0_mass, h1_mass = _prior_masses(row, params, pair)
-                odds = prior_odds[params] = h0_mass / h1_mass
-            tails_at = posterior()._tails_at
-            return (*(tails_at(x)[tail] for x, tail in changes), odds)
+            masses = prior_masses.get(params)
+            if masses is None:
+                masses = prior_masses[params] = _prior_masses(row, params, pair)
+            return posterior()._tails_at, masses
+
+    def kernel(model: Model, posterior: Posterior):
+        tails_at, masses = evidence(model, posterior)
+        out = _bayes_factor(_region_masses(tails_at, ends), masses, threshold)
+        return out[0], lambda: _bayes_factor_result(*out)
+
+    changes, cells = _odds_cells(ends)
+
+    def coords(model: Model, posterior: Posterior) -> tuple[float, ...]:
+        # the untruncated tail masses at fixed points, monotone in the
+        # statistic since the posterior under either prior is stochastically
+        # increasing in it, and last the prior odds P(H0) / P(H1), the same
+        # for every draw
+        tails_at, (h0_mass, h1_mass) = evidence(model, posterior)
+        return (*(tails_at(x)[tail] for x, tail in changes), h0_mass / h1_mass)
 
     def verdict(c: tuple) -> str:
         # BF10 rises with every coordinate: favors_h0 < inconclusive < favors_h1
         p0, p1 = _odds_masses(c, cells)
         return _bayes_factor_verdict(p1 / p0 * c[-1] if p0 > 0.0 else math.inf, threshold)
 
-    return Certificate(coords, verdict)
+    return Bound(kernel, Certificate(coords, verdict))
 
 
 class Procedure(NamedTuple):
     """One row of the procedure table: each setting's default and parser,
-    the model families, the bind step (settings, family row, loss,
-    hypothesis pair) -> kernel, and the sweep's certify step, with the
-    same arguments -> Certificate, or None where every distinct draw is
-    evaluated."""
+    the model families, and the bind step (settings, family row, loss,
+    hypothesis pair) -> Bound, which raises on a setting it refuses."""
 
     settings: dict[str, tuple[object, Callable]]
     families: tuple[str, ...]
-    bind: Callable[[dict, Family, LossSpec, HypothesisPair], Kernel]
-    certify: Callable[[dict, Family, LossSpec, HypothesisPair], Certificate | None] | None
+    bind: Callable[[dict, Family, LossSpec, HypothesisPair], Bound]
 
 
 _BOTH = tuple(FAMILIES)
 
-# nhst and tost take no posterior and cost about a microsecond: they run
-# on every distinct draw
+# nhst and tost take no posterior and cost about a microsecond: they carry
+# no certificate and run on every distinct draw
 PROCEDURES: dict[str, Procedure] = {
-    "nhst": Procedure({"alpha": (0.05, values.probability)}, _BOTH, _bind_nhst, None),
+    "nhst": Procedure({"alpha": (0.05, values.probability)}, _BOTH, _bind_nhst),
     "tost": Procedure(
         {
             "alpha": (0.05, values.probability),
@@ -630,27 +578,23 @@ PROCEDURES: dict[str, Procedure] = {
         },
         ("normal",),
         _bind_tost,
-        None,
     ),
     "rope": Procedure(
         {"mass": (0.95, values.probability), "rope": ("partition_hull", values.bounds)},
         _BOTH,
         _bind_rope,
-        _certify_rope,
     ),
     "hypothesis_ratio": Procedure(
         {"loss_ratio": (LossRatio.scalar(1.0), values.loss_ratio)},
         _BOTH,
         _bind_hypothesis_ratio,
-        _certify_hypothesis_ratio,
     ),
-    "expected_loss": Procedure({}, _BOTH, _bind_expected_loss, _certify_expected_loss),
+    "expected_loss": Procedure({}, _BOTH, _bind_expected_loss),
     "bayes_factor": Procedure(
         # a prior of None is the model's own
         {"prior": (None, values.prior), "threshold": (1.0, values.threshold)},
         _BOTH,
         _bind_bayes_factor,
-        _certify_bayes_factor,
     ),
 }
 
@@ -676,11 +620,13 @@ def parse_settings(proc: ProcedureSpec, family: str | None) -> dict:
 
 def bind_procedure(
     proc: ProcedureSpec, family: str, loss: LossSpec, pair: HypothesisPair
-) -> Kernel:
-    """The procedure with its settings bound: its kernel, a (model,
-    posterior) -> (verdict, report) function, where posterior() is the
-    model's posterior on the loss space, as ``_shared_posterior`` gives it,
-    and report() builds the procedure's full result."""
+) -> Bound:
+    """The procedure with its settings bound. A setting that a check
+    refuses raises here, with the class and message of the procedure's
+    public function. The kernel is a (model, posterior) -> (verdict,
+    report) function, where posterior() is the model's posterior on the
+    loss space, as ``_shared_posterior`` gives it, and report() builds the
+    procedure's full result; the certificate serves the sweep."""
     settings = parse_settings(proc, family)
     return PROCEDURES[proc.name].bind(settings, FAMILIES[family], loss, pair)
 
@@ -704,7 +650,8 @@ def _compile_procedure(
     posterior of its own; an error is raised. The model of a draw takes
     the scenario prior, or without one the model's default."""
     loss = scenario.loss
-    kernel = bind_procedure(proc, scenario.family, loss, derive_hypotheses(partition(loss)))
+    pair = derive_hypotheses(partition(loss))
+    kernel = bind_procedure(proc, scenario.family, loss, pair).kernel
     model_of = FAMILIES[scenario.family].model
     prior = scenario.prior or ()
 
@@ -772,43 +719,29 @@ class _Sweep(NamedTuple):
 def _bind_sweep(scenario: Scenario) -> _Sweep:
     loss, row = scenario.loss, FAMILIES[scenario.family]
     pair = derive_hypotheses(partition(loss))
-    kernels, certificates = [], []
-    for proc in scenario.procedures:
-        kernels.append(bind_procedure(proc, scenario.family, loss, pair))
-        # A walk evaluates only some draws, so a certificate holds only
-        # where a kernel that raises on any draw of a block raises on one
-        # of its two end draws, which the walk always evaluates. A normal
-        # kernel raises where no float holds the posterior mean, which
-        # rises with ybar, or where the posterior mass vanishes on the
-        # space or (bayes_factor) on every interval of the pair, which
-        # tile the space. The mass of an interval is log-concave in the
-        # mean, and the intervals of a tiling meet at their ends, so the
-        # draws that raise lie below or above all that do not. The beta
-        # tails' continued fraction fails on counts that need not lie so
-        # (ROADMAP item 4), and a beta expected loss comes from quadrature,
-        # whose error is not monotone in k to the margin (item 2): the
-        # binomial procedures run on every distinct draw.
-        certify = PROCEDURES[proc.name].certify if row.posterior == "normal" else None
-        try:
-            cert = certify and certify(parse_settings(proc, scenario.family), row, loss, pair)
-        except RelkitError:
-            # settings that bind refused: the kernel raises on every draw
-            cert = None
-        certificates.append(cert)
+    bound = [bind_procedure(proc, scenario.family, loss, pair) for proc in scenario.procedures]
+    # A walk evaluates only some draws, so a certificate holds only where a
+    # kernel that raises on any draw of a block raises on one of its two end
+    # draws, which the walk always evaluates. A normal kernel raises where no
+    # float holds the posterior mean, which rises with ybar, or where the
+    # posterior mass vanishes on the space or (bayes_factor) on every
+    # interval of the pair, which tile the space. The mass of an interval is
+    # log-concave in the mean, and the intervals of a tiling meet at their
+    # ends, so the draws that raise lie below or above all that do not. The
+    # beta tails' continued fraction fails on counts that need not lie so
+    # (ROADMAP item 4), and a beta expected loss comes from quadrature, whose
+    # error is not monotone in k to the margin (item 2): the binomial
+    # procedures run on every distinct draw.
+    certified = row.posterior == "normal"
     # a draw holds n, its statistic and the family's known values, the
     # model's leading fields; the prior gives its last two
     fields = (*(getattr(scenario, key) for key in row.known), *(scenario.prior or ()))
     return _Sweep(
-        tuple(kernels),
-        tuple(certificates),
+        tuple(b.kernel for b in bound),
+        tuple(b.certificate if certified else None for b in bound),
         lambda n, statistic: row.model(n, statistic, *fields),
         loss.space,
     )
-
-
-class _Uncertified(Exception):
-    """Certified procedures, by index, raised on a draw: the cell runs again
-    with them evaluated on every distinct draw."""
 
 
 def _walk(m: int, probe: Callable[[int], tuple[str, tuple]], cert: Certificate) -> list[str]:
@@ -835,13 +768,16 @@ def _walk(m: int, probe: Callable[[int], tuple[str, tuple]], cert: Certificate) 
 
 
 def _block_outcomes(
-    sweep: _Sweep, certificates: tuple, n: int, distinct: list, memo: dict | None
+    sweep: _Sweep, n: int, distinct: list, memo: dict | None
 ) -> list[list[Outcome]]:
     """Each procedure's outcome on each distinct statistic of a block,
     sorted. A certified procedure walks them. The others run on every one
     whose outcomes ``memo``, the run's memo of counts, does not hold yet;
-    it is None where the statistic is a mean, which does not repeat. The
-    procedures share one posterior per draw."""
+    it is None where the statistic is a mean, which does not repeat. A walk
+    that raises has met a draw its kernel raises on, which a block's end
+    draws show (``_bind_sweep``), and its procedure runs on every distinct
+    draw of this block instead. The procedures share one posterior per
+    draw."""
     kernels = sweep.kernels
     shared: dict[int, tuple[Model, Posterior]] = {}
 
@@ -852,23 +788,21 @@ def _block_outcomes(
             got = shared[j] = model, _shared_posterior(model, sweep.space)
         return got
 
-    certified = [i for i, cert in enumerate(certificates) if cert is not None]
     out: list[list[Outcome]] = [[] for _ in kernels]
-    for i in certified:
-        kernel, cert = kernels[i], certificates[i]
+    for i, (kernel, cert) in enumerate(zip(kernels, sweep.certificates)):
+        if cert is None:
+            continue
 
         def probe(j: int) -> tuple[str, tuple]:
-            try:
-                model, posterior = entry(j)
-            except RelkitError:
-                raise _Uncertified(certified) from None
-            try:
-                return kernel(model, posterior)[0], cert.coords(model, posterior)
-            except RelkitError:
-                raise _Uncertified((i,)) from None
+            model, posterior = entry(j)
+            return kernel(model, posterior)[0], cert.coords(model, posterior)
 
-        out[i] = _walk(len(distinct), probe, cert)
-    direct = tuple(i for i, cert in enumerate(certificates) if cert is None)
+        try:
+            out[i] = _walk(len(distinct), probe, cert)
+        except RelkitError:
+            pass
+    # the procedures without a certificate, and those whose walk raised
+    direct = tuple(i for i, walked in enumerate(out) if not walked)
     for j, statistic in enumerate(distinct if direct else ()):
         key = n, statistic, direct
         if memo is not None and key in memo:
@@ -882,8 +816,6 @@ def _block_outcomes(
         except RelkitError as exc:
             # a draw no model takes (a normal mean that overflowed) fails
             # every procedure alike
-            if certified:
-                raise _Uncertified(certified) from None
             for i in direct:
                 out[i].append(exc.with_traceback(None))
         else:
@@ -896,47 +828,38 @@ def _block_outcomes(
 
 
 def _tally(
-    sweep: _Sweep, n: int, blocks: Callable[[], Iterable[Sequence]], memo: dict | None
+    sweep: _Sweep, n: int, blocks: Iterable[Sequence], memo: dict | None
 ) -> tuple[list[Counter], dict[int, RelkitError]]:
     """Each procedure's verdict counts over the statistics of one cell,
-    which ``blocks()`` gives in replicate order, and the error of its first
-    failing replicate; ``memo`` is the run's (``_block_outcomes``). A
-    certified procedure that raises on a draw is run on every distinct draw
-    instead, and the cell is counted again."""
-    certificates = sweep.certificates
-    while True:
-        counts = [Counter() for _ in sweep.kernels]
-        first_error: dict[int, RelkitError] = {}
-        try:
-            for statistics in blocks():
-                distinct, weight = [], []
-                for statistic in sorted(statistics):
-                    if distinct and statistic == distinct[-1]:
-                        weight[-1] += 1
-                    else:
-                        distinct.append(statistic)
-                        weight.append(1)
-                outcomes = _block_outcomes(sweep, certificates, n, distinct, memo)
-                for i, per_draw in enumerate(outcomes):
-                    failed = {}
-                    for statistic, count, outcome in zip(distinct, weight, per_draw):
-                        if isinstance(outcome, RelkitError):
-                            failed[statistic] = outcome
-                            outcome = "error"
-                        counts[i][outcome] += count
-                    if failed and i not in first_error:
-                        first_error[i] = failed[next(x for x in statistics if x in failed)]
-            return counts, first_error
-        except _Uncertified as exc:
-            (failed,) = exc.args
-            certificates = tuple(
-                None if i in failed else cert for i, cert in enumerate(certificates)
-            )
+    which ``blocks`` gives in replicate order, and the error of its first
+    failing replicate; ``memo`` is the run's (``_block_outcomes``)."""
+    counts = [Counter() for _ in sweep.kernels]
+    first_error: dict[int, RelkitError] = {}
+    for statistics in blocks:
+        distinct, weight = [], []
+        for statistic in sorted(statistics):
+            if distinct and statistic == distinct[-1]:
+                weight[-1] += 1
+            else:
+                distinct.append(statistic)
+                weight.append(1)
+        outcomes = _block_outcomes(sweep, n, distinct, memo)
+        for i, per_draw in enumerate(outcomes):
+            failed = {}
+            for statistic, count, outcome in zip(distinct, weight, per_draw):
+                if isinstance(outcome, RelkitError):
+                    failed[statistic] = outcome
+                    outcome = "error"
+                counts[i][outcome] += count
+            if failed and i not in first_error:
+                first_error[i] = failed[next(x for x in statistics if x in failed)]
+    return counts, first_error
 
 
 def run_operating_characteristics(scenario: Scenario) -> RateTable:
     """Run every configured procedure on every replicate of every grid cell.
 
+    A setting that a check refuses raises before the first draw.
     Per-replicate procedure failures are tabulated under the verdict
     "error" and never abort the sweep; ``errors`` says what they were.
     Identical scenarios (seed included) produce identical tables.
@@ -973,7 +896,7 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
                     draws = (row.draw(rng(r), effect, n, sigma)[1] for r in range(start, stop))
                     yield array(typecode, draws)
 
-            counts, first_error = _tally(sweep, n, blocks, memo)
+            counts, first_error = _tally(sweep, n, blocks(), memo)
             for i, name in enumerate(names):
                 freqs = {v: counts[i][v] / reps for v in sorted(counts[i])}
                 ses = {v: math.sqrt(f * (1.0 - f) / reps) for v, f in freqs.items()}

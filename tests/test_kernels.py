@@ -5,10 +5,13 @@ posterior) -> (verdict, report). The kernel runs the same private rule as
 the procedure's public function, and report() builds the result that
 function gives, so a kernel's verdict and report must equal the public
 result field by field, and a kernel must raise what the function raises.
+A setting that a check refuses raises at bind, with the function's class
+and message, and both `compare` and `simulate` exit 2 on it.
 The sweep draws each replicate from a generator whose seed words are split
 once per cell; its stream must be the one the list of those words seeds.
 """
 
+import json
 import math
 import random
 import struct
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 import relkit.simulate as sim
+from relkit.cli import main
 from relkit.comparators import (
     ComparatorResult,
     interval_bayes_factor,
@@ -25,13 +29,14 @@ from relkit.comparators import (
     tost_equivalence,
 )
 from relkit.decisions import LossRatio, bayes_two_action_decision, expected_loss_decision
-from relkit.errors import DomainError, NumericalError, RelkitError, ValidationError
-from relkit.hypotheses import HypothesisPair, derive_hypotheses
+from relkit.config import load_config
+from relkit.errors import NumericalError, RelkitError
+from relkit.hypotheses import derive_hypotheses
 from relkit.inference import BinomialModel, NormalKnownVarModel, posterior_update
 from relkit.loss import CurveKnots, LossSpec, ParameterSpace, coin_demo_loss
 from relkit.regions import RegionSet, partition, region_hull
 
-from conftest import shipped_scenario
+from conftest import CONFIG_DIR, shipped_scenario
 
 
 def _loss(lo, hi):
@@ -169,7 +174,7 @@ def test_kernel_matches_the_public_function(family, loss_name, case):
     settings = _settings(case, loss, family)
     name = "bayes_factor" if case.startswith("bayes_factor") else case
     proc = sim.ProcedureSpec(name, _config_settings(name, settings, family))
-    kernel = sim.bind_procedure(proc, family, loss, pair)
+    kernel = sim.bind_procedure(proc, family, loss, pair).kernel
     rng = random.Random(f"{family}-{loss_name}-{case}")
     seen = set()
     for model in _models(family, loss.space, rng):
@@ -207,77 +212,114 @@ def test_detail_texts_of_the_tests():
     )
 
 
-def _vee_with_a_point_negligible():
-    """a1 never loses to a0 and ties it only at 0: the negligible region is
-    the single point 0, so its hull is degenerate."""
-    knots = (-0.1, 0.0, 0.1)
-    return LossSpec(
-        space=ParameterSpace(-0.1, 0.1),
-        kind="piecewise_linear",
-        params_a0=CurveKnots(knots=knots, values=(0.1, 0.0, 0.1)),
-        params_a1=CurveKnots(knots=knots, values=(0.0, 0.0, 0.0)),
-    )
+ASPIRIN_KNOTS = [-0.1, 0.0, 0.1]
+
+# The settings that a check refuses, each as (the config's loss section, or
+# None for the aspirin loss; the procedure entry; the hypotheses section, or
+# None for the partition's pair; (model, posterior, pair) -> the public
+# function's call on those settings, which raises).
+REFUSED = {
+    # a1 never loses to a0 and ties it only at 0: the negligible region is
+    # the single point 0, so its hull is degenerate
+    "tost_on_a_single_point_hull": (
+        {
+            "kind": "piecewise_linear",
+            "params_a0": {"knots": ASPIRIN_KNOTS, "values": [0.1, 0.0, 0.1]},
+            "params_a1": {"knots": ASPIRIN_KNOTS, "values": [0.0, 0.0, 0.0]},
+        },
+        {"procedure": "tost"},
+        None,
+        lambda model, post, pair: tost_equivalence(model, (0.0, 0.0), 0.05),
+    ),
+    "rope_outside_the_space": (
+        None,
+        {"procedure": "rope", "rope": [-0.5, 0.05]},
+        None,
+        lambda model, post, pair: rope_decision(post, RegionSet.single(-0.5, 0.05), 0.95),
+    ),
+    "pair_not_covering_the_space": (
+        None,
+        {"procedure": "hypothesis_ratio"},
+        {"h0": [[-0.02, 0.02, False, False]], "h1": [[0.05, 0.1, False, False]]},
+        lambda model, post, pair: bayes_two_action_decision(post, pair, LossRatio.scalar(1.0)),
+    ),
+    # H1 lies 200 prior sd from the prior mean, where its mass is 0
+    "bayes_factor_prior_without_h1_mass": (
+        None,
+        {"procedure": "bayes_factor", "prior": {"mean": 0.0, "sd": 1e-4}},
+        None,
+        lambda model, post, pair: interval_bayes_factor(model, pair, (0.0, 1e-4)),
+    ),
+}
 
 
-def test_refused_settings_raise_per_draw_what_the_function_raises():
-    """tost on a degenerate partition hull is refused at bind, and each draw
-    still gets the function's error as its outcome; the sweep does not
-    abort."""
-    loss = _vee_with_a_point_negligible()
-    assert partition(loss).negligible == RegionSet.point(0.0)
-    scenario = shipped_scenario(
-        "aspirin_scenario",
-        loss=loss,
-        replicates=3,
-        procedures=(sim.ProcedureSpec("tost", {}), sim.ProcedureSpec("nhst", {})),
-    )
-    model = NormalKnownVarModel(n=22000, ybar=0.0077, sigma=0.2)
-    with pytest.raises(ValidationError) as want:
-        tost_equivalence(model, (0.0, 0.0), 0.05)
-    table = sim.run_operating_characteristics(scenario)
-    (report,) = table.errors
-    assert (report.procedure, report.count) == ("tost", 3)
-    assert (report.error_class, report.message) == ("ValidationError", str(want.value))
+def _aspirin_doc(case):
+    """The aspirin scenario config with the case's loss and hypotheses, a
+    model section, and the case's procedure in both lists."""
+    loss, entry, hypotheses, _ = REFUSED[case]
+    doc = json.loads((CONFIG_DIR / "aspirin_scenario.json").read_text(encoding="utf-8"))
+    doc["loss"] = loss or doc["loss"]
+    if hypotheses is not None:
+        doc["hypotheses"] = hypotheses
+    doc["model"] = {
+        "family": "normal",
+        "sigma": 0.2,
+        "data": {"n": 22000, "ybar": 0.0077},
+        "prior": {"mean": 0.0, "sd": 0.05},
+    }
+    # compare runs a posterior procedure first
+    doc["comparators"] = [{"procedure": "expected_loss"}, entry]
+    doc["scenario"].update(replicates=3, procedures=[{"procedure": "nhst"}, entry])
+    return doc
 
 
-def test_rope_outside_the_space_raises_after_its_verdict():
-    """P(rope | y) is undefined for a rope reaching outside the space; the
-    public rule raises DomainError after computing its verdict, so a
-    posterior whose mass vanishes raises NumericalError first."""
-    loss = _loss(-0.1, 0.1)
-    pair = derive_hypotheses(partition(loss))
-    proc = sim.ProcedureSpec("rope", {"rope": [-0.5, 0.05]})
-    kernel = sim.bind_procedure(proc, "normal", loss, pair)
-    rope = RegionSet.single(-0.5, 0.05)
-    for ybar, error in ((0.01, DomainError), (0.194, NumericalError)):
-        model = NormalKnownVarModel(n=22000, ybar=ybar, sigma=0.2)
-        with pytest.raises(error) as want:
-            rope_decision(posterior_update(model, loss.space), rope, 0.95)
-        with pytest.raises(error) as got:
-            kernel(model, sim._shared_posterior(model, loss.space))
-        assert str(got.value) == str(want.value)
+def _refusal(case, tmp_path):
+    """(config path, the class and message the public function raises)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_aspirin_doc(case)), encoding="utf-8")
+    cfg = load_config(path)
+    pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
+    with pytest.raises(RelkitError) as want:
+        REFUSED[case][3](cfg.model, posterior_update(cfg.model, cfg.loss.space), pair)
+    return str(path), (type(want.value), str(want.value))
 
 
-def test_uncovering_pair_raises_after_the_posterior():
-    """The coverage check is made at bind; the kernel still builds the
-    posterior first, as the public rule does, so a posterior that fails
-    raises its own error."""
-    loss = _loss(-0.1, 0.1)
-    pair = HypothesisPair(h0=RegionSet.single(-0.02, 0.02), h1=RegionSet.single(0.05, 0.1))
-    kernel = sim.bind_procedure(sim.ProcedureSpec("hypothesis_ratio", {}), "normal", loss, pair)
-    model = NormalKnownVarModel(n=22000, ybar=0.0077, sigma=0.2)
-    post = posterior_update(model, loss.space)
-    with pytest.raises(ValidationError) as want:
-        bayes_two_action_decision(post, pair, LossRatio.scalar(1.0))
-    with pytest.raises(ValidationError) as got:
-        kernel(model, lambda: post)
-    assert str(got.value) == str(want.value)
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_setting_raises_at_bind_what_the_function_raises(case, tmp_path):
+    path, want = _refusal(case, tmp_path)
+    cfg = load_config(path)
+    pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
+    with pytest.raises(RelkitError) as got:
+        sim.bind_procedure(cfg.comparators[1], "normal", cfg.loss, pair)
+    assert (type(got.value), str(got.value)) == want
 
-    def failing():
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_compare_refuses_the_setting_before_any_posterior(case, tmp_path, capsys, monkeypatch):
+    path, (_, message) = _refusal(case, tmp_path)
+
+    def failing(model, space):
         raise NumericalError("no posterior")
 
-    with pytest.raises(NumericalError, match="no posterior"):
-        kernel(model, failing)
+    # a posterior built before the check, for this comparator or the one
+    # listed before it, would exit 3 with its own error
+    monkeypatch.setattr(sim, "posterior_update", failing)
+    code = main(["compare", "--config", path])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+# simulate always takes the partition's pair, which covers the space
+@pytest.mark.parametrize("case", sorted(c for c in REFUSED if REFUSED[c][2] is None))
+def test_simulate_refuses_the_setting_and_writes_nothing(case, tmp_path, capsys):
+    path, (_, message) = _refusal(case, tmp_path)
+    before = sorted(tmp_path.iterdir())
+    code = main(["simulate", "--config", path, "--output", str(tmp_path / "rates.csv")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert message in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_sweep_reports_are_not_built(monkeypatch):
@@ -288,13 +330,13 @@ def test_sweep_reports_are_not_built(monkeypatch):
     bind = sim.bind_procedure
 
     def counting(proc, family, loss, pair):
-        kernel = bind(proc, family, loss, pair)
+        bound = bind(proc, family, loss, pair)
 
         def counted(model, posterior):
-            verdict, report = kernel(model, posterior)
+            verdict, report = bound.kernel(model, posterior)
             return verdict, lambda: calls.append(proc.name) or report()
 
-        return counted
+        return bound._replace(kernel=counted)
 
     monkeypatch.setattr(sim, "bind_procedure", counting)
     assert sim.run_operating_characteristics(scenario) == table

@@ -325,13 +325,13 @@ def _counting_bind(monkeypatch):
     bind = sim.bind_procedure
 
     def counting(proc, family, loss, pair):
-        run = bind(proc, family, loss, pair)
+        bound = bind(proc, family, loss, pair)
 
         def counted(model, posterior):
             calls.append((proc.name, model))
-            return run(model, posterior)
+            return bound.kernel(model, posterior)
 
-        return counted
+        return bound._replace(kernel=counted)
 
     monkeypatch.setattr(sim, "bind_procedure", counting)
     return _by_cell(monkeypatch, calls), sim._compile_procedure
@@ -542,7 +542,7 @@ class TestSharedPosterior:
         scenario = shipped_scenario("aspirin_scenario", procedures=procs)
         draw = sim.NormalDraw(n=22000, ybar=0.194, sigma=0.2)
         counts, first_error = sim._tally(
-            sim._bind_sweep(scenario), draw.n, lambda: iter([[draw.ybar]]), None
+            sim._bind_sweep(scenario), draw.n, [[draw.ybar]], None
         )
         got = [
             (type(first_error[i]), str(first_error[i])) if i in first_error else counts[i]
@@ -728,7 +728,7 @@ def _block_counts(scenario, n, statistics):
     """Per procedure, the sweep's counts over one block of statistics and
     the (class, message) of its first error."""
     counts, first_error = sim._tally(
-        sim._bind_sweep(scenario), n, lambda: iter([statistics]), None
+        sim._bind_sweep(scenario), n, [statistics], None
     )
     return [
         (counts[i], (type(first_error[i]), str(first_error[i])) if i in first_error else None)
@@ -916,6 +916,48 @@ class TestCertifiedBlocks:
         table = run_operating_characteristics(scenario)
         assert table == _direct_run(scenario)
         assert table.cells[0].frequencies["favors_h0"] > 0.9
+
+    def test_only_the_block_with_a_raising_draw_runs_directly(self, monkeypatch):
+        # rope raises on every draw of the second of three blocks: that
+        # block runs on each of its draws, and the other two are walked
+        monkeypatch.setattr(sim, "SWEEP_BLOCK", 16)
+        scenario = _bench_normal(
+            true_effects=(0.05,),
+            sample_sizes=(22000,),
+            replicates=48,
+            procedures=(ProcedureSpec("rope", {}),),
+        )
+        blocks = [
+            {simulate_dataset(scenario, 0.05, 22000, r).ybar for r in range(start, start + 16)}
+            for start in (0, 16, 32)
+        ]
+        bind = sim.bind_procedure
+
+        def raising(proc, family, loss, pair):
+            bound = bind(proc, family, loss, pair)
+
+            def kernel(model, posterior):
+                if model.ybar in blocks[1]:
+                    raise NumericalError(f"no verdict at ybar={model.ybar}")
+                return bound.kernel(model, posterior)
+
+            return bound._replace(kernel=kernel)
+
+        monkeypatch.setattr(sim, "bind_procedure", raising)
+        by_cell, _ = _counting_bind(monkeypatch)
+        table = run_operating_characteristics(scenario)
+        (calls,) = by_cell()
+        per_block = [
+            sum(count for (_, model), count in calls.items() if model.ybar in block)
+            for block in blocks
+        ]
+        assert table == _direct_run(scenario)
+        (report,) = table.errors
+        assert report.count == 16
+        # each distinct draw of the raising block, and few of the others
+        assert all(len(block) == 16 for block in blocks)
+        assert per_block[1] >= 16
+        assert per_block[0] < 16 and per_block[2] < 16
 
     def test_binomial_rule_raising_on_inner_counts(self, monkeypatch):
         # rope says accept_a1 on every count from 20 to 25 of 25, and here
