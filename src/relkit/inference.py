@@ -305,19 +305,19 @@ def _normal_location_scale(params: tuple[float, float]) -> tuple[float, float]:
 
 def _beta_moments(params, m0: float, x_lo: float, x_hi: float, x_o: float) -> tuple:
     """The raw moments E[x^j; region] = B(a+j, b)/B(a, b) times the region's
-    mass under Beta(a+j, b), shifted to the origin."""
+    mass under Beta(a+j, b), shifted to the origin; their scale is 1."""
     a, b = params
     r1 = a / (a + b) * _interval_mass(_beta_tails, (a + 1.0, b), x_lo, x_hi)
     r2 = (
         a * (a + 1.0) / ((a + b) * (a + b + 1.0))
         * _interval_mass(_beta_tails, (a + 2.0, b), x_lo, x_hi)
     )
-    return m0, r1 - x_o * m0, r2 - x_o * (2.0 * r1 - x_o * m0)
+    return m0, r1 - x_o * m0, r2 - x_o * (2.0 * r1 - x_o * m0), 1.0
 
 
 def _normal_moments(params, m0: float, x_lo: float, x_hi: float, x_o: float) -> tuple:
     """The truncated-normal formulas in sd units, about the origin, with phi
-    taken at the cut z-values. They work from the erfc arguments of the
+    taken at the cut z-values, and the sd, their scale. They work from the erfc arguments of the
     masses and put an origin on a cut exactly on it: a rounding of a cut
     then moves its mass, its phi and the origin together, and the
     cancellation in the moments of a far tail stays exact."""
@@ -329,7 +329,7 @@ def _normal_moments(params, m0: float, x_lo: float, x_hi: float, x_o: float) -> 
     u = -(z_lo if x_o == x_lo else z_hi if x_o == x_hi else (x_o - a) / b)
     e1 = phi_lo - phi_hi  # E[z; region], z = (theta - mean) / sd
     e2 = m0 + z_lo * phi_lo - z_hi * phi_hi  # E[z^2; region]
-    return m0, b * (u * m0 + e1), b * b * (u * (u * m0 + 2.0 * e1) + e2)
+    return m0, u * m0 + e1, u * (u * m0 + 2.0 * e1) + e2, b
 
 
 def _binomial_point_null(model: BinomialModel) -> tuple[float, float]:
@@ -375,7 +375,7 @@ class Family(NamedTuple):
     tails: Callable  # (params, native t) -> untruncated tails, each from its own side
     log_density: Callable  # (params, shift, log mass of the space) -> bound log density
     location_scale: Callable  # params -> untruncated native mean and sd
-    moments: Callable  # (params, mass, native lo, hi, origin) -> partial moments
+    moments: Callable  # (params, mass, native lo, hi, origin) -> partial moments, scale
     point_null: Callable  # model -> (p-value, statistic) of the nhst test
     point_null_detail: str  # its detail, a format string of model and statistic
     draw: Callable  # (rng, true effect, n, sigma) -> a dataset, the model's leading fields
@@ -667,11 +667,12 @@ def quadrature(
     return QuadratureResult(value, error, converged)
 
 
-def _partial_moments(
+def _scaled_moments(
     post: PosteriorModel, lo: float, hi: float, origin: float
-) -> tuple[float, float, float]:
-    """E[(theta - origin)^j; lo < theta < hi] for j = 0, 1, 2 under the
-    untruncated posterior, on the effect scale; lo and hi lie in the space.
+) -> tuple[float, float, float, float]:
+    """E[((theta - origin) / scale)^j; lo < theta < hi] for j = 0, 1, 2
+    under the untruncated posterior, and the scale: the sd of a normal
+    posterior, 1 for a beta one; lo and hi lie in the space.
 
     The mass is the tail-side difference of _mass_between, and the row's
     ``moments`` gives the other two. With the origin at the mean or on the
@@ -687,19 +688,29 @@ def _partial_moments(
     return post._row.moments(post.params, m0, x_lo, x_hi, x_o)
 
 
+def _partial_moments(
+    post: PosteriorModel, lo: float, hi: float, origin: float
+) -> tuple[float, float, float]:
+    """E[(theta - origin)^j; lo < theta < hi] for j = 0, 1, 2 on the
+    effect scale, from ``_scaled_moments``."""
+    m0, m1, m2, scale = _scaled_moments(post, lo, hi, origin)
+    return m0, scale * m1, scale * scale * m2
+
+
 def posterior_summary(post: PosteriorModel) -> dict:
     """Location summaries used in reports: mean and sd of the truncated
     posterior, from its partial moments about the point of the space nearest
     the untruncated mean, plus the central 95% interval."""
     lo, hi = post.space.lo, post.space.hi
     origin = min(max(post.native_location_scale[0], lo), hi)
-    m0, m1, m2 = _partial_moments(post, lo, hi, origin)
+    m0, m1, m2, scale = _scaled_moments(post, lo, hi, origin)
     shift = m1 / m0
     ci = credible_interval(post, 0.95)
     return {
         "family": post.family,
         "params": list(post.params),
-        "mean": origin + shift,
-        "sd": math.sqrt(max(m2 / m0 - shift * shift, 0.0)),
+        "mean": origin + scale * m1 / m0,
+        # the variance in units of the scale, whose square may underflow
+        "sd": scale * math.sqrt(max(m2 / m0 - shift * shift, 0.0)),
         "central_95": [ci[0], ci[1]],
     }

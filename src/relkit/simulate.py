@@ -4,8 +4,10 @@ A scenario fixes a sampling model, a loss specification, grids of true
 effects and sample sizes, and a list of procedures; the sweep tabulates how
 often each procedure returns each verdict. Datasets are drawn from PCG64
 generators seeded per cell and replicate (scenario seed, the bit pattern of
-the true effect, n, replicate index), so any single draw can be reproduced
-in isolation and results do not depend on execution order.
+the true effect, n, replicate index) through numpy's SeedSequence hash,
+which a sweep takes for a block of replicates at once, so any single draw
+can be reproduced in isolation and results do not depend on execution
+order.
 
 The family's row in ``inference.FAMILIES`` draws each dataset. Each
 procedure is bound once per run, in one step: its settings are checked
@@ -39,11 +41,13 @@ the point-null test while every relevance-aware procedure settles on a0.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import values
 from .comparators import (
@@ -190,46 +194,117 @@ class Scenario:
 Dataset = BinomialDraw | NormalDraw
 
 
+# numpy's SeedSequence (NEP 19) hashes its entropy words into a pool of 4
+# (mix_entropy), and the pool into the state (generate_state). A word here
+# is an int below 2**32 or a uint32 array, one entry per replicate; every
+# product is masked to 32 bits, so no numpy scalar appears.
+_MASK32 = 0xFFFFFFFF
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+HASH_BLOCK = 128  # the replicates whose seeds are hashed at once, at most
+
+
+def _hashmix(value, const: int, mult: int = MULT_A) -> tuple:
+    """numpy's hashmix: the hashed word and the next hash constant."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _absorb(pool: list, const: int, words: Iterable) -> tuple[list, int]:
+    """numpy's mix_entropy continued over more words: the first 4 fill the
+    pool, which then mixes each entry into the others, and each later word
+    is mixed into every entry."""
+    pool = list(pool)
+    for word in words:
+        if len(pool) < 4:
+            value, const = _hashmix(word, const)
+            pool.append(value)
+            mixes = itertools.permutations(range(4), 2) if len(pool) == 4 else ()
+        else:
+            mixes = ((None, dst) for dst in range(4))
+        for src, dst in mixes:
+            value, const = _hashmix(word if src is None else pool[src], const)
+            mixed = (MIX_MULT_L * pool[dst] & _MASK32) - (MIX_MULT_R * value & _MASK32) & _MASK32
+            pool[dst] = mixed ^ mixed >> 16
+    return pool, const
+
+
 def _words(value: int) -> list[int]:
     """The 32-bit words of a non-negative int, least significant first, as
     numpy's SeedSequence splits each int of its entropy (0 is one word)."""
     if value < 0:
         raise ValueError("expected non-negative integer")
-    words = [value & 0xFFFFFFFF]
-    value >>= 32
-    while value:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-    return words
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
-def _cell_rng(seed: int, true_effect: float, n: int) -> Callable[[int], np.random.Generator]:
-    """replicate index -> the generator of that replicate in one cell:
-    PCG64 seeded by SeedSequence([seed, effect bits, n, replicate]), where
-    effect bits is the IEEE-754 bit pattern of the true effect as an
-    unsigned int. The words of the entropy are split here once per cell
-    and handed to SeedSequence as a uint32 array, the form it reduces a
-    list of ints to, so the stream is the one the list gives."""
+@functools.cache
+def _seed_row() -> type:
+    """A numpy ISeedSequence that holds one replicate's state and returns
+    it from generate_state, the one call PCG64 makes."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedRow(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=None):
+            return self.state
+
+    return SeedRow
+
+
+def _cell_rng(
+    seed: int, true_effect: float, n: int
+) -> Callable[[int, int], Iterator[np.random.Generator]]:
+    """(start, stop) -> the generators of replicates start to stop - 1 of
+    one cell, yielded one at a time. Replicate r draws from PCG64 seeded by
+    SeedSequence([seed, effect bits, n, r]), where effect bits is the
+    IEEE-754 bit pattern of the true effect as an unsigned int. Its hash is
+    taken here: the cell's words once, as ints, then the words of up to
+    ``HASH_BLOCK`` replicates of one word count at once, as uint32 arrays
+    (a replicate alone as ints). Each replicate's state seeds numpy's own
+    PCG64, so the stream is the one SeedSequence gives, bit for bit."""
     # numpy is imported here, not at module level: only simulate draws data,
     # and the other commands start faster without it
     import numpy as np
 
     # + 0.0 maps -0.0 to 0.0, so both zeros draw the same stream
     effect_bits = int.from_bytes(struct.pack("<d", float(true_effect) + 0.0), "little")
-    cell = [*_words(int(seed)), *_words(effect_bits), *_words(int(n))]
+    cell = _absorb([], INIT_A, [*_words(int(seed)), *_words(effect_bits), *_words(int(n))])
+    seed_row = _seed_row()
 
-    def rng(replicate_index: int) -> np.random.Generator:
-        entropy = np.array([*cell, *_words(int(replicate_index))], dtype=np.uint32)
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    def rngs(start: int, stop: int) -> Iterator[np.random.Generator]:
+        while start < stop:
+            words = _words(start)
+            reps = range(start, min(stop, start + HASH_BLOCK, 1 << 32 * len(words)))
+            if len(reps) > 1:
+                # one replicate is hashed faster in ints than in arrays of one
+                words = [
+                    np.fromiter((r >> shift & _MASK32 for r in reps), np.uint32, len(reps))
+                    for shift in range(0, 32 * len(words), 32)
+                ]
+            pool = _absorb(*cell, words)[0]
+            state, const = [], INIT_B
+            for i in range(8):
+                value, const = _hashmix(pool[i % 4], const, MULT_B)
+                state.append(value)
+            # generate_state(4, uint64) pairs the 8 words, low word first
+            rows = np.array(state, "<u4").reshape(8, -1).T.copy().view("<u8").astype(np.uint64)
+            for row in rows:
+                yield np.random.Generator(np.random.PCG64(seed_row(row)))
+            start = reps.stop
 
-    return rng
+    return rngs
 
 
 def simulate_dataset(
     scenario: Scenario, true_effect: float, n: int, replicate_index: int
 ) -> Dataset:
     """Draw one dataset; fully determined by (seed, effect, n, replicate)."""
-    rng = _cell_rng(scenario.seed, true_effect, n)(replicate_index)
+    rngs = _cell_rng(scenario.seed, true_effect, n)
+    rng = next(rngs(replicate_index, replicate_index + 1))
     return FAMILIES[scenario.family].draw(rng, true_effect, n, scenario.sigma)
 
 
@@ -643,6 +718,18 @@ def _outcome(kernel: Kernel, model: Model, posterior: Posterior) -> Outcome:
         return exc.with_traceback(None)
 
 
+def _bind_in(scenario: Scenario, proc: ProcedureSpec, pair: HypothesisPair) -> Bound:
+    """``bind_procedure`` in a scenario. A Bayes factor without a prior of
+    its own takes the model's, the same for every draw, so the prior masses
+    of the pair under it are checked here, once."""
+    bound = bind_procedure(proc, scenario.family, scenario.loss, pair)
+    if proc.name == "bayes_factor" and "prior" not in proc.settings:
+        row = FAMILIES[scenario.family]
+        model_prior = scenario.prior or tuple(f.default for f in fields(row.model))[-2:]
+        _prior_masses(row, model_prior, pair)
+    return bound
+
+
 def _compile_procedure(
     scenario: Scenario, proc: ProcedureSpec
 ) -> Callable[[Dataset], str]:
@@ -651,7 +738,7 @@ def _compile_procedure(
     the scenario prior, or without one the model's default."""
     loss = scenario.loss
     pair = derive_hypotheses(partition(loss))
-    kernel = bind_procedure(proc, scenario.family, loss, pair).kernel
+    kernel = _bind_in(scenario, proc, pair).kernel
     model_of = FAMILIES[scenario.family].model
     prior = scenario.prior or ()
 
@@ -719,7 +806,7 @@ class _Sweep(NamedTuple):
 def _bind_sweep(scenario: Scenario) -> _Sweep:
     loss, row = scenario.loss, FAMILIES[scenario.family]
     pair = derive_hypotheses(partition(loss))
-    bound = [bind_procedure(proc, scenario.family, loss, pair) for proc in scenario.procedures]
+    bound = [_bind_in(scenario, proc, pair) for proc in scenario.procedures]
     # A walk evaluates only some draws, so a certificate holds only where a
     # kernel that raises on any draw of a block raises on one of its two end
     # draws, which the walk always evaluates. A normal kernel raises where no
@@ -735,11 +822,11 @@ def _bind_sweep(scenario: Scenario) -> _Sweep:
     certified = row.posterior == "normal"
     # a draw holds n, its statistic and the family's known values, the
     # model's leading fields; the prior gives its last two
-    fields = (*(getattr(scenario, key) for key in row.known), *(scenario.prior or ()))
+    given = (*(getattr(scenario, key) for key in row.known), *(scenario.prior or ()))
     return _Sweep(
         tuple(b.kernel for b in bound),
         tuple(b.certificate if certified else None for b in bound),
-        lambda n, statistic: row.model(n, statistic, *fields),
+        lambda n, statistic: row.model(n, statistic, *given),
         loss.space,
     )
 
@@ -864,15 +951,17 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     "error" and never abort the sweep; ``errors`` says what they were.
     Identical scenarios (seed included) produce identical tables.
 
-    A cell's draws are taken in blocks of ``SWEEP_BLOCK`` replicates and
-    sorted by their statistic, k or ybar. Each procedure runs at most once
-    per distinct statistic of a block, and a certified one only where its
-    certificate cannot name the verdict of a gap between two evaluated
-    draws. The procedures of a draw share one posterior, built only if one
-    of them needs it. A count repeats, so the outcomes of the other
-    procedures on each (n, k) are kept for the rest of the call and serve
-    the later blocks and cells at the same n; a normal sweep keeps none,
-    and its memory does not grow with ``replicates``.
+    A cell's draws are taken in blocks of ``SWEEP_BLOCK`` replicates, from
+    generators that ``_cell_rng`` seeds ``HASH_BLOCK`` replicates at a time
+    and yields one at a time, and sorted by their statistic, k or ybar.
+    Each procedure runs at most once per distinct statistic of a block,
+    and a certified one only where its certificate cannot name the verdict
+    of a gap between two evaluated draws. The procedures of a draw share
+    one posterior, built only if one of them needs it. A count repeats, so
+    the outcomes of the other procedures on each (n, k) are kept for the
+    rest of the call and serve the later blocks and cells at the same n; a
+    normal sweep keeps none, and its memory does not grow with
+    ``replicates``.
     """
     sweep = _bind_sweep(scenario)
     names = [proc.name for proc in scenario.procedures]
@@ -888,12 +977,12 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     memo: dict | None = {} if typecode == "q" else None
     for effect in scenario.true_effects:
         for n in scenario.sample_sizes:
-            rng = _cell_rng(scenario.seed, effect, n)
+            rngs = _cell_rng(scenario.seed, effect, n)
 
             def blocks():
                 for start in range(0, reps, SWEEP_BLOCK):
                     stop = min(start + SWEEP_BLOCK, reps)
-                    draws = (row.draw(rng(r), effect, n, sigma)[1] for r in range(start, stop))
+                    draws = (row.draw(rng, effect, n, sigma)[1] for rng in rngs(start, stop))
                     yield array(typecode, draws)
 
             counts, first_error = _tally(sweep, n, blocks(), memo)

@@ -494,9 +494,16 @@ class TestExtremeNormalScales:
     @pytest.mark.parametrize("key, value", EXTREME_NORMAL)
     def test_simulate_runs(self, key, value, tmp_path, capsys):
         doc = _extreme_normal_doc(key, value)
-        doc["scenario"].update(
-            replicates=8, procedures=[{"procedure": name} for name in ALL_SIX]
-        )
+        names = ALL_SIX
+        if key == "prior":
+            # a prior sd of 1e-200 gives H1 no mass and one of 1e200 gives H0
+            # none: bayes_factor, which takes the scenario's prior, is refused
+            doc["scenario"].update(replicates=8, procedures=[{"procedure": "bayes_factor"}])
+            code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)], capsys)
+            assert (code, out) == (2, "")
+            assert err.endswith(" has zero prior mass under the given prior\n"), err
+            names = tuple(name for name in ALL_SIX if name != "bayes_factor")
+        doc["scenario"].update(replicates=8, procedures=[{"procedure": name} for name in names])
         code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)], capsys)
         assert code == 0, err
         assert "failure" not in err
@@ -504,7 +511,7 @@ class TestExtremeNormalScales:
             # a procedure that fails names a relkit error and its cause
             assert "ValidationError: " in line or "NumericalError: " in line, line
         procedures = {line.split()[2] for line in out.splitlines()[2:]}
-        assert procedures == set(ALL_SIX)
+        assert procedures == set(names)
 
     @pytest.mark.parametrize("rule", ["hypothesis_ratio", "expected_loss"])
     @pytest.mark.parametrize("key, value", EXTREME_NORMAL)
@@ -527,8 +534,14 @@ class TestExtremeNormalScales:
             doc["decision"]["loss_ratio"] = 1.0
         code, out, err = run_cli(["decide", "--config", write_config(tmp_path, doc)], capsys)
         assert code == 0, err
-        mean, sd = json.loads(out)["posterior"]["params"]
+        summary = json.loads(out)["posterior"]
+        mean, sd = summary["params"]
         assert math.isfinite(mean) and 0.0 < sd < math.inf
+        if key == "sigma" and value > 1.0:
+            return  # the posterior is the prior, whose sd the space truncates
+        # the space lies over 40 sd from the mean and truncates no digit
+        assert min(mean + 0.1, 0.1 - mean) > 40.0 * sd
+        assert summary["sd"] == pytest.approx(sd, rel=1e-12, abs=0.0)
 
     def test_unrepresentable_posterior_names_the_values(self, tmp_path, capsys):
         # the posterior sd sigma / sqrt(n) underflows to 0

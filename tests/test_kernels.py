@@ -7,8 +7,8 @@ function gives, so a kernel's verdict and report must equal the public
 result field by field, and a kernel must raise what the function raises.
 A setting that a check refuses raises at bind, with the function's class
 and message, and both `compare` and `simulate` exit 2 on it.
-The sweep draws each replicate from a generator whose seed words are split
-once per cell; its stream must be the one the list of those words seeds.
+The sweep takes the SeedSequence hash of a cell's replicates a block at a
+time; each replicate's stream must be the one the list of its words seeds.
 """
 
 import json
@@ -322,6 +322,37 @@ def test_simulate_refuses_the_setting_and_writes_nothing(case, tmp_path, capsys)
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_simulate_refuses_a_scenario_prior_without_mass_before_any_draw(
+    tmp_path, capsys, monkeypatch
+):
+    # a Bayes factor without a prior of its own takes the scenario's, which
+    # here gives H1 no mass: refused as the same prior given as its own is
+    doc = json.loads((CONFIG_DIR / "aspirin_scenario.json").read_text(encoding="utf-8"))
+    doc["scenario"].update(
+        prior={"mean": 0.0, "sd": 1e-4},
+        procedures=[{"procedure": "nhst"}, {"procedure": "bayes_factor"}],
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = load_config(path)
+    pair = derive_hypotheses(partition(cfg.loss))
+    with pytest.raises(RelkitError) as want:
+        interval_bayes_factor(NormalKnownVarModel(22000, 0.0077, 0.2, 0.0, 1e-4), pair)
+
+    def drawing(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(sim, "_cell_rng", drawing)
+    with pytest.raises(RelkitError) as got:
+        sim.run_operating_characteristics(cfg.scenario)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    before = sorted(tmp_path.iterdir())
+    code = main(["simulate", "--config", str(path), "--output", str(tmp_path / "rates.csv")])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"relkit: error: {want.value}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_sweep_reports_are_not_built(monkeypatch):
     """A sweep keeps only the verdict: no report is called."""
     scenario = shipped_scenario("aspirin_scenario", replicates=5)
@@ -361,22 +392,68 @@ def _bits(effect):
 )
 def test_cell_stream_is_the_seed_sequence_of_the_listed_words(seed, effect, n, replicate):
     want = np.random.default_rng(np.random.SeedSequence([seed, _bits(effect), n, replicate]))
-    got = sim._cell_rng(seed, effect, n)(replicate)
+    # the replicate inside a block of the sweep's hash, not at its start
+    start = max(0, replicate - 2)
+    got = list(sim._cell_rng(seed, effect, n)(start, replicate + 3))[replicate - start]
     assert got.bit_generator.state == want.bit_generator.state
     assert got.integers(0, 2**63, 16).tolist() == want.integers(0, 2**63, 16).tolist()
     assert got.normal(effect, 0.2, 4).tolist() == want.normal(effect, 0.2, 4).tolist()
 
 
+def _scan_cells():
+    """Seeded (seed, effect, n, start, stop) cells: a seed of every width
+    from 1 to 130 bits, effects and sizes at their edges, and blocks of
+    replicates near 0, across 2**32 (the replicate's second word), from
+    above 2**64 (its third) and anywhere below 2**64, some of a single
+    replicate and some longer than the hash block."""
+    rnd = random.Random(18)
+    for width in range(1, 131):
+        seed = rnd.getrandbits(width) | 1 << (width - 1)
+        effect = rnd.choice([0.0, -0.0, 5e-324, rnd.uniform(-0.5, 0.5)])
+        n = rnd.choice([1, 2**32, 2**63 - 1, rnd.randrange(1, 2**40)])
+        length = rnd.randrange(129, 300) if width % 10 == 0 else rnd.randrange(1, 40)
+        start = [
+            rnd.randrange(1000),
+            2**32 - rnd.randrange(1, 30),
+            2**64 + rnd.randrange(2**33),
+            rnd.randrange(2**64),
+        ][width % 4]
+        if width % 4 == 1:
+            length = max(length, 2**32 - start + 1)
+        yield seed, effect, n, start, start + length
+
+
+def test_block_streams_match_the_seed_sequence_over_a_seeded_scan():
+    cells = list(_scan_cells())
+    assert {seed.bit_length() for seed, *_ in cells} == set(range(1, 131))
+    effects = {(effect, math.copysign(1.0, effect)) for _, effect, *_ in cells}
+    assert {(0.0, 1.0), (0.0, -1.0), (5e-324, 1.0)} <= effects
+    assert {1, 2**32, 2**63 - 1} <= {n for _, _, n, *_ in cells}
+    assert any(start < 2**32 < stop for *_, start, stop in cells)
+    assert any(start > 2**64 for *_, start, _ in cells)
+    # a replicate alone is hashed in ints, a longer block in arrays
+    assert any(stop - start == 1 for *_, start, stop in cells)
+    assert any(stop - start > sim.HASH_BLOCK for *_, start, stop in cells)
+    cases = 0
+    for seed, effect, n, start, stop in cells:
+        got = sim._cell_rng(seed, effect, n)(start, stop)
+        for r, rng in zip(range(start, stop), got, strict=True):
+            want = np.random.default_rng(np.random.SeedSequence([seed, _bits(effect), n, r]))
+            assert rng.bit_generator.state == want.bit_generator.state, (seed, effect, n, r)
+            cases += 1
+    assert cases >= 2000
+
+
 def test_negative_zero_draws_the_zero_stream():
-    a = sim._cell_rng(7, -0.0, 10)(3).integers(0, 2**63, 4).tolist()
-    assert a == sim._cell_rng(7, 0.0, 10)(3).integers(0, 2**63, 4).tolist()
+    a = [rng.integers(0, 2**63, 4).tolist() for rng in sim._cell_rng(7, -0.0, 10)(0, 5)]
+    assert a == [rng.integers(0, 2**63, 4).tolist() for rng in sim._cell_rng(7, 0.0, 10)(0, 5)]
 
 
 def test_negative_seed_is_refused_as_numpy_refuses_it():
     with pytest.raises(ValueError) as want:
         np.random.SeedSequence([-1, 0, 1, 0])
     with pytest.raises(ValueError) as got:
-        sim._cell_rng(-1, 0.0, 1)(0)
+        next(sim._cell_rng(-1, 0.0, 1)(0, 1))
     assert str(got.value) == str(want.value)
 
 

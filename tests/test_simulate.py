@@ -872,9 +872,20 @@ class TestCertifiedBlocks:
         w = (22000 / 0.04) / (22000 / 0.04 + 1 / 0.05**2)
         sd = (22000 / 0.04 + 1 / 0.05**2) ** -0.5
         prior_mean = (0.1 + 37.5 * sd - w * 0.1) / (1.0 - w)
-        scenario = _bench_normal(
-            prior=(prior_mean, 0.05), true_effects=(0.1, 0.0), replicates=60
+        # that prior gives the pair no mass, so the Bayes factor, which is
+        # refused under it, takes a prior of its own
+        own = ProcedureSpec(
+            "bayes_factor", {"threshold": 3.0, "prior": {"mean": 0.0, "sd": 0.05}}
         )
+        scenario = _bench_normal(
+            prior=(prior_mean, 0.05),
+            true_effects=(0.1, 0.0),
+            replicates=60,
+            procedures=(*BENCH_PROCEDURES[:-1], own),
+        )
+        refused = dataclasses.replace(scenario, procedures=BENCH_PROCEDURES)
+        with pytest.raises(ValidationError, match="zero prior mass"):
+            run_operating_characteristics(refused)
         table = run_operating_characteristics(scenario)
         assert table == _direct_run(scenario)
         assert any(0 < report.count < 60 for report in table.errors)
