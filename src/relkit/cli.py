@@ -24,10 +24,9 @@ from pathlib import Path
 
 from ._version import __version__
 from .config import ConfigDocument, load_config
-from .decisions import bayes_two_action_decision, expected_loss_decision
 from .errors import ConfigError, DomainError, RelkitError, ValidationError
 from .hypotheses import check_complete, check_partial, derive_hypotheses
-from .inference import family_of, posterior_summary, posterior_update
+from .inference import family_of, posterior_summary
 from .plotting import render_loss_plot
 from .regions import partition
 from .simulate import _shared_posterior, bind_procedure, run_operating_characteristics
@@ -180,20 +179,13 @@ def _cmd_decide(args, cfg: ConfigDocument) -> int:
         raise ConfigError("decide needs a 'decision' section")
     if cfg.model is None:
         raise ConfigError("decide needs a 'model' section with data")
-    post = posterior_update(cfg.model, cfg.loss.space)
-    if cfg.decision.rule == "hypothesis_ratio":
-        if cfg.hypotheses is None:
-            raise ConfigError(
-                "the hypothesis_ratio rule needs a 'hypotheses' section"
-            )
-        outcome = bayes_two_action_decision(
-            post,
-            cfg.hypotheses,
-            cfg.decision.loss_ratio,
-            allow_restricted_space=cfg.decision.allow_restricted_space,
-        )
-    else:
-        outcome = expected_loss_decision(post, cfg.loss)
+    if cfg.decision.name == "hypothesis_ratio" and cfg.hypotheses is None:
+        raise ConfigError("the hypothesis_ratio rule needs a 'hypotheses' section")
+    pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
+    # the rule is bound, and its settings checked, before the posterior is built
+    kernel = bind_procedure(cfg.decision, family_of(cfg.model), cfg.loss, pair).kernel
+    posterior = _shared_posterior(cfg.model, cfg.loss.space)
+    outcome = kernel(cfg.model, posterior)[1]()
     label = {
         "a0": cfg.actions.a0_label,
         "a1": cfg.actions.a1_label,
@@ -202,9 +194,9 @@ def _cmd_decide(args, cfg: ConfigDocument) -> int:
     doc = {
         "command": "decide",
         "spec_version": 1,
-        "rule": cfg.decision.rule,
+        "rule": cfg.decision.name,
         "decision_label": label,
-        "posterior": posterior_summary(post),
+        "posterior": posterior_summary(posterior()),
         **vars(outcome),
     }
     keys = ("decision", "posterior_h0", "posterior_h1", "posterior_odds",
@@ -212,6 +204,20 @@ def _cmd_decide(args, cfg: ConfigDocument) -> int:
     rows = [(key, doc[key]) for key in keys]
     _emit(args, cfg, doc, ("key", "value"), rows)
     return EXIT_OK
+
+
+def _compare_row(name: str, result) -> dict:
+    """compare's row of procedure ``name``'s report; a decision rule's row names
+    its public function, the statistic it decides on and its warnings."""
+    if name == "hypothesis_ratio":
+        row = {"procedure": "bayes_two_action_decision", "statistic": result.posterior_odds}
+    elif name == "expected_loss":
+        statistic = result.threshold_hi - result.threshold_lo
+        row = {"procedure": "expected_loss_decision", "statistic": statistic}
+    else:
+        return vars(result)
+    detail = "; ".join(result.warnings)
+    return {**dict.fromkeys(_COMPARE_COLUMNS), **row, "verdict": result.decision, "detail": detail}
 
 
 def _cmd_compare(args, cfg: ConfigDocument) -> int:
@@ -225,10 +231,10 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
     kernels = [bind_procedure(spec, family, cfg.loss, pair).kernel for spec in cfg.comparators]
     # the comparators share one posterior, built if one of them needs it
     posterior = _shared_posterior(cfg.model, cfg.loss.space)
-    results = []
-    for kernel in kernels:
-        _, report = kernel(cfg.model, posterior)
-        results.append(vars(report()))
+    results = [
+        _compare_row(spec.name, kernel(cfg.model, posterior)[1]())
+        for spec, kernel in zip(cfg.comparators, kernels)
+    ]
     doc = {"command": "compare", "spec_version": 1, "results": results}
     rows = [[r[c] for c in _COMPARE_COLUMNS] for r in results]
     _emit(args, cfg, doc, _COMPARE_COLUMNS, rows)

@@ -11,14 +11,14 @@ None of them integrates numerically or searches: the tests use the
 incomplete beta and erfc, the ROPE rule compares two posterior tail masses
 at the rope ends with (1 - mass)/2 instead of finding the credible
 interval's quantiles, and the interval Bayes factor is the posterior odds
-over the prior odds of the two regions. The posterior procedures take a
-posterior that the caller may share with the other procedures of the same
-data; the tails it has taken at the region ends are not taken again.
+over the prior odds of the two regions.
 
 Each procedure is a public function that checks its arguments, a private
 rule that computes the verdict and what the result needs from the data,
-and a private builder of the result. ``simulate`` binds the checks once
-per run and calls the same rules per draw.
+and a private builder of the result. Every command binds its procedures
+through ``simulate.bind_procedure``, which makes the same checks once and
+calls the same rules per dataset, on a posterior the procedures of one
+dataset share; the public functions serve library callers.
 """
 
 from __future__ import annotations
@@ -250,8 +250,8 @@ def _region_masses(
 
 
 def _prior_masses(row: Family, params: tuple[float, float], pair: HypothesisPair) -> tuple:
-    """``prior_region_masses`` for the prior ``params`` of a family row, as
-    a tuple (H0, H1)."""
+    """The masses (H0, H1) under the untruncated prior ``params`` of a family
+    row; both regions must map into its support and have positive mass."""
     for itv in (*pair.h0.intervals, *pair.h1.intervals):
         row.check_support(itv.lo, itv.hi)
     masses = _region_masses(lambda t: row.tails(params, t - row.effect_shift), _pair_ends(pair))
@@ -261,17 +261,6 @@ def _prior_masses(row: Family, params: tuple[float, float], pair: HypothesisPair
         if mass <= 0.0:
             raise ValidationError(f"{name} has zero prior mass under the given prior")
     return masses
-
-
-def prior_region_masses(
-    model: BinomialModel | NormalKnownVarModel, pair: HypothesisPair
-) -> dict[str, float]:
-    """The mass of H0 and H1 under the model's own untruncated prior, the
-    denominators of ``interval_bayes_factor``. Both regions must map into
-    the family's support and be non-empty with positive prior mass."""
-    # the prior's two numbers are the model's last two fields
-    params = tuple(vars(model).values())[-2:]
-    return dict(zip(("h0", "h1"), _prior_masses(FAMILIES[family_of(model)], params, pair)))
 
 
 def _check_threshold(threshold: float) -> None:
@@ -315,9 +304,6 @@ def interval_bayes_factor(
     pair: HypothesisPair,
     prior: tuple[float, float] | None = None,
     threshold: float = 1.0,
-    *,
-    post: PosteriorModel | None = None,
-    prior_masses: dict[str, float] | None = None,
 ) -> ComparatorResult:
     """BF_10 for H1 against H0 with the prior truncated to each region.
 
@@ -332,30 +318,19 @@ def interval_bayes_factor(
     binomial model and (mean, sd) for the normal one, and overriding it is
     a second conjugate update. Region masses come from the tail on their
     own side, so far-tail evidence keeps its relative precision. Both
-    regions must map into the family's support.
-
-    A caller that runs many models under one prior may pass what it
-    already holds, with ``prior`` None: ``post``, the model's posterior,
-    whose tails at the region ends it may already have taken, and
-    ``prior_masses``, from ``prior_region_masses``. Neither changes the
-    result.
+    regions must map into the family's support and have positive prior
+    mass.
 
     The verdict is "favors_h1" above the threshold, "favors_h0" below its
     inverse, else "inconclusive"; a threshold below 1 would overlap the two.
     """
     _check_threshold(threshold)
     row = FAMILIES[family_of(model)]
+    # the prior's two numbers are the model's last two fields
     if prior is not None:
-        if post is not None or prior_masses is not None:
-            raise ValidationError("post and prior_masses hold the model's own prior")
         model = row.model(*tuple(vars(model).values())[:-2], *prior)
-    if prior_masses is None:
-        prior_masses = prior_region_masses(model, pair)
-    ends = _pair_ends(pair)
-    if post is None:
-        params = row.update(model)
-        post_masses = _region_masses(lambda t: row.tails(params, t - row.effect_shift), ends)
-    else:
-        post_masses = _region_masses(post._tails_at, ends)
-    masses = (prior_masses["h0"], prior_masses["h1"])
-    return _bayes_factor_result(*_bayes_factor(post_masses, masses, threshold))
+    # the prior masses are checked before the posterior's are taken
+    prior_masses = _prior_masses(row, tuple(vars(model).values())[-2:], pair)
+    post = row.update(model)
+    post_masses = _region_masses(lambda t: row.tails(post, t - row.effect_shift), _pair_ends(pair))
+    return _bayes_factor_result(*_bayes_factor(post_masses, prior_masses, threshold))

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import values
-from .decisions import LossRatio
 from .errors import ConfigError, ValidationError
 from .hypotheses import HypothesisPair
 from .inference import FAMILIES, BinomialModel, NormalKnownVarModel
@@ -147,23 +146,16 @@ def _parse_model(
     return model, family
 
 
-@dataclass(frozen=True)
-class DecisionSettings:
-    rule: str
-    loss_ratio: LossRatio | None
-    allow_restricted_space: bool = False
-
-
-def _parse_decision(section: dict) -> DecisionSettings:
+def _parse_decision(section: dict, family: str | None) -> ProcedureSpec:
+    """decide's rule, a procedure of the table, with the other keys as its
+    settings; here the hypothesis-ratio rule has no default loss ratio."""
     rule = _take(section, "rule", "decision", _RULE, "hypothesis_ratio")
-    if rule == "hypothesis_ratio":
-        ratio = _take(section, "loss_ratio", "decision", values.loss_ratio)
-    elif "loss_ratio" in section:
-        raise ConfigError("decision.loss_ratio is not used by the expected_loss rule")
-    else:
-        ratio = None
-    allow = _take(section, "allow_restricted_space", "decision", values.flag, False)
-    return DecisionSettings(rule=rule, loss_ratio=ratio, allow_restricted_space=allow)
+    if rule == "hypothesis_ratio" and "loss_ratio" not in section:
+        raise ConfigError("missing key 'loss_ratio' in decision")
+    spec = ProcedureSpec(name=rule, settings=dict(section))
+    section.clear()
+    parse_settings(spec, family, "decision")
+    return spec
 
 
 def _parse_procedures(
@@ -246,7 +238,7 @@ class ConfigDocument:
     actions: ActionPair
     hypotheses: HypothesisPair | None = None
     model: BinomialModel | NormalKnownVarModel | None = None
-    decision: DecisionSettings | None = None
+    decision: ProcedureSpec | None = None
     comparators: tuple[ProcedureSpec, ...] | None = None
     scenario: Scenario | None = None
     output: OutputSettings = field(default_factory=OutputSettings)
@@ -289,7 +281,7 @@ def _parse_document(raw: dict) -> ConfigDocument:
         actions=actions,
         hypotheses=_read(raw, "hypotheses", "", _parse_hypotheses, space),
         model=model,
-        decision=_read(raw, "decision", "", _parse_decision),
+        decision=_read(raw, "decision", "", _parse_decision, family),
         comparators=comparators,
         scenario=_read(raw, "scenario", "", _parse_scenario, loss, seed),
         output=_read(raw, "output", "", _parse_output) or OutputSettings(),

@@ -12,6 +12,9 @@ references.
 
 The hypothesis-ratio rule implicitly treats the loss as constant within each
 hypothesis region; when it is not, use the expected-loss rule instead.
+
+Every command binds both rules through ``simulate.bind_procedure``, whose
+kernels call the private rules below and report what the public functions return.
 """
 
 from __future__ import annotations
@@ -105,7 +108,8 @@ def _coverage_check(space: ParameterSpace, pair: HypothesisPair, allow: bool) ->
         raise ValidationError(
             "hypotheses do not jointly cover the parameter space; renormalizing "
             "over their union discards all other effect values, which is a "
-            "strong claim. Pass allow_restricted_space=True to accept it."
+            'strong claim. Set "allow_restricted_space": true (in Python, '
+            "allow_restricted_space=True) to accept it."
         )
 
 

@@ -13,8 +13,8 @@ The family's row in ``inference.FAMILIES`` draws each dataset. Each
 procedure is bound once per run, in one step: its settings are checked
 then, and a setting a check refuses raises there, before any draw; its
 region ends are taken then too, and its kernel computes per draw only what
-the verdict needs. The full result (``compare``'s row) is built only on
-request.
+the verdict needs. The full result, which ``compare`` and ``decide``
+print, is built only on request.
 
 A verdict depends on the dataset only through one statistic, k or ybar, so
 a sweep draws a cell's replicates in blocks of ``SWEEP_BLOCK`` and sorts
@@ -46,7 +46,7 @@ import itertools
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import values
@@ -73,6 +73,7 @@ from .comparators import (
 )
 from .decisions import (
     EXPECTED_LOSS_TIE_TOL,
+    DecisionOutcome,
     LossRatio,
     _coverage_check,
     _expected_loss,
@@ -105,7 +106,7 @@ if TYPE_CHECKING:
 
 Model = BinomialModel | NormalKnownVarModel
 Posterior = Callable[[], PosteriorModel]
-Report = Callable[[], ComparatorResult]
+Report = Callable[[], ComparatorResult | DecisionOutcome]
 # a procedure with its settings bound: (model, posterior) -> (verdict, report)
 Kernel = Callable[[Model, Posterior], tuple[str, Report]]
 
@@ -319,11 +320,6 @@ def _interval_on(loss: LossSpec, bounds) -> tuple[float, float]:
     return bounds
 
 
-def _decision(procedure: str, statistic: float, outcome) -> ComparatorResult:
-    detail = "; ".join(outcome.warnings)
-    return ComparatorResult(procedure, statistic, outcome.decision, detail=detail)
-
-
 def _shared_posterior(model: Model, space: ParameterSpace) -> Posterior:
     """() -> the model's posterior on the space, built on the first call
     through the module global ``posterior_update`` and returned again by
@@ -493,18 +489,14 @@ def _bind_hypothesis_ratio(
     s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
 ) -> Bound:
     ratio, space = s["loss_ratio"], loss.space
-    _coverage_check(space, pair, False)
+    _coverage_check(space, pair, s["allow_restricted_space"])
     ends = h0, h1 = _region_ends(pair.h0, space), _region_ends(pair.h1, space)
 
     def kernel(model: Model, posterior: Posterior):
         post = posterior()
         p0, p1 = _region_prob(post, h0), _region_prob(post, h1)
         decision, odds = _two_action(p0, p1, ratio)
-        return decision, lambda: _decision(
-            "bayes_two_action_decision",
-            odds,
-            _two_action_outcome(p0, p1, ratio, decision, odds),
-        )
+        return decision, lambda: _two_action_outcome(p0, p1, ratio, decision, odds)
 
     changes, cells = _odds_cells(ends)
 
@@ -533,12 +525,8 @@ def _bind_expected_loss(
 
     def kernel(model: Model, posterior: Posterior):
         post = posterior()
-        decision, expected, warnings = _expected_loss(post, loss)
-        return decision, lambda: _decision(
-            "expected_loss_decision",
-            expected["a1"] - expected["a0"],
-            _expected_loss_outcome(post, part_ends, decision, expected, warnings),
-        )
+        out = _expected_loss(post, loss)
+        return out[0], lambda: _expected_loss_outcome(post, part_ends, *out)
 
     # g = L(a1) - L(a0) = g(lo) + V+ - V-, its Jordan rise and fall, both
     # non-decreasing in the effect; per panel: its ends, pieces, g at its
@@ -660,7 +648,10 @@ PROCEDURES: dict[str, Procedure] = {
         _bind_rope,
     ),
     "hypothesis_ratio": Procedure(
-        {"loss_ratio": (LossRatio.scalar(1.0), values.loss_ratio)},
+        {
+            "loss_ratio": (LossRatio.scalar(1.0), values.loss_ratio),
+            "allow_restricted_space": (False, values.flag),
+        },
         _BOTH,
         _bind_hypothesis_ratio,
     ),
@@ -674,13 +665,16 @@ PROCEDURES: dict[str, Procedure] = {
 }
 
 
-def parse_settings(proc: ProcedureSpec, family: str | None) -> dict:
+def parse_settings(proc: ProcedureSpec, family: str | None, section: str | None = None) -> dict:
     """Check a procedure's settings against its table row and return them
-    all, defaults filled in. With no family, the family checks are skipped."""
+    all, defaults filled in. With no family, the family checks are skipped.
+    An error names the config ``section`` whose keys are the settings, as
+    decide's ``decision`` is, when one is given."""
     row = PROCEDURES[proc.name]
     unknown = sorted(set(proc.settings) - set(row.settings))
     if unknown:
-        raise ValidationError(f"unknown setting(s) {unknown} for procedure {proc.name!r}")
+        where = f"procedure {proc.name!r}" + (f" in {section}" if section else "")
+        raise ValidationError(f"unknown setting(s) {unknown} for {where}")
     if family is not None and family not in row.families:
         raise ValidationError(f"{proc.name} supports the {row.families} family only")
     parsed = {key: default for key, (default, _) in row.settings.items()}
@@ -689,19 +683,21 @@ def parse_settings(proc: ProcedureSpec, family: str | None) -> dict:
         try:
             parsed[key] = parse(value, family)
         except ValidationError as exc:
-            raise ValidationError(f"{proc.name} setting {key!r}: {exc}") from None
+            where = f"{section}.{key}" if section else f"{proc.name} setting {key!r}"
+            raise ValidationError(f"{where}: {exc}") from None
     return parsed
 
 
 def bind_procedure(
     proc: ProcedureSpec, family: str, loss: LossSpec, pair: HypothesisPair
 ) -> Bound:
-    """The procedure with its settings bound. A setting that a check
-    refuses raises here, with the class and message of the procedure's
-    public function. The kernel is a (model, posterior) -> (verdict,
-    report) function, where posterior() is the model's posterior on the
-    loss space, as ``_shared_posterior`` gives it, and report() builds the
-    procedure's full result; the certificate serves the sweep."""
+    """The procedure with its settings bound, for every command. A setting
+    that a check refuses raises here, with the class and message of the
+    procedure's public function. The kernel is a (model, posterior) ->
+    (verdict, report) function, where posterior() is the model's posterior
+    on the loss space, as ``_shared_posterior`` gives it, and report()
+    builds what the public function returns; the certificate serves the
+    sweep."""
     settings = parse_settings(proc, family)
     return PROCEDURES[proc.name].bind(settings, FAMILIES[family], loss, pair)
 
@@ -718,34 +714,19 @@ def _outcome(kernel: Kernel, model: Model, posterior: Posterior) -> Outcome:
         return exc.with_traceback(None)
 
 
-def _bind_in(scenario: Scenario, proc: ProcedureSpec, pair: HypothesisPair) -> Bound:
-    """``bind_procedure`` in a scenario. A Bayes factor without a prior of
-    its own takes the model's, the same for every draw, so the prior masses
-    of the pair under it are checked here, once."""
-    bound = bind_procedure(proc, scenario.family, scenario.loss, pair)
-    if proc.name == "bayes_factor" and "prior" not in proc.settings:
-        row = FAMILIES[scenario.family]
-        model_prior = scenario.prior or tuple(f.default for f in fields(row.model))[-2:]
-        _prior_masses(row, model_prior, pair)
-    return bound
-
-
 def _compile_procedure(
     scenario: Scenario, proc: ProcedureSpec
 ) -> Callable[[Dataset], str]:
-    """Bind one procedure into a dataset -> verdict function, with a
-    posterior of its own; an error is raised. The model of a draw takes
-    the scenario prior, or without one the model's default."""
-    loss = scenario.loss
-    pair = derive_hypotheses(partition(loss))
-    kernel = _bind_in(scenario, proc, pair).kernel
-    model_of = FAMILIES[scenario.family].model
-    prior = scenario.prior or ()
+    """Bind one procedure, as a sweep of it alone does, into a dataset ->
+    verdict function, with a posterior of its own; an error is raised. A
+    draw's model takes the scenario prior, or without one its default."""
+    (kernel,) = _bind_sweep(replace(scenario, procedures=(proc,))).kernels
+    model_of, prior = FAMILIES[scenario.family].model, scenario.prior or ()
 
     def verdict(data: Dataset) -> str:
         # a draw holds the model's leading fields, and the prior its last two
         model = model_of(*data, *prior)
-        return kernel(model, _shared_posterior(model, loss.space))[0]
+        return kernel(model, _shared_posterior(model, scenario.loss.space))[0]
 
     return verdict
 
@@ -806,7 +787,14 @@ class _Sweep(NamedTuple):
 def _bind_sweep(scenario: Scenario) -> _Sweep:
     loss, row = scenario.loss, FAMILIES[scenario.family]
     pair = derive_hypotheses(partition(loss))
-    bound = [_bind_in(scenario, proc, pair) for proc in scenario.procedures]
+    # a Bayes factor without a prior of its own takes the model's, the same
+    # for every draw: the pair's masses under it are checked once, at its bind
+    model_prior = scenario.prior or tuple(f.default for f in fields(row.model))[-2:]
+    bound = []
+    for proc in scenario.procedures:
+        bound.append(bind_procedure(proc, scenario.family, loss, pair))
+        if proc.name == "bayes_factor" and "prior" not in proc.settings:
+            _prior_masses(row, model_prior, pair)
     # A walk evaluates only some draws, so a certificate holds only where a
     # kernel that raises on any draw of a block raises on one of its two end
     # draws, which the walk always evaluates. A normal kernel raises where no

@@ -197,8 +197,66 @@ class TestDecideCommand:
         assert doc["decision"] in ("a0", "a1")
         assert doc["threshold_lo"] > 0.0  # expected losses ride along
 
+    @pytest.mark.parametrize("rule", ["hypothesis_ratio", "expected_loss"])
+    def test_rule_builds_one_posterior_through_the_procedure_table(
+        self, rule, tmp_path, capsys, monkeypatch
+    ):
+        doc = self.decide_doc(40, 30, 1.0)
+        if rule == "expected_loss":
+            doc["decision"] = {"rule": rule}
+        models = []
+        update = relkit.simulate.posterior_update
+
+        def counting(model, space):
+            models.append(model)
+            return update(model, space)
+
+        monkeypatch.setattr(relkit.simulate, "posterior_update", counting)
+        code, out, _ = run_cli(["decide", "--config", write_config(tmp_path, doc)], capsys)
+        assert code == 0
+        assert json.loads(out)["rule"] == rule
+        assert len(models) == 1
+
+    def test_restricted_space_pair_needs_the_setting(self, tmp_path, capsys):
+        doc = self.decide_doc(40, 30, 1.0)
+        doc["hypotheses"] = {"h0": [[-0.05, 0.05, False, False]], "h1": [[0.2, 0.5, False, False]]}
+        code, out, err = run_cli(["decide", "--config", write_config(tmp_path, doc)], capsys)
+        assert (code, out) == (2, "")
+        assert '"allow_restricted_space": true' in err
+        doc["decision"]["allow_restricted_space"] = True
+        code, out, _ = run_cli(["decide", "--config", write_config(tmp_path, doc)], capsys)
+        assert code == 0
+        # renormalized over the union of the pair
+        got = json.loads(out)
+        assert got["posterior_h0"] + got["posterior_h1"] == pytest.approx(1.0)
+        assert got["decision"] == "a1"
+
+    def test_expected_loss_takes_no_restricted_space_setting(self, tmp_path, capsys):
+        doc = self.decide_doc(40, 30, 1.0)
+        doc["decision"] = {"rule": "expected_loss", "allow_restricted_space": True}
+        code, out, err = run_cli(["decide", "--config", write_config(tmp_path, doc)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "relkit: error: unknown setting(s) ['allow_restricted_space'] "
+            "for procedure 'expected_loss' in decision\n"
+        )
+
 
 class TestCompareCommand:
+    def test_restricted_space_pair_needs_the_setting(self, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "coin_compare.json").read_text(encoding="utf-8"))
+        doc["hypotheses"] = {"h0": [[-0.05, 0.05, False, False]], "h1": [[0.2, 0.5, False, False]]}
+        doc["comparators"] = [{"procedure": "hypothesis_ratio"}]
+        code, out, err = run_cli(["compare", "--config", write_config(tmp_path, doc)], capsys)
+        assert (code, out) == (2, "")
+        assert '"allow_restricted_space": true' in err
+        doc["comparators"][0]["allow_restricted_space"] = True
+        code, out, _ = run_cli(["compare", "--config", write_config(tmp_path, doc)], capsys)
+        assert code == 0
+        (row,) = json.loads(out)["results"]
+        assert row["procedure"] == "bayes_two_action_decision"
+        assert row["verdict"] == "a1"
+
     def test_csv_one_row_per_procedure(self, tmp_path, capsys):
         doc = coin_doc(
             model={
@@ -303,6 +361,22 @@ class TestSimulateCommand:
         assert "procedure" in out  # console table printed
         rows = list(csv.DictReader(io.StringIO((tmp_path / "rates.csv").read_text())))
         assert all(float(r["frequency"]) in (0.0, 0.5, 1.0) for r in rows)
+
+    def test_restricted_space_setting_changes_no_sweep(self, tmp_path, capsys):
+        # a sweep takes the partition's pair, which covers the space
+        runs = []
+        for allow in (None, True, False):
+            doc = self.scenario_doc(replicates=25)
+            if allow is not None:
+                doc["scenario"]["procedures"][1]["allow_restricted_space"] = allow
+            out = tmp_path / f"{allow}.csv"
+            code, table, _ = run_cli(
+                ["simulate", "--config", write_config(tmp_path, doc), "--output", str(out)],
+                capsys,
+            )
+            assert code == 0
+            runs.append((table, out.read_bytes(), out.with_suffix(".json").read_bytes()))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_unknown_procedure_exit_2(self, tmp_path, capsys):
         doc = self.scenario_doc()

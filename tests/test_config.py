@@ -11,6 +11,7 @@ from relkit.config import load_config, parse_config
 from relkit.errors import ConfigError
 from relkit.inference import BinomialModel, NormalKnownVarModel
 from relkit.loss import CurveKnots, QuadraticParams
+from relkit.simulate import parse_settings
 
 
 def minimal(**extra):
@@ -180,11 +181,12 @@ class TestModelSection:
 class TestDecisionSection:
     def test_scalar_and_interval_ratio(self):
         cfg = parse_config(minimal(decision={"rule": "hypothesis_ratio", "loss_ratio": 2}))
-        assert cfg.decision.loss_ratio.is_scalar
+        assert parse_settings(cfg.decision, None)["loss_ratio"].is_scalar
         cfg = parse_config(
             minimal(decision={"rule": "hypothesis_ratio", "loss_ratio": [1, 3]})
         )
-        assert (cfg.decision.loss_ratio.lo, cfg.decision.loss_ratio.hi) == (1.0, 3.0)
+        ratio = parse_settings(cfg.decision, None)["loss_ratio"]
+        assert (ratio.lo, ratio.hi) == (1.0, 3.0)
 
     def test_ratio_required_for_hypothesis_rule(self):
         with pytest.raises(ConfigError, match="loss_ratio"):

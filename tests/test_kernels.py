@@ -1,4 +1,4 @@
-"""The bound procedures of `simulate` and `compare`.
+"""The bound procedures of `simulate`, `compare` and `decide`.
 
 A bind step checks the settings once and returns a kernel, (model,
 posterior) -> (verdict, report). The kernel runs the same private rule as
@@ -6,7 +6,7 @@ the procedure's public function, and report() builds the result that
 function gives, so a kernel's verdict and report must equal the public
 result field by field, and a kernel must raise what the function raises.
 A setting that a check refuses raises at bind, with the function's class
-and message, and both `compare` and `simulate` exit 2 on it.
+and message, and `compare`, `decide` and `simulate` exit 2 on it.
 The sweep takes the SeedSequence hash of a cell's replicates a block at a
 time; each replicate's stream must be the one the list of its words seeds.
 """
@@ -28,7 +28,12 @@ from relkit.comparators import (
     rope_decision,
     tost_equivalence,
 )
-from relkit.decisions import LossRatio, bayes_two_action_decision, expected_loss_decision
+from relkit.decisions import (
+    DecisionOutcome,
+    LossRatio,
+    bayes_two_action_decision,
+    expected_loss_decision,
+)
 from relkit.config import load_config
 from relkit.errors import NumericalError, RelkitError
 from relkit.hypotheses import derive_hypotheses
@@ -58,15 +63,9 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _as_result(procedure, statistic, outcome):
-    """The row a decision rule's outcome gives in compare."""
-    detail = "; ".join(outcome.warnings)
-    return ComparatorResult(procedure, statistic, outcome.decision, detail=detail)
-
-
 def _public(name, settings, model, post, loss, pair):
-    """The public function of procedure ``name`` on one model, as a
-    ComparatorResult."""
+    """The public function of procedure ``name`` on one model: a
+    ComparatorResult, or a decision rule's DecisionOutcome."""
     if name == "nhst":
         return nhst_point_null(model, settings["alpha"])
     if name == "tost":
@@ -74,11 +73,9 @@ def _public(name, settings, model, post, loss, pair):
     if name == "rope":
         return rope_decision(post(), RegionSet.single(*settings["rope"]), settings["mass"])
     if name == "hypothesis_ratio":
-        out = bayes_two_action_decision(post(), pair, settings["loss_ratio"])
-        return _as_result("bayes_two_action_decision", out.posterior_odds, out)
+        return bayes_two_action_decision(post(), pair, settings["loss_ratio"])
     if name == "expected_loss":
-        out = expected_loss_decision(post(), loss)
-        return _as_result("expected_loss_decision", out.threshold_hi - out.threshold_lo, out)
+        return expected_loss_decision(post(), loss)
     if settings["prior"] is not None:
         return interval_bayes_factor(model, pair, settings["prior"], settings["threshold"])
     return interval_bayes_factor(model, pair, threshold=settings["threshold"])
@@ -190,9 +187,10 @@ def test_kernel_matches_the_public_function(family, loss_name, case):
             return verdict, report()
 
         got = _outcome(run)
-        if isinstance(want, ComparatorResult):
-            assert got == (want.verdict, want), (model, got, want)
-            seen.add(want.verdict)
+        if isinstance(want, (ComparatorResult, DecisionOutcome)):
+            verdict = want.verdict if isinstance(want, ComparatorResult) else want.decision
+            assert got == (verdict, want), (model, got, want)
+            seen.add(verdict)
         else:
             assert got == want, model
             seen.add(want[0])
@@ -308,6 +306,21 @@ def test_compare_refuses_the_setting_before_any_posterior(case, tmp_path, capsys
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_decide_refuses_the_setting_before_any_posterior(tmp_path, capsys, monkeypatch):
+    path, (_, message) = _refusal("pair_not_covering_the_space", tmp_path)
+    doc = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    doc["decision"] = {"rule": "hypothesis_ratio", "loss_ratio": 1.0}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+
+    def failing(model, space):
+        raise NumericalError("no posterior")
+
+    monkeypatch.setattr(sim, "posterior_update", failing)
+    code = main(["decide", "--config", path])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"relkit: error: {message}\n")
 
 
 # simulate always takes the partition's pair, which covers the space
