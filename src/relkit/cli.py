@@ -182,8 +182,9 @@ def _cmd_decide(args, cfg: ConfigDocument) -> int:
     if cfg.decision.name == "hypothesis_ratio" and cfg.hypotheses is None:
         raise ConfigError("the hypothesis_ratio rule needs a 'hypotheses' section")
     pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
+    prior = tuple(vars(cfg.model).values())[-2:]  # the model's last two fields
     # the rule is bound, and its settings checked, before the posterior is built
-    kernel = bind_procedure(cfg.decision, family_of(cfg.model), cfg.loss, pair).kernel
+    kernel = bind_procedure(cfg.decision, family_of(cfg.model), cfg.loss, pair, prior).kernel
     posterior = _shared_posterior(cfg.model, cfg.loss.space)
     outcome = kernel(cfg.model, posterior)[1]()
     label = {
@@ -227,8 +228,10 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
         raise ConfigError("compare needs a 'model' section with data")
     family = family_of(cfg.model)
     pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
-    # every comparator is bound, and its settings checked, before any runs
-    kernels = [bind_procedure(spec, family, cfg.loss, pair).kernel for spec in cfg.comparators]
+    prior = tuple(vars(cfg.model).values())[-2:]  # the model's last two fields
+    # every comparator is bound, and its settings checked (a Bayes factor's
+    # prior masses too), before any runs
+    kernels = [bind_procedure(s, family, cfg.loss, pair, prior).kernel for s in cfg.comparators]
     # the comparators share one posterior, built if one of them needs it
     posterior = _shared_posterior(cfg.model, cfg.loss.space)
     results = [

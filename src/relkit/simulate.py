@@ -256,36 +256,39 @@ def _seed_row() -> type:
     return SeedRow
 
 
+def _effect_bits(true_effect: float) -> int:
+    """The IEEE-754 bit pattern of a true effect as an unsigned int, the
+    second word of its cell's SeedSequence entropy."""
+    # + 0.0 maps -0.0 to 0.0, so both zeros draw the same stream
+    return int.from_bytes(struct.pack("<d", float(true_effect) + 0.0), "little")
+
+
 def _cell_rng(
     seed: int, true_effect: float, n: int
 ) -> Callable[[int, int], Iterator[np.random.Generator]]:
     """(start, stop) -> the generators of replicates start to stop - 1 of
     one cell, yielded one at a time. Replicate r draws from PCG64 seeded by
-    SeedSequence([seed, effect bits, n, r]), where effect bits is the
-    IEEE-754 bit pattern of the true effect as an unsigned int. Its hash is
-    taken here: the cell's words once, as ints, then the words of up to
-    ``HASH_BLOCK`` replicates of one word count at once, as uint32 arrays
-    (a replicate alone as ints). Each replicate's state seeds numpy's own
-    PCG64, so the stream is the one SeedSequence gives, bit for bit."""
+    SeedSequence([seed, effect bits, n, r]), as ``simulate_dataset`` draws
+    it. Its hash is taken here: the cell's words once, as ints, then the
+    words of up to ``HASH_BLOCK`` replicates of one word count at once, as
+    uint32 arrays. Each replicate's state seeds numpy's own PCG64, so the
+    stream is the one SeedSequence gives, bit for bit."""
     # numpy is imported here, not at module level: only simulate draws data,
     # and the other commands start faster without it
     import numpy as np
 
-    # + 0.0 maps -0.0 to 0.0, so both zeros draw the same stream
-    effect_bits = int.from_bytes(struct.pack("<d", float(true_effect) + 0.0), "little")
-    cell = _absorb([], INIT_A, [*_words(int(seed)), *_words(effect_bits), *_words(int(n))])
+    words = [*_words(int(seed)), *_words(_effect_bits(true_effect)), *_words(int(n))]
+    cell = _absorb([], INIT_A, words)
     seed_row = _seed_row()
 
     def rngs(start: int, stop: int) -> Iterator[np.random.Generator]:
         while start < stop:
-            words = _words(start)
-            reps = range(start, min(stop, start + HASH_BLOCK, 1 << 32 * len(words)))
-            if len(reps) > 1:
-                # one replicate is hashed faster in ints than in arrays of one
-                words = [
-                    np.fromiter((r >> shift & _MASK32 for r in reps), np.uint32, len(reps))
-                    for shift in range(0, 32 * len(words), 32)
-                ]
+            count = len(_words(start))
+            reps = range(start, min(stop, start + HASH_BLOCK, 1 << 32 * count))
+            words = [
+                np.fromiter((r >> shift & _MASK32 for r in reps), np.uint32, len(reps))
+                for shift in range(0, 32 * count, 32)
+            ]
             pool = _absorb(*cell, words)[0]
             state, const = [], INIT_B
             for i in range(8):
@@ -303,9 +306,14 @@ def _cell_rng(
 def simulate_dataset(
     scenario: Scenario, true_effect: float, n: int, replicate_index: int
 ) -> Dataset:
-    """Draw one dataset; fully determined by (seed, effect, n, replicate)."""
-    rngs = _cell_rng(scenario.seed, true_effect, n)
-    rng = next(rngs(replicate_index, replicate_index + 1))
+    """Draw one dataset; fully determined by (seed, effect, n, replicate).
+    Its generator is the README's "Determinism" formula, numpy's PCG64
+    seeded by SeedSequence([seed, effect bits, n, replicate]); a sweep
+    draws the same stream through ``_cell_rng``."""
+    import numpy as np
+
+    entropy = [scenario.seed, _effect_bits(true_effect), n, replicate_index]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
     return FAMILIES[scenario.family].draw(rng, true_effect, n, scenario.sigma)
 
 
@@ -428,19 +436,21 @@ class Bound(NamedTuple):
     certificate: Certificate | None = None
 
 
-# A bind step makes every check that depends only on the settings, the loss
-# and the hypothesis pair, and raises what the procedure's public function
-# raises on a setting that a check refuses. It returns the procedure's
-# kernel and certificate, both built on the values it bound. A kernel takes
-# the model and a posterior from _shared_posterior (nhst, tost and a Bayes
-# factor with its own prior never call it), computes what its verdict needs
-# through the rule its public function calls, and returns the verdict and
-# report(), which builds the result that function returns. The kernels name
-# the rules as module globals, looked up at call time, so that patching one
-# here reaches every caller.
+# A bind step makes every check that depends only on the settings, the loss,
+# the hypothesis pair and the model's prior, which only a Bayes factor
+# without a prior of its own reads (the other steps take it as *_), and
+# raises what the procedure's public function raises on a setting that a
+# check refuses. It returns the procedure's kernel and certificate, both
+# built on the values it bound. A kernel takes the model and a posterior
+# from _shared_posterior (nhst, tost and a Bayes factor with its own prior
+# never call it), computes what its verdict needs through the rule its
+# public function calls, and returns the verdict and report(), which builds
+# the result that function returns. A kernel takes a model of any prior.
+# The kernels name the rules as module globals, looked up at call time, so
+# that patching one here reaches every caller.
 
 
-def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Bound:
+def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
     alpha, point_null = s["alpha"], row.point_null
     _check_alpha(alpha)
 
@@ -451,7 +461,7 @@ def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Bo
     return Bound(kernel)
 
 
-def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Bound:
+def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
     alpha = s["alpha"]
     lo, hi = _tost_bounds(_interval_on(loss, s["bounds"]), alpha)
 
@@ -462,7 +472,7 @@ def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Bo
     return Bound(kernel)
 
 
-def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Bound:
+def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
     rope, mass = RegionSet.single(*_interval_on(loss, s["rope"])), s["mass"]
     lo, hi, tail = _rope_hull(rope, mass)
     # the public rule takes P(rope | y), which needs the rope in the space
@@ -486,7 +496,7 @@ def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair) -> Bo
 
 
 def _bind_hypothesis_ratio(
-    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
+    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_
 ) -> Bound:
     ratio, space = s["loss_ratio"], loss.space
     _coverage_check(space, pair, s["allow_restricted_space"])
@@ -518,7 +528,7 @@ def _bind_hypothesis_ratio(
 
 
 def _bind_expected_loss(
-    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
+    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_
 ) -> Bound:
     # the posterior lies on the loss's space, so the two spaces match
     part_ends = _partition_ends(loss, loss.space)
@@ -529,18 +539,22 @@ def _bind_expected_loss(
         return out[0], lambda: _expected_loss_outcome(post, part_ends, *out)
 
     # g = L(a1) - L(a0) = g(lo) + V+ - V-, its Jordan rise and fall, both
-    # non-decreasing in the effect; per panel: its ends, pieces, g at its
-    # start, whether g rises on it, and V+ and V- at its start
-    panels, rise, fall = [], 0.0, 0.0
+    # non-decreasing in the effect. g is d0 + d1 u + d2 u^2 on a loss panel,
+    # u its offset from the panel's start a, and turns at most once there,
+    # where its slope d1 + 2 d2 u vanishes; a panel is split at that point,
+    # so that g is monotone on each part. Per part: its ends, the panel's
+    # pieces, g at its start, whether g rises on it, and V+ and V- at its start
+    parts, rise, fall = [], 0.0, 0.0
     for a, b, pieces in loss._panels:
         d0, d1, d2 = (y - x for x, y in zip(*(_about(piece, a) for piece in pieces)))
-        width = b - a
-        if d2 != 0.0 and 0.0 < -d1 / (2.0 * d2) < width:
-            return Bound(kernel)  # g turns inside the panel: no certificate
-        step = width * (d1 + width * d2)
-        panels.append((a, b, pieces, d0, step >= 0.0, rise, fall))
-        rise, fall = rise + max(step, 0.0), fall + max(-step, 0.0)
-    g_lo = panels[0][3]
+        turn = a - d1 / (2.0 * d2) if d2 != 0.0 else a
+        ends = (a, turn, b) if a < turn < b else (a, b)
+        rel = [(x - a) * (d1 + (x - a) * d2) for x in ends]  # g(x) - g(a)
+        for lo, hi, rel_lo, rel_hi in zip(ends, ends[1:], rel, rel[1:]):
+            step = rel_hi - rel_lo
+            parts.append((lo, hi, pieces, d0 + rel_lo, step >= 0.0, rise, fall))
+            rise, fall = rise + max(step, 0.0), fall + max(-step, 0.0)
+    g_lo = parts[0][3]
 
     def coords(model: Model, posterior: Posterior) -> tuple[float, float]:
         # -E[V+ | y] and E[V- | y]: means of non-decreasing functions of the
@@ -549,11 +563,11 @@ def _bind_expected_loss(
         post = posterior()
         loc = post.native_location_scale[0]
         up = down = 0.0
-        for a, b, pieces, g_a, rising, rise_a, fall_a in panels:
+        for a, b, pieces, g_a, rising, rise_a, fall_a in parts:
             origin = min(max(loc, a), b)
             m0, m1, m2 = _partial_moments(post, a, b, origin)
             c0, c1, c2 = (y - x for x, y in zip(*(_about(piece, origin) for piece in pieces)))
-            change = (c0 - g_a) * m0 + c1 * m1 + c2 * m2  # E[g - g(a); panel]
+            change = (c0 - g_a) * m0 + c1 * m1 + c2 * m2  # E[g - g(a); part]
             up += rise_a * m0 + (change if rising else 0.0)
             down += fall_a * m0 - (0.0 if rising else change)
         total = post._ends[2]
@@ -567,25 +581,25 @@ def _bind_expected_loss(
 
 
 def _bind_bayes_factor(
-    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair
+    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, prior: tuple
 ) -> Bound:
-    threshold, prior, ends = s["threshold"], s["prior"], _pair_ends(pair)
+    threshold, own, ends = s["threshold"], s["prior"], _pair_ends(pair)
     _check_threshold(threshold)
     # evidence: (model, posterior) -> the tails function of the draw's
     # untruncated posterior, and the prior masses of H0 and H1
-    if prior is not None:
-        masses = _prior_masses(row, prior, pair)
+    if own is not None:
+        masses = _prior_masses(row, own, pair)
 
         def evidence(model: Model, posterior: Posterior):
             # a second conjugate update: the draw's data under this prior
             data = tuple(vars(model).values())[:-2]
-            params = row.update(row.model(*data, *prior))
+            params = row.update(row.model(*data, *own))
             return (lambda t: row.tails(params, t - row.effect_shift)), masses
 
     else:
-        # the prior masses of each model prior seen: a sweep and a compare
-        # have one
-        prior_masses: dict[tuple, tuple[float, float]] = {}
+        # the prior masses of each model prior seen, those under the model's
+        # prior taken, and checked, here: a sweep and a compare have one
+        prior_masses = {prior: _prior_masses(row, prior, pair)}
 
         def evidence(model: Model, posterior: Posterior):
             # the prior's two numbers are the model's last two fields
@@ -621,11 +635,12 @@ def _bind_bayes_factor(
 class Procedure(NamedTuple):
     """One row of the procedure table: each setting's default and parser,
     the model families, and the bind step (settings, family row, loss,
-    hypothesis pair) -> Bound, which raises on a setting it refuses."""
+    hypothesis pair, the model's prior) -> Bound, which raises on a setting
+    it refuses."""
 
     settings: dict[str, tuple[object, Callable]]
     families: tuple[str, ...]
-    bind: Callable[[dict, Family, LossSpec, HypothesisPair], Bound]
+    bind: Callable[[dict, Family, LossSpec, HypothesisPair, tuple], Bound]
 
 
 _BOTH = tuple(FAMILIES)
@@ -689,17 +704,19 @@ def parse_settings(proc: ProcedureSpec, family: str | None, section: str | None 
 
 
 def bind_procedure(
-    proc: ProcedureSpec, family: str, loss: LossSpec, pair: HypothesisPair
+    proc: ProcedureSpec, family: str, loss: LossSpec, pair: HypothesisPair, prior: tuple
 ) -> Bound:
-    """The procedure with its settings bound, for every command. A setting
-    that a check refuses raises here, with the class and message of the
-    procedure's public function. The kernel is a (model, posterior) ->
+    """The procedure with its settings bound, for every command. ``prior``
+    is the model's prior, the last two fields of its model: a Bayes factor
+    without a prior of its own checks the pair's masses under it here. A
+    setting that a check refuses raises here, with the class and message of
+    the procedure's public function. The kernel is a (model, posterior) ->
     (verdict, report) function, where posterior() is the model's posterior
     on the loss space, as ``_shared_posterior`` gives it, and report()
-    builds what the public function returns; the certificate serves the
-    sweep."""
+    builds what the public function returns; it takes a model of any prior.
+    The certificate serves the sweep."""
     settings = parse_settings(proc, family)
-    return PROCEDURES[proc.name].bind(settings, FAMILIES[family], loss, pair)
+    return PROCEDURES[proc.name].bind(settings, FAMILIES[family], loss, pair, prior)
 
 
 Outcome = str | RelkitError
@@ -785,16 +802,13 @@ class _Sweep(NamedTuple):
 
 
 def _bind_sweep(scenario: Scenario) -> _Sweep:
+    """The scenario's procedures bound in list order, each refusing a
+    setting as it binds. Every draw's model takes the scenario prior, or
+    without one the model's default, so that is the prior they bind with."""
     loss, row = scenario.loss, FAMILIES[scenario.family]
     pair = derive_hypotheses(partition(loss))
-    # a Bayes factor without a prior of its own takes the model's, the same
-    # for every draw: the pair's masses under it are checked once, at its bind
-    model_prior = scenario.prior or tuple(f.default for f in fields(row.model))[-2:]
-    bound = []
-    for proc in scenario.procedures:
-        bound.append(bind_procedure(proc, scenario.family, loss, pair))
-        if proc.name == "bayes_factor" and "prior" not in proc.settings:
-            _prior_masses(row, model_prior, pair)
+    prior = scenario.prior or tuple(f.default for f in fields(row.model))[-2:]
+    bound = [bind_procedure(p, scenario.family, loss, pair, prior) for p in scenario.procedures]
     # A walk evaluates only some draws, so a certificate holds only where a
     # kernel that raises on any draw of a block raises on one of its two end
     # draws, which the walk always evaluates. A normal kernel raises where no
@@ -810,7 +824,7 @@ def _bind_sweep(scenario: Scenario) -> _Sweep:
     certified = row.posterior == "normal"
     # a draw holds n, its statistic and the family's known values, the
     # model's leading fields; the prior gives its last two
-    given = (*(getattr(scenario, key) for key in row.known), *(scenario.prior or ()))
+    given = (*(getattr(scenario, key) for key in row.known), *prior)
     return _Sweep(
         tuple(b.kernel for b in bound),
         tuple(b.certificate if certified else None for b in bound),

@@ -311,6 +311,31 @@ class TestCompareCommand:
         assert results["tost_equivalence"]["verdict"] == "equivalent"
         assert results["rope_decision"]["verdict"] == "accept_a0"
 
+    @pytest.mark.parametrize("first", ["rope", "bayes_factor"])
+    def test_bayes_factor_model_prior_is_checked_at_bind(self, first, tmp_path, capsys):
+        # Beta(1e6, 1e6) gives the relevant region |b| > 0.075 no float mass,
+        # and k = n = 1e18 puts the posterior far beyond the space, where
+        # rope's posterior mass vanishes: the Bayes factor's refusal under
+        # the model's prior comes first, in either comparator order
+        doc = coin_doc(
+            parameter_space={"lo": -0.3, "hi": 0.3},
+            loss={
+                "kind": "piecewise_linear",
+                "params_a0": {"knots": [-0.3, 0.0, 0.3], "values": [0.3, 0.0, 0.3]},
+                "params_a1": {"knots": [-0.3, 0.0, 0.3], "values": [0.0, 0.1, 0.0]},
+            },
+            model={
+                "family": "binomial",
+                "data": {"n": 10**18, "k": 10**18},
+                "prior": {"alpha": 1e6, "beta": 1e6},
+            },
+        )
+        names = [first, *({"rope", "bayes_factor"} - {first})]
+        doc["comparators"] = [{"procedure": name} for name in names]
+        code, out, err = run_cli(["compare", "--config", write_config(tmp_path, doc)], capsys)
+        message = "h1 has zero prior mass under the given prior"
+        assert (code, out, err) == (2, "", f"relkit: error: {message}\n")
+
     def test_comparators_share_one_posterior(self, tmp_path, capsys, monkeypatch):
         doc = json.loads((CONFIG_DIR / "coin_compare.json").read_text(encoding="utf-8"))
         doc["comparators"] += [

@@ -171,10 +171,15 @@ def test_kernel_matches_the_public_function(family, loss_name, case):
     settings = _settings(case, loss, family)
     name = "bayes_factor" if case.startswith("bayes_factor") else case
     proc = sim.ProcedureSpec(name, _config_settings(name, settings, family))
-    kernel = sim.bind_procedure(proc, family, loss, pair).kernel
     rng = random.Random(f"{family}-{loss_name}-{case}")
+    models = list(_models(family, loss.space, rng))
+    # bound under the first model's prior, the kernel runs on models of
+    # every prior the list holds
+    prior = tuple(vars(models[0]).values())[-2:]
+    assert len({tuple(vars(model).values())[-2:] for model in models}) > 1
+    kernel = sim.bind_procedure(proc, family, loss, pair, prior).kernel
     seen = set()
-    for model in _models(family, loss.space, rng):
+    for model in models:
         want = _outcome(
             lambda: _public(
                 name, settings, model, lambda: posterior_update(model, loss.space), loss, pair
@@ -288,7 +293,8 @@ def test_refused_setting_raises_at_bind_what_the_function_raises(case, tmp_path)
     cfg = load_config(path)
     pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
     with pytest.raises(RelkitError) as got:
-        sim.bind_procedure(cfg.comparators[1], "normal", cfg.loss, pair)
+        prior = tuple(vars(cfg.model).values())[-2:]
+        sim.bind_procedure(cfg.comparators[1], "normal", cfg.loss, pair, prior)
     assert (type(got.value), str(got.value)) == want
 
 
@@ -373,8 +379,8 @@ def test_sweep_reports_are_not_built(monkeypatch):
     calls = []
     bind = sim.bind_procedure
 
-    def counting(proc, family, loss, pair):
-        bound = bind(proc, family, loss, pair)
+    def counting(proc, family, loss, pair, prior):
+        bound = bind(proc, family, loss, pair, prior)
 
         def counted(model, posterior):
             verdict, report = bound.kernel(model, posterior)
@@ -444,7 +450,7 @@ def test_block_streams_match_the_seed_sequence_over_a_seeded_scan():
     assert {1, 2**32, 2**63 - 1} <= {n for _, _, n, *_ in cells}
     assert any(start < 2**32 < stop for *_, start, stop in cells)
     assert any(start > 2**64 for *_, start, _ in cells)
-    # a replicate alone is hashed in ints, a longer block in arrays
+    # a replicate alone, and blocks longer than one hash of replicates
     assert any(stop - start == 1 for *_, start, stop in cells)
     assert any(stop - start > sim.HASH_BLOCK for *_, start, stop in cells)
     cases = 0

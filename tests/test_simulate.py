@@ -324,8 +324,8 @@ def _counting_bind(monkeypatch):
     calls = []
     bind = sim.bind_procedure
 
-    def counting(proc, family, loss, pair):
-        bound = bind(proc, family, loss, pair)
+    def counting(proc, family, loss, pair, prior):
+        bound = bind(proc, family, loss, pair, prior)
 
         def counted(model, posterior):
             calls.append((proc.name, model))
@@ -787,20 +787,28 @@ class TestCertifiedBlocks:
     """Hand-built blocks of draws, walked by the sweep and compared with
     each procedure evaluated directly on every draw."""
 
-    @pytest.mark.parametrize("n", [50, 22000])
-    def test_normal_draws_next_to_each_cut(self, n):
-        scenario = _bench_normal(sample_sizes=(n,))
+    @pytest.mark.parametrize(
+        "loss, n",
+        [("aspirin", 50), ("aspirin", 22000), ("bowl", 50), ("bowl", 400), ("bowl", 22000)],
+        ids=["50", "22000", "bowl-50", "bowl-400", "bowl-22000"],
+    )
+    def test_normal_draws_next_to_each_cut(self, loss, n):
         se = 0.2 / math.sqrt(n)
+        if loss == "aspirin":
+            scenario, lo, hi = _bench_normal(sample_sizes=(n,)), -6 * se, 0.1 + 6 * se
+        else:
+            # expected_loss alone, on a panel split where its difference turns
+            scenario, lo, hi = dataclasses.replace(_bowl(), sample_sizes=(n,)), -0.5, 0.5
         statistics = []
         for proc in scenario.procedures:
             verdict = sim._compile_procedure(scenario, proc)
-            cuts = _cuts(lambda x: verdict(sim.NormalDraw(n, x, 0.2)), -6 * se, 0.1 + 6 * se)
+            cuts = _cuts(lambda x: verdict(sim.NormalDraw(n, x, 0.2)), lo, hi)
             # tost never finds equivalence at n = 50
             assert cuts or proc.name == "tost", proc.name
             for cut in cuts:
                 statistics += [cut + k * 1e-13 for k in range(-9, 10)]
         # spread over the whole range too, in an unsorted replicate order
-        statistics += [-6 * se + (0.1 + 12 * se) * ((7 * i) % 101) / 100 for i in range(101)]
+        statistics += [lo + (hi - lo) * ((7 * i) % 101) / 100 for i in range(101)]
         assert _block_counts(scenario, n, statistics) == _direct_block_counts(
             scenario, n, statistics
         )
@@ -944,8 +952,8 @@ class TestCertifiedBlocks:
         ]
         bind = sim.bind_procedure
 
-        def raising(proc, family, loss, pair):
-            bound = bind(proc, family, loss, pair)
+        def raising(proc, family, loss, pair, prior):
+            bound = bind(proc, family, loss, pair, prior)
 
             def kernel(model, posterior):
                 if model.ybar in blocks[1]:
@@ -996,15 +1004,11 @@ def test_binomial_sweep_has_no_certificates():
     assert sim._bind_sweep(coin).certificates == (None,) * len(procedures)
 
 
-def test_expected_loss_certificate_only_where_the_difference_is_monotone():
+def test_every_normal_posterior_procedure_carries_a_certificate():
+    # the aspirin loss is piecewise linear; L(a1) - L(a0) = theta^2 - 0.04
+    # of the bowl turns at 0, inside its one panel, which is split there;
+    # with equal curvatures the quadratic difference is linear
     normal = _bench_normal()
-    (certificate,) = sim._bind_sweep(
-        dataclasses.replace(normal, procedures=(ProcedureSpec("expected_loss", {}),))
-    ).certificates
-    assert certificate is not None
-    # L(a1) - L(a0) = theta^2 - 0.04 turns at 0, inside its one panel
-    assert sim._bind_sweep(_bowl()).certificates == (None,)
-    # with equal curvatures the difference is linear
     space = ParameterSpace(-0.5, 0.5)
     linear = LossSpec(
         space,
@@ -1012,10 +1016,29 @@ def test_expected_loss_certificate_only_where_the_difference_is_monotone():
         QuadraticParams(c=1.0, center=0.1),
         QuadraticParams(c=1.0, center=-0.2, offset=0.01),
     )
-    normal_linear = dataclasses.replace(
-        normal,
-        loss=linear,
-        true_effects=(0.0,),
-        procedures=(ProcedureSpec("expected_loss", {}),),
-    )
+    normal_linear = dataclasses.replace(normal, loss=linear, true_effects=(0.0,))
+    bowl = dataclasses.replace(_bowl(), procedures=BENCH_PROCEDURES)
+    for scenario in (normal, bowl, normal_linear):
+        certificates = sim._bind_sweep(scenario).certificates
+        certified = [cert is not None for cert in certificates]
+        assert certified == [proc.name not in ("nhst", "tost") for proc in BENCH_PROCEDURES]
+    alone = (ProcedureSpec("expected_loss", {}),)
+    (certificate,) = sim._bind_sweep(dataclasses.replace(normal, procedures=alone)).certificates
+    assert certificate is not None
+    assert sim._bind_sweep(_bowl()).certificates[0] is not None
+    normal_linear = dataclasses.replace(normal_linear, procedures=alone)
     assert sim._bind_sweep(normal_linear).certificates[0] is not None
+
+
+def test_quadratic_loss_sweep_walks_expected_loss(monkeypatch):
+    """A sweep of a loss whose difference turns inside its panel gives the
+    direct counts and evaluates expected_loss on a few draws only."""
+    scenario = dataclasses.replace(
+        _bowl(), true_effects=(0.0, 0.1, 0.2), sample_sizes=(50, 400, 22000), replicates=200
+    )
+    want = _direct_run(scenario)
+    by_cell, _ = _counting_bind(monkeypatch)
+    assert run_operating_characteristics(scenario) == want
+    calls = sum(sum(cell.values()) for cell in by_cell())
+    draws = len(scenario.true_effects) * len(scenario.sample_sizes) * scenario.replicates
+    assert calls < draws / 10
