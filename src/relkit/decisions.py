@@ -5,10 +5,11 @@ odds of H1 against H0 with a loss ratio weighing type-I consequences
 (deciding a1 when H0 holds) against type-II consequences (deciding a0 when
 H1 holds); an interval-valued ratio yields a three-way rule whose middle
 outcome is "indeterminate". The expected-loss rule takes the expectation of
-the full loss curves under the posterior and the argmin: in closed form
-from the partial moments of a normal posterior, by adaptive quadrature for
-a beta posterior until ROADMAP item 1 re-records the benchmark's tail
-references.
+the full loss curves under the posterior and the argmin, in closed form
+from the posterior's partial moments, with ties within a share of the
+loss's peak going to a0. The values it prints for a beta posterior still
+come from adaptive quadrature, until ROADMAP item 1 re-records the
+benchmark's tail references; only a printed report integrates.
 
 The hypothesis-ratio rule implicitly treats the loss as constant within each
 hypothesis region; when it is not, use the expected-loss rule instead.
@@ -164,7 +165,7 @@ def _weighted(piece: Piece, log_density) -> Callable[[float], float]:
 
 
 def _closed_form_expected_losses(post: PosteriorModel, spec: LossSpec) -> dict:
-    """E[L(a) | y] for a normal posterior, exact up to rounding.
+    """E[L(a) | y] for a posterior of either family, exact up to rounding.
 
     Each panel's partial moments are taken once, about the point of the
     panel nearest the posterior mean, and shared by both actions: each
@@ -183,11 +184,38 @@ def _closed_form_expected_losses(post: PosteriorModel, spec: LossSpec) -> dict:
     return {action: value / total for action, value in zip(ACTIONS, sums)}
 
 
-def _quadrature_expected_losses(
-    post: PosteriorModel, spec: LossSpec
+def _tie_tol(spec: LossSpec) -> float:
+    """The tie tolerance of the expected-loss rule, a share of the loss's
+    peak, so that rescaling a loss changes no decision; it is 0 only for a
+    loss that is 0 everywhere, whose expected losses tie exactly."""
+    return EXPECTED_LOSS_TIE_TOL * spec._peak
+
+
+def _argmin(expected: dict, tol: float) -> str:
+    """a1 where its expected loss is below a0's by more than tol, else a0."""
+    return "a1" if expected["a1"] < expected["a0"] - tol else "a0"
+
+
+def _expected_loss(post: PosteriorModel, spec: LossSpec) -> tuple[str, dict]:
+    """The expected-loss rule: (decision, E[L(a) | y] per action)."""
+    expected = _closed_form_expected_losses(post, spec)
+    return _argmin(expected, _tie_tol(spec)), expected
+
+
+def _printed_expected_losses(
+    post: PosteriorModel, spec: LossSpec, decision: str, expected: dict
 ) -> tuple[dict, list[str]]:
-    """E[L(a) | y] by adaptive quadrature, for beta posteriors, and a warning
-    for each action whose quadrature reached its depth limit."""
+    """The E[L(a) | y] that decide and compare print, and their warnings.
+
+    A beta posterior's printed values still come from adaptive quadrature:
+    the benchmark's analyze reference records them on its k = n tail
+    requests. Once ROADMAP item 1 re-records those exactly, item 2 deletes
+    this function, and the closed-form values that decide are printed. A
+    warning names each action whose quadrature reached its depth limit, and
+    a ranking of the actions by the printed values against the decision.
+    """
+    if post.family == "normal":
+        return expected, []
     # Every loss piece start is a cut, so each quadrature panel lies inside
     # one piece and integrates that piece's polynomial. The panels span the
     # posterior's space, the only place its bound density is valid.
@@ -196,7 +224,7 @@ def _quadrature_expected_losses(
     points = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
     share = 1e-8 / (len(points) - 1)
     warnings: list[str] = []
-    expected = {}
+    printed = {}
     for action, curve in zip(ACTIONS, spec._curves):
         parts = [
             quadrature(_weighted(_piece_at(curve, a), post.log_density), a, b, tol=share)
@@ -207,33 +235,27 @@ def _quadrature_expected_losses(
                 f"expected loss for {action} reached quadrature depth limit "
                 f"(error estimate {sum(part.error for part in parts):.3g})"
             )
-        expected[action] = sum(part.value for part in parts)
-    return expected, warnings
-
-
-def _expected_loss(post: PosteriorModel, spec: LossSpec) -> tuple[str, dict, list[str]]:
-    """The expected-loss rule: (decision, E[L(a) | y] per action, warnings)."""
-    if post.family == "normal":
-        expected, warnings = _closed_form_expected_losses(post, spec), []
-    else:
-        expected, warnings = _quadrature_expected_losses(post, spec)
-    if expected["a1"] < expected["a0"] - EXPECTED_LOSS_TIE_TOL:
-        decision = "a1"
-    else:
-        decision = "a0"
-    return decision, expected, warnings
+        printed[action] = sum(part.value for part in parts)
+    if _argmin(printed, _tie_tol(spec)) != decision:
+        warnings.append(
+            "the quadrature's expected losses rank the actions against the "
+            f"decision; in closed form E[L(a0)] = {expected['a0']:.6g} and "
+            f"E[L(a1)] = {expected['a1']:.6g}"
+        )
+    return printed, warnings
 
 
 def _expected_loss_outcome(
     post: PosteriorModel,
+    spec: LossSpec,
     part_ends: tuple[tuple, tuple],
     decision: str,
     expected: dict,
-    warnings: list[str],
 ) -> DecisionOutcome:
-    """The outcome of the expected-loss rule, with the posterior
-    probabilities of the negligible and relevant regions, whose interval
-    ends ``part_ends`` holds."""
+    """The outcome of the expected-loss rule, with the printed expected
+    losses and the posterior probabilities of the negligible and relevant
+    regions, whose interval ends ``part_ends`` holds."""
+    printed, warnings = _printed_expected_losses(post, spec, decision, expected)
     p0 = _region_prob(post, part_ends[0])
     p1 = _region_prob(post, part_ends[1])
     total = p0 + p1
@@ -242,8 +264,8 @@ def _expected_loss_outcome(
         posterior_h0=p0 / total,
         posterior_h1=p1 / total,
         posterior_odds=math.inf if p0 == 0.0 else p1 / p0,
-        threshold_lo=expected["a0"],
-        threshold_hi=expected["a1"],
+        threshold_lo=printed["a0"],
+        threshold_hi=printed["a1"],
         warnings=tuple(warnings),
     )
 
@@ -258,12 +280,12 @@ def _partition_ends(spec: LossSpec, space: ParameterSpace) -> tuple[tuple, tuple
 def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutcome:
     """Full-loss decision: argmin of E[L(theta, a) | y], ties to a0.
 
-    A normal posterior's expected losses are closed-form partial moments. A
-    beta posterior's still come from adaptive quadrature: the benchmark's
-    analyze references record the quadrature's values on its k = 0 and
-    k = n tail requests, and that path can be deleted once ROADMAP item 1
-    re-records them exactly. The posterior region probabilities reported
-    alongside refer to the relevance partition the loss induces.
+    The decision comes from the closed-form expected losses of either
+    family. The expected losses reported for a beta posterior still come
+    from adaptive quadrature (``_printed_expected_losses``), with a warning
+    where they rank the actions against the decision. The posterior region
+    probabilities reported alongside refer to the relevance partition the
+    loss induces.
     """
     if abs(post.space.lo - spec.space.lo) > 1e-12 or abs(
         post.space.hi - spec.space.hi
@@ -271,6 +293,5 @@ def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutc
         raise ValidationError(
             "posterior and loss specification must share the effect space"
         )
-    decision, expected, warnings = _expected_loss(post, spec)
     part_ends = _partition_ends(spec, post.space)
-    return _expected_loss_outcome(post, part_ends, decision, expected, warnings)
+    return _expected_loss_outcome(post, spec, part_ends, *_expected_loss(post, spec))

@@ -1,5 +1,5 @@
 """Conjugate posteriors for the effect parameter, their partial moments, and
-the adaptive quadrature that beta expected losses still use.
+the adaptive quadrature behind the beta expected losses that are printed.
 
 Each sampling model is one row of ``FAMILIES``, which holds every rule that
 depends on the model: a binomial count with a beta prior on the success
@@ -21,10 +21,10 @@ has taken at each point, so that procedures sharing it take the tails at
 their common cut points once. Quantiles use safeguarded Newton steps on
 the CDF and the density. The partial moments
 E[(theta - origin)^j; lo < theta < hi], j = 0, 1, 2, are closed-form for
-both families; they give the summary mean and sd, and a normal posterior's
-expected losses. The adaptive quadrature integrates a beta posterior's
-loss pieces times its density, until ROADMAP item 1 re-records the
-benchmark's tail references and the closed form can serve beta too.
+both families; they give the summary mean and sd, and the expected losses
+that decide. The adaptive quadrature integrates a beta posterior's loss
+pieces times its density only for the values that decide and compare
+print, until ROADMAP item 1 re-records the benchmark's tail references.
 """
 
 from __future__ import annotations

@@ -119,6 +119,11 @@ class LossSpec:
     # of each action) between the space ends and the breakpoints
     _curves: tuple[Curve, Curve] = field(init=False, repr=False, compare=False)
     _panels: tuple = field(init=False, repr=False, compare=False)
+    # the largest value the checks read, which is the largest loss on the
+    # space: a curve of pieces of degree <= 2 peaks at a space end or a piece
+    # origin (a knot, or a concave quadratic's vertex); it scales the
+    # expected-loss rule's tie tolerance
+    _peak: float = field(init=False, repr=False, compare=False)
     # the relevance partition, set by regions.partition on first use
     _partition: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -129,6 +134,7 @@ class LossSpec:
             )
         issues: list[str] = []
         curves = []
+        peak = 0.0
         lo, hi = self.space.lo, self.space.hi
         if self.kind == "builtin_coin_demo" and (lo, hi) != COIN_SPACE:
             # both demo curves are fixed, so their space is checked once
@@ -148,6 +154,8 @@ class LossSpec:
                         issues.append(f"non-finite loss at theta={t} for {action}")
                     elif v < 0.0:
                         issues.append(f"negative loss at theta={t} for {action}")
+                    else:
+                        peak = max(peak, v)
         if issues:
             raise ValidationError("invalid loss specification:\n" + "\n".join(issues))
         inner = sorted({x for starts, _ in curves for x in starts if lo < x < hi})
@@ -158,6 +166,7 @@ class LossSpec:
         )
         object.__setattr__(self, "_curves", tuple(curves))
         object.__setattr__(self, "_panels", panels)
+        object.__setattr__(self, "_peak", peak)
 
 
 def coin_demo_loss() -> LossSpec:

@@ -72,13 +72,13 @@ from .comparators import (
     _tost_result,
 )
 from .decisions import (
-    EXPECTED_LOSS_TIE_TOL,
     DecisionOutcome,
     LossRatio,
     _coverage_check,
     _expected_loss,
     _expected_loss_outcome,
     _partition_ends,
+    _tie_tol,
     _two_action,
     _two_action_outcome,
     decide_from_odds,
@@ -531,12 +531,13 @@ def _bind_expected_loss(
     s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_
 ) -> Bound:
     # the posterior lies on the loss's space, so the two spaces match
-    part_ends = _partition_ends(loss, loss.space)
+    part_ends, tol = _partition_ends(loss, loss.space), _tie_tol(loss)
 
     def kernel(model: Model, posterior: Posterior):
+        # the verdict is the closed form's; only the report integrates
         post = posterior()
         out = _expected_loss(post, loss)
-        return out[0], lambda: _expected_loss_outcome(post, part_ends, *out)
+        return out[0], lambda: _expected_loss_outcome(post, loss, part_ends, *out)
 
     # g = L(a1) - L(a0) = g(lo) + V+ - V-, its Jordan rise and fall, both
     # non-decreasing in the effect. g is d0 + d1 u + d2 u^2 on a loss panel,
@@ -575,7 +576,7 @@ def _bind_expected_loss(
 
     def verdict(c: tuple) -> str:
         # E[g | y] = g(lo) - c0 - c1 falls with both: a0 < a1
-        return "a1" if g_lo - c[0] - c[1] < -EXPECTED_LOSS_TIE_TOL else "a0"
+        return "a1" if g_lo - c[0] - c[1] < -tol else "a0"
 
     return Bound(kernel, Certificate(coords, verdict))
 
@@ -818,9 +819,7 @@ def _bind_sweep(scenario: Scenario) -> _Sweep:
     # log-concave in the mean, and the intervals of a tiling meet at their
     # ends, so the draws that raise lie below or above all that do not. The
     # beta tails' continued fraction fails on counts that need not lie so
-    # (ROADMAP item 4), and a beta expected loss comes from quadrature, whose
-    # error is not monotone in k to the margin (item 2): the binomial
-    # procedures run on every distinct draw.
+    # (ROADMAP item 4): the binomial procedures run on every distinct draw.
     certified = row.posterior == "normal"
     # a draw holds n, its statistic and the family's known values, the
     # model's leading fields; the prior gives its last two

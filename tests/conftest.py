@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from relkit.config import load_config
 from relkit.loss import (
@@ -82,13 +82,26 @@ def quad_split(f, lo: float, hi: float, cuts=()) -> float:
 
 def expected_losses_oracle(post, spec: LossSpec) -> list[float]:
     """E[L(a0)] and E[L(a1)] by scipy.integrate.quad of the loss times the
-    SciPy density truncated to the space."""
+    SciPy density truncated to the space. The log density is the formula of
+    SciPy's ``logpdf``, called without the frozen distribution's overhead."""
     lo, hi = post.space.lo, post.space.hi
     a, b = post.params
     if post.family == "beta":
         dist = stats.beta(a, b, loc=post.effect_shift)
+        shift, log_norm = post.effect_shift, special.betaln(a, b)
+
+        def log_pdf(t):
+            x = t - shift
+            return special.xlogy(a - 1.0, x) + special.xlog1py(b - 1.0, -x) - log_norm
+
     else:
         dist = stats.norm(a, b)
+        log_norm = math.log(b * math.sqrt(2.0 * math.pi))
+
+        def log_pdf(t):
+            z = (t - a) / b
+            return -0.5 * z * z - log_norm
+
     if dist.cdf(hi) <= 0.5:
         log_mass = math.log(dist.cdf(hi) - dist.cdf(lo))
     else:
@@ -98,7 +111,7 @@ def expected_losses_oracle(post, spec: LossSpec) -> list[float]:
     points = sorted({*breakpoints(spec), *(x for x in near if lo < x < hi)})
     return [
         integrate.quad(
-            lambda t: evaluate_loss(spec, t, action) * math.exp(dist.logpdf(t) - log_mass),
+            lambda t: evaluate_loss(spec, t, action) * math.exp(log_pdf(t) - log_mass),
             lo, hi, points=points, epsabs=1e-13, epsrel=1e-12, limit=500,
         )[0]
         for action in ("a0", "a1")

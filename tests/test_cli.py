@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,12 @@ from hypothesis import example, given, settings, strategies as st
 import relkit.cli
 import relkit.simulate
 from relkit.cli import MAX_PLOT_GRID, main
+from relkit.config import load_config
 from relkit.errors import ValidationError
+from relkit.inference import BinomialModel, posterior_update
+from relkit.loss import QuadraticParams
+
+from conftest import expected_losses_oracle, random_loss_spec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -354,6 +360,123 @@ class TestCompareCommand:
         assert code == 0
         assert len(json.loads(out)["results"]) == 5
         assert len(models) == 1
+
+
+class TestExpectedLossVerdicts:
+    MODELS = {
+        "binomial": [
+            {"family": "binomial", "data": {"n": n, "k": k}} for n, k in ((30, 8), (30, 22), (400, 230))
+        ],
+        "normal": [
+            {
+                "family": "normal",
+                "sigma": 1.0,
+                "data": {"n": 50, "ybar": ybar},
+                "prior": {"mean": 0.0, "sd": 0.5},
+            }
+            for ybar in (-0.3, 0.0, 0.3)
+        ],
+    }
+    SCENARIOS = {
+        "binomial": {"true_effects": [-0.2, 0.0, 0.2], "sample_sizes": [30, 400]},
+        "normal": {
+            "sigma": 1.0,
+            "true_effects": [-0.3, 0.0, 0.3],
+            "sample_sizes": [50],
+            "prior": {"mean": 0.0, "sd": 0.5},
+        },
+    }
+
+    @staticmethod
+    def loss_doc(spec, scale):
+        """The config loss section of ``spec`` with every loss value times scale."""
+
+        def curve(params):
+            if isinstance(params, QuadraticParams):
+                c, offset = params.c * scale, params.offset * scale
+                return {"c": c, "center": params.center, "offset": offset}
+            return {"knots": list(params.knots), "values": [v * scale for v in params.values]}
+
+        return {"kind": spec.kind, "params_a0": curve(spec.params_a0), "params_a1": curve(spec.params_a1)}
+
+    def verdicts(self, family, spec, scale, tmp_path, capsys):
+        """The expected-loss verdicts of decide and compare on each model,
+        and simulate's console table, for ``spec`` times ``scale``."""
+        doc = {
+            "spec_version": 1,
+            "parameter_space": {"lo": -0.5, "hi": 0.5},
+            "actions": {"a0_label": "a0", "a1_label": "a1"},
+            "loss": self.loss_doc(spec, scale),
+            "decision": {"rule": "expected_loss"},
+            "comparators": [{"procedure": "expected_loss"}],
+            "seed": 7,
+            "scenario": {
+                "name": "scaled",
+                "family": family,
+                "replicates": 30,
+                "procedures": [{"procedure": "expected_loss"}],
+                **self.SCENARIOS[family],
+            },
+        }
+        got = []
+        for model in self.MODELS[family]:
+            cfg = write_config(tmp_path, {**doc, "model": model})
+            got.append(json.loads(run_cli(["decide", "--config", cfg], capsys)[1])["decision"])
+            results = json.loads(run_cli(["compare", "--config", cfg], capsys)[1])["results"]
+            got.append(results[0]["verdict"])
+        code, out, _ = run_cli(["simulate", "--config", write_config(tmp_path, doc)], capsys)
+        assert code == 0
+        return got, out
+
+    @pytest.mark.parametrize("family", ["binomial", "normal"])
+    def test_verdicts_do_not_depend_on_the_loss_scale(self, family, tmp_path, capsys):
+        """The tie tolerance is a share of the loss's peak, so a loss times a
+        constant takes the same verdicts in decide, compare and simulate."""
+        rng = random.Random(2121)
+        seen = set()
+        for _ in range(4):
+            spec = random_loss_spec(rng)
+            want = self.verdicts(family, spec, 1.0, tmp_path, capsys)
+            seen.update(want[0])
+            for scale in (1e-12, 1e-6, 1e3, 1e6):
+                assert self.verdicts(family, spec, scale, tmp_path, capsys) == want, scale
+        assert seen == {"a0", "a1"}
+
+    def test_misranking_quadrature_picks_no_action(self, tmp_path, capsys):
+        """n = k = 400 on [-0.15, 0.15]: the quadrature behind the printed
+        E[L(a1)] misses the posterior's mass at the space end and ranks a1
+        first; the closed form, which agrees with the SciPy oracle, decides
+        a0, and the warning says that the printed values rank against it."""
+        knots = [-0.15, 0.0, 0.15]
+        doc = {
+            "spec_version": 1,
+            "parameter_space": {"lo": -0.15, "hi": 0.15},
+            "actions": {"a0_label": "a0", "a1_label": "a1"},
+            "loss": {
+                "kind": "piecewise_linear",
+                "params_a0": {"knots": knots, "values": [1e-4, 0.0, 1e-4]},
+                "params_a1": {"knots": knots, "values": [0.0, 0.05, 0.0]},
+            },
+            "model": {"family": "binomial", "data": {"n": 400, "k": 400}},
+            "decision": {"rule": "expected_loss"},
+            "comparators": [{"procedure": "expected_loss"}],
+        }
+        cfg = write_config(tmp_path, doc)
+        code, out, _ = run_cli(["decide", "--config", cfg], capsys)
+        assert code == 0
+        got = json.loads(out)
+        assert got["decision"] == "a0"
+        assert got["threshold_hi"] < 1e-10 < got["threshold_lo"]  # the quadrature's values
+        (warning,) = got["warnings"]
+        assert warning.startswith("the quadrature's expected losses rank the actions against the decision")
+        spec = load_config(cfg).loss
+        e0, e1 = expected_losses_oracle(posterior_update(BinomialModel(n=400, k=400), spec.space), spec)
+        assert e1 == pytest.approx(5.39e-4, rel=1e-3)
+        assert warning.endswith(f"E[L(a0)] = {e0:.6g} and E[L(a1)] = {e1:.6g}")
+        code, out, _ = run_cli(["compare", "--config", cfg], capsys)
+        assert code == 0
+        (row,) = json.loads(out)["results"]
+        assert (row["verdict"], row["detail"]) == ("a0", warning)
 
 
 class TestSimulateCommand:

@@ -359,6 +359,57 @@ class TestNormalClosedForm:
             self._check(PosteriorModel("normal", (mean, sd), space), spec)
 
 
+def _coin_counts():
+    """(n, k) of every count at n = 20, 100 and 1000, and of 50 counts from
+    0 to n at n = 10^4."""
+    for n in (20, 100, 1000):
+        for k in range(n + 1):
+            yield n, k
+    for i in range(50):
+        yield 10_000, round(i * 10_000 / 49)
+
+
+def _tail_pair_cases():
+    """The k = 0 and k = n posteriors at n = 200 and 400 of the benchmark's
+    mirrored tail pairs: on [-w, w], a0 is |theta| and a1 rises from 0 at
+    either end to h at 0."""
+    for w in (0.1, 0.15, 0.2):
+        space, knots = ParameterSpace(-w, w), (-w, 0.0, w)
+        for h in (0.2 * w, 0.35 * w, 0.5 * w):
+            spec = LossSpec(
+                space,
+                "piecewise_linear",
+                CurveKnots(knots, (w, 0.0, w)),
+                CurveKnots(knots, (0.0, h, 0.0)),
+            )
+            for n in (200, 400):
+                for k in (0, n):
+                    yield posterior_update(BinomialModel(n=n, k=k), space), spec
+
+
+class TestBetaClosedForm:
+    """The expected-loss rule decides a beta posterior from its closed-form
+    partial moments; each case is checked against the SciPy quadrature
+    oracle within 1e-9, and decides as the oracle's values rank the actions.
+    (The printed values still come from quadrature; the strict xfails above
+    check those.)"""
+
+    @staticmethod
+    def _check(post, spec):
+        decision, expected = decisions._expected_loss(post, spec)
+        want = expected_losses_oracle(post, spec)
+        assert [expected["a0"], expected["a1"]] == pytest.approx(want, rel=0, abs=1e-9)
+        assert decision == ("a1" if want[1] < want[0] else "a0")
+
+    def test_coin_loss_at_every_count(self, coin_spec):
+        for n, k in _coin_counts():
+            self._check(posterior_update(BinomialModel(n=n, k=k), BIAS_SPACE), coin_spec)
+
+    def test_tail_pairs(self):
+        for post, spec in _tail_pair_cases():
+            self._check(post, spec)
+
+
 def test_decision_consistency_under_data_smoke(coin_spec):
     """Light version of the large-n consistency sweep: at n = 2000 the
     decisions should already lock onto the pointwise preference."""

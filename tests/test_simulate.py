@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relkit.simulate as sim
+from relkit import decisions, inference
 from relkit.config import load_config
 from relkit.errors import NumericalError, RelkitError, ValidationError
 from relkit.simulate import (
@@ -1042,3 +1043,33 @@ def test_quadratic_loss_sweep_walks_expected_loss(monkeypatch):
     calls = sum(sum(cell.values()) for cell in by_cell())
     draws = len(scenario.true_effects) * len(scenario.sample_sizes) * scenario.replicates
     assert calls < draws / 10
+
+
+def test_binomial_sweep_never_integrates(monkeypatch):
+    """A binomial sweep takes the expected-loss verdict from the closed form
+    and builds no report, so it runs no quadrature: the shipped coin
+    scenario, with and without expected_loss, and a grid shaped like the
+    benchmark's binomial sweep give the direct counts without it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a binomial sweep must not integrate numerically")
+
+    monkeypatch.setattr(inference, "quadrature", refuse)
+    monkeypatch.setattr(decisions, "quadrature", refuse)
+    coin = shipped_scenario("coin_scenario")
+    bench = dataclasses.replace(
+        coin,
+        true_effects=(-0.3, -0.106, -0.05, 0.0, 0.05, 0.106, 0.3),
+        sample_sizes=(20, 100, 1000),
+        replicates=48,
+        procedures=(
+            ProcedureSpec("nhst", {"alpha": 0.05}),
+            ProcedureSpec("rope", {"mass": 0.95, "rope": "partition_hull"}),
+            ProcedureSpec("hypothesis_ratio", {"loss_ratio": [0.5, 2.0]}),
+            ProcedureSpec("expected_loss", {}),
+            ProcedureSpec("bayes_factor", {"threshold": 3.0}),
+        ),
+    )
+    with_expected_loss = (*coin.procedures, ProcedureSpec("expected_loss", {}))
+    for scenario in (coin, dataclasses.replace(coin, procedures=with_expected_loss), bench):
+        assert run_operating_characteristics(scenario) == _direct_run(scenario)
