@@ -22,9 +22,11 @@ their common cut points once. Quantiles use safeguarded Newton steps on
 the CDF and the density. The partial moments
 E[(theta - origin)^j; lo < theta < hi], j = 0, 1, 2, are closed-form for
 both families; they give the summary mean and sd, and the expected losses
-that decide. The adaptive quadrature integrates a beta posterior's loss
-pieces times its density only for the values that decide and compare
-print, until ROADMAP item 1 re-records the benchmark's tail references.
+that decide. A beta posterior's take only its mass and the incomplete
+beta's prefactor at the two cuts. The adaptive quadrature integrates a beta
+posterior's loss pieces times its density only for the values that decide
+and compare print, until ROADMAP item 1 re-records the benchmark's tail
+references.
 """
 
 from __future__ import annotations
@@ -92,6 +94,14 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     )
 
 
+def _beta_front(a: float, b: float, x: float) -> float:
+    """x^a (1 - x)^b / B(a, b), 0 outside (0, 1): the incomplete beta's
+    prefactor (DiDonato & Morris, ACM TOMS 18, 1992) and s f of _beta_moments."""
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+
+
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b), the CDF of a Beta(a, b) distribution at x."""
     if not (a > 0.0 and b > 0.0):
@@ -100,7 +110,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+    front = _beta_front(a, b, x)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cont_frac(a, b, x) / a
     return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
@@ -130,11 +140,6 @@ def _mass_between(lo_tails: tuple[float, float], hi_tails: tuple[float, float]) 
     if s_lo <= 0.5:
         return s_lo - s_hi
     return 1.0 - f_lo - s_hi
-
-
-def _interval_mass(tails: Callable, params: tuple[float, float], lo: float, hi: float) -> float:
-    """Untruncated mass of the native interval [lo, hi] under a row's tails."""
-    return _mass_between(tails(params, lo), tails(params, hi))
 
 
 def _normal_tail_z(q: float) -> float:
@@ -304,15 +309,18 @@ def _normal_location_scale(params: tuple[float, float]) -> tuple[float, float]:
 
 
 def _beta_moments(params, m0: float, x_lo: float, x_hi: float, x_o: float) -> tuple:
-    """The raw moments E[x^j; region] = B(a+j, b)/B(a, b) times the region's
-    mass under Beta(a+j, b), shifted to the origin; their scale is 1."""
+    """The moments about the mean mu = a/(a + b) from the region's mass M0
+    and s f = x^a (1 - x)^b / B(a, b) at its ends, by (s f)' = (a + b)(mu - x) f:
+    M1 = -[s f]/(a + b) and (a + b + 1) M2 = mu(1 - mu) M0 + (1 - 2 mu) M1 -
+    [(x - mu) s f], shifted to the origin; their scale is 1."""
     a, b = params
-    r1 = a / (a + b) * _interval_mass(_beta_tails, (a + 1.0, b), x_lo, x_hi)
-    r2 = (
-        a * (a + 1.0) / ((a + b) * (a + b + 1.0))
-        * _interval_mass(_beta_tails, (a + 2.0, b), x_lo, x_hi)
-    )
-    return m0, r1 - x_o * m0, r2 - x_o * (2.0 * r1 - x_o * m0), 1.0
+    s, mu = a + b, a / (a + b)
+    sf_lo, sf_hi = _beta_front(a, b, x_lo), _beta_front(a, b, x_hi)
+    m1 = (sf_lo - sf_hi) / s
+    # mu(1 - mu) as ab/s^2 and 1 - 2 mu as (b - a)/s: no mu is taken from 1
+    m2 = a * b / (s * s) * m0 + (b - a) / s * m1 - (x_hi - mu) * sf_hi + (x_lo - mu) * sf_lo
+    d = mu - x_o
+    return m0, m1 + d * m0, m2 / (s + 1.0) + d * (2.0 * m1 + d * m0), 1.0
 
 
 def _normal_moments(params, m0: float, x_lo: float, x_hi: float, x_o: float) -> tuple:
@@ -334,12 +342,14 @@ def _normal_moments(params, m0: float, x_lo: float, x_hi: float, x_o: float) -> 
 
 def _binomial_point_null(model: BinomialModel) -> tuple[float, float]:
     """Exact test of pi = 1/2, the doubled smaller tail clipped at 1; the
-    tails of Binomial(n, 1/2) are P(X >= k) = I_{1/2}(k, n - k + 1)."""
+    tails of Binomial(n, 1/2) are P(X >= k) = I_{1/2}(k, n - k + 1) and
+    P(X <= k) = P(X >= n - k), so the upper one is the smaller where 2k >= n."""
     n, k = model.n, model.k
-    lower = 1.0 if k == n else regularized_incomplete_beta(n - k, k + 1, 0.5)
-    upper = 1.0 if k == 0 else regularized_incomplete_beta(k, n - k + 1, 0.5)
-    p = min(1.0, 2.0 * min(lower, upper))
-    return p, float(k)
+    if 2 * k >= n:
+        tail = 1.0 if k == 0 else regularized_incomplete_beta(k, n - k + 1, 0.5)
+    else:
+        tail = regularized_incomplete_beta(n - k, k + 1, 0.5)
+    return min(1.0, 2.0 * tail), float(k)
 
 
 def _normal_point_null(model: NormalKnownVarModel) -> tuple[float, float]:

@@ -30,7 +30,7 @@ from relkit.loss import (
 )
 from relkit.regions import RegionSet, partition
 
-from conftest import BIAS_SPACE, equal_losses_spec, expected_losses_oracle
+from conftest import BIAS_SPACE, equal_losses_spec, expected_losses_oracle, quadratic_pair_spec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -408,6 +408,17 @@ class TestBetaClosedForm:
     def test_tail_pairs(self):
         for post, spec in _tail_pair_cases():
             self._check(post, spec)
+
+    def test_quadratic_loss_on_concentrated_posteriors(self):
+        # E[theta^2] against a constant: the quadratic piece's moment is
+        # taken about the panel point nearest the mean, not from raw moments
+        spec = quadratic_pair_spec()
+        for n in (100, 1000, 10**4):
+            for k in (0, 1, 3, n // 2 - 1, n // 2, n // 2 + 1, n - 3, n - 1, n):
+                post = posterior_update(BinomialModel(n=n, k=k), BIAS_SPACE)
+                expected = decisions._closed_form_expected_losses(post, spec)
+                want = expected_losses_oracle(post, spec)
+                assert [expected["a0"], expected["a1"]] == pytest.approx(want, rel=1e-9), (n, k)
 
 
 def test_decision_consistency_under_data_smoke(coin_spec):

@@ -503,6 +503,94 @@ class TestPosteriorSummaryOracle:
         assert summary["sd"] == pytest.approx(math.sqrt(var), rel=1e-7)
 
 
+class TestBetaMomentPrecision:
+    """Beta moments about the mean keep a concentrated posterior's sd: the
+    summary takes them from the tails and the prefactor x^a (1 - x)^b / B(a, b)
+    at the ends, with no raw moment E[x^2] to cancel against E[x]^2."""
+
+    def test_concentrated_posterior_near_the_space_end(self):
+        # Beta(991, 11) (n = 1000, k = 990) on [-0.3, 0.3]: its mass sits at
+        # the space end. The sd is from 50-digit mpmath, split toward 0.8:
+        #   mp.dps = 50; f = lambda x: x**990 * (1 - x)**10 / beta(991, 11)
+        #   pts = sorted({mpf(0.2)} | {0.8 - mpf(2)**-j for j in range(1, 30)} | {mpf(0.8)})
+        #   m = [quad(lambda x: (x - mpf(0.8))**j * f(x), pts) for j in range(3)]
+        #   sqrt(m[2] / m[0] - (m[1] / m[0])**2)
+        post = posterior_update(BinomialModel(n=1000, k=990), ParameterSpace(-0.3, 0.3))
+        assert posterior_summary(post)["sd"] == pytest.approx(8.3890959174834626e-4, rel=1e-9)
+
+    @pytest.mark.parametrize("a, b", [(991, 11), (9001, 1001), (5001, 5001), (100001, 3)])
+    def test_untruncated_sd_is_exact(self, a, b):
+        summary = posterior_summary(PosteriorModel("beta", (a, b), BIAS_SPACE))
+        want = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        assert summary["sd"] == pytest.approx(want, rel=1e-11)
+        assert summary["mean"] == pytest.approx(a / (a + b) - 0.5, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b, half",
+        [
+            (991, 11, 0.5),
+            (9001, 1001, 0.5),
+            (5001, 5001, 0.5),
+            (100001, 3, 0.5),
+            (9001, 1001, 0.45),
+            (5001, 4901, 0.01),
+            (60, 40, 0.3),
+            (12, 2, 0.3),
+            (401, 1, 0.4),
+        ],
+    )
+    def test_mirrored_pairs(self, a, b, half):
+        space = ParameterSpace(-half, half)
+        one = posterior_summary(PosteriorModel("beta", (a, b), space))
+        other = posterior_summary(PosteriorModel("beta", (b, a), space))
+        assert one["mean"] == pytest.approx(-other["mean"], rel=1e-12, abs=1e-300)
+        assert one["sd"] == pytest.approx(other["sd"], rel=1e-12)
+
+
+def _two_tail_point_null(n: int, k: int) -> tuple[float, float]:
+    """The exact binomial test from both tails, min(1, 2 min(P(X <= k), P(X >= k)))."""
+    lower = 1.0 if k == n else regularized_incomplete_beta(n - k, k + 1, 0.5)
+    upper = 1.0 if k == 0 else regularized_incomplete_beta(k, n - k + 1, 0.5)
+    return min(1.0, 2.0 * min(lower, upper)), float(k)
+
+
+class TestExactBinomialTest:
+    """The test takes only the smaller tail, the upper one where 2k >= n."""
+
+    @staticmethod
+    def _cases():
+        for n in range(301):
+            for k in range(n + 1):
+                yield n, k
+        for n in (999, 1000, 22000, 10**5 + 1):
+            ks = set(range(0, n + 1, n // 400)) | {n}
+            ks |= {n // 2 + d for d in range(-50, 51)}
+            yield from ((n, k) for k in sorted(ks))
+
+    def test_equals_the_two_tail_formula(self):
+        import relkit.inference as inference
+
+        for n, k in self._cases():
+            got = inference._binomial_point_null(BinomialModel(n=n, k=k))
+            assert got == _two_tail_point_null(n, k), (n, k)
+
+    def test_one_incomplete_beta_per_test(self, monkeypatch):
+        import relkit.inference as inference
+
+        calls = []
+        real = inference.regularized_incomplete_beta
+
+        def counting(a, b, x):
+            calls.append((a, b, x))
+            return real(a, b, x)
+
+        monkeypatch.setattr(inference, "regularized_incomplete_beta", counting)
+        for n, k in ((0, 0), (1, 0), (1, 1), (20, 3), (20, 10), (20, 17), (1001, 500)):
+            calls.clear()
+            inference._binomial_point_null(BinomialModel(n=n, k=k))
+            assert len(calls) <= 1
+
+
 class TestSupportRule:
     """A family's support is checked by one rule, with one message, by every
     entry point that takes effects: the posterior, the Bayes factor, the

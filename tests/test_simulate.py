@@ -448,6 +448,41 @@ class TestVerdictMemo:
         assert len(calls) == len(drawn[0] | drawn[1]) * len(procedures)
         assert table == _direct_table(scenario, compile_procedure)
 
+    def test_continued_fractions_per_distinct_count(self, monkeypatch):
+        # a grid shaped like the benchmark's binomial sweep: the tails the
+        # posterior caches serve the moments of the expected-loss panels, so
+        # a count costs the test's one tail plus the tails at the cut points
+        calls, counts = [], set()
+        cont_frac, update = inference._beta_cont_frac, sim.posterior_update
+
+        def counting_cont_frac(a, b, x):
+            calls.append((a, b, x))
+            return cont_frac(a, b, x)
+
+        def counting_update(model, space):
+            counts.add((model.n, model.k))
+            return update(model, space)
+
+        monkeypatch.setattr(inference, "_beta_cont_frac", counting_cont_frac)
+        monkeypatch.setattr(sim, "posterior_update", counting_update)
+        procedures = (
+            ProcedureSpec("nhst", {"alpha": 0.05}),
+            ProcedureSpec("rope", {"mass": 0.95, "rope": "partition_hull"}),
+            ProcedureSpec("hypothesis_ratio", {"loss_ratio": [0.5, 2.0]}),
+            ProcedureSpec("expected_loss", {}),
+            ProcedureSpec("bayes_factor", {"threshold": 3.0}),
+        )
+        scenario = shipped_scenario(
+            "coin_scenario",
+            true_effects=(-0.3, -0.106, -0.05, 0.0, 0.05, 0.106, 0.3),
+            sample_sizes=(20, 100, 1000),
+            replicates=48,
+            procedures=procedures,
+        )
+        run_operating_characteristics(scenario)
+        assert len(counts) > 100
+        assert len(calls) <= 5 * len(counts)
+
     def test_normal_sweep_memory_does_not_grow_with_replicates(self):
         # a normal draw never repeats, so memoising its verdicts would only
         # add one entry per replicate and procedure
