@@ -114,15 +114,19 @@ def _tost_bounds(bounds: tuple[float, float], alpha: float) -> tuple[float, floa
     return lo, hi
 
 
+def _tost_tails(model: NormalKnownVarModel, lo: float, hi: float) -> tuple[float, ...]:
+    """The two one-sided z-tests: (z_lower, p_lower, z_upper, p_upper)."""
+    se = model.sigma / math.sqrt(model.n)
+    z_lower = (model.ybar - lo) / se
+    z_upper = (model.ybar - hi) / se
+    return z_lower, 1.0 - normal_cdf(z_lower), z_upper, normal_cdf(z_upper)
+
+
 def _tost(
     model: NormalKnownVarModel, lo: float, hi: float, alpha: float
 ) -> tuple[str, float, float]:
     """The equivalence rule: (verdict, the larger one-sided p, its z)."""
-    se = model.sigma / math.sqrt(model.n)
-    z_lower = (model.ybar - lo) / se
-    z_upper = (model.ybar - hi) / se
-    p_lower = 1.0 - normal_cdf(z_lower)
-    p_upper = normal_cdf(z_upper)
+    z_lower, p_lower, z_upper, p_upper = _tost_tails(model, lo, hi)
     if p_lower >= p_upper:
         p, statistic = p_lower, z_lower
     else:

@@ -17,20 +17,18 @@ the verdict needs. The full result, which ``compare`` and ``decide``
 print, is built only on request.
 
 A verdict depends on the dataset only through one statistic, k or ybar, so
-a sweep draws a cell's replicates in blocks of ``SWEEP_BLOCK`` and sorts
-each block's distinct statistics. ``nhst`` and ``tost`` run on every
-distinct draw. In the normal family a posterior procedure carries a
-certificate, built by the same bind step: coordinates of a draw that are
-monotone in the statistic, because both posteriors are stochastically
-increasing in it, and a verdict function monotone in the coordinates. The
-sweep evaluates the procedure at a block's two end draws and splits a gap
-between evaluated draws at its midpoint only while the certificate cannot
-name one verdict for every draw inside it. A normal kernel that raises on
-a draw of a block raises on one of its end draws (``_bind_sweep``), and
-then runs on every distinct draw of that block, as a procedure without a
-certificate does. Every binomial procedure runs on every distinct count,
-and a run keeps its outcomes per (n, k), since counts repeat. The
-procedures of a draw share one posterior, built on first use, and with it
+a sweep draws a cell's replicates in blocks of ``SWEEP_BLOCK``, sorts each
+block's distinct statistics and places them in one map per (n, procedure)
+that the run keeps. Every procedure carries a certificate, built by the
+same bind step: coordinates of a draw that are monotone in the statistic,
+the p-values of ``nhst`` and ``tost`` or posterior masses and means, since
+both posteriors are stochastically increasing in it, and a verdict
+function monotone in the coordinates. A map evaluates a procedure on a
+statistic at most once per run, and on a draw between two evaluated ones
+only while the certificate cannot name one verdict for every draw between
+them. A binomial cell whose shape sum exceeds ``CERTIFIED_SHAPE_SUM``
+carries no certificates and runs on every distinct count. The procedures
+of a draw in a block share one posterior, built on first use, and with it
 the tail masses it has taken.
 
 The shipped scenarios are configs: ``configs/coin_scenario.json``, the
@@ -41,6 +39,7 @@ the point-null test while every relevance-aware procedure settles on a0.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -70,6 +69,7 @@ from .comparators import (
     _tost,
     _tost_bounds,
     _tost_result,
+    _tost_tails,
 )
 from .decisions import (
     DecisionOutcome,
@@ -376,10 +376,12 @@ class Certificate(NamedTuple):
     verdict: Callable[[tuple[float, ...]], str]
 
 
-def _box_verdict(cert: Certificate, a: tuple, b: tuple) -> str | None:
+def _box_verdict(cert: Certificate | None, a: tuple | None, b: tuple | None) -> str | None:
     """The verdict of every draw between two evaluated draws whose
     coordinates are a and b, or None when the widened box they span holds
-    more than one verdict."""
+    more than one verdict, or there is no certificate or no coordinates."""
+    if cert is None or a is None or b is None:
+        return None
     lo = tuple(x - CERTIFICATE_MARGIN * abs(x) for x in map(min, a, b))
     hi = tuple(x + CERTIFICATE_MARGIN * abs(x) for x in map(max, a, b))
     verdict = cert.verdict(lo)
@@ -429,11 +431,10 @@ def _odds_masses(c: tuple, cells: tuple) -> tuple[float, float]:
 
 class Bound(NamedTuple):
     """A procedure with its settings bound: its kernel, and the sweep's
-    certificate of its verdicts, or None where every distinct draw is
-    evaluated."""
+    certificate of its verdicts."""
 
     kernel: Kernel
-    certificate: Certificate | None = None
+    certificate: Certificate
 
 
 # A bind step makes every check that depends only on the settings, the loss,
@@ -454,11 +455,29 @@ def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
     alpha, point_null = s["alpha"], row.point_null
     _check_alpha(alpha)
 
+    # the test takes the tail above the null where its statistic, k or z,
+    # reaches the statistic's null mean, n/2 or 0
+    half = 0.5 if row.posterior == "beta" else 0.0
+    # the kernel and the certificate share the test of the last draw, so a
+    # probed count costs one tail
+    test = functools.lru_cache(maxsize=1)(lambda model: _nhst(point_null, model, alpha))
+
     def kernel(model: Model, posterior: Posterior):
-        out = _nhst(point_null, model, alpha)
+        out = test(model)
         return out[0], lambda: _nhst_result(row, model, alpha, *out)
 
-    return Bound(kernel)
+    def coords(model: Model, posterior: Posterior) -> tuple[float, float]:
+        # -p on the side of the null whose tail the test took, -1 on the
+        # other: p falls with the statistic above the null and rises below
+        # it, so the first coordinate rises and the second falls
+        _, p, statistic = test(model)
+        return (-p, -1.0) if statistic >= half * model.n else (-1.0, -p)
+
+    # reject where either exceeds -alpha: fail_to_reject < reject
+    return Bound(
+        kernel,
+        Certificate(coords, lambda c: "reject" if max(c) > -alpha else "fail_to_reject"),
+    )
 
 
 def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
@@ -469,7 +488,15 @@ def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
         out = _tost(model, lo, hi, alpha)
         return out[0], lambda: _tost_result(lo, hi, alpha, *out)
 
-    return Bound(kernel)
+    # -p_lower rises and -p_upper falls with ybar, two erfc and no continued
+    # fraction; equivalent where both exceed -alpha: not_equivalent < equivalent
+    return Bound(
+        kernel,
+        Certificate(
+            lambda model, posterior: tuple(-p for p in _tost_tails(model, lo, hi)[1::2]),
+            lambda c: "equivalent" if min(c) > -alpha else "not_equivalent",
+        ),
+    )
 
 
 def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
@@ -646,8 +673,7 @@ class Procedure(NamedTuple):
 
 _BOTH = tuple(FAMILIES)
 
-# nhst and tost take no posterior and cost about a microsecond: they carry
-# no certificate and run on every distinct draw
+# every procedure carries a certificate; nhst and tost take no posterior
 PROCEDURES: dict[str, Procedure] = {
     "nhst": Procedure({"alpha": (0.05, values.probability)}, _BOTH, _bind_nhst),
     "tost": Procedure(
@@ -723,15 +749,6 @@ def bind_procedure(
 Outcome = str | RelkitError
 
 
-def _outcome(kernel: Kernel, model: Model, posterior: Posterior) -> Outcome:
-    """The kernel's verdict, or the error it raised."""
-    try:
-        return kernel(model, posterior)[0]
-    except RelkitError as exc:
-        # an outcome keeps the error, not the frames of its traceback
-        return exc.with_traceback(None)
-
-
 def _compile_procedure(
     scenario: Scenario, proc: ProcedureSpec
 ) -> Callable[[Dataset], str]:
@@ -787,19 +804,32 @@ class RateTable:
     errors: tuple[ErrorReport, ...] = ()
 
 
-# the draws of a cell are taken and walked in blocks of this many
-# replicates, so that a sweep's memory does not grow with its replicates
+# the draws of a cell are taken and placed in the maps in blocks of this
+# many replicates, so that a sweep's memory does not grow with its replicates
 SWEEP_BLOCK = 512
+
+# A binomial cell is certified while n plus the largest prior alpha + beta,
+# the largest shape sum of its posteriors, is at most this. In a dense scan
+# the beta tails' continued fraction then takes about 200 of its 600
+# iterations at most, so no count between two that succeed raises;
+# tests/test_simulate.py pins a cap of 300 there
+CERTIFIED_SHAPE_SUM = 2.0**16
 
 
 class _Sweep(NamedTuple):
     """A scenario's procedures bound once: each kernel and certificate,
-    and (n, statistic) -> the model of that draw."""
+    (n, statistic) -> the model of that draw, the space, and the largest n
+    whose cells carry the certificates."""
 
     kernels: tuple[Kernel, ...]
-    certificates: tuple[Certificate | None, ...]
+    certificates: tuple[Certificate, ...]
     model: Callable[[int, float], Model]
     space: ParameterSpace
+    certified_to: float
+
+    def certified(self, n: int) -> tuple[Certificate | None, ...]:
+        """The certificates of the cells at n: none above ``certified_to``."""
+        return self.certificates if n <= self.certified_to else (None,) * len(self.kernels)
 
 
 def _bind_sweep(scenario: Scenario) -> _Sweep:
@@ -810,117 +840,104 @@ def _bind_sweep(scenario: Scenario) -> _Sweep:
     pair = derive_hypotheses(partition(loss))
     prior = scenario.prior or tuple(f.default for f in fields(row.model))[-2:]
     bound = [bind_procedure(p, scenario.family, loss, pair, prior) for p in scenario.procedures]
-    # A walk evaluates only some draws, so a certificate holds only where a
-    # kernel that raises on any draw of a block raises on one of its two end
-    # draws, which the walk always evaluates. A normal kernel raises where no
-    # float holds the posterior mean, which rises with ybar, or where the
-    # posterior mass vanishes on the space or (bayes_factor) on every
-    # interval of the pair, which tile the space. The mass of an interval is
-    # log-concave in the mean, and the intervals of a tiling meet at their
-    # ends, so the draws that raise lie below or above all that do not. The
-    # beta tails' continued fraction fails on counts that need not lie so
-    # (ROADMAP item 4): the binomial procedures run on every distinct draw.
-    certified = row.posterior == "normal"
+    # A map evaluates only some draws and never certifies a gap next to a
+    # draw whose kernel raised, so a certificate holds where the draws a
+    # kernel raises on lie below or above all those it does not raise on. A
+    # kernel raises where no float holds a normal posterior mean, which rises
+    # with ybar, or where the posterior mass vanishes on the space or
+    # (bayes_factor) on every interval of the pair, which tile the space. The
+    # sampling kernel is totally positive of every order, so the mass of an
+    # interval exceeds any level on one interval of the statistic, and the
+    # draws that raise lie at the ends. The beta tails' continued fraction
+    # may fail on inner counts, but not below CERTIFIED_SHAPE_SUM, so a
+    # binomial cell above it carries no certificates (ROADMAP item 4)
+    certified_to = math.inf
+    if row.posterior == "beta":
+        own = (parse_settings(p, scenario.family).get("prior") for p in scenario.procedures)
+        certified_to = CERTIFIED_SHAPE_SUM - max(sum(q) for q in (prior, *own) if q)
     # a draw holds n, its statistic and the family's known values, the
     # model's leading fields; the prior gives its last two
     given = (*(getattr(scenario, key) for key in row.known), *prior)
     return _Sweep(
         tuple(b.kernel for b in bound),
-        tuple(b.certificate if certified else None for b in bound),
+        tuple(b.certificate for b in bound),
         lambda n, statistic: row.model(n, statistic, *given),
         loss.space,
+        certified_to,
     )
 
 
-def _walk(m: int, probe: Callable[[int], tuple[str, tuple]], cert: Certificate) -> list[str]:
-    """The verdicts of m draws sorted by their statistic. Both end draws
-    are evaluated; a gap between two evaluated draws takes the verdict
-    its certificate names, or is split at its midpoint draw."""
-    verdicts: list = [None] * m
-    coords: list = [None] * m
-    for j in sorted({0, m - 1}):
-        verdicts[j], coords[j] = probe(j)
-    gaps = [(0, m - 1)]
-    while gaps:
-        lo, hi = gaps.pop()
-        if hi - lo < 2:
-            continue
-        verdict = _box_verdict(cert, coords[lo], coords[hi])
-        if verdict is not None:
-            verdicts[lo + 1 : hi] = [verdict] * (hi - lo - 1)
-        else:
-            mid = (lo + hi) // 2
-            verdicts[mid], coords[mid] = probe(mid)
-            gaps += [(lo, mid), (mid, hi)]
-    return verdicts
-
-
-def _block_outcomes(
-    sweep: _Sweep, n: int, distinct: list, memo: dict | None
-) -> list[list[Outcome]]:
+def _block_outcomes(sweep: _Sweep, n: int, distinct: list, maps: list) -> list[list[Outcome]]:
     """Each procedure's outcome on each distinct statistic of a block,
-    sorted. A certified procedure walks them. The others run on every one
-    whose outcomes ``memo``, the run's memo of counts, does not hold yet;
-    it is None where the statistic is a mean, which does not repeat. A walk
-    that raises has met a draw its kernel raises on, which a block's end
-    draws show (``_bind_sweep``), and its procedure runs on every distinct
-    draw of this block instead. The procedures share one posterior per
-    draw."""
-    kernels = sweep.kernels
-    shared: dict[int, tuple[Model, Posterior]] = {}
+    sorted, from its map of the run at n: xs, the statistics evaluated so
+    far, sorted, and ys, each one's (outcome, coordinates). A draw the map
+    holds takes its outcome. The draws in one gap of the map take the
+    verdict that the certificate names for the widened box of the gap's two
+    evaluated ends; otherwise the gap is split at a draw inside it, the
+    block's end draw where the gap is a ray past every evaluated draw and
+    else its middle draw, which is evaluated and entered in the map. A draw
+    whose kernel raised keeps its error and no coordinates. The procedures
+    share one posterior per draw of the block."""
+    shared: dict = {}
+    out = []
+    for kernel, cert, (xs, ys) in zip(sweep.kernels, sweep.certified(n), maps):
 
-    def entry(j: int) -> tuple[Model, Posterior]:
-        got = shared.get(j)
-        if got is None:
-            model = sweep.model(n, distinct[j])
-            got = shared[j] = model, _shared_posterior(model, sweep.space)
-        return got
+        def probe(x) -> tuple[Outcome, tuple | None]:
+            try:
+                if x not in shared:
+                    model = sweep.model(n, x)
+                    shared[x] = model, _shared_posterior(model, sweep.space)
+                model, posterior = shared[x]
+                verdict = kernel(model, posterior)[0]
+            except RelkitError as exc:
+                # an outcome keeps the error, not the frames of its traceback
+                return exc.with_traceback(None), None
+            try:
+                return verdict, cert and cert.coords(model, posterior)
+            except RelkitError:
+                return verdict, None
 
-    out: list[list[Outcome]] = [[] for _ in kernels]
-    for i, (kernel, cert) in enumerate(zip(kernels, sweep.certificates)):
-        if cert is None:
-            continue
-
-        def probe(j: int) -> tuple[str, tuple]:
-            model, posterior = entry(j)
-            return kernel(model, posterior)[0], cert.coords(model, posterior)
-
-        try:
-            out[i] = _walk(len(distinct), probe, cert)
-        except RelkitError:
-            pass
-    # the procedures without a certificate, and those whose walk raised
-    direct = tuple(i for i, walked in enumerate(out) if not walked)
-    for j, statistic in enumerate(distinct if direct else ()):
-        key = n, statistic, direct
-        if memo is not None and key in memo:
-            for i, outcome in zip(direct, memo[key]):
-                out[i].append(outcome)
-            continue
-        got = shared.get(j)
-        try:
-            # the draws no walk evaluated keep no model or posterior
-            model = got[0] if got else sweep.model(n, statistic)
-        except RelkitError as exc:
-            # a draw no model takes (a normal mean that overflowed) fails
-            # every procedure alike
-            for i in direct:
-                out[i].append(exc.with_traceback(None))
-        else:
-            posterior = got[1] if got else _shared_posterior(model, sweep.space)
-            for i in direct:
-                out[i].append(_outcome(kernels[i], model, posterior))
-        if memo is not None:
-            memo[key] = tuple(out[i][-1] for i in direct)
+        verdicts: list = [None] * len(distinct)
+        # the runs [a, b) of draws the map does not hold, by the gap they lie in
+        runs: list = []
+        for j, x in enumerate(distinct):
+            if x in ys:
+                verdicts[j] = ys[x][0]
+                continue
+            gap = bisect.bisect_left(xs, x)
+            if runs and runs[-1][0] == gap:
+                runs[-1][2] = j + 1
+            else:
+                runs.append([gap, j, j + 1])
+        # each gap between its evaluated ends, None past the first or last
+        todo = [(xs[g - 1] if g else None, xs[g] if g < len(xs) else None, a, b) for g, a, b in runs]
+        while todo:
+            left, right, a, b = todo.pop()
+            if a == b:
+                continue
+            if left is not None and right is not None:
+                verdict = _box_verdict(cert, ys[left][1], ys[right][1])
+                if verdict is not None:
+                    verdicts[a:b] = [verdict] * (b - a)
+                    continue
+            j = a if left is None else b - 1 if right is None else (a + b) // 2
+            x = distinct[j]
+            ys[x] = probe(x)
+            bisect.insort(xs, x)
+            verdicts[j] = ys[x][0]
+            todo += [(left, x, a, j), (x, right, j + 1, b)]
+        out.append(verdicts)
     return out
 
 
 def _tally(
-    sweep: _Sweep, n: int, blocks: Iterable[Sequence], memo: dict | None
+    sweep: _Sweep, n: int, blocks: Iterable[Sequence], maps: dict | None
 ) -> tuple[list[Counter], dict[int, RelkitError]]:
     """Each procedure's verdict counts over the statistics of one cell,
     which ``blocks`` gives in replicate order, and the error of its first
-    failing replicate; ``memo`` is the run's (``_block_outcomes``)."""
+    failing replicate; ``maps`` holds the run's maps by n
+    (``_block_outcomes``), and None gives the cell maps of its own."""
+    maps = ({} if maps is None else maps).setdefault(n, [([], {}) for _ in sweep.kernels])
     counts = [Counter() for _ in sweep.kernels]
     first_error: dict[int, RelkitError] = {}
     for statistics in blocks:
@@ -931,7 +948,7 @@ def _tally(
             else:
                 distinct.append(statistic)
                 weight.append(1)
-        outcomes = _block_outcomes(sweep, n, distinct, memo)
+        outcomes = _block_outcomes(sweep, n, distinct, maps)
         for i, per_draw in enumerate(outcomes):
             failed = {}
             for statistic, count, outcome in zip(distinct, weight, per_draw):
@@ -955,14 +972,14 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     A cell's draws are taken in blocks of ``SWEEP_BLOCK`` replicates, from
     generators that ``_cell_rng`` seeds ``HASH_BLOCK`` replicates at a time
     and yields one at a time, and sorted by their statistic, k or ybar.
-    Each procedure runs at most once per distinct statistic of a block,
-    and a certified one only where its certificate cannot name the verdict
-    of a gap between two evaluated draws. The procedures of a draw share
-    one posterior, built only if one of them needs it. A count repeats, so
-    the outcomes of the other procedures on each (n, k) are kept for the
-    rest of the call and serve the later blocks and cells at the same n; a
-    normal sweep keeps none, and its memory does not grow with
-    ``replicates``.
+    Each block is placed in one map per (n, procedure) kept for the whole
+    call, which holds the statistics evaluated so far. A procedure runs at
+    most once per distinct statistic in the call, and only where its
+    certificate cannot name the verdict of a gap between two evaluated
+    draws; without one, as in a binomial cell above ``CERTIFIED_SHAPE_SUM``,
+    it runs on every distinct statistic. The procedures of a draw in a block
+    share one posterior, built only if one of them needs it. The maps grow
+    with the draws evaluated, not with ``replicates``.
     """
     sweep = _bind_sweep(scenario)
     names = [proc.name for proc in scenario.procedures]
@@ -975,7 +992,7 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     row, sigma = FAMILIES[scenario.family], scenario.sigma
     # a block's statistics, the field after n, are kept as machine numbers
     typecode = "q" if row.data[0][1] is int else "d"
-    memo: dict | None = {} if typecode == "q" else None
+    maps: dict = {}
     for effect in scenario.true_effects:
         for n in scenario.sample_sizes:
             rngs = _cell_rng(scenario.seed, effect, n)
@@ -986,7 +1003,7 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
                     draws = (row.draw(rng, effect, n, sigma)[1] for rng in rngs(start, stop))
                     yield array(typecode, draws)
 
-            counts, first_error = _tally(sweep, n, blocks(), memo)
+            counts, first_error = _tally(sweep, n, blocks(), maps)
             for i, name in enumerate(names):
                 freqs = {v: counts[i][v] / reps for v in sorted(counts[i])}
                 ses = {v: math.sqrt(f * (1.0 - f) / reps) for v, f in freqs.items()}

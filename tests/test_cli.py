@@ -46,6 +46,56 @@ def coin_doc(**extra):
     return doc
 
 
+# the grids of the benchmark's two sweep workloads, copied here so that a
+# change to the benchmark does not move these tests
+BENCH_GRIDS = {
+    "binomial": coin_doc(
+        scenario={
+            "name": "bench_binomial",
+            "family": "binomial",
+            "true_effects": [-0.3, -0.106, -0.05, 0.0, 0.05, 0.106, 0.3],
+            "sample_sizes": [20, 100, 1000],
+            "replicates": 48,
+            "prior": {"alpha": 1, "beta": 1},
+            "procedures": [
+                {"procedure": "nhst", "alpha": 0.05},
+                {"procedure": "rope", "mass": 0.95, "rope": "partition_hull"},
+                {"procedure": "hypothesis_ratio", "loss_ratio": [0.5, 2.0]},
+                {"procedure": "expected_loss"},
+                {"procedure": "bayes_factor", "threshold": 3.0},
+            ],
+        }
+    ),
+    "normal": {
+        "spec_version": 1,
+        "parameter_space": {"lo": -0.1, "hi": 0.1},
+        "actions": {"a0_label": "do_not_recommend", "a1_label": "recommend"},
+        "loss": {
+            "kind": "piecewise_linear",
+            "params_a0": {"knots": [-0.1, 0.0, 0.1], "values": [0.1, 0.0, 0.1]},
+            "params_a1": {"knots": [-0.1, 0.0, 0.1], "values": [0.0, 0.025, 0.0]},
+        },
+        "scenario": {
+            "name": "bench_normal",
+            "family": "normal",
+            "sigma": 0.2,
+            "true_effects": [0.0, 0.0077, 0.02, 0.05],
+            "sample_sizes": [50, 22000],
+            "replicates": 100,
+            "prior": {"mean": 0.0, "sd": 0.05},
+            "procedures": [
+                {"procedure": "nhst", "alpha": 0.05},
+                {"procedure": "tost", "alpha": 0.05, "bounds": "partition_hull"},
+                {"procedure": "rope", "mass": 0.95, "rope": "partition_hull"},
+                {"procedure": "hypothesis_ratio", "loss_ratio": 1.0},
+                {"procedure": "expected_loss"},
+                {"procedure": "bayes_factor", "threshold": 3.0},
+            ],
+        },
+    },
+}
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -570,6 +620,46 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         argv = ["simulate", "--config", str(CONFIG_DIR / f"{name}.json"), "--seed", str(seed)]
         code, _, _ = run_cli([*argv, "--output", str(out)], capsys)
+        assert code == 0
+        digests = [
+            hashlib.sha256((tmp_path / f"out{ext}").read_bytes()).hexdigest()
+            for ext in (".csv", ".json")
+        ]
+        assert digests == [csv_sha, json_sha]
+
+    @pytest.mark.parametrize(
+        "grid, seed, csv_sha, json_sha",
+        [
+            ("binomial", 1,
+             "c4317df5a41b14956490f8bb1e6f5807ce9916b1391c998f66597628b3f60d4d",
+             "41b138e219a6f2b7f7b38e685810ec8826d52eda9631c86beebc8e7941789a16"),
+            ("binomial", 2,
+             "6d0704dcb762aaff5cc7104f2b58da17acede41ae505266083ab241ebf2545b9",
+             "b74bbac652b5185d20aa8695c4f3999f2e9c629f4e8123d1c18f014e06a645d2"),
+            ("binomial", 3,
+             "9b6d9ef10ade2dbc221ecde605fa3127470b21e8cb7597fed02c635df44b2fec",
+             "b9adbb1cccc6f865a856a871bb89331582c228048e2a927bde5b4f1f32ace279"),
+            ("normal", 1,
+             "c37e18bbfee1537e9e2370131cae1e9ab8895c4ac065812fa280908551ad1a7d",
+             "8f25bf403b4852dafdaca2773f69ce5a0ffc8dff38e99b07add5f3bec34b00ab"),
+            ("normal", 2,
+             "9c98b959b0d912b30f70787da8707c193969e24cb110c71693714051a877b6c2",
+             "6f6c07b466fb02a495292f53254132667d0fc2183aaf896397147ee4e697c105"),
+            ("normal", 3,
+             "f742ff78a1882c9ae5e5a6820f61ed74ba3817f6776f70904b849730e8396926",
+             "2857da716a54feee0c42bb61fc2dbfdc911f90ab91cbd17b096914340b4f6688"),
+        ],
+    )
+    def test_bench_grid_artifacts_are_fixed(
+        self, grid, seed, csv_sha, json_sha, tmp_path, capsys
+    ):
+        """The SHA-256 of each artifact of a benchmark sweep grid, as
+        recorded before the sweep kept one verdict map per (n, procedure)
+        for the whole run: which draws a sweep evaluates leaves every byte
+        alone."""
+        cfg = write_config(tmp_path, {**BENCH_GRIDS[grid], "seed": seed})
+        out = tmp_path / "out"
+        code, _, _ = run_cli(["simulate", "--config", cfg, "--output", str(out)], capsys)
         assert code == 0
         digests = [
             hashlib.sha256((tmp_path / f"out{ext}").read_bytes()).hexdigest()

@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import relkit.simulate as sim
 from relkit import decisions, inference
@@ -226,7 +226,7 @@ class TestRateTable:
         assert report.message.startswith("ybar must be finite")
 
     def test_error_verdicts_reported_per_cell(self, monkeypatch):
-        # rope fails on every replicate, and the memoised failure still
+        # rope fails on every replicate, and a failure the map keeps still
         # counts once per replicate; the patch reaches the rule its kernel
         # calls
         def explode(post, lo, hi, tail):
@@ -310,9 +310,9 @@ def _by_cell(monkeypatch, calls):
     starts = []
     tally = sim._tally
 
-    def per_cell(sweep, n, blocks, memo):
+    def per_cell(sweep, n, blocks, maps):
         starts.append(len(calls))
-        return tally(sweep, n, blocks, memo)
+        return tally(sweep, n, blocks, maps)
 
     monkeypatch.setattr(sim, "_tally", per_cell)
     return lambda: [Counter(calls[a:b]) for a, b in zip(starts, [*starts[1:], len(calls)])]
@@ -339,7 +339,7 @@ def _counting_bind(monkeypatch):
 
 
 def _direct_table(scenario, compile_procedure):
-    """The rate table from one verdict per replicate, without a memo."""
+    """The rate table from one verdict per replicate, without a map."""
     cells = []
     for effect in scenario.true_effects:
         for n in scenario.sample_sizes:
@@ -443,49 +443,40 @@ class TestVerdictMemo:
             {simulate_dataset(scenario, effect, 25, r).k for r in range(200)}
             for effect in scenario.true_effects
         ]
-        # both cells drew some counts, and each was evaluated once
+        # both cells drew some counts, and each was evaluated at most once;
+        # a count whose verdict a certificate names is not evaluated at all
         assert drawn[0] & drawn[1]
-        assert len(calls) == len(drawn[0] | drawn[1]) * len(procedures)
+        assert len(calls) <= len(drawn[0] | drawn[1]) * len(procedures)
         assert table == _direct_table(scenario, compile_procedure)
 
     def test_continued_fractions_per_distinct_count(self, monkeypatch):
         # a grid shaped like the benchmark's binomial sweep: the tails the
         # posterior caches serve the moments of the expected-loss panels, so
-        # a count costs the test's one tail plus the tails at the cut points
-        calls, counts = [], set()
-        cont_frac, update = inference._beta_cont_frac, sim.posterior_update
+        # an evaluated count costs the test's one tail plus the tails at the
+        # cut points, and the certificates leave most counts unevaluated
+        calls = []
+        cont_frac = inference._beta_cont_frac
 
         def counting_cont_frac(a, b, x):
             calls.append((a, b, x))
             return cont_frac(a, b, x)
 
-        def counting_update(model, space):
-            counts.add((model.n, model.k))
-            return update(model, space)
-
         monkeypatch.setattr(inference, "_beta_cont_frac", counting_cont_frac)
-        monkeypatch.setattr(sim, "posterior_update", counting_update)
-        procedures = (
-            ProcedureSpec("nhst", {"alpha": 0.05}),
-            ProcedureSpec("rope", {"mass": 0.95, "rope": "partition_hull"}),
-            ProcedureSpec("hypothesis_ratio", {"loss_ratio": [0.5, 2.0]}),
-            ProcedureSpec("expected_loss", {}),
-            ProcedureSpec("bayes_factor", {"threshold": 3.0}),
-        )
-        scenario = shipped_scenario(
-            "coin_scenario",
-            true_effects=(-0.3, -0.106, -0.05, 0.0, 0.05, 0.106, 0.3),
-            sample_sizes=(20, 100, 1000),
-            replicates=48,
-            procedures=procedures,
-        )
+        scenario = _bench_binomial(true_effects=BENCH_BINOMIAL_EFFECTS)
         run_operating_characteristics(scenario)
+        counts = {
+            (n, simulate_dataset(scenario, effect, n, r).k)
+            for effect in scenario.true_effects
+            for n in scenario.sample_sizes
+            for r in range(scenario.replicates)
+        }
         assert len(counts) > 100
         assert len(calls) <= 5 * len(counts)
+        assert len(calls) < 700
 
     def test_normal_sweep_memory_does_not_grow_with_replicates(self):
-        # a normal draw never repeats, so memoising its verdicts would only
-        # add one entry per replicate and procedure
+        # a normal draw never repeats, and the maps hold only the draws
+        # evaluated, while the draws stay in blocks
         base = dataclasses.replace(
             load_config(CONFIG_DIR / "aspirin_scenario.json").scenario,
             procedures=(ProcedureSpec("nhst", {"alpha": 0.05}),),
@@ -721,7 +712,7 @@ def _procedures(draw, family, lo, hi):
     }
     if family == "binomial":
         del menu["tost"]
-    names = draw(st.lists(st.sampled_from(sorted(menu)), min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(st.sampled_from(sorted(menu)), min_size=1, max_size=5, unique=True))
     return tuple(ProcedureSpec(name, menu[name]()) for name in names)
 
 
@@ -729,8 +720,8 @@ def _procedures(draw, family, lo, hi):
 def _scenarios(draw):
     family = draw(st.sampled_from(["binomial", "normal"]))
     if family == "binomial":
-        lo, hi = draw(st.sampled_from([(-0.5, 0.5), (-0.3, 0.4)]))
-        prior = draw(st.sampled_from([None, (1.0, 1.0), (3.0, 0.7)]))
+        lo, hi = draw(st.sampled_from([(-0.5, 0.5), (-0.3, 0.4), (-0.2, 0.2)]))
+        prior = draw(st.sampled_from([None, (1.0, 1.0), (3.0, 0.7), (0.5, 0.5), (3.0, 7.0)]))
         sizes = draw(st.lists(st.integers(1, 300), min_size=1, max_size=2, unique=True))
         sigma = None
     else:
@@ -752,12 +743,97 @@ def _scenarios(draw):
     )
 
 
+BENCH_BINOMIAL_EFFECTS = (-0.3, -0.106, -0.05, 0.0, 0.05, 0.106, 0.3)
+BENCH_BINOMIAL_PROCEDURES = (
+    ProcedureSpec("nhst", {"alpha": 0.05}),
+    ProcedureSpec("rope", {"mass": 0.95, "rope": "partition_hull"}),
+    ProcedureSpec("hypothesis_ratio", {"loss_ratio": [0.5, 2.0]}),
+    ProcedureSpec("expected_loss", {}),
+    ProcedureSpec("bayes_factor", {"threshold": 3.0}),
+)
+OWN_PRIOR_BAYES_FACTOR = ProcedureSpec(
+    "bayes_factor", {"threshold": 3.0, "prior": {"alpha": 3, "beta": 7}}
+)
+
+
+def _bench_binomial(**changes):
+    """The coin scenario with the procedures of the benchmark's binomial
+    sweep, on a part of its grid."""
+    changes = {
+        "true_effects": (-0.106, 0.0, 0.3),
+        "sample_sizes": (20, 100, 1000),
+        "replicates": 48,
+        "procedures": BENCH_BINOMIAL_PROCEDURES,
+        **changes,
+    }
+    return shipped_scenario("coin_scenario", **changes)
+
+
+def _narrow_loss(half):
+    """A loss on [-half, half] shaped like the aspirin loss: a0 costs
+    |theta|, a1 costs half/4 at 0 and nothing at either end."""
+    space = ParameterSpace(-half, half)
+    knots = (-half, 0.0, half)
+    return LossSpec(
+        space,
+        "piecewise_linear",
+        CurveKnots(knots=knots, values=(half, 0.0, half)),
+        CurveKnots(knots=knots, values=(0.0, half / 4, 0.0)),
+    )
+
+
+# the cells next to the bound on the shape sum: n = 2^16 - 2 is certified
+# under the Beta(1, 1) prior and n = 2^16 - 1 not; with a Bayes factor's own
+# Beta(3, 7) prior, n = 2^16 - 10 and 2^16 - 9
+AT_THE_BOUND = (
+    _bench_binomial(true_effects=(0.0, 0.106), sample_sizes=(2**16 - 2, 2**16 - 1), replicates=24),
+    _bench_binomial(
+        true_effects=(0.0, 0.106),
+        sample_sizes=(2**16 - 10, 2**16 - 9),
+        replicates=24,
+        prior=(0.5, 0.5),
+        procedures=(*BENCH_BINOMIAL_PROCEDURES[:-1], OWN_PRIOR_BAYES_FACTOR),
+    ),
+)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_scenarios())
+@example(_bench_binomial(prior=(3.0, 7.0)))
+@example(
+    _bench_binomial(
+        loss=_narrow_loss(0.2), true_effects=(-0.15, 0.0, 0.1), prior=(0.5, 0.5)
+    )
+)
+@example(_bench_binomial(procedures=(*BENCH_BINOMIAL_PROCEDURES[:-1], OWN_PRIOR_BAYES_FACTOR)))
+@example(_bench_binomial(loss=quadratic_pair_spec(), true_effects=(-0.3, 0.1, 0.2)))
+@example(AT_THE_BOUND[0])
+@example(AT_THE_BOUND[1])
 def test_certified_sweep_equals_direct_sweep(scenario):
     """Verdict counts and error reports of every cell equal those of each
     procedure evaluated on every replicate."""
     assert _result(run_operating_characteristics, scenario) == _result(_direct_run, scenario)
+
+
+@pytest.mark.parametrize("scenario", AT_THE_BOUND, ids=["prior", "own-prior"])
+def test_cell_over_the_bound_runs_on_every_distinct_count(monkeypatch, scenario):
+    by_cell, _ = _counting_bind(monkeypatch)
+    run_operating_characteristics(scenario)
+    calls = sum(by_cell(), Counter())
+    under, over = scenario.sample_sizes
+    for n in (under, over):
+        drawn = {
+            simulate_dataset(scenario, effect, n, r).k
+            for effect in scenario.true_effects
+            for r in range(scenario.replicates)
+        }
+        for proc in scenario.procedures:
+            evaluated = {model.k for (name, model) in calls if name == proc.name and model.n == n}
+            if n == over:
+                assert evaluated == drawn, proc.name
+            else:
+                assert len(evaluated) < len(drawn), proc.name
+    assert max(calls.values()) == 1
 
 
 def _block_counts(scenario, n, statistics):
@@ -820,8 +896,8 @@ def _bowl():
 
 
 class TestCertifiedBlocks:
-    """Hand-built blocks of draws, walked by the sweep and compared with
-    each procedure evaluated directly on every draw."""
+    """Hand-built blocks of draws, placed in the sweep's maps and compared
+    with each procedure evaluated directly on every draw."""
 
     @pytest.mark.parametrize(
         "loss, n",
@@ -972,9 +1048,11 @@ class TestCertifiedBlocks:
         assert table == _direct_run(scenario)
         assert table.cells[0].frequencies["favors_h0"] > 0.9
 
-    def test_only_the_block_with_a_raising_draw_runs_directly(self, monkeypatch):
-        # rope raises on every draw of the second of three blocks: that
-        # block runs on each of its draws, and the other two are walked
+    def test_draws_raising_past_an_end_are_each_evaluated(self, monkeypatch):
+        # rope raises on the 16 highest of 48 draws, a ray past the draws it
+        # does not raise on, as where a posterior's mass vanishes: each
+        # raising draw is evaluated once, in whichever of the three blocks
+        # it lies, and few of the others
         monkeypatch.setattr(sim, "SWEEP_BLOCK", 16)
         scenario = _bench_normal(
             true_effects=(0.05,),
@@ -982,42 +1060,39 @@ class TestCertifiedBlocks:
             replicates=48,
             procedures=(ProcedureSpec("rope", {}),),
         )
-        blocks = [
-            {simulate_dataset(scenario, 0.05, 22000, r).ybar for r in range(start, start + 16)}
-            for start in (0, 16, 32)
-        ]
+        draws = [simulate_dataset(scenario, 0.05, 22000, r).ybar for r in range(48)]
+        raising = set(sorted(draws)[32:])
         bind = sim.bind_procedure
 
-        def raising(proc, family, loss, pair, prior):
+        def raising_bind(proc, family, loss, pair, prior):
             bound = bind(proc, family, loss, pair, prior)
 
             def kernel(model, posterior):
-                if model.ybar in blocks[1]:
+                if model.ybar in raising:
                     raise NumericalError(f"no verdict at ybar={model.ybar}")
                 return bound.kernel(model, posterior)
 
             return bound._replace(kernel=kernel)
 
-        monkeypatch.setattr(sim, "bind_procedure", raising)
+        monkeypatch.setattr(sim, "bind_procedure", raising_bind)
         by_cell, _ = _counting_bind(monkeypatch)
         table = run_operating_characteristics(scenario)
         (calls,) = by_cell()
-        per_block = [
-            sum(count for (_, model), count in calls.items() if model.ybar in block)
-            for block in blocks
-        ]
         assert table == _direct_run(scenario)
         (report,) = table.errors
         assert report.count == 16
-        # each distinct draw of the raising block, and few of the others
-        assert all(len(block) == 16 for block in blocks)
-        assert per_block[1] >= 16
-        assert per_block[0] < 16 and per_block[2] < 16
+        assert all(raising & set(draws[start : start + 16]) for start in (0, 16, 32))
+        evaluated = {model.ybar for _, model in calls}
+        assert max(calls.values()) == 1
+        assert raising <= evaluated
+        assert len(evaluated - raising) < 16
 
     def test_binomial_rule_raising_on_inner_counts(self, monkeypatch):
         # rope says accept_a1 on every count from 20 to 25 of 25, and here
-        # raises on 22 and 23 alone: a walk that evaluated only the ends
-        # would miss the errors, so a binomial procedure runs on every count
+        # raises on 22 and 23 alone: a map that evaluated only the ends
+        # would miss the errors, so a binomial cell above the bound, where
+        # the continued fraction may fail so, runs on every count
+        monkeypatch.setattr(sim, "CERTIFIED_SHAPE_SUM", 26.0)
         rope = sim._rope
 
         def failing(post, lo, hi, tail):
@@ -1033,15 +1108,30 @@ class TestCertifiedBlocks:
         assert got[0][0] == Counter(accept_a1=4, error=3)
 
 
-def test_binomial_sweep_has_no_certificates():
-    # the beta tails' continued fraction may fail on inner counts alone
+def test_binomial_cells_carry_certificates_under_the_bound():
+    # a cell is certified while n plus the largest prior alpha + beta, the
+    # scenario's or a Bayes factor's own, is at most 2^16: above it the beta
+    # tails' continued fraction may fail on inner counts alone
     procedures = tuple(ProcedureSpec(name, {}) for name in sim.PROCEDURES if name != "tost")
-    coin = shipped_scenario("coin_scenario", procedures=procedures)
-    assert sim._bind_sweep(coin).certificates == (None,) * len(procedures)
+    own = ProcedureSpec("bayes_factor", {"prior": {"alpha": 3, "beta": 7}})
+    for prior, bayes_factor, largest in (
+        ((1.0, 1.0), procedures[-1], 2**16 - 2),
+        ((0.5, 0.5), procedures[-1], 2**16 - 1),
+        ((0.5, 0.5), own, 2**16 - 10),
+        ((30.0, 20.0), own, 2**16 - 50),
+    ):
+        coin = shipped_scenario(
+            "coin_scenario", prior=prior, procedures=(*procedures[:-1], bayes_factor)
+        )
+        sweep = sim._bind_sweep(coin)
+        for n in (1, 1000, largest):
+            assert None not in sweep.certified(n)
+        for n in (largest + 1, 10**6):
+            assert sweep.certified(n) == (None,) * len(procedures)
 
 
 def test_every_normal_posterior_procedure_carries_a_certificate():
-    # the aspirin loss is piecewise linear; L(a1) - L(a0) = theta^2 - 0.04
+    # nhst and tost too, at every n; the aspirin loss is piecewise linear; L(a1) - L(a0) = theta^2 - 0.04
     # of the bowl turns at 0, inside its one panel, which is split there;
     # with equal curvatures the quadratic difference is linear
     normal = _bench_normal()
@@ -1056,14 +1146,108 @@ def test_every_normal_posterior_procedure_carries_a_certificate():
     bowl = dataclasses.replace(_bowl(), procedures=BENCH_PROCEDURES)
     for scenario in (normal, bowl, normal_linear):
         certificates = sim._bind_sweep(scenario).certificates
-        certified = [cert is not None for cert in certificates]
-        assert certified == [proc.name not in ("nhst", "tost") for proc in BENCH_PROCEDURES]
+        assert None not in certificates
+        assert None not in sim._bind_sweep(scenario).certified(10**9)
     alone = (ProcedureSpec("expected_loss", {}),)
     (certificate,) = sim._bind_sweep(dataclasses.replace(normal, procedures=alone)).certificates
     assert certificate is not None
     assert sim._bind_sweep(_bowl()).certificates[0] is not None
     normal_linear = dataclasses.replace(normal_linear, procedures=alone)
     assert sim._bind_sweep(normal_linear).certificates[0] is not None
+
+
+def _assert_box_verdicts(scenario, n, statistics):
+    """Over the sorted statistics of one procedure's draws: the verdict of
+    each draw's own coordinates is its kernel's, and the widened box of two
+    draws up to 2^9 apart names no verdict that a draw between them lacks;
+    some boxes that hold one verdict name it."""
+    sweep = sim._bind_sweep(scenario)
+    (kernel,), (cert,) = sweep.kernels, sweep.certified(n)
+    verdicts, coords = [], []
+    for x in statistics:
+        model = sweep.model(n, x)
+        posterior = sim._shared_posterior(model, sweep.space)
+        verdicts.append(kernel(model, posterior)[0])
+        coords.append(cert.coords(model, posterior))
+    assert [cert.verdict(c) for c in coords] == verdicts
+    named = 0
+    for i in range(len(coords)):
+        for j in (i + 2**e for e in range(10)):
+            if j < len(coords) and (box := sim._box_verdict(cert, coords[i], coords[j])):
+                assert set(verdicts[i : j + 1]) == {box}
+                named += 1
+    assert named > 0
+    return verdicts
+
+
+@pytest.mark.parametrize("prior", [(1.0, 1.0), (0.5, 0.5), (3.0, 7.0)])
+@pytest.mark.parametrize("n", [20, 100, 1000])
+def test_nhst_certificate_names_the_exact_tests_verdicts(n, prior):
+    scenario = shipped_scenario(
+        "coin_scenario", prior=prior, procedures=(ProcedureSpec("nhst", {}),)
+    )
+    verdicts = _assert_box_verdicts(scenario, n, range(n + 1))
+    # reject on both sides of the null, and not at its middle
+    assert verdicts[0] == verdicts[-1] == "reject" != verdicts[n // 2]
+
+
+@pytest.mark.parametrize("name", ["nhst", "tost"])
+@pytest.mark.parametrize("n", [50, 22000])
+def test_normal_test_certificates_name_the_tests_verdicts(name, n):
+    # a dense ybar scan: nhst's z over [-6, 6] and tost's beyond both bounds
+    scenario = _bench_normal(procedures=(ProcedureSpec(name, {}),))
+    se = 0.2 / math.sqrt(n)
+    lo, hi = (-6 * se, 6 * se) if name == "nhst" else (-0.02 - 6 * se, 0.02 + 6 * se)
+    verdicts = _assert_box_verdicts(scenario, n, [lo + (hi - lo) * i / 2000 for i in range(2001)])
+    assert len(set(verdicts)) == 2 or (name, n) == ("tost", 50)
+
+
+def test_continued_fraction_stays_inside_half_its_cap_under_the_bound(monkeypatch):
+    """The bound on a certified cell's shape sum: at half the continued
+    fraction's iteration cap, no tail a sweep takes raises, at every count
+    of the shape sums 2^4 to 2^10 and within 8 counts of each switch point
+    of the sums 2^11 to 2^16, where the fraction converges slowest; the
+    exact test's tails at x = 1/2 likewise."""
+    monkeypatch.setattr(inference, "_CF_MAX_ITER", 300)
+    assert sim.CERTIFIED_SHAPE_SUM == 2**16
+    cuts = [*(i / 61 for i in range(1, 61)), 1e-4, 9e-4, 1 - 9e-4, 1 - 1e-4]
+    for power in range(4, 17):
+        total = 2.0**power
+        for a0, b0 in [(1.0, 1.0), (0.5, 0.5), (3.0, 7.0)]:
+            n = int(total - a0 - b0)
+            for x in cuts:
+                # the tails switch sides where x (a + b + 2) = a + 1, a = k + a0
+                switch = x * (total + 2.0) - 1.0 - a0
+                near = range(max(0, math.ceil(switch) - 8), min(n, math.floor(switch) + 8) + 1)
+                for k in range(n + 1) if power <= 10 else near:
+                    inference._beta_tails((k + a0, n - k + b0), x)
+            middle = range(n + 1) if power <= 10 else range(n // 2 - 8, n // 2 + 9)
+            for k in middle:
+                inference._binomial_point_null(sim.BinomialModel(n, k))
+
+
+def test_each_statistic_is_evaluated_once_per_run(monkeypatch):
+    # blocks of 16 over the benchmark's binomial grid: each (n, k) is
+    # evaluated at most once per procedure in the whole run
+    monkeypatch.setattr(sim, "SWEEP_BLOCK", 16)
+    scenario = _bench_binomial(true_effects=BENCH_BINOMIAL_EFFECTS)
+    by_cell, _ = _counting_bind(monkeypatch)
+    table = run_operating_characteristics(scenario)
+    assert max(sum(by_cell(), Counter()).values()) == 1
+    assert table == _direct_run(scenario)
+
+
+def test_normal_bench_grid_takes_few_kernel_calls(monkeypatch):
+    # the benchmark's normal grid at 10^4 replicates: 80,000 draws per
+    # procedure, of which the maps evaluate a few hundred
+    by_cell, _ = _counting_bind(monkeypatch)
+    table = run_operating_characteristics(
+        _bench_normal(
+            true_effects=(0.0, 0.0077, 0.02, 0.05), sample_sizes=(50, 22000), replicates=10_000
+        )
+    )
+    assert not table.errors
+    assert sum(sum(cell.values()) for cell in by_cell()) <= 2000
 
 
 def test_quadratic_loss_sweep_walks_expected_loss(monkeypatch):
