@@ -18,7 +18,9 @@ rule that computes the verdict and what the result needs from the data,
 and a private builder of the result. Every command binds its procedures
 through ``simulate.bind_procedure``, which makes the same checks once and
 calls the same rules per dataset, on a posterior the procedures of one
-dataset share; the public functions serve library callers.
+dataset share, for models of the one prior it was bound to; the values a
+rule returns give both the result and the coordinates a sweep certifies
+with. The public functions serve library callers.
 """
 
 from __future__ import annotations
@@ -122,11 +124,10 @@ def _tost_tails(model: NormalKnownVarModel, lo: float, hi: float) -> tuple[float
     return z_lower, 1.0 - normal_cdf(z_lower), z_upper, normal_cdf(z_upper)
 
 
-def _tost(
-    model: NormalKnownVarModel, lo: float, hi: float, alpha: float
-) -> tuple[str, float, float]:
-    """The equivalence rule: (verdict, the larger one-sided p, its z)."""
-    z_lower, p_lower, z_upper, p_upper = _tost_tails(model, lo, hi)
+def _tost(tails: tuple[float, ...], alpha: float) -> tuple[str, float, float]:
+    """The equivalence rule on the tails of ``_tost_tails``: (verdict, the
+    larger one-sided p, its z)."""
+    z_lower, p_lower, z_upper, p_upper = tails
     if p_lower >= p_upper:
         p, statistic = p_lower, z_lower
     else:
@@ -159,7 +160,7 @@ def tost_equivalence(
     if not isinstance(model, NormalKnownVarModel):
         raise ValidationError("the equivalence test supports the normal model only")
     lo, hi = _tost_bounds(bounds, alpha)
-    return _tost_result(lo, hi, alpha, *_tost(model, lo, hi, alpha))
+    return _tost_result(lo, hi, alpha, *_tost(_tost_tails(model, lo, hi), alpha))
 
 
 def _rope_hull(rope: RegionSet, mass: float) -> tuple[float, float, float]:

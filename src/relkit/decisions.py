@@ -15,7 +15,9 @@ The hypothesis-ratio rule implicitly treats the loss as constant within each
 hypothesis region; when it is not, use the expected-loss rule instead.
 
 Every command binds both rules through ``simulate.bind_procedure``, whose
-kernels call the private rules below and report what the public functions return.
+kernels call the private rules below, for models of the one prior they were
+bound to, and report what the public functions return; the posterior a
+verdict was taken from also gives the coordinates a sweep certifies with.
 """
 
 from __future__ import annotations

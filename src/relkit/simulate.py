@@ -19,14 +19,15 @@ print, is built only on request.
 A verdict depends on the dataset only through one statistic, k or ybar, so
 a sweep draws a cell's replicates in blocks of ``SWEEP_BLOCK``, sorts each
 block's distinct statistics and places them in one map per (n, procedure)
-that the run keeps. Every procedure carries a certificate, built by the
-same bind step: coordinates of a draw that are monotone in the statistic,
-the p-values of ``nhst`` and ``tost`` or posterior masses and means, since
-both posteriors are stochastically increasing in it, and a verdict
-function monotone in the coordinates. A map evaluates a procedure on a
-statistic at most once per run, and on a draw between two evaluated ones
-only while the certificate cannot name one verdict for every draw between
-them. A binomial cell whose shape sum exceeds ``CERTIFIED_SHAPE_SUM``
+that the run keeps. Every kernel returns, with its verdict, the draw's
+coordinates, built on request from the values the verdict computed: they
+are monotone in the statistic, the p-values of ``nhst`` and ``tost`` or
+posterior masses and means, since both posteriors are stochastically
+increasing in it. The same bind step gives each procedure a certificate,
+a verdict function monotone in the coordinates. A map evaluates a
+procedure on a statistic at most once per run, and on a draw between two
+evaluated ones only while the certificate cannot name one verdict for
+every draw between them. A binomial cell whose shape sum exceeds ``CERTIFIED_SHAPE_SUM``
 carries no certificates and runs on every distinct count. The procedures
 of a draw in a block share one posterior, built on first use, and with it
 the tail masses it has taken.
@@ -55,8 +56,6 @@ from .comparators import (
     _bayes_factor,
     _bayes_factor_result,
     _bayes_factor_verdict,
-    _check_alpha,
-    _check_threshold,
     _nhst,
     _nhst_result,
     _pair_ends,
@@ -107,8 +106,12 @@ if TYPE_CHECKING:
 Model = BinomialModel | NormalKnownVarModel
 Posterior = Callable[[], PosteriorModel]
 Report = Callable[[], ComparatorResult | DecisionOutcome]
-# a procedure with its settings bound: (model, posterior) -> (verdict, report)
-Kernel = Callable[[Model, Posterior], tuple[str, Report]]
+Coords = Callable[[], tuple[float, ...]]
+# a procedure with its settings bound: (model, posterior) -> (verdict, report,
+# coords), for a model of the one prior it was bound to
+Kernel = Callable[[Model, Posterior], tuple[str, Report, Coords]]
+# a procedure's certificate: a draw's coordinates -> its verdict
+Certificate = Callable[[tuple[float, ...]], str]
 
 
 @dataclass(frozen=True)
@@ -161,8 +164,13 @@ class Scenario:
                     raise ValidationError(
                         f"the {self.family} family has no {key}; got {key}={value!r}"
                     )
-            elif value is None or not value > 0.0:
-                raise ValidationError(f"the {self.family} family needs a positive {key}")
+            elif value is None or not 0.0 < value < math.inf:
+                raise ValidationError(f"the {self.family} family needs a positive finite {key}")
+        prior = self.prior
+        if prior is not None and not (
+            len(prior) == 2 and all(map(math.isfinite, prior)) and row.proper(*prior)
+        ):
+            raise ValidationError(f"improper or non-finite {self.family} prior {prior}")
         if self.replicates < 1:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
         if not self.true_effects:
@@ -353,8 +361,8 @@ def _shared_posterior(model: Model, space: ParameterSpace) -> Posterior:
 # order 2 in (statistic, effect), and a prior or a truncation to the space
 # keeps that (Karlin, Total Positivity I, 1968). So a tail mass at a fixed
 # point, and the expectation of a non-decreasing function of the effect,
-# are monotone in the statistic. A certificate maps a draw to such
-# coordinates, and its verdict function maps coordinates to the verdict,
+# are monotone in the statistic. A kernel gives a draw's verdict and such
+# coordinates, and a certificate maps coordinates to the verdict,
 # non-decreasing in every coordinate along one order of the verdicts. The
 # draws between two evaluated ones have coordinates inside the box their
 # coordinates span; when the verdicts at the box's lowest and highest
@@ -368,14 +376,6 @@ def _shared_posterior(model: Model, space: ParameterSpace) -> Posterior:
 CERTIFICATE_MARGIN = 1e-7
 
 
-class Certificate(NamedTuple):
-    """coords: (model, posterior) -> coordinates, each monotone in the
-    statistic; verdict: coordinates -> the procedure's verdict."""
-
-    coords: Callable[[Model, Posterior], tuple[float, ...]]
-    verdict: Callable[[tuple[float, ...]], str]
-
-
 def _box_verdict(cert: Certificate | None, a: tuple | None, b: tuple | None) -> str | None:
     """The verdict of every draw between two evaluated draws whose
     coordinates are a and b, or None when the widened box they span holds
@@ -384,8 +384,8 @@ def _box_verdict(cert: Certificate | None, a: tuple | None, b: tuple | None) -> 
         return None
     lo = tuple(x - CERTIFICATE_MARGIN * abs(x) for x in map(min, a, b))
     hi = tuple(x + CERTIFICATE_MARGIN * abs(x) for x in map(max, a, b))
-    verdict = cert.verdict(lo)
-    return verdict if cert.verdict(hi) == verdict else None
+    verdict = cert(lo)
+    return verdict if cert(hi) == verdict else None
 
 
 def _odds_cells(ends: tuple[Ends, Ends]) -> tuple[tuple, tuple]:
@@ -441,43 +441,37 @@ class Bound(NamedTuple):
 # the hypothesis pair and the model's prior, which only a Bayes factor
 # without a prior of its own reads (the other steps take it as *_), and
 # raises what the procedure's public function raises on a setting that a
-# check refuses. It returns the procedure's kernel and certificate, both
-# built on the values it bound. A kernel takes the model and a posterior
-# from _shared_posterior (nhst, tost and a Bayes factor with its own prior
-# never call it), computes what its verdict needs through the rule its
-# public function calls, and returns the verdict and report(), which builds
-# the result that function returns. A kernel takes a model of any prior.
-# The kernels name the rules as module globals, looked up at call time, so
-# that patching one here reaches every caller.
+# check refuses; parse_settings has already checked each setting alone. It
+# returns the procedure's kernel and certificate, both built on the values
+# it bound. A kernel takes the model and a posterior from _shared_posterior
+# (nhst, tost and a Bayes factor with its own prior never call it),
+# computes what its verdict needs through the rule its public function
+# calls, and returns the verdict, report(), which builds the result that
+# function returns, and coords(), the draw's coordinates; both are built
+# from what the verdict computed. A kernel takes a model of the prior it was
+# bound to, and no other. The kernels name the rules as module globals,
+# looked up at call time, so that patching one here reaches every caller.
 
 
 def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
     alpha, point_null = s["alpha"], row.point_null
-    _check_alpha(alpha)
-
     # the test takes the tail above the null where its statistic, k or z,
     # reaches the statistic's null mean, n/2 or 0
     half = 0.5 if row.posterior == "beta" else 0.0
-    # the kernel and the certificate share the test of the last draw, so a
-    # probed count costs one tail
-    test = functools.lru_cache(maxsize=1)(lambda model: _nhst(point_null, model, alpha))
 
     def kernel(model: Model, posterior: Posterior):
-        out = test(model)
-        return out[0], lambda: _nhst_result(row, model, alpha, *out)
-
-    def coords(model: Model, posterior: Posterior) -> tuple[float, float]:
+        out = verdict, p, statistic = _nhst(point_null, model, alpha)
         # -p on the side of the null whose tail the test took, -1 on the
         # other: p falls with the statistic above the null and rises below
         # it, so the first coordinate rises and the second falls
-        _, p, statistic = test(model)
-        return (-p, -1.0) if statistic >= half * model.n else (-1.0, -p)
+        return (
+            verdict,
+            lambda: _nhst_result(row, model, alpha, *out),
+            lambda: (-p, -1.0) if statistic >= half * model.n else (-1.0, -p),
+        )
 
     # reject where either exceeds -alpha: fail_to_reject < reject
-    return Bound(
-        kernel,
-        Certificate(coords, lambda c: "reject" if max(c) > -alpha else "fail_to_reject"),
-    )
+    return Bound(kernel, lambda c: "reject" if max(c) > -alpha else "fail_to_reject")
 
 
 def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
@@ -485,18 +479,14 @@ def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
     lo, hi = _tost_bounds(_interval_on(loss, s["bounds"]), alpha)
 
     def kernel(model: Model, posterior: Posterior):
-        out = _tost(model, lo, hi, alpha)
-        return out[0], lambda: _tost_result(lo, hi, alpha, *out)
+        tails = _tost_tails(model, lo, hi)
+        out = _tost(tails, alpha)
+        # -p_lower rises and -p_upper falls with ybar, two erfc and no
+        # continued fraction
+        return out[0], lambda: _tost_result(lo, hi, alpha, *out), lambda: (-tails[1], -tails[3])
 
-    # -p_lower rises and -p_upper falls with ybar, two erfc and no continued
-    # fraction; equivalent where both exceed -alpha: not_equivalent < equivalent
-    return Bound(
-        kernel,
-        Certificate(
-            lambda model, posterior: tuple(-p for p in _tost_tails(model, lo, hi)[1::2]),
-            lambda c: "equivalent" if min(c) > -alpha else "not_equivalent",
-        ),
-    )
+    # equivalent where both exceed -alpha: not_equivalent < equivalent
+    return Bound(kernel, lambda c: "equivalent" if min(c) > -alpha else "not_equivalent")
 
 
 def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
@@ -508,18 +498,12 @@ def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
     def kernel(model: Model, posterior: Posterior):
         post = posterior()
         out = _rope(post, lo, hi, tail)
-        return out[0], lambda: _rope_result(post, rope, mass, tail, *out)
+        return out[0], lambda: _rope_result(post, rope, mass, tail, *out), lambda: out[1:]
 
     # P(theta < lo | y) falls and P(theta > hi | y) rises with the
     # statistic, since the truncated posterior is stochastically increasing
     # in it; the verdict rises with both: accept_a0 < withhold < accept_a1
-    return Bound(
-        kernel,
-        Certificate(
-            lambda model, posterior: _rope(posterior(), lo, hi, tail)[1:],
-            lambda c: _rope_verdict(c[0], c[1], tail),
-        ),
-    )
+    return Bound(kernel, lambda c: _rope_verdict(c[0], c[1], tail))
 
 
 def _bind_hypothesis_ratio(
@@ -528,22 +512,21 @@ def _bind_hypothesis_ratio(
     ratio, space = s["loss_ratio"], loss.space
     _coverage_check(space, pair, s["allow_restricted_space"])
     ends = h0, h1 = _region_ends(pair.h0, space), _region_ends(pair.h1, space)
+    changes, cells = _odds_cells(ends)
 
     def kernel(model: Model, posterior: Posterior):
         post = posterior()
         p0, p1 = _region_prob(post, h0), _region_prob(post, h1)
         decision, odds = _two_action(p0, p1, ratio)
-        return decision, lambda: _two_action_outcome(p0, p1, ratio, decision, odds)
-
-    changes, cells = _odds_cells(ends)
-
-    def coords(model: Model, posterior: Posterior) -> tuple[float, ...]:
         # tail masses of the truncated posterior at fixed points: monotone
         # in the statistic, since that posterior is stochastically increasing
-        post = posterior()
-        return tuple(
-            post._prob(space.lo, x) if tail == 0 else post._prob(x, space.hi)
-            for x, tail in changes
+        return (
+            decision,
+            lambda: _two_action_outcome(p0, p1, ratio, decision, odds),
+            lambda: tuple(
+                post._prob(space.lo, x) if tail == 0 else post._prob(x, space.hi)
+                for x, tail in changes
+            ),
         )
 
     def verdict(c: tuple) -> str:
@@ -551,7 +534,7 @@ def _bind_hypothesis_ratio(
         p0, p1 = _odds_masses(c, cells)
         return decide_from_odds(p1 / p0 if p0 > 0.0 else math.inf, ratio)
 
-    return Bound(kernel, Certificate(coords, verdict))
+    return Bound(kernel, verdict)
 
 
 def _bind_expected_loss(
@@ -559,12 +542,6 @@ def _bind_expected_loss(
 ) -> Bound:
     # the posterior lies on the loss's space, so the two spaces match
     part_ends, tol = _partition_ends(loss, loss.space), _tie_tol(loss)
-
-    def kernel(model: Model, posterior: Posterior):
-        # the verdict is the closed form's; only the report integrates
-        post = posterior()
-        out = _expected_loss(post, loss)
-        return out[0], lambda: _expected_loss_outcome(post, loss, part_ends, *out)
 
     # g = L(a1) - L(a0) = g(lo) + V+ - V-, its Jordan rise and fall, both
     # non-decreasing in the effect. g is d0 + d1 u + d2 u^2 on a loss panel,
@@ -584,11 +561,10 @@ def _bind_expected_loss(
             rise, fall = rise + max(step, 0.0), fall + max(-step, 0.0)
     g_lo = parts[0][3]
 
-    def coords(model: Model, posterior: Posterior) -> tuple[float, float]:
+    def coords(post: PosteriorModel) -> tuple[float, float]:
         # -E[V+ | y] and E[V- | y]: means of non-decreasing functions of the
         # effect under a posterior stochastically increasing in the
         # statistic, so monotone in it; from the partial moments the rule takes
-        post = posterior()
         loc = post.native_location_scale[0]
         up = down = 0.0
         for a, b, pieces, g_a, rising, rise_a, fall_a in parts:
@@ -601,63 +577,53 @@ def _bind_expected_loss(
         total = post._ends[2]
         return -up / total, down / total
 
-    def verdict(c: tuple) -> str:
-        # E[g | y] = g(lo) - c0 - c1 falls with both: a0 < a1
-        return "a1" if g_lo - c[0] - c[1] < -tol else "a0"
+    def kernel(model: Model, posterior: Posterior):
+        # the verdict is the closed form's; only the report integrates
+        post = posterior()
+        out = _expected_loss(post, loss)
+        return (
+            out[0],
+            lambda: _expected_loss_outcome(post, loss, part_ends, *out),
+            lambda: coords(post),
+        )
 
-    return Bound(kernel, Certificate(coords, verdict))
+    # E[g | y] = g(lo) - c0 - c1 falls with both: a0 < a1
+    return Bound(kernel, lambda c: "a1" if g_lo - c[0] - c[1] < -tol else "a0")
 
 
 def _bind_bayes_factor(
     s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, prior: tuple
 ) -> Bound:
     threshold, own, ends = s["threshold"], s["prior"], _pair_ends(pair)
-    _check_threshold(threshold)
-    # evidence: (model, posterior) -> the tails function of the draw's
-    # untruncated posterior, and the prior masses of H0 and H1
-    if own is not None:
-        masses = _prior_masses(row, own, pair)
-
-        def evidence(model: Model, posterior: Posterior):
-            # a second conjugate update: the draw's data under this prior
-            data = tuple(vars(model).values())[:-2]
-            params = row.update(row.model(*data, *own))
-            return (lambda t: row.tails(params, t - row.effect_shift)), masses
-
-    else:
-        # the prior masses of each model prior seen, those under the model's
-        # prior taken, and checked, here: a sweep and a compare have one
-        prior_masses = {prior: _prior_masses(row, prior, pair)}
-
-        def evidence(model: Model, posterior: Posterior):
-            # the prior's two numbers are the model's last two fields
-            params = tuple(vars(model).values())[-2:]
-            masses = prior_masses.get(params)
-            if masses is None:
-                masses = prior_masses[params] = _prior_masses(row, params, pair)
-            return posterior()._tails_at, masses
-
-    def kernel(model: Model, posterior: Posterior):
-        tails_at, masses = evidence(model, posterior)
-        out = _bayes_factor(_region_masses(tails_at, ends), masses, threshold)
-        return out[0], lambda: _bayes_factor_result(*out)
-
+    # the prior masses of H0 and H1, under the Bayes factor's own prior or
+    # else the model's, which every model the kernel takes holds
+    masses = _prior_masses(row, prior if own is None else own, pair)
+    prior_odds = masses[0] / masses[1]
     changes, cells = _odds_cells(ends)
 
-    def coords(model: Model, posterior: Posterior) -> tuple[float, ...]:
+    def kernel(model: Model, posterior: Posterior):
+        if own is None:
+            tails_at = posterior()._tails_at
+        else:
+            # a second conjugate update: the draw's data under this prior
+            params = row.update(row.model(*tuple(vars(model).values())[:-2], *own))
+            tails_at = lambda t: row.tails(params, t - row.effect_shift)
+        out = _bayes_factor(_region_masses(tails_at, ends), masses, threshold)
         # the untruncated tail masses at fixed points, monotone in the
         # statistic since the posterior under either prior is stochastically
-        # increasing in it, and last the prior odds P(H0) / P(H1), the same
-        # for every draw
-        tails_at, (h0_mass, h1_mass) = evidence(model, posterior)
-        return (*(tails_at(x)[tail] for x, tail in changes), h0_mass / h1_mass)
+        # increasing in it
+        return (
+            out[0],
+            lambda: _bayes_factor_result(*out),
+            lambda: tuple(tails_at(x)[tail] for x, tail in changes),
+        )
 
     def verdict(c: tuple) -> str:
         # BF10 rises with every coordinate: favors_h0 < inconclusive < favors_h1
         p0, p1 = _odds_masses(c, cells)
-        return _bayes_factor_verdict(p1 / p0 * c[-1] if p0 > 0.0 else math.inf, threshold)
+        return _bayes_factor_verdict(p1 / p0 * prior_odds if p0 > 0.0 else math.inf, threshold)
 
-    return Bound(kernel, Certificate(coords, verdict))
+    return Bound(kernel, verdict)
 
 
 class Procedure(NamedTuple):
@@ -735,13 +701,14 @@ def bind_procedure(
 ) -> Bound:
     """The procedure with its settings bound, for every command. ``prior``
     is the model's prior, the last two fields of its model: a Bayes factor
-    without a prior of its own checks the pair's masses under it here. A
-    setting that a check refuses raises here, with the class and message of
-    the procedure's public function. The kernel is a (model, posterior) ->
-    (verdict, report) function, where posterior() is the model's posterior
-    on the loss space, as ``_shared_posterior`` gives it, and report()
-    builds what the public function returns; it takes a model of any prior.
-    The certificate serves the sweep."""
+    without a prior of its own takes the pair's masses under it here, so
+    the kernel takes only models of this prior. A setting that a check
+    refuses raises here, with the class and message of the procedure's
+    public function. The kernel is a (model, posterior) -> (verdict,
+    report, coords) function, where posterior() is the model's posterior on
+    the loss space, as ``_shared_posterior`` gives it, report() builds what
+    the public function returns and coords() the draw's coordinates. The
+    certificate, coordinates -> verdict, serves the sweep."""
     settings = parse_settings(proc, family)
     return PROCEDURES[proc.name].bind(settings, FAMILIES[family], loss, pair, prior)
 
@@ -887,13 +854,12 @@ def _block_outcomes(sweep: _Sweep, n: int, distinct: list, maps: list) -> list[l
                 if x not in shared:
                     model = sweep.model(n, x)
                     shared[x] = model, _shared_posterior(model, sweep.space)
-                model, posterior = shared[x]
-                verdict = kernel(model, posterior)[0]
+                verdict, _, coords = kernel(*shared[x])
             except RelkitError as exc:
                 # an outcome keeps the error, not the frames of its traceback
                 return exc.with_traceback(None), None
             try:
-                return verdict, cert and cert.coords(model, posterior)
+                return verdict, cert and coords()
             except RelkitError:
                 return verdict, None
 
@@ -931,13 +897,13 @@ def _block_outcomes(sweep: _Sweep, n: int, distinct: list, maps: list) -> list[l
 
 
 def _tally(
-    sweep: _Sweep, n: int, blocks: Iterable[Sequence], maps: dict | None
+    sweep: _Sweep, n: int, blocks: Iterable[Sequence], maps: dict
 ) -> tuple[list[Counter], dict[int, RelkitError]]:
     """Each procedure's verdict counts over the statistics of one cell,
     which ``blocks`` gives in replicate order, and the error of its first
     failing replicate; ``maps`` holds the run's maps by n
-    (``_block_outcomes``), and None gives the cell maps of its own."""
-    maps = ({} if maps is None else maps).setdefault(n, [([], {}) for _ in sweep.kernels])
+    (``_block_outcomes``)."""
+    maps = maps.setdefault(n, [([], {}) for _ in sweep.kernels])
     counts = [Counter() for _ in sweep.kernels]
     first_error: dict[int, RelkitError] = {}
     for statistics in blocks:

@@ -1,10 +1,11 @@
 """The bound procedures of `simulate`, `compare` and `decide`.
 
 A bind step checks the settings once and returns a kernel, (model,
-posterior) -> (verdict, report). The kernel runs the same private rule as
-the procedure's public function, and report() builds the result that
-function gives, so a kernel's verdict and report must equal the public
-result field by field, and a kernel must raise what the function raises.
+posterior) -> (verdict, report, coords), for models of the prior it was
+bound to. The kernel runs the same private rule as the procedure's public
+function, and report() builds the result that function gives, so a
+kernel's verdict and report must equal the public result field by field,
+and a kernel must raise what the function raises.
 A setting that a check refuses raises at bind, with the function's class
 and message, and `compare`, `decide` and `simulate` exit 2 on it.
 The sweep takes the SeedSequence hash of a cell's replicates a block at a
@@ -19,6 +20,7 @@ import struct
 import numpy as np
 import pytest
 
+import relkit.cli as cli
 import relkit.simulate as sim
 from relkit.cli import main
 from relkit.comparators import (
@@ -173,13 +175,16 @@ def test_kernel_matches_the_public_function(family, loss_name, case):
     proc = sim.ProcedureSpec(name, _config_settings(name, settings, family))
     rng = random.Random(f"{family}-{loss_name}-{case}")
     models = list(_models(family, loss.space, rng))
-    # bound under the first model's prior, the kernel runs on models of
-    # every prior the list holds
-    prior = tuple(vars(models[0]).values())[-2:]
-    assert len({tuple(vars(model).values())[-2:] for model in models}) > 1
-    kernel = sim.bind_procedure(proc, family, loss, pair, prior).kernel
+    # one kernel per model prior, bound under it as every command binds:
+    # the list holds models of several priors
+    priors = {tuple(vars(model).values())[-2:] for model in models}
+    assert len(priors) > 1
+    kernels = {
+        prior: sim.bind_procedure(proc, family, loss, pair, prior).kernel for prior in priors
+    }
     seen = set()
     for model in models:
+        kernel = kernels[tuple(vars(model).values())[-2:]]
         want = _outcome(
             lambda: _public(
                 name, settings, model, lambda: posterior_update(model, loss.space), loss, pair
@@ -188,7 +193,7 @@ def test_kernel_matches_the_public_function(family, loss_name, case):
         posterior = sim._shared_posterior(model, loss.space)
 
         def run():
-            verdict, report = kernel(model, posterior)
+            verdict, report, _ = kernel(model, posterior)
             return verdict, report()
 
         got = _outcome(run)
@@ -383,14 +388,50 @@ def test_sweep_reports_are_not_built(monkeypatch):
         bound = bind(proc, family, loss, pair, prior)
 
         def counted(model, posterior):
-            verdict, report = bound.kernel(model, posterior)
-            return verdict, lambda: calls.append(proc.name) or report()
+            verdict, report, coords = bound.kernel(model, posterior)
+            return verdict, lambda: calls.append(proc.name) or report(), coords
 
         return bound._replace(kernel=counted)
 
     monkeypatch.setattr(sim, "bind_procedure", counting)
     assert sim.run_operating_characteristics(scenario) == table
     assert calls == []
+
+
+def test_a_bound_kernel_takes_only_models_of_its_bound_prior(monkeypatch, tmp_path, capsys):
+    """compare, decide and simulate on every shipped config: each model a
+    kernel takes holds the prior the kernel was bound to, so a Bayes factor
+    takes its prior masses once, at bind."""
+    seen = []
+    bind = sim.bind_procedure
+
+    def recording(proc, family, loss, pair, prior):
+        bound = bind(proc, family, loss, pair, prior)
+
+        def kernel(model, posterior):
+            seen.append((proc.name, prior, tuple(vars(model).values())[-2:]))
+            return bound.kernel(model, posterior)
+
+        return bound._replace(kernel=kernel)
+
+    monkeypatch.setattr(sim, "bind_procedure", recording)
+    monkeypatch.setattr(cli, "bind_procedure", recording)
+    commands = []
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = load_config(path)
+        for command, section in (
+            ("compare", cfg.comparators),
+            ("decide", cfg.decision),
+            ("simulate", cfg.scenario),
+        ):
+            if section is not None:
+                out = ["--output", str(tmp_path / path.stem)] if command == "simulate" else []
+                assert main([command, "--config", str(path), *out]) == 0, path
+                commands.append(command)
+    capsys.readouterr()
+    assert sorted(commands) == ["compare", "decide", "simulate", "simulate"]
+    assert {name for name, _, _ in seen} == set(sim.PROCEDURES) - {"expected_loss"}
+    assert all(bound == got for _, bound, got in seen)
 
 
 def _bits(effect):

@@ -149,6 +149,23 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError, match=re.escape(shown)):
             shipped_scenario("coin_scenario", **grid)
 
+    @pytest.mark.parametrize(
+        "name, changes",
+        [
+            ("coin_scenario", {"prior": (-1.0, 1.0)}),
+            ("coin_scenario", {"prior": (1.0, math.inf)}),
+            ("coin_scenario", {"prior": (math.nan, 1.0)}),
+            ("coin_scenario", {"prior": (1.0,)}),
+            ("aspirin_scenario", {"prior": (0.0, -0.05)}),
+            ("aspirin_scenario", {"prior": (math.inf, 0.05)}),
+            ("aspirin_scenario", {"sigma": math.inf}),
+        ],
+    )
+    def test_improper_or_non_finite_values_refused_before_any_draw(self, name, changes):
+        # each once built a scenario whose every cell read {"error": 1.0}
+        with pytest.raises(ValidationError, match="improper or non-finite|positive finite sigma"):
+            shipped_scenario(name, **changes)
+
     def test_tost_rejected_for_binomial(self):
         scenario = tiny_coin(procedures=(ProcedureSpec("tost", {}),))
         with pytest.raises(ValidationError, match="normal"):
@@ -569,7 +586,7 @@ class TestSharedPosterior:
         scenario = shipped_scenario("aspirin_scenario", procedures=procs)
         draw = sim.NormalDraw(n=22000, ybar=0.194, sigma=0.2)
         counts, first_error = sim._tally(
-            sim._bind_sweep(scenario), draw.n, [[draw.ybar]], None
+            sim._bind_sweep(scenario), draw.n, [[draw.ybar]], {}
         )
         got = [
             (type(first_error[i]), str(first_error[i])) if i in first_error else counts[i]
@@ -839,9 +856,7 @@ def test_cell_over_the_bound_runs_on_every_distinct_count(monkeypatch, scenario)
 def _block_counts(scenario, n, statistics):
     """Per procedure, the sweep's counts over one block of statistics and
     the (class, message) of its first error."""
-    counts, first_error = sim._tally(
-        sim._bind_sweep(scenario), n, [statistics], None
-    )
+    counts, first_error = sim._tally(sim._bind_sweep(scenario), n, [statistics], {})
     return [
         (counts[i], (type(first_error[i]), str(first_error[i])) if i in first_error else None)
         for i in range(len(scenario.procedures))
@@ -1038,9 +1053,9 @@ class TestCertifiedBlocks:
             sigma=1.0,
         )
         sweep = sim._bind_sweep(scenario)
-        (cert,) = sweep.certificates
+        (kernel,) = sweep.kernels
         model = sweep.model(100, 1.0)
-        coords = cert.coords(model, sim._shared_posterior(model, space))
+        coords = kernel(model, sim._shared_posterior(model, space))[2]()
         pair = sim.derive_hypotheses(sim.partition(loss))
         _, cells = sim._odds_cells(sim._pair_ends(pair))
         assert sim._odds_masses(coords, cells) == (0.0, 0.0)
@@ -1166,10 +1181,10 @@ def _assert_box_verdicts(scenario, n, statistics):
     verdicts, coords = [], []
     for x in statistics:
         model = sweep.model(n, x)
-        posterior = sim._shared_posterior(model, sweep.space)
-        verdicts.append(kernel(model, posterior)[0])
-        coords.append(cert.coords(model, posterior))
-    assert [cert.verdict(c) for c in coords] == verdicts
+        verdict, _, draw_coords = kernel(model, sim._shared_posterior(model, sweep.space))
+        verdicts.append(verdict)
+        coords.append(draw_coords())
+    assert [cert(c) for c in coords] == verdicts
     named = 0
     for i in range(len(coords)):
         for j in (i + 2**e for e in range(10)):
@@ -1235,6 +1250,62 @@ def test_each_statistic_is_evaluated_once_per_run(monkeypatch):
     table = run_operating_characteristics(scenario)
     assert max(sum(by_cell(), Counter()).values()) == 1
     assert table == _direct_run(scenario)
+
+
+OWN_PRIOR_NORMAL_BAYES_FACTOR = ProcedureSpec(
+    "bayes_factor", {"threshold": 3.0, "prior": {"mean": 0.0, "sd": 0.1}}
+)
+BENCH_NORMAL_GRID = {
+    "true_effects": (0.0, 0.0077, 0.02, 0.05),
+    "sample_sizes": (50, 22000),
+    "replicates": 100,
+}
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        _bench_normal(**BENCH_NORMAL_GRID),
+        _bench_binomial(true_effects=BENCH_BINOMIAL_EFFECTS),
+        _bench_normal(
+            **BENCH_NORMAL_GRID,
+            procedures=(*BENCH_PROCEDURES[:-1], OWN_PRIOR_NORMAL_BAYES_FACTOR),
+        ),
+        _bench_binomial(procedures=(*BENCH_BINOMIAL_PROCEDURES[:-1], OWN_PRIOR_BAYES_FACTOR)),
+    ],
+    ids=["normal", "binomial", "normal-own-prior", "binomial-own-prior"],
+)
+def test_each_probed_draw_evaluates_its_rule_once(monkeypatch, scenario):
+    """A probed draw's verdict and coordinates come from one evaluation of
+    its rule: one _rope, one _tost_tails and, for a Bayes factor with its
+    own prior, one conjugate update under that prior per kernel call."""
+    evaluations = Counter()
+    for rule, name in ((sim._rope, "rope"), (sim._tost_tails, "tost")):
+
+        def counted(*args, rule=rule, name=name):
+            evaluations[name] += 1
+            return rule(*args)
+
+        monkeypatch.setattr(sim, rule.__name__, counted)
+    bayes_factor = next(p for p in scenario.procedures if p.name == "bayes_factor")
+    own = sim.parse_settings(bayes_factor, scenario.family)["prior"]
+    row = sim.FAMILIES[scenario.family]
+
+    def update(model):
+        if tuple(vars(model).values())[-2:] == own:
+            evaluations["bayes_factor"] += 1
+        return row.update(model)
+
+    monkeypatch.setitem(sim.FAMILIES, scenario.family, row._replace(update=update))
+    by_cell, _ = _counting_bind(monkeypatch)
+    run_operating_characteristics(scenario)
+    kernel_calls = Counter()
+    for (name, _), count in sum(by_cell(), Counter()).items():
+        kernel_calls[name] += count
+    counted = {p.name for p in scenario.procedures} & {"rope", "tost"}
+    counted |= {"bayes_factor"} if own is not None else set()
+    assert all(kernel_calls[name] > 0 for name in counted)
+    assert evaluations == Counter({name: kernel_calls[name] for name in counted})
 
 
 def test_normal_bench_grid_takes_few_kernel_calls(monkeypatch):
