@@ -24,13 +24,14 @@ coordinates, built on request from the values the verdict computed: they
 are monotone in the statistic, the p-values of ``nhst`` and ``tost`` or
 posterior masses and means, since both posteriors are stochastically
 increasing in it. The same bind step gives each procedure a certificate,
-a verdict function monotone in the coordinates. A map evaluates a
-procedure on a statistic at most once per run, and on a draw between two
-evaluated ones only while the certificate cannot name one verdict for
-every draw between them. A binomial cell whose shape sum exceeds ``CERTIFIED_SHAPE_SUM``
-carries no certificates and runs on every distinct count. The procedures
-of a draw in a block share one posterior, built on first use, and with it
-the tail masses it has taken.
+a verdict function monotone in the coordinates, and its verdict order. A
+map evaluates a procedure on a statistic at most once per run, and on a
+draw between two evaluated ones only while neither can name one verdict
+for every draw between them; a block is counted by such runs. A binomial
+cell whose shape sum exceeds ``CERTIFIED_SHAPE_SUM`` carries no
+certificates and runs on every distinct count. The procedures of a draw in
+a block share one posterior, built on first use, and with it the tail
+masses it has taken.
 
 The shipped scenarios are configs: ``configs/coin_scenario.json``, the
 coin-bias demo, and ``configs/aspirin_scenario.json``, a blood-thinner
@@ -367,6 +368,17 @@ def _shared_posterior(model: Model, space: ParameterSpace) -> Posterior:
 # draws between two evaluated ones have coordinates inside the box their
 # coordinates span; when the verdicts at the box's lowest and highest
 # corners agree, every draw inside takes that verdict.
+#
+# A box misses gaps where a falling coordinate meets a rising one; a verdict
+# order, outer verdict first, covers them. A verdict compares E[w | y] with
+# 0 for a weight w of the effect (1_H1 - r 1_H0, or g + tol), which changes
+# sign in the statistic no more often than w in the effect, and in the same
+# order when as often (variation diminishing: Karlin, ibid.; Brown,
+# Johnstone & MacGibbon, JASA 76, 1981). So where w's signs read (+, -, +),
+# (-, +, -) or less, and for the tests and rope always, each upper set
+# {verdict >= v} is an interval: the draws between two evaluated ones of
+# verdict v take v if v is the top, or if an evaluated draw ranks above v,
+# since the interval {verdict > v} then holds neither end.
 
 # the box between two evaluated draws is widened by this share of each
 # coordinate, far above the rounding of the tails and moments, so that a
@@ -429,12 +441,24 @@ def _odds_masses(c: tuple, cells: tuple) -> tuple[float, float]:
     return p0, p1
 
 
+def _unimodal(signs: Iterable, order: tuple[str, ...]) -> tuple[str, ...] | None:
+    """The verdict order of a weight whose signs left to right, where it is
+    not 0, are ``signs``, true for the outer verdict's: ``order`` where they
+    read (true, false, true) or less, reversed for (false, true, false), and
+    None where they change more often."""
+    word = [sign for sign, _ in itertools.groupby(signs)]
+    if len(word) > 3:
+        return None
+    return order if len(word) < 3 or word[0] else order[::-1]
+
+
 class Bound(NamedTuple):
     """A procedure with its settings bound: its kernel, and the sweep's
-    certificate of its verdicts."""
+    certificate of its verdicts and their unimodal order, or None."""
 
     kernel: Kernel
     certificate: Certificate
+    order: tuple[str, ...] | None
 
 
 # A bind step makes every check that depends only on the settings, the loss,
@@ -471,7 +495,8 @@ def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
         )
 
     # reject where either exceeds -alpha: fail_to_reject < reject
-    return Bound(kernel, lambda c: "reject" if max(c) > -alpha else "fail_to_reject")
+    certificate = lambda c: "reject" if max(c) > -alpha else "fail_to_reject"
+    return Bound(kernel, certificate, ("reject", "fail_to_reject"))
 
 
 def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
@@ -486,7 +511,8 @@ def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
         return out[0], lambda: _tost_result(lo, hi, alpha, *out), lambda: (-tails[1], -tails[3])
 
     # equivalent where both exceed -alpha: not_equivalent < equivalent
-    return Bound(kernel, lambda c: "equivalent" if min(c) > -alpha else "not_equivalent")
+    certificate = lambda c: "equivalent" if min(c) > -alpha else "not_equivalent"
+    return Bound(kernel, certificate, ("not_equivalent", "equivalent"))
 
 
 def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
@@ -503,7 +529,8 @@ def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
     # P(theta < lo | y) falls and P(theta > hi | y) rises with the
     # statistic, since the truncated posterior is stochastically increasing
     # in it; the verdict rises with both: accept_a0 < withhold < accept_a1
-    return Bound(kernel, lambda c: _rope_verdict(c[0], c[1], tail))
+    certificate = lambda c: _rope_verdict(c[0], c[1], tail)
+    return Bound(kernel, certificate, ("accept_a1", "withhold", "accept_a0"))
 
 
 def _bind_hypothesis_ratio(
@@ -534,7 +561,7 @@ def _bind_hypothesis_ratio(
         p0, p1 = _odds_masses(c, cells)
         return decide_from_odds(p1 / p0 if p0 > 0.0 else math.inf, ratio)
 
-    return Bound(kernel, verdict)
+    return Bound(kernel, verdict, _unimodal([r for r, _ in cells], ("a1", "indeterminate", "a0")))
 
 
 def _bind_expected_loss(
@@ -548,8 +575,9 @@ def _bind_expected_loss(
     # u its offset from the panel's start a, and turns at most once there,
     # where its slope d1 + 2 d2 u vanishes; a panel is split at that point,
     # so that g is monotone on each part. Per part: its ends, the panel's
-    # pieces, g at its start, whether g rises on it, and V+ and V- at its start
-    parts, rise, fall = [], 0.0, 0.0
+    # pieces, g at its start, whether g rises on it, and V+ and V- at its start;
+    # and the sign of g + tol at each part's ends, where it is not 0
+    parts, rise, fall, signs = [], 0.0, 0.0, []
     for a, b, pieces in loss._panels:
         d0, d1, d2 = (y - x for x, y in zip(*(_about(piece, a) for piece in pieces)))
         turn = a - d1 / (2.0 * d2) if d2 != 0.0 else a
@@ -559,6 +587,7 @@ def _bind_expected_loss(
             step = rel_hi - rel_lo
             parts.append((lo, hi, pieces, d0 + rel_lo, step >= 0.0, rise, fall))
             rise, fall = rise + max(step, 0.0), fall + max(-step, 0.0)
+            signs += [d0 + rel + tol < 0.0 for rel in (rel_lo, rel_hi) if d0 + rel + tol != 0.0]
     g_lo = parts[0][3]
 
     def coords(post: PosteriorModel) -> tuple[float, float]:
@@ -587,8 +616,9 @@ def _bind_expected_loss(
             lambda: coords(post),
         )
 
-    # E[g | y] = g(lo) - c0 - c1 falls with both: a0 < a1
-    return Bound(kernel, lambda c: "a1" if g_lo - c[0] - c[1] < -tol else "a0")
+    # E[g | y] = g(lo) - c0 - c1 falls with both: a0 < a1; a1 where E[g + tol | y] < 0
+    certificate = lambda c: "a1" if g_lo - c[0] - c[1] < -tol else "a0"
+    return Bound(kernel, certificate, _unimodal(signs, ("a1", "a0")))
 
 
 def _bind_bayes_factor(
@@ -623,7 +653,8 @@ def _bind_bayes_factor(
         p0, p1 = _odds_masses(c, cells)
         return _bayes_factor_verdict(p1 / p0 * prior_odds if p0 > 0.0 else math.inf, threshold)
 
-    return Bound(kernel, verdict)
+    order = ("favors_h1", "inconclusive", "favors_h0")
+    return Bound(kernel, verdict, _unimodal([r for r, _ in cells], order))
 
 
 class Procedure(NamedTuple):
@@ -784,12 +815,13 @@ CERTIFIED_SHAPE_SUM = 2.0**16
 
 
 class _Sweep(NamedTuple):
-    """A scenario's procedures bound once: each kernel and certificate,
-    (n, statistic) -> the model of that draw, the space, and the largest n
-    whose cells carry the certificates."""
+    """A scenario's procedures bound once: each kernel, certificate and
+    verdict order, (n, statistic) -> the model of that draw, the space, and
+    the largest n whose cells carry the certificates."""
 
     kernels: tuple[Kernel, ...]
     certificates: tuple[Certificate, ...]
+    orders: tuple[tuple[str, ...] | None, ...]
     model: Callable[[int, float], Model]
     space: ParameterSpace
     certified_to: float
@@ -808,10 +840,10 @@ def _bind_sweep(scenario: Scenario) -> _Sweep:
     prior = scenario.prior or tuple(f.default for f in fields(row.model))[-2:]
     bound = [bind_procedure(p, scenario.family, loss, pair, prior) for p in scenario.procedures]
     # A map evaluates only some draws and never certifies a gap next to a
-    # draw whose kernel raised, so a certificate holds where the draws a
-    # kernel raises on lie below or above all those it does not raise on. A
-    # kernel raises where no float holds a normal posterior mean, which rises
-    # with ybar, or where the posterior mass vanishes on the space or
+    # draw whose kernel raised, so a certificate or an order holds where the
+    # draws a kernel raises on lie below or above all those it does not raise
+    # on. A kernel raises where no float holds a normal posterior mean, which
+    # rises with ybar, or where the posterior mass vanishes on the space or
     # (bayes_factor) on every interval of the pair, which tile the space. The
     # sampling kernel is totally positive of every order, so the mass of an
     # interval exceeds any level on one interval of the statistic, and the
@@ -828,72 +860,11 @@ def _bind_sweep(scenario: Scenario) -> _Sweep:
     return _Sweep(
         tuple(b.kernel for b in bound),
         tuple(b.certificate for b in bound),
+        tuple(b.order for b in bound),
         lambda n, statistic: row.model(n, statistic, *given),
         loss.space,
         certified_to,
     )
-
-
-def _block_outcomes(sweep: _Sweep, n: int, distinct: list, maps: list) -> list[list[Outcome]]:
-    """Each procedure's outcome on each distinct statistic of a block,
-    sorted, from its map of the run at n: xs, the statistics evaluated so
-    far, sorted, and ys, each one's (outcome, coordinates). A draw the map
-    holds takes its outcome. The draws in one gap of the map take the
-    verdict that the certificate names for the widened box of the gap's two
-    evaluated ends; otherwise the gap is split at a draw inside it, the
-    block's end draw where the gap is a ray past every evaluated draw and
-    else its middle draw, which is evaluated and entered in the map. A draw
-    whose kernel raised keeps its error and no coordinates. The procedures
-    share one posterior per draw of the block."""
-    shared: dict = {}
-    out = []
-    for kernel, cert, (xs, ys) in zip(sweep.kernels, sweep.certified(n), maps):
-
-        def probe(x) -> tuple[Outcome, tuple | None]:
-            try:
-                if x not in shared:
-                    model = sweep.model(n, x)
-                    shared[x] = model, _shared_posterior(model, sweep.space)
-                verdict, _, coords = kernel(*shared[x])
-            except RelkitError as exc:
-                # an outcome keeps the error, not the frames of its traceback
-                return exc.with_traceback(None), None
-            try:
-                return verdict, cert and coords()
-            except RelkitError:
-                return verdict, None
-
-        verdicts: list = [None] * len(distinct)
-        # the runs [a, b) of draws the map does not hold, by the gap they lie in
-        runs: list = []
-        for j, x in enumerate(distinct):
-            if x in ys:
-                verdicts[j] = ys[x][0]
-                continue
-            gap = bisect.bisect_left(xs, x)
-            if runs and runs[-1][0] == gap:
-                runs[-1][2] = j + 1
-            else:
-                runs.append([gap, j, j + 1])
-        # each gap between its evaluated ends, None past the first or last
-        todo = [(xs[g - 1] if g else None, xs[g] if g < len(xs) else None, a, b) for g, a, b in runs]
-        while todo:
-            left, right, a, b = todo.pop()
-            if a == b:
-                continue
-            if left is not None and right is not None:
-                verdict = _box_verdict(cert, ys[left][1], ys[right][1])
-                if verdict is not None:
-                    verdicts[a:b] = [verdict] * (b - a)
-                    continue
-            j = a if left is None else b - 1 if right is None else (a + b) // 2
-            x = distinct[j]
-            ys[x] = probe(x)
-            bisect.insort(xs, x)
-            verdicts[j] = ys[x][0]
-            todo += [(left, x, a, j), (x, right, j + 1, b)]
-        out.append(verdicts)
-    return out
 
 
 def _tally(
@@ -901,27 +872,92 @@ def _tally(
 ) -> tuple[list[Counter], dict[int, RelkitError]]:
     """Each procedure's verdict counts over the statistics of one cell,
     which ``blocks`` gives in replicate order, and the error of its first
-    failing replicate; ``maps`` holds the run's maps by n
-    (``_block_outcomes``)."""
-    maps = maps.setdefault(n, [([], {}) for _ in sweep.kernels])
+    failing replicate. ``maps`` holds the run's maps by n, per procedure:
+    xs, the statistics evaluated so far, sorted; ys, each one's (outcome,
+    coordinates); and the highest rank in its verdict order taken so far.
+    A block's sorted distinct statistics, with cum, the prefix sums of their
+    weights, are walked gap by gap of each map. A draw the map holds counts
+    its outcome. The draws [a, b) of a gap count cum[b] - cum[a] for the
+    verdict that the widened box of its evaluated ends names, or in a
+    certified cell the verdict order (see "certificates"). Otherwise the gap is
+    split at a draw inside it, the block's end draw where the gap is a ray
+    past every evaluated draw and else its middle draw, which is evaluated
+    and entered in the map. A draw whose kernel raised keeps its error and
+    no coordinates. The procedures share one posterior per block draw."""
+    # imported here, like numpy: the other commands start faster without it
+    from array import array
+
+    maps = maps.setdefault(n, [[[], {}, -1] for _ in sweep.kernels])
+    certificates = sweep.certified(n)
     counts = [Counter() for _ in sweep.kernels]
     first_error: dict[int, RelkitError] = {}
     for statistics in blocks:
-        distinct, weight = [], []
+        distinct, cum = [], array("q", [0])
         for statistic in sorted(statistics):
             if distinct and statistic == distinct[-1]:
-                weight[-1] += 1
+                cum[-1] += 1
             else:
                 distinct.append(statistic)
-                weight.append(1)
-        outcomes = _block_outcomes(sweep, n, distinct, maps)
-        for i, per_draw in enumerate(outcomes):
-            failed = {}
-            for statistic, count, outcome in zip(distinct, weight, per_draw):
+                cum.append(cum[-1] + 1)
+        shared: dict = {}
+        for i, (kernel, cert, order, held) in enumerate(
+            zip(sweep.kernels, certificates, sweep.orders, maps)
+        ):
+            xs, ys = held[0], held[1]
+            rank = {v: r for r, v in enumerate(order)} if cert and order else {}
+            count, failed = counts[i], {}
+
+            def probe(x) -> tuple[Outcome, tuple | None]:
+                try:
+                    if x not in shared:
+                        model = sweep.model(n, x)
+                        shared[x] = model, _shared_posterior(model, sweep.space)
+                    verdict, _, coords = kernel(*shared[x])
+                except RelkitError as exc:
+                    # an outcome keeps the error, not the frames of its traceback
+                    return exc.with_traceback(None), None
+                try:
+                    return verdict, cert and coords()
+                except RelkitError:
+                    return verdict, None
+
+            def add(outcome: Outcome, j: int) -> None:
                 if isinstance(outcome, RelkitError):
-                    failed[statistic] = outcome
+                    failed[distinct[j]] = outcome
                     outcome = "error"
-                counts[i][outcome] += count
+                count[outcome] += cum[j + 1] - cum[j]
+
+            # each gap of the map among the block's draws, (left end, right
+            # end, a, b), None past the first or last evaluated draw
+            todo, a = [], 0
+            lo, hi = bisect.bisect_left(xs, distinct[0]), bisect.bisect_right(xs, distinct[-1])
+            for g in range(lo, hi + 1):
+                right = xs[g] if g < len(xs) else None
+                j = bisect.bisect_left(distinct, right, a) if g < hi else len(distinct)
+                todo.append((xs[g - 1] if g else None, right, a, j))
+                if g < hi and distinct[j] == right:
+                    add(ys[right][0], j)
+                    j += 1
+                a = j
+            while todo:
+                left, right, a, b = todo.pop()
+                if a == b:
+                    continue
+                if left is not None and right is not None:
+                    (v, low), (w, high) = ys[left], ys[right]
+                    r = rank.get(v, -1) if v == w else -1
+                    ordered = r >= 0 and (r == len(rank) - 1 or r < held[2])
+                    verdict = v if ordered else _box_verdict(cert, low, high)
+                    if verdict is not None:
+                        count[verdict] += cum[b] - cum[a]
+                        continue
+                j = a if left is None else b - 1 if right is None else (a + b) // 2
+                x = distinct[j]
+                ys[x] = probe(x)
+                bisect.insort(xs, x)
+                add(ys[x][0], j)
+                held[2] = max(held[2], rank.get(ys[x][0], -1))
+                todo += [(left, x, a, j), (x, right, j + 1, b)]
             if failed and i not in first_error:
                 first_error[i] = failed[next(x for x in statistics if x in failed)]
     return counts, first_error
@@ -942,10 +978,11 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     call, which holds the statistics evaluated so far. A procedure runs at
     most once per distinct statistic in the call, and only where its
     certificate cannot name the verdict of a gap between two evaluated
-    draws; without one, as in a binomial cell above ``CERTIFIED_SHAPE_SUM``,
-    it runs on every distinct statistic. The procedures of a draw in a block
-    share one posterior, built only if one of them needs it. The maps grow
-    with the draws evaluated, not with ``replicates``.
+    draws, nor its verdict order (``_tally``); without one, as in a binomial
+    cell above ``CERTIFIED_SHAPE_SUM``, it runs on every distinct statistic.
+    The procedures of a draw in a block share one posterior, built only if
+    one of them needs it. The maps grow with the draws evaluated, not with
+    ``replicates``.
     """
     sweep = _bind_sweep(scenario)
     names = [proc.name for proc in scenario.procedures]

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -19,9 +21,11 @@ from relkit.simulate import (
     run_operating_characteristics,
     simulate_dataset,
 )
+from relkit.hypotheses import HypothesisPair
 from relkit.loss import CurveKnots, LossSpec, ParameterSpace, QuadraticParams, coin_demo_loss
+from relkit.regions import Interval, RegionSet
 
-from conftest import CONFIG_DIR, quadratic_pair_spec, shipped_scenario
+from conftest import CONFIG_DIR, quadratic_pair_spec, random_loss_spec, shipped_scenario
 
 ASPIRIN_LOSS = load_config(CONFIG_DIR / "aspirin_scenario.json").loss
 
@@ -1363,3 +1367,190 @@ def test_binomial_sweep_never_integrates(monkeypatch):
     with_expected_loss = (*coin.procedures, ProcedureSpec("expected_loss", {}))
     for scenario in (coin, dataclasses.replace(coin, procedures=with_expected_loss), bench):
         assert run_operating_characteristics(scenario) == _direct_run(scenario)
+
+
+# --- the verdict orders against dense scans ---------------------------------
+
+
+def _scan_procedures(family):
+    """Every procedure, with the settings of the shipped and benchmark
+    scenarios and a Bayes factor with its own prior."""
+    own = OWN_PRIOR_BAYES_FACTOR if family == "binomial" else OWN_PRIOR_NORMAL_BAYES_FACTOR
+    tost = (ProcedureSpec("tost", {"alpha": 0.05, "bounds": "partition_hull"}),)
+    return (
+        ProcedureSpec("nhst", {"alpha": 0.05}),
+        *(tost if family == "normal" else ()),
+        ProcedureSpec("rope", {"mass": 0.95, "rope": "partition_hull"}),
+        ProcedureSpec("hypothesis_ratio", {"loss_ratio": 1.0}),
+        ProcedureSpec("hypothesis_ratio", {"loss_ratio": [0.5, 2.0]}),
+        ProcedureSpec("expected_loss", {}),
+        ProcedureSpec("bayes_factor", {"threshold": 3.0}),
+        own,
+    )
+
+
+def _scan_losses(shipped):
+    """The shipped loss, the narrow and quadratic ones of the sweep tests,
+    and random losses."""
+    rng = random.Random(25)
+    losses = {"shipped": shipped, "narrow": _narrow_loss(0.2), "quadratic": quadratic_pair_spec()}
+    return {**losses, **{f"random{i}": random_loss_spec(rng) for i in range(4)}}
+
+
+def _is_unimodal(verdicts, order):
+    """Whether every upper set of the order, outer verdict first, is one run
+    of the sequence: no verdict ranks below both one before it and one after."""
+    ranks = [order.index(v) for v in verdicts]
+    before = itertools.accumulate(ranks, max)
+    after = list(itertools.accumulate(reversed(ranks), max))[::-1]
+    return all(rank >= min(b, a) for rank, b, a in zip(ranks, before, after))
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("binomial", 20), ("binomial", 100), ("binomial", 1000), ("normal", 50), ("normal", 22000)],
+)
+def test_bound_verdict_orders_hold_on_dense_scans(family, n):
+    """Wherever a bind step names a verdict order, the verdicts over every
+    count, or over a ybar grid dense around every cut, are unimodal in it:
+    each upper set of the order is an interval of the statistic. The
+    shipped, narrow and quadratic losses name an order for every procedure."""
+    base = shipped_scenario("coin_scenario" if family == "binomial" else "aspirin_scenario")
+    named = Counter()
+    for loss_name, loss in _scan_losses(base.loss).items():
+        for proc in _scan_procedures(family):
+            scenario = dataclasses.replace(base, loss=loss, true_effects=(0.0,), procedures=(proc,))
+            try:
+                (order,) = sim._bind_sweep(scenario).orders
+            except ValidationError:
+                continue  # a setting this loss refuses, as a partition hull it lacks
+            assert order is not None or loss_name.startswith("random"), (loss_name, proc)
+            if order is None:
+                continue
+            verdict = sim._compile_procedure(scenario, proc)
+
+            def verdict_at(x):
+                try:
+                    return verdict(_draw_of(scenario, n, x))
+                except RelkitError:
+                    return None
+
+            if family == "binomial":
+                statistics = range(n + 1)
+            else:
+                se = scenario.sigma / math.sqrt(n)
+                lo, hi = loss.space.lo - 6 * se, loss.space.hi + 6 * se
+                statistics = [lo + (hi - lo) * i / 1000 for i in range(1001)]
+                for cut in _cuts(verdict_at, lo, hi, steps=1000):
+                    statistics += [cut + k * 1e-13 for k in range(-9, 10)]
+                statistics.sort()
+            # a draw whose posterior vanishes raises; those lie at the ends
+            verdicts = [v for v in map(verdict_at, statistics) if v is not None]
+            assert _is_unimodal(verdicts, order), (loss_name, proc, order)
+            named[proc.name] += len(set(verdicts)) > 1
+    # every procedure changes its verdict along some scan, tost at n = 22000
+    assert set(named) == {p.name for p in _scan_procedures(family)}
+    assert all(named.values()) or (family, n) == ("normal", 50)
+
+
+def test_a_weight_changing_sign_three_times_names_no_order():
+    # H0 H1 H0 H1 from left to right: H0's two intervals, and H1's, make the
+    # odds weight 1_H1 - r 1_H0 change sign three times; with H1 between
+    # the two intervals of H0 it changes twice, and a1 is the inner verdict
+    space = ParameterSpace(-0.5, 0.5)
+    loss = quadratic_pair_spec()
+    interleaved = HypothesisPair(
+        RegionSet((Interval(-0.5, -0.25), Interval(0.0, 0.25))),
+        RegionSet((Interval(-0.25, 0.0, True, True), Interval(0.25, 0.5, True, False))),
+    )
+    flanked = HypothesisPair(
+        RegionSet((Interval(-0.5, -0.25), Interval(0.0, 0.5))),
+        RegionSet((Interval(-0.25, 0.0, True, True),)),
+    )
+    # a1 costs 0.5 less, then more, less, more and less than a0 at the knots
+    wavy = LossSpec(
+        space,
+        "piecewise_linear",
+        CurveKnots(knots=(-0.5, 0.5), values=(0.5, 0.5)),
+        CurveKnots(knots=(-0.5, -0.25, 0.0, 0.25, 0.5), values=(0.0, 1.0, 0.0, 1.0, 0.0)),
+    )
+    for family, prior in (("binomial", (1.0, 1.0)), ("normal", (0.0, 0.05))):
+        for name, inner in (("hypothesis_ratio", "a1"), ("bayes_factor", "favors_h1")):
+            proc = ProcedureSpec(name, {})
+            assert sim.bind_procedure(proc, family, loss, interleaved, prior).order is None
+            assert sim.bind_procedure(proc, family, loss, flanked, prior).order[-1] == inner
+        pair = sim.derive_hypotheses(sim.partition(wavy))
+        expected_loss = ProcedureSpec("expected_loss", {})
+        assert sim.bind_procedure(expected_loss, family, wavy, pair, prior).order is None
+
+
+def _cell_frequencies(*tables):
+    return {
+        (cell.true_effect, cell.n, cell.procedure): cell.frequencies
+        for table in tables
+        for cell in table.cells
+    }
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        *(_bench_normal(**BENCH_NORMAL_GRID, seed=seed) for seed in (1, 2, 3)),
+        *(
+            _bench_binomial(true_effects=BENCH_BINOMIAL_EFFECTS, replicates=48, seed=seed)
+            for seed in (1, 2, 3)
+        ),
+        _bench_binomial(loss=quadratic_pair_spec(), true_effects=(-0.3, 0.1, 0.2)),
+    ],
+    ids=[*(f"{kind}-{seed}" for kind in ("normal", "binomial") for seed in (1, 2, 3)), "quadratic"],
+)
+def test_counts_do_not_depend_on_evaluation_order(scenario):
+    """The verdict order certifies a gap from the draws a map already holds,
+    so the draws a run evaluates depend on the cells it ran before; the
+    counts do not: the whole grid, one cell per run and the grid listed in
+    reverse give the same counts and error reports."""
+    run = lambda **changes: run_operating_characteristics(dataclasses.replace(scenario, **changes))
+    whole = run()
+    per_cell = [
+        run(true_effects=(effect,), sample_sizes=(n,))
+        for effect in scenario.true_effects
+        for n in scenario.sample_sizes
+    ]
+    reverse = run(
+        true_effects=scenario.true_effects[::-1], sample_sizes=scenario.sample_sizes[::-1]
+    )
+    assert _cell_frequencies(whole) == _cell_frequencies(*per_cell) == _cell_frequencies(reverse)
+    errors = [set(table.errors) for table in (whole, reverse)]
+    assert errors[0] == errors[1] == {report for table in per_cell for report in table.errors}
+
+
+# kernel calls per procedure on the benchmark's normal grid, one cell per run
+# at 100 replicates and seeds 1-3, as the benchmark sends it. With the box
+# certificates alone they were nhst 201, tost 81, rope 115, hypothesis_ratio
+# 335, expected_loss 430 and bayes_factor 435 (1,597 in all)
+NORMAL_BENCH_CELL_CALLS = {
+    "nhst": 201,
+    "tost": 81,
+    "rope": 115,
+    "hypothesis_ratio": 208,
+    "expected_loss": 227,
+    "bayes_factor": 429,
+}
+BOX_ONLY_CELL_CALLS = {"nhst": 201, "tost": 81, "rope": 115, "bayes_factor": 435}
+
+
+def test_normal_bench_cells_take_the_pinned_kernel_calls(monkeypatch):
+    by_cell, _ = _counting_bind(monkeypatch)
+    for seed in (1, 2, 3):
+        for effect in BENCH_NORMAL_GRID["true_effects"]:
+            for n in BENCH_NORMAL_GRID["sample_sizes"]:
+                cell = {**BENCH_NORMAL_GRID, "true_effects": (effect,), "sample_sizes": (n,)}
+                run_operating_characteristics(_bench_normal(**cell, seed=seed))
+    calls = Counter()
+    for (name, _), count in sum(by_cell(), Counter()).items():
+        calls[name] += count
+    assert sum(calls.values()) <= 1.05 * sum(NORMAL_BENCH_CELL_CALLS.values())
+    for name, count in NORMAL_BENCH_CELL_CALLS.items():
+        assert calls[name] <= 1.05 * count, name
+    for name, count in BOX_ONLY_CELL_CALLS.items():
+        assert calls[name] <= count, name

@@ -1,0 +1,111 @@
+"""One SHA-256 over a fixed set of relkit runs, to check that a change
+leaves every output byte as it was.
+
+    python3 tools/hash_runs.py SRC_DIR
+
+imports relkit from SRC_DIR (the ``src`` directory of any checkout) and
+runs each command in-process through ``relkit.cli.main``, in a scratch
+directory and with relative paths, so that no output names where it ran.
+The digest covers, per run, its arguments, exit code, stdout, stderr and
+the artifacts it wrote. The runs:
+
+- both benchmark grids, whole and one cell at a time, at seeds 1-3;
+- the first 400 commands of both seed-3 benchmark streams;
+- both shipped scenarios;
+- the ``sweep_normal`` grid at 10^4 replicates;
+- every ``decide`` and ``compare`` request of the ``analyze`` pool, and
+  both requests of every mirrored tail pair.
+
+The workloads come from ``perfbench/workloads.py`` and the shipped
+configs from ``configs/``, both of the checkout this script lies in. Print
+the digest for two source trees and compare: equal digests mean equal
+bytes. The set takes a minute or two.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STREAM_COMMANDS = 400
+SEEDS = (1, 2, 3)
+
+
+def _runs(workloads) -> list[tuple[list[str], list[str]]]:
+    """(argv, artifact paths) of every run, configs written to the current
+    directory on the way."""
+    runs = []
+
+    def simulate(config: str, *flags: str) -> None:
+        argv = ["simulate", "--config", config, "--output", "out", *flags]
+        runs.append((argv, ["out.csv", "out.json"]))
+
+    for workload in ("sweep_binomial", "sweep_normal"):
+        for seed in SEEDS:
+            out = Path(f"{workload}-{seed}")
+            manifest = workloads.write_workload(workload, seed, out, ROOT / "configs")
+            cells = sorted(str(path) for path in out.glob("cell*.json"))
+            for config in (manifest["grid_config"], *cells):
+                simulate(config)
+            if seed == 3:
+                for entry in manifest["requests"][:STREAM_COMMANDS]:
+                    simulate(entry["config"], "--seed", str(entry["seed"]))
+    for name in ("coin_scenario", "aspirin_scenario"):
+        shipped = Path(f"{name}.json")
+        shipped.write_bytes((ROOT / "configs" / shipped).read_bytes())
+        simulate(str(shipped))
+    large = workloads.sweep_config("sweep_normal", 3)
+    large["scenario"]["replicates"] = 10_000
+    Path("normal_large.json").write_text(json.dumps(large), encoding="utf-8")
+    simulate("normal_large.json")
+    requests = [workloads.pool_request(i) for i in range(workloads.POOL_SIZE)]
+    for j in range(workloads.TAIL_PAIRS):
+        command, low, high = workloads.tail_pair(j)
+        requests += [(command, low), (command, high)]
+    for i, (command, cfg) in enumerate(requests):
+        if command in ("decide", "compare"):
+            config = f"analyze{i:05d}.json"
+            Path(config).write_text(json.dumps(cfg), encoding="utf-8")
+            runs.append(([command, "--config", config, "--output", "out.json"], ["out.json"]))
+    return runs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[0]).resolve()))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import relkit.cli
+    import workloads
+
+    digest = hashlib.sha256()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        runs = _runs(workloads)
+        for argv_, artifacts in runs:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = relkit.cli.main(argv_)
+            written = {}
+            for path in artifacts:
+                if os.path.exists(path):
+                    written[path] = Path(path).read_text(encoding="utf-8")
+                    os.remove(path)
+            record = [argv_, rc, stdout.getvalue(), stderr.getvalue(), written]
+            digest.update(json.dumps(record).encode() + b"\n")
+        os.chdir(home)
+    print(f"{digest.hexdigest()}  {len(runs)} runs")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
