@@ -99,7 +99,10 @@ def _beta_front(a: float, b: float, x: float) -> float:
     prefactor (DiDonato & Morris, ACM TOMS 18, 1992) and s f of _beta_moments."""
     if x <= 0.0 or x >= 1.0:
         return 0.0
-    return math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+    try:
+        return math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+    except OverflowError:
+        raise NumericalError(f"incomplete beta prefactor overflows (a={a}, b={b}, x={x})") from None
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

@@ -20,15 +20,15 @@ A verdict depends on the dataset only through one statistic, k or ybar, so
 a sweep draws a cell's replicates in blocks of ``SWEEP_BLOCK``, sorts each
 block's distinct statistics and places them in one map per (n, procedure)
 that the run keeps. Every kernel returns, with its verdict, the draw's
-coordinates, built on request from the values the verdict computed: they
-are monotone in the statistic, the p-values of ``nhst`` and ``tost`` or
-posterior masses and means, since both posteriors are stochastically
-increasing in it. The same bind step gives each procedure a certificate,
-a verdict function monotone in the coordinates, and its verdict order. A
-map evaluates a procedure on a statistic at most once per run, and on a
-draw between two evaluated ones only while neither can name one verdict
-for every draw between them; a block is counted by such runs. A binomial
-cell whose shape sum exceeds ``CERTIFIED_SHAPE_SUM`` carries no
+coordinates, built from the values the verdict computed when a sweep's box
+needs them. They are monotone in the statistic, the p-values of ``nhst``
+and ``tost`` or posterior masses and means, since both posteriors are
+stochastically increasing in it. The same bind step gives each procedure a
+certificate, a verdict function monotone in the coordinates, and its
+verdict order. A map evaluates a procedure on a statistic at most once per
+run, and on a draw between two evaluated ones only while neither can name
+one verdict for every draw between them; a block is counted by such runs.
+A binomial cell whose shape sum exceeds ``CERTIFIED_SHAPE_SUM`` carries no
 certificates and runs on every distinct count. The procedures of a draw in
 a block share one posterior, built on first use, and with it the tail
 masses it has taken.
@@ -472,9 +472,11 @@ class Bound(NamedTuple):
 # computes what its verdict needs through the rule its public function
 # calls, and returns the verdict, report(), which builds the result that
 # function returns, and coords(), the draw's coordinates; both are built
-# from what the verdict computed. A kernel takes a model of the prior it was
-# bound to, and no other. The kernels name the rules as module globals,
-# looked up at call time, so that patching one here reaches every caller.
+# from what the verdict computed, and only when called: a sweep calls
+# coords() once a box between two draws of one verdict needs them. A kernel
+# takes a model of the prior it was bound to, and no other. The kernels name
+# the rules as module globals, looked up at call time, so that patching one
+# here reaches every caller.
 
 
 def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
@@ -738,8 +740,10 @@ def bind_procedure(
     public function. The kernel is a (model, posterior) -> (verdict,
     report, coords) function, where posterior() is the model's posterior on
     the loss space, as ``_shared_posterior`` gives it, report() builds what
-    the public function returns and coords() the draw's coordinates. The
-    certificate, coordinates -> verdict, serves the sweep."""
+    the public function returns and coords() the draw's coordinates, each
+    from what the verdict computed, when called. The certificate,
+    coordinates -> verdict, serves the sweep, which calls coords() only
+    for a box."""
     settings = parse_settings(proc, family)
     return PROCEDURES[proc.name].bind(settings, FAMILIES[family], loss, pair, prior)
 
@@ -874,16 +878,20 @@ def _tally(
     which ``blocks`` gives in replicate order, and the error of its first
     failing replicate. ``maps`` holds the run's maps by n, per procedure:
     xs, the statistics evaluated so far, sorted; ys, each one's (outcome,
-    coordinates); and the highest rank in its verdict order taken so far.
-    A block's sorted distinct statistics, with cum, the prefix sums of their
-    weights, are walked gap by gap of each map. A draw the map holds counts
-    its outcome. The draws [a, b) of a gap count cum[b] - cum[a] for the
-    verdict that the widened box of its evaluated ends names, or in a
-    certified cell the verdict order (see "certificates"). Otherwise the gap is
-    split at a draw inside it, the block's end draw where the gap is a ray
-    past every evaluated draw and else its middle draw, which is evaluated
-    and entered in the map. A draw whose kernel raised keeps its error and
-    no coordinates. The procedures share one posterior per block draw."""
+    coordinates), the coordinates kept as the kernel's coords() until a box
+    first needs them; and the highest rank in its verdict order taken so
+    far. A block's sorted distinct statistics, with cum, the prefix sums of
+    their weights, are walked gap by gap of each map. A draw the map holds
+    counts its outcome. The draws [a, b) of a gap between two evaluated
+    draws of one verdict count cum[b] - cum[a] for it where, in a certified
+    cell, the verdict order or else the widened box of its ends' coordinates
+    names it (see "certificates"). Otherwise, and always where the ends'
+    outcomes differ, the gap is split at a draw inside it, the block's end
+    draw where the gap is a ray past every evaluated draw and else its
+    middle draw, which is evaluated and entered in the map. A draw whose
+    kernel raised keeps its error, and one whose coords() raised keeps no
+    coordinates: neither certifies a gap next to it. The procedures share
+    one posterior per block draw."""
     # imported here, like numpy: the other commands start faster without it
     from array import array
 
@@ -907,7 +915,7 @@ def _tally(
             rank = {v: r for r, v in enumerate(order)} if cert and order else {}
             count, failed = counts[i], {}
 
-            def probe(x) -> tuple[Outcome, tuple | None]:
+            def probe(x) -> tuple[Outcome, Coords | None]:
                 try:
                     if x not in shared:
                         model = sweep.model(n, x)
@@ -916,10 +924,18 @@ def _tally(
                 except RelkitError as exc:
                     # an outcome keeps the error, not the frames of its traceback
                     return exc.with_traceback(None), None
-                try:
-                    return verdict, cert and coords()
-                except RelkitError:
-                    return verdict, None
+                return verdict, cert and coords
+
+            def corner(x) -> tuple | None:
+                # a draw's coordinates, taken once, when a box first needs them
+                outcome, coords = ys[x]
+                if callable(coords):
+                    try:
+                        coords = coords()
+                    except RelkitError:
+                        coords = None
+                    ys[x] = outcome, coords
+                return coords
 
             def add(outcome: Outcome, j: int) -> None:
                 if isinstance(outcome, RelkitError):
@@ -943,11 +959,14 @@ def _tally(
                 left, right, a, b = todo.pop()
                 if a == b:
                     continue
-                if left is not None and right is not None:
-                    (v, low), (w, high) = ys[left], ys[right]
-                    r = rank.get(v, -1) if v == w else -1
+                # a gap whose ends' outcomes differ, or are errors, is split
+                # without a box, which could name one verdict there only by
+                # disagreeing with a kernel at an end
+                v = left is not None and right is not None and ys[left][0]
+                if isinstance(v, str) and v == ys[right][0]:
+                    r = rank.get(v, -1)
                     ordered = r >= 0 and (r == len(rank) - 1 or r < held[2])
-                    verdict = v if ordered else _box_verdict(cert, low, high)
+                    verdict = v if ordered else _box_verdict(cert, corner(left), corner(right))
                     if verdict is not None:
                         count[verdict] += cum[b] - cum[a]
                         continue

@@ -965,13 +965,31 @@ class TestExitCodeMatrix:
 
     def test_arithmetic_failure_exit_3(self, tmp_path, capsys):
         """At n = 10**18 the incomplete beta's prefactor overflows; the
-        OverflowError is a numerical failure, reported without a traceback."""
+        NumericalError naming its shapes and point is a numerical failure,
+        reported without a traceback."""
         doc = json.loads((CONFIG_DIR / "coin_decide.json").read_text(encoding="utf-8"))
         doc["model"]["data"] = {"n": 10**18, "k": 5 * 10**17}
         cfg = write_config(tmp_path, doc)
         code, out, err = run_cli(["decide", "--config", cfg], capsys)
         assert (code, out) == (3, "")
-        assert err.startswith("relkit: failure: ") and "Traceback" not in err
+        assert err.startswith("relkit: failure: incomplete beta prefactor overflows (a=")
+        assert "Traceback" not in err
+
+    def test_overflowing_replicates_do_not_abort_a_sweep(self, tmp_path, capsys):
+        """The same overflow in a sweep is an "error" verdict of the
+        replicates it hits, tabulated and named on stderr; the sweep runs on."""
+        doc = json.loads((CONFIG_DIR / "coin_scenario.json").read_text(encoding="utf-8"))
+        doc["scenario"].update(sample_sizes=[10**18], replicates=20)
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run_cli(["simulate", "--config", cfg], capsys)
+        assert code == 0, err
+        assert "failure" not in err and err
+        for line in err.splitlines():
+            assert "NumericalError: incomplete beta prefactor overflows" in line, line
+        names = {proc["procedure"] for proc in doc["scenario"]["procedures"]}
+        rows = [line.split() for line in out.splitlines()[2:]]
+        for effect in doc["scenario"]["true_effects"]:
+            assert {row[2] for row in rows if float(row[0]) == effect} == names
 
 
 def test_shipped_configs_parse_and_run(capsys):

@@ -1554,3 +1554,133 @@ def test_normal_bench_cells_take_the_pinned_kernel_calls(monkeypatch):
         assert calls[name] <= 1.05 * count, name
     for name, count in BOX_ONLY_CELL_CALLS.items():
         assert calls[name] <= count, name
+
+
+def _counting_corners(monkeypatch):
+    """Patch the sweep's bind step and its box check. Returns Counters of
+    the coordinates taken per procedure and per (run, procedure, model), of
+    the boxes checked per procedure and of the verdicts of each box's two
+    ends, and a () -> None that starts the next run."""
+    coords, per_draw, boxes, ends, runs = Counter(), Counter(), Counter(), Counter(), [0]
+    names, verdicts = {}, {}
+    bind, box = sim.bind_procedure, sim._box_verdict
+
+    def counting(proc, family, loss, pair, prior):
+        bound = bind(proc, family, loss, pair, prior)
+        names[id(bound.certificate)] = proc.name
+
+        def kernel(model, posterior):
+            verdict, report, draw_coords = bound.kernel(model, posterior)
+
+            def counted():
+                coords[proc.name] += 1
+                per_draw[runs[0], proc.name, model] += 1
+                c = draw_coords()
+                verdicts[id(c)] = c, verdict  # keeps c, and so its id
+                return c
+
+            return verdict, report, counted
+
+        return bound._replace(kernel=kernel)
+
+    def counted_box(cert, a, b):
+        boxes[names[id(cert)]] += 1
+        ends[verdicts[id(a)][1], verdicts[id(b)][1]] += 1
+        return box(cert, a, b)
+
+    monkeypatch.setattr(sim, "bind_procedure", counting)
+    monkeypatch.setattr(sim, "_box_verdict", counted_box)
+    return coords, per_draw, boxes, ends, lambda: runs.__setitem__(0, runs[0] + 1)
+
+
+# coordinates taken and boxes checked per procedure on the same cells. Taken
+# at every kernel call and boxed at every gap between two evaluated draws,
+# they were 1,261 and 1,257: nhst 201 and 162, tost 81 and 60, rope 115 and
+# 102, hypothesis_ratio 208 and 175, expected_loss 227 and 210, bayes_factor
+# 429 and 548
+NORMAL_BENCH_CELL_COORDS = {
+    "nhst": 36,
+    "tost": 42,
+    "rope": 50,
+    "hypothesis_ratio": 40,
+    "expected_loss": 69,
+    "bayes_factor": 287,
+}
+NORMAL_BENCH_CELL_BOXES = {
+    "nhst": 18,
+    "tost": 39,
+    "rope": 42,
+    "hypothesis_ratio": 38,
+    "expected_loss": 88,
+    "bayes_factor": 405,
+}
+
+
+def test_normal_bench_cells_take_coordinates_only_for_a_box(monkeypatch):
+    """A draw's coordinates are taken only when a box between two draws of
+    one verdict needs them, at most once per run."""
+    coords, per_draw, boxes, _, next_run = _counting_corners(monkeypatch)
+    for seed in (1, 2, 3):
+        for effect in BENCH_NORMAL_GRID["true_effects"]:
+            for n in BENCH_NORMAL_GRID["sample_sizes"]:
+                next_run()
+                cell = {**BENCH_NORMAL_GRID, "true_effects": (effect,), "sample_sizes": (n,)}
+                run_operating_characteristics(_bench_normal(**cell, seed=seed))
+    assert max(per_draw.values()) == 1
+    for got, pinned in ((coords, NORMAL_BENCH_CELL_COORDS), (boxes, NORMAL_BENCH_CELL_BOXES)):
+        assert sum(got.values()) <= 1.05 * sum(pinned.values())
+        for name, count in pinned.items():
+            assert got[name] <= 1.05 * count, name
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        _bench_normal(**BENCH_NORMAL_GRID, seed=3),
+        _bench_binomial(true_effects=BENCH_BINOMIAL_EFFECTS, seed=3),
+    ],
+    ids=["normal", "binomial"],
+)
+def test_a_box_only_spans_draws_of_one_verdict(monkeypatch, scenario):
+    # a gap whose ends' verdicts differ is split without a box
+    ends = _counting_corners(monkeypatch)[3]
+    run_operating_characteristics(scenario)
+    assert ends and all(v == w for v, w in ends)
+
+
+def test_coordinates_that_raise_leave_their_gaps_uncertified(monkeypatch):
+    """A draw whose coords() raises NumericalError, which the sweep sees
+    when a box first needs it, certifies no gap next to it. Without a
+    verdict order, and with every draw of the n = 50 cells raising, those
+    cells evaluate each draw that a run without a certificate evaluates,
+    and every cell counts as that run does."""
+    scenario = _bench_normal(**BENCH_NORMAL_GRID, seed=3, procedures=(BENCH_PROCEDURES[3],))
+    bind = sim.bind_procedure
+
+    def run(certified):
+        def raising(proc, family, loss, pair, prior):
+            bound = bind(proc, family, loss, pair, prior)
+
+            def kernel(model, posterior):
+                verdict, report, coords = bound.kernel(model, posterior)
+
+                def fails():
+                    raise NumericalError(f"no coordinates at ybar={model.ybar}")
+
+                return verdict, report, fails if model.n == 50 else coords
+
+            return bound._replace(
+                kernel=kernel, certificate=bound.certificate if certified else None, order=None
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "bind_procedure", raising)
+            by_cell, _ = _counting_bind(patch)
+            table = run_operating_characteristics(scenario)
+            return table, [sum(cell.values()) for cell in by_cell()]
+
+    (table, calls), (plain, plain_calls) = run(True), run(False)
+    assert table == plain
+    cells = [(e, n) for e in scenario.true_effects for n in scenario.sample_sizes]
+    for (_, n), got, every in zip(cells, calls, plain_calls):
+        assert got == every if n == 50 else got < every, n
