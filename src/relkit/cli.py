@@ -19,6 +19,8 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -88,16 +90,36 @@ def _json_text(doc: dict) -> str:
     return json.dumps(_json_safe(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
+def _write(*artifacts: tuple[Path, str]) -> None:
+    """Write each (path, text) pair as UTF-8, opening every path before
+    writing any, so a path that cannot be opened rewrites no file."""
+    # Rewritten in place and then cut to length, not truncated first: ext4
+    # flushes a truncated file that is written again on close (auto_da_alloc),
+    # at many times the cost of the write. Not atomic: a reader during the
+    # write, or a crash, can see new bytes over old ones.
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    fds = []
+    try:
+        for path, _ in artifacts:
+            fds.append(os.open(path, flags, 0o666))
+        for fd, (_, text) in zip(fds, artifacts):
+            data, done = memoryview(text.encode("utf-8")), 0
+            try:  # a write that raises still cuts, so no old tail follows the new bytes
+                while done < len(data):
+                    done += os.write(fd, data[done:])
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, done)
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
-def _deliver(args, cfg: ConfigDocument, text: str, suffix: str = "") -> None:
-    """Write ``text`` to --output, else output.path, with its suffix
-    replaced by ``suffix`` when one is given; to stdout when neither is set."""
+def _deliver(args, cfg: ConfigDocument, text: str) -> None:
+    """Write ``text`` to --output, else output.path, else stdout."""
     out = args.output or cfg.output.path
     if out:
-        _write(Path(out).with_suffix(suffix) if suffix else Path(out), text)
+        _write((Path(out), text))
     else:
         sys.stdout.write(text)
 
@@ -272,7 +294,7 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
         for c in table.cells
         for verdict, freq in c.frequencies.items()
     ]
-    if args.output or cfg.output.path:
+    if out := args.output or cfg.output.path:
         doc = {
             "command": "simulate",
             "spec_version": 1,
@@ -282,8 +304,8 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
             "replicates": table.replicates,
             "cells": [vars(c) for c in table.cells],
         }
-        _deliver(args, cfg, _csv(_RATE_COLUMNS, rows), ".csv")
-        _deliver(args, cfg, _json_text(doc), ".json")
+        csv_path, json_path = (Path(out).with_suffix(suffix) for suffix in (".csv", ".json"))
+        _write((csv_path, _csv(_RATE_COLUMNS, rows)), (json_path, _json_text(doc)))
     # the console table: the same rows, fixed width, without replicates
     lines = [
         f"scenario: {table.scenario} (seed {table.seed})",

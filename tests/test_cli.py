@@ -992,6 +992,113 @@ class TestExitCodeMatrix:
             assert {row[2] for row in rows if float(row[0]) == effect} == names
 
 
+# --- artifact files: rewritten in place, cut to length ----------------------
+
+# each command on its shipped config, with the files its --output names
+ARTIFACT_RUNS = {
+    "partition": (["partition", "--config", "coin_partition.json"], ("out",)),
+    "check-hypotheses": (
+        ["check-hypotheses", "--config", "coin_check_hypotheses.json"], ("out",)
+    ),
+    "decide": (["decide", "--config", "coin_decide.json"], ("out",)),
+    "compare-csv": (["compare", "--config", "coin_compare.json", "--format", "csv"], ("out",)),
+    "compare-json": (
+        ["compare", "--config", "coin_compare.json", "--format", "json"], ("out",)
+    ),
+    "plot": (["plot", "--config", "coin_partition.json"], ("out",)),
+    "simulate": (["simulate", "--config", "coin_scenario.json"], ("out.csv", "out.json")),
+}
+
+
+def run_artifact(name, out, capsys):
+    argv, _ = ARTIFACT_RUNS[name]
+    argv = [str(CONFIG_DIR / a) if a.endswith(".json") else a for a in argv]
+    return run_cli([*argv, "--output", str(out)], capsys)
+
+
+class TestArtifactFiles:
+    @pytest.mark.parametrize("name", sorted(ARTIFACT_RUNS))
+    def test_old_content_leaves_no_trace(self, name, tmp_path, capsys):
+        """Into a fresh path, over a longer file and over a shorter one, a
+        command writes the same bytes."""
+        files = ARTIFACT_RUNS[name][1]
+        got = {}
+        for case, old in (("fresh", None), ("longer", b"x" * 200_000), ("shorter", b"x\n")):
+            (tmp_path / case).mkdir()
+            if old is not None:
+                for file in files:
+                    (tmp_path / case / file).write_bytes(old)
+            code, _, err = run_artifact(name, tmp_path / case / "out", capsys)
+            assert (code, err) == (0, "")
+            got[case] = [(tmp_path / case / file).read_bytes() for file in files]
+        assert got["longer"] == got["shorter"] == got["fresh"]
+        assert all(got["fresh"])
+
+    def test_file_mode_links_and_symlinks_are_kept(self, tmp_path, capsys):
+        fresh = tmp_path / "fresh"
+        run_artifact("partition", fresh, capsys)
+        out, link = tmp_path / "out", tmp_path / "link"
+        out.write_bytes(b"old\n" * 1000)
+        out.chmod(0o600)
+        os.link(out, link)
+        inode = out.stat().st_ino
+        assert run_artifact("partition", out, capsys)[0] == 0
+        assert out.stat().st_ino == inode
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert out.read_bytes() == link.read_bytes() == fresh.read_bytes()
+        target, symlink = tmp_path / "target", tmp_path / "symlink"
+        target.write_bytes(b"old\n" * 1000)
+        symlink.symlink_to(target)
+        assert run_artifact("partition", symlink, capsys)[0] == 0
+        assert symlink.is_symlink() and os.readlink(symlink) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("name", ["decide", "plot"])
+    def test_output_to_a_device(self, name, capsys):
+        code, out, err = run_artifact(name, os.devnull, capsys)
+        assert (code, out, err) == (0, "", "")
+
+    def test_failed_write_leaves_no_old_tail(self, tmp_path, capsys, monkeypatch):
+        """A write that fails part-way exits 3 with the file cut to the new
+        bytes written, and closes the file."""
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        run_artifact("plot", fresh, capsys)
+        want = fresh.read_bytes()
+        out.write_bytes(b"x" * (2 * len(want)))
+        real_open, real_write, opened, calls = os.open, os.write, [], []
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        def failing_write(fd, data):
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(28, "No space left on device")
+            return real_write(fd, data[: len(data) // 2])
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "write", failing_write)
+        code, _, err = run_artifact("plot", out, capsys)
+        monkeypatch.undo()
+        assert code == 3
+        assert err == "relkit: failure: [Errno 28] No space left on device\n"
+        assert out.read_bytes() == want[: len(want) // 2]
+        assert len(opened) == 1
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
+
+    def test_simulate_opens_both_files_before_writing(self, tmp_path, capsys):
+        """A JSON path that cannot be opened exits 3 and leaves the CSV
+        as it was."""
+        (tmp_path / "out.json").mkdir()
+        (tmp_path / "out.csv").write_bytes(b"old,rates\n")
+        code, _, err = run_artifact("simulate", tmp_path / "out", capsys)
+        assert code == 3
+        assert err.startswith("relkit: failure: ") and "out.json" in err
+        assert (tmp_path / "out.csv").read_bytes() == b"old,rates\n"
+
+
 def test_shipped_configs_parse_and_run(capsys):
     for name, command in (
         ("coin_partition.json", "partition"),
