@@ -92,16 +92,24 @@ def _json_text(doc: dict) -> str:
 
 def _write(*artifacts: tuple[Path, str]) -> None:
     """Write each (path, text) pair as UTF-8, opening every path before
-    writing any, so a path that cannot be opened rewrites no file."""
+    writing any, so a path that cannot be opened rewrites no file and
+    leaves none that this call created."""
     # Rewritten in place and then cut to length, not truncated first: ext4
     # flushes a truncated file that is written again on close (auto_da_alloc),
     # at many times the cost of the write. Not atomic: a reader during the
     # write, or a crash, can see new bytes over old ones.
-    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-    fds = []
+    flags = os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    fds, made = [], []
     try:
         for path, _ in artifacts:
-            fds.append(os.open(path, flags, 0o666))
+            try:  # an existing file takes this one open
+                fds.append(os.open(path, flags))
+            except FileNotFoundError:
+                try:
+                    fds.append(os.open(path, flags | os.O_CREAT | os.O_EXCL, 0o666))
+                    made.append(path)
+                except FileExistsError:  # a dangling symlink, or a file made meanwhile
+                    fds.append(os.open(path, flags | os.O_CREAT, 0o666))
         for fd, (_, text) in zip(fds, artifacts):
             data, done = memoryview(text.encode("utf-8")), 0
             try:  # a write that raises still cuts, so no old tail follows the new bytes
@@ -113,6 +121,9 @@ def _write(*artifacts: tuple[Path, str]) -> None:
     finally:
         for fd in fds:
             os.close(fd)
+        if len(fds) < len(artifacts):  # an open failed
+            for path in made:
+                os.unlink(path)
 
 
 def _deliver(args, cfg: ConfigDocument, text: str) -> None:

@@ -17,21 +17,11 @@ the verdict needs. The full result, which ``compare`` and ``decide``
 print, is built only on request.
 
 A verdict depends on the dataset only through one statistic, k or ybar, so
-a sweep draws a cell's replicates in blocks of ``SWEEP_BLOCK``, sorts each
-block's distinct statistics and places them in one map per (n, procedure)
-that the run keeps. Every kernel returns, with its verdict, the draw's
-coordinates, built from the values the verdict computed when a sweep's box
-needs them. They are monotone in the statistic, the p-values of ``nhst``
-and ``tost`` or posterior masses and means, since both posteriors are
-stochastically increasing in it. The same bind step gives each procedure a
-certificate, a verdict function monotone in the coordinates, and its
-verdict order. A map evaluates a procedure on a statistic at most once per
-run, and on a draw between two evaluated ones only while neither can name
-one verdict for every draw between them; a block is counted by such runs.
-A binomial cell whose shape sum exceeds ``CERTIFIED_SHAPE_SUM`` carries no
-certificates and runs on every distinct count. The procedures of a draw in
-a block share one posterior, built on first use, and with it the tail
-masses it has taken.
+a sweep draws a cell's replicates in blocks of ``SWEEP_BLOCK`` and counts
+each block on one ``_VerdictMap`` per (n, procedure) that the run keeps,
+which evaluates a procedure only where its verdict can change (see
+"certificates"). The procedures of a draw in a block share one posterior,
+built on first use, and with it the tail masses it has taken.
 
 The shipped scenarios are configs: ``configs/coin_scenario.json``, the
 coin-bias demo, and ``configs/aspirin_scenario.json``, a blood-thinner
@@ -466,17 +456,16 @@ class Bound(NamedTuple):
 # without a prior of its own reads (the other steps take it as *_), and
 # raises what the procedure's public function raises on a setting that a
 # check refuses; parse_settings has already checked each setting alone. It
-# returns the procedure's kernel and certificate, both built on the values
-# it bound. A kernel takes the model and a posterior from _shared_posterior
-# (nhst, tost and a Bayes factor with its own prior never call it),
-# computes what its verdict needs through the rule its public function
-# calls, and returns the verdict, report(), which builds the result that
-# function returns, and coords(), the draw's coordinates; both are built
-# from what the verdict computed, and only when called: a sweep calls
-# coords() once a box between two draws of one verdict needs them. A kernel
-# takes a model of the prior it was bound to, and no other. The kernels name
-# the rules as module globals, looked up at call time, so that patching one
-# here reaches every caller.
+# returns the procedure's kernel, certificate and verdict order, built on
+# the values it bound. A kernel takes the model and a posterior from
+# _shared_posterior (nhst, tost and a Bayes factor with its own prior never
+# call it), computes what its verdict needs through the rule its public
+# function calls, and returns the verdict, report(), which builds the result
+# that function returns, and coords(), the draw's coordinates; both are
+# built from what the verdict computed, and only when called. A kernel takes
+# a model of the prior it was bound to, and no other. The kernels name the
+# rules as module globals, looked up at call time, so that patching one here
+# reaches every caller.
 
 
 def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
@@ -732,18 +721,12 @@ def parse_settings(proc: ProcedureSpec, family: str | None, section: str | None 
 def bind_procedure(
     proc: ProcedureSpec, family: str, loss: LossSpec, pair: HypothesisPair, prior: tuple
 ) -> Bound:
-    """The procedure with its settings bound, for every command. ``prior``
-    is the model's prior, the last two fields of its model: a Bayes factor
-    without a prior of its own takes the pair's masses under it here, so
-    the kernel takes only models of this prior. A setting that a check
-    refuses raises here, with the class and message of the procedure's
-    public function. The kernel is a (model, posterior) -> (verdict,
-    report, coords) function, where posterior() is the model's posterior on
-    the loss space, as ``_shared_posterior`` gives it, report() builds what
-    the public function returns and coords() the draw's coordinates, each
-    from what the verdict computed, when called. The certificate,
-    coordinates -> verdict, serves the sweep, which calls coords() only
-    for a box."""
+    """The procedure with its settings bound, for every command, as the
+    bind steps above describe. ``prior`` is the model's prior, the last two
+    fields of its model: a Bayes factor without a prior of its own takes
+    the pair's masses under it here, so the kernel takes only models of
+    this prior. A setting that a check refuses raises here, with the class
+    and message of the procedure's public function."""
     settings = parse_settings(proc, family)
     return PROCEDURES[proc.name].bind(settings, FAMILIES[family], loss, pair, prior)
 
@@ -757,7 +740,7 @@ def _compile_procedure(
     """Bind one procedure, as a sweep of it alone does, into a dataset ->
     verdict function, with a posterior of its own; an error is raised. A
     draw's model takes the scenario prior, or without one its default."""
-    (kernel,) = _bind_sweep(replace(scenario, procedures=(proc,))).kernels
+    ((kernel, *_),) = _bind_sweep(replace(scenario, procedures=(proc,))).bound
     model_of, prior = FAMILIES[scenario.family].model, scenario.prior or ()
 
     def verdict(data: Dataset) -> str:
@@ -819,20 +802,14 @@ CERTIFIED_SHAPE_SUM = 2.0**16
 
 
 class _Sweep(NamedTuple):
-    """A scenario's procedures bound once: each kernel, certificate and
-    verdict order, (n, statistic) -> the model of that draw, the space, and
-    the largest n whose cells carry the certificates."""
+    """A scenario's procedures bound once, (n, statistic) -> the model of
+    that draw, the space, and the largest n whose cells carry the
+    certificates."""
 
-    kernels: tuple[Kernel, ...]
-    certificates: tuple[Certificate, ...]
-    orders: tuple[tuple[str, ...] | None, ...]
+    bound: tuple[Bound, ...]
     model: Callable[[int, float], Model]
     space: ParameterSpace
     certified_to: float
-
-    def certified(self, n: int) -> tuple[Certificate | None, ...]:
-        """The certificates of the cells at n: none above ``certified_to``."""
-        return self.certificates if n <= self.certified_to else (None,) * len(self.kernels)
 
 
 def _bind_sweep(scenario: Scenario) -> _Sweep:
@@ -862,13 +839,107 @@ def _bind_sweep(scenario: Scenario) -> _Sweep:
     # model's leading fields; the prior gives its last two
     given = (*(getattr(scenario, key) for key in row.known), *prior)
     return _Sweep(
-        tuple(b.kernel for b in bound),
-        tuple(b.certificate for b in bound),
-        tuple(b.order for b in bound),
-        lambda n, statistic: row.model(n, statistic, *given),
-        loss.space,
-        certified_to,
+        tuple(bound), lambda n, statistic: row.model(n, statistic, *given), loss.space, certified_to
     )
+
+
+class _VerdictMap:
+    """The run's map of one procedure at one n: xs, the statistics
+    evaluated so far, sorted; ys, each one's (outcome, coordinates), the
+    coordinates kept as the kernel's coords() until a box first needs them,
+    and never in a cell without a certificate, where they would hold each
+    evaluated draw's posterior; and top, the highest rank in the verdict
+    order taken so far."""
+
+    def __init__(self, bound: Bound, certified: bool) -> None:
+        self.kernel = bound.kernel
+        self.cert = bound.certificate if certified else None
+        order = bound.order if self.cert else None
+        self.rank = {v: r for r, v in enumerate(order)} if order else {}
+        self.xs: list = []
+        self.ys: dict = {}
+        self.top = -1
+
+    def walk(
+        self, distinct: Sequence, cum: Sequence, draw: Callable[[float], tuple[Model, Posterior]]
+    ) -> tuple[Counter, dict[float, RelkitError]]:
+        """The weight per verdict of a block's sorted distinct statistics,
+        whose weights' prefix sums are cum (cum[0] = 0; integers or floats),
+        and the error of each draw whose kernel raised, by statistic. draw(x)
+        gives the model and posterior of statistic x.
+
+        The block is walked gap by gap of the map. A draw the map holds
+        counts its outcome. The draws [a, b) of a gap between two evaluated
+        draws of one verdict count cum[b] - cum[a] for it where, in a
+        certified cell, the verdict order or else the widened box of its
+        ends' coordinates names it (see "certificates"). Otherwise, and
+        always where the ends' outcomes differ, the gap is split at a draw
+        inside it, the block's end draw where the gap is a ray past every
+        evaluated draw and else its middle draw, which is evaluated and
+        entered in the map. A draw whose kernel raised keeps its error, and
+        one whose coords() raised keeps no coordinates: neither certifies a
+        gap next to it."""
+        xs, ys, rank, cert, top = self.xs, self.ys, self.rank, self.cert, self.top
+        count, failed = Counter(), {}
+
+        def corner(x) -> tuple | None:
+            # a draw's coordinates, taken once, when a box first needs them
+            outcome, coords = ys[x]
+            if callable(coords):
+                try:
+                    coords = coords()
+                except RelkitError:
+                    coords = None
+                ys[x] = outcome, coords
+            return coords
+
+        def add(outcome: Outcome, j: int) -> None:
+            if isinstance(outcome, RelkitError):
+                failed[distinct[j]] = outcome
+                outcome = "error"
+            count[outcome] += cum[j + 1] - cum[j]
+
+        # each gap of the map among the block's draws, (left end, right
+        # end, a, b), None past the first or last evaluated draw
+        todo, a = [], 0
+        lo, hi = bisect.bisect_left(xs, distinct[0]), bisect.bisect_right(xs, distinct[-1])
+        for g in range(lo, hi + 1):
+            right = xs[g] if g < len(xs) else None
+            j = bisect.bisect_left(distinct, right, a) if g < hi else len(distinct)
+            todo.append((xs[g - 1] if g else None, right, a, j))
+            if g < hi and distinct[j] == right:
+                add(ys[right][0], j)
+                j += 1
+            a = j
+        while todo:
+            left, right, a, b = todo.pop()
+            if a == b:
+                continue
+            # a gap whose ends' outcomes differ, or are errors, is split
+            # without a box, which could name one verdict there only by
+            # disagreeing with a kernel at an end
+            v = left is not None and right is not None and ys[left][0]
+            if isinstance(v, str) and v == ys[right][0]:
+                r = rank.get(v, -1)
+                ordered = r >= 0 and (r == len(rank) - 1 or r < top)
+                verdict = v if ordered else _box_verdict(cert, corner(left), corner(right))
+                if verdict is not None:
+                    count[verdict] += cum[b] - cum[a]
+                    continue
+            j = a if left is None else b - 1 if right is None else (a + b) // 2
+            x = distinct[j]
+            try:
+                outcome, _, coords = self.kernel(*draw(x))
+                ys[x] = outcome, cert and coords
+            except RelkitError as exc:
+                # an outcome keeps the error, not the frames of its traceback
+                ys[x] = exc.with_traceback(None), None
+            bisect.insort(xs, x)
+            add(ys[x][0], j)
+            top = max(top, rank.get(ys[x][0], -1))
+            todo += [(left, x, a, j), (x, right, j + 1, b)]
+        self.top = top
+        return count, failed
 
 
 def _tally(
@@ -876,28 +947,13 @@ def _tally(
 ) -> tuple[list[Counter], dict[int, RelkitError]]:
     """Each procedure's verdict counts over the statistics of one cell,
     which ``blocks`` gives in replicate order, and the error of its first
-    failing replicate. ``maps`` holds the run's maps by n, per procedure:
-    xs, the statistics evaluated so far, sorted; ys, each one's (outcome,
-    coordinates), the coordinates kept as the kernel's coords() until a box
-    first needs them; and the highest rank in its verdict order taken so
-    far. A block's sorted distinct statistics, with cum, the prefix sums of
-    their weights, are walked gap by gap of each map. A draw the map holds
-    counts its outcome. The draws [a, b) of a gap between two evaluated
-    draws of one verdict count cum[b] - cum[a] for it where, in a certified
-    cell, the verdict order or else the widened box of its ends' coordinates
-    names it (see "certificates"). Otherwise, and always where the ends'
-    outcomes differ, the gap is split at a draw inside it, the block's end
-    draw where the gap is a ray past every evaluated draw and else its
-    middle draw, which is evaluated and entered in the map. A draw whose
-    kernel raised keeps its error, and one whose coords() raised keeps no
-    coordinates: neither certifies a gap next to it. The procedures share
-    one posterior per block draw."""
+    failing replicate, each block walked on the run's ``_VerdictMap`` of
+    the procedure at n; ``maps`` holds them by n."""
     # imported here, like numpy: the other commands start faster without it
     from array import array
 
-    maps = maps.setdefault(n, [[[], {}, -1] for _ in sweep.kernels])
-    certificates = sweep.certified(n)
-    counts = [Counter() for _ in sweep.kernels]
+    maps = maps.setdefault(n, [_VerdictMap(b, n <= sweep.certified_to) for b in sweep.bound])
+    counts = [Counter() for _ in maps]
     first_error: dict[int, RelkitError] = {}
     for statistics in blocks:
         distinct, cum = [], array("q", [0])
@@ -907,76 +963,15 @@ def _tally(
             else:
                 distinct.append(statistic)
                 cum.append(cum[-1] + 1)
-        shared: dict = {}
-        for i, (kernel, cert, order, held) in enumerate(
-            zip(sweep.kernels, certificates, sweep.orders, maps)
-        ):
-            xs, ys = held[0], held[1]
-            rank = {v: r for r, v in enumerate(order)} if cert and order else {}
-            count, failed = counts[i], {}
 
-            def probe(x) -> tuple[Outcome, Coords | None]:
-                try:
-                    if x not in shared:
-                        model = sweep.model(n, x)
-                        shared[x] = model, _shared_posterior(model, sweep.space)
-                    verdict, _, coords = kernel(*shared[x])
-                except RelkitError as exc:
-                    # an outcome keeps the error, not the frames of its traceback
-                    return exc.with_traceback(None), None
-                return verdict, cert and coords
+        @functools.cache
+        def draw(x) -> tuple[Model, Posterior]:
+            model = sweep.model(n, x)
+            return model, _shared_posterior(model, sweep.space)
 
-            def corner(x) -> tuple | None:
-                # a draw's coordinates, taken once, when a box first needs them
-                outcome, coords = ys[x]
-                if callable(coords):
-                    try:
-                        coords = coords()
-                    except RelkitError:
-                        coords = None
-                    ys[x] = outcome, coords
-                return coords
-
-            def add(outcome: Outcome, j: int) -> None:
-                if isinstance(outcome, RelkitError):
-                    failed[distinct[j]] = outcome
-                    outcome = "error"
-                count[outcome] += cum[j + 1] - cum[j]
-
-            # each gap of the map among the block's draws, (left end, right
-            # end, a, b), None past the first or last evaluated draw
-            todo, a = [], 0
-            lo, hi = bisect.bisect_left(xs, distinct[0]), bisect.bisect_right(xs, distinct[-1])
-            for g in range(lo, hi + 1):
-                right = xs[g] if g < len(xs) else None
-                j = bisect.bisect_left(distinct, right, a) if g < hi else len(distinct)
-                todo.append((xs[g - 1] if g else None, right, a, j))
-                if g < hi and distinct[j] == right:
-                    add(ys[right][0], j)
-                    j += 1
-                a = j
-            while todo:
-                left, right, a, b = todo.pop()
-                if a == b:
-                    continue
-                # a gap whose ends' outcomes differ, or are errors, is split
-                # without a box, which could name one verdict there only by
-                # disagreeing with a kernel at an end
-                v = left is not None and right is not None and ys[left][0]
-                if isinstance(v, str) and v == ys[right][0]:
-                    r = rank.get(v, -1)
-                    ordered = r >= 0 and (r == len(rank) - 1 or r < held[2])
-                    verdict = v if ordered else _box_verdict(cert, corner(left), corner(right))
-                    if verdict is not None:
-                        count[verdict] += cum[b] - cum[a]
-                        continue
-                j = a if left is None else b - 1 if right is None else (a + b) // 2
-                x = distinct[j]
-                ys[x] = probe(x)
-                bisect.insort(xs, x)
-                add(ys[x][0], j)
-                held[2] = max(held[2], rank.get(ys[x][0], -1))
-                todo += [(left, x, a, j), (x, right, j + 1, b)]
+        for i, held in enumerate(maps):
+            count, failed = held.walk(distinct, cum, draw)
+            counts[i].update(count)
             if failed and i not in first_error:
                 first_error[i] = failed[next(x for x in statistics if x in failed)]
     return counts, first_error
@@ -991,16 +986,10 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     Identical scenarios (seed included) produce identical tables.
 
     A cell's draws are taken in blocks of ``SWEEP_BLOCK`` replicates, from
-    generators that ``_cell_rng`` seeds ``HASH_BLOCK`` replicates at a time
-    and yields one at a time, and sorted by their statistic, k or ybar.
-    Each block is placed in one map per (n, procedure) kept for the whole
-    call, which holds the statistics evaluated so far. A procedure runs at
+    generators that ``_cell_rng`` seeds, and counted on one ``_VerdictMap``
+    per (n, procedure) kept for the whole call, which runs a procedure at
     most once per distinct statistic in the call, and only where its
-    certificate cannot name the verdict of a gap between two evaluated
-    draws, nor its verdict order (``_tally``); without one, as in a binomial
-    cell above ``CERTIFIED_SHAPE_SUM``, it runs on every distinct statistic.
-    The procedures of a draw in a block share one posterior, built only if
-    one of them needs it. The maps grow with the draws evaluated, not with
+    verdict can change. The maps grow with the draws evaluated, not with
     ``replicates``.
     """
     sweep = _bind_sweep(scenario)

@@ -1052,6 +1052,12 @@ class TestArtifactFiles:
         assert run_artifact("partition", symlink, capsys)[0] == 0
         assert symlink.is_symlink() and os.readlink(symlink) == str(target)
         assert target.read_bytes() == fresh.read_bytes()
+        # a dangling symlink keeps its link, and its target is created
+        target, symlink = tmp_path / "new_target", tmp_path / "dangling"
+        symlink.symlink_to(target)
+        assert run_artifact("partition", symlink, capsys)[0] == 0
+        assert symlink.is_symlink() and os.readlink(symlink) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
 
     @pytest.mark.parametrize("name", ["decide", "plot"])
     def test_output_to_a_device(self, name, capsys):
@@ -1090,13 +1096,19 @@ class TestArtifactFiles:
 
     def test_simulate_opens_both_files_before_writing(self, tmp_path, capsys):
         """A JSON path that cannot be opened exits 3 and leaves the CSV
-        as it was."""
-        (tmp_path / "out.json").mkdir()
-        (tmp_path / "out.csv").write_bytes(b"old,rates\n")
-        code, _, err = run_artifact("simulate", tmp_path / "out", capsys)
-        assert code == 3
-        assert err.startswith("relkit: failure: ") and "out.json" in err
-        assert (tmp_path / "out.csv").read_bytes() == b"old,rates\n"
+        as it was, and creates none where there was none."""
+        for old_csv in (b"old,rates\n", None):
+            where = tmp_path / ("csv" if old_csv else "no-csv")
+            (where / "out.json").mkdir(parents=True)
+            if old_csv:
+                (where / "out.csv").write_bytes(old_csv)
+            code, _, err = run_artifact("simulate", where / "out", capsys)
+            assert code == 3
+            assert err.startswith("relkit: failure: ") and "out.json" in err
+            if old_csv:
+                assert (where / "out.csv").read_bytes() == old_csv
+            else:
+                assert [path.name for path in where.iterdir()] == ["out.json"]
 
 
 def test_shipped_configs_parse_and_run(capsys):

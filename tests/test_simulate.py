@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 import relkit.simulate as sim
 from relkit import decisions, inference
@@ -857,6 +858,50 @@ def test_cell_over_the_bound_runs_on_every_distinct_count(monkeypatch, scenario)
     assert max(calls.values()) == 1
 
 
+@pytest.mark.parametrize("n", [20, 100, 1000])
+def test_verdict_map_walks_exact_binomial_weights(n):
+    """A map walks float weights as it walks replicate counts: one block of
+    every count k, weighted by the binomial pmf at a true effect, gives each
+    procedure's exact rates, the sums of pmf(k) over the counts of each
+    verdict, which sum to 1. One map per procedure serves every effect, as
+    in a run; it evaluates a count at most once, and at n = 1000 fewer
+    counts than there are."""
+    scenario = shipped_scenario("coin_scenario")
+    sweep = sim._bind_sweep(scenario)
+    counts = list(range(n + 1))
+    maps = [sim._VerdictMap(bound, n <= sweep.certified_to) for bound in sweep.bound]
+    exact = [
+        [sim._compile_procedure(scenario, proc)(sim.BinomialDraw(n, k)) for k in counts]
+        for proc in scenario.procedures
+    ]
+    evaluated = [[] for _ in maps]
+
+    def drawing(calls):
+        def draw(k):
+            calls.append(k)
+            model = sweep.model(n, k)
+            return model, sim._shared_posterior(model, sweep.space)
+
+        return draw
+
+    for effect in scenario.true_effects:
+        pmf = stats.binom.pmf(counts, n, effect + 0.5)
+        cum = [0.0, *itertools.accumulate(pmf)]
+        for verdict_map, verdicts, calls in zip(maps, exact, evaluated):
+            rates, failed = verdict_map.walk(counts, cum, drawing(calls))
+            want = Counter()
+            for verdict, p in zip(verdicts, pmf):
+                want[verdict] += p
+            assert not failed
+            assert set(rates) <= set(want)
+            assert all(abs(rates[v] - want[v]) <= 1e-12 for v in want), (effect, rates, want)
+            assert abs(sum(rates.values()) - 1.0) <= 1e-12
+    for calls in evaluated:
+        assert len(set(calls)) == len(calls)
+        if n == 1000:
+            assert len(calls) < n + 1
+
+
 def _block_counts(scenario, n, statistics):
     """Per procedure, the sweep's counts over one block of statistics and
     the (class, message) of its first error."""
@@ -1057,7 +1102,7 @@ class TestCertifiedBlocks:
             sigma=1.0,
         )
         sweep = sim._bind_sweep(scenario)
-        (kernel,) = sweep.kernels
+        ((kernel, *_),) = sweep.bound
         model = sweep.model(100, 1.0)
         coords = kernel(model, sim._shared_posterior(model, space))[2]()
         pair = sim.derive_hypotheses(sim.partition(loss))
@@ -1143,10 +1188,11 @@ def test_binomial_cells_carry_certificates_under_the_bound():
             "coin_scenario", prior=prior, procedures=(*procedures[:-1], bayes_factor)
         )
         sweep = sim._bind_sweep(coin)
+        assert None not in [bound.certificate for bound in sweep.bound]
         for n in (1, 1000, largest):
-            assert None not in sweep.certified(n)
+            assert n <= sweep.certified_to
         for n in (largest + 1, 10**6):
-            assert sweep.certified(n) == (None,) * len(procedures)
+            assert n > sweep.certified_to
 
 
 def test_every_normal_posterior_procedure_carries_a_certificate():
@@ -1164,15 +1210,15 @@ def test_every_normal_posterior_procedure_carries_a_certificate():
     normal_linear = dataclasses.replace(normal, loss=linear, true_effects=(0.0,))
     bowl = dataclasses.replace(_bowl(), procedures=BENCH_PROCEDURES)
     for scenario in (normal, bowl, normal_linear):
-        certificates = sim._bind_sweep(scenario).certificates
-        assert None not in certificates
-        assert None not in sim._bind_sweep(scenario).certified(10**9)
+        sweep = sim._bind_sweep(scenario)
+        assert None not in [bound.certificate for bound in sweep.bound]
+        assert 10**9 <= sweep.certified_to
     alone = (ProcedureSpec("expected_loss", {}),)
-    (certificate,) = sim._bind_sweep(dataclasses.replace(normal, procedures=alone)).certificates
-    assert certificate is not None
-    assert sim._bind_sweep(_bowl()).certificates[0] is not None
+    (bound,) = sim._bind_sweep(dataclasses.replace(normal, procedures=alone)).bound
+    assert bound.certificate is not None
+    assert sim._bind_sweep(_bowl()).bound[0].certificate is not None
     normal_linear = dataclasses.replace(normal_linear, procedures=alone)
-    assert sim._bind_sweep(normal_linear).certificates[0] is not None
+    assert sim._bind_sweep(normal_linear).bound[0].certificate is not None
 
 
 def _assert_box_verdicts(scenario, n, statistics):
@@ -1181,7 +1227,8 @@ def _assert_box_verdicts(scenario, n, statistics):
     draws up to 2^9 apart names no verdict that a draw between them lacks;
     some boxes that hold one verdict name it."""
     sweep = sim._bind_sweep(scenario)
-    (kernel,), (cert,) = sweep.kernels, sweep.certified(n)
+    ((kernel, cert, _),) = sweep.bound
+    assert n <= sweep.certified_to
     verdicts, coords = [], []
     for x in statistics:
         model = sweep.model(n, x)
@@ -1421,7 +1468,7 @@ def test_bound_verdict_orders_hold_on_dense_scans(family, n):
         for proc in _scan_procedures(family):
             scenario = dataclasses.replace(base, loss=loss, true_effects=(0.0,), procedures=(proc,))
             try:
-                (order,) = sim._bind_sweep(scenario).orders
+                ((*_, order),) = sim._bind_sweep(scenario).bound
             except ValidationError:
                 continue  # a setting this loss refuses, as a partition hull it lacks
             assert order is not None or loss_name.startswith("random"), (loss_name, proc)
