@@ -360,14 +360,12 @@ def _normal_point_null(model: NormalKnownVarModel) -> tuple[float, float]:
     return math.erfc(abs(z) / _SQRT2), z
 
 
-def _binomial_draw(rng, effect: float, n: int, sigma: float | None) -> BinomialDraw:
-    pi = min(max(effect + 0.5, 0.0), 1.0)
-    return BinomialDraw(n=n, k=int(rng.binomial(n, pi)))
+def _binomial_draw(rng, effect: float, n: int, sigma: float | None, size: int):
+    return rng.binomial(n, min(max(effect + 0.5, 0.0), 1.0), size)
 
 
-def _normal_draw(rng, effect: float, n: int, sigma: float) -> NormalDraw:
-    ybar = float(rng.normal(effect, sigma / math.sqrt(n)))
-    return NormalDraw(n=n, ybar=ybar, sigma=sigma)
+def _normal_draw(rng, effect: float, n: int, sigma: float, size: int):
+    return rng.normal(effect, sigma / math.sqrt(n), size)
 
 
 class Family(NamedTuple):
@@ -391,7 +389,7 @@ class Family(NamedTuple):
     moments: Callable  # (params, mass, native lo, hi, origin) -> partial moments, scale
     point_null: Callable  # model -> (p-value, statistic) of the nhst test
     point_null_detail: str  # its detail, a format string of model and statistic
-    draw: Callable  # (rng, true effect, n, sigma) -> a dataset, the model's leading fields
+    draw: Callable  # (rng, true effect, n, sigma, size) -> size statistics, k or ybar
 
     def check_support(self, lo: float, hi: float) -> None:
         """Raise unless the effects [lo, hi] map into the native support."""

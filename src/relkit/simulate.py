@@ -2,14 +2,14 @@
 
 A scenario fixes a sampling model, a loss specification, grids of true
 effects and sample sizes, and a list of procedures; the sweep tabulates how
-often each procedure returns each verdict. Datasets are drawn from PCG64
-generators seeded per cell and replicate (scenario seed, the bit pattern of
-the true effect, n, replicate index) through numpy's SeedSequence hash,
-which a sweep takes for a block of replicates at once, so any single draw
-can be reproduced in isolation and results do not depend on execution
-order.
+often each procedure returns each verdict. A cell's replicates are drawn
+in blocks of ``SWEEP_BLOCK``, each block in one numpy call on a PCG64
+generator seeded by (scenario seed, the bit pattern of the true effect, n,
+block index) through numpy's SeedSequence, so any single draw can be
+reproduced in isolation and results depend neither on execution order nor
+on the number of replicates.
 
-The family's row in ``inference.FAMILIES`` draws each dataset. Each
+The family's row in ``inference.FAMILIES`` draws each block. Each
 procedure is bound once per run, in one step: its settings are checked
 then, and a setting a check refuses raises there, before any draw; its
 region ends are taken then too, and its kernel computes per draw only what
@@ -17,11 +17,11 @@ the verdict needs. The full result, which ``compare`` and ``decide``
 print, is built only on request.
 
 A verdict depends on the dataset only through one statistic, k or ybar, so
-a sweep draws a cell's replicates in blocks of ``SWEEP_BLOCK`` and counts
-each block on one ``_VerdictMap`` per (n, procedure) that the run keeps,
-which evaluates a procedure only where its verdict can change (see
-"certificates"). The procedures of a draw in a block share one posterior,
-built on first use, and with it the tail masses it has taken.
+a sweep counts each block of a cell on one ``_VerdictMap`` per (n,
+procedure) that the run keeps, which evaluates a procedure only where its
+verdict can change (see "certificates"). The procedures of a draw in a
+block share one posterior, built on first use, and with it the tail masses
+it has taken.
 
 The shipped scenarios are configs: ``configs/coin_scenario.json``, the
 coin-bias demo, and ``configs/aspirin_scenario.json``, a blood-thinner
@@ -38,7 +38,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import values
 from .comparators import (
@@ -90,9 +90,6 @@ from .inference import (
 )
 from .loss import LossSpec, ParameterSpace, _about
 from .regions import RegionSet, partition, region_hull
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Model = BinomialModel | NormalKnownVarModel
 Posterior = Callable[[], PosteriorModel]
@@ -194,65 +191,10 @@ class Scenario:
 Dataset = BinomialDraw | NormalDraw
 
 
-# numpy's SeedSequence (NEP 19) hashes its entropy words into a pool of 4
-# (mix_entropy), and the pool into the state (generate_state). A word here
-# is an int below 2**32 or a uint32 array, one entry per replicate; every
-# product is masked to 32 bits, so no numpy scalar appears.
-_MASK32 = 0xFFFFFFFF
-INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-HASH_BLOCK = 128  # the replicates whose seeds are hashed at once, at most
-
-
-def _hashmix(value, const: int, mult: int = MULT_A) -> tuple:
-    """numpy's hashmix: the hashed word and the next hash constant."""
-    value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _absorb(pool: list, const: int, words: Iterable) -> tuple[list, int]:
-    """numpy's mix_entropy continued over more words: the first 4 fill the
-    pool, which then mixes each entry into the others, and each later word
-    is mixed into every entry."""
-    pool = list(pool)
-    for word in words:
-        if len(pool) < 4:
-            value, const = _hashmix(word, const)
-            pool.append(value)
-            mixes = itertools.permutations(range(4), 2) if len(pool) == 4 else ()
-        else:
-            mixes = ((None, dst) for dst in range(4))
-        for src, dst in mixes:
-            value, const = _hashmix(word if src is None else pool[src], const)
-            mixed = (MIX_MULT_L * pool[dst] & _MASK32) - (MIX_MULT_R * value & _MASK32) & _MASK32
-            pool[dst] = mixed ^ mixed >> 16
-    return pool, const
-
-
-def _words(value: int) -> list[int]:
-    """The 32-bit words of a non-negative int, least significant first, as
-    numpy's SeedSequence splits each int of its entropy (0 is one word)."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
-@functools.cache
-def _seed_row() -> type:
-    """A numpy ISeedSequence that holds one replicate's state and returns
-    it from generate_state, the one call PCG64 makes."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedRow(ISeedSequence):
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=None):
-            return self.state
-
-    return SeedRow
+# the replicates of a cell are drawn in blocks of this many, each from one
+# generator in one numpy call, so this number is part of the seed derivation;
+# a sweep counts a block at a time, so its memory does not grow with them
+SWEEP_BLOCK = 512
 
 
 def _effect_bits(true_effect: float) -> int:
@@ -262,58 +204,29 @@ def _effect_bits(true_effect: float) -> int:
     return int.from_bytes(struct.pack("<d", float(true_effect) + 0.0), "little")
 
 
-def _cell_rng(
-    seed: int, true_effect: float, n: int
-) -> Callable[[int, int], Iterator[np.random.Generator]]:
-    """(start, stop) -> the generators of replicates start to stop - 1 of
-    one cell, yielded one at a time. Replicate r draws from PCG64 seeded by
-    SeedSequence([seed, effect bits, n, r]), as ``simulate_dataset`` draws
-    it. Its hash is taken here: the cell's words once, as ints, then the
-    words of up to ``HASH_BLOCK`` replicates of one word count at once, as
-    uint32 arrays. Each replicate's state seeds numpy's own PCG64, so the
-    stream is the one SeedSequence gives, bit for bit."""
+def _draw_block(scenario: Scenario, true_effect: float, n: int, block: int, size: int):
+    """The statistics, k or ybar, of the first ``size`` replicates of one
+    block of a cell, replicates block * SWEEP_BLOCK onward: one numpy call
+    on PCG64 seeded by SeedSequence([seed, effect bits, n, block])."""
     # numpy is imported here, not at module level: only simulate draws data,
     # and the other commands start faster without it
     import numpy as np
 
-    words = [*_words(int(seed)), *_words(_effect_bits(true_effect)), *_words(int(n))]
-    cell = _absorb([], INIT_A, words)
-    seed_row = _seed_row()
-
-    def rngs(start: int, stop: int) -> Iterator[np.random.Generator]:
-        while start < stop:
-            count = len(_words(start))
-            reps = range(start, min(stop, start + HASH_BLOCK, 1 << 32 * count))
-            words = [
-                np.fromiter((r >> shift & _MASK32 for r in reps), np.uint32, len(reps))
-                for shift in range(0, 32 * count, 32)
-            ]
-            pool = _absorb(*cell, words)[0]
-            state, const = [], INIT_B
-            for i in range(8):
-                value, const = _hashmix(pool[i % 4], const, MULT_B)
-                state.append(value)
-            # generate_state(4, uint64) pairs the 8 words, low word first
-            rows = np.array(state, "<u4").reshape(8, -1).T.copy().view("<u8").astype(np.uint64)
-            for row in rows:
-                yield np.random.Generator(np.random.PCG64(seed_row(row)))
-            start = reps.stop
-
-    return rngs
+    entropy = [scenario.seed, _effect_bits(true_effect), n, block]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    return FAMILIES[scenario.family].draw(rng, true_effect, n, scenario.sigma, size)
 
 
 def simulate_dataset(
     scenario: Scenario, true_effect: float, n: int, replicate_index: int
 ) -> Dataset:
-    """Draw one dataset; fully determined by (seed, effect, n, replicate).
-    Its generator is the README's "Determinism" formula, numpy's PCG64
-    seeded by SeedSequence([seed, effect bits, n, replicate]); a sweep
-    draws the same stream through ``_cell_rng``."""
-    import numpy as np
-
-    entropy = [scenario.seed, _effect_bits(true_effect), n, replicate_index]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-    return FAMILIES[scenario.family].draw(rng, true_effect, n, scenario.sigma)
+    """Draw one dataset; fully determined by (seed, effect, n, replicate),
+    as the README's "Determinism" formula gives it: element r % SWEEP_BLOCK
+    of its block's draw, which a sweep takes whole."""
+    block, i = divmod(replicate_index, SWEEP_BLOCK)
+    statistic = _draw_block(scenario, true_effect, n, block, i + 1)[i].item()
+    known = (getattr(scenario, key) for key in FAMILIES[scenario.family].known)
+    return (BinomialDraw if scenario.family == "binomial" else NormalDraw)(n, statistic, *known)
 
 
 # --- the procedure table ---------------------------------------------------
@@ -789,10 +702,6 @@ class RateTable:
     errors: tuple[ErrorReport, ...] = ()
 
 
-# the draws of a cell are taken and placed in the maps in blocks of this
-# many replicates, so that a sweep's memory does not grow with its replicates
-SWEEP_BLOCK = 512
-
 # A binomial cell is certified while n plus the largest prior alpha + beta,
 # the largest shape sum of its posteriors, is at most this. In a dense scan
 # the beta tails' continued fraction then takes about 200 of its 600
@@ -985,8 +894,8 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     "error" and never abort the sweep; ``errors`` says what they were.
     Identical scenarios (seed included) produce identical tables.
 
-    A cell's draws are taken in blocks of ``SWEEP_BLOCK`` replicates, from
-    generators that ``_cell_rng`` seeds, and counted on one ``_VerdictMap``
+    A cell's draws are taken in blocks of ``SWEEP_BLOCK`` replicates, one
+    ``_draw_block`` call each, and counted on one ``_VerdictMap``
     per (n, procedure) kept for the whole call, which runs a procedure at
     most once per distinct statistic in the call, and only where its
     verdict can change. The maps grow with the draws evaluated, not with
@@ -997,24 +906,14 @@ def run_operating_characteristics(scenario: Scenario) -> RateTable:
     reps = scenario.replicates
     cells: list[RateCell] = []
     errors: list[ErrorReport] = []
-    # imported here, like numpy: the other commands start faster without it
-    from array import array
-
-    row, sigma = FAMILIES[scenario.family], scenario.sigma
-    # a block's statistics, the field after n, are kept as machine numbers
-    typecode = "q" if row.data[0][1] is int else "d"
     maps: dict = {}
     for effect in scenario.true_effects:
         for n in scenario.sample_sizes:
-            rngs = _cell_rng(scenario.seed, effect, n)
-
-            def blocks():
-                for start in range(0, reps, SWEEP_BLOCK):
-                    stop = min(start + SWEEP_BLOCK, reps)
-                    draws = (row.draw(rng, effect, n, sigma)[1] for rng in rngs(start, stop))
-                    yield array(typecode, draws)
-
-            counts, first_error = _tally(sweep, n, blocks(), maps)
+            blocks = (
+                _draw_block(scenario, effect, n, block, min(SWEEP_BLOCK, reps - start)).tolist()
+                for block, start in enumerate(range(0, reps, SWEEP_BLOCK))
+            )
+            counts, first_error = _tally(sweep, n, blocks, maps)
             for i, name in enumerate(names):
                 freqs = {v: counts[i][v] / reps for v in sorted(counts[i])}
                 ses = {v: math.sqrt(f * (1.0 - f) / reps) for v, f in freqs.items()}

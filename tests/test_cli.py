@@ -598,11 +598,11 @@ class TestSimulateCommand:
         "name, seed, csv_sha, json_sha",
         [
             ("coin_scenario", 1,
-             "66f472e62f53384eec1a2404f5efb8bd01f558784a4363b06545f649f977e71f",
-             "759ffa5d43699ab2e25d578c09241405e770d036aef0380d427133e769e7f00e"),
+             "f2f81e7d8a0176b504c176af1f631d7df777eefbb905fe4674aea46499370486",
+             "827c8526814bc9dc4462affcf7d418ceccedee7c79f58e5da1b5875655485424"),
             ("coin_scenario", 7,
-             "7128723e5ba928f4bb54dd4228c9a38295f248c550178311481e6220b0b413ae",
-             "502f47bd85742e7319d4f0644ae90c47ac7beaa90df301e2eadece71b8a6c6f6"),
+             "9f19d6d37ad3cfb440d3d60f896950afb9a5ee2035eda05bafd8d6ad86fccdde",
+             "9918a21e2336169890e4a3d672eb9f569290314dd6420f666158725e03f926eb"),
             ("aspirin_scenario", 1,
              "468b32d4f959b84794ec49e2399d2982f92fdb46824559b8b24b5763ed327cff",
              "956ce2a63af9ca36b1d84b71586ee3d4f94ce7a61db87e0d245e877b725d7f78"),
@@ -615,8 +615,9 @@ class TestSimulateCommand:
         self, name, seed, csv_sha, json_sha, tmp_path, capsys
     ):
         """The SHA-256 of each artifact of a shipped scenario, as recorded
-        before the procedures of a replicate shared a posterior: a change
-        to how verdicts are computed leaves every byte alone."""
+        when each block of 512 replicates came to be drawn in one numpy
+        call: a change to how verdicts are computed leaves every byte
+        alone. The aspirin rates are 0 and 1, so no stream moved them."""
         out = tmp_path / "out"
         argv = ["simulate", "--config", str(CONFIG_DIR / f"{name}.json"), "--seed", str(seed)]
         code, _, _ = run_cli([*argv, "--output", str(out)], capsys)
@@ -631,31 +632,31 @@ class TestSimulateCommand:
         "grid, seed, csv_sha, json_sha",
         [
             ("binomial", 1,
-             "c4317df5a41b14956490f8bb1e6f5807ce9916b1391c998f66597628b3f60d4d",
-             "41b138e219a6f2b7f7b38e685810ec8826d52eda9631c86beebc8e7941789a16"),
+             "26274a59f9b1fbe509d6e823271bab77c673d746a4d0e99ac655c3457b41b4b2",
+             "2dab6e9617f230cbba59bf29e333d222c9c4abd0d94ee7c1eeb5363e0fd6edc5"),
             ("binomial", 2,
-             "6d0704dcb762aaff5cc7104f2b58da17acede41ae505266083ab241ebf2545b9",
-             "b74bbac652b5185d20aa8695c4f3999f2e9c629f4e8123d1c18f014e06a645d2"),
+             "90a1f18c5a7601c10a96da5e186fe02c086f9e81af9923679392171f52b3c102",
+             "207f59d8a7b661283fdd07bdf6991038875fa1136a17c3a18cea51daff621902"),
             ("binomial", 3,
-             "9b6d9ef10ade2dbc221ecde605fa3127470b21e8cb7597fed02c635df44b2fec",
-             "b9adbb1cccc6f865a856a871bb89331582c228048e2a927bde5b4f1f32ace279"),
+             "463d78b3afc1151ff02c1840618f6bb56986d1af8c6d9151aff5b18b3c1b1ab6",
+             "a2597ff42104039a04b03e60862c2bafe4823f1b4641d9cae7731393f46dc327"),
             ("normal", 1,
-             "c37e18bbfee1537e9e2370131cae1e9ab8895c4ac065812fa280908551ad1a7d",
-             "8f25bf403b4852dafdaca2773f69ce5a0ffc8dff38e99b07add5f3bec34b00ab"),
+             "83ad79fd5f5131e013f8eaa065915a12966f9e4f05b39221feb0c43e6bfaed41",
+             "1b1f9e7a64939be2b964cf9f41350e95113509f5626b551beb654273d57e3d30"),
             ("normal", 2,
-             "9c98b959b0d912b30f70787da8707c193969e24cb110c71693714051a877b6c2",
-             "6f6c07b466fb02a495292f53254132667d0fc2183aaf896397147ee4e697c105"),
+             "d119daf6b751884757ba30713e000c5f71e1409db75c065809c7d97bda99e09b",
+             "dcab0779afb099105a43bebefa82fe8793eed85b3dd28127f088f82d34b20cfa"),
             ("normal", 3,
-             "f742ff78a1882c9ae5e5a6820f61ed74ba3817f6776f70904b849730e8396926",
-             "2857da716a54feee0c42bb61fc2dbfdc911f90ab91cbd17b096914340b4f6688"),
+             "72fdfba11c0991d0d4b4575277e709e7bd1f9cfcdc03a1601ec9111a396c6846",
+             "64726937c69da3b5a2b0c5b775f0944611ceb2fe1202a9dbf6d8d45adbf27f52"),
         ],
     )
     def test_bench_grid_artifacts_are_fixed(
         self, grid, seed, csv_sha, json_sha, tmp_path, capsys
     ):
         """The SHA-256 of each artifact of a benchmark sweep grid, as
-        recorded before the sweep kept one verdict map per (n, procedure)
-        for the whole run: which draws a sweep evaluates leaves every byte
+        recorded when each block of 512 replicates came to be drawn in one
+        numpy call: which draws a sweep evaluates leaves every byte
         alone."""
         cfg = write_config(tmp_path, {**BENCH_GRIDS[grid], "seed": seed})
         out = tmp_path / "out"

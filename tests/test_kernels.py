@@ -8,10 +8,12 @@ kernel's verdict and report must equal the public result field by field,
 and a kernel must raise what the function raises.
 A setting that a check refuses raises at bind, with the function's class
 and message, and `compare`, `decide` and `simulate` exit 2 on it.
-The sweep takes the SeedSequence hash of a cell's replicates a block at a
-time; each replicate's stream must be the one the list of its words seeds.
+The sweep draws a cell's replicates a block at a time, each block in one
+numpy call; each replicate must be the one the README's formula gives in
+plain numpy.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -366,7 +368,7 @@ def test_simulate_refuses_a_scenario_prior_without_mass_before_any_draw(
     def drawing(*args):
         raise AssertionError("a replicate was drawn")
 
-    monkeypatch.setattr(sim, "_cell_rng", drawing)
+    monkeypatch.setattr(sim, "_draw_block", drawing)
     with pytest.raises(RelkitError) as got:
         sim.run_operating_characteristics(cfg.scenario)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
@@ -434,8 +436,44 @@ def test_a_bound_kernel_takes_only_models_of_its_bound_prior(monkeypatch, tmp_pa
     assert all(bound == got for _, bound, got in seen)
 
 
+# the block size of the README's seed formula, and so part of it
+BLOCK = 512
+
+
 def _bits(effect):
     return int.from_bytes(struct.pack("<d", effect + 0.0), "little")
+
+
+def _scenario(family, seed, effect, n):
+    """A one-cell scenario of the family: the coin scenario or the aspirin
+    one, whose sigma is 0.2."""
+    name = "coin_scenario" if family == "binomial" else "aspirin_scenario"
+    return shipped_scenario(name, seed=seed, true_effects=(effect,), sample_sizes=(n,))
+
+
+def _numpy_block(scenario, effect, n, block, size=BLOCK):
+    """A block of a cell's statistics by the README's formula, in plain
+    numpy: replicate r is element r % 512 of block r // 512."""
+    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, _bits(effect), n, block]))
+    if scenario.family == "binomial":
+        return rng.binomial(n, min(max(effect + 0.5, 0.0), 1.0), size)
+    return rng.normal(effect, scenario.sigma / math.sqrt(n), size)
+
+
+def _sweep_draws(scenario):
+    """The statistics a sweep of a one-cell scenario draws, in replicate
+    order, as the blocks it counts give them."""
+    drawn, tally = [], sim._tally
+
+    def recording(sweep, n, blocks, maps):
+        blocks = list(blocks)
+        drawn.extend(x for block in blocks for x in block)
+        return tally(sweep, n, blocks, maps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_tally", recording)
+        sim.run_operating_characteristics(scenario)
+    return drawn
 
 
 @pytest.mark.parametrize(
@@ -451,25 +489,35 @@ def _bits(effect):
     ],
 )
 def test_cell_stream_is_the_seed_sequence_of_the_listed_words(seed, effect, n, replicate):
-    want = np.random.default_rng(np.random.SeedSequence([seed, _bits(effect), n, replicate]))
-    # the replicate inside a block of the sweep's hash, not at its start
-    start = max(0, replicate - 2)
-    got = list(sim._cell_rng(seed, effect, n)(start, replicate + 3))[replicate - start]
-    assert got.bit_generator.state == want.bit_generator.state
-    assert got.integers(0, 2**63, 16).tolist() == want.integers(0, 2**63, 16).tolist()
-    assert got.normal(effect, 0.2, 4).tolist() == want.normal(effect, 0.2, 4).tolist()
+    block, i = divmod(replicate, BLOCK)
+    for family in ("binomial", "normal"):
+        # the aspirin space is [-0.1, 0.1]
+        scenario = _scenario(family, seed, effect if family == "binomial" else effect / 5, n)
+        e = scenario.true_effects[0]
+        want = _numpy_block(scenario, e, n, block)
+        # the whole block, a block cut after the replicate and the replicate alone
+        for size in (BLOCK, i + 1):
+            got = sim._draw_block(scenario, e, n, block, size)
+            assert got.tolist() == want[:size].tolist(), (family, size)
+        statistic = want[i].item()  # a Python int or float
+        if family == "binomial":
+            dataset = sim.BinomialDraw(n, statistic)
+        else:
+            dataset = sim.NormalDraw(n, statistic, 0.2)
+        draw = sim.simulate_dataset(scenario, e, n, replicate)
+        assert draw == dataset and type(draw) is type(dataset)
+        assert type(draw[1]) is type(statistic)
 
 
 def _scan_cells():
-    """Seeded (seed, effect, n, start, stop) cells: a seed of every width
-    from 1 to 130 bits, effects and sizes at their edges, and blocks of
-    replicates near 0, across 2**32 (the replicate's second word), from
-    above 2**64 (its third) and anywhere below 2**64, some of a single
-    replicate and some longer than the hash block."""
+    """Seeded (family, seed, effect, n, start, stop) cells: a seed of every
+    width from 1 to 130 bits, effects and sizes at their edges, and runs of
+    replicates near 0, across 2**32, from above 2**64 and anywhere below
+    2**64, some of a single replicate and some across a block boundary."""
     rnd = random.Random(18)
     for width in range(1, 131):
         seed = rnd.getrandbits(width) | 1 << (width - 1)
-        effect = rnd.choice([0.0, -0.0, 5e-324, rnd.uniform(-0.5, 0.5)])
+        effect = rnd.choice([0.0, -0.0, 5e-324, rnd.uniform(-0.1, 0.1)])
         n = rnd.choice([1, 2**32, 2**63 - 1, rnd.randrange(1, 2**40)])
         length = rnd.randrange(129, 300) if width % 10 == 0 else rnd.randrange(1, 40)
         start = [
@@ -480,45 +528,94 @@ def _scan_cells():
         ][width % 4]
         if width % 4 == 1:
             length = max(length, 2**32 - start + 1)
-        yield seed, effect, n, start, start + length
+        yield ("binomial", "normal")[width % 2], seed, effect, n, start, start + length
 
 
 def test_block_streams_match_the_seed_sequence_over_a_seeded_scan():
     cells = list(_scan_cells())
-    assert {seed.bit_length() for seed, *_ in cells} == set(range(1, 131))
-    effects = {(effect, math.copysign(1.0, effect)) for _, effect, *_ in cells}
+    assert {seed.bit_length() for _, seed, *_ in cells} == set(range(1, 131))
+    effects = {(effect, math.copysign(1.0, effect)) for _, _, effect, *_ in cells}
     assert {(0.0, 1.0), (0.0, -1.0), (5e-324, 1.0)} <= effects
-    assert {1, 2**32, 2**63 - 1} <= {n for _, _, n, *_ in cells}
+    assert {1, 2**32, 2**63 - 1} <= {n for *_, n, _, _ in cells}
     assert any(start < 2**32 < stop for *_, start, stop in cells)
     assert any(start > 2**64 for *_, start, _ in cells)
-    # a replicate alone, and blocks longer than one hash of replicates
+    # a replicate alone, and runs across the end of a block
     assert any(stop - start == 1 for *_, start, stop in cells)
-    assert any(stop - start > sim.HASH_BLOCK for *_, start, stop in cells)
+    block = BLOCK
+    assert any(start // block < (stop - 1) // block for *_, start, stop in cells)
     cases = 0
-    for seed, effect, n, start, stop in cells:
-        got = sim._cell_rng(seed, effect, n)(start, stop)
-        for r, rng in zip(range(start, stop), got, strict=True):
-            want = np.random.default_rng(np.random.SeedSequence([seed, _bits(effect), n, r]))
-            assert rng.bit_generator.state == want.bit_generator.state, (seed, effect, n, r)
+    for family, seed, effect, n, start, stop in cells:
+        scenario = _scenario(family, seed, effect, n)
+        ends = {start // block, (stop - 1) // block}
+        blocks = {b: _numpy_block(scenario, effect, n, b).tolist() for b in ends}
+        for r in range(start, stop):
+            want = blocks[r // block][r % block]
+            assert sim.simulate_dataset(scenario, effect, n, r)[1] == want, (seed, effect, n, r)
             cases += 1
+        for b, want in blocks.items():
+            assert sim._draw_block(scenario, effect, n, b, block).tolist() == want
     assert cases >= 2000
 
 
+@pytest.mark.parametrize("family", ["binomial", "normal"])
+def test_a_sweep_draws_the_block_formula_and_a_prefix_of_more_replicates(family):
+    """A sweep draws replicate r as element r % 512 of block r // 512, so a
+    cell's first draws do not depend on the replicates asked for, across
+    the block boundary (replicates 511, 512 and 513) too."""
+    scenario = _scenario(family, 7, 0.05, 100)
+    longest = _sweep_draws(dataclasses.replace(scenario, replicates=1500))
+    assert longest[:512] == _numpy_block(scenario, 0.05, 100, 0).tolist()
+    assert longest[512:1024] == _numpy_block(scenario, 0.05, 100, 1).tolist()
+    assert longest[1024:] == _numpy_block(scenario, 0.05, 100, 2, 1500 - 1024).tolist()
+    for reps in (1, 100, 512, 513):
+        got = _sweep_draws(dataclasses.replace(scenario, replicates=reps))
+        assert got == longest[:reps], reps
+    for r in (0, 511, 512, 513, 1499):
+        assert sim.simulate_dataset(scenario, 0.05, 100, r)[1] == longest[r], r
+
+
+@pytest.mark.parametrize(
+    "family, args",
+    [
+        ("normal", (0.0077, 0.2 / math.sqrt(22000))),
+        ("binomial", (100, 0.394)),
+        ("binomial", (20, 0.95)),
+        ("binomial", (2**63 - 1, 0.5)),
+        ("binomial", (5, 0.0)),
+    ],
+    ids=["normal", "binomial", "binomial-near-1", "binomial-largest-n", "binomial-0"],
+)
+def test_numpy_draws_a_prefix_of_a_block_as_scalar_calls_do(family, args):
+    """The numpy property the formula rests on: m draws in one call are the
+    first m of 512 in one call, and the draws of m scalar calls."""
+    rng = lambda: np.random.default_rng(np.random.SeedSequence([3, 1, 2, 0]))
+    draw = lambda gen, *size: getattr(gen, family)(*args, *size)
+    whole = draw(rng(), 512).tolist()
+    for m in (1, 2, 100, 511, 512):
+        assert draw(rng(), m).tolist() == whole[:m], m
+    gen = rng()
+    assert [draw(gen) for _ in range(512)] == whole
+
+
 def test_negative_zero_draws_the_zero_stream():
-    a = [rng.integers(0, 2**63, 4).tolist() for rng in sim._cell_rng(7, -0.0, 10)(0, 5)]
-    assert a == [rng.integers(0, 2**63, 4).tolist() for rng in sim._cell_rng(7, 0.0, 10)(0, 5)]
+    for family in ("binomial", "normal"):
+        a, b = _scenario(family, 7, -0.0, 10), _scenario(family, 7, 0.0, 10)
+        zeros = [sim._draw_block(s, s.true_effects[0], 10, 0, 5).tolist() for s in (a, b)]
+        assert zeros[0] == zeros[1]
+        assert sim.simulate_dataset(a, -0.0, 10, 600) == sim.simulate_dataset(b, 0.0, 10, 600)
 
 
 def test_negative_seed_is_refused_as_numpy_refuses_it():
     with pytest.raises(ValueError) as want:
         np.random.SeedSequence([-1, 0, 1, 0])
     with pytest.raises(ValueError) as got:
-        next(sim._cell_rng(-1, 0.0, 1)(0, 1))
+        sim._draw_block(_scenario("binomial", -1, 0.0, 1), 0.0, 1, 0, 1)
     assert str(got.value) == str(want.value)
 
 
 def test_dataset_of_one_replicate_matches_the_sweep_draw():
     scenario = shipped_scenario("aspirin_scenario", replicates=4)
-    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, _bits(0.0077), 22000, 2]))
-    ybar = float(rng.normal(0.0077, 0.2 / math.sqrt(22000)))
+    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, _bits(0.0077), 22000, 0]))
+    ybar = rng.normal(0.0077, 0.2 / math.sqrt(22000), 512)[2].item()
     assert sim.simulate_dataset(scenario, 0.0077, 22000, 2) == sim.NormalDraw(22000, ybar, 0.2)
+    assert _sweep_draws(scenario)[2] == ybar

@@ -24,7 +24,7 @@ from relkit.simulate import (
 )
 from relkit.hypotheses import HypothesisPair
 from relkit.loss import CurveKnots, LossSpec, ParameterSpace, QuadraticParams, coin_demo_loss
-from relkit.regions import Interval, RegionSet
+from relkit.regions import Interval, RegionSet, partition, region_hull
 
 from conftest import CONFIG_DIR, quadratic_pair_spec, random_loss_spec, shipped_scenario
 
@@ -1571,19 +1571,105 @@ def test_counts_do_not_depend_on_evaluation_order(scenario):
     assert errors[0] == errors[1] == {report for table in per_cell for report in table.errors}
 
 
+ORACLE_REPLICATES = 10_000
+ORACLE_TAIL = 1e-7
+
+
+def _assert_counts_within_tails(table, exact):
+    """Each verdict count of each cell lies inside the central interval of
+    Binomial(replicates, exact rate) that leaves ORACLE_TAIL in each tail;
+    ``exact`` maps (effect, n, procedure) to {verdict: rate}. A verdict of
+    rate 0 is never counted, and one of rate 1 always."""
+    reps = table.replicates
+    assert reps == ORACLE_REPLICATES and len(table.cells) == len(exact)
+    for cell in table.cells:
+        rates = exact[cell.true_effect, cell.n, cell.procedure]
+        assert set(cell.frequencies) <= {v for v, rate in rates.items() if rate > 0.0}, cell
+        for verdict, rate in rates.items():
+            count = round(cell.frequencies.get(verdict, 0.0) * reps)
+            lo = stats.binom.ppf(ORACLE_TAIL, reps, rate)
+            hi = stats.binom.isf(ORACLE_TAIL, reps, rate)
+            assert lo <= count <= hi, (cell.true_effect, cell.n, cell.procedure, verdict, rate)
+
+
+def _log_binomial_pmf(n, k, pi):
+    """log of the binomial pmf at k, in log space, for 0 < pi < 1."""
+    log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    return log_choose + k * math.log(pi) + (n - k) * math.log1p(-pi)
+
+
+def test_binomial_bench_counts_lie_within_exact_binomial_tails():
+    """An oracle independent of the stream: on the benchmark's binomial grid
+    at 10^4 replicates, each count lies within ORACLE_TAIL of the exact
+    rate, the sum of pmf(k) over the counts k of the verdict, each verdict
+    from the procedure compiled alone."""
+    scenario = _bench_binomial(
+        true_effects=BENCH_BINOMIAL_EFFECTS,
+        sample_sizes=(20, 100, 1000),
+        replicates=ORACLE_REPLICATES,
+        seed=3,
+    )
+    exact = {}
+    for proc in scenario.procedures:
+        fn = sim._compile_procedure(scenario, proc)
+        for n in scenario.sample_sizes:
+            verdicts = []
+            for k in range(n + 1):
+                try:
+                    verdicts.append(fn(sim.BinomialDraw(n, k)))
+                except RelkitError:
+                    verdicts.append("error")
+            for effect in scenario.true_effects:
+                rates = dict.fromkeys(verdicts, 0.0)
+                for k, verdict in enumerate(verdicts):
+                    rates[verdict] += math.exp(_log_binomial_pmf(n, k, effect + 0.5))
+                exact[effect, n, proc.name] = rates
+    _assert_counts_within_tails(run_operating_characteristics(scenario), exact)
+
+
+def test_normal_bench_tests_lie_within_tails_of_their_closed_forms():
+    """The same oracle for nhst and tost on the benchmark's normal grid,
+    whose rates have closed forms: with z = ybar sqrt(n) / sigma, nhst
+    rejects where |z| exceeds the two-sided critical value, and tost finds
+    equivalence where ybar lies inside the bounds narrowed by the one-sided
+    critical value times the standard error."""
+    alpha = 0.05
+    procs = (ProcedureSpec("nhst", {"alpha": alpha}), ProcedureSpec("tost", {"alpha": alpha}))
+    scenario = _bench_normal(
+        **{**BENCH_NORMAL_GRID, "replicates": ORACLE_REPLICATES}, procedures=procs, seed=3
+    )
+    hull = region_hull(partition(scenario.loss).negligible)
+    two, one = stats.norm.isf(alpha / 2), stats.norm.isf(alpha)
+    exact = {}
+    for effect in scenario.true_effects:
+        for n in scenario.sample_sizes:
+            se = scenario.sigma / math.sqrt(n)
+            mean = effect / se
+            reject = stats.norm.sf(two - mean) + stats.norm.cdf(-two - mean)
+            inside = stats.norm.cdf((hull.hi - effect) / se - one)
+            inside -= stats.norm.cdf((hull.lo - effect) / se + one)
+            equivalent = max(inside, 0.0)
+            exact[effect, n, "nhst"] = {"reject": reject, "fail_to_reject": 1.0 - reject}
+            exact[effect, n, "tost"] = {
+                "equivalent": equivalent,
+                "not_equivalent": 1.0 - equivalent,
+            }
+    _assert_counts_within_tails(run_operating_characteristics(scenario), exact)
+
+
 # kernel calls per procedure on the benchmark's normal grid, one cell per run
 # at 100 replicates and seeds 1-3, as the benchmark sends it. With the box
-# certificates alone they were nhst 201, tost 81, rope 115, hypothesis_ratio
-# 335, expected_loss 430 and bayes_factor 435 (1,597 in all)
+# certificates alone they were nhst 208, tost 83, rope 120, hypothesis_ratio
+# 319, expected_loss 402 and bayes_factor 407 (1,539 in all)
 NORMAL_BENCH_CELL_CALLS = {
-    "nhst": 201,
-    "tost": 81,
-    "rope": 115,
-    "hypothesis_ratio": 208,
-    "expected_loss": 227,
-    "bayes_factor": 429,
+    "nhst": 208,
+    "tost": 83,
+    "rope": 120,
+    "hypothesis_ratio": 214,
+    "expected_loss": 234,
+    "bayes_factor": 399,
 }
-BOX_ONLY_CELL_CALLS = {"nhst": 201, "tost": 81, "rope": 115, "bayes_factor": 435}
+BOX_ONLY_CELL_CALLS = {"nhst": 208, "tost": 83, "rope": 120, "bayes_factor": 407}
 
 
 def test_normal_bench_cells_take_the_pinned_kernel_calls(monkeypatch):
@@ -1641,25 +1727,25 @@ def _counting_corners(monkeypatch):
 
 
 # coordinates taken and boxes checked per procedure on the same cells. Taken
-# at every kernel call and boxed at every gap between two evaluated draws,
-# they were 1,261 and 1,257: nhst 201 and 162, tost 81 and 60, rope 115 and
-# 102, hypothesis_ratio 208 and 175, expected_loss 227 and 210, bayes_factor
-# 429 and 548
+# at every kernel call, the coordinates would be the 1,258 calls above. On
+# the per-replicate streams of relkit before blocks were drawn whole, that
+# was 1,261 and boxing every gap between two evaluated draws took 1,257
+# boxes; taken for a box only, 524 and 630
 NORMAL_BENCH_CELL_COORDS = {
-    "nhst": 36,
-    "tost": 42,
-    "rope": 50,
-    "hypothesis_ratio": 40,
-    "expected_loss": 69,
-    "bayes_factor": 287,
+    "nhst": 38,
+    "tost": 45,
+    "rope": 73,
+    "hypothesis_ratio": 41,
+    "expected_loss": 87,
+    "bayes_factor": 263,
 }
 NORMAL_BENCH_CELL_BOXES = {
-    "nhst": 18,
-    "tost": 39,
-    "rope": 42,
-    "hypothesis_ratio": 38,
-    "expected_loss": 88,
-    "bayes_factor": 405,
+    "nhst": 19,
+    "tost": 45,
+    "rope": 63,
+    "hypothesis_ratio": 40,
+    "expected_loss": 118,
+    "bayes_factor": 387,
 }
 
 

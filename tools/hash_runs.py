@@ -1,12 +1,14 @@
-"""One SHA-256 over a fixed set of relkit runs, to check that a change
-leaves every output byte as it was.
+"""Two SHA-256 digests over a fixed set of relkit runs, to check that a
+change leaves every output byte as it was: one over the ``simulate`` runs
+and one over all the others, so that a change to the simulated stream can
+show that it moved no other output.
 
     python3 tools/hash_runs.py SRC_DIR
 
 imports relkit from SRC_DIR (the ``src`` directory of any checkout) and
 runs each command in-process through ``relkit.cli.main``, in a scratch
 directory and with relative paths, so that no output names where it ran.
-The digest covers, per run, its arguments, exit code, stdout, stderr and
+Each digest covers, per run, its arguments, exit code, stdout, stderr and
 the artifacts it wrote. The runs:
 
 - both benchmark grids, whole and one cell at a time, at seeds 1-3;
@@ -20,8 +22,8 @@ the artifacts it wrote. The runs:
 
 The workloads come from ``perfbench/workloads.py`` and the shipped
 configs from ``configs/``, both of the checkout this script lies in. Print
-the digest for two source trees and compare: equal digests mean equal
-bytes. The set takes 10–15 s on one core of a 2-core Xeon VM.
+the digests for two source trees and compare: equal digests mean equal
+bytes. The set takes 8–10 s on one core of a 2-core Xeon VM.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ def main(argv: list[str]) -> int:
     import relkit.cli
     import workloads
 
-    digest = hashlib.sha256()
+    digests = {"simulate": hashlib.sha256(), "other": hashlib.sha256()}
+    sizes = dict.fromkeys(digests, 0)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
@@ -107,9 +110,12 @@ def main(argv: list[str]) -> int:
                     written[path] = Path(path).read_text(encoding="utf-8")
                     os.remove(path)
             record = [argv_, rc, stdout.getvalue(), stderr.getvalue(), written]
-            digest.update(json.dumps(record).encode() + b"\n")
+            kind = "simulate" if argv_[0] == "simulate" else "other"
+            digests[kind].update(json.dumps(record).encode() + b"\n")
+            sizes[kind] += 1
         os.chdir(home)
-    print(f"{digest.hexdigest()}  {len(runs)} runs")
+    for kind, digest in digests.items():
+        print(f"{digest.hexdigest()}  {sizes[kind]} {kind} runs")
     return 0
 
 
