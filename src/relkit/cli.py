@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from ._version import __version__
@@ -54,9 +54,9 @@ _FLAGS = {
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args keeps no
-    state between calls."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, built once per
+    process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="relkit",
         description=(
@@ -73,21 +73,38 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="artifact path (stdout when omitted)")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-    return parser
+    return parser, sub.choices
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
+def _json(value, indent: str) -> str:
+    """``value`` as JSON, its lines after the first starting with ``indent``
+    (a newline and spaces)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        # a key that is not a str fails the sort or the escape with TypeError
+        items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(_json_safe(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``doc`` as the text ``json.dumps(doc, indent=2, sort_keys=True)``
+    gives, with every non-finite float written as null."""
+    return _json(doc, "\n") + "\n"
 
 
 def _write(*artifacts: tuple[Path, str]) -> None:
@@ -363,8 +380,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
+    try:  # a command line parsed once, by its command's own parser when it names one
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

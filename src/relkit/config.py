@@ -293,11 +293,13 @@ def _parse_document(raw: dict) -> ConfigDocument:
 
 
 def load_config(path: str | Path) -> ConfigDocument:
-    """Read and parse a configuration file, raising ConfigError with the
-    file position on malformed JSON."""
+    """Read and parse a configuration file, raising ConfigError naming the
+    file when it cannot be read or is not UTF-8, and with the file position
+    on malformed JSON."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)

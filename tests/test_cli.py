@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import copy
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import relkit
 import relkit.cli
 import relkit.simulate
 from relkit.cli import MAX_PLOT_GRID, main
@@ -954,6 +957,13 @@ class TestExitCodeMatrix:
         code, _, _ = run_cli(["partition", "--config", "/nonexistent.json"], capsys)
         assert code == 2
 
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"spec_version": 1, "x": "\xe9"}')
+        code, out, err = run_cli(["partition", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"relkit: error: cannot read config {cfg}: 'utf-8' codec"), err
+
     def test_bad_subcommand(self, capsys):
         assert run_cli(["explode", "--config", "x"], capsys)[0] == 2
 
@@ -1216,7 +1226,45 @@ def test_command_takes_only_the_flags_it_reads(command, flag, tmp_path, capsys, 
             assert list(tmp_path.glob("out.*")), "no artifact written"
     else:
         assert code == 2
-        assert f"unrecognized arguments: {' '.join(given)}" in err
+        # the command's own parser reports it, under that command's name
+        assert f"relkit {command}: error: unrecognized arguments: {' '.join(given)}" in err
+
+
+def _honoured_flag_sets(command):
+    """Every subset of the flags ``command`` reads, each flag with its value."""
+    flags = [flag for flag in FLAG_VALUES if (flag, command) in HONOURED]
+    return [
+        [word for flag in subset for word in (flag, *FLAG_VALUES[flag])]
+        for size in range(len(flags) + 1)
+        for subset in itertools.combinations(flags, size)
+    ]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_parser_reads_a_line_as_the_top_level_parser_does(command):
+    parser, commands = relkit.cli._parser()
+    for given in _honoured_flag_sets(command):
+        rest = ["--config", "c.json", *given]
+        own = commands[command].parse_args(rest, argparse.Namespace(command=command))
+        assert vars(own) == vars(parser.parse_args([command, *rest])), given
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["--version"], 0, f"relkit {relkit.__version__}\n", ""),
+        ([], 2, "", "relkit: error: the following arguments are required: command\n"),
+        (["frobnicate", "--config", "x"], 2, "", "invalid choice: 'frobnicate'"),
+        (["decide", "-h"], 0, "usage: relkit decide [-h] --config CONFIG", ""),
+    ],
+)
+def test_version_help_and_refused_lines_behave_as_before(argv, code, out, err, capsys):
+    got_code, got_out, got_err = run_cli(argv, capsys)
+    assert got_code == code
+    assert out in got_out and (got_out == "") == (out == "")
+    assert err in got_err and (got_err == "") == (err == "")
+    if code == 2:  # a line naming no command is refused by the top-level parser
+        assert got_err.startswith("usage: relkit [-h] [--version]\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1474,3 +1522,52 @@ def test_simulate_csv_and_json_agree(name, tmp_path, capsys):
             for got, value in zip(row, want, strict=True):
                 assert_cell_agrees(got, value)
     assert next(rows, None) is None
+
+
+# --- the JSON writer matches json.dumps -------------------------------------
+
+
+def nonfinite_to_none(value):
+    """``value`` with every non-finite float made None, as the artifacts write it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: nonfinite_to_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [nonfinite_to_none(v) for v in value]
+    return value
+
+
+JSON_TEXT = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x08\x1f\x7f\xe9 \U0001f600'), max_size=8
+)
+JSON_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e16, sys.float_info.max, math.nan, math.inf, -math.inf]
+)
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | JSON_FLOATS | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(JSON_TEXT, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(doc={"a\"\\\n\xe9\U0001f600": [True, False, None, 1, (), {}, []]})
+@example(doc={"x": [-0.0, 5e-324, 1e16, sys.float_info.max, math.nan, -math.inf, 2**70]})
+@given(doc=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
+def test_json_writer_matches_json_dumps(doc):
+    want = json.dumps(nonfinite_to_none(doc), indent=2, sort_keys=True, allow_nan=False)
+    assert relkit.cli._json_text(doc) == want + "\n"
+
+
+@pytest.mark.parametrize("doc", [{"a": {1, 2}}, {"a": [frozenset()]}, {1: "a"}, {"a": {2: 0}}])
+def test_json_writer_refuses_what_json_cannot_hold(doc):
+    with pytest.raises(TypeError):
+        relkit.cli._json_text(doc)

@@ -18,7 +18,10 @@ the artifacts it wrote. The runs:
 - the ``sweep_binomial`` procedures at 24 replicates and n = 2^16 - 2,
   the largest n whose cells carry certificates, 2^16 - 1 and 2^17;
 - every ``decide`` and ``compare`` request of the ``analyze`` pool, and
-  both requests of every mirrored tail pair.
+  both requests of every mirrored tail pair;
+- command lines the argument parser refuses or answers alone: a flag each
+  command does not read, no command, an unknown command, and ``--version``.
+  Their usage text is wrapped at 80 columns, whatever the terminal.
 
 The workloads come from ``perfbench/workloads.py`` and the shipped
 configs from ``configs/``, both of the checkout this script lies in. Print
@@ -42,14 +45,14 @@ STREAM_COMMANDS = 400
 SEEDS = (1, 2, 3)
 
 
-def _runs(workloads) -> list[tuple[list[str], list[str]]]:
-    """(argv, artifact paths) of every run, configs written to the current
-    directory on the way."""
-    runs = []
+def _runs(workloads) -> dict[str, list[tuple[list[str], list[str]]]]:
+    """(argv, artifact paths) of every run, by digest, configs written to the
+    current directory on the way."""
+    runs = {"simulate": [], "other": []}
 
     def simulate(config: str, *flags: str) -> None:
         argv = ["simulate", "--config", config, "--output", "out", *flags]
-        runs.append((argv, ["out.csv", "out.json"]))
+        runs["simulate"].append((argv, ["out.csv", "out.json"]))
 
     for workload in ("sweep_binomial", "sweep_normal"):
         for seed in SEEDS:
@@ -81,7 +84,13 @@ def _runs(workloads) -> list[tuple[list[str], list[str]]]:
         if command in ("decide", "compare"):
             config = f"analyze{i:05d}.json"
             Path(config).write_text(json.dumps(cfg), encoding="utf-8")
-            runs.append(([command, "--config", config, "--output", "out.json"], ["out.json"]))
+            argv = [command, "--config", config, "--output", "out.json"]
+            runs["other"].append((argv, ["out.json"]))
+    for command in ("partition", "check-hypotheses", "decide", "compare", "simulate", "plot"):
+        unread = ["--seed", "5"] if command == "plot" else ["--plot-grid", "3"]
+        runs["other"].append(([command, "--config", "coin_scenario.json", *unread], []))
+    for argv in ([], ["frobnicate", "--config", "coin_scenario.json"], ["--version"]):
+        runs["other"].append((argv, []))
     return runs
 
 
@@ -97,22 +106,22 @@ def main(argv: list[str]) -> int:
     digests = {"simulate": hashlib.sha256(), "other": hashlib.sha256()}
     sizes = dict.fromkeys(digests, 0)
     home = os.getcwd()
+    os.environ["COLUMNS"] = "80"  # the width argparse wraps its usage text to
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
-        runs = _runs(workloads)
-        for argv_, artifacts in runs:
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                rc = relkit.cli.main(argv_)
-            written = {}
-            for path in artifacts:
-                if os.path.exists(path):
-                    written[path] = Path(path).read_text(encoding="utf-8")
-                    os.remove(path)
-            record = [argv_, rc, stdout.getvalue(), stderr.getvalue(), written]
-            kind = "simulate" if argv_[0] == "simulate" else "other"
-            digests[kind].update(json.dumps(record).encode() + b"\n")
-            sizes[kind] += 1
+        for kind, runs in _runs(workloads).items():
+            for argv_, artifacts in runs:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    rc = relkit.cli.main(argv_)
+                written = {}
+                for path in artifacts:
+                    if os.path.exists(path):
+                        written[path] = Path(path).read_text(encoding="utf-8")
+                        os.remove(path)
+                record = [argv_, rc, stdout.getvalue(), stderr.getvalue(), written]
+                digests[kind].update(json.dumps(record).encode() + b"\n")
+                sizes[kind] += 1
         os.chdir(home)
     for kind, digest in digests.items():
         print(f"{digest.hexdigest()}  {sizes[kind]} {kind} runs")
