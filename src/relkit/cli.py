@@ -37,19 +37,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC_IO = 3
 
-# samples per plotted curve; the plot area is 656 px wide, and the grid is
-# held in memory before anything is written
-MAX_PLOT_GRID = 100_000
-
 
 _FLAGS = {
     "--format": {"choices": ("csv", "json"), "help": "artifact format"},
     "--seed": {"type": int, "help": "override the configured seed"},
-    "--plot-grid": {
-        "type": int,
-        "default": 512,
-        "help": f"samples per curve, at most {MAX_PLOT_GRID} (default 512)",
-    },
 }
 
 
@@ -143,11 +134,10 @@ def _write(*artifacts: tuple[Path, str]) -> None:
                 os.unlink(path)
 
 
-def _deliver(args, cfg: ConfigDocument, text: str) -> None:
-    """Write ``text`` to --output, else output.path, else stdout."""
-    out = args.output or cfg.output.path
-    if out:
-        _write((Path(out), text))
+def _deliver(args, text: str) -> None:
+    """Write ``text`` to --output, else to stdout."""
+    if args.output:
+        _write((Path(args.output), text))
     else:
         sys.stdout.write(text)
 
@@ -169,10 +159,9 @@ def _csv(columns: tuple[str, ...], rows) -> str:
     return "".join(",".join(map(_cell, row)) + "\n" for row in (columns, *rows))
 
 
-def _emit(args, cfg: ConfigDocument, doc: dict, columns: tuple[str, ...], rows) -> None:
+def _emit(args, doc: dict, columns: tuple[str, ...], rows) -> None:
     """Deliver ``doc`` as JSON, or ``rows`` under ``columns`` as CSV."""
-    fmt = args.format or cfg.output.format
-    _deliver(args, cfg, _csv(columns, rows) if fmt == "csv" else _json_text(doc))
+    _deliver(args, _csv(columns, rows) if args.format == "csv" else _json_text(doc))
 
 
 _REGION_COLUMNS = ("lo", "hi", "lo_open", "hi_open", "label")
@@ -200,7 +189,7 @@ def _cmd_partition(args, cfg: ConfigDocument) -> int:
         "regions": regions,
     }
     rows = [[r[c] for c in _REGION_COLUMNS] for r in regions]
-    _emit(args, cfg, doc, _REGION_COLUMNS, rows)
+    _emit(args, doc, _REGION_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -220,7 +209,7 @@ def _cmd_check_hypotheses(args, cfg: ConfigDocument) -> int:
         "witness": witness,
     }
     rows = [(key, doc[key]) for key in ("complete", "partial", "witness")]
-    _emit(args, cfg, doc, ("key", "value"), rows)
+    _emit(args, doc, ("key", "value"), rows)
     return EXIT_OK
 
 
@@ -253,7 +242,7 @@ def _cmd_decide(args, cfg: ConfigDocument) -> int:
     keys = ("decision", "posterior_h0", "posterior_h1", "posterior_odds",
             "threshold_lo", "threshold_hi")
     rows = [(key, doc[key]) for key in keys]
-    _emit(args, cfg, doc, ("key", "value"), rows)
+    _emit(args, doc, ("key", "value"), rows)
     return EXIT_OK
 
 
@@ -290,17 +279,11 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
     ]
     doc = {"command": "compare", "spec_version": 1, "results": results}
     rows = [[r[c] for c in _COMPARE_COLUMNS] for r in results]
-    _emit(args, cfg, doc, _COMPARE_COLUMNS, rows)
+    _emit(args, doc, _COMPARE_COLUMNS, rows)
     return EXIT_OK
 
 
-def _reject_output_format(cfg: ConfigDocument, command: str, writes: str) -> None:
-    if cfg.output.given_format is not None:
-        raise ConfigError(f"output.format: {command} always writes {writes}; remove the key")
-
-
 def _cmd_simulate(args, cfg: ConfigDocument) -> int:
-    _reject_output_format(cfg, "simulate", "both CSV and JSON")
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be non-negative")
     if cfg.scenario is None:
@@ -322,7 +305,7 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
         for c in table.cells
         for verdict, freq in c.frequencies.items()
     ]
-    if out := args.output or cfg.output.path:
+    if out := args.output:
         doc = {
             "command": "simulate",
             "spec_version": 1,
@@ -349,18 +332,13 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
 
 
 def _cmd_plot(args, cfg: ConfigDocument) -> int:
-    _reject_output_format(cfg, "plot", "SVG")
-    if not 2 <= args.plot_grid <= MAX_PLOT_GRID:
-        bound = f"at most {MAX_PLOT_GRID}" if args.plot_grid > 2 else "at least 2"
-        raise ConfigError(f"--plot-grid must be {bound}, got {args.plot_grid}")
-    part = partition(cfg.loss)
-    _deliver(args, cfg, render_loss_plot(cfg.loss, part, cfg.actions, args.plot_grid))
+    _deliver(args, render_loss_plot(cfg.loss, partition(cfg.loss), cfg.actions))
     return EXIT_OK
 
 
 # one row per command: its help text, the flags it reads beside --config and
-# --output, spelled in full (a prefix such as plot --plot would name
-# --plot-grid), and its handler
+# --output, spelled in full (a prefix such as decide --form would name
+# --format), and its handler
 _COMMANDS = {
     "partition": (
         "compute the negligible/relevant partition of the space", ("--format",), _cmd_partition
@@ -375,7 +353,7 @@ _COMMANDS = {
         "run the configured baseline procedures on the observed data", ("--format",), _cmd_compare
     ),
     "simulate": ("sweep operating characteristics over a scenario", ("--seed",), _cmd_simulate),
-    "plot": ("render the loss curves and regions as SVG", ("--plot-grid",), _cmd_plot),
+    "plot": ("render the loss curves and regions as SVG", (), _cmd_plot),
 }
 
 

@@ -10,7 +10,7 @@ hard errors so that a typo cannot silently change an analysis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import values
@@ -30,7 +30,6 @@ from .simulate import PROCEDURES, ProcedureSpec, Scenario, parse_settings
 SPEC_VERSION = 1
 
 _RULE = values.one_of("hypothesis_ratio", "expected_loss")
-_FORMAT = values.one_of("csv", "json")
 # the parser of a model.data value, by the type a family row gives it
 _DATA_VALUE = {int: values.count, float: values.number}
 
@@ -140,7 +139,10 @@ def _parse_model(
     n = _take(data, "n", "model.data", values.count)
     known = [_take(section, key, "model", values.number) for key in row.known]
     observed = [_take(data, key, "model.data", _DATA_VALUE[kind]) for key, kind in row.data]
-    model = row.model(n, *observed, *known, *prior)
+    try:
+        model = row.model(n, *observed, *known, *prior)
+    except ValidationError as exc:
+        raise ValidationError(f"model: {exc}") from None
     _finish(data, "model.data")
     row.check_support(space.lo, space.hi)
     return model, family
@@ -185,49 +187,35 @@ def _parse_procedures(
     return tuple(specs)
 
 
-def _parse_scenario(section: dict, loss: LossSpec, top_seed: int | None) -> Scenario:
+def _parse_scenario(section: dict, loss: LossSpec, seed: int | None) -> Scenario:
+    """The sweep, seeded by the top-level seed (0 when it is absent)."""
     name = _take(section, "name", "scenario", values.string)
     family = _take(section, "family", "scenario", values.model_family)
     effects = _take(section, "true_effects", "scenario", values.numbers)
     sizes = _take(section, "sample_sizes", "scenario", values.counts)
     replicates = _take(section, "replicates", "scenario", values.count)
-    seed = _take(section, "seed", "scenario", values.seed, top_seed or 0)
     known = {key: _take(section, key, "scenario", values.number) for key in FAMILIES[family].known}
     prior = _take(section, "prior", "scenario", values.prior, None, family)
     procedures = _parse_procedures(
         section.pop("procedures", None), "scenario.procedures", "procedure", family
     )
-    return Scenario(
-        name=name,
-        family=family,
-        loss=loss,
-        true_effects=effects,
-        sample_sizes=sizes,
-        replicates=replicates,
-        seed=seed,
-        procedures=procedures,
-        prior=prior,
-        **known,
-    )
-
-
-@dataclass(frozen=True)
-class OutputSettings:
-    """The output section; ``given_format`` is None when ``format`` is
-    absent, so that the commands with a fixed format can reject the key."""
-
-    given_format: str | None = None
-    path: str | None = None
-
-    @property
-    def format(self) -> str:
-        return self.given_format or "json"
-
-
-def _parse_output(section: dict) -> OutputSettings:
-    fmt = _take(section, "format", "output", _FORMAT, None)
-    path = _take(section, "path", "output", values.string, "")
-    return OutputSettings(given_format=fmt, path=path or None)
+    # the support error names the parameter space, not a scenario key
+    FAMILIES[family].check_support(loss.space.lo, loss.space.hi)
+    try:
+        return Scenario(
+            name=name,
+            family=family,
+            loss=loss,
+            true_effects=effects,
+            sample_sizes=sizes,
+            replicates=replicates,
+            seed=seed or 0,
+            procedures=procedures,
+            prior=prior,
+            **known,
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"scenario: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -241,7 +229,6 @@ class ConfigDocument:
     decision: ProcedureSpec | None = None
     comparators: tuple[ProcedureSpec, ...] | None = None
     scenario: Scenario | None = None
-    output: OutputSettings = field(default_factory=OutputSettings)
     seed: int | None = None
 
 
@@ -284,7 +271,6 @@ def _parse_document(raw: dict) -> ConfigDocument:
         decision=_read(raw, "decision", "", _parse_decision, family),
         comparators=comparators,
         scenario=_read(raw, "scenario", "", _parse_scenario, loss, seed),
-        output=_read(raw, "output", "", _parse_output) or OutputSettings(),
         seed=seed,
     )
     if raw:

@@ -33,17 +33,13 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def render_loss_plot(
-    spec: LossSpec,
-    part: RelevancePartition,
-    actions: ActionPair | None = None,
-    samples: int = 512,
+    spec: LossSpec, part: RelevancePartition, actions: ActionPair | None = None
 ) -> str:
     """Render both loss curves with the relevance partition shaded; each
-    curve is sampled at ``samples`` uniform points plus the loss
-    breakpoints."""
+    curve is sampled at 512 uniform points plus the loss breakpoints."""
     actions = actions or ActionPair("a0", "a1")
     space = spec.space
-    grid = sample_grid(space, samples, include=breakpoints(spec))
+    grid = sample_grid(space, 512, include=breakpoints(spec))
     y0 = [evaluate_loss(spec, t, "a0") for t in grid]
     y1 = [evaluate_loss(spec, t, "a1") for t in grid]
     y_max = max(max(y0), max(y1), 1e-12) * 1.05

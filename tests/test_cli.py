@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 import relkit
 import relkit.cli
 import relkit.simulate
-from relkit.cli import MAX_PLOT_GRID, main
+from relkit.cli import main
 from relkit.config import load_config
 from relkit.errors import ValidationError
 from relkit.inference import BinomialModel, posterior_update
@@ -912,31 +912,6 @@ class TestPlotCommand:
         ]
         assert code == 0 and not crossing_lines
 
-    def test_plot_grid_override(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, coin_doc())
-        code, out, _ = run_cli(["plot", "--config", cfg, "--plot-grid", "64"], capsys)
-        root = self._svg_root(out)
-        polyline = next(el for el in root.iter() if el.tag.endswith("polyline"))
-        # 64 uniform samples plus the breakpoint at 0
-        assert len(polyline.get("points").split()) == 65
-
-    @pytest.mark.parametrize("grid", [-3, 0, 1, 2, MAX_PLOT_GRID, MAX_PLOT_GRID + 1])
-    def test_plot_grid_capped_before_sampling(self, grid, tmp_path, capsys, monkeypatch):
-        # the range is checked before any sample is taken; nothing here
-        # renders a large grid
-        asked = []
-        monkeypatch.setattr(
-            relkit.cli, "render_loss_plot", lambda *a: asked.append(a[-1]) or "<svg/>\n"
-        )
-        cfg = write_config(tmp_path, coin_doc())
-        code, out, err = run_cli(["plot", "--config", cfg, "--plot-grid", str(grid)], capsys)
-        if grid in (2, MAX_PLOT_GRID):
-            assert (code, out, asked) == (0, "<svg/>\n", [grid])
-        else:
-            assert (code, out, asked) == (2, "", [])
-            bound = "at least 2" if grid < 2 else f"at most {MAX_PLOT_GRID}"
-            assert err == f"relkit: error: --plot-grid must be {bound}, got {grid}\n"
-
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, coin_doc())
         code, _, err = run_cli(
@@ -1209,7 +1184,7 @@ FLAG_VALUES = {"--output": ["out.x"], "--format": ["csv"], "--seed": ["5"], "--p
 HONOURED = (
     {("--output", command) for command in COMMANDS}
     | {("--format", command) for command in ("partition", "check-hypotheses", "decide", "compare")}
-    | {("--seed", "simulate"), ("--plot-grid", "plot")}
+    | {("--seed", "simulate")}
 )
 
 
@@ -1267,22 +1242,24 @@ def test_version_help_and_refused_lines_behave_as_before(argv, code, out, err, c
         assert got_err.startswith("usage: relkit [-h] [--version]\n")
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", COMMANDS)
-def test_output_format_key_only_where_honoured(command, fmt, tmp_path, capsys, monkeypatch):
-    """output.format is read by the four report commands; plot and simulate
-    write fixed formats and reject the key, as they reject --format."""
+def test_every_command_refuses_an_output_section(command, tmp_path, capsys, monkeypatch):
+    """--output and --format are the only places for the artifact's path and
+    format; a config has no output section."""
     monkeypatch.chdir(tmp_path)
     doc = copy.deepcopy(SHIPPED[SHIPPED_FOR[command]])
-    doc["output"] = {"format": fmt}
+    doc["output"] = {"path": "out.x"}
     code, out, err = run_cli([command, "--config", write_config(tmp_path, doc)], capsys)
-    if command in ("plot", "simulate"):
-        assert code == 2
-        assert "output.format" in err
-        assert out == ""
-    else:
-        assert code == 0, err
-        assert out.startswith("{") == (fmt == "json")
+    assert (code, out, err) == (2, "", "relkit: error: unknown top-level key(s) ['output']\n")
+    assert not list(tmp_path.glob("out.*"))
+
+
+def test_simulate_refuses_a_scenario_seed(tmp_path, capsys):
+    """The seed is the top-level seed, or --seed; the scenario has none."""
+    doc = copy.deepcopy(SHIPPED["coin_scenario.json"])
+    doc["scenario"]["seed"] = 5
+    code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out, err) == (2, "", "relkit: error: unknown key(s) ['seed'] in scenario\n")
 
 
 def wide_binomial_doc(section):

@@ -236,17 +236,18 @@ class TestScenarioSection:
         return minimal(scenario=scenario, seed=11)
 
     def test_scenario_parses_and_inherits_seed(self):
-        cfg = parse_config(self.scenario_doc())
+        doc = self.scenario_doc()
+        cfg = parse_config(doc)
         assert cfg.scenario.seed == 11
         assert cfg.scenario.true_effects == (0.0, 0.3)
-
-    def test_scenario_own_seed_wins(self):
-        cfg = parse_config(self.scenario_doc(seed=99))
-        assert cfg.scenario.seed == 99
+        del doc["seed"]
+        assert parse_config(doc).scenario.seed == 0
 
     def test_scenario_negative_seed_rejected(self):
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config(self.scenario_doc(seed=-5))
+        doc = self.scenario_doc()
+        doc["seed"] = -5
+        with pytest.raises(ConfigError, match="^seed: "):
+            parse_config(doc)
 
     def test_unknown_procedure_rejected(self):
         doc = self.scenario_doc(procedures=[{"procedure": "magic"}])
@@ -257,21 +258,6 @@ class TestScenarioSection:
         doc = self.scenario_doc(true_effects=[0.9])
         with pytest.raises(ConfigError, match="outside"):
             parse_config(doc)
-
-
-class TestOutputSection:
-    def test_defaults(self):
-        cfg = parse_config(minimal())
-        assert cfg.output.format == "json" and cfg.output.path is None
-
-    def test_explicit(self):
-        cfg = parse_config(minimal(output={"format": "csv", "path": "out.csv"}))
-        assert cfg.output.format == "csv"
-        assert cfg.output.path == "out.csv"
-
-    def test_bad_format(self):
-        with pytest.raises(ConfigError, match="format"):
-            parse_config(minimal(output={"format": "xml"}))
 
 
 # --- values: one parser per kind of value, and the key path in every error --
@@ -370,6 +356,50 @@ def test_counts_of_2_to_the_63_or_more_exit_2(tmp_path, n):
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         code, err = _run([command, "--config", str(cfg)])
         assert code == 2 and path in err, (path, code, err)
+
+
+# the Scenario and model constructors' own messages, behind the section they
+# checked; a constructor called directly keeps its message as it is
+CONSTRUCTOR_ERRORS = {
+    "replicates": (
+        "simulate", _scenario_doc(replicates=0), "scenario: replicates must be >= 1, got 0"
+    ),
+    "sizes": (
+        "simulate", _scenario_doc(sample_sizes=[0]), "scenario: sample_sizes must be positive"
+    ),
+    "effects": (
+        "simulate", _scenario_doc(true_effects=[]), "scenario: true_effects must be non-empty"
+    ),
+    "effect outside": (
+        "simulate",
+        _scenario_doc(true_effects=[0.7]),
+        "scenario: true effect 0.7 outside the parameter space [-0.5, 0.5]",
+    ),
+    "repeated size": (
+        "simulate",
+        _scenario_doc(sample_sizes=[5, 5]),
+        "scenario: sample size(s) [5] listed more than once; each may appear once",
+    ),
+    "sigma": (
+        "simulate",
+        _scenario_doc(family="normal", sigma=0),
+        "scenario: the normal family needs a positive finite sigma",
+    ),
+    "k above n": (
+        "decide",
+        {**_decision_doc(), "model": {"family": "binomial", "data": {"n": 5, "k": 7}}},
+        "model: need 0 <= k <= n, got k=7, n=5",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message", CONSTRUCTOR_ERRORS.values(), ids=CONSTRUCTOR_ERRORS.keys()
+)
+def test_constructor_errors_name_their_section(command, doc, message, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run([command, "--config", str(cfg)]) == (2, f"relkit: error: {message}\n")
 
 
 def test_largest_count_runs(tmp_path):
