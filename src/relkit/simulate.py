@@ -119,6 +119,15 @@ class ProcedureSpec:
             )
 
 
+def _check(key: str, parse: Callable, value) -> None:
+    """Check a value by the config's parser of its kind (``values``), the
+    error naming the key."""
+    try:
+        parse(value)
+    except ValidationError as exc:
+        raise ValidationError(f"{key}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Fully specified sweep over true effects and sample sizes.
@@ -159,6 +168,9 @@ class Scenario:
             len(prior) == 2 and all(map(math.isfinite, prior)) and row.proper(*prior)
         ):
             raise ValidationError(f"improper or non-finite {self.family} prior {prior}")
+        # counts as the config takes them: numpy draws take them as C longs
+        _check("replicates", values.count, self.replicates)
+        _check("sample_sizes", values.counts, self.sample_sizes)
         if self.replicates < 1:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
         if not self.true_effects:
@@ -223,6 +235,9 @@ def simulate_dataset(
     """Draw one dataset; fully determined by (seed, effect, n, replicate),
     as the README's "Determinism" formula gives it: element r % SWEEP_BLOCK
     of its block's draw, which a sweep takes whole."""
+    _check("n", values.count, n)
+    # its block index enters a SeedSequence, which takes any such integer
+    _check("replicate_index", values.seed, replicate_index)
     block, i = divmod(replicate_index, SWEEP_BLOCK)
     statistic = _draw_block(scenario, true_effect, n, block, i + 1)[i].item()
     known = (getattr(scenario, key) for key in FAMILIES[scenario.family].known)

@@ -22,7 +22,6 @@ from relkit.inference import (
     BinomialModel,
     NormalKnownVarModel,
     PosteriorModel,
-    concentration_splits,
     posterior_region_prob,
     posterior_update,
 )
@@ -36,13 +35,8 @@ from relkit.regions import (
 )
 from relkit.simulate import ProcedureSpec, run_operating_characteristics
 
-from conftest import (
-    BIAS_SPACE,
-    CONFIG_DIR,
-    quad_split,
-    random_loss_spec,
-    shipped_scenario,
-)
+import oracles
+from conftest import BIAS_SPACE, CONFIG_DIR, random_loss_spec, shipped_scenario
 
 
 @contextmanager
@@ -162,16 +156,7 @@ def _binomial_triple(rng):
     alpha, beta = rng.uniform(0.7, 25.0), rng.uniform(0.7, 25.0)
     n = rng.randint(0, 300)
     k = rng.randint(0, n) if n else 0
-    model = BinomialModel(n=n, k=k, prior_alpha=alpha, prior_beta=beta)
-    post = posterior_update(model, BIAS_SPACE)
-
-    def log_integrand(b):
-        pi = b + 0.5
-        if pi <= 0.0 or pi >= 1.0:
-            return -math.inf
-        return (alpha + k - 1.0) * math.log(pi) + (beta + n - k - 1.0) * math.log1p(-pi)
-
-    return post, log_integrand, (-0.5, 0.5)
+    return BinomialModel(n=n, k=k, prior_alpha=alpha, prior_beta=beta), BIAS_SPACE
 
 
 def _normal_triple(rng):
@@ -181,23 +166,15 @@ def _normal_triple(rng):
     model = NormalKnownVarModel(
         n=n, ybar=ybar, sigma=sigma, prior_mean=prior_mean, prior_sd=prior_sd
     )
-    space = ParameterSpace(-5.0, 5.0)
-    post = posterior_update(model, space)
-    se = sigma / math.sqrt(n)
-
-    def log_integrand(t):
-        return -0.5 * ((t - prior_mean) / prior_sd) ** 2 - 0.5 * ((ybar - t) / se) ** 2
-
-    return post, log_integrand, (-5.0, 5.0)
+    return model, ParameterSpace(-5.0, 5.0)
 
 
 def test_c5_conjugacy_matches_quadrature():
     with criterion("C5 closed-form region probabilities vs quadrature (200 triples)"):
         rng = random.Random(66260)
         for i in range(200):
-            post, log_integrand, (lo, hi) = (
-                _binomial_triple(rng) if i % 2 == 0 else _normal_triple(rng)
-            )
+            model, space = _binomial_triple(rng) if i % 2 == 0 else _normal_triple(rng)
+            lo, hi = space.lo, space.hi
             margin = 0.02 * (hi - lo)
             a = rng.uniform(lo + margin, hi - margin)
             b = rng.uniform(lo + margin, hi - margin)
@@ -207,15 +184,10 @@ def test_c5_conjugacy_matches_quadrature():
                 b = min(hi - margin, a + 0.01)
             region = RegionSet((Interval(a, b),))
 
-            cuts = concentration_splits(post)
-            probes = [lo + j * (hi - lo) / 64.0 for j in range(65)] + list(cuts)
-            shift = max(log_integrand(t) for t in probes)
-            integrand = lambda t: math.exp(log_integrand(t) - shift)
-            evidence = quad_split(integrand, lo, hi, cuts)
-            mass = quad_split(integrand, a, b, cuts)
-            closed = posterior_region_prob(post, region)
-            assert abs(closed - mass / evidence) <= 1e-6, (
-                f"triple {i}: closed {closed} vs quadrature {mass / evidence}"
+            want = oracles.region_prob_by_quadrature(model, space, a, b)
+            closed = posterior_region_prob(posterior_update(model, space), region)
+            assert abs(closed - want) <= 1e-6, (
+                f"triple {i}: closed {closed} vs quadrature {want}"
             )
 
 

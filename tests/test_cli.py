@@ -27,7 +27,8 @@ from relkit.errors import ValidationError
 from relkit.inference import BinomialModel, posterior_update
 from relkit.loss import QuadraticParams
 
-from conftest import expected_losses_oracle, random_loss_spec
+from conftest import random_loss_spec
+from oracles import expected_losses_oracle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -30,7 +30,8 @@ from relkit.loss import (
 )
 from relkit.regions import RegionSet, partition
 
-from conftest import BIAS_SPACE, equal_losses_spec, expected_losses_oracle, quadratic_pair_spec
+from conftest import BIAS_SPACE, equal_losses_spec, quadratic_pair_spec
+from oracles import expected_losses_oracle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

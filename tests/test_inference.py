@@ -11,7 +11,6 @@ from relkit.inference import (
     BinomialModel,
     NormalKnownVarModel,
     PosteriorModel,
-    concentration_splits,
     credible_interval,
     normal_cdf,
     posterior_region_prob,
@@ -24,7 +23,8 @@ from relkit.loss import CurveKnots, LossSpec, ParameterSpace
 from relkit.regions import Interval, RegionSet
 from relkit.simulate import ProcedureSpec, Scenario
 
-from conftest import BIAS_SPACE, quad_split
+import oracles
+from conftest import BIAS_SPACE
 
 
 class TestSpecialFunctions:
@@ -87,8 +87,8 @@ class TestConjugateUpdates:
         def unnorm(t):
             return stats.norm.pdf(t, -1.0, 1.5) * stats.norm.pdf(0.7, t, 2.0 / 2.0)
 
-        z = quadrature(unnorm, -12.0, 12.0, tol=1e-12).value
-        mean = quadrature(lambda t: t * unnorm(t), -12.0, 12.0, tol=1e-12).value / z
+        z = oracles.quad_split(unnorm, -12.0, 12.0)
+        mean = oracles.quad_split(lambda t: t * unnorm(t), -12.0, 12.0) / z
         assert post.params[0] == pytest.approx(mean, abs=1e-8)
 
     def test_normal_data_dominance(self):
@@ -185,25 +185,6 @@ class TestTruncation:
             post.cdf(1.5)
 
 
-def _scipy_log_mass(post: PosteriorModel) -> float:
-    """Log of the untruncated mass of the space, from SciPy's tails on the
-    side away from the posterior's location."""
-    lo, hi = post._native(post.space.lo), post._native(post.space.hi)
-    a, b = post.params
-    if post.family == "normal":
-        zl, zh = (lo - a) / b, (hi - a) / b
-        if zl >= 0.0:
-            zl, zh = -zh, -zl
-        if zh <= 0.0:
-            return special.log_ndtr(zh) + math.log1p(
-                -math.exp(special.log_ndtr(zl) - special.log_ndtr(zh))
-            )
-        return math.log(special.ndtr(zh) - special.ndtr(zl))
-    if lo >= a / (a + b):
-        return math.log(special.betaincc(a, b, lo) - special.betaincc(a, b, hi))
-    return math.log(special.betainc(a, b, hi) - special.betainc(a, b, lo))
-
-
 class TestDensity:
     def _posteriors(self):
         """Random posteriors, a third of them up to 30 sd beyond an end of
@@ -235,7 +216,9 @@ class TestDensity:
 
     def test_log_pdf_matches_scipy_over_the_mass_of_the_space(self):
         for rng, post, ref in self._posteriors():
-            log_mass = _scipy_log_mass(post)
+            shift = oracles.native_shift(post.family)
+            lo, hi = post.space.lo + shift, post.space.hi + shift
+            log_mass = oracles.log_mass(post.family, post.params, lo, hi)
             for _ in range(5):
                 x = rng.uniform(post.space.lo, post.space.hi)
                 assert post.log_pdf(x) == pytest.approx(
@@ -305,7 +288,9 @@ class TestQuadrature:
         post = posterior_update(
             BinomialModel(n=10, k=7, prior_alpha=1, prior_beta=1), BIAS_SPACE
         )
-        total = quad_split(post.pdf, -0.5, 0.5, concentration_splits(post))
+        beta = oracles.conjugate_update("binomial", (1.0, 1.0), 10, 7)
+        cuts = oracles.density_splits(*beta, BIAS_SPACE)
+        total = oracles.quad_split(post.pdf, -0.5, 0.5, cuts)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_depth_exhaustion_flagged(self):
@@ -357,21 +342,7 @@ def test_conjugacy_matches_quadrature_battery():
             n = rng.randint(0, 400)
             k = rng.randint(0, n) if n else 0
             model = BinomialModel(n=n, k=k, prior_alpha=alpha, prior_beta=beta)
-            post = posterior_update(model, BIAS_SPACE)
-            region = _random_region(rng, -0.5, 0.5)
-
-            def log_integrand(b):
-                pi = b + 0.5
-                if pi <= 0.0 or pi >= 1.0:
-                    return -math.inf
-                return (
-                    (alpha - 1.0) * math.log(pi)
-                    + (beta - 1.0) * math.log1p(-pi)
-                    + k * math.log(pi)
-                    + (n - k) * math.log1p(-pi)
-                )
-
-            lo, hi = -0.5, 0.5
+            space = BIAS_SPACE
         else:
             prior_mean = rng.uniform(-1.0, 1.0)
             prior_sd = rng.uniform(0.2, 2.0)
@@ -382,27 +353,11 @@ def test_conjugacy_matches_quadrature_battery():
                 n=n, ybar=ybar, sigma=sigma, prior_mean=prior_mean, prior_sd=prior_sd
             )
             space = ParameterSpace(-5.0, 5.0)
-            post = posterior_update(model, space)
-            region = _random_region(rng, -5.0, 5.0)
-            se = sigma / math.sqrt(n)
-
-            def log_integrand(t):
-                return (
-                    -0.5 * ((t - prior_mean) / prior_sd) ** 2
-                    - 0.5 * ((ybar - t) / se) ** 2
-                )
-
-            lo, hi = -5.0, 5.0
-
-        splits = concentration_splits(post)
-        probes = [lo + i * (hi - lo) / 64 for i in range(65)] + list(splits)
-        peak_guess = max(log_integrand(x) for x in probes)
-        integrand = lambda t: math.exp(log_integrand(t) - peak_guess)
-        evidence = quad_split(integrand, lo, hi, splits)
+        post = posterior_update(model, space)
+        region = _random_region(rng, space.lo, space.hi)
         itv = region.intervals[0]
-        mass = quad_split(integrand, itv.lo, itv.hi, splits)
         assert posterior_region_prob(post, region) == pytest.approx(
-            mass / evidence, abs=1e-6
+            oracles.region_prob_by_quadrature(model, space, itv.lo, itv.hi), abs=1e-6
         )
 
 
@@ -413,15 +368,6 @@ def test_posterior_summary_fields():
     assert summary["mean"] == pytest.approx(29.0 / 42.0 - 0.5, abs=1e-6)
     assert summary["family"] == "beta"
     assert summary["central_95"][0] < summary["mean"] < summary["central_95"][1]
-
-
-def _truncated_beta_ppf(a, b, lo, hi, p):
-    """Quantile of Beta(a, b) truncated to [lo, hi], from the tail the
-    interval lies in."""
-    dist = stats.beta(a, b)
-    if dist.cdf(hi) <= 0.5:
-        return float(dist.ppf(dist.cdf(lo) + p * (dist.cdf(hi) - dist.cdf(lo))))
-    return float(dist.isf(dist.sf(lo) - p * (dist.sf(lo) - dist.sf(hi))))
 
 
 TAIL_LEVELS = (1e-6, 0.01, 0.025, 0.3, 0.5, 0.7, 0.975, 0.99)
@@ -454,7 +400,7 @@ class TestQuantileOracle:
         )
         a, b = post.params
         for p in TAIL_LEVELS:
-            want = _truncated_beta_ppf(a, b, 0.5 - half, 0.5 + half, p) - 0.5
+            want = oracles.truncated_ppf(stats.beta(a, b), 0.5 - half, 0.5 + half, p) - 0.5
             assert post.quantile(p) == pytest.approx(want, abs=1e-9)
 
 
@@ -547,13 +493,6 @@ class TestBetaMomentPrecision:
         assert one["sd"] == pytest.approx(other["sd"], rel=1e-12)
 
 
-def _two_tail_point_null(n: int, k: int) -> tuple[float, float]:
-    """The exact binomial test from both tails, min(1, 2 min(P(X <= k), P(X >= k)))."""
-    lower = 1.0 if k == n else regularized_incomplete_beta(n - k, k + 1, 0.5)
-    upper = 1.0 if k == 0 else regularized_incomplete_beta(k, n - k + 1, 0.5)
-    return min(1.0, 2.0 * min(lower, upper)), float(k)
-
-
 class TestExactBinomialTest:
     """The test takes only the smaller tail, the upper one where 2k >= n."""
 
@@ -572,7 +511,8 @@ class TestExactBinomialTest:
 
         for n, k in self._cases():
             got = inference._binomial_point_null(BinomialModel(n=n, k=k))
-            assert got == _two_tail_point_null(n, k), (n, k)
+            want = oracles.two_tail_point_null(n, k, regularized_incomplete_beta)
+            assert got == want, (n, k)
 
     def test_one_incomplete_beta_per_test(self, monkeypatch):
         import relkit.inference as inference

@@ -33,6 +33,8 @@ from relkit.inference import BinomialModel, posterior_update
 from relkit.regions import partition
 from relkit.simulate import PROCEDURES, BinomialDraw, NormalDraw, ProcedureSpec
 
+import oracles
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 COIN_COMPARE = json.loads((CONFIG_DIR / "coin_compare.json").read_text())
 SCENARIO_CONFIGS = {
@@ -109,7 +111,7 @@ def test_compare_and_simulate_agree(tmp_path):
             for p in procs
         )
         scenario = dataclasses.replace(scenario, procedures=specs)
-        compiled[family] = (procs, [sim._compile_procedure(scenario, s) for s in specs])
+        compiled[family] = (procs, [oracles.compile_procedure(scenario, s) for s in specs])
     checked = set()
     for family, data, model_data in _datasets():
         procs, fns = compiled[family]

@@ -14,19 +14,20 @@ import relkit.simulate as sim
 from relkit import decisions, inference
 from relkit.config import load_config
 from relkit.errors import NumericalError, RelkitError, ValidationError
-from relkit.simulate import (
-    ProcedureSpec,
-    RateCell,
-    RateTable,
-    Scenario,
-    run_operating_characteristics,
-    simulate_dataset,
-)
+from relkit.simulate import ProcedureSpec, Scenario, run_operating_characteristics, simulate_dataset
 from relkit.hypotheses import HypothesisPair
 from relkit.loss import CurveKnots, LossSpec, ParameterSpace, QuadraticParams, coin_demo_loss
 from relkit.regions import Interval, RegionSet, partition, region_hull
 
-from conftest import CONFIG_DIR, quadratic_pair_spec, random_loss_spec, shipped_scenario
+import oracles
+from conftest import (
+    BENCH_BINOMIAL_PROCEDURES,
+    BENCH_NORMAL_PROCEDURES,
+    CONFIG_DIR,
+    quadratic_pair_spec,
+    random_loss_spec,
+    shipped_scenario,
+)
 
 ASPIRIN_LOSS = load_config(CONFIG_DIR / "aspirin_scenario.json").loss
 
@@ -77,8 +78,41 @@ class TestSimulateDataset:
         with pytest.raises(ValidationError):
             shipped_scenario("coin_scenario", true_effects=(0.7,))
 
+    @pytest.mark.parametrize(
+        "n, index, message",
+        [
+            (20, -1, "replicate_index: must be a non-negative integer, got -1"),
+            (20, 2.5, "replicate_index: must be an integer, got 2.5"),
+            (20.0, 1, "n: must be an integer, got 20.0"),
+            (2**63, 1, "n: must be an integer in [0, 2**63), got 9223372036854775808"),
+        ],
+        ids=["index-negative", "index-float", "n-float", "n-2^63"],
+    )
+    def test_counts_follow_the_config_rule(self, n, index, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            simulate_dataset(tiny_coin(), 0.0, n, index)
+
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"sample_sizes": (20, 2**63)},
+                "sample_sizes: item 1: must be an integer in [0, 2**63), got 9223372036854775808",
+            ),
+            ({"sample_sizes": (20.5,)}, "sample_sizes: item 0: must be an integer, got 20.5"),
+            ({"replicates": 2.5}, "replicates: must be an integer, got 2.5"),
+            ({"replicates": True}, "replicates: must be an integer, got True"),
+        ],
+        ids=["n-2^63", "n-float", "replicates-float", "replicates-bool"],
+    )
+    def test_counts_follow_the_config_rule(self, changes, message):
+        """The library refuses the counts the config refuses, with a
+        ValidationError before any draw, not numpy's error after binding."""
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            shipped_scenario("coin_scenario", **changes)
+
     def test_unknown_procedure(self):
         with pytest.raises(ValidationError, match="unknown procedure"):
             ProcedureSpec("anova", {})
@@ -342,8 +376,7 @@ def _by_cell(monkeypatch, calls):
 
 def _counting_bind(monkeypatch):
     """Patch the sweep's bind step so every verdict call is counted by
-    (procedure, model); returns () -> the counts of each cell, and the
-    unpatched compiler of one procedure."""
+    (procedure, model); returns () -> the counts of each cell."""
     calls = []
     bind = sim.bind_procedure
 
@@ -357,43 +390,7 @@ def _counting_bind(monkeypatch):
         return bound._replace(kernel=counted)
 
     monkeypatch.setattr(sim, "bind_procedure", counting)
-    return _by_cell(monkeypatch, calls), sim._compile_procedure
-
-
-def _direct_table(scenario, compile_procedure):
-    """The rate table from one verdict per replicate, without a map."""
-    cells = []
-    for effect in scenario.true_effects:
-        for n in scenario.sample_sizes:
-            draws = [
-                simulate_dataset(scenario, effect, n, r)
-                for r in range(scenario.replicates)
-            ]
-            for proc in scenario.procedures:
-                fn = compile_procedure(scenario, proc)
-                counts = Counter(fn(data) for data in draws)
-                freqs = {
-                    v: counts[v] / scenario.replicates for v in sorted(counts)
-                }
-                cells.append(
-                    RateCell(
-                        true_effect=effect,
-                        n=n,
-                        procedure=proc.name,
-                        frequencies=freqs,
-                        std_errors={
-                            v: math.sqrt(f * (1.0 - f) / scenario.replicates)
-                            for v, f in freqs.items()
-                        },
-                        replicates=scenario.replicates,
-                    )
-                )
-    return RateTable(
-        scenario=scenario.name,
-        seed=scenario.seed,
-        replicates=scenario.replicates,
-        cells=tuple(cells),
-    )
+    return _by_cell(monkeypatch, calls)
 
 
 def _normal_scenario():
@@ -423,7 +420,7 @@ class TestVerdictMemo:
     )
     def test_one_call_per_distinct_dataset(self, monkeypatch, make_scenario):
         scenario = make_scenario()
-        by_cell, compile_procedure = _counting_bind(monkeypatch)
+        by_cell = _counting_bind(monkeypatch)
         table = run_operating_characteristics(scenario)
         cells = by_cell()
         assert len(cells) == _grid_size(scenario)
@@ -431,12 +428,12 @@ class TestVerdictMemo:
         assert all(cell and max(cell.values()) == 1 for cell in cells)
         called = {name for cell in cells for name, _ in cell}
         assert called == {proc.name for proc in scenario.procedures}
-        assert table == _direct_table(scenario, compile_procedure)
+        assert table == oracles.brute_force_table(scenario)
 
     def test_binomial_memo_saves_most_calls(self, monkeypatch):
         # the coin config draws 1500 datasets per procedure from few counts
         scenario = load_config(CONFIG_DIR / "coin_scenario.json").scenario
-        by_cell, _ = _counting_bind(monkeypatch)
+        by_cell = _counting_bind(monkeypatch)
         run_operating_characteristics(scenario)
         rope = [c for cell in by_cell() for (name, _), c in cell.items() if name == "rope"]
         assert max(rope) == 1
@@ -444,7 +441,7 @@ class TestVerdictMemo:
 
     def test_memo_does_not_outlive_a_call(self, monkeypatch):
         scenario = tiny_coin(replicates=20)
-        by_cell, _ = _counting_bind(monkeypatch)
+        by_cell = _counting_bind(monkeypatch)
         run_operating_characteristics(scenario)
         first = by_cell()
         assert all(max(cell.values()) == 1 for cell in first)
@@ -457,7 +454,7 @@ class TestVerdictMemo:
         monkeypatch.setattr(sim, "SWEEP_BLOCK", 16)
         procedures = tuple(ProcedureSpec(name, {}) for name in ("nhst", "expected_loss", "rope"))
         scenario = tiny_coin(replicates=200, procedures=procedures)
-        by_cell, compile_procedure = _counting_bind(monkeypatch)
+        by_cell = _counting_bind(monkeypatch)
         table = run_operating_characteristics(scenario)
         calls = sum(by_cell(), Counter())
         assert max(calls.values()) == 1
@@ -469,7 +466,7 @@ class TestVerdictMemo:
         # a count whose verdict a certificate names is not evaluated at all
         assert drawn[0] & drawn[1]
         assert len(calls) <= len(drawn[0] | drawn[1]) * len(procedures)
-        assert table == _direct_table(scenario, compile_procedure)
+        assert table == oracles.brute_force_table(scenario)
 
     def test_continued_fractions_per_distinct_count(self, monkeypatch):
         # a grid shaped like the benchmark's binomial sweep: the tails the
@@ -600,7 +597,7 @@ class TestSharedPosterior:
 
         def alone(proc):
             try:
-                return Counter([sim._compile_procedure(scenario, proc)(draw)])
+                return Counter([oracles.compile_procedure(scenario, proc)(draw)])
             except RelkitError as exc:
                 return type(exc), str(exc)
 
@@ -612,56 +609,11 @@ class TestSharedPosterior:
 
 # --- the certified sweep against direct evaluation ------------------------
 
-BENCH_PROCEDURES = (
-    ProcedureSpec("nhst", {"alpha": 0.05}),
-    ProcedureSpec("tost", {"alpha": 0.05, "bounds": "partition_hull"}),
-    ProcedureSpec("rope", {"mass": 0.95, "rope": "partition_hull"}),
-    ProcedureSpec("hypothesis_ratio", {"loss_ratio": 1.0}),
-    ProcedureSpec("expected_loss", {}),
-    ProcedureSpec("bayes_factor", {"threshold": 3.0}),
-)
-
-
 def _bench_normal(**changes):
     """The scenario of the benchmark's normal sweep: the aspirin loss with
     all six procedures and a Normal(0, 0.05) prior."""
-    changes = {"prior": (0.0, 0.05), "procedures": BENCH_PROCEDURES, **changes}
+    changes = {"prior": (0.0, 0.05), "procedures": BENCH_NORMAL_PROCEDURES, **changes}
     return shipped_scenario("aspirin_scenario", **changes)
-
-
-def _direct_run(scenario):
-    """The rate table, error reports included, from each procedure alone on
-    every replicate in replicate order: the sweep without certificates."""
-    cells, errors = [], []
-    reps = scenario.replicates
-    for effect in scenario.true_effects:
-        for n in scenario.sample_sizes:
-            draws = [simulate_dataset(scenario, effect, n, r) for r in range(reps)]
-            for proc in scenario.procedures:
-                verdict = sim._compile_procedure(scenario, proc)
-                counts, first = _direct_counts(verdict, draws)
-                freqs = {v: counts[v] / reps for v in sorted(counts)}
-                ses = {v: math.sqrt(f * (1.0 - f) / reps) for v, f in freqs.items()}
-                cells.append(RateCell(effect, n, proc.name, freqs, ses, reps))
-                if first is not None:
-                    errors.append(
-                        sim.ErrorReport(
-                            effect, n, proc.name, counts["error"], type(first).__name__, str(first)
-                        )
-                    )
-    return RateTable(scenario.name, scenario.seed, reps, tuple(cells), tuple(errors))
-
-
-def _direct_counts(verdict, draws):
-    """Verdict counts over the draws, and the first error in their order."""
-    counts, first = Counter(), None
-    for data in draws:
-        try:
-            counts[verdict(data)] += 1
-        except RelkitError as exc:
-            counts["error"] += 1
-            first = first or exc
-    return counts, first
 
 
 def _result(run, scenario):
@@ -766,13 +718,6 @@ def _scenarios(draw):
 
 
 BENCH_BINOMIAL_EFFECTS = (-0.3, -0.106, -0.05, 0.0, 0.05, 0.106, 0.3)
-BENCH_BINOMIAL_PROCEDURES = (
-    ProcedureSpec("nhst", {"alpha": 0.05}),
-    ProcedureSpec("rope", {"mass": 0.95, "rope": "partition_hull"}),
-    ProcedureSpec("hypothesis_ratio", {"loss_ratio": [0.5, 2.0]}),
-    ProcedureSpec("expected_loss", {}),
-    ProcedureSpec("bayes_factor", {"threshold": 3.0}),
-)
 OWN_PRIOR_BAYES_FACTOR = ProcedureSpec(
     "bayes_factor", {"threshold": 3.0, "prior": {"alpha": 3, "beta": 7}}
 )
@@ -834,12 +779,13 @@ AT_THE_BOUND = (
 def test_certified_sweep_equals_direct_sweep(scenario):
     """Verdict counts and error reports of every cell equal those of each
     procedure evaluated on every replicate."""
-    assert _result(run_operating_characteristics, scenario) == _result(_direct_run, scenario)
+    got = _result(run_operating_characteristics, scenario)
+    assert got == _result(oracles.brute_force_table, scenario)
 
 
 @pytest.mark.parametrize("scenario", AT_THE_BOUND, ids=["prior", "own-prior"])
 def test_cell_over_the_bound_runs_on_every_distinct_count(monkeypatch, scenario):
-    by_cell, _ = _counting_bind(monkeypatch)
+    by_cell = _counting_bind(monkeypatch)
     run_operating_characteristics(scenario)
     calls = sum(by_cell(), Counter())
     under, over = scenario.sample_sizes
@@ -871,7 +817,7 @@ def test_verdict_map_walks_exact_binomial_weights(n):
     counts = list(range(n + 1))
     maps = [sim._VerdictMap(bound, n <= sweep.certified_to) for bound in sweep.bound]
     exact = [
-        [sim._compile_procedure(scenario, proc)(sim.BinomialDraw(n, k)) for k in counts]
+        [oracles.compile_procedure(scenario, proc)(sim.BinomialDraw(n, k)) for k in counts]
         for proc in scenario.procedures
     ]
     evaluated = [[] for _ in maps]
@@ -910,21 +856,6 @@ def _block_counts(scenario, n, statistics):
         (counts[i], (type(first_error[i]), str(first_error[i])) if i in first_error else None)
         for i in range(len(scenario.procedures))
     ]
-
-
-def _direct_block_counts(scenario, n, statistics):
-    draws = [_draw_of(scenario, n, x) for x in statistics]
-    out = []
-    for proc in scenario.procedures:
-        counts, first = _direct_counts(sim._compile_procedure(scenario, proc), draws)
-        out.append((counts, (type(first), str(first)) if first is not None else None))
-    return out
-
-
-def _draw_of(scenario, n, statistic):
-    if scenario.family == "binomial":
-        return sim.BinomialDraw(n, statistic)
-    return sim.NormalDraw(n, statistic, scenario.sigma)
 
 
 def _cuts(verdict_at, lo, hi, steps=400):
@@ -977,7 +908,7 @@ class TestCertifiedBlocks:
             scenario, lo, hi = dataclasses.replace(_bowl(), sample_sizes=(n,)), -0.5, 0.5
         statistics = []
         for proc in scenario.procedures:
-            verdict = sim._compile_procedure(scenario, proc)
+            verdict = oracles.compile_procedure(scenario, proc)
             cuts = _cuts(lambda x: verdict(sim.NormalDraw(n, x, 0.2)), lo, hi)
             # tost never finds equivalence at n = 50
             assert cuts or proc.name == "tost", proc.name
@@ -985,7 +916,7 @@ class TestCertifiedBlocks:
                 statistics += [cut + k * 1e-13 for k in range(-9, 10)]
         # spread over the whole range too, in an unsorted replicate order
         statistics += [lo + (hi - lo) * ((7 * i) % 101) / 100 for i in range(101)]
-        assert _block_counts(scenario, n, statistics) == _direct_block_counts(
+        assert _block_counts(scenario, n, statistics) == oracles.brute_force_counts(
             scenario, n, statistics
         )
 
@@ -1002,13 +933,13 @@ class TestCertifiedBlocks:
         )
         statistics = []
         for proc in scenario.procedures:
-            verdict = sim._compile_procedure(scenario, proc)
+            verdict = oracles.compile_procedure(scenario, proc)
             verdicts = [verdict(sim.BinomialDraw(n, k)) for k in range(n + 1)]
             cuts = [k for k in range(1, n + 1) if verdicts[k] != verdicts[k - 1]]
             assert cuts, proc.name
             statistics += [k for cut in cuts for k in (cut - 1, cut, cut, cut - 1)]
         statistics += [0, n, n // 3, n // 2]
-        assert _block_counts(scenario, n, statistics) == _direct_block_counts(
+        assert _block_counts(scenario, n, statistics) == oracles.brute_force_counts(
             scenario, n, statistics
         )
 
@@ -1018,7 +949,7 @@ class TestCertifiedBlocks:
         scenario = _bowl()
         statistics = [-0.45 + 0.9 * ((7 * i) % 61) / 60 for i in range(61)]
         got = _block_counts(scenario, 400, statistics)
-        assert got == _direct_block_counts(scenario, 400, statistics)
+        assert got == oracles.brute_force_counts(scenario, 400, statistics)
         assert set(got[0][0]) == {"a0", "a1"}
 
     def test_vanishing_posterior_errors_as_direct(self):
@@ -1028,7 +959,7 @@ class TestCertifiedBlocks:
         scenario = _bench_normal()
         statistics = [0.01, 0.194, -0.003, 0.16, 0.09, 0.3, 0.05, 0.1948, 0.0]
         got = _block_counts(scenario, 22000, statistics)
-        assert got == _direct_block_counts(scenario, 22000, statistics)
+        assert got == oracles.brute_force_counts(scenario, 22000, statistics)
         vanished = (NumericalError, "posterior mass vanishes on the parameter space [-0.1, 0.1]")
         assert [first for _, first in got[2:5]] == [vanished] * 3
 
@@ -1047,7 +978,7 @@ class TestCertifiedBlocks:
         scenario = _bench_normal()
         statistics = [0.0, 0.07, 0.01, 0.04, 0.09, -0.02, 0.035]
         got = _block_counts(scenario, 22000, statistics)
-        assert got == _direct_block_counts(scenario, 22000, statistics)
+        assert got == oracles.brute_force_counts(scenario, 22000, statistics)
         assert got[2][1] == (NumericalError, "no posterior at ybar=0.07")
 
     def test_sweep_with_vanishing_posteriors_matches_direct(self):
@@ -1065,13 +996,13 @@ class TestCertifiedBlocks:
             prior=(prior_mean, 0.05),
             true_effects=(0.1, 0.0),
             replicates=60,
-            procedures=(*BENCH_PROCEDURES[:-1], own),
+            procedures=(*BENCH_NORMAL_PROCEDURES[:-1], own),
         )
-        refused = dataclasses.replace(scenario, procedures=BENCH_PROCEDURES)
+        refused = dataclasses.replace(scenario, procedures=BENCH_NORMAL_PROCEDURES)
         with pytest.raises(ValidationError, match="zero prior mass"):
             run_operating_characteristics(refused)
         table = run_operating_characteristics(scenario)
-        assert table == _direct_run(scenario)
+        assert table == oracles.brute_force_table(scenario)
         assert any(0 < report.count < 60 for report in table.errors)
 
 
@@ -1109,7 +1040,7 @@ class TestCertifiedBlocks:
         _, cells = sim._odds_cells(sim._pair_ends(pair))
         assert sim._odds_masses(coords, cells) == (0.0, 0.0)
         table = run_operating_characteristics(scenario)
-        assert table == _direct_run(scenario)
+        assert table == oracles.brute_force_table(scenario)
         assert table.cells[0].frequencies["favors_h0"] > 0.9
 
     def test_draws_raising_past_an_end_are_each_evaluated(self, monkeypatch):
@@ -1139,10 +1070,10 @@ class TestCertifiedBlocks:
             return bound._replace(kernel=kernel)
 
         monkeypatch.setattr(sim, "bind_procedure", raising_bind)
-        by_cell, _ = _counting_bind(monkeypatch)
+        by_cell = _counting_bind(monkeypatch)
         table = run_operating_characteristics(scenario)
         (calls,) = by_cell()
-        assert table == _direct_run(scenario)
+        assert table == oracles.brute_force_table(scenario)
         (report,) = table.errors
         assert report.count == 16
         assert all(raising & set(draws[start : start + 16]) for start in (0, 16, 32))
@@ -1168,7 +1099,7 @@ class TestCertifiedBlocks:
         scenario = tiny_coin(procedures=(ProcedureSpec("rope", {}),))
         statistics = [25, 21, 22, 20, 23, 24, 22]
         got = _block_counts(scenario, 25, statistics)
-        assert got == _direct_block_counts(scenario, 25, statistics)
+        assert got == oracles.brute_force_counts(scenario, 25, statistics)
         assert got[0][0] == Counter(accept_a1=4, error=3)
 
 
@@ -1208,7 +1139,7 @@ def test_every_normal_posterior_procedure_carries_a_certificate():
         QuadraticParams(c=1.0, center=-0.2, offset=0.01),
     )
     normal_linear = dataclasses.replace(normal, loss=linear, true_effects=(0.0,))
-    bowl = dataclasses.replace(_bowl(), procedures=BENCH_PROCEDURES)
+    bowl = dataclasses.replace(_bowl(), procedures=BENCH_NORMAL_PROCEDURES)
     for scenario in (normal, bowl, normal_linear):
         sweep = sim._bind_sweep(scenario)
         assert None not in [bound.certificate for bound in sweep.bound]
@@ -1297,10 +1228,10 @@ def test_each_statistic_is_evaluated_once_per_run(monkeypatch):
     # evaluated at most once per procedure in the whole run
     monkeypatch.setattr(sim, "SWEEP_BLOCK", 16)
     scenario = _bench_binomial(true_effects=BENCH_BINOMIAL_EFFECTS)
-    by_cell, _ = _counting_bind(monkeypatch)
+    by_cell = _counting_bind(monkeypatch)
     table = run_operating_characteristics(scenario)
     assert max(sum(by_cell(), Counter()).values()) == 1
-    assert table == _direct_run(scenario)
+    assert table == oracles.brute_force_table(scenario)
 
 
 OWN_PRIOR_NORMAL_BAYES_FACTOR = ProcedureSpec(
@@ -1320,7 +1251,7 @@ BENCH_NORMAL_GRID = {
         _bench_binomial(true_effects=BENCH_BINOMIAL_EFFECTS),
         _bench_normal(
             **BENCH_NORMAL_GRID,
-            procedures=(*BENCH_PROCEDURES[:-1], OWN_PRIOR_NORMAL_BAYES_FACTOR),
+            procedures=(*BENCH_NORMAL_PROCEDURES[:-1], OWN_PRIOR_NORMAL_BAYES_FACTOR),
         ),
         _bench_binomial(procedures=(*BENCH_BINOMIAL_PROCEDURES[:-1], OWN_PRIOR_BAYES_FACTOR)),
     ],
@@ -1348,7 +1279,7 @@ def test_each_probed_draw_evaluates_its_rule_once(monkeypatch, scenario):
         return row.update(model)
 
     monkeypatch.setitem(sim.FAMILIES, scenario.family, row._replace(update=update))
-    by_cell, _ = _counting_bind(monkeypatch)
+    by_cell = _counting_bind(monkeypatch)
     run_operating_characteristics(scenario)
     kernel_calls = Counter()
     for (name, _), count in sum(by_cell(), Counter()).items():
@@ -1362,7 +1293,7 @@ def test_each_probed_draw_evaluates_its_rule_once(monkeypatch, scenario):
 def test_normal_bench_grid_takes_few_kernel_calls(monkeypatch):
     # the benchmark's normal grid at 10^4 replicates: 80,000 draws per
     # procedure, of which the maps evaluate a few hundred
-    by_cell, _ = _counting_bind(monkeypatch)
+    by_cell = _counting_bind(monkeypatch)
     table = run_operating_characteristics(
         _bench_normal(
             true_effects=(0.0, 0.0077, 0.02, 0.05), sample_sizes=(50, 22000), replicates=10_000
@@ -1378,8 +1309,8 @@ def test_quadratic_loss_sweep_walks_expected_loss(monkeypatch):
     scenario = dataclasses.replace(
         _bowl(), true_effects=(0.0, 0.1, 0.2), sample_sizes=(50, 400, 22000), replicates=200
     )
-    want = _direct_run(scenario)
-    by_cell, _ = _counting_bind(monkeypatch)
+    want = oracles.brute_force_table(scenario)
+    by_cell = _counting_bind(monkeypatch)
     assert run_operating_characteristics(scenario) == want
     calls = sum(sum(cell.values()) for cell in by_cell())
     draws = len(scenario.true_effects) * len(scenario.sample_sizes) * scenario.replicates
@@ -1413,7 +1344,7 @@ def test_binomial_sweep_never_integrates(monkeypatch):
     )
     with_expected_loss = (*coin.procedures, ProcedureSpec("expected_loss", {}))
     for scenario in (coin, dataclasses.replace(coin, procedures=with_expected_loss), bench):
-        assert run_operating_characteristics(scenario) == _direct_run(scenario)
+        assert run_operating_characteristics(scenario) == oracles.brute_force_table(scenario)
 
 
 # --- the verdict orders against dense scans ---------------------------------
@@ -1474,11 +1405,11 @@ def test_bound_verdict_orders_hold_on_dense_scans(family, n):
             assert order is not None or loss_name.startswith("random"), (loss_name, proc)
             if order is None:
                 continue
-            verdict = sim._compile_procedure(scenario, proc)
+            verdict = oracles.compile_procedure(scenario, proc)
 
             def verdict_at(x):
                 try:
-                    return verdict(_draw_of(scenario, n, x))
+                    return verdict(oracles.draw_of(scenario, n, x))
                 except RelkitError:
                     return None
 
@@ -1592,12 +1523,6 @@ def _assert_counts_within_tails(table, exact):
             assert lo <= count <= hi, (cell.true_effect, cell.n, cell.procedure, verdict, rate)
 
 
-def _log_binomial_pmf(n, k, pi):
-    """log of the binomial pmf at k, in log space, for 0 < pi < 1."""
-    log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    return log_choose + k * math.log(pi) + (n - k) * math.log1p(-pi)
-
-
 def test_binomial_bench_counts_lie_within_exact_binomial_tails():
     """An oracle independent of the stream: on the benchmark's binomial grid
     at 10^4 replicates, each count lies within ORACLE_TAIL of the exact
@@ -1609,21 +1534,15 @@ def test_binomial_bench_counts_lie_within_exact_binomial_tails():
         replicates=ORACLE_REPLICATES,
         seed=3,
     )
-    exact = {}
-    for proc in scenario.procedures:
-        fn = sim._compile_procedure(scenario, proc)
-        for n in scenario.sample_sizes:
-            verdicts = []
-            for k in range(n + 1):
-                try:
-                    verdicts.append(fn(sim.BinomialDraw(n, k)))
-                except RelkitError:
-                    verdicts.append("error")
-            for effect in scenario.true_effects:
-                rates = dict.fromkeys(verdicts, 0.0)
-                for k, verdict in enumerate(verdicts):
-                    rates[verdict] += math.exp(_log_binomial_pmf(n, k, effect + 0.5))
-                exact[effect, n, proc.name] = rates
+    exact = oracles.exact_binomial_rates(scenario)
+    _assert_counts_within_tails(run_operating_characteristics(scenario), exact)
+
+
+def test_coin_counts_lie_within_exact_binomial_tails():
+    """The same oracle on the shipped coin scenario, its three effects and
+    procedures at n = 100, with its own seed."""
+    scenario = shipped_scenario("coin_scenario", replicates=ORACLE_REPLICATES)
+    exact = oracles.exact_binomial_rates(scenario)
     _assert_counts_within_tails(run_operating_characteristics(scenario), exact)
 
 
@@ -1639,16 +1558,12 @@ def test_normal_bench_tests_lie_within_tails_of_their_closed_forms():
         **{**BENCH_NORMAL_GRID, "replicates": ORACLE_REPLICATES}, procedures=procs, seed=3
     )
     hull = region_hull(partition(scenario.loss).negligible)
-    two, one = stats.norm.isf(alpha / 2), stats.norm.isf(alpha)
     exact = {}
     for effect in scenario.true_effects:
         for n in scenario.sample_sizes:
             se = scenario.sigma / math.sqrt(n)
-            mean = effect / se
-            reject = stats.norm.sf(two - mean) + stats.norm.cdf(-two - mean)
-            inside = stats.norm.cdf((hull.hi - effect) / se - one)
-            inside -= stats.norm.cdf((hull.lo - effect) / se + one)
-            equivalent = max(inside, 0.0)
+            reject = oracles.nhst_reject_rate(effect, se, alpha)
+            equivalent = oracles.tost_equivalent_rate(effect, se, hull.lo, hull.hi, alpha)
             exact[effect, n, "nhst"] = {"reject": reject, "fail_to_reject": 1.0 - reject}
             exact[effect, n, "tost"] = {
                 "equivalent": equivalent,
@@ -1673,7 +1588,7 @@ BOX_ONLY_CELL_CALLS = {"nhst": 208, "tost": 83, "rope": 120, "bayes_factor": 407
 
 
 def test_normal_bench_cells_take_the_pinned_kernel_calls(monkeypatch):
-    by_cell, _ = _counting_bind(monkeypatch)
+    by_cell = _counting_bind(monkeypatch)
     for seed in (1, 2, 3):
         for effect in BENCH_NORMAL_GRID["true_effects"]:
             for n in BENCH_NORMAL_GRID["sample_sizes"]:
@@ -1787,7 +1702,7 @@ def test_coordinates_that_raise_leave_their_gaps_uncertified(monkeypatch):
     verdict order, and with every draw of the n = 50 cells raising, those
     cells evaluate each draw that a run without a certificate evaluates,
     and every cell counts as that run does."""
-    scenario = _bench_normal(**BENCH_NORMAL_GRID, seed=3, procedures=(BENCH_PROCEDURES[3],))
+    scenario = _bench_normal(**BENCH_NORMAL_GRID, seed=3, procedures=(BENCH_NORMAL_PROCEDURES[3],))
     bind = sim.bind_procedure
 
     def run(certified):
@@ -1808,7 +1723,7 @@ def test_coordinates_that_raise_leave_their_gaps_uncertified(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(sim, "bind_procedure", raising)
-            by_cell, _ = _counting_bind(patch)
+            by_cell = _counting_bind(patch)
             table = run_operating_characteristics(scenario)
             return table, [sum(cell.values()) for cell in by_cell()]
 
