@@ -307,7 +307,6 @@ def _bayes_factor_result(verdict: str, bf: float) -> ComparatorResult:
 def interval_bayes_factor(
     model: BinomialModel | NormalKnownVarModel,
     pair: HypothesisPair,
-    prior: tuple[float, float] | None = None,
     threshold: float = 1.0,
 ) -> ComparatorResult:
     """BF_10 for H1 against H0 with the prior truncated to each region.
@@ -318,10 +317,8 @@ def interval_bayes_factor(
         BF_10 = [P(H1 | y) / P(H0 | y)] / [P(H1) / P(H0)],
 
     the posterior odds over the prior odds of the two regions under the
-    untruncated conjugate prior and posterior (Morey & Rouder 2011). The
-    prior defaults to the model's own; ``prior`` is (alpha, beta) for the
-    binomial model and (mean, sd) for the normal one, and overriding it is
-    a second conjugate update. Region masses come from the tail on their
+    untruncated conjugate prior and posterior (Morey & Rouder 2011); the
+    prior is the model's own. Region masses come from the tail on their
     own side, so far-tail evidence keeps its relative precision. Both
     regions must map into the family's support and have positive prior
     mass.
@@ -331,10 +328,8 @@ def interval_bayes_factor(
     """
     _check_threshold(threshold)
     row = FAMILIES[family_of(model)]
-    # the prior's two numbers are the model's last two fields
-    if prior is not None:
-        model = row.model(*tuple(vars(model).values())[:-2], *prior)
-    # the prior masses are checked before the posterior's are taken
+    # the prior's two numbers are the model's last two fields; its masses
+    # are checked before the posterior's are taken
     prior_masses = _prior_masses(row, tuple(vars(model).values())[-2:], pair)
     post = row.update(model)
     post_masses = _region_masses(lambda t: row.tails(post, t - row.effect_shift), _pair_ends(pair))

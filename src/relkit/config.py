@@ -39,16 +39,16 @@ def _finish(leftover: dict, context: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(leftover)} in {context}")
 
 
-def _take(section, key: str, context: str, parse, default=..., family=None):
-    """Pop ``key`` from ``section`` and read it with ``parse(value, family)``;
-    a missing key gives ``default``, and is an error when that is ``...``.
+def _take(section, key: str, context: str, parse, default=...):
+    """Pop ``key`` from ``section`` and read it with ``parse(value)``; a
+    missing key gives ``default``, and is an error when that is ``...``.
     The error names the key path; the top level's context is ""."""
     if key not in section:
         if default is ...:
             raise ConfigError(f"missing key {key!r} in {context}")
         return default
     try:
-        return parse(section.pop(key), family)
+        return parse(section.pop(key))
     except ValidationError as exc:
         path = f"{context}.{key}" if context else key
         raise ValidationError(f"{path}: {exc}") from None
@@ -135,7 +135,7 @@ def _parse_model(
         raise ConfigError("model.data must be an object")
     data = dict(data)
     # the model's fields: n, the data, the known values, the prior's two numbers
-    prior = _take(section, "prior", "model", values.prior, (), family)
+    prior = _take(section, "prior", "model", values.prior[family], ())
     n = _take(data, "n", "model.data", values.count)
     known = [_take(section, key, "model", values.number) for key in row.known]
     observed = [_take(data, key, "model.data", _DATA_VALUE[kind]) for key, kind in row.data]
@@ -164,7 +164,7 @@ def _parse_procedures(
     items, context: str, word: str, family: str | None
 ) -> tuple[ProcedureSpec, ...]:
     """The ``comparators`` or ``scenario.procedures`` list, checked against
-    the procedure table; settings that depend on the model family are
+    the procedure table; whether a procedure supports the model family is
     checked only when the family is known."""
     if not isinstance(items, list) or not items:
         raise ConfigError(f"{context} must be a non-empty list")
@@ -195,7 +195,7 @@ def _parse_scenario(section: dict, loss: LossSpec, seed: int | None) -> Scenario
     sizes = _take(section, "sample_sizes", "scenario", values.counts)
     replicates = _take(section, "replicates", "scenario", values.count)
     known = {key: _take(section, key, "scenario", values.number) for key in FAMILIES[family].known}
-    prior = _take(section, "prior", "scenario", values.prior, None, family)
+    prior = _take(section, "prior", "scenario", values.prior[family], None)
     procedures = _parse_procedures(
         section.pop("procedures", None), "scenario.procedures", "procedure", family
     )

@@ -52,6 +52,12 @@ _CF_TINY = 1e-300
 QUANTILE_TOL = 1e-10
 
 
+def _is_count(value) -> bool:
+    # the rule of a config's counts (values.count): an int, not a bool, in
+    # [0, 2**63), since numpy's binomial draw takes n as a C long
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
+
+
 def log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
@@ -165,7 +171,11 @@ class BinomialModel:
     prior_beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.k < 0 or self.k > self.n:
+        if not (_is_count(self.n) and _is_count(self.k)):
+            raise ValidationError(
+                f"n and k must be integers in [0, 2**63), got n={self.n!r}, k={self.k!r}"
+            )
+        if self.k > self.n:
             raise ValidationError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
         for name in ("prior_alpha", "prior_beta"):
             v = getattr(self, name)
@@ -185,8 +195,8 @@ class NormalKnownVarModel:
     prior_sd: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"need n >= 1 observations, got n={self.n}")
+        if not (_is_count(self.n) and self.n >= 1):
+            raise ValidationError(f"need an integer n >= 1 of observations, got n={self.n!r}")
         if not math.isfinite(self.ybar):
             raise ValidationError(f"ybar must be finite, got {self.ybar}")
         for name in ("sigma", "prior_sd"):
@@ -501,6 +511,8 @@ class PosteriorModel:
             return 0.0
         if effect >= self.space.hi:
             return 1.0
+        if math.isnan(effect):
+            raise ValueError(f"effect must be a number, got {effect}")
         return self._prob(self.space.lo, effect)
 
     @cached_property

@@ -117,6 +117,8 @@ class ProcedureSpec:
             raise ValidationError(
                 f"unknown procedure {self.name!r}; expected one of {tuple(PROCEDURES)}"
             )
+        if not isinstance(self.settings, dict):
+            raise ValidationError(f"{self.name} settings must be a dict, got {self.settings!r}")
 
 
 def _check(key: str, parse: Callable, value) -> None:
@@ -126,6 +128,13 @@ def _check(key: str, parse: Callable, value) -> None:
         parse(value)
     except ValidationError as exc:
         raise ValidationError(f"{key}: {exc}") from None
+
+
+def _check_effect(space: ParameterSpace, effect: float) -> None:
+    if not space.contains(effect):
+        raise ValidationError(
+            f"true effect {effect} outside the parameter space [{space.lo}, {space.hi}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -190,14 +199,9 @@ class Scenario:
                 raise ValidationError(
                     f"{key} {duplicates} listed more than once; each may appear once"
                 )
-        space = self.loss.space
         for effect in self.true_effects:
-            if not space.contains(effect):
-                raise ValidationError(
-                    f"true effect {effect} outside the parameter space "
-                    f"[{space.lo}, {space.hi}]"
-                )
-        row.check_support(space.lo, space.hi)
+            _check_effect(self.loss.space, effect)
+        row.check_support(self.loss.space.lo, self.loss.space.hi)
 
 
 Dataset = BinomialDraw | NormalDraw
@@ -236,6 +240,9 @@ def simulate_dataset(
     as the README's "Determinism" formula gives it: element r % SWEEP_BLOCK
     of its block's draw, which a sweep takes whole."""
     _check("n", values.count, n)
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_effect(scenario.loss.space, true_effect)
     # its block index enters a SeedSequence, which takes any such integer
     _check("replicate_index", values.seed, replicate_index)
     block, i = divmod(replicate_index, SWEEP_BLOCK)
@@ -380,13 +387,12 @@ class Bound(NamedTuple):
 
 
 # A bind step makes every check that depends only on the settings, the loss,
-# the hypothesis pair and the model's prior, which only a Bayes factor
-# without a prior of its own reads (the other steps take it as *_), and
-# raises what the procedure's public function raises on a setting that a
-# check refuses; parse_settings has already checked each setting alone. It
-# returns the procedure's kernel, certificate and verdict order, built on
-# the values it bound. A kernel takes the model and a posterior from
-# _shared_posterior (nhst, tost and a Bayes factor with its own prior never
+# the hypothesis pair and the model's prior, which only a Bayes factor reads
+# (the other steps take it as *_), and raises what the procedure's public
+# function raises on a setting that a check refuses; parse_settings has
+# already checked each setting alone. It returns the procedure's kernel,
+# certificate and verdict order, built on the values it bound. A kernel
+# takes the model and a posterior from _shared_posterior (nhst and tost never
 # call it), computes what its verdict needs through the rule its public
 # function calls, and returns the verdict, report(), which builds the result
 # that function returns, and coords(), the draw's coordinates; both are
@@ -543,24 +549,18 @@ def _bind_expected_loss(
 def _bind_bayes_factor(
     s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, prior: tuple
 ) -> Bound:
-    threshold, own, ends = s["threshold"], s["prior"], _pair_ends(pair)
-    # the prior masses of H0 and H1, under the Bayes factor's own prior or
-    # else the model's, which every model the kernel takes holds
-    masses = _prior_masses(row, prior if own is None else own, pair)
+    threshold, ends = s["threshold"], _pair_ends(pair)
+    # the prior masses of H0 and H1 under the model's prior, which every
+    # model the kernel takes holds
+    masses = _prior_masses(row, prior, pair)
     prior_odds = masses[0] / masses[1]
     changes, cells = _odds_cells(ends)
 
     def kernel(model: Model, posterior: Posterior):
-        if own is None:
-            tails_at = posterior()._tails_at
-        else:
-            # a second conjugate update: the draw's data under this prior
-            params = row.update(row.model(*tuple(vars(model).values())[:-2], *own))
-            tails_at = lambda t: row.tails(params, t - row.effect_shift)
+        tails_at = posterior()._tails_at
         out = _bayes_factor(_region_masses(tails_at, ends), masses, threshold)
         # the untruncated tail masses at fixed points, monotone in the
-        # statistic since the posterior under either prior is stochastically
-        # increasing in it
+        # statistic since the posterior is stochastically increasing in it
         return (
             out[0],
             lambda: _bayes_factor_result(*out),
@@ -614,12 +614,7 @@ PROCEDURES: dict[str, Procedure] = {
         _bind_hypothesis_ratio,
     ),
     "expected_loss": Procedure({}, _BOTH, _bind_expected_loss),
-    "bayes_factor": Procedure(
-        # a prior of None is the model's own
-        {"prior": (None, values.prior), "threshold": (1.0, values.threshold)},
-        _BOTH,
-        _bind_bayes_factor,
-    ),
+    "bayes_factor": Procedure({"threshold": (1.0, values.threshold)}, _BOTH, _bind_bayes_factor),
 }
 
 
@@ -639,7 +634,7 @@ def parse_settings(proc: ProcedureSpec, family: str | None, section: str | None 
     for key, value in proc.settings.items():
         _, parse = row.settings[key]
         try:
-            parsed[key] = parse(value, family)
+            parsed[key] = parse(value)
         except ValidationError as exc:
             where = f"{section}.{key}" if section else f"{proc.name} setting {key!r}"
             raise ValidationError(f"{where}: {exc}") from None
@@ -651,10 +646,10 @@ def bind_procedure(
 ) -> Bound:
     """The procedure with its settings bound, for every command, as the
     bind steps above describe. ``prior`` is the model's prior, the last two
-    fields of its model: a Bayes factor without a prior of its own takes
-    the pair's masses under it here, so the kernel takes only models of
-    this prior. A setting that a check refuses raises here, with the class
-    and message of the procedure's public function."""
+    fields of its model: a Bayes factor takes the pair's masses under it
+    here, so the kernel takes only models of this prior. A setting that a
+    check refuses raises here, with the class and message of the
+    procedure's public function."""
     settings = parse_settings(proc, family)
     return PROCEDURES[proc.name].bind(settings, FAMILIES[family], loss, pair, prior)
 
@@ -717,11 +712,11 @@ class RateTable:
     errors: tuple[ErrorReport, ...] = ()
 
 
-# A binomial cell is certified while n plus the largest prior alpha + beta,
-# the largest shape sum of its posteriors, is at most this. In a dense scan
-# the beta tails' continued fraction then takes about 200 of its 600
-# iterations at most, so no count between two that succeed raises;
-# tests/test_simulate.py pins a cap of 300 there
+# A binomial cell is certified while n plus the prior's alpha + beta, the
+# shape sum of its posteriors, is at most this. In a dense scan the beta
+# tails' continued fraction then takes about 200 of its 600 iterations at
+# most, so no count between two that succeed raises; tests/test_simulate.py
+# pins a cap of 300 there
 CERTIFIED_SHAPE_SUM = 2.0**16
 
 
@@ -755,10 +750,7 @@ def _bind_sweep(scenario: Scenario) -> _Sweep:
     # draws that raise lie at the ends. The beta tails' continued fraction
     # may fail on inner counts, but not below CERTIFIED_SHAPE_SUM, so a
     # binomial cell above it carries no certificates (ROADMAP item 4)
-    certified_to = math.inf
-    if row.posterior == "beta":
-        own = (parse_settings(p, scenario.family).get("prior") for p in scenario.procedures)
-        certified_to = CERTIFIED_SHAPE_SUM - max(sum(q) for q in (prior, *own) if q)
+    certified_to = CERTIFIED_SHAPE_SUM - sum(prior) if row.posterior == "beta" else math.inf
     # a draw holds n, its statistic and the family's known values, the
     # model's leading fields; the prior gives its last two
     given = (*(getattr(scenario, key) for key in row.known), *prior)

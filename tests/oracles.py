@@ -227,16 +227,17 @@ def _log_region(family: str, params, region, shift: float) -> float:
     return float(special.logsumexp(logs)) if logs else -math.inf
 
 
+def log_odds(family: str, params, pair) -> float:
+    """log P(H1) / P(H0) of a hypothesis pair under the untruncated Beta or
+    Normal ``params``."""
+    shift = native_shift(family)
+    return _log_region(family, params, pair.h1, shift) - _log_region(family, params, pair.h0, shift)
+
+
 def log_bayes_factor(family: str, prior, post, pair) -> float:
     """log BF_10 of a hypothesis pair: the log posterior odds of H1 over H0
-    less the log prior odds, from the untruncated masses of Beta or Normal
-    ``prior`` and ``post``."""
-    shift = native_shift(family)
-    log_odds = [
-        _log_region(family, params, pair.h1, shift) - _log_region(family, params, pair.h0, shift)
-        for params in (post, prior)
-    ]
-    return log_odds[0] - log_odds[1]
+    less the log prior odds."""
+    return log_odds(family, post, pair) - log_odds(family, prior, pair)
 
 
 def _interval(loss, bounds) -> tuple[float, float]:
@@ -291,10 +292,9 @@ def scipy_verdict(scenario, proc, n: int, statistic: float) -> tuple[str, float]
         return ("equivalent" if p < alpha else "not_equivalent"), _near(p, alpha)
     pair = derive_hypotheses(partition(loss))
     if proc.name == "bayes_factor":
-        own = settings["prior"]
-        post_family, post = conjugate_update(family, own or prior, n, statistic, scenario.sigma)
+        post_family, post = conjugate_update(family, prior, n, statistic, scenario.sigma)
         threshold = settings["threshold"]
-        log_bf = log_bayes_factor(post_family, own or prior, post, pair)
+        log_bf = log_bayes_factor(post_family, prior, post, pair)
         return _ratio_verdict(
             log_bf, 1.0 / threshold, threshold, ("favors_h1", "inconclusive", "favors_h0")
         )

@@ -400,14 +400,6 @@ class TestIntervalBayesFactorOracle:
         bf = interval_bayes_factor(model, ASPIRIN_PAIR).bayes_factor
         assert bf == pytest.approx(1.6633e-20, rel=1e-4, abs=0.0)
 
-    def test_prior_override_is_a_second_update(self, coin_pair):
-        model = BinomialModel(n=40, k=30)
-        override = interval_bayes_factor(model, coin_pair, prior=(2.0, 5.0))
-        direct = interval_bayes_factor(
-            BinomialModel(n=40, k=30, prior_alpha=2.0, prior_beta=5.0), coin_pair
-        )
-        assert override.bayes_factor == direct.bayes_factor
-
     def test_both_marginals_vanishing_raises(self):
         pair = HypothesisPair(
             h0=RegionSet.single(-0.1, -0.05), h1=RegionSet.single(0.05, 0.1)

@@ -69,6 +69,10 @@ class TestConjugateUpdates:
             BinomialModel(n=5, k=-1)
         with pytest.raises(ValidationError):
             BinomialModel(n=5, k=2, prior_alpha=0.0)
+        # n and k are counts by a config's rule: ints, not bools, below 2**63
+        for n, k in ((10, 2.5), (True, 0), (2**63, 0)):
+            with pytest.raises(ValidationError, match="integer"):
+                BinomialModel(n=n, k=k)
 
     def test_normal_update_closed_form(self):
         model = NormalKnownVarModel(n=1, ybar=2.0, sigma=1.0, prior_mean=0.0, prior_sd=10.0)
@@ -101,6 +105,9 @@ class TestConjugateUpdates:
             NormalKnownVarModel(n=0, ybar=0.0, sigma=1.0)
         with pytest.raises(ValidationError):
             NormalKnownVarModel(n=1, ybar=0.0, sigma=1.0, prior_sd=float("inf"))
+        for n in (2.5, True):
+            with pytest.raises(ValidationError, match="integer"):
+                NormalKnownVarModel(n=n, ybar=0.0, sigma=1.0)
 
 
 class TestRegionProbability:
@@ -161,6 +168,16 @@ class TestCredibleInterval:
         for post in posts:
             for p in [x / 100 for x in range(1, 100)]:
                 assert post.cdf(post.quantile(p)) == pytest.approx(p, abs=1e-8)
+
+    def test_cdf_refuses_nan_in_both_families(self):
+        posts = [
+            posterior_update(BinomialModel(n=10, k=7), BIAS_SPACE),
+            PosteriorModel("normal", (0.01, 0.3), ParameterSpace(-2.0, 2.0)),
+        ]
+        for post in posts:
+            with pytest.raises(ValueError, match="nan") as got:
+                post.cdf(math.nan)
+            assert type(got.value) is ValueError, post.family
 
     def test_invalid_mass(self):
         post = posterior_update(BinomialModel(n=0, k=0), BIAS_SPACE)

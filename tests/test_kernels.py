@@ -80,39 +80,31 @@ def _public(name, settings, model, post, loss, pair):
         return bayes_two_action_decision(post(), pair, settings["loss_ratio"])
     if name == "expected_loss":
         return expected_loss_decision(post(), loss)
-    if settings["prior"] is not None:
-        return interval_bayes_factor(model, pair, settings["prior"], settings["threshold"])
     return interval_bayes_factor(model, pair, threshold=settings["threshold"])
 
 
-def _settings(name, loss, family):
+def _settings(name, loss):
     """Settings off the defaults, as the public functions take them."""
     hull = region_hull(partition(loss).negligible)
-    prior = (2.0, 3.0) if family == "binomial" else (0.01, 0.03)
     return {
         "nhst": {"alpha": 0.01},
         "tost": {"alpha": 0.1, "bounds": (hull.lo, hull.hi)},
         "rope": {"mass": 0.9, "rope": (hull.lo, hull.hi)},
         "hypothesis_ratio": {"loss_ratio": LossRatio(0.5, 2.0)},
         "expected_loss": {},
-        "bayes_factor_own": {"prior": None, "threshold": 3.0},
-        "bayes_factor_prior": {"prior": prior, "threshold": 3.0},
+        "bayes_factor_own": {"threshold": 3.0},
     }[name]
 
 
-def _config_settings(name, settings, family):
+def _config_settings(settings):
     """The same settings as a config writes them."""
     out = {}
     for key, value in settings.items():
         if isinstance(value, LossRatio):
             value = [value.lo, value.hi]
-        elif key == "prior" and value is not None:
-            keys = ("alpha", "beta") if family == "binomial" else ("mean", "sd")
-            value = dict(zip(keys, value))
         elif isinstance(value, tuple):
             value = list(value)
-        if value is not None:
-            out[key] = value
+        out[key] = value
     return out
 
 
@@ -150,8 +142,7 @@ def _models(family, space, rng):
 
 
 PROCEDURE_CASES = [
-    "nhst", "tost", "rope", "hypothesis_ratio", "expected_loss",
-    "bayes_factor_own", "bayes_factor_prior",
+    "nhst", "tost", "rope", "hypothesis_ratio", "expected_loss", "bayes_factor_own",
 ]
 LOSSES = {
     "binomial": {"coin": coin_demo_loss, "narrow": lambda: _loss(-0.2, 0.2)},
@@ -172,9 +163,9 @@ LOSSES = {
 def test_kernel_matches_the_public_function(family, loss_name, case):
     loss = LOSSES[family][loss_name]()
     pair = derive_hypotheses(partition(loss))
-    settings = _settings(case, loss, family)
+    settings = _settings(case, loss)
     name = "bayes_factor" if case.startswith("bayes_factor") else case
-    proc = sim.ProcedureSpec(name, _config_settings(name, settings, family))
+    proc = sim.ProcedureSpec(name, _config_settings(settings))
     rng = random.Random(f"{family}-{loss_name}-{case}")
     models = list(_models(family, loss.space, rng))
     # one kernel per model prior, bound under it as every command binds:
@@ -226,8 +217,9 @@ ASPIRIN_KNOTS = [-0.1, 0.0, 0.1]
 
 # The settings that a check refuses, each as (the config's loss section, or
 # None for the aspirin loss; the procedure entry; the hypotheses section, or
-# None for the partition's pair; (model, posterior, pair) -> the public
-# function's call on those settings, which raises).
+# None for the partition's pair; the prior of the model and the scenario, or
+# None for Normal(0, 0.05); (model, posterior, pair) -> the public function's
+# call on those settings, which raises).
 REFUSED = {
     # a1 never loses to a0 and ties it only at 0: the negligible region is
     # the single point 0, so its hull is degenerate
@@ -239,11 +231,13 @@ REFUSED = {
         },
         {"procedure": "tost"},
         None,
+        None,
         lambda model, post, pair: tost_equivalence(model, (0.0, 0.0), 0.05),
     ),
     "rope_outside_the_space": (
         None,
         {"procedure": "rope", "rope": [-0.5, 0.05]},
+        None,
         None,
         lambda model, post, pair: rope_decision(post, RegionSet.single(-0.5, 0.05), 0.95),
     ),
@@ -251,14 +245,16 @@ REFUSED = {
         None,
         {"procedure": "hypothesis_ratio"},
         {"h0": [[-0.02, 0.02, False, False]], "h1": [[0.05, 0.1, False, False]]},
+        None,
         lambda model, post, pair: bayes_two_action_decision(post, pair, LossRatio.scalar(1.0)),
     ),
     # H1 lies 200 prior sd from the prior mean, where its mass is 0
     "bayes_factor_prior_without_h1_mass": (
         None,
-        {"procedure": "bayes_factor", "prior": {"mean": 0.0, "sd": 1e-4}},
+        {"procedure": "bayes_factor"},
         None,
-        lambda model, post, pair: interval_bayes_factor(model, pair, (0.0, 1e-4)),
+        {"mean": 0.0, "sd": 1e-4},
+        lambda model, post, pair: interval_bayes_factor(model, pair),
     ),
 }
 
@@ -266,7 +262,8 @@ REFUSED = {
 def _aspirin_doc(case):
     """The aspirin scenario config with the case's loss and hypotheses, a
     model section, and the case's procedure in both lists."""
-    loss, entry, hypotheses, _ = REFUSED[case]
+    loss, entry, hypotheses, prior, _ = REFUSED[case]
+    prior = prior or {"mean": 0.0, "sd": 0.05}
     doc = json.loads((CONFIG_DIR / "aspirin_scenario.json").read_text(encoding="utf-8"))
     doc["loss"] = loss or doc["loss"]
     if hypotheses is not None:
@@ -275,11 +272,11 @@ def _aspirin_doc(case):
         "family": "normal",
         "sigma": 0.2,
         "data": {"n": 22000, "ybar": 0.0077},
-        "prior": {"mean": 0.0, "sd": 0.05},
+        "prior": prior,
     }
     # compare runs a posterior procedure first
     doc["comparators"] = [{"procedure": "expected_loss"}, entry]
-    doc["scenario"].update(replicates=3, procedures=[{"procedure": "nhst"}, entry])
+    doc["scenario"].update(replicates=3, prior=prior, procedures=[{"procedure": "nhst"}, entry])
     return doc
 
 
@@ -290,7 +287,7 @@ def _refusal(case, tmp_path):
     cfg = load_config(path)
     pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
     with pytest.raises(RelkitError) as want:
-        REFUSED[case][3](cfg.model, posterior_update(cfg.model, cfg.loss.space), pair)
+        REFUSED[case][4](cfg.model, posterior_update(cfg.model, cfg.loss.space), pair)
     return str(path), (type(want.value), str(want.value))
 
 
@@ -351,8 +348,8 @@ def test_simulate_refuses_the_setting_and_writes_nothing(case, tmp_path, capsys)
 def test_simulate_refuses_a_scenario_prior_without_mass_before_any_draw(
     tmp_path, capsys, monkeypatch
 ):
-    # a Bayes factor without a prior of its own takes the scenario's, which
-    # here gives H1 no mass: refused as the same prior given as its own is
+    # the Bayes factor takes the scenario's prior, which here gives H1 no
+    # mass: refused before the first draw
     doc = json.loads((CONFIG_DIR / "aspirin_scenario.json").read_text(encoding="utf-8"))
     doc["scenario"].update(
         prior={"mean": 0.0, "sd": 1e-4},

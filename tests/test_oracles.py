@@ -17,6 +17,8 @@ import pytest
 
 import relkit.simulate as sim
 from relkit.decisions import _tie_tol
+from relkit.hypotheses import derive_hypotheses
+from relkit.regions import partition
 
 import oracles
 from conftest import BENCH_BINOMIAL_PROCEDURES, BENCH_NORMAL_PROCEDURES, shipped_scenario
@@ -82,6 +84,48 @@ def test_scipy_verdicts_equal_the_bound_kernels(name, n):
         assert mismatches == [], proc
         assert skipped == 0, proc
         assert len(reached) >= 2 or (proc, n) == ("tost", 50), (proc, reached)
+
+
+# --- the Bayes factor as a hypothesis-ratio rule -----------------------------
+
+# the hypothesis-ratio verdict each Bayes-factor verdict must equal
+AS_RATIO_RULE = {"favors_h1": "a1", "inconclusive": "indeterminate", "favors_h0": "a0"}
+# the bench scenarios take the loss and prior of the shipped ones, and the
+# test sets the procedures itself, so one scenario per family serves
+RULE_CASES = [(name, n) for name, n in CASES if not name.startswith("bench")]
+
+
+@pytest.mark.parametrize("name, n", RULE_CASES, ids=[f"{name}-{n}" for name, n in RULE_CASES])
+def test_bayes_factor_is_the_hypothesis_ratio_rule_at_its_implied_loss_ratio(name, n):
+    """BF10 is the posterior odds of H1 over O, their prior odds under the
+    model's prior. So the Bayes factor at threshold t favors H1 where the
+    posterior odds exceed t O and H0 where they fall below O / t: its bound
+    kernel decides as the hypothesis-ratio rule's does at the loss ratio
+    [O / t, t O]. Points where BF10 lies within GUARD of t or 1 / t are
+    skipped and counted; there are none. Every verdict is reached, but for
+    favors_h0 at n = 50. At t = 1 the two differ on an exact tie alone: the
+    scalar ratio O gives a0 there, and the Bayes factor inconclusive."""
+    scenario = SCENARIOS[name]()
+    bench = SCENARIOS["bench_binomial" if scenario.family == "binomial" else "bench_normal"]()
+    assert (bench.loss, bench.prior) == (scenario.loss, scenario.prior)
+    pair = derive_hypotheses(partition(scenario.loss))
+    prior = scenario.prior or oracles.DEFAULT_PRIORS[scenario.family]
+    odds = math.exp(oracles.log_odds(sim.FAMILIES[scenario.family].posterior, prior, pair))
+    reached, skipped = Counter(), 0
+    for t in (3.0, 10.0):
+        factor = sim.ProcedureSpec("bayes_factor", {"threshold": t})
+        ratio = sim.ProcedureSpec("hypothesis_ratio", {"loss_ratio": [odds / t, t * odds]})
+        by_factor, by_ratio = (oracles.compile_procedure(scenario, p) for p in (factor, ratio))
+        for x in _statistics(scenario, n):
+            if oracles.scipy_verdict(scenario, factor, n, x)[1] < oracles.GUARD:
+                skipped += 1
+                continue
+            draw = oracles.draw_of(scenario, n, x)
+            verdict = by_factor(draw)
+            assert by_ratio(draw) == AS_RATIO_RULE[verdict], (t, x, verdict)
+            reached[verdict] += 1
+    assert skipped == 0
+    assert set(reached) == set(AS_RATIO_RULE) - ({"favors_h0"} if n == 50 else set())
 
 
 # --- mutants: each rule with one comparison flipped ---------------------------

@@ -207,6 +207,7 @@ MALFORMED = [
     ("normal", "tost", "bounds", ["a", 0.1]),
     ("binomial", "rope", "rope", "hull"),
     ("binomial", "rope", "rope", [float("nan"), 0.1]),
+    # bayes_factor takes the model's prior: a prior setting, of any form, is unknown
     ("normal", "bayes_factor", "prior", {"alpha": 2, "beta": 2}),
     ("binomial", "bayes_factor", "prior", {"mean": 0, "sd": 1}),
     ("binomial", "bayes_factor", "prior", {"alpha": 2}),
@@ -235,6 +236,23 @@ def test_malformed_setting_exits_2(tmp_path, command, family, name, key, value):
     code, _, err = _run([command, "--config", str(path)])
     assert code == 2
     assert name in err and repr(key) in err, err
+
+
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_a_bayes_factor_prior_setting_exits_2(tmp_path, command):
+    """The Bayes factor takes the model's prior, or the scenario's; a prior
+    of its own is an unknown setting, even the one those hold."""
+    entry = {"procedure": "bayes_factor", "prior": {"alpha": 1, "beta": 1}}
+    if command == "compare":
+        doc, where = copy.deepcopy(COIN_COMPARE), "comparators[2]"
+        doc["comparators"][2] = entry
+    else:
+        doc, where = copy.deepcopy(SCENARIOS["binomial"]), "scenario.procedures[3]"
+        doc["scenario"]["procedures"].append(entry)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = f"{where}: unknown setting(s) ['prior'] for procedure 'bayes_factor'"
+    assert _run([command, "--config", str(path)]) == (2, "", f"relkit: error: {message}\n")
 
 
 def test_procedure_spec_checked_when_bound():

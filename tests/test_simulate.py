@@ -77,6 +77,15 @@ class TestSimulateDataset:
     def test_effect_outside_space_rejected(self):
         with pytest.raises(ValidationError):
             shipped_scenario("coin_scenario", true_effects=(0.7,))
+        # a single draw is refused as the scenario refuses the effect
+        for name, effect, space in (
+            ("coin_scenario", 0.9, "[-0.5, 0.5]"),
+            ("coin_scenario", math.nan, "[-0.5, 0.5]"),
+            ("aspirin_scenario", math.nan, "[-0.1, 0.1]"),
+        ):
+            message = f"true effect {effect} outside the parameter space {space}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                simulate_dataset(shipped_scenario(name), effect, 5, 1)
 
     @pytest.mark.parametrize(
         "n, index, message",
@@ -85,8 +94,9 @@ class TestSimulateDataset:
             (20, 2.5, "replicate_index: must be an integer, got 2.5"),
             (20.0, 1, "n: must be an integer, got 20.0"),
             (2**63, 1, "n: must be an integer in [0, 2**63), got 9223372036854775808"),
+            (0, 1, "n must be >= 1, got 0"),
         ],
-        ids=["index-negative", "index-float", "n-float", "n-2^63"],
+        ids=["index-negative", "index-float", "n-float", "n-2^63", "n-0"],
     )
     def test_counts_follow_the_config_rule(self, n, index, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -116,6 +126,10 @@ class TestScenarioValidation:
     def test_unknown_procedure(self):
         with pytest.raises(ValidationError, match="unknown procedure"):
             ProcedureSpec("anova", {})
+
+    def test_settings_must_be_a_dict(self):
+        with pytest.raises(ValidationError, match="^nhst settings must be a dict, got None$"):
+            ProcedureSpec("nhst", None)
 
     def test_unknown_setting(self):
         scenario = tiny_coin(procedures=(ProcedureSpec("nhst", {"alpa": 0.05}),))
@@ -570,11 +584,7 @@ class TestSharedPosterior:
         scenario = shipped_scenario(
             "aspirin_scenario",
             replicates=5,
-            procedures=(
-                ProcedureSpec("nhst", {}),
-                ProcedureSpec("tost", {}),
-                ProcedureSpec("bayes_factor", {"prior": {"mean": 0.0, "sd": 0.1}}),
-            ),
+            procedures=(ProcedureSpec("nhst", {}), ProcedureSpec("tost", {})),
         )
         models = _counting_updates(monkeypatch)
         run_operating_characteristics(scenario)
@@ -661,10 +671,6 @@ def _procedures(draw, family, lo, hi):
         a, b = sorted(draw(st.lists(_grid_in(lo, hi), min_size=2, max_size=2, unique=True)))
         return [a, b]
 
-    if family == "binomial":
-        own_prior = {"alpha": draw(st.floats(0.5, 5.0)), "beta": draw(st.floats(0.5, 5.0))}
-    else:
-        own_prior = {"mean": draw(st.floats(-0.3, 0.3)), "sd": draw(st.floats(0.01, 2.0))}
     menu = {
         "nhst": lambda: {"alpha": draw(st.floats(0.01, 0.2))},
         "tost": lambda: {
@@ -679,10 +685,7 @@ def _procedures(draw, family, lo, hi):
             "loss_ratio": draw(st.sampled_from([1.0, 0.2, 5.0, [0.5, 2.0], [1.0, 9.0]]))
         },
         "expected_loss": lambda: {},
-        "bayes_factor": lambda: {
-            "threshold": draw(st.sampled_from([1.0, 3.0, 10.0])),
-            **draw(st.sampled_from([{}, {"prior": own_prior}])),
-        },
+        "bayes_factor": lambda: {"threshold": draw(st.sampled_from([1.0, 3.0, 10.0]))},
     }
     if family == "binomial":
         del menu["tost"]
@@ -718,9 +721,6 @@ def _scenarios(draw):
 
 
 BENCH_BINOMIAL_EFFECTS = (-0.3, -0.106, -0.05, 0.0, 0.05, 0.106, 0.3)
-OWN_PRIOR_BAYES_FACTOR = ProcedureSpec(
-    "bayes_factor", {"threshold": 3.0, "prior": {"alpha": 3, "beta": 7}}
-)
 
 
 def _bench_binomial(**changes):
@@ -750,16 +750,15 @@ def _narrow_loss(half):
 
 
 # the cells next to the bound on the shape sum: n = 2^16 - 2 is certified
-# under the Beta(1, 1) prior and n = 2^16 - 1 not; with a Bayes factor's own
-# Beta(3, 7) prior, n = 2^16 - 10 and 2^16 - 9
+# under the Beta(1, 1) prior and n = 2^16 - 1 not; under a Beta(3, 7) prior,
+# n = 2^16 - 10 and 2^16 - 9
 AT_THE_BOUND = (
     _bench_binomial(true_effects=(0.0, 0.106), sample_sizes=(2**16 - 2, 2**16 - 1), replicates=24),
     _bench_binomial(
         true_effects=(0.0, 0.106),
         sample_sizes=(2**16 - 10, 2**16 - 9),
         replicates=24,
-        prior=(0.5, 0.5),
-        procedures=(*BENCH_BINOMIAL_PROCEDURES[:-1], OWN_PRIOR_BAYES_FACTOR),
+        prior=(3.0, 7.0),
     ),
 )
 
@@ -772,7 +771,6 @@ AT_THE_BOUND = (
         loss=_narrow_loss(0.2), true_effects=(-0.15, 0.0, 0.1), prior=(0.5, 0.5)
     )
 )
-@example(_bench_binomial(procedures=(*BENCH_BINOMIAL_PROCEDURES[:-1], OWN_PRIOR_BAYES_FACTOR)))
 @example(_bench_binomial(loss=quadratic_pair_spec(), true_effects=(-0.3, 0.1, 0.2)))
 @example(AT_THE_BOUND[0])
 @example(AT_THE_BOUND[1])
@@ -783,7 +781,7 @@ def test_certified_sweep_equals_direct_sweep(scenario):
     assert got == _result(oracles.brute_force_table, scenario)
 
 
-@pytest.mark.parametrize("scenario", AT_THE_BOUND, ids=["prior", "own-prior"])
+@pytest.mark.parametrize("scenario", AT_THE_BOUND, ids=["prior", "beta-3-7-prior"])
 def test_cell_over_the_bound_runs_on_every_distinct_count(monkeypatch, scenario):
     by_cell = _counting_bind(monkeypatch)
     run_operating_characteristics(scenario)
@@ -924,11 +922,12 @@ class TestCertifiedBlocks:
     def test_binomial_counts_on_both_sides_of_each_cut(self, n):
         scenario = shipped_scenario(
             "coin_scenario",
+            prior=(2.0, 5.0),
             procedures=(
                 ProcedureSpec("nhst", {}),
                 ProcedureSpec("rope", {}),
                 ProcedureSpec("hypothesis_ratio", {"loss_ratio": [0.5, 2.0]}),
-                ProcedureSpec("bayes_factor", {"threshold": 3.0, "prior": {"alpha": 2, "beta": 5}}),
+                ProcedureSpec("bayes_factor", {"threshold": 3.0}),
             ),
         )
         statistics = []
@@ -987,16 +986,13 @@ class TestCertifiedBlocks:
         w = (22000 / 0.04) / (22000 / 0.04 + 1 / 0.05**2)
         sd = (22000 / 0.04 + 1 / 0.05**2) ** -0.5
         prior_mean = (0.1 + 37.5 * sd - w * 0.1) / (1.0 - w)
-        # that prior gives the pair no mass, so the Bayes factor, which is
-        # refused under it, takes a prior of its own
-        own = ProcedureSpec(
-            "bayes_factor", {"threshold": 3.0, "prior": {"mean": 0.0, "sd": 0.05}}
-        )
+        # that prior gives the pair no mass, so the Bayes factor is refused
+        # under it, and the sweep runs without it
         scenario = _bench_normal(
             prior=(prior_mean, 0.05),
             true_effects=(0.1, 0.0),
             replicates=60,
-            procedures=(*BENCH_NORMAL_PROCEDURES[:-1], own),
+            procedures=BENCH_NORMAL_PROCEDURES[:-1],
         )
         refused = dataclasses.replace(scenario, procedures=BENCH_NORMAL_PROCEDURES)
         with pytest.raises(ValidationError, match="zero prior mass"):
@@ -1104,20 +1100,17 @@ class TestCertifiedBlocks:
 
 
 def test_binomial_cells_carry_certificates_under_the_bound():
-    # a cell is certified while n plus the largest prior alpha + beta, the
-    # scenario's or a Bayes factor's own, is at most 2^16: above it the beta
-    # tails' continued fraction may fail on inner counts alone
+    # a cell is certified while n plus the prior's alpha + beta is at most
+    # 2^16: above it the beta tails' continued fraction may fail on inner
+    # counts alone
     procedures = tuple(ProcedureSpec(name, {}) for name in sim.PROCEDURES if name != "tost")
-    own = ProcedureSpec("bayes_factor", {"prior": {"alpha": 3, "beta": 7}})
-    for prior, bayes_factor, largest in (
-        ((1.0, 1.0), procedures[-1], 2**16 - 2),
-        ((0.5, 0.5), procedures[-1], 2**16 - 1),
-        ((0.5, 0.5), own, 2**16 - 10),
-        ((30.0, 20.0), own, 2**16 - 50),
+    for prior, largest in (
+        ((1.0, 1.0), 2**16 - 2),
+        ((0.5, 0.5), 2**16 - 1),
+        ((3.0, 7.0), 2**16 - 10),
+        ((30.0, 20.0), 2**16 - 50),
     ):
-        coin = shipped_scenario(
-            "coin_scenario", prior=prior, procedures=(*procedures[:-1], bayes_factor)
-        )
+        coin = shipped_scenario("coin_scenario", prior=prior, procedures=procedures)
         sweep = sim._bind_sweep(coin)
         assert None not in [bound.certificate for bound in sweep.bound]
         for n in (1, 1000, largest):
@@ -1234,9 +1227,6 @@ def test_each_statistic_is_evaluated_once_per_run(monkeypatch):
     assert table == oracles.brute_force_table(scenario)
 
 
-OWN_PRIOR_NORMAL_BAYES_FACTOR = ProcedureSpec(
-    "bayes_factor", {"threshold": 3.0, "prior": {"mean": 0.0, "sd": 0.1}}
-)
 BENCH_NORMAL_GRID = {
     "true_effects": (0.0, 0.0077, 0.02, 0.05),
     "sample_sizes": (50, 22000),
@@ -1249,18 +1239,12 @@ BENCH_NORMAL_GRID = {
     [
         _bench_normal(**BENCH_NORMAL_GRID),
         _bench_binomial(true_effects=BENCH_BINOMIAL_EFFECTS),
-        _bench_normal(
-            **BENCH_NORMAL_GRID,
-            procedures=(*BENCH_NORMAL_PROCEDURES[:-1], OWN_PRIOR_NORMAL_BAYES_FACTOR),
-        ),
-        _bench_binomial(procedures=(*BENCH_BINOMIAL_PROCEDURES[:-1], OWN_PRIOR_BAYES_FACTOR)),
     ],
-    ids=["normal", "binomial", "normal-own-prior", "binomial-own-prior"],
+    ids=["normal", "binomial"],
 )
 def test_each_probed_draw_evaluates_its_rule_once(monkeypatch, scenario):
     """A probed draw's verdict and coordinates come from one evaluation of
-    its rule: one _rope, one _tost_tails and, for a Bayes factor with its
-    own prior, one conjugate update under that prior per kernel call."""
+    its rule: one _rope and one _tost_tails per kernel call."""
     evaluations = Counter()
     for rule, name in ((sim._rope, "rope"), (sim._tost_tails, "tost")):
 
@@ -1269,23 +1253,12 @@ def test_each_probed_draw_evaluates_its_rule_once(monkeypatch, scenario):
             return rule(*args)
 
         monkeypatch.setattr(sim, rule.__name__, counted)
-    bayes_factor = next(p for p in scenario.procedures if p.name == "bayes_factor")
-    own = sim.parse_settings(bayes_factor, scenario.family)["prior"]
-    row = sim.FAMILIES[scenario.family]
-
-    def update(model):
-        if tuple(vars(model).values())[-2:] == own:
-            evaluations["bayes_factor"] += 1
-        return row.update(model)
-
-    monkeypatch.setitem(sim.FAMILIES, scenario.family, row._replace(update=update))
     by_cell = _counting_bind(monkeypatch)
     run_operating_characteristics(scenario)
     kernel_calls = Counter()
     for (name, _), count in sum(by_cell(), Counter()).items():
         kernel_calls[name] += count
     counted = {p.name for p in scenario.procedures} & {"rope", "tost"}
-    counted |= {"bayes_factor"} if own is not None else set()
     assert all(kernel_calls[name] > 0 for name in counted)
     assert evaluations == Counter({name: kernel_calls[name] for name in counted})
 
@@ -1352,8 +1325,7 @@ def test_binomial_sweep_never_integrates(monkeypatch):
 
 def _scan_procedures(family):
     """Every procedure, with the settings of the shipped and benchmark
-    scenarios and a Bayes factor with its own prior."""
-    own = OWN_PRIOR_BAYES_FACTOR if family == "binomial" else OWN_PRIOR_NORMAL_BAYES_FACTOR
+    scenarios."""
     tost = (ProcedureSpec("tost", {"alpha": 0.05, "bounds": "partition_hull"}),)
     return (
         ProcedureSpec("nhst", {"alpha": 0.05}),
@@ -1363,7 +1335,6 @@ def _scan_procedures(family):
         ProcedureSpec("hypothesis_ratio", {"loss_ratio": [0.5, 2.0]}),
         ProcedureSpec("expected_loss", {}),
         ProcedureSpec("bayes_factor", {"threshold": 3.0}),
-        own,
     )
 
 
