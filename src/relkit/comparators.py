@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from . import values
 from .errors import NumericalError, ValidationError
 from .hypotheses import HypothesisPair
 from .inference import (
@@ -70,11 +71,6 @@ def _check_bayes_factor(bf: float) -> None:
         raise ValidationError(f"Bayes factor must be a nonnegative ratio: {bf}")
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-
-
 def _nhst(point_null: Callable, model, alpha: float) -> tuple[str, float, float]:
     """The point-null rule: (verdict, p-value, statistic)."""
     p, statistic = point_null(model)
@@ -102,14 +98,14 @@ def nhst_point_null(
     Binomial: exact test of pi = 1/2 with the doubled-smaller-tail p-value,
     clipped at 1. Normal: z-test of a zero mean.
     """
-    _check_alpha(alpha)
+    values.check("alpha", values.probability, alpha)
     row = FAMILIES[family_of(model)]
     return _nhst_result(row, model, alpha, *_nhst(row.point_null, model, alpha))
 
 
 def _tost_bounds(bounds: tuple[float, float], alpha: float) -> tuple[float, float]:
     """The settings checks of the equivalence test; returns (lo, hi)."""
-    _check_alpha(alpha)
+    values.check("alpha", values.probability, alpha)
     lo, hi = bounds
     if not lo < hi:
         raise ValidationError(f"equivalence bounds need lo < hi, got ({lo}, {hi})")
@@ -173,8 +169,7 @@ def _rope_hull(rope: RegionSet, mass: float) -> tuple[float, float, float]:
             "rope must be a single interval around the null value; got "
             f"{len(rope.intervals)} disjoint intervals"
         )
-    if not 0.0 < mass < 1.0:
-        raise ValidationError(f"credible mass must be in (0, 1), got {mass}")
+    values.check("credible mass", values.probability, mass)
     hull = rope.intervals[0]
     return hull.lo, hull.hi, 0.5 * (1.0 - mass)
 
@@ -268,11 +263,6 @@ def _prior_masses(row: Family, params: tuple[float, float], pair: HypothesisPair
     return masses
 
 
-def _check_threshold(threshold: float) -> None:
-    if not (math.isfinite(threshold) and threshold >= 1.0):
-        raise ValidationError(f"threshold must be finite and >= 1, got {threshold}")
-
-
 def _bayes_factor(
     post_masses: tuple[float, float], prior_masses: tuple[float, float], threshold: float
 ) -> tuple[str, float]:
@@ -326,7 +316,7 @@ def interval_bayes_factor(
     The verdict is "favors_h1" above the threshold, "favors_h0" below its
     inverse, else "inconclusive"; a threshold below 1 would overlap the two.
     """
-    _check_threshold(threshold)
+    values.check("threshold", values.threshold, threshold)
     row = FAMILIES[family_of(model)]
     # the prior's two numbers are the model's last two fields; its masses
     # are checked before the posterior's are taken

@@ -160,6 +160,21 @@ def _normal_tail_z(q: float) -> float:
     )
 
 
+def _normal_upper_z(q: float) -> float:
+    """z with standard normal upper tail q in (0, 1), to full precision:
+    three Newton steps from ``_normal_tail_z``, each on the tail by erfc, or
+    about the median by erf for q above 1/4, where 1/2 - q is exact and z
+    keeps its relative precision near 0."""
+    if q > 0.5:
+        return -_normal_upper_z(1.0 - q)
+    z = _normal_tail_z(q)
+    for _ in range(3):
+        w = z / _SQRT2
+        miss = 0.5 * math.erfc(w) - q if q < 0.25 else (0.5 - q) - 0.5 * math.erf(w)
+        z += miss * _SQRT2PI * math.exp(0.5 * z * z)
+    return z
+
+
 @dataclass(frozen=True)
 class BinomialModel:
     """n coin-style trials with k successes; Beta(prior_alpha, prior_beta)

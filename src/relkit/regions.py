@@ -164,13 +164,20 @@ def _quadratic_roots(c0: float, c1: float, c2: float) -> tuple[float, ...]:
     return (q / c2, c0 / q) if q != 0.0 else (0.0,)
 
 
-def _roots(p0: Piece, p1: Piece, delta, a: float, b: float) -> tuple[float, ...]:
+def _difference(p0: Piece, p1: Piece, theta: float) -> float:
+    """The loss difference at theta on the single pieces p0 and p1, as
+    ``difference_fn`` takes it where they hold theta."""
+    (o0, a0, b0, c0), (o1, a1, b1, c1) = p0, p1
+    u0, u1 = theta - o0, theta - o1
+    return (a1 + u1 * (b1 + u1 * c1)) - (a0 + u0 * (b0 + u0 * c0))
+
+
+def _roots(p0: Piece, p1: Piece, da: float, db: float, a: float, b: float) -> tuple[float, ...]:
     """Roots of the loss difference on [a, b], where the curves are the
-    single pieces p0 and p1; the quadratic case may also return roots
-    outside [a, b]."""
+    single pieces p0 and p1 and the difference is da at a and db at b; the
+    quadratic case may also return roots outside [a, b]."""
     if p0[3] == p1[3] == 0.0:
         # linear: a root needs a strict sign change between the exact end values
-        da, db = delta(a), delta(b)
         if da == 0.0 or db == 0.0 or (da < 0.0) == (db < 0.0):
             return ()
         return (a + (b - a) * da / (da - db),)
@@ -201,30 +208,49 @@ def partition(spec: LossSpec) -> RelevancePartition:
 
 
 def _partition(spec: LossSpec) -> RelevancePartition:
-    delta = difference_fn(spec)
-    space = spec.space
+    space, panels = spec.space, spec._panels
+    starts = [a for a, _, _ in panels]
+    # the difference at each panel's start on the panel's pieces, and at
+    # the space's end on the pieces that hold it, which may start there
+    ends = [_difference(p0, p1, a) for a, _, (p0, p1) in panels]
+    ends.append(difference_fn(spec)(space.hi))
     roots = {
         r
-        for a, b, (p0, p1) in spec._panels
-        for r in _roots(p0, p1, delta, a, b)
+        for (a, b, (p0, p1)), da, db in zip(panels, ends, ends[1:])
+        for r in _roots(p0, p1, da, db, a, b)
         if a <= r <= b
     }
-    points = sorted(roots.union([a for a, _, _ in spec._panels], [space.hi]))
+    # the difference at every point, 0 at a root: roots are ties
+    at = dict(zip(starts + [space.hi], ends))
+    at.update(dict.fromkeys(roots, 0.0))
 
-    # every point and every open gap between neighbours, classified at its
-    # midpoint; roots are ties
-    atoms = [Interval(p, p) for p in points]
-    atoms += [Interval(q, p, True, True) for q, p in zip(points, points[1:])]
-    negligible: list[Interval] = []
-    relevant: list[Interval] = []
-    for itv in atoms:
-        t = 0.5 * (itv.lo + itv.hi)
-        (relevant if t not in roots and delta(t) < 0.0 else negligible).append(itv)
-    relevant_set = RegionSet(tuple(relevant))
-    edges = {x for itv in relevant_set.intervals for x in (itv.lo, itv.hi)}
-    crossings = sorted(x for x in edges if space.lo < x < space.hi)
-    return RelevancePartition(
-        negligible=RegionSet(tuple(negligible)),
-        relevant=relevant_set,
-        crossings=tuple(crossings),
+    # each point and each open gap between neighbours, in order, classified
+    # by the sign of the difference, a gap's at its midpoint on the pieces
+    # of the panel that holds it; runs of one class are merged as they
+    # come, each as [lo, hi, lo_open, hi_open, relevant]
+    runs: list[list] = []
+
+    def add(lo: float, hi: float, is_open: bool, relevant: bool) -> None:
+        if runs and runs[-1][4] == relevant:
+            runs[-1][1], runs[-1][3] = hi, is_open
+        else:
+            runs.append([lo, hi, is_open, is_open, relevant])
+
+    k, q = 0, None
+    for p in sorted(at):
+        if q is not None:
+            t = 0.5 * (q + p)
+            while k + 1 < len(panels) and starts[k + 1] <= t:
+                k += 1
+            # a midpoint that rounds onto a point takes that point's difference
+            d = at[t] if t in at else _difference(*panels[k][2], t)
+            add(q, p, True, d < 0.0)
+        add(p, p, False, at[p] < 0.0)
+        q = p
+    negligible, relevant = (
+        RegionSet(tuple(Interval(*run[:4]) for run in runs if run[4] == side))
+        for side in (False, True)
     )
+    edges = {x for itv in relevant.intervals for x in (itv.lo, itv.hi)}
+    crossings = sorted(x for x in edges if space.lo < x < space.hi)
+    return RelevancePartition(negligible=negligible, relevant=relevant, crossings=tuple(crossings))

@@ -19,7 +19,8 @@ print, is built only on request.
 A verdict depends on the dataset only through one statistic, k or ybar, so
 a sweep counts each block of a cell on one ``_VerdictMap`` per (n,
 procedure) that the run keeps, which evaluates a procedure only where its
-verdict can change (see "certificates"). The procedures of a draw in a
+verdict can change (see "certificates", and "seeds" for what the normal
+model gives in closed form). The procedures of a draw in a
 block share one posterior, built on first use, and with it the tail masses
 it has taken.
 
@@ -83,6 +84,7 @@ from .inference import (
     NormalDraw,
     NormalKnownVarModel,
     PosteriorModel,
+    _normal_upper_z,
     _partial_moments,
     _region_ends,
     _region_prob,
@@ -119,15 +121,6 @@ class ProcedureSpec:
             )
         if not isinstance(self.settings, dict):
             raise ValidationError(f"{self.name} settings must be a dict, got {self.settings!r}")
-
-
-def _check(key: str, parse: Callable, value) -> None:
-    """Check a value by the config's parser of its kind (``values``), the
-    error naming the key."""
-    try:
-        parse(value)
-    except ValidationError as exc:
-        raise ValidationError(f"{key}: {exc}") from None
 
 
 def _check_effect(space: ParameterSpace, effect: float) -> None:
@@ -178,8 +171,8 @@ class Scenario:
         ):
             raise ValidationError(f"improper or non-finite {self.family} prior {prior}")
         # counts as the config takes them: numpy draws take them as C longs
-        _check("replicates", values.count, self.replicates)
-        _check("sample_sizes", values.counts, self.sample_sizes)
+        values.check("replicates", values.count, self.replicates)
+        values.check("sample_sizes", values.counts, self.sample_sizes)
         if self.replicates < 1:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
         if not self.true_effects:
@@ -239,12 +232,12 @@ def simulate_dataset(
     """Draw one dataset; fully determined by (seed, effect, n, replicate),
     as the README's "Determinism" formula gives it: element r % SWEEP_BLOCK
     of its block's draw, which a sweep takes whole."""
-    _check("n", values.count, n)
+    values.check("n", values.count, n)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     _check_effect(scenario.loss.space, true_effect)
     # its block index enters a SeedSequence, which takes any such integer
-    _check("replicate_index", values.seed, replicate_index)
+    values.check("replicate_index", values.seed, replicate_index)
     block, i = divmod(replicate_index, SWEEP_BLOCK)
     statistic = _draw_block(scenario, true_effect, n, block, i + 1)[i].item()
     known = (getattr(scenario, key) for key in FAMILIES[scenario.family].known)
@@ -377,13 +370,89 @@ def _unimodal(signs: Iterable, order: tuple[str, ...]) -> tuple[str, ...] | None
     return order if len(word) < 3 or word[0] else order[::-1]
 
 
+# --- seeds -----------------------------------------------------------------
+#
+# The normal model knows some of a map's verdict changes in closed form. A
+# map that must split a gap between two evaluated verdicts splits it at a
+# cut inside it, if a bind step gives one (nhst and tost): it evaluates the
+# two statistics a relative CUT_OFFSET either side of the cut, so that each
+# side holds one verdict and the order or a box certifies it. They are
+# evaluated like draws and carry no weight; a wrong cut costs two kernel
+# calls, not a count.
+#
+# Where a verdict order's top verdict is the inner one, its odds are
+# quasi-concave in the posterior mean m: a weight whose signs read (-, +, -)
+# changes sign twice at most in m (see "certificates"), so each upper level
+# set of the odds is an interval. A Bayes factor's kernel takes the
+# untruncated posterior N(m, s), whose sd s does not depend on ybar at a
+# given n while m covers the line, so a search over m settles whether any
+# ybar takes the top verdict; where none does, the verdict below it is the
+# top of the order. The search runs once per map, when that would certify a
+# gap.
+
+CUT_OFFSET = 1e-9
+# the top-verdict search: its steps at most, and the half-width of the
+# bracket it certifies, as a share of the posterior sd
+TOP_SEARCH_STEPS = 20
+TOP_SEARCH_SPAN = 1.0 / 256.0
+
+
+def _top_reached(
+    cert: Certificate, top: str, look: Callable[[float], tuple], m: float, h: float
+) -> bool | None:
+    """Whether some posterior mean takes the verdict ``top``, given look: a
+    mean -> (the coordinates of that posterior, each monotone in the mean;
+    the odds toward top over the odds at which top begins, quasi-concave in
+    the mean, as the kernel computes them; a number of the sign of their
+    slope), from a start m near their peak and a half-width h.
+
+    Each step looks at p - h and p + h, from p = m. The answer is True once
+    a mean looked at takes top. It is False where the odds rise at p - h
+    and fall at p + h, and the widened box over [p - h, p + h] names a lower
+    verdict: quasi-concave odds that rise at p - h are no higher below it
+    than there, and likewise above p + h, which a margin below top's odds
+    keeps from rounding. Otherwise p moves to where the slope, interpolated
+    between the two, vanishes. It is None where the odds lie within that
+    margin, the two slopes are equal, or the steps do not settle."""
+    p = m
+    for _ in range(TOP_SEARCH_STEPS):
+        (c_lo, f_lo, g_lo), (c_hi, f_hi, g_hi) = look(p - h), look(p + h)
+        if max(f_lo, f_hi) > 1.0:
+            return True
+        if g_lo > 0.0 > g_hi:
+            if not (f_lo < 1.0 - CERTIFICATE_MARGIN and f_hi < 1.0 - CERTIFICATE_MARGIN):
+                return None
+            verdict = _box_verdict(cert, c_lo, c_hi)
+            return None if verdict is None else verdict == top
+        if g_lo == g_hi:
+            return None
+        p -= h + 2.0 * h * g_lo / (g_hi - g_lo)
+    return None
+
+
+def _cut_inside(cuts: Sequence[float], left: float, right: float) -> tuple | None:
+    """The statistics a relative CUT_OFFSET either side of the first cut
+    that they leave, distinct, strictly inside (left, right), or None."""
+    for cut in cuts:
+        offset = CUT_OFFSET * abs(cut)
+        if left < cut - offset < cut + offset < right:
+            return cut - offset, cut + offset
+    return None
+
+
 class Bound(NamedTuple):
     """A procedure with its settings bound: its kernel, and the sweep's
-    certificate of its verdicts and their unimodal order, or None."""
+    certificate of its verdicts and their unimodal order, or None. Where
+    the normal model gives them, a model -> the statistics at which the
+    verdict changes at its n, where a map splits its gaps (cuts), and a
+    model -> whether a statistic at its n takes the order's top verdict,
+    None where that is not settled (reaches_top); see "seeds"."""
 
     kernel: Kernel
     certificate: Certificate
     order: tuple[str, ...] | None
+    cuts: Callable[[Model], tuple[float, ...]] | None = None
+    reaches_top: Callable[[Model], bool | None] | None = None
 
 
 # A bind step makes every check that depends only on the settings, the loss,
@@ -421,7 +490,17 @@ def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
 
     # reject where either exceeds -alpha: fail_to_reject < reject
     certificate = lambda c: "reject" if max(c) > -alpha else "fail_to_reject"
-    return Bound(kernel, certificate, ("reject", "fail_to_reject"))
+    order = ("reject", "fail_to_reject")
+    if row.posterior != "normal":
+        return Bound(kernel, certificate, order)
+    # the z test rejects where |ybar| sqrt(n) / sigma exceeds z(alpha / 2)
+    z = _normal_upper_z(alpha / 2.0)
+
+    def cuts(model: Model) -> tuple[float, ...]:
+        cut = z * model.sigma / math.sqrt(model.n)
+        return -cut, cut
+
+    return Bound(kernel, certificate, order, cuts)
 
 
 def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
@@ -437,7 +516,16 @@ def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
 
     # equivalent where both exceed -alpha: not_equivalent < equivalent
     certificate = lambda c: "equivalent" if min(c) > -alpha else "not_equivalent"
-    return Bound(kernel, certificate, ("not_equivalent", "equivalent"))
+    z = _normal_upper_z(alpha)
+
+    def cuts(model: Model) -> tuple[float, ...]:
+        # equivalent where ybar lies inside the bounds narrowed by z(alpha)
+        # standard errors, and nowhere where they cross
+        se = model.sigma / math.sqrt(model.n)
+        first, last = lo + z * se, hi - z * se
+        return (first, last) if first < last else ()
+
+    return Bound(kernel, certificate, ("not_equivalent", "equivalent"), cuts)
 
 
 def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
@@ -572,8 +660,43 @@ def _bind_bayes_factor(
         p0, p1 = _odds_masses(c, cells)
         return _bayes_factor_verdict(p1 / p0 * prior_odds if p0 > 0.0 else math.inf, threshold)
 
-    order = ("favors_h1", "inconclusive", "favors_h0")
-    return Bound(kernel, verdict, _unimodal([r for r, _ in cells], order))
+    order = _unimodal([r for r, _ in cells], ("favors_h1", "inconclusive", "favors_h0"))
+    if row.posterior != "normal" or order is None:
+        return Bound(kernel, verdict, order)
+    # the posterior odds toward the top verdict, P(H0 | y) / P(H1 | y) for
+    # favors_h0, from each region's masses taken as the kernel takes them,
+    # over the odds at which the top verdict begins; the search starts at
+    # the middle of the top verdict's region
+    toward_h0 = order[-1] == "favors_h0"
+    bar = threshold * (prior_odds if toward_h0 else 1.0 / prior_odds)
+    if not 0.0 < bar < math.inf:
+        return Bound(kernel, verdict, order)
+    points = {x for region in ends for itv in region for x in itv}
+    inner = ends[0] if toward_h0 else ends[1]
+    middle = 0.5 * (inner[0][0] + inner[-1][1])
+
+    def reaches_top(model: Model) -> bool | None:
+        sd = row.update(model)[1]
+
+        def look(m: float) -> tuple:
+            tails = {x: row.tails((m, sd), x) for x in points}
+            # the normal density at each point, up to a constant factor: a
+            # region's mass changes with m by the sum over its intervals of
+            # the density at the lower end less that at the upper end, over sd
+            dens = {x: math.exp(-0.5 * ((x - m) / sd) * ((x - m) / sd)) for x in points}
+            post = _region_masses(tails.__getitem__, ends)
+            slopes = [sum(dens[lo] - dens[hi] for lo, hi in region) for region in ends]
+            (near, far), (d_near, d_far) = (
+                (post, slopes) if toward_h0 else (post[::-1], slopes[::-1])
+            )
+            odds = near / far if far > 0.0 else math.inf if near > 0.0 else 0.0
+            coords = tuple(tails[x][tail] for x, tail in changes)
+            # the sign of d/dm log(near / far)
+            return coords, odds / bar, d_near * far - near * d_far
+
+        return _top_reached(verdict, order[-1], look, middle, sd * TOP_SEARCH_SPAN)
+
+    return Bound(kernel, verdict, order, reaches_top=reaches_top)
 
 
 class Procedure(NamedTuple):
@@ -764,10 +887,12 @@ class _VerdictMap:
     evaluated so far, sorted; ys, each one's (outcome, coordinates), the
     coordinates kept as the kernel's coords() until a box first needs them,
     and never in a cell without a certificate, where they would hold each
-    evaluated draw's posterior; and top, the highest rank in the verdict
-    order taken so far."""
+    evaluated draw's posterior; top, the highest rank in the verdict order
+    taken so far; and peak, the highest rank a statistic can take. In a
+    certified cell, a model of the map's n gives the bind step's cuts, and
+    the question whether its top verdict is reached (see "seeds")."""
 
-    def __init__(self, bound: Bound, certified: bool) -> None:
+    def __init__(self, bound: Bound, certified: bool, model: Model | None = None) -> None:
         self.kernel = bound.kernel
         self.cert = bound.certificate if certified else None
         order = bound.order if self.cert else None
@@ -775,6 +900,11 @@ class _VerdictMap:
         self.xs: list = []
         self.ys: dict = {}
         self.top = -1
+        self.peak = len(self.rank) - 1
+        seeded = self.cert is not None and model is not None
+        self.cuts = bound.cuts(model) if seeded and bound.cuts else ()
+        reaches = seeded and self.rank and bound.reaches_top
+        self.reaches_top = functools.partial(bound.reaches_top, model) if reaches else None
 
     def walk(
         self, distinct: Sequence, cum: Sequence, draw: Callable[[float], tuple[Model, Posterior]]
@@ -788,14 +918,19 @@ class _VerdictMap:
         counts its outcome. The draws [a, b) of a gap between two evaluated
         draws of one verdict count cum[b] - cum[a] for it where, in a
         certified cell, the verdict order or else the widened box of its
-        ends' coordinates names it (see "certificates"). Otherwise, and
-        always where the ends' outcomes differ, the gap is split at a draw
-        inside it, the block's end draw where the gap is a ray past every
-        evaluated draw and else its middle draw, which is evaluated and
-        entered in the map. A draw whose kernel raised keeps its error, and
-        one whose coords() raised keeps no coordinates: neither certifies a
-        gap next to it."""
-        xs, ys, rank, cert, top = self.xs, self.ys, self.rank, self.cert, self.top
+        ends' coordinates names it (see "certificates"); where neither does,
+        and the verdict is the one just below the peak, the map asks once
+        whether the peak is reached, and lowers it where it is not (see
+        "seeds"). Otherwise, and always where the ends' outcomes differ, the
+        gap is split: at a cut inside it, where both ends are verdicts, by
+        evaluating the statistics a relative CUT_OFFSET either side of it,
+        which count nothing; else at a draw inside it, the block's end
+        draw where the gap is a ray past every evaluated draw and else its
+        middle draw. An evaluated statistic is entered in the map. A draw
+        whose kernel raised keeps its error, and one whose coords() raised
+        keeps no coordinates: neither certifies a gap next to it."""
+        xs, ys, rank, cert, cuts = self.xs, self.ys, self.rank, self.cert, self.cuts
+        top, peak = self.top, self.peak
         count, failed = Counter(), {}
 
         def corner(x) -> tuple | None:
@@ -814,6 +949,16 @@ class _VerdictMap:
                 failed[distinct[j]] = outcome
                 outcome = "error"
             count[outcome] += cum[j + 1] - cum[j]
+
+        def evaluate(x) -> Outcome:
+            try:
+                outcome, _, coords = self.kernel(*draw(x))
+                ys[x] = outcome, cert and coords
+            except RelkitError as exc:
+                # an outcome keeps the error, not the frames of its traceback
+                ys[x] = exc.with_traceback(None), None
+            bisect.insort(xs, x)
+            return ys[x][0]
 
         # each gap of the map among the block's draws, (left end, right
         # end, a, b), None past the first or last evaluated draw
@@ -837,24 +982,36 @@ class _VerdictMap:
             v = left is not None and right is not None and ys[left][0]
             if isinstance(v, str) and v == ys[right][0]:
                 r = rank.get(v, -1)
-                ordered = r >= 0 and (r == len(rank) - 1 or r < top)
+                ordered = r >= 0 and (r == peak or r < top)
                 verdict = v if ordered else _box_verdict(cert, corner(left), corner(right))
+                if verdict is None and r == peak - 1 and self.reaches_top:
+                    if self.reaches_top() is False:
+                        peak, verdict = r, v
+                    self.reaches_top = None
                 if verdict is not None:
                     count[verdict] += cum[b] - cum[a]
                     continue
-            j = a if left is None else b - 1 if right is None else (a + b) // 2
-            x = distinct[j]
-            try:
-                outcome, _, coords = self.kernel(*draw(x))
-                ys[x] = outcome, cert and coords
-            except RelkitError as exc:
-                # an outcome keeps the error, not the frames of its traceback
-                ys[x] = exc.with_traceback(None), None
-            bisect.insort(xs, x)
-            add(ys[x][0], j)
-            top = max(top, rank.get(ys[x][0], -1))
-            todo += [(left, x, a, j), (x, right, j + 1, b)]
-        self.top = top
+            around = None
+            if cuts and isinstance(v, str) and isinstance(ys[right][0], str):
+                around = _cut_inside(cuts, left, right)
+            if around is None:
+                j = a if left is None else b - 1 if right is None else (a + b) // 2
+                x = distinct[j]
+                outcome = evaluate(x)
+                add(outcome, j)
+                top = max(top, rank.get(outcome, -1))
+                todo += [(left, x, a, j), (x, right, j + 1, b)]
+                continue
+            for x in around:
+                top = max(top, rank.get(evaluate(x), -1))
+                j = bisect.bisect_left(distinct, x, a, b)
+                todo.append((left, x, a, j))
+                if j < b and distinct[j] == x:  # a draw that equals it
+                    add(ys[x][0], j)
+                    j += 1
+                left, a = x, j
+            todo.append((left, right, a, b))
+        self.top, self.peak = top, peak
         return count, failed
 
 
@@ -868,7 +1025,11 @@ def _tally(
     # imported here, like numpy: the other commands start faster without it
     from array import array
 
-    maps = maps.setdefault(n, [_VerdictMap(b, n <= sweep.certified_to) for b in sweep.bound])
+    if n not in maps:
+        # a model of this n, for the maps' seeds: n and a statistic of 0
+        model = sweep.model(n, 0)
+        maps[n] = [_VerdictMap(b, n <= sweep.certified_to, model) for b in sweep.bound]
+    maps = maps[n]
     counts = [Counter() for _ in maps]
     first_error: dict[int, RelkitError] = {}
     for statistics in blocks:

@@ -3,7 +3,8 @@
 Every config key and procedure setting is read by one of these, so each kind
 of value has one rule. A parser is ``parse(value)``: it returns the decoded
 JSON value in the form the library takes, or raises ValidationError; the
-caller puts the key path in front. ``prior`` holds one parser per model
+caller puts the key path in front, as ``check`` does for a value that a
+library caller passes. ``prior`` holds one parser per model
 family, since each family names its prior's keys. No numpy here: every
 command parses a config, and only ``simulate`` draws data.
 """
@@ -50,6 +51,14 @@ def string(value) -> str:
     if not isinstance(value, str):
         raise ValidationError(f"must be a string, got {value!r}")
     return value
+
+
+def check(key: str, parse: Callable, value) -> None:
+    """Check a value by the parser of its kind, the error naming the key."""
+    try:
+        parse(value)
+    except ValidationError as exc:
+        raise ValidationError(f"{key}: {exc}") from None
 
 
 def _limited(parse: Callable, test: Callable, wanted: str) -> Callable:

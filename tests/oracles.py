@@ -366,6 +366,11 @@ def exact_binomial_rates(scenario) -> dict:
     return exact
 
 
+def normal_upper_z(q: float) -> float:
+    """z with standard normal upper tail q, by SciPy's ndtri."""
+    return float(-special.ndtri(q))
+
+
 def nhst_reject_rate(effect: float, se: float, alpha: float) -> float:
     """P(|z| > z_{alpha/2}) for z ~ Normal(effect / se, 1)."""
     two = stats.norm.isf(alpha / 2)

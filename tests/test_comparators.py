@@ -84,6 +84,10 @@ class TestNhstPointNull:
         with pytest.raises(ValidationError):
             nhst_point_null(BinomialModel(n=10, k=5), alpha=1.5)
 
+    def test_alpha_that_is_no_number_refused(self):
+        with pytest.raises(ValidationError, match="alpha: must be a finite number"):
+            nhst_point_null(BinomialModel(n=10, k=3), "0.05")
+
 
 class TestTostEquivalence:
     def test_huge_sample_inside_bounds(self):
@@ -112,6 +116,11 @@ class TestTostEquivalence:
         model = NormalKnownVarModel(n=10, ybar=0.0, sigma=1.0)
         with pytest.raises(ValidationError):
             tost_equivalence(model, (0.1, -0.1), alpha=0.05)
+
+    def test_alpha_that_is_no_number_refused(self):
+        model = NormalKnownVarModel(n=10, ybar=0.0, sigma=1.0)
+        with pytest.raises(ValidationError, match="alpha: must be a finite number"):
+            tost_equivalence(model, (-0.1, 0.1), alpha="0.05")
 
     def test_equivalent_rate_grows_with_n(self):
         # coherence with the relevance bounds: true effect inside the
@@ -164,6 +173,10 @@ class TestRopeDecision:
     def test_empty_rope_rejected(self):
         with pytest.raises(ValidationError):
             rope_decision(self._post(0.0, 0.1), RegionSet(), 0.95)
+
+    def test_mass_that_is_no_number_refused(self):
+        with pytest.raises(ValidationError, match="credible mass: must be a finite number"):
+            rope_decision(self._post(0.0, 0.1), RegionSet.single(-0.106, 0.106), "0.95")
 
 
 def _rope_oracle_posteriors():
@@ -338,6 +351,10 @@ class TestIntervalBayesFactor:
     def test_invalid_bayes_factor_rejected(self, bf):
         with pytest.raises(ValidationError, match="Bayes factor"):
             ComparatorResult("x", statistic=0.0, verdict="even", bayes_factor=bf)
+
+    def test_threshold_that_is_no_number_refused(self, coin_pair):
+        with pytest.raises(ValidationError, match="threshold: must be a finite number"):
+            interval_bayes_factor(BinomialModel(n=40, k=30), coin_pair, (2.0, 5.0))
 
     def test_zero_prior_mass_rejected(self):
         pair = HypothesisPair(

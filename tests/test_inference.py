@@ -11,6 +11,7 @@ from relkit.inference import (
     BinomialModel,
     NormalKnownVarModel,
     PosteriorModel,
+    _normal_upper_z,
     credible_interval,
     normal_cdf,
     posterior_region_prob,
@@ -45,6 +46,19 @@ class TestSpecialFunctions:
     @pytest.mark.parametrize("z", [-10.0, -3.2, -1.0, 0.0, 0.5, 2.0, 8.5])
     def test_normal_cdf_against_scipy(self, z):
         assert normal_cdf(z) == pytest.approx(float(stats.norm.cdf(z)), abs=1e-15)
+
+    def test_normal_upper_z_against_scipy(self):
+        """The z of the normal tests' cuts, at tail levels from 1e-12 to
+        1/2 on a log grid and at the usual alphas and their halves, within
+        1e-15 relative of SciPy's ndtri; 0 at 1/2, where ndtri is 0."""
+        levels = [10.0 ** (-12.0 + 0.01 * i) for i in range(1170)]
+        levels += [0.1, 0.05, 0.025, 0.01, 0.005, 0.001, 0.0005, 0.3, 0.45, 0.499]
+        for q in levels:
+            assert _normal_upper_z(q) == pytest.approx(oracles.normal_upper_z(q), rel=1e-15), q
+        assert oracles.normal_upper_z(0.5) == 0.0 and abs(_normal_upper_z(0.5)) < 1e-30
+        # above 1/2, the mirror of the level below it
+        for q in (0.55, 0.9, 0.975, 0.999):
+            assert _normal_upper_z(q) == pytest.approx(oracles.normal_upper_z(q), rel=1e-14), q
 
 
 class TestConjugateUpdates:

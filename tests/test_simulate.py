@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -1151,7 +1152,7 @@ def _assert_box_verdicts(scenario, n, statistics):
     draws up to 2^9 apart names no verdict that a draw between them lacks;
     some boxes that hold one verdict name it."""
     sweep = sim._bind_sweep(scenario)
-    ((kernel, cert, _),) = sweep.bound
+    ((kernel, cert, *_),) = sweep.bound
     assert n <= sweep.certified_to
     verdicts, coords = [], []
     for x in statistics:
@@ -1370,7 +1371,7 @@ def test_bound_verdict_orders_hold_on_dense_scans(family, n):
         for proc in _scan_procedures(family):
             scenario = dataclasses.replace(base, loss=loss, true_effects=(0.0,), procedures=(proc,))
             try:
-                ((*_, order),) = sim._bind_sweep(scenario).bound
+                (order,) = [bound.order for bound in sim._bind_sweep(scenario).bound]
             except ValidationError:
                 continue  # a setting this loss refuses, as a partition hull it lacks
             assert order is not None or loss_name.startswith("random"), (loss_name, proc)
@@ -1546,14 +1547,16 @@ def test_normal_bench_tests_lie_within_tails_of_their_closed_forms():
 # kernel calls per procedure on the benchmark's normal grid, one cell per run
 # at 100 replicates and seeds 1-3, as the benchmark sends it. With the box
 # certificates alone they were nhst 208, tost 83, rope 120, hypothesis_ratio
-# 319, expected_loss 402 and bayes_factor 407 (1,539 in all)
+# 319, expected_loss 402 and bayes_factor 407 (1,539 in all); with the
+# verdict orders too, but without the normal seeds, nhst 208, tost 83 and
+# bayes_factor 399 (1,258 in all)
 NORMAL_BENCH_CELL_CALLS = {
-    "nhst": 208,
-    "tost": 83,
+    "nhst": 98,
+    "tost": 69,
     "rope": 120,
     "hypothesis_ratio": 214,
     "expected_loss": 234,
-    "bayes_factor": 399,
+    "bayes_factor": 170,
 }
 BOX_ONLY_CELL_CALLS = {"nhst": 208, "tost": 83, "rope": 120, "bayes_factor": 407}
 
@@ -1575,12 +1578,170 @@ def test_normal_bench_cells_take_the_pinned_kernel_calls(monkeypatch):
         assert calls[name] <= count, name
 
 
+# a normal grid that takes both seeds: bounds (-0.03, 0.03) leave tost no
+# equivalent ybar at n = 50, where bayes_factor reaches no favors_h0 either,
+# and both verdicts exist at every larger n; the first effect puts the
+# evaluated draws of n = 200 on both sides of favors_h0 before any draw
+# inside it
+SEEDED_GRID = {
+    "true_effects": (-0.025, 0.0, 0.02, 0.05),
+    "sample_sizes": (50, 200, 2000, 22000),
+    "replicates": 2000,
+    "seed": 3,
+}
+
+
+def _seeded_grid(threshold):
+    procs = (
+        ProcedureSpec("nhst", {"alpha": 0.05}),
+        ProcedureSpec("tost", {"alpha": 0.05, "bounds": [-0.03, 0.03]}),
+        ProcedureSpec("bayes_factor", {"threshold": threshold}),
+    )
+    return _bench_normal(**SEEDED_GRID, procedures=procs)
+
+
+@functools.cache
+def _seeded_grid_oracle(threshold):
+    return oracles.brute_force_table(_seeded_grid(threshold))
+
+
+def _binding(monkeypatch, change):
+    """Patch the sweep's bind step so that each bound procedure passes
+    through change(name, bound)."""
+    bind = sim.bind_procedure
+    monkeypatch.setattr(
+        sim, "bind_procedure", lambda proc, *rest: change(proc.name, bind(proc, *rest))
+    )
+
+
+@pytest.mark.parametrize("threshold", [1.0, 3.0, 10.0])
+def test_seeded_normal_maps_count_as_brute_force(monkeypatch, threshold):
+    """The normal seeds change where a map evaluates, never a count: the
+    grid's tables equal the brute-force ones. Both seeds act: the maps
+    evaluate statistics that are no draw, next to the tests' cuts, and the
+    search for favors_h0 settles it out of reach at n = 50 alone."""
+    scenario, want = _seeded_grid(threshold), _seeded_grid_oracle(threshold)
+    answers = []
+
+    def recording(name, bound):
+        reaches = bound.reaches_top
+        if reaches is None:
+            return bound
+
+        def recorded(model):
+            answers.append((model.n, reaches(model)))
+            return answers[-1][1]
+
+        return bound._replace(reaches_top=recorded)
+
+    _binding(monkeypatch, recording)
+    by_cell = _counting_bind(monkeypatch)
+    assert run_operating_characteristics(scenario) == want
+    reps, size = scenario.replicates, sim.SWEEP_BLOCK
+    every_draw = {
+        x
+        for effect in scenario.true_effects
+        for n in scenario.sample_sizes
+        for block, start in enumerate(range(0, reps, size))
+        for x in sim._draw_block(scenario, effect, n, block, min(size, reps - start)).tolist()
+    }
+    evaluated = {(name, model.ybar) for cell in by_cell() for name, model in cell}
+    assert {name for name, ybar in evaluated if ybar not in every_draw} == {"nhst", "tost"}
+    assert all(reached is (n > 50) for n, reached in answers)
+    assert (50, False) in answers or threshold == 1.0
+
+
+def test_an_unreachable_top_verdict_is_reached_by_no_mean_of_a_dense_scan():
+    """The search for bayes_factor's top verdict on random losses, priors,
+    sigmas, sample sizes and thresholds of the normal family: where it finds
+    the top out of reach, the kernel gives it at no posterior mean of a scan
+    of 2001 means over the space widened by 4 posterior sds; and it finds
+    the top out of reach on some scenarios, and reached on others."""
+    rng = random.Random(34)
+    row, answers = inference.FAMILIES["normal"], Counter()
+    for _ in range(120):
+        threshold = rng.choice([3.0, 10.0, 30.0])
+        scenario = dataclasses.replace(
+            _bench_normal(),
+            loss=random_loss_spec(rng),
+            sample_sizes=(rng.choice([2, 5, 20, 50]),),
+            prior=(rng.uniform(-0.3, 0.3), rng.choice([0.05, 0.2, 1.0])),
+            sigma=rng.choice([0.2, 1.0]),
+            procedures=(ProcedureSpec("bayes_factor", {"threshold": threshold}),),
+        )
+        try:
+            sweep = sim._bind_sweep(scenario)
+        except ValidationError:
+            continue  # a loss whose pair has no prior mass in a region
+        (bound,) = sweep.bound
+        (n,) = scenario.sample_sizes
+        reached = bound.reaches_top and bound.reaches_top(sweep.model(n, 0))
+        answers[reached] += 1
+        if reached is not False:
+            continue
+        # ybar -> posterior mean is linear; scan the means
+        (m0, s), (m1, _) = row.update(sweep.model(n, 0)), row.update(sweep.model(n, 1))
+        space = scenario.loss.space
+        for i in range(2001):
+            m = space.lo - 4 * s + (space.hi - space.lo + 8 * s) * i / 2000
+            model = sweep.model(n, (m - m0) / (m1 - m0))
+            try:
+                verdict = bound.kernel(model, sim._shared_posterior(model, space))[0]
+            except RelkitError:
+                continue
+            assert verdict != bound.order[-1], (scenario, m)
+    assert answers[False] >= 5 and answers[True] >= 5, answers
+
+
+def test_a_wrong_cut_costs_calls_not_counts(monkeypatch):
+    """With cuts half a standard error off the tests' own, the maps split
+    their gaps elsewhere: the counts stay the brute-force ones, at another
+    number of kernel calls."""
+    scenario, want = _seeded_grid(3.0), _seeded_grid_oracle(3.0)
+
+    def calls():
+        by_cell = _counting_bind(monkeypatch)
+        table = run_operating_characteristics(scenario)
+        return table, sum(sum(cell.values()) for cell in by_cell())
+
+    table, right = calls()
+
+    def shifted(name, bound):
+        if bound.cuts is None:
+            return bound
+        off = lambda model: 0.5 * model.sigma / math.sqrt(model.n)
+        return bound._replace(cuts=lambda model: [c + off(model) for c in bound.cuts(model)])
+
+    _binding(monkeypatch, shifted)
+    wrong_table, wrong = calls()
+    assert table == wrong_table == want
+    assert wrong != right
+
+
+def test_a_top_verdict_dropped_where_it_is_reached_breaks_the_counts(monkeypatch):
+    """The brute-force comparison sees a map that drops favors_h0 where it
+    is reached: the same grid with the search's answer forced to "out of
+    reach" at every n of favors_h0 miscounts the n = 200 cells, where a gap
+    between two inconclusive draws holds favors_h0 draws. At n = 22000 the
+    inconclusive band is about 1.4 standard errors wide, so no such gap
+    arises there, and the forced answer changes no count."""
+    want = _seeded_grid_oracle(10.0)
+    forced = lambda name, bound: bound._replace(reaches_top=bound.reaches_top and (lambda m: False))
+    _binding(monkeypatch, forced)
+    got = run_operating_characteristics(_seeded_grid(10.0))
+    wrong = {(cell.true_effect, cell.n) for cell, right in zip(got.cells, want.cells) if cell != right}
+    assert wrong and {n for _, n in wrong} == {200}
+
+
 def _counting_corners(monkeypatch):
     """Patch the sweep's bind step and its box check. Returns Counters of
     the coordinates taken per procedure and per (run, procedure, model), of
-    the boxes checked per procedure and of the verdicts of each box's two
-    ends, and a () -> None that starts the next run."""
+    the boxes between two evaluated draws checked per procedure and of the
+    verdicts of each such box's two ends, a () -> None that starts the next
+    run, and a Counter per procedure of the other boxes, which a search for
+    the top verdict checks over posterior means, not draws."""
     coords, per_draw, boxes, ends, runs = Counter(), Counter(), Counter(), Counter(), [0]
+    probes = Counter()
     names, verdicts = {}, {}
     bind, box = sim.bind_procedure, sim._box_verdict
 
@@ -1603,27 +1764,35 @@ def _counting_corners(monkeypatch):
         return bound._replace(kernel=kernel)
 
     def counted_box(cert, a, b):
-        boxes[names[id(cert)]] += 1
-        ends[verdicts[id(a)][1], verdicts[id(b)][1]] += 1
+        # a live draw's coordinates are kept in verdicts, so no other live
+        # tuple has their id
+        if id(a) in verdicts and id(b) in verdicts:
+            boxes[names[id(cert)]] += 1
+            ends[verdicts[id(a)][1], verdicts[id(b)][1]] += 1
+        else:
+            probes[names[id(cert)]] += 1
         return box(cert, a, b)
 
     monkeypatch.setattr(sim, "bind_procedure", counting)
     monkeypatch.setattr(sim, "_box_verdict", counted_box)
-    return coords, per_draw, boxes, ends, lambda: runs.__setitem__(0, runs[0] + 1)
+    return coords, per_draw, boxes, ends, lambda: runs.__setitem__(0, runs[0] + 1), probes
 
 
-# coordinates taken and boxes checked per procedure on the same cells. Taken
-# at every kernel call, the coordinates would be the 1,258 calls above. On
-# the per-replicate streams of relkit before blocks were drawn whole, that
-# was 1,261 and boxing every gap between two evaluated draws took 1,257
-# boxes; taken for a box only, 524 and 630
+# coordinates taken and boxes between evaluated draws checked per procedure
+# on the same cells. Taken at every kernel call, the coordinates would be the
+# 905 calls above. On the per-replicate streams of relkit before blocks were
+# drawn whole, that was 1,261 and boxing every gap between two evaluated
+# draws took 1,257 boxes; taken for a box only, 524 and 630. Before the
+# normal seeds, bayes_factor took 263 and 387. Its search for the top
+# verdict, once per n = 50 cell, checks one box over posterior means, pinned
+# last
 NORMAL_BENCH_CELL_COORDS = {
     "nhst": 38,
     "tost": 45,
     "rope": 73,
     "hypothesis_ratio": 41,
     "expected_loss": 87,
-    "bayes_factor": 263,
+    "bayes_factor": 63,
 }
 NORMAL_BENCH_CELL_BOXES = {
     "nhst": 19,
@@ -1631,14 +1800,15 @@ NORMAL_BENCH_CELL_BOXES = {
     "rope": 63,
     "hypothesis_ratio": 40,
     "expected_loss": 118,
-    "bayes_factor": 387,
+    "bayes_factor": 47,
 }
+NORMAL_BENCH_CELL_PROBE_BOXES = {"bayes_factor": 12}
 
 
 def test_normal_bench_cells_take_coordinates_only_for_a_box(monkeypatch):
     """A draw's coordinates are taken only when a box between two draws of
     one verdict needs them, at most once per run."""
-    coords, per_draw, boxes, _, next_run = _counting_corners(monkeypatch)
+    coords, per_draw, boxes, _, next_run, probes = _counting_corners(monkeypatch)
     for seed in (1, 2, 3):
         for effect in BENCH_NORMAL_GRID["true_effects"]:
             for n in BENCH_NORMAL_GRID["sample_sizes"]:
@@ -1646,7 +1816,12 @@ def test_normal_bench_cells_take_coordinates_only_for_a_box(monkeypatch):
                 cell = {**BENCH_NORMAL_GRID, "true_effects": (effect,), "sample_sizes": (n,)}
                 run_operating_characteristics(_bench_normal(**cell, seed=seed))
     assert max(per_draw.values()) == 1
-    for got, pinned in ((coords, NORMAL_BENCH_CELL_COORDS), (boxes, NORMAL_BENCH_CELL_BOXES)):
+    assert set(probes) == set(NORMAL_BENCH_CELL_PROBE_BOXES)
+    for got, pinned in (
+        (coords, NORMAL_BENCH_CELL_COORDS),
+        (boxes, NORMAL_BENCH_CELL_BOXES),
+        (probes, NORMAL_BENCH_CELL_PROBE_BOXES),
+    ):
         assert sum(got.values()) <= 1.05 * sum(pinned.values())
         for name, count in pinned.items():
             assert got[name] <= 1.05 * count, name
@@ -1661,7 +1836,8 @@ def test_normal_bench_cells_take_coordinates_only_for_a_box(monkeypatch):
     ids=["normal", "binomial"],
 )
 def test_a_box_only_spans_draws_of_one_verdict(monkeypatch, scenario):
-    # a gap whose ends' verdicts differ is split without a box
+    # a gap whose ends' verdicts differ is split without a box; the search
+    # for a top verdict boxes posterior means, not draws, and is not counted
     ends = _counting_corners(monkeypatch)[3]
     run_operating_characteristics(scenario)
     assert ends and all(v == w for v, w in ends)

@@ -15,10 +15,14 @@ the artifacts it wrote. The runs:
 - the first 400 commands of both seed-3 benchmark streams;
 - both shipped scenarios;
 - the ``sweep_normal`` grid at 10^4 replicates;
+- the grid on which the tests compare the normal seeds with brute force
+  (``tests/test_simulate.py``), effects -0.025 to 0.05 at n = 50 to 22000
+  with nhst, tost and one bayes_factor threshold of 1, 3 and 10 a run, at
+  10^4 replicates;
 - the ``sweep_binomial`` procedures at 24 replicates and n = 2^16 - 2,
   the largest n whose cells carry certificates, 2^16 - 1 and 2^17;
-- every ``decide``, ``compare`` and ``plot`` request of the ``analyze``
-  pool, and both requests of every mirrored tail pair;
+- every request of the ``analyze`` pool, and both requests of every
+  mirrored tail pair;
 - the plot of the shipped ``coin_partition.json``;
 - command lines the argument parser refuses or answers alone: a flag each
   command does not read, no command, an unknown command, and ``--version``.
@@ -27,9 +31,9 @@ the artifacts it wrote. The runs:
 The workloads come from ``perfbench/workloads.py`` and the shipped
 configs from ``configs/``, both of the checkout this script lies in. Print
 the digests for two source trees and compare: equal digests mean equal
-bytes. The set takes 9–10 s on one core of a 2-core Xeon VM. With relkit
-0.1.0 it prints ``eb254da7…`` over 897 simulate runs and ``531e89c9…``
-over 2910 other runs.
+bytes. The set takes 9–12 s on one core of a 2-core Xeon VM. With relkit
+0.1.0 it prints ``26f49dd3…`` over 900 simulate runs and ``05eb373c…``
+over 4710 other runs.
 """
 
 from __future__ import annotations
@@ -75,6 +79,18 @@ def _runs(workloads) -> dict[str, list[tuple[list[str], list[str]]]]:
     large["scenario"]["replicates"] = 10_000
     Path("normal_large.json").write_text(json.dumps(large), encoding="utf-8")
     simulate("normal_large.json")
+    for threshold in (1.0, 3.0, 10.0):
+        seeded = workloads.sweep_config(
+            "sweep_normal", 3, (-0.025, 0.0, 0.02, 0.05), (50, 200, 2000, 22000)
+        )
+        seeded["scenario"]["replicates"] = 10_000
+        seeded["scenario"]["procedures"] = [
+            {"procedure": "nhst", "alpha": 0.05},
+            {"procedure": "tost", "alpha": 0.05, "bounds": [-0.03, 0.03]},
+            {"procedure": "bayes_factor", "threshold": threshold},
+        ]
+        Path(f"normal_seeded_{threshold:g}.json").write_text(json.dumps(seeded), encoding="utf-8")
+        simulate(f"normal_seeded_{threshold:g}.json")
     bound = workloads.sweep_config("sweep_binomial", 3, (0.0, 0.106), (2**16 - 2, 2**16 - 1, 2**17))
     bound["scenario"]["replicates"] = 24
     Path("binomial_bound.json").write_text(json.dumps(bound), encoding="utf-8")
@@ -84,11 +100,10 @@ def _runs(workloads) -> dict[str, list[tuple[list[str], list[str]]]]:
         command, low, high = workloads.tail_pair(j)
         requests += [(command, low), (command, high)]
     for i, (command, cfg) in enumerate(requests):
-        if command in ("decide", "compare", "plot"):
-            config = f"analyze{i:05d}.json"
-            Path(config).write_text(json.dumps(cfg), encoding="utf-8")
-            out = "out.svg" if command == "plot" else "out.json"
-            runs["other"].append(([command, "--config", config, "--output", out], [out]))
+        config = f"analyze{i:05d}.json"
+        Path(config).write_text(json.dumps(cfg), encoding="utf-8")
+        out = "out.svg" if command == "plot" else "out.json"
+        runs["other"].append(([command, "--config", config, "--output", out], [out]))
     shipped = Path("coin_partition.json")
     shipped.write_bytes((ROOT / "configs" / shipped).read_bytes())
     runs["other"].append((["plot", "--config", str(shipped), "--output", "out.svg"], ["out.svg"]))
