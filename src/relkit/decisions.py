@@ -5,11 +5,13 @@ odds of H1 against H0 with a loss ratio weighing type-I consequences
 (deciding a1 when H0 holds) against type-II consequences (deciding a0 when
 H1 holds); an interval-valued ratio yields a three-way rule whose middle
 outcome is "indeterminate". The expected-loss rule takes the expectation of
-the full loss curves under the posterior and the argmin, in closed form
-from the posterior's partial moments, with ties within a share of the
-loss's peak going to a0. The values it prints for a beta posterior still
-come from adaptive quadrature, until ROADMAP item 1 re-records the
-benchmark's tail references; only a printed report integrates.
+the full loss curves under the posterior and the argmin, with ties within a
+share of the loss's peak going to a0, from one pass of the posterior's
+partial moments, which also gives the coordinates a sweep certifies it
+with; the verdict reads E[L(a1) - L(a0) | y] from them as the certificate
+does. The values it prints for a beta posterior still come from adaptive
+quadrature, until ROADMAP item 1 re-records the benchmark's tail
+references; only a printed report integrates.
 
 The hypothesis-ratio rule implicitly treats the loss as constant within each
 hypothesis region; when it is not, use the expected-loss rule instead.
@@ -24,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import NumericalError, ValidationError
 from .hypotheses import HypothesisPair
 from .inference import (
     PosteriorModel,
-    _partial_moments,
+    _scaled_moments,
     _region_ends,
     _region_prob,
     concentration_splits,
@@ -166,42 +168,69 @@ def _weighted(piece: Piece, log_density) -> Callable[[float], float]:
     return lambda t: (c0 + (t - o) * (c1 + (t - o) * c2)) * exp(log_density(t))
 
 
-def _closed_form_expected_losses(post: PosteriorModel, spec: LossSpec) -> dict:
-    """E[L(a) | y] for a posterior of either family, exact up to rounding.
+class _Split(NamedTuple):
+    """The expected-loss rule's view of a loss. g = L(a1) - L(a0) =
+    g(lo) + V+ - V-, with V+ and V- its Jordan rise and fall from the
+    space's lower end, non-decreasing in the effect. g is d0 + d1 u + d2 u^2
+    on a loss panel, u the offset from its start a, and turns at most once
+    there, where d1 + 2 d2 u = 0; the panel is split there, so that g is
+    monotone on each part. Per part: its ends, the panel's pieces, g at its
+    start, whether g rises on it, and V+ and V- at its start; and the sign
+    of g + tol at each part's ends where it is not 0, true where negative."""
 
-    Each panel's partial moments are taken once, about the point of the
-    panel nearest the posterior mean, and shared by both actions: each
-    action's piece is re-expanded about that point, where its polynomial is
-    c0 + c1*u + c2*u**2, and contributes c0*M0 + c1*M1 + c2*M2.
-    """
-    loc = post.native_location_scale[0]
-    sums = [0.0] * len(ACTIONS)
+    g_lo: float
+    tol: float
+    parts: tuple[tuple, ...]
+    signs: tuple[bool, ...]
+
+
+def _split(spec: LossSpec) -> _Split:
+    """The loss's panels split where g turns, with g's Jordan parts."""
+    tol = EXPECTED_LOSS_TIE_TOL * spec._peak
+    parts, rise, fall, signs = [], 0.0, 0.0, []
     for a, b, pieces in spec._panels:
+        d0, d1, d2 = (y - x for x, y in zip(*(_about(piece, a) for piece in pieces)))
+        turn = a - d1 / (2.0 * d2) if d2 != 0.0 else a
+        ends = (a, turn, b) if a < turn < b else (a, b)
+        rel = [(x - a) * (d1 + (x - a) * d2) for x in ends]  # g(x) - g(a)
+        for lo, hi, rel_lo, rel_hi in zip(ends, ends[1:], rel, rel[1:]):
+            step = rel_hi - rel_lo
+            parts.append((lo, hi, pieces, d0 + rel_lo, step >= 0.0, rise, fall))
+            rise, fall = rise + max(step, 0.0), fall + max(-step, 0.0)
+            signs += [d0 + rel + tol < 0.0 for rel in (rel_lo, rel_hi) if d0 + rel + tol != 0.0]
+    return _Split(parts[0][3], tol, tuple(parts), tuple(signs))
+
+
+def _expected_losses(post: PosteriorModel, split: _Split) -> tuple[dict, tuple]:
+    """E[L(a) | y] per action and the coordinates (-E[V+ | y], E[V- | y]),
+    exact up to rounding, from one pass of partial moments: each part's,
+    about its point nearest the posterior mean, where each action's piece
+    is c0 + c1*u + c2*u**2 and contributes c0*M0 + c1*M1 + c2*M2. The
+    coordinates are means of non-decreasing functions of the effect under
+    a posterior stochastically increasing in the statistic, so monotone in
+    it."""
+    loc = post.native_location_scale[0]
+    l0 = l1 = up = down = 0.0
+    for a, b, (piece0, piece1), g_a, rising, rise_a, fall_a in split.parts:
         origin = min(max(loc, a), b)
-        m0, m1, m2 = _partial_moments(post, a, b, origin)
-        for i, piece in enumerate(pieces):
-            c0, c1, c2 = _about(piece, origin)
-            sums[i] += c0 * m0 + c1 * m1 + c2 * m2
+        m0, m1, m2, scale = _scaled_moments(post, a, b, origin)
+        m1, m2 = scale * m1, scale * scale * m2  # on the effect scale
+        (p0, p1, p2), (q0, q1, q2) = _about(piece0, origin), _about(piece1, origin)
+        l0 += p0 * m0 + p1 * m1 + p2 * m2
+        l1 += q0 * m0 + q1 * m1 + q2 * m2
+        # E[g - g(a); part], g's coefficients being q - p
+        change = (q0 - p0 - g_a) * m0 + (q1 - p1) * m1 + (q2 - p2) * m2
+        up += rise_a * m0 + (change if rising else 0.0)
+        down += fall_a * m0 - (0.0 if rising else change)
     total = post._ends[2]
-    return {action: value / total for action, value in zip(ACTIONS, sums)}
+    return {"a0": l0 / total, "a1": l1 / total}, (-up / total, down / total)
 
 
-def _tie_tol(spec: LossSpec) -> float:
-    """The tie tolerance of the expected-loss rule, a share of the loss's
-    peak, so that rescaling a loss changes no decision; it is 0 only for a
-    loss that is 0 everywhere, whose expected losses tie exactly."""
-    return EXPECTED_LOSS_TIE_TOL * spec._peak
-
-
-def _argmin(expected: dict, tol: float) -> str:
-    """a1 where its expected loss is below a0's by more than tol, else a0."""
-    return "a1" if expected["a1"] < expected["a0"] - tol else "a0"
-
-
-def _expected_loss(post: PosteriorModel, spec: LossSpec) -> tuple[str, dict]:
-    """The expected-loss rule: (decision, E[L(a) | y] per action)."""
-    expected = _closed_form_expected_losses(post, spec)
-    return _argmin(expected, _tie_tol(spec)), expected
+def _expected_loss_verdict(split: _Split, coords: tuple) -> str:
+    """a1 where E[g | y] = g(lo) + E[V+ | y] - E[V- | y] < -tol, else a0.
+    tol is a share of the loss's peak, so that rescaling a loss changes no
+    decision; it is 0 only for a loss that is 0 everywhere."""
+    return "a1" if split.g_lo - coords[0] - coords[1] < -split.tol else "a0"
 
 
 def _printed_expected_losses(
@@ -238,7 +267,8 @@ def _printed_expected_losses(
                 f"(error estimate {sum(part.error for part in parts):.3g})"
             )
         printed[action] = sum(part.value for part in parts)
-    if _argmin(printed, _tie_tol(spec)) != decision:
+    tol = EXPECTED_LOSS_TIE_TOL * spec._peak
+    if ("a1" if printed["a1"] < printed["a0"] - tol else "a0") != decision:
         warnings.append(
             "the quadrature's expected losses rank the actions against the "
             f"decision; in closed form E[L(a0)] = {expected['a0']:.6g} and "
@@ -282,12 +312,12 @@ def _partition_ends(spec: LossSpec, space: ParameterSpace) -> tuple[tuple, tuple
 def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutcome:
     """Full-loss decision: argmin of E[L(theta, a) | y], ties to a0.
 
-    The decision comes from the closed-form expected losses of either
-    family. The expected losses reported for a beta posterior still come
-    from adaptive quadrature (``_printed_expected_losses``), with a warning
-    where they rank the actions against the decision. The posterior region
-    probabilities reported alongside refer to the relevance partition the
-    loss induces.
+    The decision and the expected losses of either family come from one
+    pass of closed-form partial moments (``_expected_losses``). Those
+    reported for a beta posterior still come from adaptive quadrature
+    (``_printed_expected_losses``), with a warning where they rank the
+    actions against the decision. The posterior region probabilities
+    reported alongside refer to the relevance partition the loss induces.
     """
     if abs(post.space.lo - spec.space.lo) > 1e-12 or abs(
         post.space.hi - spec.space.hi
@@ -295,5 +325,7 @@ def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutc
         raise ValidationError(
             "posterior and loss specification must share the effect space"
         )
-    part_ends = _partition_ends(spec, post.space)
-    return _expected_loss_outcome(post, spec, part_ends, *_expected_loss(post, spec))
+    split = _split(spec)
+    expected, coords = _expected_losses(post, split)
+    decision = _expected_loss_verdict(split, coords)
+    return _expected_loss_outcome(post, spec, _partition_ends(spec, post.space), decision, expected)

@@ -726,15 +726,6 @@ def _scaled_moments(
     return post._row.moments(post.params, m0, x_lo, x_hi, x_o)
 
 
-def _partial_moments(
-    post: PosteriorModel, lo: float, hi: float, origin: float
-) -> tuple[float, float, float]:
-    """E[(theta - origin)^j; lo < theta < hi] for j = 0, 1, 2 on the
-    effect scale, from ``_scaled_moments``."""
-    m0, m1, m2, scale = _scaled_moments(post, lo, hi, origin)
-    return m0, scale * m1, scale * scale * m2
-
-
 def posterior_summary(post: PosteriorModel) -> dict:
     """Location summaries used in reports: mean and sd of the truncated
     posterior, from its partial moments about the point of the space nearest

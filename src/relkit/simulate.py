@@ -66,10 +66,11 @@ from .decisions import (
     DecisionOutcome,
     LossRatio,
     _coverage_check,
-    _expected_loss,
     _expected_loss_outcome,
+    _expected_loss_verdict,
+    _expected_losses,
     _partition_ends,
-    _tie_tol,
+    _split,
     _two_action,
     _two_action_outcome,
     decide_from_odds,
@@ -85,12 +86,11 @@ from .inference import (
     NormalKnownVarModel,
     PosteriorModel,
     _normal_upper_z,
-    _partial_moments,
     _region_ends,
     _region_prob,
     posterior_update,
 )
-from .loss import LossSpec, ParameterSpace, _about
+from .loss import LossSpec, ParameterSpace
 from .regions import RegionSet, partition, region_hull
 
 Model = BinomialModel | NormalKnownVarModel
@@ -177,7 +177,9 @@ class Scenario:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
         if not self.true_effects:
             raise ValidationError("true_effects must be non-empty")
-        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
+        if not self.sample_sizes:
+            raise ValidationError("sample_sizes must be non-empty")
+        if any(n < 1 for n in self.sample_sizes):
             raise ValidationError("sample_sizes must be positive")
         # the rate table names each procedure's cells by its name alone, and
         # each cell by its effect and n; 0.0 == -0.0, and both zeros draw
@@ -247,9 +249,15 @@ def simulate_dataset(
 # --- the procedure table ---------------------------------------------------
 
 
-def _interval_on(loss: LossSpec, bounds) -> tuple[float, float]:
-    """(lo, hi), with "partition_hull" the hull of the negligible region."""
+def _interval_on(loss: LossSpec, name: str, key: str, bounds) -> tuple[float, float]:
+    """(lo, hi) of procedure ``name``'s setting ``key``, with
+    "partition_hull" the hull of the loss's negligible region."""
     if bounds == "partition_hull":
+        if partition(loss).negligible.is_empty:
+            raise ValidationError(
+                f'{name} setting {key}: "partition_hull" needs a negligible region, '
+                "and this loss has none: a1's loss is below a0's at every effect"
+            )
         hull = region_hull(partition(loss).negligible)
         return hull.lo, hull.hi
     return bounds
@@ -505,7 +513,7 @@ def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
 
 def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
     alpha = s["alpha"]
-    lo, hi = _tost_bounds(_interval_on(loss, s["bounds"]), alpha)
+    lo, hi = _tost_bounds(_interval_on(loss, "tost", "bounds", s["bounds"]), alpha)
 
     def kernel(model: Model, posterior: Posterior):
         tails = _tost_tails(model, lo, hi)
@@ -529,7 +537,7 @@ def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
 
 
 def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
-    rope, mass = RegionSet.single(*_interval_on(loss, s["rope"])), s["mass"]
+    rope, mass = RegionSet.single(*_interval_on(loss, "rope", "rope", s["rope"])), s["mass"]
     lo, hi, tail = _rope_hull(rope, mass)
     # the public rule takes P(rope | y), which needs the rope in the space
     _region_ends(rope, loss.space)
@@ -581,57 +589,23 @@ def _bind_expected_loss(
     s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_
 ) -> Bound:
     # the posterior lies on the loss's space, so the two spaces match
-    part_ends, tol = _partition_ends(loss, loss.space), _tie_tol(loss)
-
-    # g = L(a1) - L(a0) = g(lo) + V+ - V-, its Jordan rise and fall, both
-    # non-decreasing in the effect. g is d0 + d1 u + d2 u^2 on a loss panel,
-    # u its offset from the panel's start a, and turns at most once there,
-    # where its slope d1 + 2 d2 u vanishes; a panel is split at that point,
-    # so that g is monotone on each part. Per part: its ends, the panel's
-    # pieces, g at its start, whether g rises on it, and V+ and V- at its start;
-    # and the sign of g + tol at each part's ends, where it is not 0
-    parts, rise, fall, signs = [], 0.0, 0.0, []
-    for a, b, pieces in loss._panels:
-        d0, d1, d2 = (y - x for x, y in zip(*(_about(piece, a) for piece in pieces)))
-        turn = a - d1 / (2.0 * d2) if d2 != 0.0 else a
-        ends = (a, turn, b) if a < turn < b else (a, b)
-        rel = [(x - a) * (d1 + (x - a) * d2) for x in ends]  # g(x) - g(a)
-        for lo, hi, rel_lo, rel_hi in zip(ends, ends[1:], rel, rel[1:]):
-            step = rel_hi - rel_lo
-            parts.append((lo, hi, pieces, d0 + rel_lo, step >= 0.0, rise, fall))
-            rise, fall = rise + max(step, 0.0), fall + max(-step, 0.0)
-            signs += [d0 + rel + tol < 0.0 for rel in (rel_lo, rel_hi) if d0 + rel + tol != 0.0]
-    g_lo = parts[0][3]
-
-    def coords(post: PosteriorModel) -> tuple[float, float]:
-        # -E[V+ | y] and E[V- | y]: means of non-decreasing functions of the
-        # effect under a posterior stochastically increasing in the
-        # statistic, so monotone in it; from the partial moments the rule takes
-        loc = post.native_location_scale[0]
-        up = down = 0.0
-        for a, b, pieces, g_a, rising, rise_a, fall_a in parts:
-            origin = min(max(loc, a), b)
-            m0, m1, m2 = _partial_moments(post, a, b, origin)
-            c0, c1, c2 = (y - x for x, y in zip(*(_about(piece, origin) for piece in pieces)))
-            change = (c0 - g_a) * m0 + c1 * m1 + c2 * m2  # E[g - g(a); part]
-            up += rise_a * m0 + (change if rising else 0.0)
-            down += fall_a * m0 - (0.0 if rising else change)
-        total = post._ends[2]
-        return -up / total, down / total
+    part_ends, split = _partition_ends(loss, loss.space), _split(loss)
 
     def kernel(model: Model, posterior: Posterior):
-        # the verdict is the closed form's; only the report integrates
+        # one moments pass: the verdict reads its coordinates as the
+        # certificate does; only a beta posterior's report integrates
         post = posterior()
-        out = _expected_loss(post, loss)
+        expected, coords = _expected_losses(post, split)
+        verdict = _expected_loss_verdict(split, coords)
         return (
-            out[0],
-            lambda: _expected_loss_outcome(post, loss, part_ends, *out),
-            lambda: coords(post),
+            verdict,
+            lambda: _expected_loss_outcome(post, loss, part_ends, verdict, expected),
+            lambda: coords,
         )
 
-    # E[g | y] = g(lo) - c0 - c1 falls with both: a0 < a1; a1 where E[g + tol | y] < 0
-    certificate = lambda c: "a1" if g_lo - c[0] - c[1] < -tol else "a0"
-    return Bound(kernel, certificate, _unimodal(signs, ("a1", "a0")))
+    # E[g | y] = g(lo) - c0 - c1 falls with both: a0 < a1
+    certificate = lambda c: _expected_loss_verdict(split, c)
+    return Bound(kernel, certificate, _unimodal(split.signs, ("a1", "a0")))
 
 
 def _bind_bayes_factor(

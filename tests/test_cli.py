@@ -1323,6 +1323,55 @@ def test_empty_hypothesis_region_exits_2(command, which, tmp_path, capsys):
     assert f"hypotheses.{which}:" in err
 
 
+def _no_negligible_doc(command, procedure):
+    """A config whose a1 loss is 0 on the whole space while a0's is
+    positive, so its partition has no negligible region, and whose one
+    procedure takes its interval from "partition_hull"."""
+    if command == "compare" and procedure == "rope":
+        doc = copy.deepcopy(SHIPPED["coin_compare.json"])
+        knots = [-0.5, 0.0, 0.5]
+        doc["comparators"] = [{"procedure": "rope"}]
+    else:
+        doc, knots = _aspirin_doc(), [-0.1, 0.0, 0.1]
+        if command == "compare":
+            scenario = doc.pop("scenario")
+            doc.pop("seed")
+            doc["model"] = {
+                "family": "normal",
+                "sigma": scenario["sigma"],
+                "data": {"n": 22000, "ybar": 0.0077},
+            }
+            doc["comparators"] = [{"procedure": procedure}]
+        else:
+            doc["scenario"]["procedures"] = [{"procedure": procedure}]
+    doc["loss"] = {
+        "kind": "piecewise_linear",
+        "params_a0": {"knots": knots, "values": [0.5, 0.1, 0.5]},
+        "params_a1": {"knots": knots[::2], "values": [0.0, 0.0]},
+    }
+    return doc
+
+
+@pytest.mark.parametrize("procedure, key", [("rope", "rope"), ("tost", "bounds")])
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_partition_hull_of_a_loss_without_a_negligible_region_exits_2(
+    command, procedure, key, tmp_path, capsys
+):
+    # the hull of the empty negligible region once exited with a message
+    # that named neither the procedure nor its setting
+    cfg = write_config(tmp_path, _no_negligible_doc(command, procedure))
+    argv = [command, "--config", cfg]
+    if command == "simulate":
+        argv += ["--output", str(tmp_path / "rates")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f'relkit: error: {procedure} setting {key}: "partition_hull" needs a negligible '
+        "region, and this loss has none: a1's loss is below a0's at every effect\n"
+    )
+
+
 def _places(node, prefix=()):
     """The key path of every leaf and every list item below ``node``."""
     items = enumerate(node) if isinstance(node, list) else node.items()

@@ -367,6 +367,9 @@ CONSTRUCTOR_ERRORS = {
     "sizes": (
         "simulate", _scenario_doc(sample_sizes=[0]), "scenario: sample_sizes must be positive"
     ),
+    "no sizes": (
+        "simulate", _scenario_doc(sample_sizes=[]), "scenario: sample_sizes must be non-empty"
+    ),
     "effects": (
         "simulate", _scenario_doc(true_effects=[]), "scenario: true_effects must be non-empty"
     ),

@@ -389,15 +389,18 @@ def _tail_pair_cases():
 
 
 class TestBetaClosedForm:
-    """The expected-loss rule decides a beta posterior from its closed-form
-    partial moments; each case is checked against the SciPy quadrature
-    oracle within 1e-9, and decides as the oracle's values rank the actions.
-    (The printed values still come from quadrature; the strict xfails above
-    check those.)"""
+    """The expected-loss rule decides a beta posterior from one pass of
+    closed-form partial moments; each case's expected losses are checked
+    against the SciPy quadrature oracle within 1e-9, and the verdict read
+    from the same pass's coordinates decides as the oracle's values rank
+    the actions. (The printed values still come from quadrature; the strict
+    xfails above check those.)"""
 
     @staticmethod
     def _check(post, spec):
-        decision, expected = decisions._expected_loss(post, spec)
+        split = decisions._split(spec)
+        expected, coords = decisions._expected_losses(post, split)
+        decision = decisions._expected_loss_verdict(split, coords)
         want = expected_losses_oracle(post, spec)
         assert [expected["a0"], expected["a1"]] == pytest.approx(want, rel=0, abs=1e-9)
         assert decision == ("a1" if want[1] < want[0] else "a0")
@@ -417,7 +420,7 @@ class TestBetaClosedForm:
         for n in (100, 1000, 10**4):
             for k in (0, 1, 3, n // 2 - 1, n // 2, n // 2 + 1, n - 3, n - 1, n):
                 post = posterior_update(BinomialModel(n=n, k=k), BIAS_SPACE)
-                expected = decisions._closed_form_expected_losses(post, spec)
+                expected, _ = decisions._expected_losses(post, decisions._split(spec))
                 want = expected_losses_oracle(post, spec)
                 assert [expected["a0"], expected["a1"]] == pytest.approx(want, rel=1e-9), (n, k)
 

@@ -16,7 +16,6 @@ from collections import Counter
 import pytest
 
 import relkit.simulate as sim
-from relkit.decisions import _tie_tol
 from relkit.hypotheses import derive_hypotheses
 from relkit.regions import partition
 
@@ -173,11 +172,11 @@ def _flipped_two_action(rule):
 
 
 def _flipped_expected_loss(rule):
-    def expected_loss(post, spec):
-        _, expected = rule(post, spec)
-        return ("a1" if expected["a1"] > expected["a0"] - _tie_tol(spec) else "a0"), expected
+    def expected_loss_verdict(split, coords):
+        # E[g | y] above -tol gives a1
+        return "a1" if split.g_lo - coords[0] - coords[1] > -split.tol else "a0"
 
-    return expected_loss
+    return expected_loss_verdict
 
 
 def _flipped_bayes_factor(rule):
@@ -195,7 +194,7 @@ MUTANTS = {
     "tost": ("_tost", _flipped_tost),
     "rope": ("_rope", _flipped_rope),
     "hypothesis_ratio": ("_two_action", _flipped_two_action),
-    "expected_loss": ("_expected_loss", _flipped_expected_loss),
+    "expected_loss": ("_expected_loss_verdict", _flipped_expected_loss),
     "bayes_factor": ("_bayes_factor", _flipped_bayes_factor),
 }
 

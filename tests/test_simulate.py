@@ -1193,6 +1193,40 @@ def test_normal_test_certificates_name_the_tests_verdicts(name, n):
     assert len(set(verdicts)) == 2 or (name, n) == ("tost", 50)
 
 
+BOX_SCENARIOS = {
+    "coin": lambda: shipped_scenario("coin_scenario"),
+    "bench_binomial": lambda: _bench_binomial(),
+    "aspirin": lambda: shipped_scenario("aspirin_scenario"),
+    "bench_normal": lambda: _bench_normal(),
+}
+POSTERIOR_BOX_CASES = [
+    (name, proc, n)
+    for name, scenario in BOX_SCENARIOS.items()
+    for proc in scenario().procedures
+    if proc.name in ("rope", "hypothesis_ratio", "expected_loss", "bayes_factor")
+    for n in ((20, 100, 1000) if scenario().family == "binomial" else (50, 22000))
+]
+
+
+@pytest.mark.parametrize(
+    "name, proc, n",
+    POSTERIOR_BOX_CASES,
+    ids=[f"{name}-{proc.name}-{n}" for name, proc, n in POSTERIOR_BOX_CASES],
+)
+def test_posterior_certificates_name_the_kernels_verdicts(name, proc, n):
+    # every count, or a dense ybar scan over the space and 6 standard
+    # errors past it: the expected-loss kernel reads its verdict from the
+    # coordinates it returns, and the other kernels from tail masses
+    scenario = dataclasses.replace(BOX_SCENARIOS[name](), procedures=(proc,))
+    if scenario.family == "binomial":
+        statistics = range(n + 1)
+    else:
+        reach = 6.0 * scenario.sigma / math.sqrt(n)
+        lo, hi = scenario.loss.space.lo - reach, scenario.loss.space.hi + reach
+        statistics = [lo + (hi - lo) * i / 2000 for i in range(2001)]
+    _assert_box_verdicts(scenario, n, statistics)
+
+
 def test_continued_fraction_stays_inside_half_its_cap_under_the_bound(monkeypatch):
     """The bound on a certified cell's shape sum: at half the continued
     fraction's iteration cap, no tail a sweep takes raises, at every count
