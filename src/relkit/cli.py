@@ -213,6 +213,18 @@ def _cmd_check_hypotheses(args, cfg: ConfigDocument) -> int:
     return EXIT_OK
 
 
+def _bind_and_run(cfg: ConfigDocument, specs) -> tuple:
+    """The model's posterior, shared and built on first use, and each
+    procedure's report on it. Every procedure is bound, and its settings
+    checked (a Bayes factor's prior masses too), before any runs."""
+    pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
+    prior = tuple(vars(cfg.model).values())[-2:]  # the model's last two fields
+    family = family_of(cfg.model)
+    kernels = [bind_procedure(s, family, cfg.loss, pair, prior).kernel for s in specs]
+    posterior = _shared_posterior(cfg.model, cfg.loss.space)
+    return posterior, [kernel(cfg.model, posterior)[1]() for kernel in kernels]
+
+
 def _cmd_decide(args, cfg: ConfigDocument) -> int:
     if cfg.decision is None:
         raise ConfigError("decide needs a 'decision' section")
@@ -220,12 +232,7 @@ def _cmd_decide(args, cfg: ConfigDocument) -> int:
         raise ConfigError("decide needs a 'model' section with data")
     if cfg.decision.name == "hypothesis_ratio" and cfg.hypotheses is None:
         raise ConfigError("the hypothesis_ratio rule needs a 'hypotheses' section")
-    pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
-    prior = tuple(vars(cfg.model).values())[-2:]  # the model's last two fields
-    # the rule is bound, and its settings checked, before the posterior is built
-    kernel = bind_procedure(cfg.decision, family_of(cfg.model), cfg.loss, pair, prior).kernel
-    posterior = _shared_posterior(cfg.model, cfg.loss.space)
-    outcome = kernel(cfg.model, posterior)[1]()
+    posterior, (outcome,) = _bind_and_run(cfg, (cfg.decision,))
     label = {
         "a0": cfg.actions.a0_label,
         "a1": cfg.actions.a1_label,
@@ -265,18 +272,8 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
         raise ConfigError("compare needs a 'comparators' section")
     if cfg.model is None:
         raise ConfigError("compare needs a 'model' section with data")
-    family = family_of(cfg.model)
-    pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
-    prior = tuple(vars(cfg.model).values())[-2:]  # the model's last two fields
-    # every comparator is bound, and its settings checked (a Bayes factor's
-    # prior masses too), before any runs
-    kernels = [bind_procedure(s, family, cfg.loss, pair, prior).kernel for s in cfg.comparators]
-    # the comparators share one posterior, built if one of them needs it
-    posterior = _shared_posterior(cfg.model, cfg.loss.space)
-    results = [
-        _compare_row(spec.name, kernel(cfg.model, posterior)[1]())
-        for spec, kernel in zip(cfg.comparators, kernels)
-    ]
+    _, reports = _bind_and_run(cfg, cfg.comparators)
+    results = [_compare_row(s.name, report) for s, report in zip(cfg.comparators, reports)]
     doc = {"command": "compare", "spec_version": 1, "results": results}
     rows = [[r[c] for c in _COMPARE_COLUMNS] for r in results]
     _emit(args, doc, _COMPARE_COLUMNS, rows)

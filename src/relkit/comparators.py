@@ -103,15 +103,6 @@ def nhst_point_null(
     return _nhst_result(row, model, alpha, *_nhst(row.point_null, model, alpha))
 
 
-def _tost_bounds(bounds: tuple[float, float], alpha: float) -> tuple[float, float]:
-    """The settings checks of the equivalence test; returns (lo, hi)."""
-    values.check("alpha", values.probability, alpha)
-    lo, hi = bounds
-    if not lo < hi:
-        raise ValidationError(f"equivalence bounds need lo < hi, got ({lo}, {hi})")
-    return lo, hi
-
-
 def _tost_tails(model: NormalKnownVarModel, lo: float, hi: float) -> tuple[float, ...]:
     """The two one-sided z-tests: (z_lower, p_lower, z_upper, p_upper)."""
     se = model.sigma / math.sqrt(model.n)
@@ -155,23 +146,11 @@ def tost_equivalence(
     """
     if not isinstance(model, NormalKnownVarModel):
         raise ValidationError("the equivalence test supports the normal model only")
-    lo, hi = _tost_bounds(bounds, alpha)
+    values.check("alpha", values.probability, alpha)
+    lo, hi = bounds
+    if not lo < hi:
+        raise ValidationError(f"equivalence bounds need lo < hi, got ({lo}, {hi})")
     return _tost_result(lo, hi, alpha, *_tost(_tost_tails(model, lo, hi), alpha))
-
-
-def _rope_hull(rope: RegionSet, mass: float) -> tuple[float, float, float]:
-    """The settings checks of the ROPE rule; returns the rope's (lo, hi)
-    and the tail mass t = (1 - mass)/2."""
-    if rope.is_empty:
-        raise ValidationError("rope must be non-empty")
-    if len(rope.intervals) > 1:
-        raise ValidationError(
-            "rope must be a single interval around the null value; got "
-            f"{len(rope.intervals)} disjoint intervals"
-        )
-    values.check("credible mass", values.probability, mass)
-    hull = rope.intervals[0]
-    return hull.lo, hull.hi, 0.5 * (1.0 - mass)
 
 
 def _rope_verdict(below: float, above: float, tail: float) -> str:
@@ -194,12 +173,11 @@ def _rope_result(
     post: PosteriorModel,
     rope: RegionSet,
     mass: float,
-    tail: float,
     verdict: str,
     below: float,
     above: float,
 ) -> ComparatorResult:
-    lo, hi = rope.intervals[0].lo, rope.intervals[0].hi
+    lo, hi, tail = rope.intervals[0].lo, rope.intervals[0].hi, 0.5 * (1.0 - mass)
     return ComparatorResult(
         procedure="rope_decision",
         statistic=posterior_region_prob(post, rope),
@@ -225,8 +203,16 @@ def rope_decision(post: PosteriorModel, rope: RegionSet, mass: float) -> Compara
     taken from its own tail side. The rope must be a single interval
     around the null value.
     """
-    lo, hi, tail = _rope_hull(rope, mass)
-    return _rope_result(post, rope, mass, tail, *_rope(post, lo, hi, tail))
+    if rope.is_empty:
+        raise ValidationError("rope must be non-empty")
+    if len(rope.intervals) > 1:
+        raise ValidationError(
+            "rope must be a single interval around the null value; got "
+            f"{len(rope.intervals)} disjoint intervals"
+        )
+    values.check("credible mass", values.probability, mass)
+    lo, hi, tail = rope.intervals[0].lo, rope.intervals[0].hi, 0.5 * (1.0 - mass)
+    return _rope_result(post, rope, mass, *_rope(post, lo, hi, tail))
 
 
 Ends = tuple[tuple[float, float], ...]  # the (lo, hi) of each interval of a region

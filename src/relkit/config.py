@@ -229,7 +229,6 @@ class ConfigDocument:
     decision: ProcedureSpec | None = None
     comparators: tuple[ProcedureSpec, ...] | None = None
     scenario: Scenario | None = None
-    seed: int | None = None
 
 
 def parse_config(raw: dict) -> ConfigDocument:
@@ -271,7 +270,6 @@ def _parse_document(raw: dict) -> ConfigDocument:
         decision=_read(raw, "decision", "", _parse_decision, family),
         comparators=comparators,
         scenario=_read(raw, "scenario", "", _parse_scenario, loss, seed),
-        seed=seed,
     )
     if raw:
         raise ConfigError(f"unknown top-level key(s) {sorted(raw)}")

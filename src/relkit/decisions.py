@@ -118,30 +118,32 @@ def _coverage_check(space: ParameterSpace, pair: HypothesisPair, allow: bool) ->
         )
 
 
-def _two_action(p0: float, p1: float, ratio: LossRatio) -> tuple[str, float]:
-    """The hypothesis-ratio rule: (decision, posterior odds of H1) from the
-    posterior probabilities of H0 and H1."""
-    if p0 + p1 <= 0.0:
-        raise NumericalError(
-            "degenerate evidence: both hypothesis regions have zero "
-            "posterior probability"
-        )
-    odds = math.inf if p0 == 0.0 else p1 / p0
-    return decide_from_odds(odds, ratio), odds
-
-
-def _two_action_outcome(
-    p0: float, p1: float, ratio: LossRatio, decision: str, odds: float
+def _outcome(
+    decision: str, p0: float, p1: float, lo: float, hi: float, warnings: tuple = ()
 ) -> DecisionOutcome:
+    """The outcome of either rule: its decision, the posterior probabilities
+    p0 and p1 of H0 and H1 renormalized, the odds of H1, and its thresholds."""
     total = p0 + p1
     return DecisionOutcome(
         decision=decision,
         posterior_h0=p0 / total,
         posterior_h1=p1 / total,
-        posterior_odds=odds,
-        threshold_lo=ratio.lo,
-        threshold_hi=ratio.hi,
+        posterior_odds=math.inf if p0 == 0.0 else p1 / p0,
+        threshold_lo=lo,
+        threshold_hi=hi,
+        warnings=tuple(warnings),
     )
+
+
+def _two_action(p0: float, p1: float, ratio: LossRatio) -> str:
+    """The hypothesis-ratio rule: the decision from the posterior
+    probabilities of H0 and H1."""
+    if p0 + p1 <= 0.0:
+        raise NumericalError(
+            "degenerate evidence: both hypothesis regions have zero "
+            "posterior probability"
+        )
+    return decide_from_odds(math.inf if p0 == 0.0 else p1 / p0, ratio)
 
 
 def bayes_two_action_decision(
@@ -158,7 +160,7 @@ def bayes_two_action_decision(
     _coverage_check(post.space, pair, allow_restricted_space)
     p0 = posterior_region_prob(post, pair.h0)
     p1 = posterior_region_prob(post, pair.h1)
-    return _two_action_outcome(p0, p1, ratio, *_two_action(p0, p1, ratio))
+    return _outcome(_two_action(p0, p1, ratio), p0, p1, ratio.lo, ratio.hi)
 
 
 def _weighted(piece: Piece, log_density) -> Callable[[float], float]:
@@ -288,18 +290,8 @@ def _expected_loss_outcome(
     losses and the posterior probabilities of the negligible and relevant
     regions, whose interval ends ``part_ends`` holds."""
     printed, warnings = _printed_expected_losses(post, spec, decision, expected)
-    p0 = _region_prob(post, part_ends[0])
-    p1 = _region_prob(post, part_ends[1])
-    total = p0 + p1
-    return DecisionOutcome(
-        decision=decision,
-        posterior_h0=p0 / total,
-        posterior_h1=p1 / total,
-        posterior_odds=math.inf if p0 == 0.0 else p1 / p0,
-        threshold_lo=printed["a0"],
-        threshold_hi=printed["a1"],
-        warnings=tuple(warnings),
-    )
+    p0, p1 = (_region_prob(post, ends) for ends in part_ends)
+    return _outcome(decision, p0, p1, printed["a0"], printed["a1"], warnings)
 
 
 def _partition_ends(spec: LossSpec, space: ParameterSpace) -> tuple[tuple, tuple]:

@@ -513,12 +513,17 @@ class PosteriorModel:
             )
         return lo_tails, hi_tails, total, math.log(total)
 
-    def _prob(self, lo: float, hi: float) -> float:
-        """Truncated posterior probability of [lo, hi] clipped to the space."""
-        lo_tails, hi_tails, total, _ = self._ends
+    def _mass(self, lo: float, hi: float) -> float:
+        """Untruncated posterior mass of [lo, hi] clipped to the space, from
+        the tails at each end, or at the space end it reaches."""
+        lo_tails, hi_tails, _, _ = self._ends
         a = lo_tails if lo <= self.space.lo else self._tails_at(lo)
         b = hi_tails if hi >= self.space.hi else self._tails_at(hi)
-        return min(max(_mass_between(a, b) / total, 0.0), 1.0)
+        return _mass_between(a, b)
+
+    def _prob(self, lo: float, hi: float) -> float:
+        """Truncated posterior probability of [lo, hi] clipped to the space."""
+        return min(max(self._mass(lo, hi) / self._ends[2], 0.0), 1.0)
 
     def cdf(self, effect: float) -> float:
         """CDF of the truncated posterior on the effect scale."""
@@ -712,16 +717,12 @@ def _scaled_moments(
     under the untruncated posterior, and the scale: the sd of a normal
     posterior, 1 for a beta one; lo and hi lie in the space.
 
-    The mass is the tail-side difference of _mass_between, and the row's
+    The mass is the posterior's tail-side ``_mass``, and the row's
     ``moments`` gives the other two. With the origin at the mean or on the
     cut nearest the mass, only the mass beyond a far cut cancels, and that
     cancellation is exact up to rounding.
     """
-    lo_tails, hi_tails, _, _ = post._ends
-    m0 = _mass_between(
-        lo_tails if lo <= post.space.lo else post._tails_at(lo),
-        hi_tails if hi >= post.space.hi else post._tails_at(hi),
-    )
+    m0 = post._mass(lo, hi)
     x_lo, x_hi, x_o = post._native(lo), post._native(hi), post._native(origin)
     return post._row.moments(post.params, m0, x_lo, x_hi, x_o)
 

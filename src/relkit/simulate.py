@@ -54,11 +54,9 @@ from .comparators import (
     _prior_masses,
     _region_masses,
     _rope,
-    _rope_hull,
     _rope_result,
     _rope_verdict,
     _tost,
-    _tost_bounds,
     _tost_result,
     _tost_tails,
 )
@@ -69,10 +67,10 @@ from .decisions import (
     _expected_loss_outcome,
     _expected_loss_verdict,
     _expected_losses,
+    _outcome,
     _partition_ends,
     _split,
     _two_action,
-    _two_action_outcome,
     decide_from_odds,
 )
 from .errors import RelkitError, ValidationError
@@ -250,17 +248,23 @@ def simulate_dataset(
 
 
 def _interval_on(loss: LossSpec, name: str, key: str, bounds) -> tuple[float, float]:
-    """(lo, hi) of procedure ``name``'s setting ``key``, with
-    "partition_hull" the hull of the loss's negligible region."""
-    if bounds == "partition_hull":
-        if partition(loss).negligible.is_empty:
-            raise ValidationError(
-                f'{name} setting {key}: "partition_hull" needs a negligible region, '
-                "and this loss has none: a1's loss is below a0's at every effect"
-            )
-        hull = region_hull(partition(loss).negligible)
-        return hull.lo, hull.hi
-    return bounds
+    """(lo, hi), lo < hi, of procedure ``name``'s setting ``key``: as parsed,
+    or for "partition_hull" the hull of the loss's negligible region."""
+    if bounds != "partition_hull":
+        return bounds
+    negligible = partition(loss).negligible
+    where = f'{name} setting {key}: "partition_hull" needs a negligible region'
+    if negligible.is_empty:
+        raise ValidationError(
+            f"{where}, and this loss has none: a1's loss is below a0's at every effect"
+        )
+    hull = region_hull(negligible)
+    if not hull.lo < hull.hi:
+        raise ValidationError(
+            f"{where} wider than one point, and this loss's is the single point "
+            f"{hull.lo!r}: a1's loss is below a0's at every other effect"
+        )
+    return hull.lo, hull.hi
 
 
 def _shared_posterior(model: Model, space: ParameterSpace) -> Posterior:
@@ -466,8 +470,9 @@ class Bound(NamedTuple):
 # A bind step makes every check that depends only on the settings, the loss,
 # the hypothesis pair and the model's prior, which only a Bayes factor reads
 # (the other steps take it as *_), and raises what the procedure's public
-# function raises on a setting that a check refuses; parse_settings has
-# already checked each setting alone. It returns the procedure's kernel,
+# function raises on a setting that a check refuses, or, for a
+# "partition_hull" the loss cannot give, _interval_on's own error; each
+# setting alone is checked by parse_settings. It returns the kernel,
 # certificate and verdict order, built on the values it bound. A kernel
 # takes the model and a posterior from _shared_posterior (nhst and tost never
 # call it), computes what its verdict needs through the rule its public
@@ -513,7 +518,7 @@ def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
 
 def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
     alpha = s["alpha"]
-    lo, hi = _tost_bounds(_interval_on(loss, "tost", "bounds", s["bounds"]), alpha)
+    lo, hi = _interval_on(loss, "tost", "bounds", s["bounds"])
 
     def kernel(model: Model, posterior: Posterior):
         tails = _tost_tails(model, lo, hi)
@@ -537,15 +542,16 @@ def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
 
 
 def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
-    rope, mass = RegionSet.single(*_interval_on(loss, "rope", "rope", s["rope"])), s["mass"]
-    lo, hi, tail = _rope_hull(rope, mass)
+    lo, hi = _interval_on(loss, "rope", "rope", s["rope"])
+    rope, mass = RegionSet.single(lo, hi), s["mass"]
+    tail = 0.5 * (1.0 - mass)
     # the public rule takes P(rope | y), which needs the rope in the space
     _region_ends(rope, loss.space)
 
     def kernel(model: Model, posterior: Posterior):
         post = posterior()
         out = _rope(post, lo, hi, tail)
-        return out[0], lambda: _rope_result(post, rope, mass, tail, *out), lambda: out[1:]
+        return out[0], lambda: _rope_result(post, rope, mass, *out), lambda: out[1:]
 
     # P(theta < lo | y) falls and P(theta > hi | y) rises with the
     # statistic, since the truncated posterior is stochastically increasing
@@ -565,12 +571,12 @@ def _bind_hypothesis_ratio(
     def kernel(model: Model, posterior: Posterior):
         post = posterior()
         p0, p1 = _region_prob(post, h0), _region_prob(post, h1)
-        decision, odds = _two_action(p0, p1, ratio)
+        decision = _two_action(p0, p1, ratio)
         # tail masses of the truncated posterior at fixed points: monotone
         # in the statistic, since that posterior is stochastically increasing
         return (
             decision,
-            lambda: _two_action_outcome(p0, p1, ratio, decision, odds),
+            lambda: _outcome(decision, p0, p1, ratio.lo, ratio.hi),
             lambda: tuple(
                 post._prob(space.lo, x) if tail == 0 else post._prob(x, space.hi)
                 for x, tail in changes
@@ -970,17 +976,12 @@ class _VerdictMap:
                 around = _cut_inside(cuts, left, right)
             if around is None:
                 j = a if left is None else b - 1 if right is None else (a + b) // 2
-                x = distinct[j]
-                outcome = evaluate(x)
-                add(outcome, j)
-                top = max(top, rank.get(outcome, -1))
-                todo += [(left, x, a, j), (x, right, j + 1, b)]
-                continue
+                around = (distinct[j],)
             for x in around:
                 top = max(top, rank.get(evaluate(x), -1))
                 j = bisect.bisect_left(distinct, x, a, b)
                 todo.append((left, x, a, j))
-                if j < b and distinct[j] == x:  # a draw that equals it
+                if j < b and distinct[j] == x:  # the draw split at, or one at a cut
                     add(ys[x][0], j)
                     j += 1
                 left, a = x, j

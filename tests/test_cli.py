@@ -1323,33 +1323,46 @@ def test_empty_hypothesis_region_exits_2(command, which, tmp_path, capsys):
     assert f"hypotheses.{which}:" in err
 
 
+def _zero_a1_loss(knots, a0_values):
+    """A loss whose a1 loss is 0 on the whole space, and whose a0 loss takes
+    ``a0_values`` at ``knots``, the space's ends and 0."""
+    return {
+        "kind": "piecewise_linear",
+        "params_a0": {"knots": knots, "values": a0_values},
+        "params_a1": {"knots": knots[::2], "values": [0.0, 0.0]},
+    }
+
+
+def _aspirin_hull_doc(command, procedure, a0_values):
+    """The aspirin scenario config with a0's loss ``a0_values`` and a1's 0,
+    and one procedure that takes its interval from "partition_hull"; for
+    compare, a model of the scenario's cell in place of the scenario."""
+    doc = _aspirin_doc()
+    if command == "compare":
+        scenario = doc.pop("scenario")
+        doc.pop("seed")
+        doc["model"] = {
+            "family": "normal",
+            "sigma": scenario["sigma"],
+            "data": {"n": 22000, "ybar": 0.0077},
+        }
+        doc["comparators"] = [{"procedure": procedure}]
+    else:
+        doc["scenario"]["procedures"] = [{"procedure": procedure}]
+    doc["loss"] = _zero_a1_loss([-0.1, 0.0, 0.1], a0_values)
+    return doc
+
+
 def _no_negligible_doc(command, procedure):
     """A config whose a1 loss is 0 on the whole space while a0's is
     positive, so its partition has no negligible region, and whose one
     procedure takes its interval from "partition_hull"."""
     if command == "compare" and procedure == "rope":
         doc = copy.deepcopy(SHIPPED["coin_compare.json"])
-        knots = [-0.5, 0.0, 0.5]
         doc["comparators"] = [{"procedure": "rope"}]
-    else:
-        doc, knots = _aspirin_doc(), [-0.1, 0.0, 0.1]
-        if command == "compare":
-            scenario = doc.pop("scenario")
-            doc.pop("seed")
-            doc["model"] = {
-                "family": "normal",
-                "sigma": scenario["sigma"],
-                "data": {"n": 22000, "ybar": 0.0077},
-            }
-            doc["comparators"] = [{"procedure": procedure}]
-        else:
-            doc["scenario"]["procedures"] = [{"procedure": procedure}]
-    doc["loss"] = {
-        "kind": "piecewise_linear",
-        "params_a0": {"knots": knots, "values": [0.5, 0.1, 0.5]},
-        "params_a1": {"knots": knots[::2], "values": [0.0, 0.0]},
-    }
-    return doc
+        doc["loss"] = _zero_a1_loss([-0.5, 0.0, 0.5], [0.5, 0.1, 0.5])
+        return doc
+    return _aspirin_hull_doc(command, procedure, [0.5, 0.1, 0.5])
 
 
 @pytest.mark.parametrize("procedure, key", [("rope", "rope"), ("tost", "bounds")])
@@ -1370,6 +1383,29 @@ def test_partition_hull_of_a_loss_without_a_negligible_region_exits_2(
         f'relkit: error: {procedure} setting {key}: "partition_hull" needs a negligible '
         "region, and this loss has none: a1's loss is below a0's at every effect\n"
     )
+
+
+@pytest.mark.parametrize("procedure, key", [("rope", "rope"), ("tost", "bounds")])
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_partition_hull_of_a_single_point_negligible_region_exits_2(
+    command, procedure, key, tmp_path, capsys
+):
+    # a0's loss is |theta| and a1's 0, so they tie only at 0 and H0 is the
+    # nil hypothesis: rope once ran on the zero-width rope [0, 0], where it
+    # cannot accept a0, and tost exited with the equivalence test's own
+    # message, which named neither the procedure nor "partition_hull"
+    cfg = write_config(tmp_path, _aspirin_hull_doc(command, procedure, [0.1, 0.0, 0.1]))
+    argv = [command, "--config", cfg]
+    if command == "simulate":
+        argv += ["--output", str(tmp_path / "rates")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f'relkit: error: {procedure} setting {key}: "partition_hull" needs a negligible '
+        "region wider than one point, and this loss's is the single point 0.0: a1's loss "
+        "is below a0's at every other effect\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def _places(node, prefix=()):
@@ -1421,8 +1457,8 @@ def test_partition_does_not_import_numpy():
     # only simulate draws data; the other commands start without numpy
     src = str(Path(__file__).resolve().parent.parent / "src")
     runs = [
-        ("partition", str(CONFIG_DIR / "coin_partition.json")),
-        ("compare", str(CONFIG_DIR / "coin_compare.json")),
+        (command, str(CONFIG_DIR / SHIPPED_FOR[command]))
+        for command in ("partition", "check-hypotheses", "decide", "compare", "plot")
     ]
     script = (
         "import sys\n"

@@ -122,6 +122,14 @@ class TestTostEquivalence:
         with pytest.raises(ValidationError, match="alpha: must be a finite number"):
             tost_equivalence(model, (-0.1, 0.1), alpha="0.05")
 
+    def test_single_point_bounds_refused(self):
+        # the bind step refuses a single-point "partition_hull" with its own
+        # message; the public function keeps its check of the bounds
+        model = NormalKnownVarModel(n=22000, ybar=0.0077, sigma=0.2)
+        with pytest.raises(ValidationError) as got:
+            tost_equivalence(model, (0.0, 0.0), 0.05)
+        assert str(got.value) == "equivalence bounds need lo < hi, got (0.0, 0.0)"
+
     def test_equivalent_rate_grows_with_n(self):
         # coherence with the relevance bounds: true effect inside the
         # negligible hull, larger samples conclude equivalence more often

@@ -50,7 +50,8 @@ class TestTopLevel:
             parse_config(doc)
 
     def test_seed_validation(self):
-        assert parse_config(minimal(seed=7)).seed == 7
+        # a seed is parsed and checked without a scenario to take it
+        assert parse_config(minimal(seed=7)).scenario is None
         with pytest.raises(ConfigError, match="seed"):
             parse_config(minimal(seed=-1))
 
@@ -432,8 +433,12 @@ def test_malformed_document_raises_config_error(doc):
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(minimal(seed=3)), encoding="utf-8")
-    cfg = load_config(path)
-    assert cfg.seed == 3
+    assert load_config(path) == parse_config(minimal(seed=3))
+    # a seed no scenario takes is still checked
+    path.write_text(json.dumps(minimal(seed=-1)), encoding="utf-8")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["partition", "--config", str(path)]) == 2
+    assert "seed" in err.getvalue()
 
 
 def test_load_config_bad_json_mentions_position(tmp_path):

@@ -213,36 +213,19 @@ def test_detail_texts_of_the_tests():
     )
 
 
-ASPIRIN_KNOTS = [-0.1, 0.0, 0.1]
-
-# The settings that a check refuses, each as (the config's loss section, or
-# None for the aspirin loss; the procedure entry; the hypotheses section, or
-# None for the partition's pair; the prior of the model and the scenario, or
-# None for Normal(0, 0.05); (model, posterior, pair) -> the public function's
-# call on those settings, which raises).
+# The settings that a check refuses on the aspirin loss, each as (the
+# procedure entry; the hypotheses section, or None for the partition's pair;
+# the prior of the model and the scenario, or None for Normal(0, 0.05);
+# (model, posterior, pair) -> the public function's call on those settings,
+# which raises).
 REFUSED = {
-    # a1 never loses to a0 and ties it only at 0: the negligible region is
-    # the single point 0, so its hull is degenerate
-    "tost_on_a_single_point_hull": (
-        {
-            "kind": "piecewise_linear",
-            "params_a0": {"knots": ASPIRIN_KNOTS, "values": [0.1, 0.0, 0.1]},
-            "params_a1": {"knots": ASPIRIN_KNOTS, "values": [0.0, 0.0, 0.0]},
-        },
-        {"procedure": "tost"},
-        None,
-        None,
-        lambda model, post, pair: tost_equivalence(model, (0.0, 0.0), 0.05),
-    ),
     "rope_outside_the_space": (
-        None,
         {"procedure": "rope", "rope": [-0.5, 0.05]},
         None,
         None,
         lambda model, post, pair: rope_decision(post, RegionSet.single(-0.5, 0.05), 0.95),
     ),
     "pair_not_covering_the_space": (
-        None,
         {"procedure": "hypothesis_ratio"},
         {"h0": [[-0.02, 0.02, False, False]], "h1": [[0.05, 0.1, False, False]]},
         None,
@@ -250,7 +233,6 @@ REFUSED = {
     ),
     # H1 lies 200 prior sd from the prior mean, where its mass is 0
     "bayes_factor_prior_without_h1_mass": (
-        None,
         {"procedure": "bayes_factor"},
         None,
         {"mean": 0.0, "sd": 1e-4},
@@ -260,12 +242,11 @@ REFUSED = {
 
 
 def _aspirin_doc(case):
-    """The aspirin scenario config with the case's loss and hypotheses, a
+    """The aspirin scenario config with the case's hypotheses, a
     model section, and the case's procedure in both lists."""
-    loss, entry, hypotheses, prior, _ = REFUSED[case]
+    entry, hypotheses, prior, _ = REFUSED[case]
     prior = prior or {"mean": 0.0, "sd": 0.05}
     doc = json.loads((CONFIG_DIR / "aspirin_scenario.json").read_text(encoding="utf-8"))
-    doc["loss"] = loss or doc["loss"]
     if hypotheses is not None:
         doc["hypotheses"] = hypotheses
     doc["model"] = {
@@ -287,7 +268,7 @@ def _refusal(case, tmp_path):
     cfg = load_config(path)
     pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
     with pytest.raises(RelkitError) as want:
-        REFUSED[case][4](cfg.model, posterior_update(cfg.model, cfg.loss.space), pair)
+        REFUSED[case][3](cfg.model, posterior_update(cfg.model, cfg.loss.space), pair)
     return str(path), (type(want.value), str(want.value))
 
 
@@ -334,7 +315,7 @@ def test_decide_refuses_the_setting_before_any_posterior(tmp_path, capsys, monke
 
 
 # simulate always takes the partition's pair, which covers the space
-@pytest.mark.parametrize("case", sorted(c for c in REFUSED if REFUSED[c][2] is None))
+@pytest.mark.parametrize("case", sorted(c for c in REFUSED if REFUSED[c][1] is None))
 def test_simulate_refuses_the_setting_and_writes_nothing(case, tmp_path, capsys):
     path, (_, message) = _refusal(case, tmp_path)
     before = sorted(tmp_path.iterdir())

@@ -163,10 +163,11 @@ def _flipped_rope(rule):
 
 def _flipped_two_action(rule):
     def two_action(p0, p1, ratio):
-        _, odds = rule(p0, p1, ratio)
+        rule(p0, p1, ratio)  # raises where the rule raises
+        odds = math.inf if p0 == 0.0 else p1 / p0
         if odds < ratio.hi:
-            return "a1", odds
-        return ("a0" if ratio.is_scalar or odds < ratio.lo else "indeterminate"), odds
+            return "a1"
+        return "a0" if ratio.is_scalar or odds < ratio.lo else "indeterminate"
 
     return two_action
 

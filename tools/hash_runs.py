@@ -27,13 +27,16 @@ the artifacts it wrote. The runs:
 - command lines the argument parser refuses or answers alone: a flag each
   command does not read, no command, an unknown command, and ``--version``.
   Their usage text is wrapped at 80 columns, whatever the terminal.
+- ``compare`` and ``simulate`` with ``rope`` and with ``tost`` on the
+  aspirin space, where ``"partition_hull"`` is refused: on a loss with no
+  negligible region, and on one whose negligible region is the point 0.
 
 The workloads come from ``perfbench/workloads.py`` and the shipped
 configs from ``configs/``, both of the checkout this script lies in. Print
 the digests for two source trees and compare: equal digests mean equal
 bytes. The set takes 9–12 s on one core of a 2-core Xeon VM. With relkit
-0.1.0 it prints ``26f49dd3…`` over 900 simulate runs and ``50d541b6…``
-over 4710 other runs.
+0.1.0 it prints ``26f49dd3…`` over 900 simulate runs and ``d5aa16ca…``
+over 4718 other runs.
 """
 
 from __future__ import annotations
@@ -112,6 +115,29 @@ def _runs(workloads) -> dict[str, list[tuple[list[str], list[str]]]]:
         runs["other"].append(([command, "--config", "coin_scenario.json", *unread], []))
     for argv in ([], ["frobnicate", "--config", "coin_scenario.json"], ["--version"]):
         runs["other"].append((argv, []))
+    # a1's loss 0 everywhere: no negligible region, or the point 0, where the
+    # two losses tie; both refuse "partition_hull"
+    aspirin = json.loads((ROOT / "configs" / "aspirin_scenario.json").read_text(encoding="utf-8"))
+    knots = [-0.1, 0.0, 0.1]
+    for region, a0 in (("empty", [0.5, 0.1, 0.5]), ("point", [0.1, 0.0, 0.1])):
+        for procedure in ("rope", "tost"):
+            doc = {
+                **aspirin,
+                "loss": {
+                    "kind": "piecewise_linear",
+                    "params_a0": {"knots": knots, "values": a0},
+                    "params_a1": {"knots": knots, "values": [0.0, 0.0, 0.0]},
+                },
+                "model": {"family": "normal", "sigma": 0.2, "data": {"n": 22000, "ybar": 0.0077}},
+                "comparators": [{"procedure": procedure}],
+                "scenario": {**aspirin["scenario"], "procedures": [{"procedure": procedure}]},
+            }
+            config = f"hull_{region}_{procedure}.json"
+            Path(config).write_text(json.dumps(doc), encoding="utf-8")
+            compare_argv = ["compare", "--config", config, "--output", "out.json"]
+            runs["other"].append((compare_argv, ["out.json"]))
+            simulate_argv = ["simulate", "--config", config, "--output", "out"]
+            runs["other"].append((simulate_argv, ["out.csv", "out.json"]))
     return runs
 
 
