@@ -38,7 +38,7 @@ from .inference import (
     NormalKnownVarModel,
     PosteriorModel,
     Family,
-    _mass_between,
+    _region_masses,
     family_of,
     normal_cdf,
     posterior_region_prob,
@@ -212,6 +212,8 @@ def rope_decision(post: PosteriorModel, rope: RegionSet, mass: float) -> Compara
         )
     values.check("credible mass", values.probability, mass)
     lo, hi, tail = rope.intervals[0].lo, rope.intervals[0].hi, 0.5 * (1.0 - mass)
+    if not lo < hi:
+        raise ValidationError(f"rope needs lo < hi, got ({lo}, {hi})")
     return _rope_result(post, rope, mass, *_rope(post, lo, hi, tail))
 
 
@@ -221,17 +223,6 @@ Ends = tuple[tuple[float, float], ...]  # the (lo, hi) of each interval of a reg
 def _pair_ends(pair: HypothesisPair) -> tuple[Ends, Ends]:
     return tuple(
         tuple((itv.lo, itv.hi) for itv in region.intervals) for region in (pair.h0, pair.h1)
-    )
-
-
-def _region_masses(
-    tails_at: Callable[[float], tuple[float, float]], ends: tuple[Ends, Ends]
-) -> tuple[float, float]:
-    """The untruncated masses of H0 and H1, from the tails at the ends of
-    their intervals (effect scale)."""
-    return tuple(
-        sum(_mass_between(tails_at(lo), tails_at(hi)) for lo, hi in region)
-        for region in ends
     )
 
 

@@ -34,9 +34,8 @@ from .inference import (
     PosteriorModel,
     _scaled_moments,
     _region_ends,
-    _region_prob,
+    _region_masses,
     concentration_splits,
-    posterior_region_prob,
     quadrature,
 )
 from .loss import ACTIONS, LossSpec, ParameterSpace, Piece, _about, _piece_at, breakpoints
@@ -106,7 +105,8 @@ def decide_from_odds(odds: float, ratio: LossRatio) -> str:
     return "indeterminate"
 
 
-def _coverage_check(space: ParameterSpace, pair: HypothesisPair, allow: bool) -> None:
+def _hypothesis_ends(space: ParameterSpace, pair: HypothesisPair, allow: bool) -> tuple:
+    """The interval ends of H0 and H1, which must cover the space unless allowed."""
     covered = region_measure(pair.h0) + region_measure(pair.h1)
     span = space.span
     if span - covered > _COVERAGE_TOL * max(1.0, span) and not allow:
@@ -116,13 +116,14 @@ def _coverage_check(space: ParameterSpace, pair: HypothesisPair, allow: bool) ->
             'strong claim. Set "allow_restricted_space": true (in Python, '
             "allow_restricted_space=True) to accept it."
         )
+    return _region_ends(pair.h0, space), _region_ends(pair.h1, space)
 
 
 def _outcome(
     decision: str, p0: float, p1: float, lo: float, hi: float, warnings: tuple = ()
 ) -> DecisionOutcome:
-    """The outcome of either rule: its decision, the posterior probabilities
-    p0 and p1 of H0 and H1 renormalized, the odds of H1, and its thresholds."""
+    """The outcome of either rule: its decision, the masses p0 and p1 of H0
+    and H1 renormalized, the odds of H1, and its thresholds."""
     total = p0 + p1
     return DecisionOutcome(
         decision=decision,
@@ -157,9 +158,8 @@ def bayes_two_action_decision(
     a1 is optimal when its expected loss l_I * P(H0|y) drops below
     l_II * P(H1|y), i.e. when the posterior odds exceed l_I / l_II.
     """
-    _coverage_check(post.space, pair, allow_restricted_space)
-    p0 = posterior_region_prob(post, pair.h0)
-    p1 = posterior_region_prob(post, pair.h1)
+    ends = _hypothesis_ends(post.space, pair, allow_restricted_space)
+    p0, p1 = _region_masses(post._tails_at, ends)
     return _outcome(_two_action(p0, p1, ratio), p0, p1, ratio.lo, ratio.hi)
 
 
@@ -290,7 +290,7 @@ def _expected_loss_outcome(
     losses and the posterior probabilities of the negligible and relevant
     regions, whose interval ends ``part_ends`` holds."""
     printed, warnings = _printed_expected_losses(post, spec, decision, expected)
-    p0, p1 = (_region_prob(post, ends) for ends in part_ends)
+    p0, p1 = _region_masses(post._tails_at, part_ends)
     return _outcome(decision, p0, p1, printed["a0"], printed["a1"], warnings)
 
 

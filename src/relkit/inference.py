@@ -119,6 +119,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
+    if math.isnan(x):
+        raise ValueError(f"x must be a number, got {x}")
     front = _beta_front(a, b, x)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cont_frac(a, b, x) / a
@@ -149,6 +151,15 @@ def _mass_between(lo_tails: tuple[float, float], hi_tails: tuple[float, float]) 
     if s_lo <= 0.5:
         return s_lo - s_hi
     return 1.0 - f_lo - s_hi
+
+
+def _region_masses(tails_at: Callable[[float], tuple], ends: tuple) -> tuple[float, float]:
+    """The untruncated masses of H0 and H1, from the tails at the ends of
+    their intervals (effect scale)."""
+    return tuple(
+        sum(_mass_between(tails_at(lo), tails_at(hi)) for lo, hi in region)
+        for region in ends
+    )
 
 
 def _normal_tail_z(q: float) -> float:
@@ -634,21 +645,14 @@ def _region_ends(region: RegionSet, space: ParameterSpace) -> tuple[tuple[float,
     return tuple((itv.lo, itv.hi) for itv in region.intervals)
 
 
-def _region_prob(post: PosteriorModel, ends: tuple[tuple[float, float], ...]) -> float:
-    """Posterior probability of the intervals ``ends`` from ``_region_ends``."""
-    total = 0.0
-    for lo, hi in ends:
-        total += post._prob(lo, hi)
-    return min(max(total, 0.0), 1.0)
-
-
 def posterior_region_prob(post: PosteriorModel, region: RegionSet) -> float:
     """Posterior probability of a region set: the sum of its intervals'
     masses, each taken from the tails on its own side.
 
     Endpoint openness is immaterial for these continuous posteriors.
     """
-    return _region_prob(post, _region_ends(region, post.space))
+    total = sum(post._prob(lo, hi) for lo, hi in _region_ends(region, post.space))
+    return min(max(total, 0.0), 1.0)
 
 
 def credible_interval(post: PosteriorModel, mass: float) -> tuple[float, float]:

@@ -52,7 +52,6 @@ from .comparators import (
     _nhst_result,
     _pair_ends,
     _prior_masses,
-    _region_masses,
     _rope,
     _rope_result,
     _rope_verdict,
@@ -63,10 +62,10 @@ from .comparators import (
 from .decisions import (
     DecisionOutcome,
     LossRatio,
-    _coverage_check,
     _expected_loss_outcome,
     _expected_loss_verdict,
     _expected_losses,
+    _hypothesis_ends,
     _outcome,
     _partition_ends,
     _split,
@@ -85,7 +84,7 @@ from .inference import (
     PosteriorModel,
     _normal_upper_z,
     _region_ends,
-    _region_prob,
+    _region_masses,
     posterior_update,
 )
 from .loss import LossSpec, ParameterSpace
@@ -563,24 +562,20 @@ def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
 def _bind_hypothesis_ratio(
     s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_
 ) -> Bound:
-    ratio, space = s["loss_ratio"], loss.space
-    _coverage_check(space, pair, s["allow_restricted_space"])
-    ends = h0, h1 = _region_ends(pair.h0, space), _region_ends(pair.h1, space)
+    ratio = s["loss_ratio"]
+    ends = _hypothesis_ends(loss.space, pair, s["allow_restricted_space"])
     changes, cells = _odds_cells(ends)
 
     def kernel(model: Model, posterior: Posterior):
-        post = posterior()
-        p0, p1 = _region_prob(post, h0), _region_prob(post, h1)
+        tails_at = posterior()._tails_at
+        p0, p1 = _region_masses(tails_at, ends)
         decision = _two_action(p0, p1, ratio)
-        # tail masses of the truncated posterior at fixed points: monotone
-        # in the statistic, since that posterior is stochastically increasing
+        # bayes_factor's coordinates: the untruncated tail masses at fixed
+        # points, monotone in the statistic
         return (
             decision,
             lambda: _outcome(decision, p0, p1, ratio.lo, ratio.hi),
-            lambda: tuple(
-                post._prob(space.lo, x) if tail == 0 else post._prob(x, space.hi)
-                for x, tail in changes
-            ),
+            lambda: tuple(tails_at(x)[tail] for x, tail in changes),
         )
 
     def verdict(c: tuple) -> str:
@@ -847,12 +842,13 @@ def _bind_sweep(scenario: Scenario) -> _Sweep:
     # draws a kernel raises on lie below or above all those it does not raise
     # on. A kernel raises where no float holds a normal posterior mean, which
     # rises with ybar, or where the posterior mass vanishes on the space or
-    # (bayes_factor) on every interval of the pair, which tile the space. The
-    # sampling kernel is totally positive of every order, so the mass of an
-    # interval exceeds any level on one interval of the statistic, and the
-    # draws that raise lie at the ends. The beta tails' continued fraction
-    # may fail on inner counts, but not below CERTIFIED_SHAPE_SUM, so a
-    # binomial cell above it carries no certificates (ROADMAP item 4)
+    # (hypothesis_ratio and bayes_factor) on every interval of the pair, which
+    # tile the space. The sampling kernel is totally positive of every order,
+    # so the mass of an interval exceeds any level on one interval of the
+    # statistic, and the draws that raise lie at the ends. The beta tails'
+    # continued fraction may fail on inner counts, but not below
+    # CERTIFIED_SHAPE_SUM, so a binomial cell above it carries no
+    # certificates (ROADMAP item 4)
     certified_to = CERTIFIED_SHAPE_SUM - sum(prior) if row.posterior == "beta" else math.inf
     # a draw holds n, its statistic and the family's known values, the
     # model's leading fields; the prior gives its last two

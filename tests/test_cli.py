@@ -979,6 +979,70 @@ class TestExitCodeMatrix:
             assert {row[2] for row in rows if float(row[0]) == effect} == names
 
 
+COIN_DATA = {"family": "binomial", "data": {"n": 20, "k": 20}}
+TWO_KNOTS = {"knots": [-0.5, 0.5], "values": [0.0, 0.0]}
+
+
+def _knot_loss(**params_a0):
+    return {"kind": "piecewise_linear", "params_a0": params_a0, "params_a1": TWO_KNOTS}
+
+
+# refusals of a config, each with its command and exact message
+CONFIG_REFUSALS = {
+    "decide_without_model": (
+        "decide",
+        coin_doc(decision={"rule": "expected_loss"}),
+        "decide needs a 'model' section with data",
+    ),
+    "hypothesis_ratio_without_hypotheses": (
+        "decide",
+        coin_doc(model=COIN_DATA, decision={"rule": "hypothesis_ratio", "loss_ratio": 1.0}),
+        "the hypothesis_ratio rule needs a 'hypotheses' section",
+    ),
+    "compare_without_model": (
+        "compare",
+        coin_doc(comparators=[{"procedure": "nhst"}]),
+        "compare needs a 'model' section with data",
+    ),
+    "actions_not_an_object": (
+        "partition", coin_doc(actions=["do_not_accuse", "accuse"]), "actions must be an object"
+    ),
+    "coin_demo_with_parameters": (
+        "partition",
+        coin_doc(loss={"kind": "builtin_coin_demo", "params_a0": TWO_KNOTS}),
+        "builtin_coin_demo takes no loss parameters",
+    ),
+    "model_data_not_an_object": (
+        "decide",
+        coin_doc(model={**COIN_DATA, "data": [20, 20]}, decision={"rule": "expected_loss"}),
+        "model.data must be an object",
+    ),
+    "empty_comparators": (
+        "compare",
+        coin_doc(model=COIN_DATA, comparators=[]),
+        "comparators must be a non-empty list",
+    ),
+    "config_not_an_object": ("partition", [coin_doc()], "the configuration must be a JSON object"),
+    "one_grid_point": (
+        "partition",
+        coin_doc(loss=_knot_loss(knots=[0.0], values=[0.0])),
+        "invalid loss specification:\na0: grid needs at least 2 points",
+    ),
+    "grid_values_miscounted": (
+        "partition",
+        coin_doc(loss=_knot_loss(knots=[-0.5, 0.5], values=[0.0])),
+        "invalid loss specification:\na0: 2 grid points but 1 values",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_REFUSALS))
+def test_config_refusal_exits_2_with_its_message(name, tmp_path, capsys):
+    command, doc, message = CONFIG_REFUSALS[name]
+    code, out, err = run_cli([command, "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out, err) == (2, "", f"relkit: error: {message}\n")
+
+
 # --- artifact files: rewritten in place, cut to length ----------------------
 
 # each command on its shipped config, with the files its --output names

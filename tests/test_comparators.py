@@ -182,6 +182,13 @@ class TestRopeDecision:
         with pytest.raises(ValidationError):
             rope_decision(self._post(0.0, 0.1), RegionSet(), 0.95)
 
+    def test_single_point_rope_refused(self):
+        # a credible interval never lies inside a point, so such a rope
+        # could never accept a0; it is refused as tost refuses such bounds
+        post = posterior_update(NormalKnownVarModel(50, 0.0, 0.2), ParameterSpace(-0.1, 0.1))
+        with pytest.raises(ValidationError, match=r"^rope needs lo < hi, got \(0.0, 0.0\)$"):
+            rope_decision(post, RegionSet.point(0.0), 0.95)
+
     def test_mass_that_is_no_number_refused(self):
         with pytest.raises(ValidationError, match="credible mass: must be a finite number"):
             rope_decision(self._post(0.0, 0.1), RegionSet.single(-0.106, 0.106), "0.95")

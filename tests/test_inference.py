@@ -43,6 +43,12 @@ class TestSpecialFunctions:
         with pytest.raises(ValidationError):
             regularized_incomplete_beta(0.0, 1.0, 0.5)
 
+    def test_incomplete_beta_refuses_nan(self):
+        # as the posterior CDF does, before the continued fraction runs
+        with pytest.raises(ValueError, match=r"^x must be a number, got nan$") as info:
+            regularized_incomplete_beta(2.0, 3.0, math.nan)
+        assert not isinstance(info.value, NumericalError)
+
     @pytest.mark.parametrize("z", [-10.0, -3.2, -1.0, 0.0, 0.5, 2.0, 8.5])
     def test_normal_cdf_against_scipy(self, z):
         assert normal_cdf(z) == pytest.approx(float(stats.norm.cdf(z)), abs=1e-15)

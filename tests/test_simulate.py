@@ -31,6 +31,10 @@ from conftest import (
 )
 
 ASPIRIN_LOSS = load_config(CONFIG_DIR / "aspirin_scenario.json").loss
+# the hypothesis-ratio rule where the masses of H0 and H1 both underflow
+DEGENERATE = (
+    NumericalError, "degenerate evidence: both hypothesis regions have zero posterior probability"
+)
 
 
 def tiny_coin(replicates=3, procedures=None, **kw):
@@ -613,9 +617,38 @@ class TestSharedPosterior:
                 return type(exc), str(exc)
 
         assert got == [alone(proc) for proc in procs]
-        vanished = "posterior mass vanishes on the parameter space [-0.1, 0.1]"
-        # rope, hypothesis_ratio and expected_loss
-        assert got[2:5] == [(NumericalError, vanished)] * 3
+        vanished = (NumericalError, "posterior mass vanishes on the parameter space [-0.1, 0.1]")
+        # rope and expected_loss truncate to the space; hypothesis_ratio
+        # takes the untruncated masses of H0 and H1, which both underflow
+        assert got[2:5] == [vanished, DEGENERATE, vanished]
+
+    def test_far_out_posterior_takes_the_odds_of_its_masses(self):
+        """N(0.194, 0.00245) on [-0.1, 0.1], about 38 sd beyond it: the
+        space's mass is subnormal, so rope, which truncates to the space,
+        raises, while the hypothesis-ratio rule and the Bayes factor take the
+        odds of the untruncated masses of H0 and H1, of which only H1's is
+        not 0."""
+        scenario = _bench_normal()
+        space, prior = scenario.loss.space, scenario.prior
+        # n = 6648 and the prior N(0, 0.05) give the posterior sd 0.00245,
+        # and this ybar its mean 0.194
+        model = inference.NormalKnownVarModel(6648, 0.194 * 166600 / 166200, 0.2, *prior)
+        posterior = sim._shared_posterior(model, space)
+        assert posterior().params == pytest.approx((0.194, 0.00245), rel=1e-4)
+        pair = sim.derive_hypotheses(sim.partition(scenario.loss))
+
+        def run(name):
+            bound = sim.bind_procedure(ProcedureSpec(name, {}), "normal", scenario.loss, pair, prior)
+            verdict, report, _ = bound.kernel(model, posterior)
+            return verdict, report()
+
+        verdict, outcome = run("hypothesis_ratio")
+        assert (verdict, outcome.decision, outcome.posterior_h1) == ("a1", "a1", 1.0)
+        ratio = decisions.LossRatio.scalar(1.0)
+        assert decisions.bayes_two_action_decision(posterior(), pair, ratio) == outcome
+        assert run("bayes_factor")[0] == "favors_h1"
+        with pytest.raises(NumericalError, match="posterior mass vanishes"):
+            run("rope")
 
 
 # --- the certified sweep against direct evaluation ------------------------
@@ -953,15 +986,16 @@ class TestCertifiedBlocks:
         assert set(got[0][0]) == {"a0", "a1"}
 
     def test_vanishing_posterior_errors_as_direct(self):
-        # ybar = 0.194 at n = 22000 puts the posterior about 38 sd beyond
+        # ybar = 0.194 at n = 22000 puts the posterior about 70 sd beyond
         # the space [-0.1, 0.1], where its mass vanishes; the procedures
-        # that truncate to the space raise there
+        # that truncate to the space raise there, and hypothesis_ratio,
+        # whose untruncated masses of H0 and H1 both underflow
         scenario = _bench_normal()
         statistics = [0.01, 0.194, -0.003, 0.16, 0.09, 0.3, 0.05, 0.1948, 0.0]
         got = _block_counts(scenario, 22000, statistics)
         assert got == oracles.brute_force_counts(scenario, 22000, statistics)
         vanished = (NumericalError, "posterior mass vanishes on the parameter space [-0.1, 0.1]")
-        assert [first for _, first in got[2:5]] == [vanished] * 3
+        assert [first for _, first in got[2:5]] == [vanished, DEGENERATE, vanished]
 
     def test_first_failing_replicate_in_replicate_order(self, monkeypatch):
         # a posterior build that fails with the draw in its message: the
