@@ -10,6 +10,10 @@ Every artifact format is decided here: CSV cells follow one rule
 (``_cell``), and a JSON document carries its result records' fields as they
 are. Identical configuration plus seed produces byte-identical CSV and JSON
 artifacts; SVG output is identical up to its version comment line.
+
+A command imports the modules it runs when it runs: ``simulate`` (and with
+it the comparators and decision rules) for decide, compare and simulate,
+``plotting`` for plot. So partition and check-hypotheses load neither.
 """
 
 from __future__ import annotations
@@ -29,9 +33,7 @@ from .config import ConfigDocument, load_config
 from .errors import ConfigError, DomainError, RelkitError, ValidationError
 from .hypotheses import check_complete, check_partial, derive_hypotheses
 from .inference import family_of, posterior_summary
-from .plotting import render_loss_plot
 from .regions import partition
-from .simulate import _shared_posterior, bind_procedure, run_operating_characteristics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -217,6 +219,8 @@ def _bind_and_run(cfg: ConfigDocument, specs) -> tuple:
     """The model's posterior, shared and built on first use, and each
     procedure's report on it. Every procedure is bound, and its settings
     checked (a Bayes factor's prior masses too), before any runs."""
+    from .simulate import _shared_posterior, bind_procedure
+
     pair = cfg.hypotheses or derive_hypotheses(partition(cfg.loss))
     prior = tuple(vars(cfg.model).values())[-2:]  # the model's last two fields
     family = family_of(cfg.model)
@@ -285,6 +289,8 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
         raise ConfigError("--seed must be non-negative")
     if cfg.scenario is None:
         raise ConfigError("simulate needs a 'scenario' section")
+    from .simulate import run_operating_characteristics
+
     scenario = cfg.scenario
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
@@ -329,6 +335,8 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
 
 
 def _cmd_plot(args, cfg: ConfigDocument) -> int:
+    from .plotting import render_loss_plot
+
     _deliver(args, render_loss_plot(cfg.loss, partition(cfg.loss), cfg.actions))
     return EXIT_OK
 

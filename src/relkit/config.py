@@ -5,17 +5,25 @@ needs on paper: name the two actions, bound the parameter space, describe
 the loss information, and only then attach data, hypotheses, decision
 settings, comparators, or a simulation scenario. Unknown keys anywhere are
 hard errors so that a typo cannot silently change an analysis.
+
+The procedures' settings and families (``PROCEDURE_SETTINGS``), a
+procedure as listed (``ProcedureSpec``) and a sweep (``Scenario``) are
+defined here, so that reading a config loads no sweep code; ``simulate``
+joins each procedure to its bind step.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import values
 from .errors import ConfigError, ValidationError
-from .hypotheses import HypothesisPair
+from .hypotheses import HypothesisPair, LossRatio
 from .inference import FAMILIES, BinomialModel, NormalKnownVarModel
 from .loss import (
     ActionPair,
@@ -25,13 +33,167 @@ from .loss import (
     QuadraticParams,
 )
 from .regions import region_within
-from .simulate import PROCEDURES, ProcedureSpec, Scenario, parse_settings
 
 SPEC_VERSION = 1
 
 _RULE = values.one_of("hypothesis_ratio", "expected_loss")
 # the parser of a model.data value, by the type a family row gives it
 _DATA_VALUE = {int: values.count, float: values.number}
+
+
+_BOTH = tuple(FAMILIES)
+
+# each procedure's settings, (default, parser) by key, and its model families:
+# what a config is checked against; simulate.PROCEDURES joins each entry to
+# its bind step
+PROCEDURE_SETTINGS: dict[str, tuple[dict[str, tuple[object, Callable]], tuple[str, ...]]] = {
+    "nhst": ({"alpha": (0.05, values.probability)}, _BOTH),
+    "tost": (
+        {
+            "alpha": (0.05, values.probability),
+            "bounds": ("partition_hull", values.bounds),
+        },
+        ("normal",),
+    ),
+    "rope": (
+        {"mass": (0.95, values.probability), "rope": ("partition_hull", values.bounds)},
+        _BOTH,
+    ),
+    "hypothesis_ratio": (
+        {
+            "loss_ratio": (LossRatio.scalar(1.0), values.loss_ratio),
+            "allow_restricted_space": (False, values.flag),
+        },
+        _BOTH,
+    ),
+    "expected_loss": ({}, _BOTH),
+    "bayes_factor": ({"threshold": (1.0, values.threshold)}, _BOTH),
+}
+
+
+@dataclass(frozen=True)
+class ProcedureSpec:
+    """One procedure with its settings, as a config lists it under
+    ``comparators`` or ``scenario.procedures``. ``PROCEDURE_SETTINGS`` (and
+    the procedure table in the README) names the settings and their defaults;
+    they are checked at config load and again when the procedure is bound."""
+
+    name: str
+    settings: dict
+
+    def __post_init__(self) -> None:
+        values.check("name", values.string, self.name)
+        if self.name not in PROCEDURE_SETTINGS:
+            raise ValidationError(
+                f"unknown procedure {self.name!r}; expected one of {tuple(PROCEDURE_SETTINGS)}"
+            )
+        if not isinstance(self.settings, dict):
+            raise ValidationError(f"{self.name} settings must be a dict, got {self.settings!r}")
+
+
+def _check_effect(space: ParameterSpace, effect: float) -> None:
+    if not space.contains(effect):
+        raise ValidationError(
+            f"true effect {effect} outside the parameter space [{space.lo}, {space.hi}]"
+        )
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Fully specified sweep over true effects and sample sizes.
+
+    ``prior`` is (alpha, beta) for the binomial family and (mean, sd) for
+    the normal family; None gives the models' default, Beta(1, 1) or
+    Normal(0, 1). ``sigma`` is the known sampling sd of the normal
+    family and must be None otherwise.
+    """
+
+    name: str
+    family: str
+    loss: LossSpec
+    true_effects: tuple[float, ...]
+    sample_sizes: tuple[int, ...]
+    replicates: int
+    seed: int
+    procedures: tuple[ProcedureSpec, ...]
+    prior: tuple[float, float] | None = None
+    sigma: float | None = None
+
+    def __post_init__(self) -> None:
+        row = FAMILIES.get(self.family)
+        if row is None:
+            raise ValidationError(f"unknown model family {self.family!r}")
+        # every family's known values are fields; only this family's are set
+        for key in dict.fromkeys(key for other in FAMILIES.values() for key in other.known):
+            value = getattr(self, key)
+            if key not in row.known:
+                if value is not None:
+                    raise ValidationError(
+                        f"the {self.family} family has no {key}; got {key}={value!r}"
+                    )
+            elif value is None or not 0.0 < value < math.inf:
+                raise ValidationError(f"the {self.family} family needs a positive finite {key}")
+        prior = self.prior
+        if prior is not None and not (
+            len(prior) == 2 and all(map(math.isfinite, prior)) and row.proper(*prior)
+        ):
+            raise ValidationError(f"improper or non-finite {self.family} prior {prior}")
+        # counts as the config takes them: numpy draws take them as C longs
+        values.check("replicates", values.count, self.replicates)
+        values.check("sample_sizes", values.counts, self.sample_sizes)
+        values.check("seed", values.seed, self.seed)
+        if self.replicates < 1:
+            raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
+        if not self.true_effects:
+            raise ValidationError("true_effects must be non-empty")
+        if not self.sample_sizes:
+            raise ValidationError("sample_sizes must be non-empty")
+        if any(n < 1 for n in self.sample_sizes):
+            raise ValidationError("sample_sizes must be positive")
+        if not self.procedures:
+            raise ValidationError("procedures must be a non-empty list")
+        for i, proc in enumerate(self.procedures):
+            if not isinstance(proc, ProcedureSpec):
+                raise ValidationError(f"procedures[{i}] must be a ProcedureSpec, got {proc!r}")
+        # the rate table names each procedure's cells by its name alone, and
+        # each cell by its effect and n; 0.0 == -0.0, and both zeros draw
+        # the same stream
+        for key, items in (
+            ("procedure(s)", [proc.name for proc in self.procedures]),
+            ("true effect(s)", self.true_effects),
+            ("sample size(s)", self.sample_sizes),
+        ):
+            duplicates = sorted(item for item, count in Counter(items).items() if count > 1)
+            if duplicates:
+                raise ValidationError(
+                    f"{key} {duplicates} listed more than once; each may appear once"
+                )
+        for effect in self.true_effects:
+            _check_effect(self.loss.space, effect)
+        row.check_support(self.loss.space.lo, self.loss.space.hi)
+
+
+def parse_settings(proc: ProcedureSpec, family: str | None, section: str | None = None) -> dict:
+    """Check a procedure's settings against its table row and return them
+    all, defaults filled in. With no family, the family checks are skipped.
+    An error names the config ``section`` whose keys are the settings, as
+    decide's ``decision`` is, when one is given."""
+    settings, families = PROCEDURE_SETTINGS[proc.name]
+    unknown = sorted(set(proc.settings) - set(settings))
+    if unknown:
+        where = f"procedure {proc.name!r}" + (f" in {section}" if section else "")
+        raise ValidationError(f"unknown setting(s) {unknown} for {where}")
+    if family is not None and family not in families:
+        raise ValidationError(f"{proc.name} supports the {families} family only")
+    parsed = {key: default for key, (default, _) in settings.items()}
+    for key, value in proc.settings.items():
+        _, parse = settings[key]
+        try:
+            parsed[key] = parse(value)
+        except ValidationError as exc:
+            where = f"{section}.{key}" if section else f"{proc.name} setting {key!r}"
+            raise ValidationError(f"{where}: {exc}") from None
+    return parsed
 
 
 def _finish(leftover: dict, context: str) -> None:
@@ -174,9 +336,9 @@ def _parse_procedures(
             raise ConfigError(f"{context}[{i}] must be an object")
         item = dict(item)
         name = _take(item, "procedure", f"{context}[{i}]", values.string)
-        if name not in PROCEDURES:
+        if name not in PROCEDURE_SETTINGS:
             raise ConfigError(
-                f"unknown {word} {name!r}; expected one of {sorted(PROCEDURES)}"
+                f"unknown {word} {name!r}; expected one of {sorted(PROCEDURE_SETTINGS)}"
             )
         spec = ProcedureSpec(name=name, settings=item)
         try:

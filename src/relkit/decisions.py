@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import NumericalError, ValidationError
-from .hypotheses import HypothesisPair
+from .hypotheses import HypothesisPair, LossRatio
 from .inference import (
     PosteriorModel,
     _scaled_moments,
@@ -43,31 +43,6 @@ from .regions import partition, region_measure
 
 EXPECTED_LOSS_TIE_TOL = 1e-10
 _COVERAGE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LossRatio:
-    """Ratio of type-I to type-II loss; scalar when lo == hi, else an
-    interval of plausible ratios."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValidationError("loss ratio must be finite")
-        if not 0.0 < self.lo <= self.hi:
-            raise ValidationError(
-                f"loss ratio needs 0 < lo <= hi, got [{self.lo}, {self.hi}]"
-            )
-
-    @classmethod
-    def scalar(cls, value: float) -> "LossRatio":
-        return cls(value, value)
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.lo == self.hi
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,16 @@ endpoint, each crossing and each crossing +/- ROOT_TOL), so checking the cut
 points and the midpoints between them is exact. Points within ROOT_TOL of a
 loss-curve crossing are skipped, in ``_check_points`` alone: a hypothesis
 endpoint that close to a crossing counts as matching it.
+
+``LossRatio`` weighs the errors on the two hypotheses, type I (a1 under H0)
+against type II (a0 under H1), for the hypothesis-ratio rule of
+``decisions``; it lives here so that reading a config loads no decision
+code.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -53,6 +59,31 @@ class HypothesisPair:
             object.__setattr__(self, "_union", region_union(self.h0, self.h1))
         except ValidationError as exc:
             raise ValidationError(f"hypothesis regions overlap: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class LossRatio:
+    """Ratio of type-I to type-II loss; scalar when lo == hi, else an
+    interval of plausible ratios."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValidationError("loss ratio must be finite")
+        if not 0.0 < self.lo <= self.hi:
+            raise ValidationError(
+                f"loss ratio needs 0 < lo <= hi, got [{self.lo}, {self.hi}]"
+            )
+
+    @classmethod
+    def scalar(cls, value: float) -> "LossRatio":
+        return cls(value, value)
+
+    @property
+    def is_scalar(self) -> bool:
+        return self.lo == self.hi
 
 
 class CheckResult(NamedTuple):

@@ -59,9 +59,15 @@ from .comparators import (
     _tost_result,
     _tost_tails,
 )
+from .config import (
+    PROCEDURE_SETTINGS,
+    ProcedureSpec,
+    Scenario,
+    _check_effect,
+    parse_settings,
+)
 from .decisions import (
     DecisionOutcome,
-    LossRatio,
     _expected_loss_outcome,
     _expected_loss_verdict,
     _expected_losses,
@@ -99,101 +105,6 @@ Coords = Callable[[], tuple[float, ...]]
 Kernel = Callable[[Model, Posterior], tuple[str, Report, Coords]]
 # a procedure's certificate: a draw's coordinates -> its verdict
 Certificate = Callable[[tuple[float, ...]], str]
-
-
-@dataclass(frozen=True)
-class ProcedureSpec:
-    """One procedure with its settings, as a config lists it under
-    ``comparators`` or ``scenario.procedures``. ``PROCEDURES`` (and the
-    procedure table in the README) names the settings and their defaults;
-    they are checked at config load and again when the procedure is bound."""
-
-    name: str
-    settings: dict
-
-    def __post_init__(self) -> None:
-        if self.name not in PROCEDURES:
-            raise ValidationError(
-                f"unknown procedure {self.name!r}; expected one of {tuple(PROCEDURES)}"
-            )
-        if not isinstance(self.settings, dict):
-            raise ValidationError(f"{self.name} settings must be a dict, got {self.settings!r}")
-
-
-def _check_effect(space: ParameterSpace, effect: float) -> None:
-    if not space.contains(effect):
-        raise ValidationError(
-            f"true effect {effect} outside the parameter space [{space.lo}, {space.hi}]"
-        )
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Fully specified sweep over true effects and sample sizes.
-
-    ``prior`` is (alpha, beta) for the binomial family and (mean, sd) for
-    the normal family; None gives the models' default, Beta(1, 1) or
-    Normal(0, 1). ``sigma`` is the known sampling sd of the normal
-    family and must be None otherwise.
-    """
-
-    name: str
-    family: str
-    loss: LossSpec
-    true_effects: tuple[float, ...]
-    sample_sizes: tuple[int, ...]
-    replicates: int
-    seed: int
-    procedures: tuple[ProcedureSpec, ...]
-    prior: tuple[float, float] | None = None
-    sigma: float | None = None
-
-    def __post_init__(self) -> None:
-        row = FAMILIES.get(self.family)
-        if row is None:
-            raise ValidationError(f"unknown model family {self.family!r}")
-        # every family's known values are fields; only this family's are set
-        for key in dict.fromkeys(key for other in FAMILIES.values() for key in other.known):
-            value = getattr(self, key)
-            if key not in row.known:
-                if value is not None:
-                    raise ValidationError(
-                        f"the {self.family} family has no {key}; got {key}={value!r}"
-                    )
-            elif value is None or not 0.0 < value < math.inf:
-                raise ValidationError(f"the {self.family} family needs a positive finite {key}")
-        prior = self.prior
-        if prior is not None and not (
-            len(prior) == 2 and all(map(math.isfinite, prior)) and row.proper(*prior)
-        ):
-            raise ValidationError(f"improper or non-finite {self.family} prior {prior}")
-        # counts as the config takes them: numpy draws take them as C longs
-        values.check("replicates", values.count, self.replicates)
-        values.check("sample_sizes", values.counts, self.sample_sizes)
-        if self.replicates < 1:
-            raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
-        if not self.true_effects:
-            raise ValidationError("true_effects must be non-empty")
-        if not self.sample_sizes:
-            raise ValidationError("sample_sizes must be non-empty")
-        if any(n < 1 for n in self.sample_sizes):
-            raise ValidationError("sample_sizes must be positive")
-        # the rate table names each procedure's cells by its name alone, and
-        # each cell by its effect and n; 0.0 == -0.0, and both zeros draw
-        # the same stream
-        for key, items in (
-            ("procedure(s)", [proc.name for proc in self.procedures]),
-            ("true effect(s)", self.true_effects),
-            ("sample size(s)", self.sample_sizes),
-        ):
-            duplicates = sorted(item for item, count in Counter(items).items() if count > 1)
-            if duplicates:
-                raise ValidationError(
-                    f"{key} {duplicates} listed more than once; each may appear once"
-                )
-        for effect in self.true_effects:
-            _check_effect(self.loss.space, effect)
-        row.check_support(self.loss.space.lo, self.loss.space.hi)
 
 
 Dataset = BinomialDraw | NormalDraw
@@ -675,68 +586,31 @@ def _bind_bayes_factor(
 
 
 class Procedure(NamedTuple):
-    """One row of the procedure table: each setting's default and parser,
-    the model families, and the bind step (settings, family row, loss,
-    hypothesis pair, the model's prior) -> Bound, which raises on a setting
-    it refuses."""
+    """One row of the procedure table: each setting's default and parser
+    and the model families, as ``config.PROCEDURE_SETTINGS`` gives them,
+    and the bind step (settings, family row, loss, hypothesis pair, the
+    model's prior) -> Bound, which raises on a setting it refuses."""
 
     settings: dict[str, tuple[object, Callable]]
     families: tuple[str, ...]
     bind: Callable[[dict, Family, LossSpec, HypothesisPair, tuple], Bound]
 
 
-_BOTH = tuple(FAMILIES)
-
+# each procedure's bind step, joined below to its settings and families from
+# config.PROCEDURE_SETTINGS; a procedure there without one fails the import
+_BIND = {
+    "nhst": _bind_nhst,
+    "tost": _bind_tost,
+    "rope": _bind_rope,
+    "hypothesis_ratio": _bind_hypothesis_ratio,
+    "expected_loss": _bind_expected_loss,
+    "bayes_factor": _bind_bayes_factor,
+}
 # every procedure carries a certificate; nhst and tost take no posterior
 PROCEDURES: dict[str, Procedure] = {
-    "nhst": Procedure({"alpha": (0.05, values.probability)}, _BOTH, _bind_nhst),
-    "tost": Procedure(
-        {
-            "alpha": (0.05, values.probability),
-            "bounds": ("partition_hull", values.bounds),
-        },
-        ("normal",),
-        _bind_tost,
-    ),
-    "rope": Procedure(
-        {"mass": (0.95, values.probability), "rope": ("partition_hull", values.bounds)},
-        _BOTH,
-        _bind_rope,
-    ),
-    "hypothesis_ratio": Procedure(
-        {
-            "loss_ratio": (LossRatio.scalar(1.0), values.loss_ratio),
-            "allow_restricted_space": (False, values.flag),
-        },
-        _BOTH,
-        _bind_hypothesis_ratio,
-    ),
-    "expected_loss": Procedure({}, _BOTH, _bind_expected_loss),
-    "bayes_factor": Procedure({"threshold": (1.0, values.threshold)}, _BOTH, _bind_bayes_factor),
+    name: Procedure(settings, families, _BIND[name])
+    for name, (settings, families) in PROCEDURE_SETTINGS.items()
 }
-
-
-def parse_settings(proc: ProcedureSpec, family: str | None, section: str | None = None) -> dict:
-    """Check a procedure's settings against its table row and return them
-    all, defaults filled in. With no family, the family checks are skipped.
-    An error names the config ``section`` whose keys are the settings, as
-    decide's ``decision`` is, when one is given."""
-    row = PROCEDURES[proc.name]
-    unknown = sorted(set(proc.settings) - set(row.settings))
-    if unknown:
-        where = f"procedure {proc.name!r}" + (f" in {section}" if section else "")
-        raise ValidationError(f"unknown setting(s) {unknown} for {where}")
-    if family is not None and family not in row.families:
-        raise ValidationError(f"{proc.name} supports the {row.families} family only")
-    parsed = {key: default for key, (default, _) in row.settings.items()}
-    for key, value in proc.settings.items():
-        _, parse = row.settings[key]
-        try:
-            parsed[key] = parse(value)
-        except ValidationError as exc:
-            where = f"{section}.{key}" if section else f"{proc.name} setting {key!r}"
-            raise ValidationError(f"{where}: {exc}") from None
-    return parsed
 
 
 def bind_procedure(

@@ -15,8 +15,8 @@ import functools
 import sys
 from typing import Callable
 
-from .decisions import LossRatio
 from .errors import ValidationError
+from .hypotheses import LossRatio
 from .inference import FAMILIES, Family, _is_count
 from .regions import Interval, RegionSet
 

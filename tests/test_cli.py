@@ -1517,26 +1517,49 @@ def test_module_entry_point_runs():
     assert "relkit" in result.stdout
 
 
-def test_partition_does_not_import_numpy():
-    # only simulate draws data; the other commands start without numpy
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    runs = [
-        (command, str(CONFIG_DIR / SHIPPED_FOR[command]))
-        for command in ("partition", "check-hypotheses", "decide", "compare", "plot")
-    ]
-    script = (
-        "import sys\n"
-        "from relkit.cli import main\n"
-        f"for command, path in {runs!r}:\n"
-        "    assert main([command, '--config', path]) == 0, command\n"
-        "    assert 'numpy' not in sys.modules, (command, 'numpy imported')\n"
-    )
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "relkit"
+# what reading a config needs; every other relkit module is loaded by the
+# command that runs it, and numpy only by simulate, which draws data
+PARSING = {
+    "relkit",
+    *(f"relkit.{name}" for name in ("_version", "config", "errors", "hypotheses")),
+    *(f"relkit.{name}" for name in ("inference", "loss", "regions", "values")),
+}
+UNPARSING = {f"relkit.{path.stem}" for path in PACKAGE.glob("*.py")} - PARSING - {"relkit.__init__"}
+NO_SWEEP = {"relkit.simulate", "relkit.comparators", "numpy"}
+STARTUP = [
+    ("load_config", "coin_scenario.json", UNPARSING | {"numpy"}),
+    ("load_config", "coin_compare.json", UNPARSING | {"numpy"}),
+    ("partition", "coin_partition.json", NO_SWEEP | {"relkit.plotting"}),
+    ("check-hypotheses", "coin_check_hypotheses.json", NO_SWEEP | {"relkit.plotting"}),
+    ("plot", "coin_partition.json", NO_SWEEP),
+    ("decide", "coin_decide.json", {"numpy"}),
+    ("compare", "coin_compare.json", {"numpy"}),
+]
+
+
+@pytest.mark.parametrize(
+    "run, config, unloaded", STARTUP, ids=[f"{run}-{config}" for run, config, _ in STARTUP]
+)
+def test_a_fresh_interpreter_loads_only_what_it_runs(run, config, unloaded, tmp_path):
+    """``import relkit; relkit.load_config(path)``, or one command through
+    ``relkit.cli.main``, in a fresh interpreter loads none of ``unloaded``."""
+    path, listing = str(CONFIG_DIR / config), tmp_path / "modules.json"
+    if run == "load_config":
+        code = f"import relkit; relkit.load_config({path!r})"
+    else:
+        argv = [run, "--config", path, "--output", str(tmp_path / "out")]
+        code = f"from relkit.cli import main; assert main({argv!r}) == 0"
+    dump = f"open({str(listing)!r}, 'w').write(json.dumps(sorted(sys.modules)))"
+    script = f"{code}\nimport json, sys\n{dump}"
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(listing.read_text()))
+    assert not loaded & unloaded
+    if run == "load_config":
+        assert {name for name in loaded if name.split(".")[0] == "relkit"} == PARSING
 
 
 @pytest.mark.parametrize("key", ["a0_description", "a1_description"])

@@ -6,13 +6,17 @@ its bound name appears as a name anywhere in the module, annotations
 included. ``__init__.py`` is left out, since it imports names to export them.
 The test-only tools stay out of the package, and ``tests/oracles.py`` takes
 no relkit code that the deletions on the roadmap remove, so that no oracle
-goes with them.
+goes with them. The package's own names, which it imports on first use,
+resolve to what their modules define.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import relkit
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "relkit"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -128,3 +132,21 @@ def test_the_oracles_take_no_code_the_roadmap_deletes():
     oracles must hold their own copy."""
     allowed = _private(_imports(ast.parse(MAKE_REFERENCE.read_text(encoding="utf-8"))))
     assert _oracle_leaks(ORACLES.read_text(encoding="utf-8"), allowed) == []
+
+
+def test_each_public_name_resolves_to_what_its_module_defines():
+    names = [name for name in relkit.__all__ if name != "__version__"]
+    bound = {}
+    exec("from relkit import *", bound)
+    for name in names:
+        obj = getattr(relkit, name)
+        module = importlib.import_module(f"relkit.{relkit._MODULE_OF[name]}")
+        assert obj is getattr(module, name) and obj.__module__ == module.__name__, name
+        assert bound[name] is obj, name
+    assert bound["__version__"] == relkit.__version__
+    assert set(relkit.__all__) <= set(dir(relkit))
+
+
+def test_an_unknown_public_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        relkit.no_such_name

@@ -17,12 +17,12 @@ import dataclasses
 import json
 import math
 import random
+import re
 import struct
 
 import numpy as np
 import pytest
 
-import relkit.cli as cli
 import relkit.simulate as sim
 from relkit.cli import main
 from relkit.comparators import (
@@ -39,7 +39,7 @@ from relkit.decisions import (
     expected_loss_decision,
 )
 from relkit.config import load_config
-from relkit.errors import NumericalError, RelkitError
+from relkit.errors import NumericalError, RelkitError, ValidationError
 from relkit.hypotheses import derive_hypotheses
 from relkit.inference import BinomialModel, NormalKnownVarModel, posterior_update
 from relkit.loss import CurveKnots, LossSpec, ParameterSpace, coin_demo_loss
@@ -395,7 +395,6 @@ def test_a_bound_kernel_takes_only_models_of_its_bound_prior(monkeypatch, tmp_pa
         return bound._replace(kernel=kernel)
 
     monkeypatch.setattr(sim, "bind_procedure", recording)
-    monkeypatch.setattr(cli, "bind_procedure", recording)
     commands = []
     for path in sorted(CONFIG_DIR.glob("*.json")):
         cfg = load_config(path)
@@ -583,12 +582,20 @@ def test_negative_zero_draws_the_zero_stream():
         assert sim.simulate_dataset(a, -0.0, 10, 600) == sim.simulate_dataset(b, 0.0, 10, 600)
 
 
-def test_negative_seed_is_refused_as_numpy_refuses_it():
-    with pytest.raises(ValueError) as want:
-        np.random.SeedSequence([-1, 0, 1, 0])
-    with pytest.raises(ValueError) as got:
-        sim._draw_block(_scenario("binomial", -1, 0.0, 1), 0.0, 1, 0, 1)
-    assert str(got.value) == str(want.value)
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed: must be a non-negative integer, got -1"),
+        (1.5, "seed: must be an integer, got 1.5"),
+        (True, "seed: must be an integer, got True"),
+    ],
+    ids=["negative", "float", "bool"],
+)
+def test_a_scenario_checks_its_seed_as_the_config_does(seed, message):
+    """-1 and 1.5 once reached numpy's SeedSequence, which refused them at
+    the first draw with its own error, and True drew seed 1's streams."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _scenario("binomial", seed, 0.0, 1)
 
 
 def test_dataset_of_one_replicate_matches_the_sweep_draw():

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import relkit.simulate as sim
 from relkit.cli import main
 from relkit.comparators import interval_bayes_factor
-from relkit.config import load_config
+from relkit.config import PROCEDURE_SETTINGS, load_config
 from relkit.decisions import (
     LossRatio,
     bayes_two_action_decision,
@@ -262,6 +262,18 @@ def test_procedure_spec_checked_when_bound():
         sim.run_operating_characteristics(
             dataclasses.replace(scenario, procedures=(bad,))
         )
+
+
+def test_each_procedure_of_the_config_table_has_a_bind_step():
+    """simulate.PROCEDURES joins each entry of the config's table, which
+    parsing reads without loading simulate, to its bind step: both tables
+    name the same procedures, and each row holds the config's settings and
+    families."""
+    assert set(sim._BIND) == set(PROCEDURE_SETTINGS)
+    assert list(PROCEDURES) == list(PROCEDURE_SETTINGS)
+    for name, row in PROCEDURES.items():
+        assert (row.settings, row.families) == PROCEDURE_SETTINGS[name]
+        assert row.bind is sim._BIND[name]
 
 
 # --- every settings dict exits 0, 2 or 3 ------------------------------------

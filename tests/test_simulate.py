@@ -136,6 +136,23 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError, match="^nhst settings must be a dict, got None$"):
             ProcedureSpec("nhst", None)
 
+    def test_name_must_be_a_string(self):
+        # a list once raised TypeError: unhashable type: 'list'
+        with pytest.raises(ValidationError, match=r"^name: must be a string, got \['nhst'\]$"):
+            ProcedureSpec(["nhst"], {})
+
+    def test_procedures_must_be_non_empty(self):
+        # once accepted, and swept into a rate table with no cells; the
+        # config refuses an empty list
+        with pytest.raises(ValidationError, match="^procedures must be a non-empty list$"):
+            shipped_scenario("coin_scenario", procedures=())
+
+    def test_each_procedure_must_be_a_procedure_spec(self):
+        # a bare name once raised AttributeError: 'str' object has no attribute 'name'
+        message = "^procedures\\[0\\] must be a ProcedureSpec, got 'nhst'$"
+        with pytest.raises(ValidationError, match=message):
+            shipped_scenario("coin_scenario", procedures=("nhst",))
+
     def test_unknown_setting(self):
         scenario = tiny_coin(procedures=(ProcedureSpec("nhst", {"alpa": 0.05}),))
         with pytest.raises(ValidationError, match="unknown setting"):
