@@ -8,8 +8,8 @@ hard errors so that a typo cannot silently change an analysis.
 
 The procedures' settings and families (``PROCEDURE_SETTINGS``), a
 procedure as listed (``ProcedureSpec``) and a sweep (``Scenario``) are
-defined here, so that reading a config loads no sweep code; ``simulate``
-joins each procedure to its bind step.
+defined here, so that reading a config loads no sweep code;
+``simulate.PROCEDURES`` holds each procedure's bind step.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ _DATA_VALUE = {int: values.count, float: values.number}
 _BOTH = tuple(FAMILIES)
 
 # each procedure's settings, (default, parser) by key, and its model families:
-# what a config is checked against; simulate.PROCEDURES joins each entry to
-# its bind step
+# what a config is checked against; simulate.PROCEDURES holds their bind steps
 PROCEDURE_SETTINGS: dict[str, tuple[dict[str, tuple[object, Callable]], tuple[str, ...]]] = {
     "nhst": ({"alpha": (0.05, values.probability)}, _BOTH),
     "tost": (

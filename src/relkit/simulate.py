@@ -59,13 +59,7 @@ from .comparators import (
     _tost_result,
     _tost_tails,
 )
-from .config import (
-    PROCEDURE_SETTINGS,
-    ProcedureSpec,
-    Scenario,
-    _check_effect,
-    parse_settings,
-)
+from .config import ProcedureSpec, Scenario, _check_effect, parse_settings
 from .decisions import (
     DecisionOutcome,
     _expected_loss_outcome,
@@ -585,31 +579,17 @@ def _bind_bayes_factor(
     return Bound(kernel, verdict, order, reaches_top=reaches_top)
 
 
-class Procedure(NamedTuple):
-    """One row of the procedure table: each setting's default and parser
-    and the model families, as ``config.PROCEDURE_SETTINGS`` gives them,
-    and the bind step (settings, family row, loss, hypothesis pair, the
-    model's prior) -> Bound, which raises on a setting it refuses."""
-
-    settings: dict[str, tuple[object, Callable]]
-    families: tuple[str, ...]
-    bind: Callable[[dict, Family, LossSpec, HypothesisPair, tuple], Bound]
-
-
-# each procedure's bind step, joined below to its settings and families from
-# config.PROCEDURE_SETTINGS; a procedure there without one fails the import
-_BIND = {
+# each procedure's bind step (settings, family row, loss, hypothesis pair,
+# the model's prior) -> Bound, which raises on a setting it refuses, by the
+# names of config.PROCEDURE_SETTINGS; every procedure carries a certificate,
+# and nhst and tost take no posterior
+PROCEDURES: dict[str, Callable[[dict, Family, LossSpec, HypothesisPair, tuple], Bound]] = {
     "nhst": _bind_nhst,
     "tost": _bind_tost,
     "rope": _bind_rope,
     "hypothesis_ratio": _bind_hypothesis_ratio,
     "expected_loss": _bind_expected_loss,
     "bayes_factor": _bind_bayes_factor,
-}
-# every procedure carries a certificate; nhst and tost take no posterior
-PROCEDURES: dict[str, Procedure] = {
-    name: Procedure(settings, families, _BIND[name])
-    for name, (settings, families) in PROCEDURE_SETTINGS.items()
 }
 
 
@@ -623,7 +603,7 @@ def bind_procedure(
     check refuses raises here, with the class and message of the
     procedure's public function."""
     settings = parse_settings(proc, family)
-    return PROCEDURES[proc.name].bind(settings, FAMILIES[family], loss, pair, prior)
+    return PROCEDURES[proc.name](settings, FAMILIES[family], loss, pair, prior)
 
 
 Outcome = str | RelkitError

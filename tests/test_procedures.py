@@ -31,7 +31,7 @@ from relkit.errors import ValidationError
 from relkit.hypotheses import derive_hypotheses
 from relkit.inference import BinomialModel, posterior_update
 from relkit.regions import partition
-from relkit.simulate import PROCEDURES, BinomialDraw, NormalDraw, ProcedureSpec
+from relkit.simulate import BinomialDraw, NormalDraw, ProcedureSpec
 
 import oracles
 
@@ -120,7 +120,7 @@ def test_compare_and_simulate_agree(tmp_path):
         assert printed == [fn(data) for fn in fns], (family, data)
         checked.update((family, p["procedure"], v) for p, v in zip(procs, printed))
     # the datasets reach more than one verdict of every procedure
-    for name in PROCEDURES:
+    for name in PROCEDURE_SETTINGS:
         for family in SCENARIOS:
             if family == "binomial" and name == "tost":
                 continue
@@ -265,15 +265,9 @@ def test_procedure_spec_checked_when_bound():
 
 
 def test_each_procedure_of_the_config_table_has_a_bind_step():
-    """simulate.PROCEDURES joins each entry of the config's table, which
-    parsing reads without loading simulate, to its bind step: both tables
-    name the same procedures, and each row holds the config's settings and
-    families."""
-    assert set(sim._BIND) == set(PROCEDURE_SETTINGS)
-    assert list(PROCEDURES) == list(PROCEDURE_SETTINGS)
-    for name, row in PROCEDURES.items():
-        assert (row.settings, row.families) == PROCEDURE_SETTINGS[name]
-        assert row.bind is sim._BIND[name]
+    """The config checks procedures against PROCEDURE_SETTINGS without
+    loading simulate; simulate.PROCEDURES binds the same names."""
+    assert list(sim.PROCEDURES) == list(PROCEDURE_SETTINGS)
 
 
 # --- every settings dict exits 0, 2 or 3 ------------------------------------
@@ -297,8 +291,8 @@ _value = st.one_of(
 
 @st.composite
 def _procedures(draw):
-    name = draw(st.sampled_from(sorted(PROCEDURES)))
-    keys = sorted(PROCEDURES[name].settings) + ["power"]
+    name = draw(st.sampled_from(sorted(PROCEDURE_SETTINGS)))
+    keys = sorted(PROCEDURE_SETTINGS[name][0]) + ["power"]
     settings = draw(st.dictionaries(st.sampled_from(keys), _value, max_size=3))
     return {"procedure": name, **settings}
 
