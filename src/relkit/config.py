@@ -137,6 +137,8 @@ class Scenario:
             len(prior) == 2 and all(map(math.isfinite, prior)) and row.proper(*prior)
         ):
             raise ValidationError(f"improper or non-finite {self.family} prior {prior}")
+        values.check("name", values.string, self.name)
+        values.check("true_effects", values.numbers, self.true_effects)
         # counts as the config takes them: numpy draws take them as C longs
         values.check("replicates", values.count, self.replicates)
         values.check("sample_sizes", values.counts, self.sample_sizes)

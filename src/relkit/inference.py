@@ -43,7 +43,6 @@ from .regions import RegionSet
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 _CF_MAX_ITER = 600
 _CF_EPS = 1e-15
@@ -257,33 +256,22 @@ def _beta_update(model: BinomialModel) -> tuple[float, float]:
 
 
 def _normal_update(model: NormalKnownVarModel) -> tuple[float, float]:
-    """The precision-weighted update. Where a square or a sum of the direct
-    formula leaves the normal float range, the posterior comes from the
-    log of the data-to-prior precision ratio instead; a posterior whose
-    mean or sd no float holds raises NumericalError."""
+    """The precision-weighted update; a posterior whose mean or sd no float
+    holds raises NumericalError."""
     n, ybar, sigma, prior_mean, prior_sd = (
         model.n, model.ybar, model.sigma, model.prior_mean, model.prior_sd
     )
-    try:
-        v0, v1 = prior_sd**2, sigma**2
-        if v0 >= _FLOAT_MIN and v1 >= _FLOAT_MIN:
-            precision = 1.0 / v0 + n / v1
-            mean = (prior_mean / v0 + n * ybar / v1) / precision
-            sd = precision**-0.5
-            if precision >= _FLOAT_MIN and math.isfinite(mean) and sd > 0.0:
-                return mean, sd
-    except ArithmeticError:
-        pass
-    # r = (n / sigma^2) / (1 / prior_sd^2); each weight and the sd are
-    # taken on the side where 1 + r or 1 + 1/r stays near its larger term
-    log_r = math.log(n) + 2.0 * (math.log(prior_sd) - math.log(sigma))
-    if log_r > 0.0:
-        inv = math.exp(-log_r)
-        w_data, w_prior = 1.0 / (1.0 + inv), inv / (1.0 + inv)
-        sd = sigma / math.sqrt(n) / math.sqrt(1.0 + inv)
+    # q is the prior's precision over the data's and r = 1/q, which is taken
+    # from t again since t * t may overflow; the weights and the sd come from
+    # whichever of the two is below 1, and the mean is a convex combination
+    t = sigma / prior_sd
+    q = t * t / n
+    if q < 1.0:
+        w_prior, w_data = q / (1.0 + q), 1.0 / (1.0 + q)
+        sd = sigma / math.sqrt(n * (1.0 + q))
     else:
-        r = math.exp(log_r)
-        w_data, w_prior = r / (1.0 + r), 1.0 / (1.0 + r)
+        r = n / t / t
+        w_prior, w_data = 1.0 / (1.0 + r), r / (1.0 + r)
         sd = prior_sd / math.sqrt(1.0 + r)
     mean = w_prior * prior_mean + w_data * ybar
     if not (math.isfinite(mean) and sd > 0.0):

@@ -38,7 +38,7 @@ BENCH_BINOMIAL_PROCEDURES = (
 )
 
 
-def shipped_scenario(name: str, **changes):
+def shipped_scenario(name: str, /, **changes):
     """The scenario of ``configs/<name>.json``, with the given fields
     replaced (a smaller grid, fewer replicates, other procedures)."""
     scenario = load_config(CONFIG_DIR / f"{name}.json").scenario

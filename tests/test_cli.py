@@ -804,9 +804,9 @@ def _extreme_normal_doc(key, value):
 
 
 class TestExtremeNormalScales:
-    """The normal update squares the prior sd and sigma; a config value whose
-    square overflows or underflows still gives a posterior, or a RelkitError
-    naming the values, never a bare ArithmeticError."""
+    """A prior sd or sigma whose square leaves the float range, which the
+    textbook form of the normal update would take, still gives a posterior,
+    or a RelkitError naming the values, never a bare ArithmeticError."""
 
     @pytest.mark.parametrize("key, value", EXTREME_NORMAL)
     def test_simulate_runs(self, key, value, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from scipy import special, stats
@@ -11,6 +12,7 @@ from relkit.inference import (
     BinomialModel,
     NormalKnownVarModel,
     PosteriorModel,
+    _normal_update,
     _normal_upper_z,
     credible_interval,
     normal_cdf,
@@ -128,6 +130,32 @@ class TestConjugateUpdates:
         for n in (2.5, True):
             with pytest.raises(ValidationError, match="integer"):
                 NormalKnownVarModel(n=n, ybar=0.0, sigma=1.0)
+
+    def test_normal_update_against_exact_arithmetic(self):
+        # oracle: the posterior of the float inputs, in exact rationals
+        rng = random.Random(40)
+        for i in range(2200):
+            n = min(2**62, int(2.0 ** rng.uniform(0.0, 62.0)))
+            sigma, prior_sd = 10.0 ** rng.uniform(-3.0, 1.0), 10.0 ** rng.uniform(-3.0, 1.0)
+            if i >= 2000:
+                extreme = 10.0 ** (rng.choice((-200.0, 200.0)) + rng.uniform(-1.0, 1.0))
+                sigma, prior_sd = (extreme, prior_sd) if i % 2 else (sigma, extreme)
+            # ybar from the prior predictive, so that the posterior mean is no
+            # cancellation of terms far larger than it and its sd
+            prior_mean = rng.uniform(-1.0, 1.0)
+            ybar = prior_mean + rng.gauss(0.0, 1.0) * math.hypot(prior_sd, sigma / math.sqrt(n))
+            model = NormalKnownVarModel(n, ybar, sigma, prior_mean, prior_sd)
+            mean, sd = _normal_update(model)
+
+            v0, v1 = Fraction(prior_sd) ** 2, Fraction(sigma) ** 2
+            precision = 1 / v0 + n / v1
+            exact_mean = (Fraction(prior_mean) / v0 + n * Fraction(ybar) / v1) / precision
+            scale = abs(float(exact_mean)) + math.sqrt(1 / precision)
+            assert abs(Fraction(mean) - exact_mean) <= 2e-15 * scale, model
+            assert abs(Fraction(sd) ** 2 * precision - 1) <= 8e-16, model
+
+            mirrored = NormalKnownVarModel(n, -ybar, sigma, -prior_mean, prior_sd)
+            assert _normal_update(mirrored) == (-mean, sd), model
 
 
 class TestRegionProbability:

@@ -128,6 +128,23 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             shipped_scenario("coin_scenario", **changes)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"true_effects": ("0.1",)}, "true_effects: item 0: must be a finite number, got '0.1'"),
+            ({"true_effects": (None,)}, "true_effects: item 0: must be a finite number, got None"),
+            ({"true_effects": (True,)}, "true_effects: item 0: must be a finite number, got True"),
+            ({"name": 5}, "name: must be a string, got 5"),
+        ],
+        ids=["effect-string", "effect-none", "effect-bool", "name-int"],
+    )
+    def test_name_and_effects_follow_the_config_rule(self, changes, message):
+        """The library refuses the name and effects the config refuses: a
+        string or None effect once raised a bare TypeError, True was refused
+        as an effect outside the space, and a numeric name was kept."""
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            shipped_scenario("coin_scenario", **changes)
+
     def test_unknown_procedure(self):
         with pytest.raises(ValidationError, match="unknown procedure"):
             ProcedureSpec("anova", {})

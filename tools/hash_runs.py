@@ -35,7 +35,7 @@ The workloads come from ``perfbench/workloads.py`` and the shipped
 configs from ``configs/``, both of the checkout this script lies in. Print
 the digests for two source trees and compare: equal digests mean equal
 bytes. The set takes 9–12 s on one core of a 2-core Xeon VM. With relkit
-0.1.0 it prints ``26f49dd3…`` over 900 simulate runs and ``3ade6b5e…``
+0.1.0 it prints ``26f49dd3…`` over 900 simulate runs and ``f236911d…``
 over 4718 other runs.
 """
 
