@@ -30,7 +30,7 @@ from typing import NamedTuple
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .loss import LossSpec, difference_fn
+from .loss import LossSpec
 from .regions import (
     RegionSet,
     RelevancePartition,
@@ -101,27 +101,26 @@ def _check_points(
 ) -> Iterator[tuple[float, bool]]:
     """Yield, in increasing order, the cut points and the midpoints between
     them that lie in ``subspace`` (the whole space when None) and farther
-    than ROOT_TOL from every crossing, each with whether it is relevant.
-    Lazy, so the first violation ends the scan."""
+    than ROOT_TOL from every crossing, each with whether the partition
+    counts it relevant. Lazy, so the first violation ends the scan."""
     space = spec.space
     if not (region_within(pair.h0, space) and region_within(pair.h1, space)):
         raise ValidationError("hypothesis regions must lie within the parameter space")
-    crossings = partition(spec).crossings
+    part = partition(spec)
     cuts = {space.lo, space.hi}
     for region in (pair.h0, pair.h1, subspace or RegionSet()):
         for itv in region.intervals:
             cuts.update((itv.lo, itv.hi))
-    for c in crossings:
+    for c in part.crossings:
         cuts.update((c - ROOT_TOL, c, c + ROOT_TOL))
     pts = sorted(t for t in cuts if space.lo <= t <= space.hi)
     mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
-    delta = difference_fn(spec)
     for t in sorted(pts + mids):
         if subspace is not None and not region_contains(subspace, t):
             continue
-        if any(abs(t - c) < ROOT_TOL for c in crossings):
+        if any(abs(t - c) < ROOT_TOL for c in part.crossings):
             continue
-        yield t, delta(t) < 0.0
+        yield t, region_contains(part.relevant, t)
 
 
 def check_complete(

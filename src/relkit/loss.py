@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import DomainError, ValidationError
 
@@ -273,12 +273,6 @@ def evaluate_loss(spec: LossSpec, theta: float, action: str) -> float:
 def loss_difference(spec: LossSpec, theta: float) -> float:
     """L(theta, a1) - L(theta, a0); negative means a1 is preferred."""
     return evaluate_loss(spec, theta, "a1") - evaluate_loss(spec, theta, "a0")
-
-
-def difference_fn(spec: LossSpec) -> Callable[[float], float]:
-    """Compiled theta -> L(theta, a1) - L(theta, a0), for hot loops."""
-    c0, c1 = spec._curves
-    return lambda t: _value(c1, t) - _value(c0, t)
 
 
 def breakpoints(spec: LossSpec) -> tuple[float, ...]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import math
 
 from .errors import ValidationError
-from .loss import LossSpec, ParameterSpace, Piece, _about, difference_fn, loss_difference
+from .loss import LossSpec, ParameterSpace, Piece, _about, _piece_at, loss_difference
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def _quadratic_roots(c0: float, c1: float, c2: float) -> tuple[float, ...]:
 
 def _difference(p0: Piece, p1: Piece, theta: float) -> float:
     """The loss difference at theta on the single pieces p0 and p1, as
-    ``difference_fn`` takes it where they hold theta."""
+    ``loss_difference`` takes it where they hold theta."""
     (o0, a0, b0, c0), (o1, a1, b1, c1) = p0, p1
     u0, u1 = theta - o0, theta - o1
     return (a1 + u1 * (b1 + u1 * c1)) - (a0 + u0 * (b0 + u0 * c0))
@@ -213,7 +213,7 @@ def _partition(spec: LossSpec) -> RelevancePartition:
     # the difference at each panel's start on the panel's pieces, and at
     # the space's end on the pieces that hold it, which may start there
     ends = [_difference(p0, p1, a) for a, _, (p0, p1) in panels]
-    ends.append(difference_fn(spec)(space.hi))
+    ends.append(_difference(*(_piece_at(curve, space.hi) for curve in spec._curves), space.hi))
     roots = {
         r
         for (a, b, (p0, p1)), da, db in zip(panels, ends, ends[1:])

@@ -299,12 +299,12 @@ def _unimodal(signs: Iterable, order: tuple[str, ...]) -> tuple[str, ...] | None
 # Where a verdict order's top verdict is the inner one, its odds are
 # quasi-concave in the posterior mean m: a weight whose signs read (-, +, -)
 # changes sign twice at most in m (see "certificates"), so each upper level
-# set of the odds is an interval. A Bayes factor's kernel takes the
-# untruncated posterior N(m, s), whose sd s does not depend on ybar at a
-# given n while m covers the line, so a search over m settles whether any
-# ybar takes the top verdict; where none does, the verdict below it is the
-# top of the order. The search runs once per map, when that would certify a
-# gap.
+# set of the odds is an interval. The odds rules' kernels, hypothesis_ratio
+# and bayes_factor, take the untruncated posterior N(m, s), whose sd s does
+# not depend on ybar at a given n while m covers the line, so a search over
+# m settles whether any ybar takes the top verdict; where none does, the
+# verdict below it is the top of the order. The search runs once per map,
+# when that would certify a gap.
 
 CUT_OFFSET = 1e-9
 # the top-verdict search: its steps at most, and the half-width of the
@@ -464,31 +464,76 @@ def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
     return Bound(kernel, certificate, ("accept_a1", "withhold", "accept_a0"))
 
 
-def _bind_hypothesis_ratio(
-    s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_
+def _bind_odds(
+    row: Family, ends: tuple, decide: Callable, of_odds: Callable, band: tuple, names: tuple
 ) -> Bound:
-    ratio = s["loss_ratio"]
-    ends = _hypothesis_ends(loss.space, pair, s["allow_restricted_space"])
+    """A rule on the posterior odds of H1, P(H1 | y) / P(H0 | y), from the
+    untruncated masses of the pair's regions, whose ends are ``ends``: the
+    kernel's decide(p0, p1) -> (verdict, report), and the certificate's
+    of_odds(odds) -> the verdict, names[0] above the odds band [lo, hi],
+    names[2] below it and names[1] within, up to ties at its edges."""
     changes, cells = _odds_cells(ends)
 
     def kernel(model: Model, posterior: Posterior):
         tails_at = posterior()._tails_at
-        p0, p1 = _region_masses(tails_at, ends)
-        decision = _two_action(p0, p1, ratio)
-        # bayes_factor's coordinates: the untruncated tail masses at fixed
-        # points, monotone in the statistic
-        return (
-            decision,
-            lambda: _outcome(decision, p0, p1, ratio.lo, ratio.hi),
-            lambda: tuple(tails_at(x)[tail] for x, tail in changes),
-        )
+        verdict, report = decide(*_region_masses(tails_at, ends))
+        # the untruncated tail masses at fixed points, monotone in the
+        # statistic since the posterior is stochastically increasing in it
+        return verdict, report, lambda: tuple(tails_at(x)[tail] for x, tail in changes)
 
-    def verdict(c: tuple) -> str:
-        # the odds rise with every coordinate: a0 < indeterminate < a1
+    def certificate(c: tuple) -> str:
+        # the odds rise with every coordinate: H0's verdict < neither's < H1's
         p0, p1 = _odds_masses(c, cells)
-        return decide_from_odds(p1 / p0 if p0 > 0.0 else math.inf, ratio)
+        return of_odds(p1 / p0 if p0 > 0.0 else math.inf)
 
-    return Bound(kernel, verdict, _unimodal([r for r, _ in cells], ("a1", "indeterminate", "a0")))
+    order = _unimodal([r for r, _ in cells], names)
+    # the search's bar: the odds toward the top verdict, P(H0 | y) / P(H1 |
+    # y) for names[2], at which it begins, the band's edge (none at odds 0).
+    # It takes the odds from each region's masses as the kernel takes them,
+    # from the middle of the top's region; an empty region is no verdict's
+    toward_h0 = order is not None and order[-1] == names[-1]
+    bar = (band[0] and 1.0 / band[0]) if toward_h0 else band[1]
+    if row.posterior != "normal" or order is None or not all(ends) or not 0.0 < bar < math.inf:
+        return Bound(kernel, certificate, order)
+    points = {x for region in ends for itv in region for x in itv}
+    inner = ends[0] if toward_h0 else ends[1]
+    middle = 0.5 * (inner[0][0] + inner[-1][1])
+
+    def reaches_top(model: Model) -> bool | None:
+        sd = row.update(model)[1]
+
+        def look(m: float) -> tuple:
+            tails = {x: row.tails((m, sd), x) for x in points}
+            # the normal density at each point, up to a constant factor: a
+            # region's mass changes with m by the sum over its intervals of
+            # the density at the lower end less that at the upper end, over sd
+            dens = {x: math.exp(-0.5 * ((x - m) / sd) * ((x - m) / sd)) for x in points}
+            post = _region_masses(tails.__getitem__, ends)
+            slopes = [sum(dens[lo] - dens[hi] for lo, hi in region) for region in ends]
+            (near, far), (d_near, d_far) = (
+                (post, slopes) if toward_h0 else (post[::-1], slopes[::-1])
+            )
+            odds = near / far if far > 0.0 else math.inf if near > 0.0 else 0.0
+            coords = tuple(tails[x][tail] for x, tail in changes)
+            # the sign of d/dm log(near / far)
+            return coords, odds / bar, d_near * far - near * d_far
+
+        return _top_reached(certificate, order[-1], look, middle, sd * TOP_SEARCH_SPAN)
+
+    return Bound(kernel, certificate, order, reaches_top=reaches_top)
+
+
+def _bind_hypothesis_ratio(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
+    ratio = s["loss_ratio"]
+    ends = _hypothesis_ends(loss.space, pair, s["allow_restricted_space"])
+
+    def decide(p0: float, p1: float):
+        decision = _two_action(p0, p1, ratio)
+        return decision, lambda: _outcome(decision, p0, p1, ratio.lo, ratio.hi)
+
+    of_odds = lambda odds: decide_from_odds(odds, ratio)
+    names = ("a1", "indeterminate", "a0")
+    return _bind_odds(row, ends, decide, of_odds, (ratio.lo, ratio.hi), names)
 
 
 def _bind_expected_loss(
@@ -517,66 +562,22 @@ def _bind_expected_loss(
 def _bind_bayes_factor(
     s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, prior: tuple
 ) -> Bound:
-    threshold, ends = s["threshold"], _pair_ends(pair)
+    threshold = s["threshold"]
     # the prior masses of H0 and H1 under the model's prior, which every
     # model the kernel takes holds
     masses = _prior_masses(row, prior, pair)
     prior_odds = masses[0] / masses[1]
-    changes, cells = _odds_cells(ends)
 
-    def kernel(model: Model, posterior: Posterior):
-        tails_at = posterior()._tails_at
-        out = _bayes_factor(_region_masses(tails_at, ends), masses, threshold)
-        # the untruncated tail masses at fixed points, monotone in the
-        # statistic since the posterior is stochastically increasing in it
-        return (
-            out[0],
-            lambda: _bayes_factor_result(*out),
-            lambda: tuple(tails_at(x)[tail] for x, tail in changes),
-        )
+    def decide(p0: float, p1: float):
+        out = _bayes_factor((p0, p1), masses, threshold)
+        return out[0], lambda: _bayes_factor_result(*out)
 
-    def verdict(c: tuple) -> str:
-        # BF10 rises with every coordinate: favors_h0 < inconclusive < favors_h1
-        p0, p1 = _odds_masses(c, cells)
-        return _bayes_factor_verdict(p1 / p0 * prior_odds if p0 > 0.0 else math.inf, threshold)
-
-    order = _unimodal([r for r, _ in cells], ("favors_h1", "inconclusive", "favors_h0"))
-    if row.posterior != "normal" or order is None:
-        return Bound(kernel, verdict, order)
-    # the posterior odds toward the top verdict, P(H0 | y) / P(H1 | y) for
-    # favors_h0, from each region's masses taken as the kernel takes them,
-    # over the odds at which the top verdict begins; the search starts at
-    # the middle of the top verdict's region
-    toward_h0 = order[-1] == "favors_h0"
-    bar = threshold * (prior_odds if toward_h0 else 1.0 / prior_odds)
-    if not 0.0 < bar < math.inf:
-        return Bound(kernel, verdict, order)
-    points = {x for region in ends for itv in region for x in itv}
-    inner = ends[0] if toward_h0 else ends[1]
-    middle = 0.5 * (inner[0][0] + inner[-1][1])
-
-    def reaches_top(model: Model) -> bool | None:
-        sd = row.update(model)[1]
-
-        def look(m: float) -> tuple:
-            tails = {x: row.tails((m, sd), x) for x in points}
-            # the normal density at each point, up to a constant factor: a
-            # region's mass changes with m by the sum over its intervals of
-            # the density at the lower end less that at the upper end, over sd
-            dens = {x: math.exp(-0.5 * ((x - m) / sd) * ((x - m) / sd)) for x in points}
-            post = _region_masses(tails.__getitem__, ends)
-            slopes = [sum(dens[lo] - dens[hi] for lo, hi in region) for region in ends]
-            (near, far), (d_near, d_far) = (
-                (post, slopes) if toward_h0 else (post[::-1], slopes[::-1])
-            )
-            odds = near / far if far > 0.0 else math.inf if near > 0.0 else 0.0
-            coords = tuple(tails[x][tail] for x, tail in changes)
-            # the sign of d/dm log(near / far)
-            return coords, odds / bar, d_near * far - near * d_far
-
-        return _top_reached(verdict, order[-1], look, middle, sd * TOP_SEARCH_SPAN)
-
-    return Bound(kernel, verdict, order, reaches_top=reaches_top)
+    # BF10 is the posterior odds over O, the prior odds of H1, so the rule
+    # is the odds rule at the loss ratio [O / t, t O]
+    o = 1.0 / prior_odds
+    of_odds = lambda odds: _bayes_factor_verdict(odds * prior_odds, threshold)
+    names = ("favors_h1", "inconclusive", "favors_h0")
+    return _bind_odds(row, _pair_ends(pair), decide, of_odds, (o / threshold, threshold * o), names)
 
 
 # each procedure's bind step (settings, family row, loss, hypothesis pair,

@@ -97,7 +97,7 @@ class TestTostEquivalence:
         result = tost_equivalence(model, (-0.106, 0.106), alpha=0.05)
         assert result.verdict == "equivalent"
         # both one-sided z statistics are 10.6 sds from their bound
-        assert result.p_value == pytest.approx(float(stats.norm.sf(10.6)), rel=1e-9)
+        assert result.p_value == pytest.approx(float(stats.norm.sf(10.6)), rel=1e-9, abs=0.0)
 
     def test_mean_exactly_at_bound(self):
         model = NormalKnownVarModel(n=25, ybar=0.106, sigma=1.0)

@@ -14,7 +14,7 @@ from relkit.hypotheses import (
     derive_hypotheses,
     restricted_space,
 )
-from relkit.loss import difference_fn
+from relkit.loss import loss_difference
 from relkit.regions import (
     Interval,
     RegionSet,
@@ -200,7 +200,7 @@ def _reference_points(pair, spec, subspace=None):
 
 def reference_complete(pair, spec, subspace=None):
     points, crossings = _reference_points(pair, spec, subspace)
-    delta = difference_fn(spec)
+    delta = lambda t: loss_difference(spec, t)
     for t in points:
         if subspace is not None and not region_contains(subspace, t):
             continue
@@ -216,7 +216,7 @@ def reference_complete(pair, spec, subspace=None):
 
 def reference_partial(pair, spec):
     points, crossings = _reference_points(pair, spec)
-    delta = difference_fn(spec)
+    delta = lambda t: loss_difference(spec, t)
     for t in points:
         if any(abs(t - c) < ROOT_TOL for c in crossings):
             continue

@@ -11,16 +11,20 @@ where float rounding of the root alone decides which side a point is on.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
+import random
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relkit.cli import main
+from relkit.config import load_config
 from relkit.comparators import interval_bayes_factor
 from relkit.decisions import (
     LossRatio,
@@ -56,6 +60,7 @@ from relkit.regions import (
     region_contains,
 )
 
+from conftest import CONFIG_DIR
 from test_hypotheses import _shrunk_pair, _swapped_pair
 
 SPACE = ParameterSpace(-0.5, 0.5)
@@ -379,6 +384,191 @@ def test_reflection_mirrors_every_cli_verdict(spec, cuts, models, ratio):
     verdicts = _verdicts(spec, pair, model, ratio)
     mirrored = _verdicts(_mirror(spec), _mirror_pair(pair), mirrored_model, ratio)
     assert mirrored == verdicts
+
+
+# --- printed numbers under reflection ------------------------------------------
+#
+# Both shipped losses are symmetric about 0, so a reflection theta -> -theta
+# mirrors the data and the prior alone: k -> n - k with the beta prior's
+# shapes swapped, or ybar and the prior mean negated. Each run takes the
+# pair of its loss's own partition.
+
+# a binomial posterior mean near 0, k close to n / 2 at large n
+MIRROR_PINNED = [("binomial", 376341, 188168, 1.0, 1.0)]
+
+
+def _shipped_doc(name: str) -> dict:
+    """A shipped config's space, actions and loss, with its partition's pair."""
+    doc = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    pair = derive_hypotheses(partition(load_config(CONFIG_DIR / name).loss))
+    regions = {
+        key: [[i.lo, i.hi, i.lo_open, i.hi_open] for i in region.intervals]
+        for key, region in (("h0", pair.h0), ("h1", pair.h1))
+    }
+    keys = ("spec_version", "parameter_space", "actions", "loss")
+    return {**{key: doc[key] for key in keys}, "hypotheses": regions}
+
+
+def _normal_section(n, ybar, sigma, mean, sd):
+    return {
+        "family": "normal",
+        "sigma": sigma,
+        "data": {"n": n, "ybar": ybar},
+        "prior": {"mean": mean, "sd": sd},
+    }
+
+
+def _binomial_section(n, k, a, b):
+    return {"family": "binomial", "data": {"n": n, "k": k}, "prior": {"alpha": a, "beta": b}}
+
+
+def _mirror_cases(rng: random.Random, count: int):
+    """(family, model section, its reflection): count of each family, with
+    n log-uniform up to 10^9 (normal) or 10^6 (binomial) and data up to 40
+    standard errors from the null, then MIRROR_PINNED."""
+    for _ in range(count):
+        n, z = int(10 ** rng.uniform(0, 9)), rng.uniform(-40.0, 40.0)
+        sigma, sd = rng.choice([0.2, 1.0]), rng.choice([0.05, 0.2])
+        ybar, mean = z * sigma / math.sqrt(n), rng.uniform(-0.05, 0.05)
+        yield (
+            "normal",
+            _normal_section(n, ybar, sigma, mean, sd),
+            _normal_section(n, -ybar, sigma, -mean, sd),
+        )
+    for _ in range(count):
+        n, z = int(10 ** rng.uniform(0, 6)), rng.uniform(-40.0, 40.0)
+        k = min(n, max(0, round(0.5 * (n + z * math.sqrt(n)))))
+        # shapes below 1 leave out the printed beta E[L(a)]'s slow
+        # quadrature at an unbounded density (ROADMAP item 2)
+        a, b = rng.choice([1.0, 2.0, 5.0]), rng.choice([1.0, 2.0, 5.0])
+        yield "binomial", _binomial_section(n, k, a, b), _binomial_section(n, n - k, b, a)
+    for _, n, k, a, b in MIRROR_PINNED:
+        yield "binomial", _binomial_section(n, k, a, b), _binomial_section(n, n - k, b, a)
+
+
+def _printed(doc: dict) -> tuple[dict, tuple]:
+    """(exit code, JSON document) of decide under each rule and of compare
+    with every procedure of the model's family, and those procedures."""
+    runs = {}
+    for rule in ({"rule": "hypothesis_ratio", "loss_ratio": [0.5, 2.0]}, {"rule": "expected_loss"}):
+        runs[rule["rule"]] = _run("decide", {**doc, "decision": rule})
+    procedures = _PROCEDURES + (("tost",) if doc["model"]["family"] == "normal" else ())
+    comparators = [{"procedure": name} for name in procedures]
+    runs["compare"] = _run("compare", {**doc, "comparators": comparators})
+    return runs, procedures
+
+
+def _reflected_pairs(family: str, printed: dict, mirrored: dict, procedures, n: int):
+    """(group, field, number, the mirrored run's number as the reflection
+    gives it back) for every printed number of a run and its mirror."""
+    decided = [rule for rule in ("hypothesis_ratio", "expected_loss") if printed[rule][1]]
+    if decided:
+        # both rules print the summary of the one posterior
+        post, m_post = (runs[decided[0]][1]["posterior"] for runs in (printed, mirrored))
+        (p0, p1), (m0, m1) = post["params"], m_post["params"]
+        lo, hi = m_post["central_95"]
+        yield "mean", "mean", post["mean"], -m_post["mean"]
+        yield "sd", "sd", post["sd"], m_post["sd"]
+        # a beta posterior's shapes swap; a normal one's mean is negated
+        yield "params", "params", (p0, p1), (m1, m0) if family == "binomial" else (-m0, m1)
+        yield "central_95", "central_95", tuple(post["central_95"]), (-hi, -lo)
+    for rule in decided:
+        out, m_out = printed[rule][1], mirrored[rule][1]
+        for key in ("posterior_h0", "posterior_h1", "posterior_odds"):
+            yield "odds", f"{rule} {key}", out[key], m_out[key]
+        # the loss ratio, or E[L(a0)] and E[L(a1)]
+        for key in ("threshold_lo", "threshold_hi"):
+            yield "thresholds", f"{rule} {key}", out[key], m_out[key]
+    rows, m_rows = printed["compare"][1], mirrored["compare"][1]
+    for name, row, m_row in zip(procedures, rows and rows["results"], m_rows and m_rows["results"]):
+        statistic = m_row["statistic"]
+        # a test's statistic is k or z, which the reflection takes to n - k or -z
+        if name in ("nhst", "tost"):
+            statistic = n - statistic if family == "binomial" else -statistic
+        yield name, "statistic", row["statistic"], statistic
+        for key in ("p_value", "bayes_factor", "alpha", "threshold"):
+            yield name, key, row[key], m_row[key]
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b or None not in (a, b) and a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
+def _verdicts_of(run) -> tuple:
+    code, out = run
+    return code, out and (out.get("decision") or [row["verdict"] for row in out["results"]])
+
+
+@functools.cache
+def _mirror_mismatches() -> dict:
+    """(family, group) -> each (field, data, number, mirrored number) of the
+    seeded scan that differs at rel=1e-12, abs=0; the group "verdicts" holds
+    each command whose exit code or verdicts differ."""
+    docs = {
+        "normal": _shipped_doc("aspirin_scenario.json"),
+        "binomial": _shipped_doc("coin_compare.json"),
+    }
+    mismatches = defaultdict(list)
+    for family, model, m_model in _mirror_cases(random.Random(9), 150):
+        (printed, procedures), (mirrored, _) = (
+            _printed({**docs[family], "model": section}) for section in (model, m_model)
+        )
+        for key in printed:
+            if _verdicts_of(printed[key]) != _verdicts_of(mirrored[key]):
+                mismatches[family, "verdicts"].append((key, model["data"]))
+        pairs = _reflected_pairs(family, printed, mirrored, procedures, model["data"]["n"])
+        for group, field, number, back in pairs:
+            if not _same(number, back):
+                mismatches[family, group].append((field, model["data"], number, back))
+    return mismatches
+
+
+def _known(family: str, group: str, why: str):
+    return pytest.param(family, group, marks=pytest.mark.xfail(strict=True, reason=why))
+
+
+ITEM_4 = "ROADMAP item 4: the beta tails lose digits at large n"
+ITEM_23 = "ROADMAP item 23: the crossings are not mirrored, so the odds differ by ~1e-12"
+MIRROR_GROUPS = [
+    ("normal", "verdicts"),
+    ("binomial", "verdicts"),
+    ("normal", "mean"),
+    _known("binomial", "mean", "ROADMAP small items: a beta mean near 0 keeps the digits of pi"),
+    _known("normal", "sd", "ROADMAP item 4: a normal posterior far beyond an end loses digits"),
+    ("binomial", "sd"),
+    ("normal", "params"),
+    ("binomial", "params"),
+    ("normal", "central_95"),
+    _known("binomial", "central_95", ITEM_4),
+    _known("normal", "odds", ITEM_23),
+    ("binomial", "odds"),
+    ("normal", "thresholds"),
+    _known("binomial", "thresholds", ITEM_4),
+    ("normal", "nhst"),
+    ("binomial", "nhst"),
+    _known("normal", "tost", "the tost fix, after ROADMAP step 1a, part one"),
+    ("normal", "rope"),
+    ("binomial", "rope"),
+    _known("normal", "hypothesis_ratio", ITEM_23),
+    ("binomial", "hypothesis_ratio"),
+    ("normal", "expected_loss"),
+    _known("binomial", "expected_loss", ITEM_4),
+    _known("normal", "bayes_factor", ITEM_23),
+    ("binomial", "bayes_factor"),
+]
+
+
+@pytest.mark.parametrize("family, group", MIRROR_GROUPS)
+def test_reflection_mirrors_every_printed_number(family, group):
+    """On a seeded scan of both shipped losses, reflecting the data and the
+    prior gives the same exit codes and verdicts of decide and compare, and
+    mirrors every number they print at rel=1e-12, abs=0: p-values, Bayes
+    factors, posterior masses, odds, sds and E[L(a)] equal; statistics,
+    posterior means and credible intervals negated, and beta shapes
+    swapped. Each known difference is a strict xfail naming its item."""
+    assert _mirror_mismatches()[family, group] == []
 
 
 @st.composite

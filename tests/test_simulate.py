@@ -1754,22 +1754,29 @@ def test_seeded_normal_maps_count_as_brute_force(monkeypatch, threshold):
 
 
 def test_an_unreachable_top_verdict_is_reached_by_no_mean_of_a_dense_scan():
-    """The search for bayes_factor's top verdict on random losses, priors,
-    sigmas, sample sizes and thresholds of the normal family: where it finds
-    the top out of reach, the kernel gives it at no posterior mean of a scan
-    of 2001 means over the space widened by 4 posterior sds; and it finds
-    the top out of reach on some scenarios, and reached on others."""
+    """The search for the top verdict of bayes_factor, and of
+    hypothesis_ratio at an interval loss ratio, on random losses, priors,
+    sigmas, sample sizes, thresholds and ratios of the normal family: where
+    it finds the top out of reach, the kernel gives it at no posterior mean
+    of a scan of 2001 means over the space widened by 4 posterior sds; and
+    for each procedure it finds the top out of reach on some scenarios, and
+    reached on others."""
     rng = random.Random(34)
     row, answers = inference.FAMILIES["normal"], Counter()
-    for _ in range(120):
-        threshold = rng.choice([3.0, 10.0, 30.0])
+    for _ in range(300):
+        if rng.random() < 0.5:
+            lo = rng.choice([0.03, 0.1, 0.3, 1.0])
+            ratio = [lo, lo * rng.choice([3.0, 10.0, 30.0])]
+            proc = ProcedureSpec("hypothesis_ratio", {"loss_ratio": ratio})
+        else:
+            proc = ProcedureSpec("bayes_factor", {"threshold": rng.choice([3.0, 10.0, 30.0])})
         scenario = dataclasses.replace(
             _bench_normal(),
             loss=random_loss_spec(rng),
             sample_sizes=(rng.choice([2, 5, 20, 50]),),
             prior=(rng.uniform(-0.3, 0.3), rng.choice([0.05, 0.2, 1.0])),
             sigma=rng.choice([0.2, 1.0]),
-            procedures=(ProcedureSpec("bayes_factor", {"threshold": threshold}),),
+            procedures=(proc,),
         )
         try:
             sweep = sim._bind_sweep(scenario)
@@ -1778,7 +1785,7 @@ def test_an_unreachable_top_verdict_is_reached_by_no_mean_of_a_dense_scan():
         (bound,) = sweep.bound
         (n,) = scenario.sample_sizes
         reached = bound.reaches_top and bound.reaches_top(sweep.model(n, 0))
-        answers[reached] += 1
+        answers[proc.name, reached] += 1
         if reached is not False:
             continue
         # ybar -> posterior mean is linear; scan the means
@@ -1792,7 +1799,54 @@ def test_an_unreachable_top_verdict_is_reached_by_no_mean_of_a_dense_scan():
             except RelkitError:
                 continue
             assert verdict != bound.order[-1], (scenario, m)
-    assert answers[False] >= 5 and answers[True] >= 5, answers
+    for name in ("hypothesis_ratio", "bayes_factor"):
+        assert answers[name, False] >= 5 and answers[name, True] >= 5, answers
+
+
+def test_an_interval_ratio_hypothesis_ratio_sweep_counts_as_brute_force(monkeypatch):
+    """hypothesis_ratio at the loss ratio [0.3, 3] on the seeded grid takes
+    the top-verdict search: it finds a0 out of reach at n = 50 and reached
+    at n = 200. Its table equals the brute-force one, at fewer kernel calls
+    than the same sweep takes without the search."""
+    proc = ProcedureSpec("hypothesis_ratio", {"loss_ratio": [0.3, 3.0]})
+    scenario = _bench_normal(**SEEDED_GRID, procedures=(proc,))
+    want = oracles.brute_force_table(scenario)
+    answers = []
+
+    def recording(name, bound):
+        def recorded(model):
+            answers.append((model.n, bound.reaches_top(model)))
+            return answers[-1][1]
+
+        return bound._replace(reaches_top=recorded)
+
+    def calls(change):
+        with monkeypatch.context() as patch:
+            _binding(patch, change)
+            by_cell = _counting_bind(patch)
+            assert run_operating_characteristics(scenario) == want
+            return sum(sum(cell.values()) for cell in by_cell())
+
+    searched = calls(recording)
+    assert answers == [(50, False), (200, True)]
+    assert searched < calls(lambda name, bound: bound._replace(reaches_top=None))
+
+
+def test_hypothesis_ratio_binds_and_sweeps_a_loss_without_a_negligible_region():
+    """Where a1's loss lies below a0's at every effect, H0 is empty and
+    takes no posterior mass: hypothesis_ratio at an interval ratio binds
+    without a top-verdict search, and every draw takes a1."""
+    space = ASPIRIN_LOSS.space
+    knots = (space.lo, space.hi)
+    a0, a1 = CurveKnots(knots, (0.5, 0.5)), CurveKnots(knots, (0.0, 0.0))
+    loss = LossSpec(space, "piecewise_linear", a0, a1)
+    proc = ProcedureSpec("hypothesis_ratio", {"loss_ratio": [0.5, 2.0]})
+    scenario = _bench_normal(loss=loss, procedures=(proc,), sample_sizes=(5, 50), replicates=200)
+    (bound,) = sim._bind_sweep(scenario).bound
+    assert partition(loss).negligible.is_empty and bound.reaches_top is None
+    table = run_operating_characteristics(scenario)
+    assert table == oracles.brute_force_table(scenario)
+    assert all(cell.frequencies == {"a1": 1.0} for cell in table.cells)
 
 
 def test_a_wrong_cut_costs_calls_not_counts(monkeypatch):
