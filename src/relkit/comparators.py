@@ -231,7 +231,7 @@ def _prior_masses(row: Family, params: tuple[float, float], pair: HypothesisPair
     row; both regions must map into its support and have positive mass."""
     for itv in (*pair.h0.intervals, *pair.h1.intervals):
         row.check_support(itv.lo, itv.hi)
-    masses = _region_masses(lambda t: row.tails(params, t - row.effect_shift), _pair_ends(pair))
+    masses = _region_masses(lambda t: row.tails(params, t), _pair_ends(pair))
     for name, region, mass in zip(("h0", "h1"), (pair.h0, pair.h1), masses):
         if region.is_empty:
             raise ValidationError(f"{name} is empty; it has no prior mass")
@@ -299,5 +299,5 @@ def interval_bayes_factor(
     # are checked before the posterior's are taken
     prior_masses = _prior_masses(row, tuple(vars(model).values())[-2:], pair)
     post = row.update(model)
-    post_masses = _region_masses(lambda t: row.tails(post, t - row.effect_shift), _pair_ends(pair))
+    post_masses = _region_masses(lambda t: row.tails(post, t), _pair_ends(pair))
     return _bayes_factor_result(*_bayes_factor(post_masses, prior_masses, threshold))

@@ -186,7 +186,7 @@ def _expected_losses(post: PosteriorModel, split: _Split) -> tuple[dict, tuple]:
     coordinates are means of non-decreasing functions of the effect under
     a posterior stochastically increasing in the statistic, so monotone in
     it."""
-    loc = post.native_location_scale[0]
+    loc = post.location_scale[0]
     l0 = l1 = up = down = 0.0
     for a, b, (piece0, piece1), g_a, rising, rise_a, fall_a in split.parts:
         origin = min(max(loc, a), b)

@@ -4,9 +4,10 @@ the adaptive quadrature behind the beta expected losses that are printed.
 Each sampling model is one row of ``FAMILIES``, which holds every rule that
 depends on the model: a binomial count with a beta prior on the success
 probability (effect scale: bias b = pi - 0.5) and a normal mean with known
-sampling standard deviation and a normal prior. Posteriors are kept in
-closed form and truncated to the declared effect space, so that
-probabilities over the space always total one.
+sampling standard deviation and a normal prior. A row's functions take and
+return effects; the beta row adds 1/2 where it needs pi, and never takes 1/2
+from a mean. Posteriors are kept in closed form and truncated to the
+declared effect space, so that probabilities over the space always total one.
 
 The special functions are implemented here rather than imported: the beta
 CDF uses the continued-fraction form of the regularized incomplete beta
@@ -49,6 +50,7 @@ _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 
 QUANTILE_TOL = 1e-10
+_FAIR_PI = 0.5  # the success probability at effect 0: the beta row's pi = effect + _FAIR_PI
 
 
 def _is_count(value) -> bool:
@@ -283,30 +285,31 @@ def _normal_update(model: NormalKnownVarModel) -> tuple[float, float]:
     return mean, sd
 
 
-def _beta_tails(params: tuple[float, float], t: float) -> tuple[float, float]:
+def _beta_tails(params: tuple[float, float], effect: float) -> tuple[float, float]:
     p1, p2 = params
-    if t * (p1 + p2 + 2.0) < p1 + 1.0:
-        lower = regularized_incomplete_beta(p1, p2, t)
+    x = effect + _FAIR_PI
+    if x * (p1 + p2 + 2.0) < p1 + 1.0:
+        lower = regularized_incomplete_beta(p1, p2, x)
         return lower, 1.0 - lower
-    upper = regularized_incomplete_beta(p2, p1, 1.0 - t)
+    upper = regularized_incomplete_beta(p2, p1, 1.0 - x)
     return 1.0 - upper, upper
 
 
-def _normal_tails(params: tuple[float, float], t: float) -> tuple[float, float]:
+def _normal_tails(params: tuple[float, float], effect: float) -> tuple[float, float]:
     p1, p2 = params
-    if t < p1:
-        lower = normal_cdf(t, p1, p2)
+    if effect < p1:
+        lower = normal_cdf(effect, p1, p2)
         return lower, 1.0 - lower
-    upper = normal_cdf(-t, -p1, p2)
+    upper = normal_cdf(-effect, -p1, p2)
     return 1.0 - upper, upper
 
 
-def _beta_log_density(params, shift: float, log_mass: float) -> Callable[[float], float]:
+def _beta_log_density(params, log_mass: float) -> Callable[[float], float]:
     p1, p2 = params
     log_scale = log_beta(p1, p2)
 
     def log_density(effect: float) -> float:
-        x = effect - shift
+        x = effect + _FAIR_PI
         if x <= 0.0 or x >= 1.0:
             return -math.inf
         base = (p1 - 1.0) * math.log(x) + (p2 - 1.0) * math.log1p(-x)
@@ -315,12 +318,12 @@ def _beta_log_density(params, shift: float, log_mass: float) -> Callable[[float]
     return log_density
 
 
-def _normal_log_density(params, shift: float, log_mass: float) -> Callable[[float], float]:
+def _normal_log_density(params, log_mass: float) -> Callable[[float], float]:
     p1, p2 = params
     log_scale = math.log(p2 * _SQRT2PI)
 
     def log_density(effect: float) -> float:
-        z = (effect - shift - p1) / p2
+        z = (effect - p1) / p2
         return (-0.5 * z * z - log_scale) - log_mass
 
     return log_density
@@ -328,40 +331,41 @@ def _normal_log_density(params, shift: float, log_mass: float) -> Callable[[floa
 
 def _beta_location_scale(params: tuple[float, float]) -> tuple[float, float]:
     a, b = params
-    return a / (a + b), math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+    return 0.5 * (a - b) / (a + b), math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
 
 
 def _normal_location_scale(params: tuple[float, float]) -> tuple[float, float]:
     return params
 
 
-def _beta_moments(params, m0: float, x_lo: float, x_hi: float, x_o: float) -> tuple:
+def _beta_moments(params, m0: float, lo: float, hi: float, origin: float) -> tuple:
     """The moments about the mean mu = a/(a + b) from the region's mass M0
     and s f = x^a (1 - x)^b / B(a, b) at its ends, by (s f)' = (a + b)(mu - x) f:
     M1 = -[s f]/(a + b) and (a + b + 1) M2 = mu(1 - mu) M0 + (1 - 2 mu) M1 -
-    [(x - mu) s f], shifted to the origin; their scale is 1."""
+    [(x - mu) s f], shifted to the origin; their scale is 1. Each x - mu is
+    an effect less the effect mean (a - b)/(2(a + b)), which keeps its digits."""
     a, b = params
-    s, mu = a + b, a / (a + b)
-    sf_lo, sf_hi = _beta_front(a, b, x_lo), _beta_front(a, b, x_hi)
+    s, mean = a + b, 0.5 * (a - b) / (a + b)
+    sf_lo, sf_hi = _beta_front(a, b, lo + _FAIR_PI), _beta_front(a, b, hi + _FAIR_PI)
     m1 = (sf_lo - sf_hi) / s
     # mu(1 - mu) as ab/s^2 and 1 - 2 mu as (b - a)/s: no mu is taken from 1
-    m2 = a * b / (s * s) * m0 + (b - a) / s * m1 - (x_hi - mu) * sf_hi + (x_lo - mu) * sf_lo
-    d = mu - x_o
+    m2 = a * b / (s * s) * m0 + (b - a) / s * m1 - (hi - mean) * sf_hi + (lo - mean) * sf_lo
+    d = mean - origin
     return m0, m1 + d * m0, m2 / (s + 1.0) + d * (2.0 * m1 + d * m0), 1.0
 
 
-def _normal_moments(params, m0: float, x_lo: float, x_hi: float, x_o: float) -> tuple:
+def _normal_moments(params, m0: float, lo: float, hi: float, origin: float) -> tuple:
     """The truncated-normal formulas in sd units, about the origin, with phi
     taken at the cut z-values, and the sd, their scale. They work from the erfc arguments of the
     masses and put an origin on a cut exactly on it: a rounding of a cut
     then moves its mass, its phi and the origin together, and the
     cancellation in the moments of a far tail stays exact."""
     a, b = params
-    w_lo, w_hi = (x_lo - a) / (b * _SQRT2), (x_hi - a) / (b * _SQRT2)
+    w_lo, w_hi = (lo - a) / (b * _SQRT2), (hi - a) / (b * _SQRT2)
     z_lo, z_hi = _SQRT2 * w_lo, _SQRT2 * w_hi
     phi_lo = _exp_neg_square(w_lo) / _SQRT2PI
     phi_hi = _exp_neg_square(w_hi) / _SQRT2PI
-    u = -(z_lo if x_o == x_lo else z_hi if x_o == x_hi else (x_o - a) / b)
+    u = -(z_lo if origin == lo else z_hi if origin == hi else (origin - a) / b)
     e1 = phi_lo - phi_hi  # E[z; region], z = (theta - mean) / sd
     e2 = m0 + z_lo * phi_lo - z_hi * phi_hi  # E[z^2; region]
     return m0, u * m0 + e1, u * (u * m0 + 2.0 * e1) + e2, b
@@ -385,7 +389,7 @@ def _normal_point_null(model: NormalKnownVarModel) -> tuple[float, float]:
 
 
 def _binomial_draw(rng, effect: float, n: int, sigma: float | None, size: int):
-    return rng.binomial(n, min(max(effect + 0.5, 0.0), 1.0), size)
+    return rng.binomial(n, min(max(effect + _FAIR_PI, 0.0), 1.0), size)
 
 
 def _normal_draw(rng, effect: float, n: int, sigma: float, size: int):
@@ -396,21 +400,21 @@ class Family(NamedTuple):
     """One row of the family table: a sampling model, its conjugate
     posterior, and every rule that depends on which model it is. Posterior
     parameters are native, (alpha, beta) of the success probability or
-    (mean, sd) of the mean, and effect = native + effect_shift."""
+    (mean, sd) of the mean; every point a row's functions take or return is an effect."""
 
     model: type  # fields: n, the data, the known values, the prior's two numbers
     posterior: str  # the posterior's name, PosteriorModel.family
-    effect_shift: float
+    effect_shift: float  # effect = native + effect_shift; read by check_support only
     support: tuple[float, float]  # of the native parameter
     prior_keys: tuple[str, str]  # the config keys of the prior's two numbers
     proper: Callable  # (two numbers) -> whether they make a proper prior or posterior
     data: tuple[tuple[str, type], ...]  # model.data keys after n, each int or float
     known: tuple[str, ...]  # positive model fields a config gives beside the data
     update: Callable  # model -> posterior parameters
-    tails: Callable  # (params, native t) -> untruncated tails, each from its own side
-    log_density: Callable  # (params, shift, log mass of the space) -> bound log density
-    location_scale: Callable  # params -> untruncated native mean and sd
-    moments: Callable  # (params, mass, native lo, hi, origin) -> partial moments, scale
+    tails: Callable  # (params, effect) -> untruncated tails, each from its own side
+    log_density: Callable  # (params, log mass of the space) -> bound log density of effects
+    location_scale: Callable  # params -> untruncated mean on the effect scale, and sd
+    moments: Callable  # (params, mass, lo, hi, origin) -> partial moments, scale
     point_null: Callable  # model -> (p-value, statistic) of the nhst test
     point_null_detail: str  # its detail, a format string of model and statistic
     draw: Callable  # (rng, true effect, n, sigma, size) -> size statistics, k or ybar
@@ -428,7 +432,7 @@ class Family(NamedTuple):
 
 FAMILIES: dict[str, Family] = {
     "binomial": Family(
-        model=BinomialModel, posterior="beta", effect_shift=-0.5, support=(0.0, 1.0),
+        model=BinomialModel, posterior="beta", effect_shift=-_FAIR_PI, support=(0.0, 1.0),
         prior_keys=("alpha", "beta"), proper=_beta_proper, data=(("k", int),), known=(),
         update=_beta_update, tails=_beta_tails, log_density=_beta_log_density,
         location_scale=_beta_location_scale, moments=_beta_moments,
@@ -463,7 +467,7 @@ def family_of(model: BinomialModel | NormalKnownVarModel) -> str:
 class PosteriorModel:
     """Closed-form posterior on the effect scale, truncated to its space.
     ``family`` is a row's posterior name, "beta" or "normal", and ``params``
-    its native parameters; effect = native + the row's effect_shift."""
+    its native parameters; its row's functions take and return effects."""
 
     family: str
     params: tuple[float, float]
@@ -484,17 +488,10 @@ class PosteriorModel:
         # posterior ask for the same cut points
         object.__setattr__(self, "_tails", {})
 
-    @property
-    def effect_shift(self) -> float:
-        return self._row.effect_shift
-
-    def _native(self, effect: float) -> float:
-        return effect - self._row.effect_shift
-
     def _tails_at(self, effect: float) -> tuple[float, float]:
         tails = self._tails.get(effect)
         if tails is None:
-            tails = self._tails[effect] = self._row.tails(self.params, self._native(effect))
+            tails = self._tails[effect] = self._row.tails(self.params, effect)
         return tails
 
     @cached_property
@@ -538,7 +535,7 @@ class PosteriorModel:
     def log_density(self) -> Callable[[float], float]:
         """effect -> log density of the truncated posterior, valid inside
         the space; a call is only arithmetic on constants bound here."""
-        return self._row.log_density(self.params, self.effect_shift, self._ends[3])
+        return self._row.log_density(self.params, self._ends[3])
 
     def __getstate__(self) -> dict:
         # pickle cannot store the bound density, a closure; it is bound
@@ -572,7 +569,7 @@ class PosteriorModel:
         below = lo_tails[0] + p * total
         above = hi_tails[1] + (1.0 - p) * total
         z = -_normal_tail_z(below) if below <= above else _normal_tail_z(above)
-        loc, sd = self.native_location_scale
+        loc, sd = self.location_scale
         x = min(max(loc + sd * z, lo), hi)
         for _ in range(200):
             f = self.cdf(x) - p
@@ -590,19 +587,17 @@ class PosteriorModel:
         return x
 
     @property
-    def native_location_scale(self) -> tuple[float, float]:
-        """Mean and sd of the untruncated native distribution, the mean
-        moved to the effect scale. Both start the quantile search and place
-        the quadrature's split points; the mean also sets the origin of the
-        summary's moments and of the closed form's panels."""
-        mean, sd = self._row.location_scale(self.params)
-        return mean + self.effect_shift, sd
+    def location_scale(self) -> tuple[float, float]:
+        """Mean and sd of the untruncated posterior. Both start the quantile
+        search and place the quadrature's split points; the mean also sets
+        the origin of the summary's moments and of the closed form's panels."""
+        return self._row.location_scale(self.params)
 
 
 def concentration_splits(post: PosteriorModel) -> tuple[float, ...]:
     """Interior points bracketing the posterior's mass, so that adaptive
     quadrature cannot step over a sharply concentrated density."""
-    loc, sd = post.native_location_scale
+    loc, sd = post.location_scale
     pts = []
     for mult in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
         for sign in (-1.0, 1.0):
@@ -714,9 +709,7 @@ def _scaled_moments(
     cut nearest the mass, only the mass beyond a far cut cancels, and that
     cancellation is exact up to rounding.
     """
-    m0 = post._mass(lo, hi)
-    x_lo, x_hi, x_o = post._native(lo), post._native(hi), post._native(origin)
-    return post._row.moments(post.params, m0, x_lo, x_hi, x_o)
+    return post._row.moments(post.params, post._mass(lo, hi), lo, hi, origin)
 
 
 def posterior_summary(post: PosteriorModel) -> dict:
@@ -724,7 +717,7 @@ def posterior_summary(post: PosteriorModel) -> dict:
     posterior, from its partial moments about the point of the space nearest
     the untruncated mean, plus the central 95% interval."""
     lo, hi = post.space.lo, post.space.hi
-    origin = min(max(post.native_location_scale[0], lo), hi)
+    origin = min(max(post.location_scale[0], lo), hi)
     m0, m1, m2, scale = _scaled_moments(post, lo, hi, origin)
     shift = m1 / m0
     ci = credible_interval(post, 0.95)

@@ -267,9 +267,9 @@ def test_rope_matches_the_credible_interval_rule_on_scipy_quantiles(mass):
     for post in _rope_oracle_posteriors():
         p1, p2 = post.params
         dist = stats.norm(p1, p2) if post.family == "normal" else stats.beta(p1, p2)
-        shift = post.effect_shift
-        lo, hi = post.space.lo - shift, post.space.hi - shift
-        ci = tuple(oracles.truncated_ppf(dist, lo, hi, p) + shift for p in (tail, 1.0 - tail))
+        shift = oracles.native_shift(post.family)
+        lo, hi = post.space.lo + shift, post.space.hi + shift
+        ci = tuple(oracles.truncated_ppf(dist, lo, hi, p) - shift for p in (tail, 1.0 - tail))
         assert post.space.lo <= ci[0] < ci[1] <= post.space.hi
         below = [ci[0] - 1e-6 * abs(ci[0]), ci[0] + 1e-6 * abs(ci[0])]
         above = [ci[1] - 1e-6 * abs(ci[1]), ci[1] + 1e-6 * abs(ci[1])]
@@ -394,6 +394,11 @@ class TestIntervalBayesFactor:
     def test_invalid_bayes_factor_rejected(self, bf):
         with pytest.raises(ValidationError, match="Bayes factor"):
             ComparatorResult("x", statistic=0.0, verdict="even", bayes_factor=bf)
+
+    @pytest.mark.parametrize("p", [-1e-12, 1.5, math.nan])
+    def test_p_value_outside_the_unit_interval_rejected(self, p):
+        with pytest.raises(ValidationError, match=rf"^p-value out of \[0, 1\]: {p}$"):
+            ComparatorResult("x", statistic=0.0, verdict="even", p_value=p)
 
     def test_threshold_that_is_no_number_refused(self, coin_pair):
         with pytest.raises(ValidationError, match="threshold: must be a finite number"):

@@ -359,8 +359,9 @@ def test_counts_of_2_to_the_63_or_more_exit_2(tmp_path, n):
         assert code == 2 and path in err, (path, code, err)
 
 
-# the Scenario and model constructors' own messages, behind the section they
-# checked; a constructor called directly keeps its message as it is
+# the Scenario and model constructors' and the prior parser's own messages,
+# behind the section they checked; a constructor called directly keeps its
+# message as it is
 CONSTRUCTOR_ERRORS = {
     "replicates": (
         "simulate", _scenario_doc(replicates=0), "scenario: replicates must be >= 1, got 0"
@@ -388,6 +389,19 @@ CONSTRUCTOR_ERRORS = {
         "simulate",
         _scenario_doc(family="normal", sigma=0),
         "scenario: the normal family needs a positive finite sigma",
+    ),
+    "prior not an object": (
+        "decide",
+        {
+            **_decision_doc(),
+            "model": {"family": "binomial", "data": {"n": 5, "k": 2}, "prior": [1, 2]},
+        },
+        "model.prior: must be an object with keys ('alpha', 'beta'), got [1, 2]",
+    ),
+    "improper prior": (
+        "simulate",
+        _scenario_doc(family="normal", sigma=1, prior={"mean": 0, "sd": 0}),
+        "scenario.prior: must be a proper prior, got {'mean': 0, 'sd': 0}",
     ),
     "k above n": (
         "decide",

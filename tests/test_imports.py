@@ -7,7 +7,9 @@ included. ``__init__.py`` is left out, since it imports names to export them.
 The test-only tools stay out of the package, and ``tests/oracles.py`` takes
 no relkit code that the deletions on the roadmap remove, so that no oracle
 goes with them. The package's own names, which it imports on first use,
-resolve to what their modules define.
+resolve to what their modules define. Every single-underscore name that a
+module or one of its classes defines is used somewhere in the package, so
+that a helper left behind by a deletion is found.
 """
 
 import ast
@@ -150,3 +152,65 @@ def test_each_public_name_resolves_to_what_its_module_defines():
 def test_an_unknown_public_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         relkit.no_such_name
+
+
+# the benchmark's reference builder imports it until ROADMAP step 1a, part
+# one, gives perfbench/ its own copy
+UNUSED_PRIVATE_ALLOWED = {"simulate._compile_procedure"}
+
+
+def _private_definitions(body: list[ast.stmt]) -> set[str]:
+    """The single-underscore names a module binds at its top level, and
+    those its classes bind in their bodies, such as private methods."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            names |= _private_definitions(node.body)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """The names a module reads, the attributes it reaches and the names it
+    imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _leftover_names(sources: dict[str, str]) -> list[str]:
+    """module.name of each private name of ``_private_definitions`` that no
+    module, its own included, uses."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set().union(*map(_uses, trees.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree.body) - used
+    )
+
+
+def test_the_leftover_check_finds_an_unused_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_SPARE = 4\n\ndef f():\n    return _LIMIT\n",
+        "b": (
+            "from .a import f\n\nclass _Row:\n    def _native(self):\n        pass\n\n"
+            "    def _tails(self):\n        pass\n\n_row = _Row()\nprint(_row._tails())\n"
+        ),
+    }
+    assert _leftover_names(sources) == ["a._SPARE", "b._native"]
+
+
+def test_every_private_name_is_used_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert set(_leftover_names(sources)) <= UNUSED_PRIVATE_ALLOWED

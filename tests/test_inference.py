@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from relkit.comparators import interval_bayes_factor
 from relkit.errors import NumericalError, ValidationError
 from relkit.hypotheses import HypothesisPair
 from relkit.inference import (
+    BinomialDraw,
     BinomialModel,
     NormalKnownVarModel,
     PosteriorModel,
@@ -127,6 +129,8 @@ class TestConjugateUpdates:
             NormalKnownVarModel(n=0, ybar=0.0, sigma=1.0)
         with pytest.raises(ValidationError):
             NormalKnownVarModel(n=1, ybar=0.0, sigma=1.0, prior_sd=float("inf"))
+        with pytest.raises(ValidationError, match="^prior_mean must be finite, got nan$"):
+            NormalKnownVarModel(n=1, ybar=0.0, sigma=1.0, prior_mean=math.nan)
         for n in (2.5, True):
             with pytest.raises(ValidationError, match="integer"):
                 NormalKnownVarModel(n=n, ybar=0.0, sigma=1.0)
@@ -216,6 +220,7 @@ class TestCredibleInterval:
         for post in posts:
             for p in [x / 100 for x in range(1, 100)]:
                 assert post.cdf(post.quantile(p)) == pytest.approx(p, abs=1e-8)
+            assert (post.quantile(0.0), post.quantile(1.0)) == (post.space.lo, post.space.hi)
 
     def test_cdf_refuses_nan_in_both_families(self):
         posts = [
@@ -231,6 +236,33 @@ class TestCredibleInterval:
         post = posterior_update(BinomialModel(n=0, k=0), BIAS_SPACE)
         with pytest.raises(ValidationError):
             credible_interval(post, 1.0)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_level_outside_the_unit_interval_refused(self, p):
+        post = posterior_update(BinomialModel(n=10, k=7), BIAS_SPACE)
+        with pytest.raises(ValueError, match=rf"^quantile level must be in \[0, 1\], got {p}$"):
+            post.quantile(p)
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("gamma", (1.0, 1.0), "unknown posterior family 'gamma'"),
+        ("beta", (math.inf, 1.0), "posterior parameters must be finite"),
+        ("normal", (0.0, math.nan), "posterior parameters must be finite"),
+        ("beta", (0.0, 1.0), "improper beta posterior parameters (0.0, 1.0)"),
+        ("normal", (0.0, -1.0), "improper normal posterior parameters (0.0, -1.0)"),
+    ],
+    ids=["unknown-family", "beta-inf", "normal-nan", "beta-improper", "normal-improper"],
+)
+def test_posterior_refuses_what_no_family_takes(family, params, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        PosteriorModel(family, params, BIAS_SPACE)
+
+
+def test_update_refuses_a_draw_for_a_model():
+    with pytest.raises(ValidationError, match="^unsupported model type BinomialDraw$"):
+        posterior_update(BinomialDraw(n=3, k=1), BIAS_SPACE)
 
 
 class TestTruncation:
@@ -319,7 +351,7 @@ class TestDensity:
         monkeypatch.setattr(inference, "regularized_incomplete_beta", counting)
         post = posterior_update(BinomialModel(n=100, k=63), BIAS_SPACE)
         first = post._tails_at(0.106)
-        assert first == inference._beta_tails(post.params, 0.106 + 0.5)
+        assert first == inference._beta_tails(post.params, 0.106)
         calls.clear()
         assert post._tails_at(0.106) is first
         assert post._prob(-0.106, 0.106) == post._prob(-0.106, 0.106)

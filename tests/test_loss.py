@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -154,6 +155,25 @@ class TestValidateLossSpec:
                     params_a0=a0,
                     params_a1=QuadraticParams(c=1.0),
                 )
+
+    @pytest.mark.parametrize(
+        "kind, a0, a1, message",
+        [
+            ("cubic", None, None, "unknown loss kind 'cubic'; expected one of "
+             "('piecewise_linear', 'quadratic', 'table', 'builtin_coin_demo')"),
+            ("quadratic", CurveKnots((-0.5, 0.5), (0.0, 1.0)), QuadraticParams(c=1.0),
+             "invalid loss specification:\na0: quadratic loss needs QuadraticParams"),
+            ("table", CurveKnots((-0.5, 0.5), (0.0, 1.0)), QuadraticParams(c=1.0),
+             "invalid loss specification:\na1: table loss needs CurveKnots"),
+            ("quadratic", QuadraticParams(c=1.0),
+             QuadraticParams(c=1e308, center=-0.5, offset=1e308),
+             "invalid loss specification:\nnon-finite loss at theta=0.5 for a1"),
+        ],
+        ids=["unknown-kind", "quadratic-knots", "table-quadratic", "non-finite"],
+    )
+    def test_refusal_names_its_cause(self, unit_space, kind, a0, a1, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            LossSpec(space=unit_space, kind=kind, params_a0=a0, params_a1=a1)
 
     def test_unsorted_grid_reported(self, unit_space):
         curve = CurveKnots(knots=(-0.5, 0.3, 0.1, 0.5), values=(0, 0, 0, 0))

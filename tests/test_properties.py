@@ -535,7 +535,7 @@ MIRROR_GROUPS = [
     ("normal", "verdicts"),
     ("binomial", "verdicts"),
     ("normal", "mean"),
-    _known("binomial", "mean", "ROADMAP small items: a beta mean near 0 keeps the digits of pi"),
+    ("binomial", "mean"),
     _known("normal", "sd", "ROADMAP item 4: a normal posterior far beyond an end loses digits"),
     ("binomial", "sd"),
     ("normal", "params"),

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -50,6 +51,11 @@ class TestIntervalAndRegionSet:
         with pytest.raises(ValidationError):
             Interval(0.1, 0.1, lo_open=True)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 0.0)])
+    def test_non_finite_end_rejected(self, lo, hi):
+        with pytest.raises(ValidationError, match="^interval endpoints must be finite$"):
+            Interval(lo, hi)
+
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(ValidationError):
             Interval(0.5, 0.1)
@@ -87,6 +93,8 @@ class TestRegionMeasure:
         assert region_measure(full) == pytest.approx(1.0, abs=1e-15)
         hull = region_hull(COIN_B1)
         assert (hull.lo, hull.hi) == (-0.5, 0.5)
+        with pytest.raises(ValidationError, match="^hull of an empty region set$"):
+            region_hull(RegionSet(()))
 
 
 class TestPartitionCoinDemo:

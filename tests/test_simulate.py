@@ -135,13 +135,15 @@ class TestScenarioValidation:
             ({"true_effects": (None,)}, "true_effects: item 0: must be a finite number, got None"),
             ({"true_effects": (True,)}, "true_effects: item 0: must be a finite number, got True"),
             ({"name": 5}, "name: must be a string, got 5"),
+            ({"family": "poisson"}, "unknown model family 'poisson'"),
         ],
-        ids=["effect-string", "effect-none", "effect-bool", "name-int"],
+        ids=["effect-string", "effect-none", "effect-bool", "name-int", "family-unknown"],
     )
     def test_name_and_effects_follow_the_config_rule(self, changes, message):
-        """The library refuses the name and effects the config refuses: a
-        string or None effect once raised a bare TypeError, True was refused
-        as an effect outside the space, and a numeric name was kept."""
+        """The library refuses the name, effects and family the config
+        refuses: a string or None effect once raised a bare TypeError, True
+        was refused as an effect outside the space, and a numeric name was
+        kept."""
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             shipped_scenario("coin_scenario", **changes)
 
@@ -1308,12 +1310,14 @@ def test_continued_fraction_stays_inside_half_its_cap_under_the_bound(monkeypatc
         total = 2.0**power
         for a0, b0 in [(1.0, 1.0), (0.5, 0.5), (3.0, 7.0)]:
             n = int(total - a0 - b0)
-            for x in cuts:
-                # the tails switch sides where x (a + b + 2) = a + 1, a = k + a0
-                switch = x * (total + 2.0) - 1.0 - a0
+            for effect in (x - 0.5 for x in cuts):
+                # the row takes its tails at pi = effect + 1/2, which need not
+                # round back to the cut; they switch sides where
+                # pi (a + b + 2) = a + 1, a = k + a0
+                switch = (effect + 0.5) * (total + 2.0) - 1.0 - a0
                 near = range(max(0, math.ceil(switch) - 8), min(n, math.floor(switch) + 8) + 1)
                 for k in range(n + 1) if power <= 10 else near:
-                    inference._beta_tails((k + a0, n - k + b0), x)
+                    inference._beta_tails((k + a0, n - k + b0), effect)
             middle = range(n + 1) if power <= 10 else range(n // 2 - 8, n // 2 + 9)
             for k in middle:
                 inference._binomial_point_null(sim.BinomialModel(n, k))
@@ -1751,6 +1755,34 @@ def test_seeded_normal_maps_count_as_brute_force(monkeypatch, threshold):
     assert {name for name, ybar in evaluated if ybar not in every_draw} == {"nhst", "tost"}
     assert all(reached is (n > 50) for n, reached in answers)
     assert (50, False) in answers or threshold == 1.0
+
+
+@pytest.mark.parametrize(
+    "odds, slopes, answer",
+    [
+        (1.0 - sim.CERTIFICATE_MARGIN / 2.0, (1.0, -1.0), None),
+        (0.5, (1.0, 1.0), None),
+        (0.5, (0.0, 0.0), None),
+        (0.5, (1.0, -1.0), False),
+        (1.0 + 1e-12, (1.0, 1.0), True),
+    ],
+    ids=["odds-within-the-margin", "equal-slopes", "flat", "out-of-reach", "reached"],
+)
+def test_the_top_search_settles_at_its_first_look(odds, slopes, answer):
+    """One step of the top-verdict search on synthetic looks, the odds over
+    the bar the same at every mean and the slope slopes[0] below the start,
+    slopes[1] above it. Odds within CERTIFICATE_MARGIN of the bar, and
+    equal slopes, answer None at once, which lets no map certify a gap;
+    odds below the margin with a peak between the looks answer "out of
+    reach" where the box names a lower verdict."""
+    asked = []
+
+    def look(m):
+        asked.append(m)
+        return (m,), odds, slopes[0] if m < 0.25 else slopes[1]
+
+    assert sim._top_reached(lambda c: "below", "top", look, 0.25, 0.125) is answer
+    assert asked == [0.125, 0.375]
 
 
 def test_an_unreachable_top_verdict_is_reached_by_no_mean_of_a_dense_scan():
