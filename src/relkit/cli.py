@@ -38,6 +38,7 @@ from .regions import partition
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC_IO = 3
+ARTIFACT_SPEC_VERSION = 1  # the spec_version every JSON artifact carries
 
 
 _FLAGS = {
@@ -185,7 +186,7 @@ def _cmd_partition(args, cfg: ConfigDocument) -> int:
     regions.sort(key=lambda r: (r["lo"], r["hi"]))
     doc = {
         "command": "partition",
-        "spec_version": 1,
+        "spec_version": ARTIFACT_SPEC_VERSION,
         "parameter_space": {"lo": cfg.loss.space.lo, "hi": cfg.loss.space.hi},
         "crossings": list(part.crossings),
         "regions": regions,
@@ -205,7 +206,7 @@ def _cmd_check_hypotheses(args, cfg: ConfigDocument) -> int:
     witness = partial.witness if not partial.ok else complete.witness
     doc = {
         "command": "check_hypotheses",
-        "spec_version": 1,
+        "spec_version": ARTIFACT_SPEC_VERSION,
         "complete": complete.ok,
         "partial": partial.ok,
         "witness": witness,
@@ -244,7 +245,7 @@ def _cmd_decide(args, cfg: ConfigDocument) -> int:
     }[outcome.decision]
     doc = {
         "command": "decide",
-        "spec_version": 1,
+        "spec_version": ARTIFACT_SPEC_VERSION,
         "rule": cfg.decision.name,
         "decision_label": label,
         "posterior": posterior_summary(posterior()),
@@ -278,7 +279,7 @@ def _cmd_compare(args, cfg: ConfigDocument) -> int:
         raise ConfigError("compare needs a 'model' section with data")
     _, reports = _bind_and_run(cfg, cfg.comparators)
     results = [_compare_row(s.name, report) for s, report in zip(cfg.comparators, reports)]
-    doc = {"command": "compare", "spec_version": 1, "results": results}
+    doc = {"command": "compare", "spec_version": ARTIFACT_SPEC_VERSION, "results": results}
     rows = [[r[c] for c in _COMPARE_COLUMNS] for r in results]
     _emit(args, doc, _COMPARE_COLUMNS, rows)
     return EXIT_OK
@@ -311,7 +312,7 @@ def _cmd_simulate(args, cfg: ConfigDocument) -> int:
     if out := args.output:
         doc = {
             "command": "simulate",
-            "spec_version": 1,
+            "spec_version": ARTIFACT_SPEC_VERSION,
             "scenario": table.scenario,
             "seed": table.seed,
             "rng": "pcg64",

@@ -38,6 +38,7 @@ from .inference import (
     NormalKnownVarModel,
     PosteriorModel,
     Family,
+    _pair_ends,
     _region_masses,
     family_of,
     normal_cdf,
@@ -217,21 +218,12 @@ def rope_decision(post: PosteriorModel, rope: RegionSet, mass: float) -> Compara
     return _rope_result(post, rope, mass, *_rope(post, lo, hi, tail))
 
 
-Ends = tuple[tuple[float, float], ...]  # the (lo, hi) of each interval of a region
-
-
-def _pair_ends(pair: HypothesisPair) -> tuple[Ends, Ends]:
-    return tuple(
-        tuple((itv.lo, itv.hi) for itv in region.intervals) for region in (pair.h0, pair.h1)
-    )
-
-
 def _prior_masses(row: Family, params: tuple[float, float], pair: HypothesisPair) -> tuple:
     """The masses (H0, H1) under the untruncated prior ``params`` of a family
     row; both regions must map into its support and have positive mass."""
     for itv in (*pair.h0.intervals, *pair.h1.intervals):
         row.check_support(itv.lo, itv.hi)
-    masses = _region_masses(lambda t: row.tails(params, t), _pair_ends(pair))
+    masses = _region_masses(lambda t: row.tails(params, t), _pair_ends(pair.h0, pair.h1))
     for name, region, mass in zip(("h0", "h1"), (pair.h0, pair.h1), masses):
         if region.is_empty:
             raise ValidationError(f"{name} is empty; it has no prior mass")
@@ -299,5 +291,5 @@ def interval_bayes_factor(
     # are checked before the posterior's are taken
     prior_masses = _prior_masses(row, tuple(vars(model).values())[-2:], pair)
     post = row.update(model)
-    post_masses = _region_masses(lambda t: row.tails(post, t), _pair_ends(pair))
+    post_masses = _region_masses(lambda t: row.tails(post, t), _pair_ends(pair.h0, pair.h1))
     return _bayes_factor_result(*_bayes_factor(post_masses, prior_masses, threshold))

@@ -33,7 +33,7 @@ from .hypotheses import HypothesisPair, LossRatio
 from .inference import (
     PosteriorModel,
     _scaled_moments,
-    _region_ends,
+    _pair_ends,
     _region_masses,
     concentration_splits,
     quadrature,
@@ -91,7 +91,7 @@ def _hypothesis_ends(space: ParameterSpace, pair: HypothesisPair, allow: bool) -
             'strong claim. Set "allow_restricted_space": true (in Python, '
             "allow_restricted_space=True) to accept it."
         )
-    return _region_ends(pair.h0, space), _region_ends(pair.h1, space)
+    return _pair_ends(pair.h0, pair.h1, space)
 
 
 def _outcome(
@@ -255,25 +255,15 @@ def _printed_expected_losses(
 
 
 def _expected_loss_outcome(
-    post: PosteriorModel,
-    spec: LossSpec,
-    part_ends: tuple[tuple, tuple],
-    decision: str,
-    expected: dict,
+    post: PosteriorModel, spec: LossSpec, decision: str, expected: dict
 ) -> DecisionOutcome:
     """The outcome of the expected-loss rule, with the printed expected
-    losses and the posterior probabilities of the negligible and relevant
-    regions, whose interval ends ``part_ends`` holds."""
+    losses and the posterior probabilities of the loss's negligible and
+    relevant regions."""
     printed, warnings = _printed_expected_losses(post, spec, decision, expected)
-    p0, p1 = _region_masses(post._tails_at, part_ends)
-    return _outcome(decision, p0, p1, printed["a0"], printed["a1"], warnings)
-
-
-def _partition_ends(spec: LossSpec, space: ParameterSpace) -> tuple[tuple, tuple]:
-    """The interval ends of the negligible and relevant regions of the
-    loss's partition, checked against the space."""
     part = partition(spec)
-    return _region_ends(part.negligible, space), _region_ends(part.relevant, space)
+    p0, p1 = _region_masses(post._tails_at, _pair_ends(part.negligible, part.relevant, post.space))
+    return _outcome(decision, p0, p1, printed["a0"], printed["a1"], warnings)
 
 
 def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutcome:
@@ -295,4 +285,4 @@ def expected_loss_decision(post: PosteriorModel, spec: LossSpec) -> DecisionOutc
     split = _split(spec)
     expected, coords = _expected_losses(post, split)
     decision = _expected_loss_verdict(split, coords)
-    return _expected_loss_outcome(post, spec, _partition_ends(spec, post.space), decision, expected)
+    return _expected_loss_outcome(post, spec, decision, expected)

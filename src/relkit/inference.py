@@ -361,7 +361,9 @@ def _normal_moments(params, m0: float, lo: float, hi: float, origin: float) -> t
     then moves its mass, its phi and the origin together, and the
     cancellation in the moments of a far tail stays exact."""
     a, b = params
-    w_lo, w_hi = (lo - a) / (b * _SQRT2), (hi - a) / (b * _SQRT2)
+    # past 1e300 sd a cut's phi is 0, and its w is held at 1e300 so that z
+    # phi, and u M0 on a region with no mass, are 0 there, not inf * 0 = NaN
+    w_lo, w_hi = (min(max((x - a) / (b * _SQRT2), -1e300), 1e300) for x in (lo, hi))
     z_lo, z_hi = _SQRT2 * w_lo, _SQRT2 * w_hi
     phi_lo = _exp_neg_square(w_lo) / _SQRT2PI
     phi_hi = _exp_neg_square(w_hi) / _SQRT2PI
@@ -577,8 +579,11 @@ class PosteriorModel:
                 lo = x
             else:
                 hi = x
-            density = self.pdf(x)
-            step = f / density if density > 0.0 else math.inf
+            try:
+                density = self.pdf(x)
+                step = f / density if density > 0.0 else math.inf
+            except OverflowError:  # a density past the float range: step from its log
+                step = f * math.exp(-self.log_pdf(x))
             if abs(step) <= QUANTILE_TOL:
                 return x - step
             x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
@@ -615,17 +620,27 @@ def posterior_update(
     return PosteriorModel(row.posterior, row.update(model), space)
 
 
-def _region_ends(region: RegionSet, space: ParameterSpace) -> tuple[tuple[float, float], ...]:
+Ends = tuple[tuple[float, float], ...]  # the (lo, hi) of each interval of a region
+
+
+def _region_ends(region: RegionSet, space: ParameterSpace | None = None) -> Ends:
     """The (lo, hi) of each interval of a region set, which must lie in the
-    space up to a rounding of its span."""
-    span = max(1.0, space.span)
-    for itv in region.intervals:
-        if itv.lo < space.lo - 1e-9 * span or itv.hi > space.hi + 1e-9 * span:
-            raise DomainError(
-                f"region [{itv.lo}, {itv.hi}] outside the effect space "
-                f"[{space.lo}, {space.hi}]"
-            )
+    space, when one is given, up to a rounding of its span."""
+    if space is not None:
+        span = max(1.0, space.span)
+        for itv in region.intervals:
+            if itv.lo < space.lo - 1e-9 * span or itv.hi > space.hi + 1e-9 * span:
+                raise DomainError(
+                    f"region [{itv.lo}, {itv.hi}] outside the effect space "
+                    f"[{space.lo}, {space.hi}]"
+                )
     return tuple((itv.lo, itv.hi) for itv in region.intervals)
+
+
+def _pair_ends(h0: RegionSet, h1: RegionSet, space: ParameterSpace | None = None) -> tuple:
+    """The ends of H0 and H1, or of a partition's negligible and relevant
+    regions, each checked against the space when one is given."""
+    return _region_ends(h0, space), _region_ends(h1, space)
 
 
 def posterior_region_prob(post: PosteriorModel, region: RegionSet) -> float:

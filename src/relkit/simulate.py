@@ -44,13 +44,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import values
 from .comparators import (
     ComparatorResult,
-    Ends,
     _bayes_factor,
     _bayes_factor_result,
     _bayes_factor_verdict,
     _nhst,
     _nhst_result,
-    _pair_ends,
     _prior_masses,
     _rope,
     _rope_result,
@@ -67,7 +65,6 @@ from .decisions import (
     _expected_losses,
     _hypothesis_ends,
     _outcome,
-    _partition_ends,
     _split,
     _two_action,
     decide_from_odds,
@@ -78,11 +75,13 @@ from .inference import (
     FAMILIES,
     BinomialDraw,
     BinomialModel,
+    Ends,
     Family,
     NormalDraw,
     NormalKnownVarModel,
     PosteriorModel,
     _normal_upper_z,
+    _pair_ends,
     _region_ends,
     _region_masses,
     posterior_update,
@@ -539,8 +538,7 @@ def _bind_hypothesis_ratio(s: dict, row: Family, loss: LossSpec, pair: Hypothesi
 def _bind_expected_loss(
     s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_
 ) -> Bound:
-    # the posterior lies on the loss's space, so the two spaces match
-    part_ends, split = _partition_ends(loss, loss.space), _split(loss)
+    split = _split(loss)
 
     def kernel(model: Model, posterior: Posterior):
         # one moments pass: the verdict reads its coordinates as the
@@ -550,7 +548,7 @@ def _bind_expected_loss(
         verdict = _expected_loss_verdict(split, coords)
         return (
             verdict,
-            lambda: _expected_loss_outcome(post, loss, part_ends, verdict, expected),
+            lambda: _expected_loss_outcome(post, loss, verdict, expected),
             lambda: coords,
         )
 
@@ -577,7 +575,8 @@ def _bind_bayes_factor(
     o = 1.0 / prior_odds
     of_odds = lambda odds: _bayes_factor_verdict(odds * prior_odds, threshold)
     names = ("favors_h1", "inconclusive", "favors_h0")
-    return _bind_odds(row, _pair_ends(pair), decide, of_odds, (o / threshold, threshold * o), names)
+    ends = _pair_ends(pair.h0, pair.h1)
+    return _bind_odds(row, ends, decide, of_odds, (o / threshold, threshold * o), names)
 
 
 # each procedure's bind step (settings, family row, loss, hypothesis pair,

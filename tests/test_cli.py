@@ -23,7 +23,7 @@ import relkit.cli
 import relkit.simulate
 from relkit.cli import main
 from relkit.config import load_config
-from relkit.errors import ValidationError
+from relkit.errors import RelkitError, ValidationError
 from relkit.inference import BinomialModel, posterior_update
 from relkit.loss import QuadraticParams
 
@@ -791,7 +791,9 @@ def _aspirin_doc():
 
 ALL_SIX = ("nhst", "tost", "rope", "hypothesis_ratio", "expected_loss", "bayes_factor")
 # values the config accepts whose squares leave the float range
-EXTREME_NORMAL = [("prior", 1e-200), ("prior", 1e200), ("sigma", 1e308), ("sigma", 1e-170)]
+EXTREME_NORMAL = [
+    ("prior", 1e-200), ("prior", 1e200), ("sigma", 1e308), ("sigma", 1e-170), ("sigma", 1e-308)
+]
 
 
 def _extreme_normal_doc(key, value):
@@ -860,6 +862,41 @@ class TestExtremeNormalScales:
         assert min(mean + 0.1, 0.1 - mean) > 40.0 * sd
         assert summary["sd"] == pytest.approx(sd, rel=1e-12, abs=0.0)
 
+    def test_a_relevant_effect_reads_a1(self, tmp_path, capsys):
+        # at sigma 1e-308 and n 22000 the posterior sd is 6.7e-311, so both
+        # ends of the space lie beyond 1e308 sd of the mean; expected_loss
+        # reads a1 at the relevant effect 0.05 as every other posterior rule does
+        doc = _extreme_normal_doc("sigma", 1e-308)
+        procedures = [{"procedure": name} for name in ALL_SIX]
+        doc["scenario"].update(true_effects=[0.05], replicates=8, procedures=procedures)
+        code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc)], capsys)
+        assert (code, err) == (0, "")
+        verdicts = {line.split()[2]: line.split()[3] for line in out.splitlines()[2:]}
+        assert verdicts == {
+            "nhst": "reject",
+            "tost": "not_equivalent",
+            "rope": "accept_a1",
+            "hypothesis_ratio": "a1",
+            "expected_loss": "a1",
+            "bayes_factor": "favors_h1",
+        }
+        scenario = doc.pop("scenario")
+        doc.pop("seed")
+        doc["model"] = {
+            "family": "normal",
+            "sigma": scenario["sigma"],
+            "prior": scenario["prior"],
+            "data": {"n": 22000, "ybar": 0.05},
+        }
+        doc["comparators"] = procedures
+        path = write_config(tmp_path, doc)
+        code, out, err = run_cli(["compare", "--config", path, "--format", "csv"], capsys)
+        assert (code, err) == (0, "")
+        rows = csv.DictReader(io.StringIO(out))
+        (row,) = [r for r in rows if r["procedure"] == "expected_loss_decision"]
+        assert row["verdict"] == "a1"
+        assert math.isfinite(float(row["statistic"])) and float(row["statistic"]) < 0.0
+
     def test_unrepresentable_posterior_names_the_values(self, tmp_path, capsys):
         # the posterior sd sigma / sqrt(n) underflows to 0
         doc = _extreme_normal_doc("sigma", 5e-324)
@@ -875,6 +912,60 @@ class TestExtremeNormalScales:
         assert code == 3
         assert err.startswith("relkit: failure: the normal posterior of ybar=0.0077, n=22000, ")
         assert "sigma=5e-324" in err and "not representable" in err
+
+
+# the scan's scales of sigma and the prior sd, and its sample sizes
+SCAN_SCALES = (1e-308, 1e-170, 1.0, 1e200)
+SCAN_SIZES = (1, 22000, 2**62)
+
+
+def test_extreme_normal_scan_answers_or_names_a_relkit_error(tmp_path, capsys, monkeypatch):
+    """compare (every procedure) and decide (expected_loss) on the aspirin
+    loss over every sigma and prior sd of SCAN_SCALES and n of SCAN_SIZES,
+    at a seeded ybar inside the space and one far outside it: each run
+    exits 0 or 3, prints no nan, and exits 3 only on a RelkitError."""
+    raised = []
+    for name, (text, flags, handler) in list(relkit.cli._COMMANDS.items()):
+
+        def spy(args, cfg, handler=handler):
+            try:
+                return handler(args, cfg)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setitem(relkit.cli._COMMANDS, name, (text, flags, spy))
+    rng = random.Random(43)
+    base = _aspirin_doc()
+    del base["scenario"], base["seed"]
+    base["decision"] = {"rule": "expected_loss"}
+    for sigma, prior_sd, n in itertools.product(SCAN_SCALES, SCAN_SCALES, SCAN_SIZES):
+        # a prior sd of 1e-170 or less gives H1 no prior mass, and one of 1e200
+        # gives H0 none, so bayes_factor refuses it (test_simulate_runs)
+        names = ALL_SIX if prior_sd == 1.0 else ALL_SIX[:-1]
+        far = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 300.0)
+        for ybar in (rng.uniform(-0.1, 0.1), far):
+            doc = {
+                **base,
+                "comparators": [{"procedure": name} for name in names],
+                "model": {
+                    "family": "normal",
+                    "sigma": sigma,
+                    "prior": {"mean": 0.0, "sd": prior_sd},
+                    "data": {"n": n, "ybar": ybar},
+                },
+            }
+            path = write_config(tmp_path, doc)
+            for command in ("compare", "decide"):
+                raised.clear()
+                argv = [command, "--config", path, "--format", "csv"]
+                code, out, err = run_cli(argv, capsys)
+                where = (command, sigma, prior_sd, n, ybar, err)
+                assert code in (0, 3), where
+                cells = {cell for line in out.splitlines() for cell in line.split(",")}
+                assert "nan" not in cells, where
+                if code == 3:
+                    assert len(raised) == 1 and isinstance(raised[0], RelkitError), where
 
 
 class TestPlotCommand:

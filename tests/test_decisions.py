@@ -27,6 +27,7 @@ from relkit.loss import (
     ParameterSpace,
     QuadraticParams,
     coin_demo_loss,
+    evaluate_loss,
 )
 from relkit.regions import RegionSet, partition
 
@@ -423,6 +424,28 @@ class TestBetaClosedForm:
                 expected, _ = decisions._expected_losses(post, decisions._split(spec))
                 want = expected_losses_oracle(post, spec)
                 assert [expected["a0"], expected["a1"]] == pytest.approx(want, rel=1e-9), (n, k)
+
+
+def test_expected_losses_of_a_spike_far_inside_a_wide_space():
+    # the posterior N(5, 1e-10) on [-1e300, 1e300]: the space's ends lie
+    # beyond 1e308 sd of the mean, where (x - mean) / sd overflows, and the
+    # expected losses are the losses at the mean, with no NaN
+    space = ParameterSpace(-1e300, 1e300)
+    knots = (-1e300, 0.0, 1e300)
+    spec = LossSpec(
+        space,
+        "piecewise_linear",
+        CurveKnots(knots, (1e300, 0.0, 1e300)),
+        CurveKnots(knots, (0.0, 1.0, 0.0)),
+    )
+    model = NormalKnownVarModel(n=1, ybar=5.0, sigma=1e-10, prior_mean=0.0, prior_sd=1.0)
+    post = posterior_update(model, space)
+    expected, coords = decisions._expected_losses(post, decisions._split(spec))
+    mean = post.location_scale[0]
+    for action in ("a0", "a1"):
+        want = evaluate_loss(spec, mean, action)
+        assert expected[action] == pytest.approx(want, rel=1e-9, abs=0.0), action
+    assert all(math.isfinite(c) for c in coords)
 
 
 def test_decision_consistency_under_data_smoke(coin_spec):

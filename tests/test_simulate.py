@@ -1104,7 +1104,7 @@ class TestCertifiedBlocks:
         model = sweep.model(100, 1.0)
         coords = kernel(model, sim._shared_posterior(model, space))[2]()
         pair = sim.derive_hypotheses(sim.partition(loss))
-        _, cells = sim._odds_cells(sim._pair_ends(pair))
+        _, cells = sim._odds_cells(inference._pair_ends(pair.h0, pair.h1))
         assert sim._odds_masses(coords, cells) == (0.0, 0.0)
         table = run_operating_characteristics(scenario)
         assert table == oracles.brute_force_table(scenario)

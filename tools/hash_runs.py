@@ -30,13 +30,19 @@ the artifacts it wrote. The runs:
 - ``compare`` and ``simulate`` with ``rope`` and with ``tost`` on the
   aspirin space, where ``"partition_hull"`` is refused: on a loss with no
   negligible region, and on one whose negligible region is the point 0.
+- ``simulate`` (true effects 0.0077 and 0.05, all six procedures),
+  ``decide`` (``expected_loss``) and ``compare`` (all six) on the aspirin
+  loss at sigma 1e-308, a posterior sd of 6.7e-311 at n = 22000 and
+  ybar 0.05; and ``compare`` (``expected_loss``) of a posterior N(5, 1e-10)
+  on [-1e300, 1e300]. Both put the space's ends beyond 1e308 sd of the
+  posterior mean.
 
 The workloads come from ``perfbench/workloads.py`` and the shipped
 configs from ``configs/``, both of the checkout this script lies in. Print
 the digests for two source trees and compare: equal digests mean equal
 bytes. The set takes 9–12 s on one core of a 2-core Xeon VM. With relkit
-0.1.0 it prints ``26f49dd3…`` over 900 simulate runs and ``116f5ccf…``
-over 4718 other runs.
+0.1.0 it prints ``26f49dd3…`` over 900 simulate runs and ``0488b14d…``
+over 4722 other runs.
 """
 
 from __future__ import annotations
@@ -138,6 +144,48 @@ def _runs(workloads) -> dict[str, list[tuple[list[str], list[str]]]]:
             runs["other"].append((compare_argv, ["out.json"]))
             simulate_argv = ["simulate", "--config", config, "--output", "out"]
             runs["other"].append((simulate_argv, ["out.csv", "out.json"]))
+    # the space's ends beyond 1e308 posterior sd of the mean: a posterior sd
+    # of 6.7e-311 on the aspirin loss, and one of 1e-10 on [-1e300, 1e300]
+    six = [
+        {"procedure": name}
+        for name in ("nhst", "tost", "rope", "hypothesis_ratio", "expected_loss", "bayes_factor")
+    ]
+    scenario = aspirin["scenario"]
+    tiny = {
+        **aspirin,
+        "model": {
+            "family": "normal",
+            "sigma": 1e-308,
+            "prior": scenario["prior"],
+            "data": {"n": 22000, "ybar": 0.05},
+        },
+        "comparators": six,
+        "decision": {"rule": "expected_loss"},
+        "scenario": {
+            **scenario, "sigma": 1e-308, "true_effects": [0.0077, 0.05], "procedures": six
+        },
+    }
+    ends = [-1e300, 0.0, 1e300]
+    wide = {
+        "spec_version": 1,
+        "parameter_space": {"lo": -1e300, "hi": 1e300},
+        "actions": aspirin["actions"],
+        "loss": {
+            "kind": "piecewise_linear",
+            "params_a0": {"knots": ends, "values": [1e300, 0.0, 1e300]},
+            "params_a1": {"knots": ends, "values": [0.0, 1.0, 0.0]},
+        },
+        "model": {"family": "normal", "sigma": 1e-10, "data": {"n": 1, "ybar": 5.0}},
+        "comparators": [{"procedure": "expected_loss"}],
+    }
+    for config, doc in (("tiny_sd.json", tiny), ("wide_space.json", wide)):
+        Path(config).write_text(json.dumps(doc), encoding="utf-8")
+    runs["other"] += [
+        (["simulate", "--config", "tiny_sd.json", "--output", "out"], ["out.csv", "out.json"]),
+        (["decide", "--config", "tiny_sd.json", "--output", "out.json"], ["out.json"]),
+        (["compare", "--config", "tiny_sd.json", "--output", "out.json"], ["out.json"]),
+        (["compare", "--config", "wide_space.json", "--output", "out.json"], ["out.json"]),
+    ]
     return runs
 
 
