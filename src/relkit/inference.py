@@ -164,9 +164,9 @@ def _region_masses(tails_at: Callable[[float], tuple], ends: tuple) -> tuple[flo
 
 
 def _normal_tail_z(q: float) -> float:
-    """z >= 0 with standard normal upper tail q <= 1/2, to about 4.5e-4
+    """z >= 0 with standard normal upper tail q in (0, 1/2], to about 4.5e-4
     (Abramowitz & Stegun 26.2.23); a starting point for Newton steps."""
-    t = math.sqrt(-2.0 * math.log(max(q, 1e-300)))
+    t = math.sqrt(-2.0 * math.log(q))
     return t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
         1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
     )
@@ -176,14 +176,26 @@ def _normal_upper_z(q: float) -> float:
     """z with standard normal upper tail q in (0, 1), to full precision:
     three Newton steps from ``_normal_tail_z``, each on the tail by erfc, or
     about the median by erf for q above 1/4, where 1/2 - q is exact and z
-    keeps its relative precision near 0."""
+    keeps its relative precision near 0. Below 1e-300, where the tail nears
+    the end of the float range, each step is on the log of the tail, log
+    phi(z) + log R(z), with R the Mills ratio 1 / (z + 1 / (z + 2 / (z +
+    ...))), whose continued fraction converges fast out there. A q of 0, as
+    alpha / 2 at the smallest alpha, gives inf."""
     if q > 0.5:
         return -_normal_upper_z(1.0 - q)
+    if q == 0.0:
+        return math.inf
     z = _normal_tail_z(q)
     for _ in range(3):
-        w = z / _SQRT2
-        miss = 0.5 * math.erfc(w) - q if q < 0.25 else (0.5 - q) - 0.5 * math.erf(w)
-        z += miss * _SQRT2PI * math.exp(0.5 * z * z)
+        if q < 1e-300:
+            r = z  # 1 / R(z), from the fraction's twelfth term up
+            for k in range(12, 0, -1):
+                r = z + k / r
+            z -= (0.5 * z * z + math.log(r * _SQRT2PI) + math.log(q)) / r
+        else:
+            w = z / _SQRT2
+            miss = 0.5 * math.erfc(w) - q if q < 0.25 else (0.5 - q) - 0.5 * math.erf(w)
+            z += miss * _SQRT2PI * math.exp(0.5 * z * z)
     return z
 
 
@@ -570,7 +582,8 @@ class PosteriorModel:
         lo_tails, hi_tails, total, _ = self._ends
         below = lo_tails[0] + p * total
         above = hi_tails[1] + (1.0 - p) * total
-        z = -_normal_tail_z(below) if below <= above else _normal_tail_z(above)
+        tail = max(min(below, above), 1e-300)  # the start clamps a tail below 1e-300
+        z = -_normal_tail_z(tail) if below <= above else _normal_tail_z(tail)
         loc, sd = self.location_scale
         x = min(max(loc + sd * z, lo), hi)
         for _ in range(200):

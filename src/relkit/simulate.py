@@ -36,6 +36,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import struct
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -92,10 +93,9 @@ from .regions import RegionSet, partition, region_hull
 Model = BinomialModel | NormalKnownVarModel
 Posterior = Callable[[], PosteriorModel]
 Report = Callable[[], ComparatorResult | DecisionOutcome]
-Coords = Callable[[], tuple[float, ...]]
 # a procedure with its settings bound: (model, posterior) -> (verdict, report,
-# coords), for a model of the one prior it was bound to
-Kernel = Callable[[Model, Posterior], tuple[str, Report, Coords]]
+# the draw's coordinates), for a model of the one prior it was bound to
+Kernel = Callable[[Model, Posterior], tuple[str, Report, tuple[float, ...]]]
 # a procedure's certificate: a draw's coordinates -> its verdict
 Certificate = Callable[[tuple[float, ...]], str]
 
@@ -380,11 +380,10 @@ class Bound(NamedTuple):
 # takes the model and a posterior from _shared_posterior (nhst and tost never
 # call it), computes what its verdict needs through the rule its public
 # function calls, and returns the verdict, report(), which builds the result
-# that function returns, and coords(), the draw's coordinates; both are
-# built from what the verdict computed, and only when called. A kernel takes
-# a model of the prior it was bound to, and no other. The kernels name the
-# rules as module globals, looked up at call time, so that patching one here
-# reaches every caller.
+# that function returns only when called, and the draw's coordinates, values
+# that the verdict computed. A kernel takes a model of the prior it was bound
+# to, and no other. The kernels name the rules as module globals, looked up
+# at call time, so that patching one here reaches every caller.
 
 
 def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -> Bound:
@@ -401,7 +400,7 @@ def _bind_nhst(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
         return (
             verdict,
             lambda: _nhst_result(row, model, alpha, *out),
-            lambda: (-p, -1.0) if statistic >= half * model.n else (-1.0, -p),
+            (-p, -1.0) if statistic >= half * model.n else (-1.0, -p),
         )
 
     # reject where either exceeds -alpha: fail_to_reject < reject
@@ -428,7 +427,7 @@ def _bind_tost(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
         out = _tost(tails, alpha)
         # -p_lower rises and -p_upper falls with ybar, two erfc and no
         # continued fraction
-        return out[0], lambda: _tost_result(lo, hi, alpha, *out), lambda: (-tails[1], -tails[3])
+        return out[0], lambda: _tost_result(lo, hi, alpha, *out), (-tails[1], -tails[3])
 
     # equivalent where both exceed -alpha: not_equivalent < equivalent
     certificate = lambda c: "equivalent" if min(c) > -alpha else "not_equivalent"
@@ -454,7 +453,7 @@ def _bind_rope(s: dict, row: Family, loss: LossSpec, pair: HypothesisPair, *_) -
     def kernel(model: Model, posterior: Posterior):
         post = posterior()
         out = _rope(post, lo, hi, tail)
-        return out[0], lambda: _rope_result(post, rope, mass, *out), lambda: out[1:]
+        return out[0], lambda: _rope_result(post, rope, mass, *out), out[1:]
 
     # P(theta < lo | y) falls and P(theta > hi | y) rises with the
     # statistic, since the truncated posterior is stochastically increasing
@@ -476,9 +475,10 @@ def _bind_odds(
     def kernel(model: Model, posterior: Posterior):
         tails_at = posterior()._tails_at
         verdict, report = decide(*_region_masses(tails_at, ends))
-        # the untruncated tail masses at fixed points, monotone in the
-        # statistic since the posterior is stochastically increasing in it
-        return verdict, report, lambda: tuple(tails_at(x)[tail] for x, tail in changes)
+        # the untruncated tail masses at fixed points, which the masses just
+        # took, monotone in the statistic since the posterior is
+        # stochastically increasing in it
+        return verdict, report, tuple(tails_at(x)[tail] for x, tail in changes)
 
     def certificate(c: tuple) -> str:
         # the odds rise with every coordinate: H0's verdict < neither's < H1's
@@ -546,11 +546,7 @@ def _bind_expected_loss(
         post = posterior()
         expected, coords = _expected_losses(post, split)
         verdict = _expected_loss_verdict(split, coords)
-        return (
-            verdict,
-            lambda: _expected_loss_outcome(post, loss, verdict, expected),
-            lambda: coords,
-        )
+        return verdict, lambda: _expected_loss_outcome(post, loss, verdict, expected), coords
 
     # E[g | y] = g(lo) - c0 - c1 falls with both: a0 < a1
     certificate = lambda c: _expected_loss_verdict(split, c)
@@ -714,13 +710,12 @@ def _bind_sweep(scenario: Scenario) -> _Sweep:
 
 class _VerdictMap:
     """The run's map of one procedure at one n: xs, the statistics
-    evaluated so far, sorted; ys, each one's (outcome, coordinates), the
-    coordinates kept as the kernel's coords() until a box first needs them,
-    and never in a cell without a certificate, where they would hold each
-    evaluated draw's posterior; top, the highest rank in the verdict order
-    taken so far; and peak, the highest rank a statistic can take. In a
-    certified cell, a model of the map's n gives the bind step's cuts, and
-    the question whether its top verdict is reached (see "seeds")."""
+    evaluated so far, sorted; ys, each one's (outcome, coordinates), with
+    None for coordinates in a cell without a certificate and for an error;
+    top, the highest rank in the verdict order taken so far; and peak, the
+    highest rank a statistic can take. In a certified cell, a model of the
+    map's n gives the bind step's cuts, and the question whether its top
+    verdict is reached (see "seeds")."""
 
     def __init__(self, bound: Bound, certified: bool, model: Model | None = None) -> None:
         self.kernel = bound.kernel
@@ -757,22 +752,11 @@ class _VerdictMap:
         which count nothing; else at a draw inside it, the block's end
         draw where the gap is a ray past every evaluated draw and else its
         middle draw. An evaluated statistic is entered in the map. A draw
-        whose kernel raised keeps its error, and one whose coords() raised
-        keeps no coordinates: neither certifies a gap next to it."""
+        whose kernel raised keeps its error, which certifies no gap next to
+        it."""
         xs, ys, rank, cert, cuts = self.xs, self.ys, self.rank, self.cert, self.cuts
         top, peak = self.top, self.peak
         count, failed = Counter(), {}
-
-        def corner(x) -> tuple | None:
-            # a draw's coordinates, taken once, when a box first needs them
-            outcome, coords = ys[x]
-            if callable(coords):
-                try:
-                    coords = coords()
-                except RelkitError:
-                    coords = None
-                ys[x] = outcome, coords
-            return coords
 
         def add(outcome: Outcome, j: int) -> None:
             if isinstance(outcome, RelkitError):
@@ -813,7 +797,7 @@ class _VerdictMap:
             if isinstance(v, str) and v == ys[right][0]:
                 r = rank.get(v, -1)
                 ordered = r >= 0 and (r == peak or r < top)
-                verdict = v if ordered else _box_verdict(cert, corner(left), corner(right))
+                verdict = v if ordered else _box_verdict(cert, ys[left][1], ys[right][1])
                 if verdict is None and r == peak - 1 and self.reaches_top:
                     if self.reaches_top() is False:
                         peak, verdict = r, v
@@ -858,13 +842,13 @@ def _tally(
     counts = [Counter() for _ in maps]
     first_error: dict[int, RelkitError] = {}
     for statistics in blocks:
-        distinct, cum = [], array("q", [0])
-        for statistic in sorted(statistics):
-            if distinct and statistic == distinct[-1]:
-                cum[-1] += 1
-            else:
-                distinct.append(statistic)
-                cum.append(cum[-1] + 1)
+        ordered = sorted(statistics)
+        # whether each statistic after the first begins a run of equal ones
+        starts = list(map(operator.ne, ordered[1:], ordered))
+        distinct = ordered[:1] + list(itertools.compress(ordered[1:], starts))
+        # cum[j] counts the draws below distinct[j], and cum[-1] all of them
+        cum = array("q", itertools.chain((0,), itertools.compress(range(1, len(ordered)), starts)))
+        cum.append(len(ordered))
 
         @functools.cache
         def draw(x) -> tuple[Model, Posterior]:

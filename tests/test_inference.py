@@ -70,6 +70,16 @@ class TestSpecialFunctions:
         for q in (0.55, 0.9, 0.975, 0.999):
             assert _normal_upper_z(q) == pytest.approx(oracles.normal_upper_z(q), rel=1e-14), q
 
+    def test_normal_upper_z_to_the_smallest_subnormal(self):
+        """From 0.3 down to 5e-324 on a log grid, through the tails below
+        1e-300 whose erfc nears the end of the float range, within 1e-14
+        relative of SciPy's ndtri."""
+        levels = [0.3 * 10.0 ** (-0.25 * i) for i in range(1292)] + [2.2e-308, 5e-321]
+        for q in levels:
+            assert _normal_upper_z(q) == pytest.approx(oracles.normal_upper_z(q), rel=1e-14), q
+        # half the smallest alpha rounds to 0, whose z is inf, as ndtri's
+        assert _normal_upper_z(5e-324 / 2.0) == oracles.normal_upper_z(0.0) == math.inf
+
 
 class TestConjugateUpdates:
     @pytest.mark.parametrize(

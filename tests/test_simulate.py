@@ -1102,7 +1102,7 @@ class TestCertifiedBlocks:
         sweep = sim._bind_sweep(scenario)
         ((kernel, *_),) = sweep.bound
         model = sweep.model(100, 1.0)
-        coords = kernel(model, sim._shared_posterior(model, space))[2]()
+        coords = kernel(model, sim._shared_posterior(model, space))[2]
         pair = sim.derive_hypotheses(sim.partition(loss))
         _, cells = sim._odds_cells(inference._pair_ends(pair.h0, pair.h1))
         assert sim._odds_masses(coords, cells) == (0.0, 0.0)
@@ -1229,7 +1229,7 @@ def _assert_box_verdicts(scenario, n, statistics):
         model = sweep.model(n, x)
         verdict, _, draw_coords = kernel(model, sim._shared_posterior(model, sweep.space))
         verdicts.append(verdict)
-        coords.append(draw_coords())
+        coords.append(draw_coords)
     assert [cert(c) for c in coords] == verdicts
     named = 0
     for i in range(len(coords)):
@@ -1261,6 +1261,15 @@ def test_normal_test_certificates_name_the_tests_verdicts(name, n):
     lo, hi = (-6 * se, 6 * se) if name == "nhst" else (-0.02 - 6 * se, 0.02 + 6 * se)
     verdicts = _assert_box_verdicts(scenario, n, [lo + (hi - lo) * i / 2000 for i in range(2001)])
     assert len(set(verdicts)) == 2 or (name, n) == ("tost", 50)
+
+
+def test_normal_tests_at_the_smallest_alpha_match_direct():
+    # alpha 5e-324, whose half rounds to 0: nhst's cuts lie at infinity,
+    # and tost's far past its bounds
+    tiny = {"alpha": 5e-324}
+    procs = (ProcedureSpec("nhst", tiny), ProcedureSpec("tost", tiny))
+    scenario = _bench_normal(**BENCH_NORMAL_GRID, procedures=procs)
+    assert run_operating_characteristics(scenario) == oracles.brute_force_table(scenario)
 
 
 BOX_SCENARIOS = {
@@ -1923,13 +1932,12 @@ def test_a_top_verdict_dropped_where_it_is_reached_breaks_the_counts(monkeypatch
 
 def _counting_corners(monkeypatch):
     """Patch the sweep's bind step and its box check. Returns Counters of
-    the coordinates taken per procedure and per (run, procedure, model), of
-    the boxes between two evaluated draws checked per procedure and of the
-    verdicts of each such box's two ends, a () -> None that starts the next
-    run, and a Counter per procedure of the other boxes, which a search for
-    the top verdict checks over posterior means, not draws."""
-    coords, per_draw, boxes, ends, runs = Counter(), Counter(), Counter(), Counter(), [0]
-    probes = Counter()
+    the kernel calls per (run, procedure, model), of the boxes between two
+    evaluated draws checked per procedure and of the verdicts of each such
+    box's two ends, a () -> None that starts the next run, and a Counter per
+    procedure of the other boxes, which a search for the top verdict checks
+    over posterior means, not draws."""
+    per_draw, boxes, ends, runs, probes = Counter(), Counter(), Counter(), [0], Counter()
     names, verdicts = {}, {}
     bind, box = sim.bind_procedure, sim._box_verdict
 
@@ -1938,16 +1946,10 @@ def _counting_corners(monkeypatch):
         names[id(bound.certificate)] = proc.name
 
         def kernel(model, posterior):
-            verdict, report, draw_coords = bound.kernel(model, posterior)
-
-            def counted():
-                coords[proc.name] += 1
-                per_draw[runs[0], proc.name, model] += 1
-                c = draw_coords()
-                verdicts[id(c)] = c, verdict  # keeps c, and so its id
-                return c
-
-            return verdict, report, counted
+            verdict, report, coords = bound.kernel(model, posterior)
+            per_draw[runs[0], proc.name, model] += 1
+            verdicts[id(coords)] = coords, verdict  # keeps coords, and so its id
+            return verdict, report, coords
 
         return bound._replace(kernel=kernel)
 
@@ -1963,25 +1965,15 @@ def _counting_corners(monkeypatch):
 
     monkeypatch.setattr(sim, "bind_procedure", counting)
     monkeypatch.setattr(sim, "_box_verdict", counted_box)
-    return coords, per_draw, boxes, ends, lambda: runs.__setitem__(0, runs[0] + 1), probes
+    return per_draw, boxes, ends, lambda: runs.__setitem__(0, runs[0] + 1), probes
 
 
-# coordinates taken and boxes between evaluated draws checked per procedure
-# on the same cells. Taken at every kernel call, the coordinates would be the
-# 905 calls above. On the per-replicate streams of relkit before blocks were
-# drawn whole, that was 1,261 and boxing every gap between two evaluated
-# draws took 1,257 boxes; taken for a box only, 524 and 630. Before the
-# normal seeds, bayes_factor took 263 and 387. Its search for the top
-# verdict, once per n = 50 cell, checks one box over posterior means, pinned
-# last
-NORMAL_BENCH_CELL_COORDS = {
-    "nhst": 38,
-    "tost": 45,
-    "rope": 73,
-    "hypothesis_ratio": 41,
-    "expected_loss": 87,
-    "bayes_factor": 63,
-}
+# boxes between evaluated draws checked per procedure on the same cells. On
+# the per-replicate streams of relkit before blocks were drawn whole, boxing
+# every gap between two evaluated draws took 1,257 boxes; a box only between
+# draws of one verdict, 630. Before the normal seeds, bayes_factor checked
+# 387. Its search for the top verdict, once per n = 50 cell, checks one box
+# over posterior means, pinned last
 NORMAL_BENCH_CELL_BOXES = {
     "nhst": 19,
     "tost": 45,
@@ -1994,9 +1986,10 @@ NORMAL_BENCH_CELL_PROBE_BOXES = {"bayes_factor": 12}
 
 
 def test_normal_bench_cells_take_coordinates_only_for_a_box(monkeypatch):
-    """A draw's coordinates are taken only when a box between two draws of
-    one verdict needs them, at most once per run."""
-    coords, per_draw, boxes, _, next_run, probes = _counting_corners(monkeypatch)
+    """A box is checked only between two evaluated draws of one verdict,
+    and each draw, with its coordinates, is evaluated at most once per
+    run."""
+    per_draw, boxes, _, next_run, probes = _counting_corners(monkeypatch)
     for seed in (1, 2, 3):
         for effect in BENCH_NORMAL_GRID["true_effects"]:
             for n in BENCH_NORMAL_GRID["sample_sizes"]:
@@ -2006,7 +1999,6 @@ def test_normal_bench_cells_take_coordinates_only_for_a_box(monkeypatch):
     assert max(per_draw.values()) == 1
     assert set(probes) == set(NORMAL_BENCH_CELL_PROBE_BOXES)
     for got, pinned in (
-        (coords, NORMAL_BENCH_CELL_COORDS),
         (boxes, NORMAL_BENCH_CELL_BOXES),
         (probes, NORMAL_BENCH_CELL_PROBE_BOXES),
     ):
@@ -2026,44 +2018,39 @@ def test_normal_bench_cells_take_coordinates_only_for_a_box(monkeypatch):
 def test_a_box_only_spans_draws_of_one_verdict(monkeypatch, scenario):
     # a gap whose ends' verdicts differ is split without a box; the search
     # for a top verdict boxes posterior means, not draws, and is not counted
-    ends = _counting_corners(monkeypatch)[3]
+    ends = _counting_corners(monkeypatch)[2]
     run_operating_characteristics(scenario)
     assert ends and all(v == w for v, w in ends)
 
 
-def test_coordinates_that_raise_leave_their_gaps_uncertified(monkeypatch):
-    """A draw whose coords() raises NumericalError, which the sweep sees
-    when a box first needs it, certifies no gap next to it. Without a
-    verdict order, and with every draw of the n = 50 cells raising, those
-    cells evaluate each draw that a run without a certificate evaluates,
-    and every cell counts as that run does."""
-    scenario = _bench_normal(**BENCH_NORMAL_GRID, seed=3, procedures=(BENCH_NORMAL_PROCEDURES[3],))
-    bind = sim.bind_procedure
-
-    def run(certified):
-        def raising(proc, family, loss, pair, prior):
-            bound = bind(proc, family, loss, pair, prior)
-
-            def kernel(model, posterior):
-                verdict, report, coords = bound.kernel(model, posterior)
-
-                def fails():
-                    raise NumericalError(f"no coordinates at ybar={model.ybar}")
-
-                return verdict, report, fails if model.n == 50 else coords
-
-            return bound._replace(
-                kernel=kernel, certificate=bound.certificate if certified else None, order=None
-            )
-
-        with monkeypatch.context() as patch:
-            patch.setattr(sim, "bind_procedure", raising)
-            by_cell = _counting_bind(patch)
-            table = run_operating_characteristics(scenario)
-            return table, [sum(cell.values()) for cell in by_cell()]
-
-    (table, calls), (plain, plain_calls) = run(True), run(False)
-    assert table == plain
-    cells = [(e, n) for e in scenario.true_effects for n in scenario.sample_sizes]
-    for (_, n), got, every in zip(cells, calls, plain_calls):
-        assert got == every if n == 50 else got < every, n
+def test_map_records_hold_outcomes_and_coordinate_values():
+    """After blocks of both benchmark grids, a far-out normal draw that errs
+    and a binomial cell above the certified shape sum, every record of
+    every map is (verdict, tuple of floats), (verdict, None) in a cell
+    without a certificate, or (error, None): no record keeps a callable or
+    a posterior."""
+    forms = Counter()
+    for scenario, extra in (
+        (_bench_normal(**BENCH_NORMAL_GRID, seed=3), (22000, [[0.194]])),
+        (_bench_binomial(true_effects=BENCH_BINOMIAL_EFFECTS, seed=3), (70000, [[35000, 36000]])),
+    ):
+        sweep, maps = sim._bind_sweep(scenario), {}
+        for effect in scenario.true_effects:
+            for n in scenario.sample_sizes:
+                block = sim._draw_block(scenario, effect, n, 0, scenario.replicates).tolist()
+                sim._tally(sweep, n, [block], maps)
+        sim._tally(sweep, *extra, maps)
+        for n, held in maps.items():
+            for verdict_map in held:
+                for outcome, coords in verdict_map.ys.values():
+                    if isinstance(outcome, RelkitError):
+                        assert coords is None
+                        forms["error"] += 1
+                    elif coords is None:
+                        assert isinstance(outcome, str) and n > sweep.certified_to
+                        forms["uncertified"] += 1
+                    else:
+                        assert isinstance(outcome, str) and type(coords) is tuple and coords
+                        assert all(type(c) is float for c in coords)
+                        forms["certified"] += 1
+    assert set(forms) == {"error", "uncertified", "certified"}
